@@ -6,7 +6,8 @@ decimals are rejected so exactness survives end to end. All sampling is
 seed-controlled (--seed) and identical invocations print identical bytes.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 usage or parse error.
+2 usage or parse error (including an empty grid, and a check in which a
+requested axiom inspected no case).
 """
 
 from __future__ import annotations
@@ -304,6 +305,14 @@ def cmd_check(args) -> int:
             )
         else:
             reports.append(AXIOM_CHECKERS[axiom](rule, econs))
+
+    unchecked = [report.axiom for report in reports if report.checked == 0]
+    if unchecked:
+        raise CliError(
+            f"no case inspected for {', '.join(unchecked)}: rule {rule.name} "
+            f"needs at least {rule.min_agents} agents, so a PASS would be "
+            "vacuous"
+        )
 
     expected_failures = set(args.expect_fail or [])
     ok = all(

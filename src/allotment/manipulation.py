@@ -1,8 +1,13 @@
 """Option sets, obvious-manipulation detection, and NOM verification.
 
 For registered simple rules the option set of an agent is the exact closed
-interval between equal division and the (feasibility-capped) peak, so NOM
-verdicts are exact. For arbitrary rules option sets are sampled: outcomes
+interval between a reference point r (equal division, or the agent's own
+endowment on the reallocation domain) and the (feasibility-capped) peak, so
+NOM verdicts are exact. A single-peaked disutility is worst on an interval
+at one of its two ends, so each exact verdict compares endpoint
+disutilities only: since r lies in every option set, misreport q is obvious
+exactly when max(d(r), d(min(q, omega))) is below the disutility of the
+worse truthful end. For arbitrary rules option sets are sampled: outcomes
 are produced by real rule runs over deterministic opponent-profile families
 and every outcome carries the economy that achieves it, so certificates
 replay exactly. Sampled PASS verdicts are sample-relative; sampled FAIL
@@ -338,7 +343,21 @@ def find_obvious_manipulation(
     Registered simple rules are checked against exact option intervals
     (anchored at the agent's endowment on the reallocation domain);
     everything else uses sampled option sets.
+
+    On the exact path every option set is the interval between the
+    reference point r (omega/n, or the agent's own endowment) and the
+    capped peak min(peak, omega). A single-peaked disutility is worst on
+    an interval at one of its ends, so misreport q is obvious exactly when
+    max(d(r), d(min(q, omega))) < d_truth, where d_truth is the true
+    disutility of the worse end of the truthful interval. Each misreport
+    therefore costs one disutility; the certificate, when one exists, is
+    built from the option sets by `is_obvious_manipulation`.
     """
+    if not isinstance(pref_true, SinglePeaked):
+        raise ValueError(
+            "obvious manipulation is defined for single-peaked true "
+            f"preferences, got {type(pref_true).__name__}"
+        )
     omega = Fraction(omega)
     peaks = (
         list(misreport_peaks)
@@ -349,46 +368,21 @@ def find_obvious_manipulation(
         raise ValueError(
             "sampled option sets are not defined on the reallocation domain"
         )
-    exact = rule.simple and not force_sampled
-
-    if exact:
-        if rule.domain == DOMAIN_SP_ENDOWMENTS:
-            if endowment is None:
-                raise ValueError(
-                    "reallocation rules need the agent's own endowment"
-                )
-            oset_true = option_set_endowment(pref_true.peak, endowment, omega)
-        else:
-            oset_true = option_set_simple(pref_true.peak, omega, n)
-    else:
-        oset_true = option_set_sampled(
-            rule,
-            agent,
-            pref_true,
-            omega,
-            n,
-            grid_step=option_grid_step or grid_step,
+    if rule.simple and not force_sampled:
+        return _find_exact(
+            rule, agent, pref_true, omega, n, peaks, misreport_slopes, endowment
         )
 
+    step = grid_step if option_grid_step is None else option_grid_step
+    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, grid_step=step)
     for fake_peak in peaks:
         if fake_peak == pref_true.peak:
             continue
         for left, right in misreport_slopes:
             misreport = SinglePeaked(fake_peak, left, right)
-            if exact:
-                if rule.domain == DOMAIN_SP_ENDOWMENTS:
-                    oset_mis = option_set_endowment(fake_peak, endowment, omega)
-                else:
-                    oset_mis = option_set_simple(fake_peak, omega, n)
-            else:
-                oset_mis = option_set_sampled(
-                    rule,
-                    agent,
-                    misreport,
-                    omega,
-                    n,
-                    grid_step=option_grid_step or grid_step,
-                )
+            oset_mis = option_set_sampled(
+                rule, agent, misreport, omega, n, grid_step=step
+            )
             verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
             if verdict.is_obvious:
                 return ObviousManipulation(
@@ -402,8 +396,52 @@ def find_obvious_manipulation(
                     oset_misreport=oset_mis,
                     verdict=verdict,
                 )
-            if exact:
-                break  # slopes never enter an exact-interval verdict
+    return None
+
+
+def _find_exact(
+    rule: Rule,
+    agent: int,
+    pref_true: SinglePeaked,
+    omega: Fraction,
+    n: int,
+    peaks: Sequence[Fraction],
+    misreport_slopes: Sequence[Tuple[Fraction, Fraction]],
+    endowment: Optional[Fraction],
+) -> Optional[ObviousManipulation]:
+    """The exact-interval search of `find_obvious_manipulation`, decided
+    from the two endpoint disutilities of each misreport's interval."""
+    realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
+    if realloc and endowment is None:
+        raise ValueError("reallocation rules need the agent's own endowment")
+
+    def interval(peak) -> OptionSetInterval:
+        if realloc:
+            return option_set_endowment(peak, endowment, omega)
+        return option_set_simple(peak, omega, n)
+
+    oset_true = interval(pref_true.peak)
+    reference = Fraction(endowment) if realloc else omega / n
+    d_ref = pref_true.disutility(reference)
+    d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
+    for fake_peak in peaks:
+        if fake_peak == pref_true.peak:
+            continue
+        if max(d_ref, pref_true.disutility(min(fake_peak, omega))) < d_truth:
+            # slopes never enter an exact-interval verdict; the first pair
+            # names the misreport
+            oset_mis = interval(fake_peak)
+            return ObviousManipulation(
+                rule_name=rule.name,
+                agent=agent,
+                pref_true=pref_true,
+                misreport=SinglePeaked(fake_peak, *misreport_slopes[0]),
+                omega=omega,
+                n=n,
+                oset_true=oset_true,
+                oset_misreport=oset_mis,
+                verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
+            )
     return None
 
 

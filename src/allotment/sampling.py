@@ -265,7 +265,15 @@ def standard_suite(
 
 
 def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
-    """Peak grid: multiples of omega/step covering [0, 2*omega]."""
+    """Peak grid: multiples of omega/step covering [0, 2*omega].
+
+    A denominator below 1 is refused: 0 divides by zero and a negative one
+    gives an empty grid, over which every searched verdict holds vacuously.
+    """
+    if step_denominator < 1:
+        raise ValueError(
+            f"grid step denominator must be at least 1, got {step_denominator}"
+        )
     omega = Fraction(omega)
     step = omega / step_denominator
     return [k * step for k in range(2 * step_denominator + 1)]

@@ -2,6 +2,13 @@
 
 from fractions import Fraction
 
+from allotment.manipulation import (
+    is_obvious_manipulation,
+    option_set_endowment,
+    option_set_simple,
+)
+from allotment.rules import DOMAIN_SP_ENDOWMENTS
+
 
 def bisect_increasing(func, target, lo, hi, iterations=60):
     """Bracket the level where an increasing func crosses target.
@@ -42,3 +49,27 @@ def brute_force_worst(pref, amounts):
         if best_d is None or d > best_d:
             best, best_d = a, d
     return best
+
+
+def exact_nom_oracle(rule, pref_true, omega, n, peaks, endowment=None):
+    """Reference exact NOM search: the full option-set verdict for every
+    misreport peak, in grid order.
+
+    Returns (misreport peak, truthful set, misreport set, verdict) for the
+    first obvious misreport, or None.
+    """
+
+    def interval(peak):
+        if rule.domain == DOMAIN_SP_ENDOWMENTS:
+            return option_set_endowment(peak, endowment, omega)
+        return option_set_simple(peak, omega, n)
+
+    oset_true = interval(pref_true.peak)
+    for peak in peaks:
+        if peak == pref_true.peak:
+            continue
+        oset_mis = interval(peak)
+        verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
+        if verdict.is_obvious:
+            return peak, oset_true, oset_mis, verdict
+    return None

@@ -331,6 +331,58 @@ def test_find_manipulation_proportional(om_file, capsys):
     assert "misreport peak: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("option-set", "ced", "1", "--grid-step", "0"),
+        ("find-manipulation", "ced", "1", "--misreport-grid", "0"),
+        ("find-manipulation", "ced", "1", "--misreport-grid", "-3"),
+        ("find-manipulation", "ced", "1", "--grid-step", "0"),
+        ("check", "uniform", "--axioms", "nom", "--grid-step", "-1"),
+    ],
+)
+def test_empty_grids_exit_2(om_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], om_file, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "grid step denominator must be at least 1" in err
+
+
+def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
+    path = tmp_path / "plateau.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega": "2",
+                "agents": [
+                    {"plateau_lo": "0", "plateau_hi": "2"},
+                    {"plateau_lo": "1/2", "plateau_hi": "1"},
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, "check", str(path), "spl:cea", "--axioms", "nom")
+    assert code == 2
+    assert out == ""
+    assert "single-peaked" in err
+
+
+def test_check_refuses_vacuous_pass(om_file, three_file, capsys):
+    code, out, err = run(
+        capsys, "check", om_file, "gallery:star", "--axioms", "edg,nom"
+    )
+    assert code == 2
+    assert out == ""
+    assert "no case inspected for edg, nom" in err
+
+    code, out, _ = run(
+        capsys, "check", three_file, "gallery:star", "--axioms", "edg,nom",
+        "--grid-step", "6",
+    )
+    assert code == 0
+    assert out.count("PASS_ON_SAMPLE") == 2
+
+
 def test_identical_invocations_are_byte_identical(om_file, capsys):
     args = (
         "check", om_file, "uniform", "--axioms", "efficiency,sp",

@@ -1,28 +1,36 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allotment.claims import cea, cel
+from allotment.claims import cea, cel, pro
 from allotment.manipulation import (
     check_nom,
     demonstrate_manipulation,
     find_obvious_manipulation,
     is_obvious_manipulation,
+    NomCase,
     nom_sweep,
+    ObviousManipulation,
     option_set_endowment,
     option_set_sampled,
     option_set_simple,
     OptionSetInterval,
 )
-from allotment.preferences import SinglePeaked
+from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     ced,
     gallery,
     proportional,
+    sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
     uniform,
 )
+from allotment.sampling import SLOPE_CATALOGUE, grid
+from helpers import exact_nom_oracle
 
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
@@ -252,3 +260,140 @@ def test_reallocation_rules_pass_nom_sweep():
     rule = simple_reallocation_from_claims(cel)
     report = check_nom(rule, cases)
     assert not report.failed
+
+
+def test_plateaued_true_preference_rejected():
+    pref = SinglePlateaued(F(1, 4), F(1, 2))
+    for rule in (uniform, ced):
+        with pytest.raises(ValueError, match="single-peaked"):
+            find_obvious_manipulation(rule, 0, pref, F(1), 2, grid_step=6)
+
+
+@pytest.mark.parametrize("step", [0, -3])
+def test_empty_grids_rejected(step):
+    with pytest.raises(ValueError, match="at least 1"):
+        grid(F(1), step)
+    with pytest.raises(ValueError):
+        find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2, grid_step=step)
+    # an explicit bad option grid is refused, not replaced by grid_step
+    with pytest.raises(ValueError):
+        find_obvious_manipulation(
+            ced, 0, OM_PREF, F(1), 2, grid_step=6, option_grid_step=step
+        )
+
+
+# -- exact search against the per-misreport oracle ----------------------------
+
+
+@dataclass(frozen=True)
+class MislabelledPeak(SinglePeaked):
+    """Reports `peak` to the rule but ranks amounts around `ideal`.
+
+    Still single-peaked, so the endpoint argument holds; unlike a genuine
+    preference it can strictly prefer a misreport's worst outcome, which
+    reaches the certificate branch of the exact search.
+    """
+
+    ideal: F = F(0)
+
+    def disutility(self, x):
+        return SinglePeaked(self.ideal, self.left_slope, self.right_slope).disutility(x)
+
+
+EXACT_RULES = [uniform, simple_from_claims(cel), sequential_rule("quarter")]
+REALLOC_RULES = [simple_reallocation_from_claims(c) for c in (cea, cel, pro)]
+
+
+def assert_matches_oracle(rule, case, peaks):
+    found = find_obvious_manipulation(
+        rule,
+        case.agent,
+        case.pref,
+        case.omega,
+        case.n,
+        misreport_peaks=peaks,
+        endowment=case.endowment,
+    )
+    expected = exact_nom_oracle(
+        rule, case.pref, case.omega, case.n, peaks, case.endowment
+    )
+    if expected is None:
+        assert found is None
+        return found
+    peak, oset_true, oset_mis, verdict = expected
+    assert found == ObviousManipulation(
+        rule_name=rule.name,
+        agent=case.agent,
+        pref_true=case.pref,
+        misreport=SinglePeaked(peak),
+        omega=case.omega,
+        n=case.n,
+        oset_true=oset_true,
+        oset_misreport=oset_mis,
+        verdict=verdict,
+    )
+    return found
+
+
+def mislabelled(case, ideal):
+    pref = case.pref
+    return NomCase(
+        MislabelledPeak(pref.peak, pref.left_slope, pref.right_slope, ideal),
+        case.omega,
+        case.n,
+        case.agent,
+        case.endowment,
+    )
+
+
+def test_exact_search_matches_oracle_on_sweeps():
+    sweeps = [
+        (EXACT_RULES, nom_sweep(11, 30, n_values=(2, 3))),
+        (REALLOC_RULES, nom_sweep(12, 30, with_endowments=True)),
+    ]
+    fired = 0
+    for rules, cases in sweeps:
+        for case in cases:
+            peaks = grid(case.omega, 30)
+            reference = (
+                case.endowment
+                if case.endowment is not None
+                else case.omega / case.n
+            )
+            # a genuine preference never fires (the simple family is NOM);
+            # one ideal at the reference point makes most cases fire
+            for rule in rules:
+                for variant in (case, mislabelled(case, reference)):
+                    fired += assert_matches_oracle(rule, variant, peaks) is not None
+    assert fired >= 150
+
+
+@st.composite
+def exact_cases(draw):
+    omega = F(draw(st.integers(1, 5)))
+    n = draw(st.integers(2, 4))
+    amounts = st.fractions(min_value=0, max_value=2 * omega, max_denominator=12)
+    left, right = draw(st.sampled_from(SLOPE_CATALOGUE))
+    peak = draw(amounts)
+    ideal = draw(st.none() | amounts)
+    if ideal is None:
+        pref = SinglePeaked(peak, left, right)
+    else:
+        pref = MislabelledPeak(peak, left, right, ideal)
+    endowment = draw(
+        st.none()
+        | st.fractions(min_value=0, max_value=omega, max_denominator=12)
+    )
+    if endowment is None:
+        rule = draw(st.sampled_from(EXACT_RULES))
+    else:
+        rule = draw(st.sampled_from(REALLOC_RULES))
+    peaks = draw(st.lists(amounts, max_size=12))
+    return rule, NomCase(pref, omega, n, 0, endowment), peaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_cases())
+def test_exact_search_matches_oracle_property(drawn):
+    rule, case, peaks = drawn
+    assert_matches_oracle(rule, case, peaks)
