@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's solver paths."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from allotment.manipulation import (
@@ -7,6 +8,7 @@ from allotment.manipulation import (
     option_set_endowment,
     option_set_simple,
 )
+from allotment.preferences import SinglePeaked
 from allotment.rules import DOMAIN_SP_ENDOWMENTS
 
 
@@ -73,3 +75,20 @@ def exact_nom_oracle(rule, pref_true, omega, n, peaks, endowment=None):
         if verdict.is_obvious:
             return peak, oset_true, oset_mis, verdict
     return None
+
+
+@dataclass(frozen=True)
+class MislabelledPeak(SinglePeaked):
+    """Reports `peak` to the rule but ranks amounts around `ideal`.
+
+    Still single-peaked, so the endpoint argument holds; unlike a genuine
+    preference it can strictly prefer a misreport's worst outcome, which
+    reaches the certificate branch of the exact search.
+    """
+
+    ideal: Fraction = Fraction(0)
+
+    def disutility(self, x):
+        return SinglePeaked(
+            self.ideal, self.left_slope, self.right_slope
+        ).disutility(x)

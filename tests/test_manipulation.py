@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +29,7 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import SLOPE_CATALOGUE, grid
-from helpers import exact_nom_oracle
+from helpers import MislabelledPeak, exact_nom_oracle
 
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
@@ -283,21 +282,6 @@ def test_empty_grids_rejected(step):
 
 
 # -- exact search against the per-misreport oracle ----------------------------
-
-
-@dataclass(frozen=True)
-class MislabelledPeak(SinglePeaked):
-    """Reports `peak` to the rule but ranks amounts around `ideal`.
-
-    Still single-peaked, so the endpoint argument holds; unlike a genuine
-    preference it can strictly prefer a misreport's worst outcome, which
-    reaches the certificate branch of the exact search.
-    """
-
-    ideal: F = F(0)
-
-    def disutility(self, x):
-        return SinglePeaked(self.ideal, self.left_slope, self.right_slope).disutility(x)
 
 
 EXACT_RULES = [uniform, simple_from_claims(cel), sequential_rule("quarter")]
