@@ -35,8 +35,6 @@ from .economy import (
     Economy,
     SimplePartition,
     claims_of_minus,
-    claims_of_minus_endowments,
-    endowment_partition,
     excess,
     make_allotment,
     partition,
@@ -52,7 +50,6 @@ from .manipulation import (
     find_obvious_manipulation,
     is_obvious_manipulation,
     nom_sweep,
-    option_set_endowment,
     option_set_sampled,
     option_set_simple,
 )

@@ -112,13 +112,14 @@ def check_own_peak_only(
     checked = 0
     for econ in _eligible(rule, econs):
         checked += 1
+        peaks = econ.peaks()
         x = rule(econ)
         for i, pref in enumerate(econ.prefs):
             for left, right in slope_perturbations:
                 if (left, right) == (pref.left_slope, pref.right_slope):
                     continue
                 variant = econ.replace_pref(
-                    i, SinglePeaked(pref.peak, left, right)
+                    i, SinglePeaked(peaks[i], left, right)
                 )
                 y = rule(variant)
                 if y[i] != x[i]:
@@ -164,56 +165,48 @@ def check_symmetry(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     return _report("symmetry", checked, None)
 
 
-def check_edg(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
-    """Equal division guarantee: an agent whose peak is exactly omega/n
-    must end up indifferent to omega/n."""
+def _reference_guarantee(
+    axiom: str, rule: Rule, econs: Iterable[Economy], endowed: bool
+) -> AxiomReport:
+    """An agent whose peak is exactly their reference point (omega/n, or
+    their own endowment) must end up indifferent to it."""
+    fact = "owns their peak {}" if endowed else "has peak {} = equal division"
     checked = 0
     for econ in _eligible(rule, econs):
+        if endowed and econ.endowments is None:
+            raise ValueError("endowments-guarantee needs endowed economies")
         checked += 1
+        peaks = econ.peaks()
         x = rule(econ)
-        share = econ.equal_share
+        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         for i, pref in enumerate(econ.prefs):
-            if pref.peak != share:
+            if peaks[i] != reference[i]:
                 continue
-            if pref.disutility(x[i]) != pref.disutility(share):
+            if pref.disutility(x[i]) != pref.disutility(reference[i]):
                 return _report(
-                    "edg",
+                    axiom,
                     checked,
                     Witness(
                         econ,
                         (i,),
-                        f"agent {i + 1} has peak {fr(share)} = equal division "
+                        f"agent {i + 1} {fact.format(fr(reference[i]))} "
                         f"but gets {fr(x[i])}",
                     ),
                 )
-    return _report("edg", checked, None)
+    return _report(axiom, checked, None)
+
+
+def check_edg(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
+    """Equal division guarantee: an agent whose peak is exactly omega/n
+    must end up indifferent to omega/n."""
+    return _reference_guarantee("edg", rule, econs, endowed=False)
 
 
 def check_endowments_guarantee(
     rule: Rule, econs: Iterable[Economy]
 ) -> AxiomReport:
     """An agent whose peak equals their endowment must be indifferent to it."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        if econ.endowments is None:
-            raise ValueError("endowments-guarantee needs endowed economies")
-        checked += 1
-        x = rule(econ)
-        for i, pref in enumerate(econ.prefs):
-            if pref.peak != econ.endowments[i]:
-                continue
-            if pref.disutility(x[i]) != pref.disutility(econ.endowments[i]):
-                return _report(
-                    "endowments-guarantee",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"agent {i + 1} owns their peak "
-                        f"{fr(econ.endowments[i])} but gets {fr(x[i])}",
-                    ),
-                )
-    return _report("endowments-guarantee", checked, None)
+    return _reference_guarantee("endowments-guarantee", rule, econs, endowed=True)
 
 
 def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
@@ -338,6 +331,7 @@ def check_strategy_proofness(
     checked = 0
     for econ in _eligible(rule, econs):
         checked += 1
+        peaks = econ.peaks()
         x = rule(econ)
         peaks_grid = (
             misreport_grid if misreport_grid is not None else grid(econ.omega, grid_step)
@@ -345,7 +339,7 @@ def check_strategy_proofness(
         for i, pref in enumerate(econ.prefs):
             truth_d = pref.disutility(x[i])
             for fake_peak in peaks_grid:
-                if fake_peak == pref.peak:
+                if fake_peak == peaks[i]:
                     continue
                 for left, right in misreport_slopes:
                     variant = econ.replace_pref(

@@ -6,8 +6,10 @@ decimals are rejected so exactness survives end to end. All sampling is
 seed-controlled (--seed) and identical invocations print identical bytes.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 usage or parse error (including an empty grid, and a check in which a
-requested axiom inspected no case).
+2 usage or parse error (including an empty grid, a sample count below 1,
+a rule that needs more agents than the economy has, a peak-reading check
+on single-plateaued agents, and a check in which a requested axiom
+inspected no case).
 """
 
 from __future__ import annotations
@@ -471,7 +473,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="grid denominator: peaks at multiples of omega/STEP",
     )
     parser.add_argument(
-        "--samples", type=int, default=1000, help="sample count for sweeps"
+        "--samples", type=_positive_int, default=1000, help="sample count for sweeps"
     )
     parser.add_argument(
         "--format", choices=("table", "machine"), default="table"
@@ -488,6 +490,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="comma-separated agent order for simple:appendix-b (1-based)",
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {value}")
+    return value
 
 
 def _parse_order(text: str) -> List[int]:
@@ -527,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--random",
         nargs="?",
-        type=int,
+        type=_positive_int,
         const=-1,
         default=None,
         metavar="COUNT",

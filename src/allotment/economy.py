@@ -3,8 +3,9 @@
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
 The partition machinery classifies agents as simple/non-simple relative to
-equal division and computes the residual that the second-step claims
-problem divides.
+one reference point per agent -- equal division omega/n, or the agent's
+own endowment for the reallocation rules -- and computes the residual
+that the second-step claims problem divides.
 """
 
 from __future__ import annotations
@@ -108,14 +109,16 @@ class Allotment:
 class SimplePartition:
     """Simple/non-simple split of an economy plus the second-step residual.
 
-    plus holds the simple agents (served their peak), minus the rest; z is
-    the excess demand and E the amount the claims problem must distribute.
+    reference holds each agent's reference point r_i; plus holds the simple
+    agents (served their peak), minus the rest; z is the excess demand and
+    E the amount the claims problem must distribute.
     """
 
     plus: frozenset
     minus: frozenset
     z: Fraction
     E: Fraction
+    reference: Tuple[Fraction, ...]
 
 
 def excess(econ: Economy) -> Fraction:
@@ -123,78 +126,52 @@ def excess(econ: Economy) -> Fraction:
     return sum(econ.peaks()) - econ.omega
 
 
-def partition(econ: Economy) -> SimplePartition:
-    """Classify agents as simple (plus) or non-simple (minus).
+def partition(
+    econ: Economy, reference: Optional[Sequence[Fraction]] = None
+) -> SimplePartition:
+    """Classify agents as simple (plus) or non-simple (minus) around one
+    reference point per agent: omega/n by default, or the individual
+    endowments for the reallocation rules.
 
     Under excess demand (z >= 0, the balanced case included) the simple
-    agents are those demanding strictly less than equal division; under
-    excess supply those demanding strictly more.
+    agents are those demanding strictly less than their reference point;
+    under excess supply those demanding strictly more.
     """
     peaks = econ.peaks()
-    share = econ.equal_share
+    if reference is None:
+        reference = (econ.equal_share,) * econ.n
+    elif len(reference) != econ.n:
+        raise ValueError("one reference point per agent required")
     z = sum(peaks) - econ.omega
-    if z >= 0:
-        plus = frozenset(i for i, p in enumerate(peaks) if p < share)
-    else:
-        plus = frozenset(i for i, p in enumerate(peaks) if p > share)
-    minus = frozenset(range(econ.n)) - plus
-    residual = abs(
-        econ.omega - (sum(peaks[i] for i in plus) + len(minus) * share)
+    demand = z >= 0
+    plus, minus = [], []
+    residual = econ.omega  # less the plus peaks and the minus references
+    for i, p in enumerate(peaks):
+        r = reference[i]
+        if p < r if demand else p > r:
+            plus.append(i)
+            residual -= p
+        else:
+            minus.append(i)
+            residual -= r
+    return SimplePartition(
+        plus=frozenset(plus),
+        minus=frozenset(minus),
+        z=z,
+        E=abs(residual),
+        reference=tuple(reference),
     )
-    return SimplePartition(plus=plus, minus=minus, z=z, E=residual)
 
 
 def claims_of_minus(part: SimplePartition, econ: Economy) -> ClaimsProblem:
     """The claims problem the non-simple agents solve.
 
-    Claims are |peak - omega/n| taken over minus agents in increasing index
-    order (the same order the rules module uses to map awards back).
+    Claims are |peak - reference point| taken over minus agents in
+    increasing index order (the same order the rules module uses to map
+    awards back).
     """
     peaks = econ.peaks()
-    share = econ.equal_share
-    claims = tuple(abs(peaks[i] - share) for i in sorted(part.minus))
-    return ClaimsProblem(claims=claims, endowment=part.E)
-
-
-def endowment_partition(econ: Economy) -> SimplePartition:
-    """Simple/non-simple split with individual endowments as the benchmark.
-
-    Replaces omega/n by each agent's own endowment: under z >= 0 the simple
-    agents demand strictly less than they own, under z < 0 strictly more.
-    """
-    if econ.endowments is None:
-        raise ValueError("this economy carries no individual endowments")
-    peaks = econ.peaks()
-    z = sum(peaks) - econ.omega
-    if z >= 0:
-        plus = frozenset(
-            i for i, p in enumerate(peaks) if p < econ.endowments[i]
-        )
-    else:
-        plus = frozenset(
-            i for i, p in enumerate(peaks) if p > econ.endowments[i]
-        )
-    minus = frozenset(range(econ.n)) - plus
-    residual = abs(
-        econ.omega
-        - (
-            sum(peaks[i] for i in plus)
-            + sum(econ.endowments[i] for i in minus)
-        )
-    )
-    return SimplePartition(plus=plus, minus=minus, z=z, E=residual)
-
-
-def claims_of_minus_endowments(
-    part: SimplePartition, econ: Economy
-) -> ClaimsProblem:
-    """Claims |peak - endowment| over minus agents, increasing index order."""
-    if econ.endowments is None:
-        raise ValueError("this economy carries no individual endowments")
-    peaks = econ.peaks()
-    claims = tuple(
-        abs(peaks[i] - econ.endowments[i]) for i in sorted(part.minus)
-    )
+    claims = tuple(abs(peaks[i] - part.reference[i]) for i in sorted(part.minus))
     return ClaimsProblem(claims=claims, endowment=part.E)
 
 

@@ -2,8 +2,9 @@
 
 For registered simple rules the option set of an agent is the exact closed
 interval between a reference point r (equal division, or the agent's own
-endowment on the reallocation domain) and the (feasibility-capped) peak, so
-NOM verdicts are exact. A single-peaked disutility is worst on an interval
+endowment on the reallocation domain) and the (feasibility-capped) peak;
+`option_set_simple` builds it for either reference point, so NOM verdicts
+are exact. A single-peaked disutility is worst on an interval
 at one of its two ends, so each exact verdict compares endpoint
 disutilities only: since r lies in every option set, misreport q is obvious
 exactly when max(d(r), d(min(q, omega))) is below the disutility of the
@@ -97,29 +98,20 @@ class ManipulationVerdict:
             raise ValueError("an obvious manipulation is a manipulation")
 
 
-def option_set_simple(peak: Fraction, omega: Fraction, n: int) -> OptionSetInterval:
-    """Exact option set of any simple rule: the interval between equal
-    division and the peak, capped at omega (no outcome can exceed the
-    endowment by feasibility)."""
+def option_set_simple(
+    peak: Fraction, omega: Fraction, n: int, endowment: Optional[Fraction] = None
+) -> OptionSetInterval:
+    """Exact option set of any simple rule: the interval between the agent's
+    reference point and the peak capped at omega (no outcome can exceed the
+    endowment by feasibility). The reference point is equal division, or
+    the agent's own `endowment` under a reallocation rule."""
     peak, omega = Fraction(peak), Fraction(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
-    share = omega / n
+    reference = omega / n if endowment is None else Fraction(endowment)
     reachable_peak = min(peak, omega)
     return OptionSetInterval(
-        min(share, reachable_peak), max(share, reachable_peak)
-    )
-
-
-def option_set_endowment(
-    peak: Fraction, endowment: Fraction, omega: Fraction
-) -> OptionSetInterval:
-    """Exact option set of a simple reallocation rule for a fixed endowment
-    vector: between the agent's own endowment and the capped peak."""
-    peak, endowment, omega = Fraction(peak), Fraction(endowment), Fraction(omega)
-    reachable_peak = min(peak, omega)
-    return OptionSetInterval(
-        min(endowment, reachable_peak), max(endowment, reachable_peak)
+        min(reference, reachable_peak), max(reference, reachable_peak)
     )
 
 
@@ -358,6 +350,10 @@ def find_obvious_manipulation(
             "obvious manipulation is defined for single-peaked true "
             f"preferences, got {type(pref_true).__name__}"
         )
+    if n < rule.min_agents:
+        raise ValueError(
+            f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
+        )
     omega = Fraction(omega)
     peaks = (
         list(misreport_peaks)
@@ -411,17 +407,12 @@ def _find_exact(
 ) -> Optional[ObviousManipulation]:
     """The exact-interval search of `find_obvious_manipulation`, decided
     from the two endpoint disutilities of each misreport's interval."""
-    realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
-    if realloc and endowment is None:
+    if rule.domain != DOMAIN_SP_ENDOWMENTS:
+        endowment = None
+    elif endowment is None:
         raise ValueError("reallocation rules need the agent's own endowment")
-
-    def interval(peak) -> OptionSetInterval:
-        if realloc:
-            return option_set_endowment(peak, endowment, omega)
-        return option_set_simple(peak, omega, n)
-
-    oset_true = interval(pref_true.peak)
-    reference = Fraction(endowment) if realloc else omega / n
+    oset_true = option_set_simple(pref_true.peak, omega, n, endowment)
+    reference = omega / n if endowment is None else Fraction(endowment)
     d_ref = pref_true.disutility(reference)
     d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
     for fake_peak in peaks:
@@ -430,7 +421,7 @@ def _find_exact(
         if max(d_ref, pref_true.disutility(min(fake_peak, omega))) < d_truth:
             # slopes never enter an exact-interval verdict; the first pair
             # names the misreport
-            oset_mis = interval(fake_peak)
+            oset_mis = option_set_simple(fake_peak, omega, n, endowment)
             return ObviousManipulation(
                 rule_name=rule.name,
                 agent=agent,

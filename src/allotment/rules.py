@@ -2,6 +2,12 @@
 over claims rules, the sequential-adjustment algorithm, reallocation and
 single-plateaued variants, and the five independence-gallery rules.
 
+A simple rule has one reference point per agent: equal division omega/n,
+or the agent's own endowment for the reallocation rules. Agents on the
+near side of it get their peak and a claims problem divides the rest;
+excess supply mirrors excess demand through comparisons only, so both
+cases share one code path.
+
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
 allotment on its declared domain.
@@ -14,15 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .claims import CLAIMS_RULES, ClaimsRule
-from .economy import (
-    Allotment,
-    Economy,
-    claims_of_minus,
-    claims_of_minus_endowments,
-    endowment_partition,
-    make_allotment,
-    partition,
-)
+from .economy import Allotment, Economy, claims_of_minus, make_allotment, partition
 from .levels import (
     solve_clamp_level,
     solve_loss_level,
@@ -118,52 +116,45 @@ proportional = Rule("proportional", _proportional)
 # simple rules from claims rules
 
 
+def _simple_rule(claims_rule: ClaimsRule, name: str, domain: str) -> Rule:
+    """The simple rule driven by `claims_rule` around a reference point:
+    omega/n, or each agent's own endowment on the reallocation domain.
+
+    Simple agents receive their peak; each non-simple agent moves from the
+    reference point toward their peak by their award in the residual claims
+    problem (upward under excess demand, downward under excess supply).
+    """
+    endowed = domain == DOMAIN_SP_ENDOWMENTS
+
+    def allocate(econ: Economy) -> Allotment:
+        part = partition(econ, econ.endowments if endowed else None)
+        awards = claims_rule(claims_of_minus(part, econ))
+        demand = part.z >= 0
+        amounts = list(econ.peaks())  # plus agents keep their peak
+        for nu, i in zip(awards, sorted(part.minus)):
+            r = part.reference[i]
+            amounts[i] = r + nu if demand else r - nu
+        return make_allotment(econ, amounts)
+
+    return Rule(name, allocate, domain=domain, simple=True)
+
+
 def simple_from_claims(
     claims_rule: ClaimsRule, name: Optional[str] = None
 ) -> Rule:
-    """The simple rule driven by the given claims rule.
-
-    Simple agents receive their peak; each non-simple agent receives equal
-    division adjusted by their award in the residual claims problem
-    (upward under excess demand, downward under excess supply).
-    """
-
-    def allocate(econ: Economy) -> Allotment:
-        part = partition(econ)
-        awards = claims_rule(claims_of_minus(part, econ))
-        share = econ.equal_share
-        sign = 1 if part.z >= 0 else -1
-        amounts = list(econ.peaks())  # plus agents keep their peak
-        for nu, i in zip(awards, sorted(part.minus)):
-            amounts[i] = share + sign * nu
-        return make_allotment(econ, amounts)
-
+    """The simple rule driven by the given claims rule, around equal
+    division omega/n."""
     rule_name = name or f"simple:{getattr(claims_rule, '__name__', 'custom')}"
-    return Rule(rule_name, allocate, simple=True)
+    return _simple_rule(claims_rule, rule_name, DOMAIN_SP)
 
 
 def simple_reallocation_from_claims(
     claims_rule: ClaimsRule, name: Optional[str] = None
 ) -> Rule:
-    """Reallocation variant: individual endowments replace equal division.
-
-    Simple agents (demanding less than they own under excess demand, more
-    under excess supply) receive their peak; the rest move from their
-    endowment toward their peak by their award in the residual claims
-    problem with claims |peak - endowment|.
-    """
-
-    def allocate(econ: Economy) -> Allotment:
-        part = endowment_partition(econ)
-        awards = claims_rule(claims_of_minus_endowments(part, econ))
-        sign = 1 if part.z >= 0 else -1
-        amounts = list(econ.peaks())  # plus agents keep their peak
-        for nu, i in zip(awards, sorted(part.minus)):
-            amounts[i] = econ.endowments[i] + sign * nu
-        return make_allotment(econ, amounts)
-
+    """Reallocation variant: each agent's endowment replaces equal division
+    as the reference point, and the claims are |peak - endowment|."""
     rule_name = name or f"realloc:{getattr(claims_rule, '__name__', 'custom')}"
-    return Rule(rule_name, allocate, domain=DOMAIN_SP_ENDOWMENTS, simple=True)
+    return _simple_rule(claims_rule, rule_name, DOMAIN_SP_ENDOWMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -229,45 +220,30 @@ def sequential_allotment(
                 f"order must enumerate the non-simple agents {minus}"
             )
 
-    alpha = {
-        i: (peaks[i] if i in part.plus else share) for i in range(econ.n)
-    }
-    upper = econ.omega - sum(alpha.values())  # amount still left to allocate
-    lower = econ.omega - sum(peaks)  # controls the case type; stays <= 0
-    k = len(order)
-    for t in range(k - 1):
-        # the window below is nonempty exactly because this never goes
-        # positive (each step's lower bound maintains it)
-        assert lower <= 0 if part.z >= 0 else lower >= 0
-        agent = order[t]
-        if part.z >= 0:
-            lo = max(Fraction(0), lower + peaks[agent] - share)
-            hi = min(peaks[agent] - share, upper)
-            if lo > hi:
-                raise BoundsViolation(
-                    f"empty window [{lo}, {hi}] at step {t + 1}"
-                )
-            lam = selector(lo, hi)
-            if not lo <= lam <= hi:
-                raise ValueError("selector left the admissible window")
-            alpha[agent] += lam
-            upper -= lam
-        else:
-            lo = max(Fraction(0), share - peaks[agent] - lower)
-            hi = min(share - peaks[agent], -upper)
-            if lo > hi:
-                raise BoundsViolation(
-                    f"empty window [{lo}, {hi}] at step {t + 1}"
-                )
-            lam = selector(lo, hi)
-            if not lo <= lam <= hi:
-                raise ValueError("selector left the admissible window")
-            alpha[agent] -= lam
-            upper += lam
-        lower = lower - alpha[agent] + peaks[agent]
+    # every step reads the window in the direction of the case: gap is how
+    # far the agent's peak lies beyond equal division, room what is left of
+    # the residual, and slack (never positive) is what keeps each later
+    # window nonempty
+    demand = part.z >= 0
+    amounts = [peaks[i] if i in part.plus else share for i in range(econ.n)]
+    room = part.E
+    slack = -abs(part.z)
+    for t, agent in enumerate(order[:-1]):
+        assert slack <= 0
+        gap = peaks[agent] - share if demand else share - peaks[agent]
+        lo = max(Fraction(0), gap + slack)
+        hi = min(gap, room)
+        if lo > hi:
+            raise BoundsViolation(f"empty window [{lo}, {hi}] at step {t + 1}")
+        lam = selector(lo, hi)
+        if not lo <= lam <= hi:
+            raise ValueError("selector left the admissible window")
+        amounts[agent] = share + lam if demand else share - lam
+        room -= lam
+        slack += gap - lam
     last = order[-1]
-    alpha[last] = econ.omega - sum(v for i, v in alpha.items() if i != last)
-    return make_allotment(econ, [alpha[i] for i in range(econ.n)])
+    amounts[last] = econ.omega - sum(a for i, a in enumerate(amounts) if i != last)
+    return make_allotment(econ, amounts)
 
 
 def sequential_rule(
@@ -319,20 +295,12 @@ def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
         highs = [p.plateau_hi for p in econ.prefs]
         z_lo = sum(lows) - econ.omega
         z_hi = sum(highs) - econ.omega
-        if z_lo >= 0:
+        if z_lo >= 0 or z_hi <= 0:
+            ends = lows if z_lo >= 0 else highs
             reduced = Economy(
                 tuple(
-                    SinglePeaked(p.plateau_lo, p.left_slope, p.right_slope)
-                    for p in econ.prefs
-                ),
-                econ.omega,
-            )
-            return make_allotment(econ, base(reduced).amounts)
-        if z_hi <= 0:
-            reduced = Economy(
-                tuple(
-                    SinglePeaked(p.plateau_hi, p.left_slope, p.right_slope)
-                    for p in econ.prefs
+                    SinglePeaked(end, p.left_slope, p.right_slope)
+                    for end, p in zip(ends, econ.prefs)
                 ),
                 econ.omega,
             )

@@ -3,11 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from allotment.manipulation import (
-    is_obvious_manipulation,
-    option_set_endowment,
-    option_set_simple,
-)
+from allotment.manipulation import is_obvious_manipulation, option_set_simple
 from allotment.preferences import SinglePeaked
 from allotment.rules import DOMAIN_SP_ENDOWMENTS
 
@@ -60,17 +56,13 @@ def exact_nom_oracle(rule, pref_true, omega, n, peaks, endowment=None):
     Returns (misreport peak, truthful set, misreport set, verdict) for the
     first obvious misreport, or None.
     """
-
-    def interval(peak):
-        if rule.domain == DOMAIN_SP_ENDOWMENTS:
-            return option_set_endowment(peak, endowment, omega)
-        return option_set_simple(peak, omega, n)
-
-    oset_true = interval(pref_true.peak)
+    if rule.domain != DOMAIN_SP_ENDOWMENTS:
+        endowment = None
+    oset_true = option_set_simple(pref_true.peak, omega, n, endowment)
     for peak in peaks:
         if peak == pref_true.peak:
             continue
-        oset_mis = interval(peak)
+        oset_mis = option_set_simple(peak, omega, n, endowment)
         verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
         if verdict.is_obvious:
             return peak, oset_true, oset_mis, verdict

@@ -367,6 +367,54 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
     assert "single-peaked" in err
 
 
+@pytest.mark.parametrize(
+    "axiom", ["own-peak-only", "edg", "sp", "endowments-guarantee"]
+)
+def test_peak_checkers_refuse_plateaued_preferences(tmp_path, capsys, axiom):
+    path = tmp_path / "plateau.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega": "1",
+                "agents": [
+                    {"plateau_lo": "1/4", "plateau_hi": "1/2"},
+                    {"plateau_lo": "0", "plateau_hi": "1"},
+                ],
+                "endowments": ["1/2", "1/2"],
+            }
+        )
+    )
+    code, out, err = run(capsys, "check", str(path), "spl:cea", "--axioms", axiom)
+    assert code == 2
+    assert out == ""
+    assert "single-peaked" in err
+
+
+def test_find_manipulation_refuses_too_few_agents(om_file, capsys):
+    code, out, err = run(capsys, "find-manipulation", om_file, "gallery:bar", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs at least 3 agents" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--random", "--samples", "-3"),
+        ("--random", "--samples", "0"),
+        ("--random", "0"),
+        ("--random", "-5"),
+    ],
+)
+def test_counts_below_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "simple:cea", "--axioms", "efficiency", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count must be at least 1" in captured.err
+
+
 def test_check_refuses_vacuous_pass(om_file, three_file, capsys):
     code, out, err = run(
         capsys, "check", om_file, "gallery:star", "--axioms", "edg,nom"

@@ -3,9 +3,9 @@
 Pins `allocate` for the simple, reallocation, sequential (every selector,
 ascending and descending order) and single-plateaued rules on economies
 with excess demand, excess supply and balance, all carrying individual
-endowments, plus `option-set` for a simple rule and `find-manipulation`
-for a reallocation rule, in both output formats, and the rendering of a
-reallocation certificate. A refactor of the rules must leave every byte
+endowments, plus `option-set` for a simple rule, `find-manipulation` for
+a reallocation rule and `check` of the two reference-point guarantees, in
+both output formats, and the rendering of a reallocation certificate. A refactor of the rules must leave every byte
 as it is.
 
 After an intended change of output, rewrite the golden file with
@@ -135,6 +135,16 @@ def cases():
             + ["--misreport-grid", "12"]
             + tail
         )
+        # the two reference-point guarantees, each with a failing witness
+        for rule, fails in (
+            ("simple:cea", "endowments-guarantee"),
+            ("realloc:cea", "edg"),
+        ):
+            found.append(
+                ["check", "demand", rule, "--axioms", "edg,endowments-guarantee"]
+                + ["--random", "40", "--seed", "1", "--expect-fail", fails]
+                + tail
+            )
     return [(" ".join(argv), argv) for argv in found]
 
 

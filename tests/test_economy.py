@@ -7,7 +7,6 @@ from allotment.economy import (
     Allotment,
     Economy,
     claims_of_minus,
-    endowment_partition,
     excess,
     partition,
 )
@@ -100,7 +99,7 @@ def test_claims_cover_residual_on_random_economies():
         cp = claims_of_minus(part, e)
         assert sum(cp.claims) >= part.E
         if e.endowments is not None:
-            epart = endowment_partition(e)
+            epart = partition(e, e.endowments)
             assert (
                 sum(abs(e.prefs[i].peak - e.endowments[i]) for i in epart.minus)
                 >= epart.E
@@ -134,18 +133,13 @@ def test_endowments_must_sum_to_omega():
 
 def test_endowment_partition_examples():
     e = econ([0, 2], 2, (F(1), F(1)))
-    part = endowment_partition(e)
+    part = partition(e, e.endowments)
     assert part.plus == {0}
     assert part.minus == {1}
     assert part.E == 1
 
     e2 = econ([1, 1], 2, (F(1, 2), F(3, 2)))
-    part2 = endowment_partition(e2)
+    part2 = partition(e2, e2.endowments)
     assert part2.plus == {1}
     assert part2.minus == {0}
     assert part2.E == F(1, 2)
-
-
-def test_endowment_partition_requires_endowments():
-    with pytest.raises(ValueError):
-        endowment_partition(econ([1, 1], 2))

@@ -13,7 +13,6 @@ from allotment.manipulation import (
     NomCase,
     nom_sweep,
     ObviousManipulation,
-    option_set_endowment,
     option_set_sampled,
     option_set_simple,
     OptionSetInterval,
@@ -61,7 +60,7 @@ def test_option_set_caps_peak_at_omega():
 
 
 def test_endowment_option_set():
-    assert option_set_endowment(F(3, 4), F(1, 4), F(1)) == OptionSetInterval(
+    assert option_set_simple(F(3, 4), F(1), 2, F(1, 4)) == OptionSetInterval(
         F(1, 4), F(3, 4)
     )
 
@@ -252,6 +251,17 @@ def test_endowment_cases_need_endowment():
     rule = simple_reallocation_from_claims(cea)
     with pytest.raises(ValueError):
         find_obvious_manipulation(rule, 0, OM_PREF, F(1), 2)
+
+
+def test_too_few_agents_rejected():
+    # the exact path never runs the rule, so the size check must not rely on it
+    bar = gallery("bar")
+    for force_sampled in (False, True):
+        with pytest.raises(ValueError, match="at least 3 agents"):
+            find_obvious_manipulation(
+                bar, 0, OM_PREF, F(1), 2, grid_step=6, force_sampled=force_sampled
+            )
+    assert find_obvious_manipulation(bar, 0, OM_PREF, F(1), 3, grid_step=6) is None
 
 
 def test_reallocation_rules_pass_nom_sweep():
