@@ -61,6 +61,17 @@ def _report(axiom: str, checked: int, witness: Optional[Witness]) -> AxiomReport
     return AxiomReport(axiom=axiom, verdict=verdict, checked=checked, witness=witness)
 
 
+def _peaks(axiom: str, econ: Economy) -> Tuple[Fraction, ...]:
+    """The agents' peaks, or a refusal that names the axiom and its domain."""
+    if not econ.is_single_peaked:
+        raise ValueError(
+            f"{axiom} reads each agent's peak, so it is checked on the "
+            "single-peaked domain only; this economy has single-plateaued "
+            "agents"
+        )
+    return econ.peaks()
+
+
 def _eligible(rule: Rule, econs: Iterable[Economy]) -> Iterable[Economy]:
     """Drop economies the rule rejects by size (e.g. the n >= 3 gallery rules)."""
     return (econ for econ in econs if econ.n >= rule.min_agents)
@@ -74,7 +85,7 @@ def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     for econ in _eligible(rule, econs):
         checked += 1
         x = rule(econ)
-        peaks = econ.peaks()
+        peaks = _peaks("efficiency", econ)
         z = sum(peaks) - econ.omega
         for i in range(econ.n):
             if z >= 0 and x[i] > peaks[i]:
@@ -112,7 +123,7 @@ def check_own_peak_only(
     checked = 0
     for econ in _eligible(rule, econs):
         checked += 1
-        peaks = econ.peaks()
+        peaks = _peaks("own-peak-only", econ)
         x = rule(econ)
         for i, pref in enumerate(econ.prefs):
             for left, right in slope_perturbations:
@@ -176,7 +187,7 @@ def _reference_guarantee(
         if endowed and econ.endowments is None:
             raise ValueError("endowments-guarantee needs endowed economies")
         checked += 1
-        peaks = econ.peaks()
+        peaks = _peaks(axiom, econ)
         x = rule(econ)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         for i, pref in enumerate(econ.prefs):
@@ -215,7 +226,7 @@ def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     for econ in _eligible(rule, econs):
         checked += 1
         x = rule(econ)
-        peaks = econ.peaks()
+        peaks = _peaks("peak-responsive", econ)
         for i, j in itertools.permutations(range(econ.n), 2):
             if peaks[i] <= peaks[j] and x[i] > x[j]:
                 return _report(
@@ -285,8 +296,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     for econ in _eligible(rule, econs):
         checked += 1
         x = rule(econ)
+        peaks = _peaks("betweenness", econ)
         part = partition(econ)
-        peaks = econ.peaks()
         share = econ.equal_share
         for i in sorted(part.plus):
             if x[i] != peaks[i]:
@@ -331,7 +342,7 @@ def check_strategy_proofness(
     checked = 0
     for econ in _eligible(rule, econs):
         checked += 1
-        peaks = econ.peaks()
+        peaks = _peaks("sp", econ)
         x = rule(econ)
         peaks_grid = (
             misreport_grid if misreport_grid is not None else grid(econ.omega, grid_step)

@@ -9,7 +9,9 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 usage or parse error (including an empty grid, a sample count below 1,
 a rule that needs more agents than the economy has, a peak-reading check
 on single-plateaued agents, and a check in which a requested axiom
-inspected no case).
+inspected no case), 3 internal error (any other exception, reported as
+"internal error: <Type>: <message>" so that a crash never reads as a
+FAIL).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .axioms import AXIOM_CHECKERS, AxiomReport, Witness
 from .economy import Economy
@@ -38,6 +40,7 @@ from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, RULE_NAMES, get_rule
 from .sampling import standard_suite
 
 AXIOM_NAMES = list(AXIOM_CHECKERS) + ["nom"]
+ORDER_POLICIES = ("ascending", "descending")
 
 
 class CliError(Exception):
@@ -488,7 +491,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--order",
         type=_parse_order,
         default=None,
-        help="comma-separated agent order for simple:appendix-b (1-based)",
+        help=(
+            "agent order for simple:appendix-b: ascending, descending, or "
+            "a comma-separated 1-based list"
+        ),
     )
 
 
@@ -499,7 +505,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_order(text: str) -> List[int]:
+def _parse_order(text: str) -> Union[str, List[int]]:
+    if text in ORDER_POLICIES:
+        return text
     try:
         return [int(part) - 1 for part in text.split(",")]
     except ValueError as exc:
@@ -600,6 +608,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(
+            f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr
+        )
+        return 3
 
 
 if __name__ == "__main__":

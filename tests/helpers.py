@@ -3,7 +3,11 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from allotment.manipulation import is_obvious_manipulation, option_set_simple
+from allotment.manipulation import (
+    is_obvious_manipulation,
+    option_set_sampled,
+    option_set_simple,
+)
 from allotment.preferences import SinglePeaked
 from allotment.rules import DOMAIN_SP_ENDOWMENTS
 
@@ -66,6 +70,29 @@ def exact_nom_oracle(rule, pref_true, omega, n, peaks, endowment=None):
         verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
         if verdict.is_obvious:
             return peak, oset_true, oset_mis, verdict
+    return None
+
+
+def sampled_nom_oracle(rule, agent, pref_true, omega, n, peaks, grid_step):
+    """Reference sampled NOM search: the full sampled option set and its
+    verdict for every misreport peak, in grid order.
+
+    Returns (misreport, truthful set, misreport set, verdict) for the first
+    obvious misreport, or None.
+    """
+    oset_true = option_set_sampled(
+        rule, agent, pref_true, omega, n, grid_step=grid_step
+    )
+    for peak in peaks:
+        if peak == pref_true.peak:
+            continue
+        misreport = SinglePeaked(peak)
+        oset_mis = option_set_sampled(
+            rule, agent, misreport, omega, n, grid_step=grid_step
+        )
+        verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
+        if verdict.is_obvious:
+            return misreport, oset_true, oset_mis, verdict
     return None
 
 

@@ -9,6 +9,7 @@ from allotment.cli import (
     load_economy,
     main,
 )
+from allotment.rules import Rule
 
 OM_ECONOMY = {
     "omega": "1",
@@ -88,6 +89,33 @@ def test_allocate_appendix_b_params(three_file, capsys):
     )
     assert code == 0
     assert "1/2, 3/2, 1" in out
+
+
+@pytest.mark.parametrize(
+    "policy, explicit, allotment",
+    [("ascending", "2,3", "1/2, 1, 3/2"), ("descending", "3,2", "1/2, 3/2, 1")],
+)
+def test_allocate_appendix_b_order_policies(
+    three_file, capsys, policy, explicit, allotment
+):
+    code, out, _ = run(
+        capsys, "allocate", three_file, "simple:appendix-b", "--order", policy
+    )
+    assert code == 0
+    assert out.splitlines()[0] == f"rule: simple:appendix-b[lo,{policy}]"
+    assert f"allotment: {allotment}" in out
+    # the policy visits the non-simple agents 2 and 3 in the explicit order
+    _, explicit_out, _ = run(
+        capsys, "allocate", three_file, "simple:appendix-b", "--order", explicit
+    )
+    assert out.splitlines()[1:] == explicit_out.splitlines()[1:]
+
+
+def test_bad_order_rejected(three_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["allocate", three_file, "simple:appendix-b", "--order", "sideways"])
+    assert exc.value.code == 2
+    assert "bad order 'sideways'" in capsys.readouterr().err
 
 
 def test_allocate_machine_format_round_trips(om_file, capsys):
@@ -368,7 +396,16 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "axiom", ["own-peak-only", "edg", "sp", "endowments-guarantee"]
+    "axiom",
+    [
+        "efficiency",
+        "own-peak-only",
+        "edg",
+        "endowments-guarantee",
+        "peak-responsive",
+        "betweenness",
+        "sp",
+    ],
 )
 def test_peak_checkers_refuse_plateaued_preferences(tmp_path, capsys, axiom):
     path = tmp_path / "plateau.json"
@@ -387,7 +424,10 @@ def test_peak_checkers_refuse_plateaued_preferences(tmp_path, capsys, axiom):
     code, out, err = run(capsys, "check", str(path), "spl:cea", "--axioms", axiom)
     assert code == 2
     assert out == ""
-    assert "single-peaked" in err
+    assert err == (
+        f"error: {axiom} reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n"
+    )
 
 
 def test_find_manipulation_refuses_too_few_agents(om_file, capsys):
@@ -429,6 +469,19 @@ def test_check_refuses_vacuous_pass(om_file, three_file, capsys):
     )
     assert code == 0
     assert out.count("PASS_ON_SAMPLE") == 2
+
+
+def test_crash_exits_3_not_the_fail_code(om_file, capsys, monkeypatch):
+    def broken(econ):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(
+        "allotment.cli.get_rule", lambda name, **kwargs: Rule(name, broken)
+    )
+    code, out, err = run(capsys, "allocate", om_file, "uniform")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: kernel exploded\n"
 
 
 def test_identical_invocations_are_byte_identical(om_file, capsys):

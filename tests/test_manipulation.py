@@ -19,6 +19,7 @@ from allotment.manipulation import (
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
+    Rule,
     ced,
     gallery,
     proportional,
@@ -28,7 +29,7 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import SLOPE_CATALOGUE, grid
-from helpers import MislabelledPeak, exact_nom_oracle
+from helpers import MislabelledPeak, exact_nom_oracle, sampled_nom_oracle
 
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
@@ -391,3 +392,81 @@ def exact_cases(draw):
 def test_exact_search_matches_oracle_property(drawn):
     rule, case, peaks = drawn
     assert_matches_oracle(rule, case, peaks)
+
+
+# -- sampled search against the full-option-set oracle ------------------------
+
+
+SAMPLED_RULES = [
+    (gallery("equal_division"), False),
+    (gallery("star"), False),
+    (gallery("hat"), False),
+    (gallery("underline"), False),
+    (ced, False),
+    (proportional, False),
+    (uniform, True),
+]
+
+
+def test_sampled_search_matches_oracle():
+    # seed 12 skips the two-agent witnesses that seed 11 already starts with
+    cases = nom_sweep(11, 6) + nom_sweep(12, 4, include_witnesses=False)
+    fired = searched = 0
+    for rule, force_sampled in SAMPLED_RULES:
+        for case in cases:
+            if case.n < rule.min_agents:
+                continue
+            searched += 1
+            peaks = grid(case.omega, 20)
+            found = find_obvious_manipulation(
+                rule,
+                case.agent,
+                case.pref,
+                case.omega,
+                case.n,
+                misreport_peaks=peaks,
+                option_grid_step=20,
+                force_sampled=force_sampled,
+            )
+            expected = sampled_nom_oracle(
+                rule, case.agent, case.pref, case.omega, case.n, peaks, 20
+            )
+            if expected is None:
+                assert found is None, (rule.name, case)
+                continue
+            fired += 1
+            misreport, oset_true, oset_mis, verdict = expected
+            assert found.misreport == misreport
+            assert found.oset_true.outcomes == oset_true.outcomes
+            assert found.oset_true.witnesses == oset_true.witnesses
+            assert found.oset_true == oset_true
+            assert found.oset_misreport.outcomes == oset_mis.outcomes
+            assert found.oset_misreport.witnesses == oset_mis.witnesses
+            assert found.oset_misreport == oset_mis
+            assert found.verdict == verdict
+    # 66 searches, 18 of them certificates, at the time of writing
+    assert searched >= 60
+    assert fired >= 15
+
+
+def counting(rule):
+    calls = []
+
+    def allocate(econ):
+        calls.append(econ)
+        return rule(econ)
+
+    return Rule(rule.name, allocate, rule.domain, rule.simple, rule.min_agents), calls
+
+
+def test_sampled_search_stops_before_full_option_sets():
+    rule, calls = counting(uniform)
+    peaks = grid(F(1), 12)
+    args = (rule, 0, OM_PREF, F(1), 2)
+    assert find_obvious_manipulation(
+        *args, misreport_peaks=peaks, grid_step=12, force_sampled=True
+    ) is None
+    searched = len(calls)
+    calls.clear()
+    assert sampled_nom_oracle(*args, peaks, 12) is None
+    assert searched < len(calls)
