@@ -8,6 +8,7 @@ checkers, and obvious-manipulation detection with option sets.
 
 from .axioms import (
     AXIOM_CHECKERS,
+    NO_CASES,
     AxiomReport,
     Witness,
     check_betweenness,

@@ -2,8 +2,9 @@
 
 Each checker is a sampled refuter: it scans economies in the order given
 and reports the first violation with a witness that replays
-deterministically. PASS_ON_SAMPLE is evidence, not proof. Indifference is
-exact disutility equality; there is no tolerance anywhere.
+deterministically. PASS_ON_SAMPLE is evidence, not proof; a check that
+inspected no case says NO_CASES instead. Indifference is exact disutility
+equality; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .sampling import SLOPE_CATALOGUE, grid
 
 PASS_ON_SAMPLE = "PASS_ON_SAMPLE"
 FAIL = "FAIL"
+NO_CASES = "NO_CASES"
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,10 @@ class AxiomReport:
 
 
 def _report(axiom: str, checked: int, witness: Optional[Witness]) -> AxiomReport:
-    verdict = FAIL if witness is not None else PASS_ON_SAMPLE
+    if witness is not None:
+        verdict = FAIL
+    else:
+        verdict = PASS_ON_SAMPLE if checked else NO_CASES
     return AxiomReport(axiom=axiom, verdict=verdict, checked=checked, witness=witness)
 
 

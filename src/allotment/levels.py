@@ -63,6 +63,10 @@ def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
     target = Fraction(target)
     if target < sum(floors):
         raise ValueError("target below the sum of floors")
+    if not floors:
+        if target != 0:
+            raise ValueError("target must be 0 when there are no floors")
+        return Fraction(0)
     ordered = sorted(floors)
     k = len(ordered)
     total = sum(ordered)
@@ -84,6 +88,12 @@ def solve_clamp_level(
     Requires sum(lows) <= target <= sum(highs). When the sum is flat at the
     target over an interval of levels, the smallest such level is returned
     (the clamped amounts are identical either way).
+
+    One sweep over the sorted starts (lows) and stops (highs) of the
+    intervals with low < high: the sum is sum(lows) up to min(lows) and then
+    rises with slope equal to the number of active intervals, so it is
+    carried from breakpoint to breakpoint until it reaches the target.
+    O(k log k) for k intervals, dominated by the two sorts.
     """
     lows = [Fraction(x) for x in lows]
     highs = [Fraction(x) for x in highs]
@@ -92,23 +102,29 @@ def solve_clamp_level(
         raise ValueError("lows and highs must have the same length")
     if any(h < l for l, h in zip(lows, highs)):
         raise ValueError("each interval needs low <= high")
-    if not (sum(lows) <= target <= sum(highs)):
+    value = sum(lows)
+    if not (value <= target <= sum(highs)):
         raise ValueError("target outside [sum of lows, sum of highs]")
-
-    def total_at(lam: Fraction) -> Fraction:
-        return sum(min(h, max(l, lam)) for l, h in zip(lows, highs))
-
-    points = sorted(set(lows) | set(highs))
-    previous = points[0]
-    if total_at(previous) >= target:
+    if not lows:
+        return Fraction(0)
+    previous = min(lows)
+    if value >= target:
         return previous
-    for point in points[1:]:
-        value = total_at(point)
-        if value >= target:
-            # slope over (previous, point) is the number of active intervals
-            active = sum(1 for l, h in zip(lows, highs) if l <= previous and h >= point)
-            if active == 0:
-                return point
-            return previous + (target - total_at(previous)) / active
-        previous = point
-    return points[-1]
+    starts = sorted(l for l, h in zip(lows, highs) if l < h)
+    stops = sorted(h for l, h in zip(lows, highs) if l < h)
+    k = len(starts)
+    active = i = j = 0
+    # the sum reaches sum(highs) >= target at the last stop, so the sweep
+    # returns before it runs out of stops
+    while True:
+        point = starts[i] if i < k and starts[i] <= stops[j] else stops[j]
+        reached = value + active * (point - previous)
+        if reached >= target:
+            return previous + (target - value) / active
+        value, previous = reached, point
+        while i < k and starts[i] == point:
+            active += 1
+            i += 1
+        while stops[j] == point:
+            active -= 1
+            j += 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .axioms import FAIL, PASS_ON_SAMPLE, AxiomReport, Witness
+from .axioms import AxiomReport, Witness, _report
 from .economy import Economy
 from .preferences import SinglePeaked, worst
 from .rational import format_rational as fr
@@ -563,6 +563,7 @@ def check_nom(
 
     FAIL carries the full certificate (misreport, both option sets with
     witnesses, the worst-case pair); PASS is relative to the sweep and grids.
+    NO_CASES means no case had enough agents for the rule.
     """
     checked = 0
     for case in cases:
@@ -586,15 +587,14 @@ def check_nom(
                 witness_econ = certificate.oset_misreport.witnesses[
                     certificate.verdict.w_misreport
                 ]
-            return AxiomReport(
-                axiom="nom",
-                verdict=FAIL,
-                checked=checked,
-                witness=Witness(
+            return _report(
+                "nom",
+                checked,
+                Witness(
                     economy=witness_econ,
                     agents=(case.agent,),
                     description=certificate.describe(),
                     detail=certificate,
                 ),
             )
-    return AxiomReport(axiom="nom", verdict=PASS_ON_SAMPLE, checked=checked)
+    return _report("nom", checked, None)

@@ -42,6 +42,41 @@ def bisect_decreasing(func, target, lo, hi, iterations=60):
     return lo, hi
 
 
+def clamp_level_oracle(lows, highs, target):
+    """Reference clamp level: re-sums every interval at every breakpoint.
+
+    The library's former quadratic scan, kept as the oracle for the sweep in
+    `allotment.levels.solve_clamp_level`.
+    """
+    lows = [Fraction(x) for x in lows]
+    highs = [Fraction(x) for x in highs]
+    target = Fraction(target)
+    if len(lows) != len(highs):
+        raise ValueError("lows and highs must have the same length")
+    if any(h < l for l, h in zip(lows, highs)):
+        raise ValueError("each interval needs low <= high")
+    if not (sum(lows) <= target <= sum(highs)):
+        raise ValueError("target outside [sum of lows, sum of highs]")
+
+    def total_at(lam):
+        return sum(min(h, max(l, lam)) for l, h in zip(lows, highs))
+
+    points = sorted(set(lows) | set(highs))
+    previous = points[0]
+    if total_at(previous) >= target:
+        return previous
+    for point in points[1:]:
+        value = total_at(point)
+        if value >= target:
+            # slope over (previous, point) is the number of active intervals
+            active = sum(1 for l, h in zip(lows, highs) if l <= previous and h >= point)
+            if active == 0:
+                return point
+            return previous + (target - total_at(previous)) / active
+        previous = point
+    return points[-1]
+
+
 def brute_force_worst(pref, amounts):
     """Reference worst: scan all disutilities, ties to the smaller amount."""
     best = None

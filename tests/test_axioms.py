@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from allotment.axioms import (
+    NO_CASES,
+    PASS_ON_SAMPLE,
     check_betweenness,
     check_edg,
     check_edlb,
@@ -95,6 +97,16 @@ def test_simple_rules_own_peak_only():
 
 
 # -- symmetry ----------------------------------------------------------------------
+
+
+def test_check_without_eligible_economies_reports_no_cases():
+    # gallery:star needs three agents, so the two-agent economy is skipped
+    star = gallery("star")
+    report = check_symmetry(star, [two_agent_om_economy()])
+    assert (report.verdict, report.checked, report.failed) == (NO_CASES, 0, False)
+    assert check_symmetry(star, []).verdict == NO_CASES
+    report = check_symmetry(uniform, [two_agent_om_economy()])
+    assert (report.verdict, report.checked) == (PASS_ON_SAMPLE, 1)
 
 
 def test_uniform_symmetric():

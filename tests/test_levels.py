@@ -1,0 +1,120 @@
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from allotment.claims import cea
+from allotment.economy import Economy
+from allotment.levels import (
+    solve_clamp_level,
+    solve_loss_level,
+    solve_max_level,
+    solve_min_level,
+)
+from allotment.preferences import SinglePlateaued
+from allotment.rules import simple_from_claims, spl_extension
+from helpers import clamp_level_oracle
+
+
+def clamped_total(lows, highs, lam):
+    return sum(min(h, max(l, lam)) for l, h in zip(lows, highs))
+
+
+# -- empty input -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda target: solve_min_level([], target),
+        lambda target: solve_loss_level([], target),
+        lambda target: solve_max_level([], target),
+        lambda target: solve_clamp_level([], [], target),
+    ],
+    ids=["min", "loss", "max", "clamp"],
+)
+def test_empty_input_has_level_zero_at_target_zero_only(solve):
+    lam = solve(F(0))
+    assert lam == 0 and isinstance(lam, F)
+    for target in (F(1), F(-1), F(1, 2)):
+        with pytest.raises(ValueError):
+            solve(target)
+
+
+# -- clamp level -----------------------------------------------------------------
+
+
+def test_clamp_level_rejects_bad_input():
+    with pytest.raises(ValueError, match="same length"):
+        solve_clamp_level([F(0)], [], F(0))
+    with pytest.raises(ValueError, match="low <= high"):
+        solve_clamp_level([F(1)], [F(0)], F(1))
+    with pytest.raises(ValueError, match="target outside"):
+        solve_clamp_level([F(0), F(1)], [F(1), F(2)], F(4))
+
+
+# few distinct ends, so repeated breakpoints are common
+ENDS = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def clamp_cases(draw):
+    intervals = draw(
+        st.lists(st.tuples(ENDS, ENDS, st.booleans()), min_size=1, max_size=12)
+    )
+    lows = [min(a, b) for a, b, _ in intervals]
+    highs = [min(a, b) if flat else max(a, b) for a, b, flat in intervals]
+    share = draw(
+        st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=12)
+    )
+    return lows, highs, sum(lows) + share * (sum(highs) - sum(lows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(clamp_cases())
+def test_clamp_level_matches_oracle(case):
+    lows, highs, target = case
+    lam = solve_clamp_level(lows, highs, target)
+    assert isinstance(lam, F)
+    assert lam == clamp_level_oracle(lows, highs, target)
+
+
+def test_clamp_level_is_smallest_solution_at_k_1000():
+    rng = random.Random(71)
+    lows, highs = [], []
+    for _ in range(1000):
+        a, b = F(rng.randint(0, 400), 100), F(rng.randint(0, 400), 100)
+        if rng.random() < 1 / 10:
+            b = a
+        lows.append(min(a, b))
+        highs.append(max(a, b))
+    points = sorted(set(lows) | set(highs))
+    low_total, high_total = sum(lows), sum(highs)
+    targets = [
+        low_total + (high_total - low_total) * F(1, 3),
+        (low_total + high_total) / 2,
+        clamped_total(lows, highs, points[len(points) // 2]),  # on a breakpoint
+    ]
+    for target in targets:
+        lam = solve_clamp_level(lows, highs, target)
+        assert clamped_total(lows, highs, lam) == target
+        below = max(p for p in points if p < lam)
+        assert clamped_total(lows, highs, (below + lam) / 2) < target
+
+
+def test_spl_straddling_level_matches_oracle_at_n_300():
+    rng = random.Random(73)
+    lows, highs = [], []
+    for _ in range(300):
+        a, b = F(rng.randint(0, 200), 100), F(rng.randint(0, 200), 100)
+        lows.append(min(a, b))
+        highs.append(max(a, b))
+    omega = (sum(lows) + sum(highs)) / 2  # every plateau straddles the level
+    econ = Economy(
+        tuple(SinglePlateaued(lo, hi) for lo, hi in zip(lows, highs)), omega
+    )
+    lam = clamp_level_oracle(lows, highs, omega)
+    x = spl_extension(simple_from_claims(cea))(econ)
+    assert tuple(x) == tuple(min(h, max(l, lam)) for l, h in zip(lows, highs))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allotment import NO_CASES
 from allotment.claims import cea, cel, pro
 from allotment.manipulation import (
     check_nom,
@@ -263,6 +264,13 @@ def test_too_few_agents_rejected():
                 bar, 0, OM_PREF, F(1), 2, grid_step=6, force_sampled=force_sampled
             )
     assert find_obvious_manipulation(bar, 0, OM_PREF, F(1), 3, grid_step=6) is None
+
+
+def test_check_nom_without_eligible_cases_reports_no_cases():
+    # gallery:bar needs three agents, so the two-agent case is skipped
+    report = check_nom(gallery("bar"), [NomCase(OM_PREF, F(1), 2)], grid_step=6)
+    assert (report.verdict, report.checked, report.failed) == (NO_CASES, 0, False)
+    assert check_nom(uniform, [], grid_step=6).verdict == NO_CASES
 
 
 def test_reallocation_rules_pass_nom_sweep():
