@@ -21,14 +21,12 @@ from .axioms import (
     check_same_sided,
     check_strategy_proofness,
     check_symmetry,
-    pareto_improvement_on_grid,
 )
 from .claims import (
     Awards,
     ClaimsProblem,
     cea,
     cel,
-    check_claims_rule_properties,
     pro,
 )
 from .economy import (
@@ -36,7 +34,6 @@ from .economy import (
     Economy,
     SimplePartition,
     claims_of_minus,
-    excess,
     make_allotment,
     partition,
 )
@@ -47,23 +44,14 @@ from .manipulation import (
     OptionSetInterval,
     SampledOptionSet,
     check_nom,
-    demonstrate_manipulation,
     find_obvious_manipulation,
     is_obvious_manipulation,
     nom_sweep,
     option_set_sampled,
     option_set_simple,
 )
-from .preferences import (
-    INF,
-    Comparison,
-    SinglePeaked,
-    SinglePlateaued,
-    disutility,
-    prefers,
-    worst,
-)
-from .rational import Rat, RationalParseError, format_rational, parse_rational
+from .preferences import SinglePeaked, SinglePlateaued, worst
+from .rational import RationalParseError, format_rational, parse_rational
 from .rules import (
     RULE_NAMES,
     SELECTORS,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .economy import Allotment, Economy, partition
+from .economy import Economy, partition
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
 from .rules import Rule
@@ -378,48 +378,6 @@ def check_strategy_proofness(
                             ),
                         )
     return _report("sp", checked, None)
-
-
-# ---------------------------------------------------------------------------
-# brute-force efficiency oracle (the efficiency <=> same-sidedness check)
-
-
-def pareto_improvement_on_grid(
-    econ: Economy, allotment: Allotment, step: int = 60
-) -> Optional[Tuple[Fraction, ...]]:
-    """Search a feasibility grid (step omega/step) for a Pareto improvement.
-
-    Only n=2 and n=3 are supported; the grid is the independent oracle the
-    same-sidedness checker is validated against.
-    """
-    omega = econ.omega
-    points = [k * omega / step for k in range(step + 1)]
-    base = [pref.disutility(allotment[i]) for i, pref in enumerate(econ.prefs)]
-
-    def improves(candidate: Sequence[Fraction]) -> bool:
-        ds = [
-            pref.disutility(candidate[i]) for i, pref in enumerate(econ.prefs)
-        ]
-        return all(d <= b for d, b in zip(ds, base)) and any(
-            d < b for d, b in zip(ds, base)
-        )
-
-    if econ.n == 2:
-        for a in points:
-            candidate = (a, omega - a)
-            if improves(candidate):
-                return candidate
-        return None
-    if econ.n == 3:
-        for a in points:
-            for b in points:
-                if a + b > omega:
-                    break
-                candidate = (a, b, omega - a - b)
-                if improves(candidate):
-                    return candidate
-        return None
-    raise ValueError("grid search supports n=2 and n=3 only")
 
 
 AXIOM_CHECKERS = {

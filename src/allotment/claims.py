@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from .levels import solve_loss_level, solve_min_level
+from .levels import solve_min_level
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ def cea(cp: ClaimsProblem) -> Awards:
 
 
 def cel(cp: ClaimsProblem) -> Awards:
-    """Constrained equal losses: award_i = max(0, claim_i - lam)."""
-    lam = solve_loss_level(cp.claims, cp.endowment)
+    """Constrained equal losses: award_i = max(0, claim_i - lam), where the
+    losses min(claim_i, lam) total sum(claims) - E."""
+    lam = solve_min_level(cp.claims, cp.total - cp.endowment)
     return _check_awards(cp, [max(Fraction(0), c - lam) for c in cp.claims])
 
 
@@ -89,51 +90,3 @@ def pro(cp: ClaimsProblem) -> Awards:
 
 
 CLAIMS_RULES = {"cea": cea, "cel": cel, "pro": pro}
-
-
-@dataclass(frozen=True)
-class ClaimsRuleReport:
-    """Sampled symmetry/responsiveness verdicts for a claims rule."""
-
-    symmetric: bool
-    responsive: bool
-    symmetry_witness: Optional[Tuple[ClaimsProblem, int, int]] = None
-    responsiveness_witness: Optional[Tuple[ClaimsProblem, int, int]] = None
-
-
-def check_claims_rule_properties(
-    rule: ClaimsRule, problems: Sequence[ClaimsProblem]
-) -> ClaimsRuleReport:
-    """Evaluate symmetry (equal claims -> equal awards) and responsiveness
-    (weakly larger claims -> weakly larger awards) on the given problems.
-
-    Returns the first counterexample of each kind, if any.
-    """
-    symmetric = True
-    responsive = True
-    sym_witness = None
-    resp_witness = None
-    for cp in problems:
-        awards = rule(cp)
-        for i in range(len(cp.claims)):
-            for j in range(i + 1, len(cp.claims)):
-                if symmetric and cp.claims[i] == cp.claims[j]:
-                    if awards[i] != awards[j]:
-                        symmetric = False
-                        sym_witness = (cp, i, j)
-                if responsive and cp.claims[i] <= cp.claims[j]:
-                    if awards[i] > awards[j]:
-                        responsive = False
-                        resp_witness = (cp, i, j)
-                if responsive and cp.claims[j] <= cp.claims[i]:
-                    if awards[j] > awards[i]:
-                        responsive = False
-                        resp_witness = (cp, j, i)
-        if not symmetric and not responsive:
-            break
-    return ClaimsRuleReport(
-        symmetric=symmetric,
-        responsive=responsive,
-        symmetry_witness=sym_witness,
-        responsiveness_witness=resp_witness,
-    )

@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: allocate, check, option-set, find-manipulation. Economies load
-from JSON files whose rationals are exact "p/q" strings or integers;
-decimals are rejected so exactness survives end to end. All sampling is
-seed-controlled (--seed) and identical invocations print identical bytes.
+from JSON objects (omega, an agents array, an optional endowments array)
+whose rationals are exact "p/q" strings or integers; decimals are rejected
+so exactness survives end to end. Only check draws random economies
+(--seed); identical invocations print identical bytes.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 usage or parse error (including an empty grid, a sample count below 1,
-a rule that needs more agents than the economy has, a peak-reading check
-on single-plateaued agents, and a check in which a requested axiom
-inspected no case), 3 internal error (any other exception, reported as
-"internal error: <Type>: <message>" so that a crash never reads as a
-FAIL).
+2 usage or parse error (including a flag the subcommand does not take, an
+economy file of the wrong shape or with an unknown key, an empty grid, a
+sample count below 1, a rule that needs more agents than the economy has,
+a peak-reading check on single-plateaued agents, and a check in which a
+requested axiom inspected no case), 3 internal error (any other
+exception, reported as "internal error: <Type>: <message>" so that a
+crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -51,16 +53,32 @@ class CliError(Exception):
 # economy files
 
 
+ECONOMY_KEYS = ("omega", "agents", "endowments")
+PLATEAU_KEYS = ("plateau_lo", "plateau_hi", "left_slope", "right_slope")
+PEAK_KEYS = ("peak", "left_slope", "right_slope")
+
+
+def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise CliError(
+                f"unknown key {key!r} in {what}; allowed: {', '.join(allowed)}"
+            )
+
+
 def pref_from_dict(raw: dict):
-    keys = set(raw)
-    if {"plateau_lo", "plateau_hi"} <= keys:
+    if not isinstance(raw, dict):
+        raise CliError(f"agent entry must be an object, got {json.dumps(raw)}")
+    if {"plateau_lo", "plateau_hi"} <= raw.keys():
+        _reject_unknown_keys(raw, PLATEAU_KEYS, "a plateau agent")
         return SinglePlateaued(
             parse_rational(raw["plateau_lo"]),
             parse_rational(raw["plateau_hi"]),
             parse_rational(raw.get("left_slope", 1)),
             parse_rational(raw.get("right_slope", 1)),
         )
-    if "peak" in keys:
+    if "peak" in raw:
+        _reject_unknown_keys(raw, PEAK_KEYS, "a peak agent")
         return SinglePeaked(
             parse_rational(raw["peak"]),
             parse_rational(raw.get("left_slope", 1)),
@@ -85,6 +103,12 @@ def pref_to_dict(pref) -> dict:
 
 
 def economy_from_dict(raw: dict) -> Economy:
+    if not isinstance(raw, dict):
+        raise CliError(f"an economy must be an object, got {json.dumps(raw)}")
+    _reject_unknown_keys(raw, ECONOMY_KEYS, "the economy")
+    for key in ("agents", "endowments"):
+        if raw.get(key) is not None and not isinstance(raw[key], list):
+            raise CliError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
     try:
         omega = parse_rational(raw["omega"])
         prefs = tuple(pref_from_dict(entry) for entry in raw["agents"])
@@ -467,17 +491,14 @@ def _render_oset(oset) -> str:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument(
-        "--grid-step",
-        type=int,
-        default=60,
-        help="grid denominator: peaks at multiples of omega/STEP",
-    )
-    parser.add_argument(
-        "--samples", type=_positive_int, default=1000, help="sample count for sweeps"
-    )
+def _add_common(parser: argparse.ArgumentParser, grid_step: bool = True) -> None:
+    if grid_step:
+        parser.add_argument(
+            "--grid-step",
+            type=int,
+            default=60,
+            help="grid denominator: peaks at multiples of omega/STEP",
+        )
     parser.add_argument(
         "--format", choices=("table", "machine"), default="table"
     )
@@ -528,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc = sub.add_parser("allocate", help="run a rule on an economy file")
     p_alloc.add_argument("economy", help="economy JSON file")
     p_alloc.add_argument("rule", choices=RULE_NAMES, metavar="rule")
-    _add_common(p_alloc)
+    _add_common(p_alloc, grid_step=False)
     p_alloc.set_defaults(func=cmd_allocate)
 
     p_check = sub.add_parser("check", help="verify axioms for a rule")
@@ -559,6 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="AXIOM",
         help="invert the exit-code contribution of this axiom (repeatable)",
+    )
+    p_check.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p_check.add_argument(
+        "--samples", type=_positive_int, default=1000, help="sample count for sweeps"
     )
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)

@@ -22,8 +22,7 @@ from .preferences import Preference, SinglePeaked, SinglePlateaued
 class Economy:
     """A profile of n >= 2 preferences and a positive social endowment.
 
-    Endowments, when present, must sum to omega exactly. INF peaks are
-    rejected here so no rule can ever receive one.
+    Endowments, when present, must sum to omega exactly.
     """
 
     prefs: Tuple[Preference, ...]
@@ -37,9 +36,6 @@ class Economy:
             raise ValueError("an economy needs at least two agents")
         if self.omega <= 0:
             raise ValueError("the social endowment must be positive")
-        for pref in self.prefs:
-            if pref.is_infinite:
-                raise ValueError("INF peaks are not allowed inside economies")
         if self.endowments is not None:
             endowments = tuple(Fraction(w) for w in self.endowments)
             object.__setattr__(self, "endowments", endowments)
@@ -119,11 +115,6 @@ class SimplePartition:
     z: Fraction
     E: Fraction
     reference: Tuple[Fraction, ...]
-
-
-def excess(econ: Economy) -> Fraction:
-    """Excess demand z = sum of peaks - omega (>= 0 counts as excess demand)."""
-    return sum(econ.peaks()) - econ.omega
 
 
 def partition(

@@ -5,6 +5,10 @@ clamped linear pieces hits a target. Each solver sorts the breakpoints and
 scans prefix sums, so the returned level is an exact rational; no floating
 bisection is ever used in the allocation path (bisection appears only as a
 test oracle).
+
+The constrained-equal-losses level has no solver of its own: since
+sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
+the losses total t is `solve_min_level(claims, sum(claims) - t)`.
 """
 
 from __future__ import annotations
@@ -31,29 +35,6 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
         if consumed + (k - j) * cap >= target:
             return (target - consumed) / (k - j)
         consumed += cap
-    return ordered[-1]
-
-
-def solve_loss_level(claims: Sequence[Fraction], target: Fraction) -> Fraction:
-    """Level lam with sum_i max(0, claim_i - lam) = target, 0 <= target <= sum.
-
-    The dual water level for constrained-equal-losses-type rules.
-    """
-    claims = [Fraction(c) for c in claims]
-    target = Fraction(target)
-    total = sum(claims)
-    if target < 0 or target > total:
-        raise ValueError("target outside [0, sum of claims]")
-    if not claims:
-        return Fraction(0)
-    ordered = sorted(claims)
-    k = len(ordered)
-    removed = Fraction(0)
-    for j, claim in enumerate(ordered):
-        # remaining loss at lam = claim: everything below is already at zero
-        if total - removed - (k - j) * claim <= target:
-            return (total - removed - target) / (k - j)
-        removed += claim
     return ordered[-1]
 
 

@@ -4,26 +4,13 @@ A preference is a two-slope piecewise-linear disutility: zero at the peak
 (or on the plateau), increasing linearly away from it on each side. Two
 slopes are enough to realize every ordinal comparison pattern the allotment
 rules and checkers consult, and keep every comparison exact.
-
-``INF`` is a peak sentinel meaning "more is always better" (disutility −x).
-It is accepted by the comparison operations only; economies reject it.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
-
-INF = math.inf
-
-
-class Comparison(enum.Enum):
-    STRICT = "STRICT"
-    INDIFFERENT = "INDIFFERENT"
-    WORSE = "WORSE"
 
 
 @dataclass(frozen=True)
@@ -32,33 +19,25 @@ class SinglePeaked:
 
     disutility(x) = left_slope * (peak - x) below the peak and
     right_slope * (x - peak) above it; both slopes strictly positive.
-    A peak of INF means disutility(x) = -x (strictly monotone, no satiation).
     """
 
-    peak: Union[Fraction, float]
+    peak: Fraction
     left_slope: Fraction = Fraction(1)
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.peak != INF:
-            object.__setattr__(self, "peak", Fraction(self.peak))
-            if self.peak < 0:
-                raise ValueError(f"peak must be nonnegative, got {self.peak}")
+        object.__setattr__(self, "peak", Fraction(self.peak))
+        if self.peak < 0:
+            raise ValueError(f"peak must be nonnegative, got {self.peak}")
         object.__setattr__(self, "left_slope", Fraction(self.left_slope))
         object.__setattr__(self, "right_slope", Fraction(self.right_slope))
         if self.left_slope <= 0 or self.right_slope <= 0:
             raise ValueError("slopes must be strictly positive")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.peak == INF
-
     def disutility(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0:
             raise ValueError(f"consumption must be nonnegative, got {x}")
-        if self.is_infinite:
-            return -x
         if x <= self.peak:
             return self.left_slope * (self.peak - x)
         return self.right_slope * (x - self.peak)
@@ -89,10 +68,6 @@ class SinglePlateaued:
         if self.left_slope <= 0 or self.right_slope <= 0:
             raise ValueError("slopes must be strictly positive")
 
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
     def disutility(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0:
@@ -105,24 +80,6 @@ class SinglePlateaued:
 
 
 Preference = Union[SinglePeaked, SinglePlateaued]
-
-
-def disutility(pref: Preference, x) -> Fraction:
-    """Exact disutility of consuming x under pref; 0 iff x is ideal."""
-    return pref.disutility(x)
-
-
-def prefers(pref: Preference, x, y) -> Comparison:
-    """Compare consuming x against y: STRICT iff x is strictly better.
-
-    Exact comparison of disutilities, no tolerance.
-    """
-    dx, dy = pref.disutility(x), pref.disutility(y)
-    if dx < dy:
-        return Comparison.STRICT
-    if dx == dy:
-        return Comparison.INDIFFERENT
-    return Comparison.WORSE
 
 
 def worst(pref: Preference, amounts: Iterable) -> Fraction:

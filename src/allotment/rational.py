@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 class RationalParseError(ValueError):
     """Raised for inputs that are not exact rationals."""

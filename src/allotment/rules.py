@@ -21,12 +21,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .claims import CLAIMS_RULES, ClaimsRule
 from .economy import Allotment, Economy, claims_of_minus, make_allotment, partition
-from .levels import (
-    solve_clamp_level,
-    solve_loss_level,
-    solve_max_level,
-    solve_min_level,
-)
+from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
 
 DOMAIN_SP = "SP"
@@ -90,11 +85,13 @@ def _uniform(econ: Economy) -> Allotment:
 
 def _ced(econ: Economy) -> Allotment:
     peaks = econ.peaks()
-    if sum(peaks) >= econ.omega:
-        d = solve_loss_level(peaks, econ.omega)
+    total = sum(peaks)
+    if total >= econ.omega:
+        # equal losses: the cuts min(p, d) total sum(peaks) - omega
+        d = solve_min_level(peaks, total - econ.omega)
         amounts = [max(Fraction(0), p - d) for p in peaks]
     else:
-        d = (econ.omega - sum(peaks)) / econ.n
+        d = (econ.omega - total) / econ.n
         amounts = [p + d for p in peaks]
     return make_allotment(econ, amounts)
 

@@ -2,7 +2,10 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence, Tuple
 
+from allotment.claims import ClaimsProblem, ClaimsRule
+from allotment.economy import Allotment, Economy
 from allotment.manipulation import (
     is_obvious_manipulation,
     option_set_sampled,
@@ -75,6 +78,92 @@ def clamp_level_oracle(lows, highs, target):
             return previous + (target - total_at(previous)) / active
         previous = point
     return points[-1]
+
+
+def pareto_improvement_on_grid(
+    econ: Economy, allotment: Allotment, step: int = 60
+) -> Optional[Tuple[Fraction, ...]]:
+    """Search a feasibility grid (step omega/step) for a Pareto improvement.
+
+    Only n=2 and n=3 are supported; the grid is the independent oracle the
+    same-sidedness checker is validated against.
+    """
+    omega = econ.omega
+    points = [k * omega / step for k in range(step + 1)]
+    base = [pref.disutility(allotment[i]) for i, pref in enumerate(econ.prefs)]
+
+    def improves(candidate: Sequence[Fraction]) -> bool:
+        ds = [
+            pref.disutility(candidate[i]) for i, pref in enumerate(econ.prefs)
+        ]
+        return all(d <= b for d, b in zip(ds, base)) and any(
+            d < b for d, b in zip(ds, base)
+        )
+
+    if econ.n == 2:
+        for a in points:
+            candidate = (a, omega - a)
+            if improves(candidate):
+                return candidate
+        return None
+    if econ.n == 3:
+        for a in points:
+            for b in points:
+                if a + b > omega:
+                    break
+                candidate = (a, b, omega - a - b)
+                if improves(candidate):
+                    return candidate
+        return None
+    raise ValueError("grid search supports n=2 and n=3 only")
+
+
+@dataclass(frozen=True)
+class ClaimsRuleReport:
+    """Sampled symmetry/responsiveness verdicts for a claims rule."""
+
+    symmetric: bool
+    responsive: bool
+    symmetry_witness: Optional[Tuple[ClaimsProblem, int, int]] = None
+    responsiveness_witness: Optional[Tuple[ClaimsProblem, int, int]] = None
+
+
+def check_claims_rule_properties(
+    rule: ClaimsRule, problems: Sequence[ClaimsProblem]
+) -> ClaimsRuleReport:
+    """Evaluate symmetry (equal claims -> equal awards) and responsiveness
+    (weakly larger claims -> weakly larger awards) on the given problems.
+
+    Returns the first counterexample of each kind, if any.
+    """
+    symmetric = True
+    responsive = True
+    sym_witness = None
+    resp_witness = None
+    for cp in problems:
+        awards = rule(cp)
+        for i in range(len(cp.claims)):
+            for j in range(i + 1, len(cp.claims)):
+                if symmetric and cp.claims[i] == cp.claims[j]:
+                    if awards[i] != awards[j]:
+                        symmetric = False
+                        sym_witness = (cp, i, j)
+                if responsive and cp.claims[i] <= cp.claims[j]:
+                    if awards[i] > awards[j]:
+                        responsive = False
+                        resp_witness = (cp, i, j)
+                if responsive and cp.claims[j] <= cp.claims[i]:
+                    if awards[j] > awards[i]:
+                        responsive = False
+                        resp_witness = (cp, j, i)
+        if not symmetric and not responsive:
+            break
+    return ClaimsRuleReport(
+        symmetric=symmetric,
+        responsive=responsive,
+        symmetry_witness=sym_witness,
+        responsiveness_witness=resp_witness,
+    )
 
 
 def brute_force_worst(pref, amounts):

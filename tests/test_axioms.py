@@ -16,7 +16,6 @@ from allotment.axioms import (
     check_same_sided,
     check_strategy_proofness,
     check_symmetry,
-    pareto_improvement_on_grid,
 )
 from allotment.claims import cea, cel, pro
 from allotment.economy import Economy, make_allotment
@@ -38,6 +37,7 @@ from allotment.sampling import (
     standard_suite,
     two_agent_om_economy,
 )
+from helpers import pareto_improvement_on_grid
 
 
 def econ(peaks, omega, endowments=None):

@@ -8,12 +8,15 @@ from allotment.claims import (
     ClaimsProblem,
     cea,
     cel,
-    check_claims_rule_properties,
     pro,
 )
-from allotment.levels import solve_loss_level, solve_min_level
+from allotment.levels import solve_min_level
 from allotment.sampling import random_claims_problem
-from helpers import bisect_decreasing, bisect_increasing
+from helpers import (
+    bisect_decreasing,
+    bisect_increasing,
+    check_claims_rule_properties,
+)
 
 KERNEL = ClaimsProblem((F(1), F(2), F(3)), F(3))
 
@@ -102,7 +105,7 @@ def test_scan_levels_match_bisection_oracle():
             if c <= lo:
                 assert award == c
 
-        lam_cel = solve_loss_level(cp.claims, cp.endowment)
+        lam_cel = solve_min_level(cp.claims, cp.total - cp.endowment)
         lo, hi = bisect_decreasing(
             lambda lam: sum(max(F(0), c - lam) for c in cp.claims),
             cp.endowment,

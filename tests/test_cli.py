@@ -2,13 +2,20 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allotment.cli import (
+    ECONOMY_KEYS,
+    PEAK_KEYS,
+    PLATEAU_KEYS,
     economy_from_dict,
     economy_to_dict,
     load_economy,
     main,
 )
+from allotment.economy import Economy
+from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import Rule
 
 OM_ECONOMY = {
@@ -127,8 +134,14 @@ def test_allocate_machine_format_round_trips(om_file, capsys):
 
 
 def test_economy_round_trip_is_field_identical():
-    econ = economy_from_dict(OM_ECONOMY)
-    assert economy_to_dict(econ) == OM_ECONOMY
+    plateaus = Economy((SinglePlateaued(0, 2), SinglePlateaued(1, 1, F(2, 3), 5)), 3)
+    sloped = Economy((SinglePeaked(F(1, 4), F(7, 2), F(1, 9)), SinglePeaked(3)), 2)
+    endowed = Economy(sloped.prefs, 2, (F(1, 2), F(3, 2)))
+    assert economy_to_dict(economy_from_dict(OM_ECONOMY)) == OM_ECONOMY
+    for econ in (plateaus, sloped, endowed):
+        document = economy_to_dict(econ)
+        assert economy_from_dict(document) == econ
+        assert economy_to_dict(economy_from_dict(document)) == document
 
 
 def test_decimals_rejected(tmp_path, capsys):
@@ -145,6 +158,93 @@ def test_decimal_strings_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "allocate", str(path), "uniform")
     assert code == 2
     assert "decimal" in err
+
+
+def first_agent(agent):
+    return {"omega": "1", "agents": [agent, {"peak": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (dict(OM_ECONOMY, endowments="10"), "'endowments' must be an array"),
+        (dict(OM_ECONOMY, endowments={"0": "1"}), "'endowments' must be an array"),
+        ({"omega": "1", "agents": "ab"}, "'agents' must be an array"),
+        ({"omega": "1", "agents": {"peak": "1"}}, "'agents' must be an array"),
+        (first_agent(3), "agent entry must be an object, got 3"),
+        (["omega", "1"], "an economy must be an object"),
+        (dict(OM_ECONOMY, n="2"), "unknown key 'n' in the economy"),
+        (
+            first_agent({"peak": "1/2", "left_slop": "3"}),
+            "unknown key 'left_slop' in a peak agent",
+        ),
+        (
+            first_agent({"peak": "1/2", "plateau_lo": "0"}),
+            "unknown key 'plateau_lo' in a peak agent",
+        ),
+        (
+            first_agent({"plateau_lo": "0", "plateau_hi": "1", "peak": "1/2"}),
+            "unknown key 'peak' in a plateau agent",
+        ),
+    ],
+    ids=[
+        "endowments-string", "endowments-object", "agents-string",
+        "agents-object", "agent-int", "economy-array", "economy-key",
+        "slope-typo", "peak-agent-plateau-key", "plateau-agent-peak-key",
+    ],
+)
+def test_malformed_economy_files_exit_2(tmp_path, capsys, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "allocate", str(path), "realloc:cea")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+RATIONALS = st.integers(0, 6) | st.sampled_from(["1/2", "3/2", "5/2"])
+JSON_SCALARS = (RATIONALS | st.booleans() | st.integers() | st.text(max_size=4)
+                | st.sampled_from(["-1", "1/0", "0.5", "x"]))
+KNOWN_KEYS = st.sampled_from(ECONOMY_KEYS + PLATEAU_KEYS + PEAK_KEYS)
+JSON_KEYS = KNOWN_KEYS | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+# near-economies reach the preference and economy constructors, and the
+# rule, more often
+ECONOMY_LIKE = st.fixed_dictionaries(
+    {
+        "omega": RATIONALS | JSON_SCALARS,
+        "agents": st.lists(
+            st.fixed_dictionaries(
+                {"peak": RATIONALS},
+                optional={"left_slope": RATIONALS, "right_slope": RATIONALS},
+            )
+            | st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=4),
+            min_size=2,
+            max_size=4,
+        ),
+    },
+    optional={"endowments": st.lists(RATIONALS, max_size=4) | JSON_VALUES},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=JSON_VALUES | ECONOMY_LIKE)
+def test_loader_fuzz_exits_0_or_2(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(document))
+    assert main(["allocate", str(path), "simple:cea"]) in (0, 2)
+
+
+def test_allocate_takes_no_sampling_flags(om_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["allocate", om_file, "simple:cea", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_realloc_without_endowments_rejected(om_file, capsys):

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from allotment.claims import cea
 from allotment.economy import Economy
-from allotment.levels import (
-    solve_clamp_level,
-    solve_loss_level,
-    solve_max_level,
-    solve_min_level,
-)
+from allotment.levels import solve_clamp_level, solve_max_level, solve_min_level
 from allotment.preferences import SinglePlateaued
 from allotment.rules import simple_from_claims, spl_extension
 from helpers import clamp_level_oracle
@@ -29,11 +24,10 @@ def clamped_total(lows, highs, lam):
     "solve",
     [
         lambda target: solve_min_level([], target),
-        lambda target: solve_loss_level([], target),
         lambda target: solve_max_level([], target),
         lambda target: solve_clamp_level([], [], target),
     ],
-    ids=["min", "loss", "max", "clamp"],
+    ids=["min", "max", "clamp"],
 )
 def test_empty_input_has_level_zero_at_target_zero_only(solve):
     lam = solve(F(0))

@@ -1,57 +1,47 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from allotment.preferences import (
-    INF,
-    Comparison,
-    SinglePeaked,
-    SinglePlateaued,
-    disutility,
-    prefers,
-    worst,
-)
+from allotment.preferences import SinglePeaked, SinglePlateaued, worst
 from helpers import brute_force_worst
 
 STEEP_RIGHT = SinglePeaked(F(1, 3), F(1), F(3))
 
 
 def test_disutility_at_peak_is_zero():
-    assert disutility(STEEP_RIGHT, F(1, 3)) == 0
+    assert STEEP_RIGHT.disutility(F(1, 3)) == 0
 
 
 def test_disutility_realizes_zero_over_half_comparison():
     # peak 1/3 with right slope 3: zero consumption beats 1/2
-    assert disutility(STEEP_RIGHT, 0) == F(1, 3)
-    assert disutility(STEEP_RIGHT, F(1, 2)) == F(1, 2)
-    assert prefers(STEEP_RIGHT, 0, F(1, 2)) is Comparison.STRICT
+    assert STEEP_RIGHT.disutility(0) == F(1, 3)
+    assert STEEP_RIGHT.disutility(F(1, 2)) == F(1, 2)
+    assert STEEP_RIGHT.disutility(0) < STEEP_RIGHT.disutility(F(1, 2))
 
 
 def test_symmetric_slopes_give_equidistant_indifference():
     pref = SinglePeaked(F(2), F(5), F(5))
-    assert disutility(pref, 1) == disutility(pref, 3) == 5
-    assert prefers(pref, 1, 3) is Comparison.INDIFFERENT
+    assert pref.disutility(1) == pref.disutility(3) == 5
 
 
 def test_prefers_half_over_two_thirds():
-    assert prefers(STEEP_RIGHT, F(1, 2), F(2, 3)) is Comparison.STRICT
-    assert disutility(STEEP_RIGHT, F(2, 3)) == 1
+    assert STEEP_RIGHT.disutility(F(1, 2)) < STEEP_RIGHT.disutility(F(2, 3))
+    assert STEEP_RIGHT.disutility(F(2, 3)) == 1
 
 
 def test_prefers_reflexive_indifference():
-    for pref in (STEEP_RIGHT, SinglePeaked(F(5), F(2), F(7))):
-        assert prefers(pref, F(3, 7), F(3, 7)) is Comparison.INDIFFERENT
+    # an amount is indifferent to itself in any exact spelling
+    cases = ((STEEP_RIGHT, F(2, 7)), (SinglePeaked(F(5), F(2), F(7)), F(64, 7)))
+    for pref, d in cases:
+        assert pref.disutility(F(3, 7)) == pref.disutility("6/14") == d
 
 
-def test_infinite_peak_more_is_better():
-    pref = SinglePeaked(INF)
-    assert prefers(pref, 5, 3) is Comparison.STRICT
-    # cross-check against the d(x) = -x oracle
-    rng = random.Random(7)
-    for _ in range(200):
-        x = F(rng.randint(0, 600), rng.randint(1, 60))
-        assert pref.disutility(x) == -x
+def test_infinite_peak_rejected():
+    # every preference satiates: an infinite peak is not a rational
+    with pytest.raises(OverflowError):
+        SinglePeaked(math.inf)
 
 
 def test_worst_picks_maximal_disutility():
@@ -93,10 +83,10 @@ def test_single_peakedness_on_random_triples():
             for _ in range(2)
         )
         if below[0] < below[1] <= peak:
-            assert prefers(pref, below[1], below[0]) is Comparison.STRICT
+            assert pref.disutility(below[1]) < pref.disutility(below[0])
         above = sorted(peak + F(rng.randint(0, 120), 60) for _ in range(2))
         if peak <= above[0] < above[1]:
-            assert prefers(pref, above[0], above[1]) is Comparison.STRICT
+            assert pref.disutility(above[0]) < pref.disutility(above[1])
 
 
 def test_degenerate_plateau_equals_single_peaked():
@@ -120,7 +110,7 @@ def test_plateau_disutility_shape():
 
 def test_negative_consumption_rejected():
     with pytest.raises(ValueError):
-        disutility(STEEP_RIGHT, F(-1, 2))
+        STEEP_RIGHT.disutility(F(-1, 2))
 
 
 def test_empty_worst_rejected():
