@@ -1,10 +1,13 @@
 """Executable checkers for the allotment-rule axioms.
 
-Each checker is a sampled refuter: it scans economies in the order given
-and reports the first violation with a witness that replays
-deterministically. PASS_ON_SAMPLE is evidence, not proof; a check that
-inspected no case says NO_CASES instead. Indifference is exact disutility
-equality; there is no tolerance anywhere.
+Each checker is a sampled refuter: a `violation` function that inspects one
+economy and returns a `Witness` that replays deterministically, or None.
+`_scan` applies the one scan policy every checker shares (and `check_nom`
+in `manipulation` too): it skips cases with fewer agents than the rule
+needs, counts the rest in the order given, stops at the first witness and
+builds the report. FAIL carries that witness; PASS_ON_SAMPLE is evidence,
+not proof; a check that inspected no case says NO_CASES instead.
+Indifference is exact disutility equality; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
 from .economy import Economy, partition
 from .preferences import SinglePeaked
@@ -23,6 +26,8 @@ from .sampling import SLOPE_CATALOGUE, grid
 PASS_ON_SAMPLE = "PASS_ON_SAMPLE"
 FAIL = "FAIL"
 NO_CASES = "NO_CASES"
+
+_Case = TypeVar("_Case")
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,23 @@ class AxiomReport:
         return text
 
 
-def _report(axiom: str, checked: int, witness: Optional[Witness]) -> AxiomReport:
-    if witness is not None:
-        verdict = FAIL
-    else:
-        verdict = PASS_ON_SAMPLE if checked else NO_CASES
-    return AxiomReport(axiom=axiom, verdict=verdict, checked=checked, witness=witness)
+def _scan(
+    axiom: str,
+    rule: Rule,
+    cases: Iterable[_Case],
+    violation: Callable[[_Case], Optional[Witness]],
+) -> AxiomReport:
+    """Inspect each case the rule is defined on (n >= rule.min_agents, e.g.
+    n >= 3 for some gallery rules) until `violation` returns a witness."""
+    checked = 0
+    for case in cases:
+        if case.n < rule.min_agents:
+            continue
+        checked += 1
+        witness = violation(case)
+        if witness is not None:
+            return AxiomReport(axiom, FAIL, checked, witness)
+    return AxiomReport(axiom, PASS_ON_SAMPLE if checked else NO_CASES, checked)
 
 
 def _peaks(axiom: str, econ: Economy) -> Tuple[Fraction, ...]:
@@ -77,108 +93,84 @@ def _peaks(axiom: str, econ: Economy) -> Tuple[Fraction, ...]:
     return econ.peaks()
 
 
-def _eligible(rule: Rule, econs: Iterable[Economy]) -> Iterable[Economy]:
-    """Drop economies the rule rejects by size (e.g. the n >= 3 gallery rules)."""
-    return (econ for econ in econs if econ.n >= rule.min_agents)
-
-
 def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Same-sidedness, equivalent to efficiency on the single-peaked domain:
     nobody exceeds their peak under excess demand, nobody falls short of it
     under excess supply (both constraints bind in the balanced case)."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("efficiency", econ)
         z = sum(peaks) - econ.omega
         for i in range(econ.n):
             if z >= 0 and x[i] > peaks[i]:
-                return _report(
-                    "efficiency",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"excess demand but agent {i + 1} gets "
-                        f"{fr(x[i])} above peak {fr(peaks[i])}",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"excess demand but agent {i + 1} gets "
+                    f"{fr(x[i])} above peak {fr(peaks[i])}",
                 )
             if z <= 0 and x[i] < peaks[i]:
-                return _report(
-                    "efficiency",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"excess supply but agent {i + 1} gets "
-                        f"{fr(x[i])} below peak {fr(peaks[i])}",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"excess supply but agent {i + 1} gets "
+                    f"{fr(x[i])} below peak {fr(peaks[i])}",
                 )
-    return _report("efficiency", checked, None)
+        return None
+
+    return _scan("efficiency", rule, econs, violation)
 
 
-def check_own_peak_only(
-    rule: Rule,
-    econs: Iterable[Economy],
-    slope_perturbations: Sequence[Tuple[Fraction, Fraction]] = SLOPE_CATALOGUE,
-) -> AxiomReport:
-    """Replace each agent's slopes (peak fixed) by catalogue alternatives;
-    any change in that agent's amount is a violation."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+def check_own_peak_only(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
+    """Replace each agent's slopes (peak fixed) by the SLOPE_CATALOGUE
+    alternatives; any change in that agent's amount is a violation."""
+
+    def violation(econ: Economy) -> Optional[Witness]:
         peaks = _peaks("own-peak-only", econ)
         x = rule(econ)
         for i, pref in enumerate(econ.prefs):
-            for left, right in slope_perturbations:
+            for left, right in SLOPE_CATALOGUE:
                 if (left, right) == (pref.left_slope, pref.right_slope):
                     continue
-                variant = econ.replace_pref(
-                    i, SinglePeaked(peaks[i], left, right)
-                )
+                variant = econ.replace_pref(i, SinglePeaked(peaks[i], left, right))
                 y = rule(variant)
                 if y[i] != x[i]:
-                    return _report(
-                        "own-peak-only",
-                        checked,
-                        Witness(
-                            econ,
-                            (i,),
-                            f"agent {i + 1} moves from {fr(x[i])} to "
-                            f"{fr(y[i])} when slopes change to "
-                            f"({fr(left)},{fr(right)}) with the same peak",
-                            perturbed=variant,
-                        ),
+                    return Witness(
+                        econ,
+                        (i,),
+                        f"agent {i + 1} moves from {fr(x[i])} to "
+                        f"{fr(y[i])} when slopes change to "
+                        f"({fr(left)},{fr(right)}) with the same peak",
+                        perturbed=variant,
                     )
-    return _report("own-peak-only", checked, None)
+        return None
+
+    return _scan("own-peak-only", rule, econs, violation)
 
 
 def check_symmetry(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Agents with identical preferences must be indifferent between their
     amounts (exact disutility equality, not equality of amounts)."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         for i, j in itertools.combinations(range(econ.n), 2):
             if econ.prefs[i] != econ.prefs[j]:
                 continue
             pref = econ.prefs[i]
             if pref.disutility(x[i]) != pref.disutility(x[j]):
-                return _report(
-                    "symmetry",
-                    checked,
-                    Witness(
-                        econ,
-                        (i, j),
-                        f"identical agents {i + 1},{j + 1} get {fr(x[i])} vs "
-                        f"{fr(x[j])} with disutilities "
-                        f"{fr(pref.disutility(x[i]))} vs "
-                        f"{fr(pref.disutility(x[j]))}",
-                    ),
+                return Witness(
+                    econ,
+                    (i, j),
+                    f"identical agents {i + 1},{j + 1} get {fr(x[i])} vs "
+                    f"{fr(x[j])} with disutilities "
+                    f"{fr(pref.disutility(x[i]))} vs "
+                    f"{fr(pref.disutility(x[j]))}",
                 )
-    return _report("symmetry", checked, None)
+        return None
+
+    return _scan("symmetry", rule, econs, violation)
 
 
 def _reference_guarantee(
@@ -187,11 +179,10 @@ def _reference_guarantee(
     """An agent whose peak is exactly their reference point (omega/n, or
     their own endowment) must end up indifferent to it."""
     fact = "owns their peak {}" if endowed else "has peak {} = equal division"
-    checked = 0
-    for econ in _eligible(rule, econs):
+
+    def violation(econ: Economy) -> Optional[Witness]:
         if endowed and econ.endowments is None:
             raise ValueError("endowments-guarantee needs endowed economies")
-        checked += 1
         peaks = _peaks(axiom, econ)
         x = rule(econ)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
@@ -199,17 +190,15 @@ def _reference_guarantee(
             if peaks[i] != reference[i]:
                 continue
             if pref.disutility(x[i]) != pref.disutility(reference[i]):
-                return _report(
-                    axiom,
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"agent {i + 1} {fact.format(fr(reference[i]))} "
-                        f"but gets {fr(x[i])}",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"agent {i + 1} {fact.format(fr(reference[i]))} "
+                    f"but gets {fr(x[i])}",
                 )
-    return _report(axiom, checked, None)
+        return None
+
+    return _scan(axiom, rule, econs, violation)
 
 
 def check_edg(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
@@ -227,157 +216,128 @@ def check_endowments_guarantee(
 
 def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Weakly larger peaks must receive weakly larger amounts."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("peak-responsive", econ)
         for i, j in itertools.permutations(range(econ.n), 2):
             if peaks[i] <= peaks[j] and x[i] > x[j]:
-                return _report(
-                    "peak-responsive",
-                    checked,
-                    Witness(
-                        econ,
-                        (i, j),
-                        f"peaks {fr(peaks[i])} <= {fr(peaks[j])} but amounts "
-                        f"{fr(x[i])} > {fr(x[j])}",
-                    ),
+                return Witness(
+                    econ,
+                    (i, j),
+                    f"peaks {fr(peaks[i])} <= {fr(peaks[j])} but amounts "
+                    f"{fr(x[i])} > {fr(x[j])}",
                 )
-    return _report("peak-responsive", checked, None)
+        return None
+
+    return _scan("peak-responsive", rule, econs, violation)
 
 
 def check_envy_free(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """No agent strictly prefers another agent's amount to their own."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         for i, j in itertools.permutations(range(econ.n), 2):
             pref = econ.prefs[i]
             if pref.disutility(x[j]) < pref.disutility(x[i]):
-                return _report(
-                    "envy-free",
-                    checked,
-                    Witness(
-                        econ,
-                        (i, j),
-                        f"agent {i + 1} envies agent {j + 1}: "
-                        f"d({fr(x[j])})={fr(pref.disutility(x[j]))} < "
-                        f"d({fr(x[i])})={fr(pref.disutility(x[i]))}",
-                    ),
+                return Witness(
+                    econ,
+                    (i, j),
+                    f"agent {i + 1} envies agent {j + 1}: "
+                    f"d({fr(x[j])})={fr(pref.disutility(x[j]))} < "
+                    f"d({fr(x[i])})={fr(pref.disutility(x[i]))}",
                 )
-    return _report("envy-free", checked, None)
+        return None
+
+    return _scan("envy-free", rule, econs, violation)
 
 
 def check_edlb(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Equal division lower bound: everyone weakly prefers their amount
     to omega/n."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         share = econ.equal_share
         for i, pref in enumerate(econ.prefs):
             if pref.disutility(x[i]) > pref.disutility(share):
-                return _report(
-                    "edlb",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"agent {i + 1} gets {fr(x[i])} with disutility "
-                        f"{fr(pref.disutility(x[i]))} worse than equal "
-                        f"division {fr(share)} at {fr(pref.disutility(share))}",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"agent {i + 1} gets {fr(x[i])} with disutility "
+                    f"{fr(pref.disutility(x[i]))} worse than equal "
+                    f"division {fr(share)} at {fr(pref.disutility(share))}",
                 )
-    return _report("edlb", checked, None)
+        return None
+
+    return _scan("edlb", rule, econs, violation)
 
 
 def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Exact membership test for the simple family: simple agents receive
     their peak and everyone else lands between equal division and their peak."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+
+    def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("betweenness", econ)
         part = partition(econ)
         share = econ.equal_share
         for i in sorted(part.plus):
             if x[i] != peaks[i]:
-                return _report(
-                    "betweenness",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"simple agent {i + 1} gets {fr(x[i])} instead of "
-                        f"peak {fr(peaks[i])}",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"simple agent {i + 1} gets {fr(x[i])} instead of "
+                    f"peak {fr(peaks[i])}",
                 )
         for i in sorted(part.minus):
             lo, hi = min(share, peaks[i]), max(share, peaks[i])
             if not lo <= x[i] <= hi:
-                return _report(
-                    "betweenness",
-                    checked,
-                    Witness(
-                        econ,
-                        (i,),
-                        f"non-simple agent {i + 1} gets {fr(x[i])} outside "
-                        f"[{fr(lo)}, {fr(hi)}]",
-                    ),
+                return Witness(
+                    econ,
+                    (i,),
+                    f"non-simple agent {i + 1} gets {fr(x[i])} outside "
+                    f"[{fr(lo)}, {fr(hi)}]",
                 )
-    return _report("betweenness", checked, None)
+        return None
+
+    return _scan("betweenness", rule, econs, violation)
 
 
 def check_strategy_proofness(
-    rule: Rule,
-    econs: Iterable[Economy],
-    misreport_grid: Optional[Sequence[Fraction]] = None,
-    misreport_slopes: Sequence[Tuple[Fraction, Fraction]] = (
-        (Fraction(1), Fraction(1)),
-    ),
-    grid_step: int = 60,
+    rule: Rule, econs: Iterable[Economy], grid_step: int = 60
 ) -> AxiomReport:
     """Sampled refutation of strategy-proofness: search every agent and
-    every grid misreport for a strictly profitable deviation. A FAIL
-    witness is a manipulation, not necessarily an obvious one."""
-    checked = 0
-    for econ in _eligible(rule, econs):
-        checked += 1
+    every misreported peak on grid(omega, grid_step), with unit slopes, for
+    a strictly profitable deviation. A FAIL witness is a manipulation, not
+    necessarily an obvious one."""
+
+    def violation(econ: Economy) -> Optional[Witness]:
         peaks = _peaks("sp", econ)
         x = rule(econ)
-        peaks_grid = (
-            misreport_grid if misreport_grid is not None else grid(econ.omega, grid_step)
-        )
+        peaks_grid = grid(econ.omega, grid_step)
         for i, pref in enumerate(econ.prefs):
             truth_d = pref.disutility(x[i])
             for fake_peak in peaks_grid:
                 if fake_peak == peaks[i]:
                     continue
-                for left, right in misreport_slopes:
-                    variant = econ.replace_pref(
-                        i, SinglePeaked(fake_peak, left, right)
+                variant = econ.replace_pref(i, SinglePeaked(fake_peak))
+                y = rule(variant)
+                if pref.disutility(y[i]) < truth_d:
+                    return Witness(
+                        econ,
+                        (i,),
+                        f"agent {i + 1} misreports peak "
+                        f"{fr(fake_peak)} and gets {fr(y[i])} "
+                        f"(disutility {fr(pref.disutility(y[i]))}) "
+                        f"instead of {fr(x[i])} "
+                        f"(disutility {fr(truth_d)})",
+                        perturbed=variant,
                     )
-                    y = rule(variant)
-                    if pref.disutility(y[i]) < truth_d:
-                        return _report(
-                            "sp",
-                            checked,
-                            Witness(
-                                econ,
-                                (i,),
-                                f"agent {i + 1} misreports peak "
-                                f"{fr(fake_peak)} and gets {fr(y[i])} "
-                                f"(disutility {fr(pref.disutility(y[i]))}) "
-                                f"instead of {fr(x[i])} "
-                                f"(disutility {fr(truth_d)})",
-                                perturbed=variant,
-                            ),
-                        )
-    return _report("sp", checked, None)
+        return None
+
+    return _scan("sp", rule, econs, violation)
 
 
 AXIOM_CHECKERS = {

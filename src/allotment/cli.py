@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Union
 
 from .axioms import AXIOM_CHECKERS, AxiomReport, Witness
@@ -162,10 +161,6 @@ def _flatten(value):
 # report rendering
 
 
-def _decimal(x: Fraction) -> float:
-    return float(x)
-
-
 def witness_to_dict(witness: Optional[Witness]) -> Optional[dict]:
     if witness is None:
         return None
@@ -182,7 +177,7 @@ def witness_to_dict(witness: Optional[Witness]) -> Optional[dict]:
     return data
 
 
-def option_set_to_dict(oset, include_witnesses: bool = False) -> dict:
+def option_set_to_dict(oset, show_witnesses: bool = False) -> dict:
     if isinstance(oset, OptionSetInterval):
         return {
             "kind": "exact",
@@ -196,7 +191,7 @@ def option_set_to_dict(oset, include_witnesses: bool = False) -> dict:
         "count": len(oset.outcomes),
         "grid": oset.grid_spec,
     }
-    if include_witnesses:
+    if show_witnesses:
         data["witnesses"] = {
             format_rational(outcome): economy_to_dict(oset.witnesses[outcome])
             for outcome in oset.outcomes
@@ -245,13 +240,13 @@ def cmd_allocate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     exact = ", ".join(format_rational(a) for a in allotment)
-    approx = ", ".join(f"{_decimal(a):.6g}" for a in allotment)
+    approx = ", ".join(f"{float(a):.6g}" for a in allotment)
     document = {
         "command": "allocate",
         "rule": rule.name,
         "economy": economy_to_dict(econ),
         "allotment": [format_rational(a) for a in allotment],
-        "decimal": [_decimal(a) for a in allotment],
+        "decimal": [float(a) for a in allotment],
     }
     emit(
         document,
@@ -390,7 +385,7 @@ def cmd_option_set(args) -> int:
         rule, agent, pref, econ.omega, econ.n, grid_step=args.grid_step
     )
     document["sampled"] = option_set_to_dict(
-        sampled, include_witnesses=args.show_witnesses
+        sampled, show_witnesses=args.show_witnesses
     )
     if rule.simple:
         interval = option_set_simple(pref.peak, econ.omega, econ.n)
@@ -440,7 +435,7 @@ def cmd_find_manipulation(args) -> int:
         econ.prefs[agent],
         econ.omega,
         econ.n,
-        grid_step=args.misreport_grid,
+        grid_step=args.misreport_step,
         option_grid_step=args.grid_step,
         endowment=endowment,
     )
@@ -611,6 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("agent", type=int, help="agent number (1-based)")
     p_find.add_argument(
         "--misreport-grid",
+        dest="misreport_step",
+        metavar="MISREPORT_GRID",
         type=int,
         default=60,
         help="misreport grid denominator (peaks at multiples of omega/STEP)",
@@ -627,10 +624,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("check needs an economy file or --random COUNT")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .claims import ClaimsProblem
 from .preferences import Preference, SinglePeaked, SinglePlateaued
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,13 @@ class Economy:
 
     def __post_init__(self):
         object.__setattr__(self, "prefs", tuple(self.prefs))
-        object.__setattr__(self, "omega", Fraction(self.omega))
+        object.__setattr__(self, "omega", parse_rational(self.omega))
         if len(self.prefs) < 2:
             raise ValueError("an economy needs at least two agents")
         if self.omega <= 0:
             raise ValueError("the social endowment must be positive")
         if self.endowments is not None:
-            endowments = tuple(Fraction(w) for w in self.endowments)
+            endowments = tuple(parse_rational(w) for w in self.endowments)
             object.__setattr__(self, "endowments", endowments)
             if len(endowments) != len(self.prefs):
                 raise ValueError("one endowment per agent required")
@@ -81,9 +82,9 @@ class Allotment:
     omega: Fraction
 
     def __post_init__(self):
-        amounts = tuple(Fraction(a) for a in self.amounts)
+        amounts = tuple(parse_rational(a) for a in self.amounts)
         object.__setattr__(self, "amounts", amounts)
-        object.__setattr__(self, "omega", Fraction(self.omega))
+        object.__setattr__(self, "omega", parse_rational(self.omega))
         if any(a < 0 for a in amounts):
             raise ValueError("allotments must be nonnegative")
         if sum(amounts) != self.omega:
@@ -167,4 +168,4 @@ def claims_of_minus(part: SimplePartition, econ: Economy) -> ClaimsProblem:
 
 
 def make_allotment(econ: Economy, amounts: Sequence) -> Allotment:
-    return Allotment(tuple(Fraction(a) for a in amounts), econ.omega)
+    return Allotment(tuple(amounts), econ.omega)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .axioms import AxiomReport, Witness, _report
+from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy
 from .preferences import SinglePeaked, worst
 from .rational import format_rational as fr
@@ -36,8 +36,6 @@ from .sampling import SLOPE_CATALOGUE, grid as peak_grid
 
 EXACT = "EXACT"
 SAMPLED = "SAMPLED"
-
-NEUTRAL_SLOPES = ((Fraction(1), Fraction(1)),)
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,9 @@ def _opponent_profiles(
     omega: Fraction,
     n: int,
     grid_step: int,
-    opponent_slopes: Sequence[Tuple[Fraction, Fraction]],
 ) -> Iterator[Tuple[SinglePeaked, ...]]:
-    """Deterministic opponent families, deduped in generation order:
+    """Deterministic opponent families of unit-slope preferences, deduped
+    in generation order:
 
     identical      all opponents share one grid peak;
     witness        all opponents at (omega - x)/(n - 1) for each target x
@@ -135,11 +133,7 @@ def _opponent_profiles(
     no more of them than it reads.
     """
     points = peak_grid(omega, grid_step)
-    identical = (
-        tuple(SinglePeaked(q, left, right) for _ in range(n - 1))
-        for q in points
-        for left, right in opponent_slopes
-    )
+    identical = (tuple(SinglePeaked(q) for _ in range(n - 1)) for q in points)
 
     def witness() -> Iterator[Tuple[SinglePeaked, ...]]:
         # the targets cost a pass over the grid, which most scans that stop
@@ -211,8 +205,6 @@ def option_set_sampled(
     omega: Fraction,
     n: int,
     grid_step: int = 60,
-    opponent_slopes: Sequence[Tuple[Fraction, Fraction]] = NEUTRAL_SLOPES,
-    extra_profiles: Iterable[Tuple[SinglePeaked, ...]] = (),
 ) -> SampledOptionSet:
     """Sampled option set: exact amounts the rule hands `agent` across the
     opponent-profile families, with the achieving economy kept per outcome
@@ -223,10 +215,7 @@ def option_set_sampled(
     # a whole set reads every profile; building them all before the first
     # rule run measured about 3 % faster than interleaving the two
     # (CPython 3.11, 2-vCPU Xeon VM)
-    profiles = [
-        *_opponent_profiles(pref, omega, n, grid_step, opponent_slopes),
-        *extra_profiles,
-    ]
+    profiles = list(_opponent_profiles(pref, omega, n, grid_step))
     witnesses: Dict[Fraction, Economy] = {}
     for outcome, econ in _outcomes(rule, agent, pref, omega, profiles):
         witnesses.setdefault(outcome, econ)
@@ -317,7 +306,6 @@ def find_obvious_manipulation(
     omega: Fraction,
     n: int,
     misreport_peaks: Optional[Sequence[Fraction]] = None,
-    misreport_slopes: Sequence[Tuple[Fraction, Fraction]] = NEUTRAL_SLOPES,
     grid_step: int = 60,
     option_grid_step: Optional[int] = None,
     endowment: Optional[Fraction] = None,
@@ -370,9 +358,7 @@ def find_obvious_manipulation(
             "sampled option sets are not defined on the reallocation domain"
         )
     if rule.simple and not force_sampled:
-        return _find_exact(
-            rule, agent, pref_true, omega, n, peaks, misreport_slopes, endowment
-        )
+        return _find_exact(rule, agent, pref_true, omega, n, peaks, endowment)
 
     step = grid_step if option_grid_step is None else option_grid_step
     oset_true = option_set_sampled(rule, agent, pref_true, omega, n, grid_step=step)
@@ -380,32 +366,28 @@ def find_obvious_manipulation(
     for fake_peak in peaks:
         if fake_peak == pref_true.peak:
             continue
-        for left, right in misreport_slopes:
-            misreport = SinglePeaked(fake_peak, left, right)
-            profiles = _opponent_profiles(misreport, omega, n, step, NEUTRAL_SLOPES)
-            witnesses: Dict[Fraction, Economy] = {}
-            for outcome, econ in _outcomes(rule, agent, misreport, omega, profiles):
-                if pref_true.disutility(outcome) >= d_truth:
-                    break
-                witnesses.setdefault(outcome, econ)
-            else:
-                # every outcome beat the truthful worst: the witnesses are
-                # the misreport's whole sampled option set
-                oset_mis = _sampled_set(
-                    rule, agent, misreport, omega, n, step, witnesses
-                )
-                verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
-                return ObviousManipulation(
-                    rule_name=rule.name,
-                    agent=agent,
-                    pref_true=pref_true,
-                    misreport=misreport,
-                    omega=omega,
-                    n=n,
-                    oset_true=oset_true,
-                    oset_misreport=oset_mis,
-                    verdict=verdict,
-                )
+        misreport = SinglePeaked(fake_peak)
+        profiles = _opponent_profiles(misreport, omega, n, step)
+        witnesses: Dict[Fraction, Economy] = {}
+        for outcome, econ in _outcomes(rule, agent, misreport, omega, profiles):
+            if pref_true.disutility(outcome) >= d_truth:
+                break
+            witnesses.setdefault(outcome, econ)
+        else:
+            # every outcome beat the truthful worst: the witnesses are the
+            # misreport's whole sampled option set
+            oset_mis = _sampled_set(rule, agent, misreport, omega, n, step, witnesses)
+            return ObviousManipulation(
+                rule_name=rule.name,
+                agent=agent,
+                pref_true=pref_true,
+                misreport=misreport,
+                omega=omega,
+                n=n,
+                oset_true=oset_true,
+                oset_misreport=oset_mis,
+                verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
+            )
     return None
 
 
@@ -416,7 +398,6 @@ def _find_exact(
     omega: Fraction,
     n: int,
     peaks: Sequence[Fraction],
-    misreport_slopes: Sequence[Tuple[Fraction, Fraction]],
     endowment: Optional[Fraction],
 ) -> Optional[ObviousManipulation]:
     """The exact-interval search of `find_obvious_manipulation`, decided
@@ -433,14 +414,12 @@ def _find_exact(
         if fake_peak == pref_true.peak:
             continue
         if max(d_ref, pref_true.disutility(min(fake_peak, omega))) < d_truth:
-            # slopes never enter an exact-interval verdict; the first pair
-            # names the misreport
             oset_mis = option_set_simple(fake_peak, omega, n, endowment)
             return ObviousManipulation(
                 rule_name=rule.name,
                 agent=agent,
                 pref_true=pref_true,
-                misreport=SinglePeaked(fake_peak, *misreport_slopes[0]),
+                misreport=SinglePeaked(fake_peak),
                 omega=omega,
                 n=n,
                 oset_true=oset_true,
@@ -472,13 +451,12 @@ def nom_sweep(
     count: int,
     n_values: Sequence[int] = (2, 3),
     with_endowments: bool = False,
-    include_witnesses: bool = True,
 ) -> List[NomCase]:
-    """Seeded sweep of NOM cases; the known two-agent manipulation
-    witnesses come first."""
+    """Seeded sweep of NOM cases; without endowments the known
+    manipulation witnesses with n in n_values come first."""
     rng = random.Random(seed)
     cases: List[NomCase] = []
-    if include_witnesses and not with_endowments:
+    if not with_endowments:
         witnesses = [
             NomCase(
                 SinglePeaked(Fraction(1, 3), Fraction(1), Fraction(3)),
@@ -529,11 +507,8 @@ def check_nom(
     witnesses, the worst-case pair); PASS is relative to the sweep and grids.
     NO_CASES means no case had enough agents for the rule.
     """
-    checked = 0
-    for case in cases:
-        if case.n < rule.min_agents:
-            continue
-        checked += 1
+
+    def violation(case: NomCase) -> Optional[Witness]:
         certificate = find_obvious_manipulation(
             rule,
             case.agent,
@@ -545,20 +520,18 @@ def check_nom(
             endowment=case.endowment,
             force_sampled=force_sampled,
         )
-        if certificate is not None:
-            witness_econ = None
-            if isinstance(certificate.oset_misreport, SampledOptionSet):
-                witness_econ = certificate.oset_misreport.witnesses[
-                    certificate.verdict.w_misreport
-                ]
-            return _report(
-                "nom",
-                checked,
-                Witness(
-                    economy=witness_econ,
-                    agents=(case.agent,),
-                    description=certificate.describe(),
-                    detail=certificate,
-                ),
-            )
-    return _report("nom", checked, None)
+        if certificate is None:
+            return None
+        witness_econ = None
+        if isinstance(certificate.oset_misreport, SampledOptionSet):
+            witness_econ = certificate.oset_misreport.witnesses[
+                certificate.verdict.w_misreport
+            ]
+        return Witness(
+            economy=witness_econ,
+            agents=(case.agent,),
+            description=certificate.describe(),
+            detail=certificate,
+        )
+
+    return _scan("nom", rule, cases, violation)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .rational import parse_rational
+
 
 @dataclass(frozen=True)
 class SinglePeaked:
@@ -26,11 +28,11 @@ class SinglePeaked:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "peak", Fraction(self.peak))
+        object.__setattr__(self, "peak", parse_rational(self.peak))
         if self.peak < 0:
             raise ValueError(f"peak must be nonnegative, got {self.peak}")
-        object.__setattr__(self, "left_slope", Fraction(self.left_slope))
-        object.__setattr__(self, "right_slope", Fraction(self.right_slope))
+        object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
+        object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
         if self.left_slope <= 0 or self.right_slope <= 0:
             raise ValueError("slopes must be strictly positive")
 
@@ -57,10 +59,10 @@ class SinglePlateaued:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "plateau_lo", Fraction(self.plateau_lo))
-        object.__setattr__(self, "plateau_hi", Fraction(self.plateau_hi))
-        object.__setattr__(self, "left_slope", Fraction(self.left_slope))
-        object.__setattr__(self, "right_slope", Fraction(self.right_slope))
+        object.__setattr__(self, "plateau_lo", parse_rational(self.plateau_lo))
+        object.__setattr__(self, "plateau_hi", parse_rational(self.plateau_hi))
+        object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
+        object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
         if self.plateau_lo < 0:
             raise ValueError("plateau_lo must be nonnegative")
         if self.plateau_hi < self.plateau_lo:

@@ -2,7 +2,9 @@
 
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
-notation is rejected on input so no float ever enters a computation.
+notation is rejected on input, and the preference and economy
+constructors coerce their fields through `parse_rational` as well, so no
+float ever enters a computation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from a "p/q" string, an "n" string, or an int.
+    """Parse an exact rational from a "p/q" string, an "n" string, or an
+    int; a Fraction is returned as it is.
 
     Floats and decimal strings are rejected: accepting them would silently
     break the end-to-end exactness contract.

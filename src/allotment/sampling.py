@@ -44,18 +44,14 @@ def random_preference(rng: random.Random, omega: Fraction) -> SinglePeaked:
     return SinglePeaked(peak, left, right)
 
 
-def random_economy(
-    rng: random.Random,
-    n_range: Tuple[int, int] = (2, 6),
-    with_endowments: bool = False,
-) -> Economy:
-    """One seeded economy.
+def random_economy(rng: random.Random, with_endowments: bool = False) -> Economy:
+    """One seeded economy of 2 to 6 agents.
 
     A third of the draws plant a peak exactly at equal division (exercises
     the equal division guarantee) and a third duplicate one preference
     (exercises symmetry); the two tweaks can coincide.
     """
-    n = rng.randint(*n_range)
+    n = rng.randint(2, 6)
     omega = Fraction(rng.randint(1, 5))
     prefs = [random_preference(rng, omega) for _ in range(n)]
     if rng.random() < 1 / 3:
@@ -103,10 +99,9 @@ def random_endowments(
     return tuple(endowments)
 
 
-def random_plateaued_economy(
-    rng: random.Random, n_range: Tuple[int, int] = (2, 6)
-) -> Economy:
-    n = rng.randint(*n_range)
+def random_plateaued_economy(rng: random.Random) -> Economy:
+    """One seeded economy of 2 to 6 single-plateaued agents."""
+    n = rng.randint(2, 6)
     omega = Fraction(rng.randint(1, 5))
     prefs = []
     for _ in range(n):
@@ -242,25 +237,17 @@ def witness_economies() -> List[Economy]:
 def standard_suite(
     seed: int,
     count: int,
-    n_range: Tuple[int, int] = (2, 6),
     with_endowments: bool = False,
-    include_witnesses: bool = True,
 ) -> List[Economy]:
     """The seeded economy suite the axiom checkers run on.
 
-    Witness economies come first so every known violation is found
-    deterministically, before any random draw.
+    Without endowments the witness economies come first, so every known
+    violation is found deterministically, before any random draw.
     """
     rng = random.Random(seed)
-    suite: List[Economy] = []
-    if include_witnesses and not with_endowments:
-        suite.extend(
-            e for e in witness_economies() if n_range[0] <= e.n <= n_range[1]
-        )
+    suite: List[Economy] = [] if with_endowments else witness_economies()
     while len(suite) < count:
-        suite.append(
-            random_economy(rng, n_range=n_range, with_endowments=with_endowments)
-        )
+        suite.append(random_economy(rng, with_endowments=with_endowments))
     return suite
 
 

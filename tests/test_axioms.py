@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from allotment.axioms import (
+    AXIOM_CHECKERS,
+    FAIL,
     NO_CASES,
     PASS_ON_SAMPLE,
     check_betweenness,
@@ -19,6 +21,7 @@ from allotment.axioms import (
 )
 from allotment.claims import cea, cel, pro
 from allotment.economy import Economy, make_allotment
+from allotment.manipulation import check_nom, nom_sweep
 from allotment.preferences import SinglePeaked
 from allotment.rules import (
     Rule,
@@ -107,6 +110,42 @@ def test_check_without_eligible_economies_reports_no_cases():
     assert check_symmetry(star, []).verdict == NO_CASES
     report = check_symmetry(uniform, [two_agent_om_economy()])
     assert (report.verdict, report.checked) == (PASS_ON_SAMPLE, 1)
+
+
+def _scan_contract_cases(axiom):
+    if axiom == "nom":
+        return nom_sweep(5, 14, n_values=(2, 3))
+    return standard_suite(5, 16, with_endowments=axiom == "endowments-guarantee")
+
+
+SCAN_CHECKERS = dict(
+    AXIOM_CHECKERS,
+    sp=lambda rule, cases: check_strategy_proofness(rule, cases, grid_step=12),
+    nom=lambda rule, cases: check_nom(rule, cases, grid_step=12, option_grid_step=12),
+)
+
+
+@pytest.mark.parametrize("axiom", list(SCAN_CHECKERS))
+def test_every_checker_scans_eligible_cases_to_the_first_fail(axiom):
+    # gallery:star needs three agents, so the two-agent cases are skipped
+    check, star = SCAN_CHECKERS[axiom], gallery("star")
+    cases = _scan_contract_cases(axiom)
+    eligible = [case for case in cases if case.n >= star.min_agents]
+    assert 0 < len(eligible) < len(cases)
+    first_fail = next(
+        (k for k, case in enumerate(eligible) if check(star, [case]).failed), None
+    )
+    report = check(star, cases)
+    if first_fail is None:
+        assert (report.verdict, report.checked) == (PASS_ON_SAMPLE, len(eligible))
+    else:
+        assert (report.verdict, report.checked) == (FAIL, first_fail + 1)
+        alone = check(star, [eligible[first_fail]])
+        assert report.witness.description == alone.witness.description
+    ineligible = [case for case in cases if case.n < star.min_agents]
+    for empty in ([], ineligible):
+        report = check(star, empty)
+        assert (report.verdict, report.checked) == (NO_CASES, 0)
 
 
 def test_uniform_symmetric():

@@ -125,6 +125,17 @@ def test_endowments_must_sum_to_omega():
     assert e.endowments == (F(1, 2), F(3, 2))
 
 
+def test_float_omega_endowments_and_amounts_rejected():
+    # each float here is exact in binary, so only its type can refuse it
+    prefs = (SinglePeaked(F(1)), SinglePeaked(F(1)))
+    with pytest.raises(ValueError, match="decimal"):
+        Economy(prefs, 2.0)
+    with pytest.raises(ValueError, match="decimal"):
+        Economy(prefs, F(2), (0.5, 1.5))
+    with pytest.raises(ValueError, match="decimal"):
+        Allotment((0.5, 1.5), F(2))
+
+
 def test_endowment_partition_examples():
     e = econ([0, 2], 2, (F(1), F(1)))
     part = partition(e, e.endowments)

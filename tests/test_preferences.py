@@ -40,8 +40,27 @@ def test_prefers_reflexive_indifference():
 
 def test_infinite_peak_rejected():
     # every preference satiates: an infinite peak is not a rational
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError):
         SinglePeaked(math.inf)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SinglePeaked(0.1),
+        lambda: SinglePeaked(F(1), 0.5, F(1)),
+        lambda: SinglePeaked(F(1), F(1), 2.0),
+        lambda: SinglePlateaued(0.25, F(1)),
+        lambda: SinglePlateaued(F(0), 0.75),
+        lambda: SinglePlateaued(F(0), F(1), 1.5, F(1)),
+        lambda: SinglePlateaued(F(0), F(1), F(1), 3.0),
+    ],
+    ids=["peak", "left", "right", "plateau_lo", "plateau_hi", "pl_left", "pl_right"],
+)
+def test_float_fields_rejected(build):
+    # a float would enter every later computation as its binary expansion
+    with pytest.raises(ValueError, match="decimal"):
+        build()
 
 
 def test_worst_picks_maximal_disutility():
