@@ -8,34 +8,33 @@ never by floating bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 from .levels import solve_min_level
+from .rational import ZERO, parse_rational
 
 
 @dataclass(frozen=True)
 class ClaimsProblem:
-    """Nonnegative claims and an endowment with 0 <= E <= sum of claims."""
+    """Nonnegative claims and an endowment with 0 <= E <= sum of claims
+    (`total`, summed once at construction)."""
 
     claims: Tuple[Fraction, ...]
     endowment: Fraction
+    total: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        claims = tuple(Fraction(c) for c in self.claims)
+        claims = tuple(parse_rational(c) for c in self.claims)
         object.__setattr__(self, "claims", claims)
-        object.__setattr__(self, "endowment", Fraction(self.endowment))
+        object.__setattr__(self, "endowment", parse_rational(self.endowment))
+        total = sum(claims, ZERO)
+        object.__setattr__(self, "total", total)
         if any(c < 0 for c in claims):
             raise ValueError("claims must be nonnegative")
-        if self.endowment < 0 or self.endowment > sum(claims):
-            raise ValueError(
-                f"endowment {self.endowment} outside [0, {sum(claims)}]"
-            )
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.claims, Fraction(0))
+        if self.endowment < 0 or self.endowment > total:
+            raise ValueError(f"endowment {self.endowment} outside [0, {total}]")
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,12 @@ ClaimsRule = Callable[[ClaimsProblem], Awards]
 
 
 def _check_awards(cp: ClaimsProblem, amounts: Sequence[Fraction]) -> Awards:
-    amounts = tuple(Fraction(a) for a in amounts)
+    # the three rules build every award from Fractions, so none is re-wrapped
+    amounts = tuple(amounts)
     for award, claim in zip(amounts, cp.claims):
         if award < 0 or award > claim:
             raise AssertionError(f"award {award} outside [0, {claim}]")
-    if sum(amounts, Fraction(0)) != cp.endowment:
+    if sum(amounts, ZERO) != cp.endowment:
         raise AssertionError("awards do not exhaust the endowment")
     return Awards(amounts)
 
@@ -77,7 +77,7 @@ def cel(cp: ClaimsProblem) -> Awards:
     """Constrained equal losses: award_i = max(0, claim_i - lam), where the
     losses min(claim_i, lam) total sum(claims) - E."""
     lam = solve_min_level(cp.claims, cp.total - cp.endowment)
-    return _check_awards(cp, [max(Fraction(0), c - lam) for c in cp.claims])
+    return _check_awards(cp, [max(ZERO, c - lam) for c in cp.claims])
 
 
 def pro(cp: ClaimsProblem) -> Awards:
@@ -85,7 +85,7 @@ def pro(cp: ClaimsProblem) -> Awards:
     total = cp.total
     if total == 0:
         # endowment is forced to 0 by the problem invariant
-        return Awards(tuple(Fraction(0) for _ in cp.claims))
+        return Awards((ZERO,) * len(cp.claims))
     return _check_awards(cp, [c / total * cp.endowment for c in cp.claims])
 
 

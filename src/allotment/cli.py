@@ -139,22 +139,9 @@ def load_economy(path: str) -> Economy:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict) and any(
-        isinstance(v, float) for v in _flatten(raw)
-    ):
-        raise CliError("decimals rejected: rationals must be \"p/q\" strings")
+    # economy_from_dict reads every number through parse_rational, which
+    # refuses floats
     return economy_from_dict(raw)
-
-
-def _flatten(value):
-    if isinstance(value, dict):
-        for v in value.values():
-            yield from _flatten(v)
-    elif isinstance(value, list):
-        for v in value:
-            yield from _flatten(v)
-    else:
-        yield value
 
 
 # ---------------------------------------------------------------------------

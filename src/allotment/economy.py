@@ -10,33 +10,48 @@ that the second-step claims problem divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .claims import ClaimsProblem
 from .preferences import Preference, SinglePeaked, SinglePlateaued
-from .rational import parse_rational
+from .rational import ZERO, parse_rational
 
 
 @dataclass(frozen=True)
 class Economy:
     """A profile of n >= 2 preferences and a positive social endowment.
 
-    Endowments, when present, must sum to omega exactly.
+    Endowments, when present, must sum to omega exactly. The peak profile
+    (None unless every preference is single-peaked) and equal division are
+    computed once, at construction.
     """
 
     prefs: Tuple[Preference, ...]
     omega: Fraction
     endowments: Optional[Tuple[Fraction, ...]] = None
+    equal_share: Fraction = field(init=False, repr=False, compare=False)
+    _peaks: Optional[Tuple[Fraction, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "prefs", tuple(self.prefs))
+        prefs = tuple(self.prefs)
+        object.__setattr__(self, "prefs", prefs)
         object.__setattr__(self, "omega", parse_rational(self.omega))
-        if len(self.prefs) < 2:
+        if len(prefs) < 2:
             raise ValueError("an economy needs at least two agents")
         if self.omega <= 0:
             raise ValueError("the social endowment must be positive")
+        object.__setattr__(self, "equal_share", self.omega / len(prefs))
+        object.__setattr__(
+            self,
+            "_peaks",
+            tuple(p.peak for p in prefs)
+            if all(isinstance(p, SinglePeaked) for p in prefs)
+            else None,
+        )
         if self.endowments is not None:
             endowments = tuple(parse_rational(w) for w in self.endowments)
             object.__setattr__(self, "endowments", endowments)
@@ -52,21 +67,17 @@ class Economy:
         return len(self.prefs)
 
     @property
-    def equal_share(self) -> Fraction:
-        return self.omega / self.n
-
-    @property
     def is_single_peaked(self) -> bool:
-        return all(isinstance(p, SinglePeaked) for p in self.prefs)
+        return self._peaks is not None
 
     @property
     def is_single_plateaued(self) -> bool:
         return all(isinstance(p, SinglePlateaued) for p in self.prefs)
 
     def peaks(self) -> Tuple[Fraction, ...]:
-        if not self.is_single_peaked:
+        if self._peaks is None:
             raise ValueError("peaks() requires single-peaked preferences")
-        return tuple(p.peak for p in self.prefs)
+        return self._peaks
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
         prefs = list(self.prefs)
@@ -87,9 +98,10 @@ class Allotment:
         object.__setattr__(self, "omega", parse_rational(self.omega))
         if any(a < 0 for a in amounts):
             raise ValueError("allotments must be nonnegative")
-        if sum(amounts) != self.omega:
+        total = sum(amounts, ZERO)
+        if total != self.omega:
             raise ValueError(
-                f"infeasible allotment: sum {sum(amounts)} != omega {self.omega}"
+                f"infeasible allotment: sum {total} != omega {self.omega}"
             )
 
     def __getitem__(self, i: int) -> Fraction:
@@ -134,7 +146,7 @@ def partition(
         reference = (econ.equal_share,) * econ.n
     elif len(reference) != econ.n:
         raise ValueError("one reference point per agent required")
-    z = sum(peaks) - econ.omega
+    z = sum(peaks, ZERO) - econ.omega
     demand = z >= 0
     plus, minus = [], []
     residual = econ.omega  # less the plus peaks and the minus references

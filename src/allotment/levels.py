@@ -16,23 +16,30 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .rational import ZERO
+
+
+def _fraction(value) -> Fraction:
+    """The value as a Fraction, wrapped only if it is not one already."""
+    return value if type(value) is Fraction else Fraction(value)
+
 
 def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
     """Level lam with sum_i min(cap_i, lam) = target, 0 <= target <= sum(caps).
 
     The water-filling level for constrained-equal-awards-type rules.
     """
-    caps = [Fraction(c) for c in caps]
-    target = Fraction(target)
-    if target < 0 or target > sum(caps):
+    caps = list(map(_fraction, caps))
+    target = _fraction(target)
+    if target < 0 or target > sum(caps, ZERO):
         raise ValueError("target outside [0, sum of caps]")
     if not caps:
-        return Fraction(0)
+        return ZERO
     ordered = sorted(caps)
     k = len(ordered)
-    consumed = Fraction(0)  # total of caps already fully served
+    consumed = ZERO  # total of caps already fully served
     for j, cap in enumerate(ordered):
-        if consumed + (k - j) * cap >= target:
+        if consumed + cap * (k - j) >= target:
             return (target - consumed) / (k - j)
         consumed += cap
     return ordered[-1]
@@ -40,18 +47,18 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
 
 def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
     """Level lam with sum_i max(floor_i, lam) = target, target >= sum(floors)."""
-    floors = [Fraction(f) for f in floors]
-    target = Fraction(target)
-    if target < sum(floors):
+    floors = list(map(_fraction, floors))
+    target = _fraction(target)
+    total = sum(floors, ZERO)
+    if target < total:
         raise ValueError("target below the sum of floors")
     if not floors:
         if target != 0:
             raise ValueError("target must be 0 when there are no floors")
-        return Fraction(0)
+        return ZERO
     ordered = sorted(floors)
     k = len(ordered)
-    total = sum(ordered)
-    prefix = Fraction(0)  # total of floors already lifted to lam
+    prefix = ZERO  # total of floors already lifted to lam
     for j in range(1, k + 1):
         prefix += ordered[j - 1]
         # lam in [ordered[j-1], ordered[j]]: sum = (total - prefix) + j*lam
@@ -76,18 +83,18 @@ def solve_clamp_level(
     carried from breakpoint to breakpoint until it reaches the target.
     O(k log k) for k intervals, dominated by the two sorts.
     """
-    lows = [Fraction(x) for x in lows]
-    highs = [Fraction(x) for x in highs]
-    target = Fraction(target)
+    lows = list(map(_fraction, lows))
+    highs = list(map(_fraction, highs))
+    target = _fraction(target)
     if len(lows) != len(highs):
         raise ValueError("lows and highs must have the same length")
     if any(h < l for l, h in zip(lows, highs)):
         raise ValueError("each interval needs low <= high")
-    value = sum(lows)
-    if not (value <= target <= sum(highs)):
+    value = sum(lows, ZERO)
+    if not (value <= target <= sum(highs, ZERO)):
         raise ValueError("target outside [sum of lows, sum of highs]")
     if not lows:
-        return Fraction(0)
+        return ZERO
     previous = min(lows)
     if value >= target:
         return previous

@@ -17,12 +17,19 @@ so a sampled misreport is not obvious as soon as one of its outcomes is,
 under the true preference, no better than the truthful worst: the search
 stops sampling it there, and only an obvious misreport has its whole
 option set built.
+
+The identical and complementary opponent families depend only on
+(omega, n, grid step), so they are built once and shared across rules,
+agents and misreports. Sharing is unobservable: the cache key is the
+families' whole input, compared by type as well as value, and the value
+is made of tuples of frozen preferences, which no caller can change.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -30,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy
 from .preferences import SinglePeaked, worst
-from .rational import format_rational as fr
+from .rational import format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import SLOPE_CATALOGUE, grid as peak_grid
 
@@ -46,8 +53,8 @@ class OptionSetInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", parse_rational(self.lo))
+        object.__setattr__(self, "hi", parse_rational(self.hi))
         if self.lo > self.hi:
             raise ValueError("interval needs lo <= hi")
 
@@ -103,14 +110,43 @@ def option_set_simple(
     reference point and the peak capped at omega (no outcome can exceed the
     endowment by feasibility). The reference point is equal division, or
     the agent's own `endowment` under a reallocation rule."""
-    peak, omega = Fraction(peak), Fraction(omega)
+    peak, omega = parse_rational(peak), parse_rational(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
-    reference = omega / n if endowment is None else Fraction(endowment)
+    reference = omega / n if endowment is None else parse_rational(endowment)
     reachable_peak = min(peak, omega)
     return OptionSetInterval(
         min(reference, reachable_peak), max(reference, reachable_peak)
     )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _shared_families(
+    omega: Fraction, n: int, grid_step: int
+) -> Tuple[
+    Tuple[Tuple[SinglePeaked, ...], ...],
+    Tuple[Tuple[SinglePeaked, ...], ...],
+    Tuple[Fraction, ...],
+]:
+    """The opponent families that do not depend on the agent: the identical
+    family, the complementary family (without its profiles the identical
+    family already holds), and the identical family's peak keys, which are
+    the grid in increasing order.
+
+    Every profile is made of one unit-slope preference per distinct grid
+    peak, shared by every slot and profile.
+    """
+    points = tuple(peak_grid(omega, grid_step))
+    unit = {q: SinglePeaked(q) for q in points}
+    identical = tuple((unit[q],) * (n - 1) for q in points)
+    # a complementary profile is constant only at q = omega/2, where the
+    # identical family holds it; distinct q lead with distinct peaks
+    complementary = tuple(
+        tuple(unit[q] if j % 2 == 0 else unit[omega - q] for j in range(n - 1))
+        for q in points
+        if n >= 3 and q <= omega and q != omega - q
+    )
+    return identical, complementary, points
 
 
 def _opponent_profiles(
@@ -120,7 +156,7 @@ def _opponent_profiles(
     grid_step: int,
 ) -> Iterator[Tuple[SinglePeaked, ...]]:
     """Deterministic opponent families of unit-slope preferences, deduped
-    in generation order:
+    on the opponents' peaks in generation order:
 
     identical      all opponents share one grid peak;
     witness        all opponents at (omega - x)/(n - 1) for each target x
@@ -130,32 +166,28 @@ def _opponent_profiles(
                    keyed to peak sums.
 
     Profiles are generated lazily, so a consumer that stops early builds
-    no more of them than it reads.
+    no more witness profiles than it reads.
     """
-    points = peak_grid(omega, grid_step)
-    identical = (tuple(SinglePeaked(q) for _ in range(n - 1)) for q in points)
+    identical, complementary, keys = _shared_families(omega, n, grid_step)
+    yield from identical
 
-    def witness() -> Iterator[Tuple[SinglePeaked, ...]]:
-        # the targets cost a pass over the grid, which most scans that stop
-        # inside the identical family never need
-        interval = option_set_simple(pref.peak, omega, n)
-        targets = sorted(
-            {interval.lo, interval.hi}
-            | {g for g in points if interval.lo <= g <= interval.hi}
+    # the targets cost a search of the grid, which most scans that stop
+    # inside the identical family never need
+    interval = option_set_simple(pref.peak, omega, n)
+    targets = sorted(
+        {interval.lo, interval.hi}.union(
+            keys[bisect_left(keys, interval.lo) : bisect_right(keys, interval.hi)]
         )
-        for x in targets:
-            yield tuple(SinglePeaked((omega - x) / (n - 1)) for _ in range(n - 1))
-
-    complementary = (
-        tuple(SinglePeaked(q if j % 2 == 0 else omega - q) for j in range(n - 1))
-        for q in points
-        if n >= 3 and q <= omega
     )
-    seen = set()
-    for profile in itertools.chain(identical, witness(), complementary):
-        if profile not in seen:
-            seen.add(profile)
-            yield profile
+    for x in targets:
+        # a witness profile is constant, so it repeats an identical profile
+        # exactly when its peak is on the grid, and never a complementary one
+        peak = (omega - x) / (n - 1)
+        at = bisect_left(keys, peak)
+        if at == len(keys) or keys[at] != peak:
+            yield (SinglePeaked(peak),) * (n - 1)
+
+    yield from complementary
 
 
 def _outcomes(
@@ -168,8 +200,7 @@ def _outcomes(
     """(amount handed to `agent`, economy) for each opponent profile in
     turn, one rule run per item."""
     for opponents in profiles:
-        prefs = list(opponents[:agent]) + [pref] + list(opponents[agent:])
-        econ = Economy(tuple(prefs), omega)
+        econ = Economy(opponents[:agent] + (pref,) + opponents[agent:], omega)
         yield rule(econ)[agent], econ
 
 
@@ -209,7 +240,7 @@ def option_set_sampled(
     """Sampled option set: exact amounts the rule hands `agent` across the
     opponent-profile families, with the achieving economy kept per outcome
     (first in generation order)."""
-    omega = Fraction(omega)
+    omega = parse_rational(omega)
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for n={n}")
     # a whole set reads every profile; building them all before the first
@@ -347,12 +378,14 @@ def find_obvious_manipulation(
         raise ValueError(
             f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
         )
-    omega = Fraction(omega)
+    omega = parse_rational(omega)
     peaks = (
-        list(misreport_peaks)
+        [parse_rational(q) for q in misreport_peaks]
         if misreport_peaks is not None
         else peak_grid(omega, grid_step)
     )
+    if endowment is not None:
+        endowment = parse_rational(endowment)
     if rule.domain == DOMAIN_SP_ENDOWMENTS and force_sampled:
         raise ValueError(
             "sampled option sets are not defined on the reallocation domain"
@@ -407,7 +440,7 @@ def _find_exact(
     elif endowment is None:
         raise ValueError("reallocation rules need the agent's own endowment")
     oset_true = option_set_simple(pref_true.peak, omega, n, endowment)
-    reference = omega / n if endowment is None else Fraction(endowment)
+    reference = omega / n if endowment is None else endowment
     d_ref = pref_true.disutility(reference)
     d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
     for fake_peak in peaks:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+ZERO = Fraction(0)
+"""The exact zero, shared so that hot loops build no Fraction for it."""
+
 
 class RationalParseError(ValueError):
     """Raised for inputs that are not exact rationals."""
@@ -23,6 +26,8 @@ def parse_rational(value) -> Fraction:
     Floats and decimal strings are rejected: accepting them would silently
     break the end-to-end exactness contract.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise RationalParseError(f"not a rational: {value!r}")
     if isinstance(value, int):

@@ -23,6 +23,7 @@ from .claims import CLAIMS_RULES, ClaimsRule
 from .economy import Allotment, Economy, claims_of_minus, make_allotment, partition
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
+from .rational import ZERO
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -72,7 +73,7 @@ class Rule:
 
 def _uniform_amounts(econ: Economy) -> Tuple[Fraction, ...]:
     peaks = econ.peaks()
-    if sum(peaks) >= econ.omega:
+    if sum(peaks, ZERO) >= econ.omega:
         lam = solve_min_level(peaks, econ.omega)
         return tuple(min(p, lam) for p in peaks)
     lam = solve_max_level(peaks, econ.omega)
@@ -85,11 +86,11 @@ def _uniform(econ: Economy) -> Allotment:
 
 def _ced(econ: Economy) -> Allotment:
     peaks = econ.peaks()
-    total = sum(peaks)
+    total = sum(peaks, ZERO)
     if total >= econ.omega:
         # equal losses: the cuts min(p, d) total sum(peaks) - omega
         d = solve_min_level(peaks, total - econ.omega)
-        amounts = [max(Fraction(0), p - d) for p in peaks]
+        amounts = [max(ZERO, p - d) for p in peaks]
     else:
         d = (econ.omega - total) / econ.n
         amounts = [p + d for p in peaks]
@@ -98,7 +99,7 @@ def _ced(econ: Economy) -> Allotment:
 
 def _proportional(econ: Economy) -> Allotment:
     peaks = econ.peaks()
-    total = sum(peaks)
+    total = sum(peaks, ZERO)
     if total == 0:
         return make_allotment(econ, [econ.equal_share] * econ.n)
     return make_allotment(econ, [p / total * econ.omega for p in peaks])
@@ -228,7 +229,7 @@ def sequential_allotment(
     for t, agent in enumerate(order[:-1]):
         assert slack <= 0
         gap = peaks[agent] - share if demand else share - peaks[agent]
-        lo = max(Fraction(0), gap + slack)
+        lo = max(ZERO, gap + slack)
         hi = min(gap, room)
         if lo > hi:
             raise BoundsViolation(f"empty window [{lo}, {hi}] at step {t + 1}")
@@ -239,7 +240,9 @@ def sequential_allotment(
         room -= lam
         slack += gap - lam
     last = order[-1]
-    amounts[last] = econ.omega - sum(a for i, a in enumerate(amounts) if i != last)
+    amounts[last] = econ.omega - sum(
+        (a for i, a in enumerate(amounts) if i != last), ZERO
+    )
     return make_allotment(econ, amounts)
 
 

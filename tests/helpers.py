@@ -1,8 +1,12 @@
 """Shared test oracles, independent of the library's solver paths."""
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
+
+from hypothesis import strategies as st
 
 from allotment.claims import ClaimsProblem, ClaimsRule
 from allotment.economy import Allotment, Economy
@@ -11,8 +15,40 @@ from allotment.manipulation import (
     option_set_sampled,
     option_set_simple,
 )
-from allotment.preferences import SinglePeaked
+from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import DOMAIN_SP_ENDOWMENTS
+from allotment.sampling import grid as peak_grid
+
+
+@st.composite
+def economies(draw, endowed=False, plateaued=False):
+    """Hypothesis economies of 2 to 6 agents with rational omega, peaks (or
+    plateaus) in [0, 2 omega] and positive slopes that are often not 1.
+    Endowed economies get nonnegative endowments summing to omega."""
+
+    def rational(lo, hi, max_den):
+        # two integer draws generate about four times faster than st.fractions
+        den = draw(st.integers(1, max_den))
+        top = draw(st.integers(math.ceil(lo * den), math.floor(hi * den)))
+        return Fraction(top, den)
+
+    omega = rational(Fraction(1, 6), 5, 6)
+    n = draw(st.integers(2, 6))
+    prefs = []
+    for _ in range(n):
+        left, right = (rational(Fraction(1, 10), 10, 10) for _ in range(2))
+        if plateaued:
+            lo, hi = sorted(rational(0, 2 * omega, 12) for _ in range(2))
+            prefs.append(SinglePlateaued(lo, hi, left, right))
+        else:
+            prefs.append(SinglePeaked(rational(0, 2 * omega, 12), left, right))
+    endowments = None
+    if endowed:
+        weights = draw(
+            st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any)
+        )
+        endowments = tuple(omega * w / sum(weights) for w in weights)
+    return Economy(tuple(prefs), omega, endowments)
 
 
 def bisect_increasing(func, target, lo, hi, iterations=60):
@@ -78,6 +114,43 @@ def clamp_level_oracle(lows, highs, target):
             return previous + (target - total_at(previous)) / active
         previous = point
     return points[-1]
+
+
+def opponent_profiles_oracle(
+    pref: SinglePeaked,
+    omega: Fraction,
+    n: int,
+    grid_step: int,
+) -> Iterator[Tuple[SinglePeaked, ...]]:
+    """Reference opponent profiles: every family rebuilt on every call, one
+    preference per slot, deduped on whole preference tuples.
+
+    The library's former generator, kept as the oracle for
+    `allotment.manipulation._opponent_profiles`, which shares the families
+    that do not depend on the agent.
+    """
+    points = peak_grid(omega, grid_step)
+    identical = (tuple(SinglePeaked(q) for _ in range(n - 1)) for q in points)
+
+    def witness() -> Iterator[Tuple[SinglePeaked, ...]]:
+        interval = option_set_simple(pref.peak, omega, n)
+        targets = sorted(
+            {interval.lo, interval.hi}
+            | {g for g in points if interval.lo <= g <= interval.hi}
+        )
+        for x in targets:
+            yield tuple(SinglePeaked((omega - x) / (n - 1)) for _ in range(n - 1))
+
+    complementary = (
+        tuple(SinglePeaked(q if j % 2 == 0 else omega - q) for j in range(n - 1))
+        for q in points
+        if n >= 3 and q <= omega
+    )
+    seen = set()
+    for profile in itertools.chain(identical, witness(), complementary):
+        if profile not in seen:
+            seen.add(profile)
+            yield profile
 
 
 def pareto_improvement_on_grid(

@@ -17,6 +17,7 @@ from allotment.cli import (
 from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import Rule
+from helpers import economies
 
 OM_ECONOMY = {
     "omega": "1",
@@ -142,6 +143,24 @@ def test_economy_round_trip_is_field_identical():
         document = economy_to_dict(econ)
         assert economy_from_dict(document) == econ
         assert economy_to_dict(economy_from_dict(document)) == document
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    economies()
+    | economies(plateaued=True)
+    | economies(endowed=True)
+    | economies(endowed=True, plateaued=True)
+)
+def test_economy_round_trip_is_field_identical_property(econ):
+    document = economy_to_dict(econ)
+    back = economy_from_dict(document)
+    assert (back.prefs, back.omega, back.endowments) == (
+        econ.prefs,
+        econ.omega,
+        econ.endowments,
+    )
+    assert economy_to_dict(back) == document
 
 
 def test_decimals_rejected(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from allotment import NO_CASES
 from allotment.claims import cea, cel, pro
 from allotment.manipulation import (
+    _opponent_profiles,
     check_nom,
     find_obvious_manipulation,
     is_obvious_manipulation,
@@ -29,7 +30,12 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import SLOPE_CATALOGUE, grid
-from helpers import MislabelledPeak, exact_nom_oracle, sampled_nom_oracle
+from helpers import (
+    MislabelledPeak,
+    exact_nom_oracle,
+    opponent_profiles_oracle,
+    sampled_nom_oracle,
+)
 
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
@@ -97,6 +103,54 @@ def test_sampled_outcomes_replay_exactly():
     s = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=20)
     for outcome in s.outcomes:
         assert s.replay(outcome)
+
+
+def peaks_and_slopes(profiles):
+    return [
+        tuple((p.peak, p.left_slope, p.right_slope) for p in profile)
+        for profile in profiles
+    ]
+
+
+# omega/2 lies off an odd grid and on an even one
+@pytest.mark.parametrize("grid_step", [5, 6, 12])
+def test_opponent_profiles_match_oracle(grid_step):
+    for n in range(2, 7):
+        for omega in (F(1), F(2), F(7, 3)):
+            # agent peaks on the grid and halfway between grid points, so
+            # witness targets and the witness opponents' peaks fall both on
+            # and off the grid
+            for k in range(4 * grid_step + 1):
+                pref = SinglePeaked(k * omega / (2 * grid_step))
+                args = (omega, n, grid_step)
+                expected = peaks_and_slopes(opponent_profiles_oracle(pref, *args))
+                # the second call reads the cached shared families
+                for _ in range(2):
+                    got = peaks_and_slopes(_opponent_profiles(pref, *args))
+                    assert got == expected, (pref.peak, omega, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: option_set_simple(F(1, 3), 0.1, 2),
+        lambda: option_set_simple(0.5, F(1), 2),
+        lambda: option_set_simple(F(1, 3), F(1), 2, endowment=0.5),
+        lambda: OptionSetInterval(0.25, F(1)),
+        lambda: option_set_sampled(ced, 0, OM_PREF, 0.5, 2),
+        lambda: find_obvious_manipulation(ced, 0, OM_PREF, 0.1, 2, grid_step=6),
+        lambda: find_obvious_manipulation(
+            uniform, 0, OM_PREF, F(1), 2, misreport_peaks=[0.5]
+        ),
+        lambda: find_obvious_manipulation(
+            simple_reallocation_from_claims(cea), 0, OM_PREF, F(1), 2,
+            endowment=0.5,
+        ),
+    ],
+)
+def test_float_arguments_rejected(call):
+    with pytest.raises(ValueError, match="decimal"):
+        call()
 
 
 # -- obviousness verdicts -------------------------------------------------------

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+from allotment.axioms import check_betweenness
 from allotment.claims import cea, cel, pro
 from allotment.economy import Economy, partition
 from allotment.levels import solve_max_level
@@ -25,7 +27,7 @@ from allotment.sampling import (
     random_plateaued_economy,
     two_agent_om_economy,
 )
-from helpers import bisect_increasing
+from helpers import bisect_increasing, economies
 
 
 def econ(peaks, omega, endowments=None):
@@ -162,6 +164,46 @@ def test_simple_rules_respect_betweenness():
             for i in part.minus:
                 peak = e.prefs[i].peak
                 assert min(share, peak) <= x[i] <= max(share, peak)
+
+
+SIMPLE_FAMILY = (
+    [uniform]
+    + [get_rule(f"simple:{name}") for name in ("cea", "cel", "pro")]
+    + [
+        sequential_rule(selector, order)
+        for selector in SELECTORS
+        for order in ("ascending", "descending")
+    ]
+)
+
+
+def assert_feasible(x, econ):
+    assert sum(x) == econ.omega
+    assert all(a >= 0 for a in x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(economies())
+def test_simple_family_feasible_and_between_property(e):
+    for rule in SIMPLE_FAMILY:
+        assert_feasible(rule(e), e)
+        assert not check_betweenness(rule, [e]).failed, rule.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(economies(endowed=True))
+def test_reallocation_rules_feasible_and_between_property(e):
+    # betweenness around each agent's own endowment, the reference point of
+    # the reallocation rules (check_betweenness anchors at equal division)
+    part = partition(e, e.endowments)
+    for name in ("cea", "cel", "pro"):
+        x = get_rule(f"realloc:{name}")(e)
+        assert_feasible(x, e)
+        for i in part.plus:
+            assert x[i] == e.prefs[i].peak
+        for i in part.minus:
+            w, peak = e.endowments[i], e.prefs[i].peak
+            assert min(w, peak) <= x[i] <= max(w, peak)
 
 
 # -- reallocation variant -------------------------------------------------------
