@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Tuple, TypeVar
 from .economy import Economy, partition
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
-from .rules import Rule
+from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import SLOPE_CATALOGUE, grid
 
 PASS_ON_SAMPLE = "PASS_ON_SAMPLE"
@@ -276,13 +276,15 @@ def check_edlb(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
 
 def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Exact membership test for the simple family: simple agents receive
-    their peak and everyone else lands between equal division and their peak."""
+    their peak and everyone else lands between their reference point and
+    their peak. The reference point is the rule's own: equal division, or
+    the agent's endowment under a reallocation rule."""
+    endowed = rule.domain == DOMAIN_SP_ENDOWMENTS
 
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("betweenness", econ)
-        part = partition(econ)
-        share = econ.equal_share
+        part = partition(econ, econ.endowments if endowed else None)
         for i in sorted(part.plus):
             if x[i] != peaks[i]:
                 return Witness(
@@ -292,7 +294,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
                     f"peak {fr(peaks[i])}",
                 )
         for i in sorted(part.minus):
-            lo, hi = min(share, peaks[i]), max(share, peaks[i])
+            r = part.reference[i]
+            lo, hi = min(r, peaks[i]), max(r, peaks[i])
             if not lo <= x[i] <= hi:
                 return Witness(
                     econ,

@@ -8,21 +8,25 @@ are exact. A single-peaked disutility is worst on an interval
 at one of its two ends, so each exact verdict compares endpoint
 disutilities only: since r lies in every option set, misreport q is obvious
 exactly when max(d(r), d(min(q, omega))) is below the disutility of the
-worse truthful end. For arbitrary rules option sets are sampled: outcomes
-are produced by real rule runs over deterministic opponent-profile families
-and every outcome carries the economy that achieves it, so certificates
-replay exactly. Sampled PASS verdicts are sample-relative; sampled FAIL
-certificates use only exhibited outcomes. NOM compares worst cases only,
-so a sampled misreport is not obvious as soon as one of its outcomes is,
-under the true preference, no better than the truthful worst: the search
-stops sampling it there, and only an obvious misreport has its whole
-option set built.
+worse truthful end. That needs d(r) below it, which a single-peaked
+preference never gives, as r is the truthful end farther from its peak:
+the search then returns at once, without reading the misreports. For
+arbitrary rules option sets are sampled: outcomes are produced by real
+rule runs over deterministic opponent-profile families and every outcome
+carries the economy that achieves it, so certificates replay exactly.
+Sampled PASS verdicts are sample-relative; sampled FAIL certificates use
+only exhibited outcomes. NOM compares worst cases only, so a sampled
+misreport is not obvious as soon as one of its outcomes is, under the
+true preference, no better than the truthful worst: the search stops
+sampling it there, and only an obvious misreport has its whole option set
+built.
 
-The identical and complementary opponent families depend only on
-(omega, n, grid step), so they are built once and shared across rules,
-agents and misreports. Sharing is unobservable: the cache key is the
-families' whole input, compared by type as well as value, and the value
-is made of tuples of frozen preferences, which no caller can change.
+The peak grid depends only on (omega, grid step), and the identical and
+complementary opponent families only on (omega, n, grid step), so each is
+built once and shared across rules, agents and misreports. Sharing is
+unobservable: the cache key is the whole input, compared by type as well
+as value, and the value is made of tuples of fractions or of frozen
+preferences, which no caller can change.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class OptionSetInterval:
             raise ValueError("interval needs lo <= hi")
 
     def __contains__(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
+        return self.lo <= parse_rational(x) <= self.hi
 
     def __str__(self) -> str:
         return f"[{fr(self.lo)}, {fr(self.hi)}]"
@@ -121,6 +125,14 @@ def option_set_simple(
 
 
 @functools.lru_cache(maxsize=32, typed=True)
+def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
+    """The peak grid of `sampling.grid`, built once per (omega, step) and
+    shared by the misreport lists and the opponent families. A refused
+    step raises on every call: the cache keeps no exceptions."""
+    return tuple(peak_grid(omega, grid_step))
+
+
+@functools.lru_cache(maxsize=32, typed=True)
 def _shared_families(
     omega: Fraction, n: int, grid_step: int
 ) -> Tuple[
@@ -136,7 +148,7 @@ def _shared_families(
     Every profile is made of one unit-slope preference per distinct grid
     peak, shared by every slot and profile.
     """
-    points = tuple(peak_grid(omega, grid_step))
+    points = _grid(omega, grid_step)
     unit = {q: SinglePeaked(q) for q in points}
     identical = tuple((unit[q],) * (n - 1) for q in points)
     # a complementary profile is constant only at q = omega/2, where the
@@ -354,9 +366,19 @@ def find_obvious_manipulation(
     capped peak min(peak, omega). A single-peaked disutility is worst on
     an interval at one of its ends, so misreport q is obvious exactly when
     max(d(r), d(min(q, omega))) < d_truth, where d_truth is the true
-    disutility of the worse end of the truthful interval. Each misreport
-    therefore costs one disutility; the certificate, when one exists, is
-    built from the option sets by `is_obvious_manipulation`.
+    disutility of the worse end of the truthful interval. So no misreport
+    is obvious unless d(r) < d_truth, and the search returns None after
+    those two disutilities otherwise. For a single-peaked preference that
+    is always: r in [0, omega] is the end of the truthful interval farther
+    from the peak, so d_truth = d(r).
+    Only a preference that ranks amounts around another ideal than its
+    reported peak reaches the scan, where each misreport costs one
+    disutility; the certificate, when one exists, is built from the option
+    sets by `is_obvious_manipulation`.
+
+    The default misreport list is the shared grid of (omega, grid_step).
+    Misreports are parsed before any search, so a float is refused even
+    where the verdict needs none of them.
 
     On the sampled path d_truth is the true disutility of the worst
     outcome in the full sampled truthful set. A misreport is obvious only
@@ -382,7 +404,7 @@ def find_obvious_manipulation(
     peaks = (
         [parse_rational(q) for q in misreport_peaks]
         if misreport_peaks is not None
-        else peak_grid(omega, grid_step)
+        else _grid(omega, grid_step)
     )
     if endowment is not None:
         endowment = parse_rational(endowment)
@@ -433,8 +455,9 @@ def _find_exact(
     peaks: Sequence[Fraction],
     endowment: Optional[Fraction],
 ) -> Optional[ObviousManipulation]:
-    """The exact-interval search of `find_obvious_manipulation`, decided
-    from the two endpoint disutilities of each misreport's interval."""
+    """The exact-interval search of `find_obvious_manipulation`: None at
+    once when d(r) >= d_truth, else each misreport decided from the two
+    endpoint disutilities of its interval."""
     if rule.domain != DOMAIN_SP_ENDOWMENTS:
         endowment = None
     elif endowment is None:
@@ -443,6 +466,9 @@ def _find_exact(
     reference = omega / n if endowment is None else endowment
     d_ref = pref_true.disutility(reference)
     d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
+    if d_ref >= d_truth:
+        # max(d_ref, x) < d_truth needs d_ref < d_truth: no misreport fires
+        return None
     for fake_peak in peaks:
         if fake_peak == pref_true.peak:
             continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .rational import parse_rational
+from .rational import ZERO, parse_rational
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class SinglePeaked:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:
-        x = Fraction(x)
+        x = parse_rational(x)
         if x < 0:
             raise ValueError(f"consumption must be nonnegative, got {x}")
         if x <= self.peak:
@@ -71,14 +71,14 @@ class SinglePlateaued:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:
-        x = Fraction(x)
+        x = parse_rational(x)
         if x < 0:
             raise ValueError(f"consumption must be nonnegative, got {x}")
         if x < self.plateau_lo:
             return self.left_slope * (self.plateau_lo - x)
         if x > self.plateau_hi:
             return self.right_slope * (x - self.plateau_hi)
-        return Fraction(0)
+        return ZERO
 
 
 Preference = Union[SinglePeaked, SinglePlateaued]
@@ -89,7 +89,7 @@ def worst(pref: Preference, amounts: Iterable) -> Fraction:
 
     Ties are broken toward the smaller amount, for determinism.
     """
-    items = sorted(Fraction(a) for a in amounts)
+    items = sorted(parse_rational(a) for a in amounts)
     if not items:
         raise ValueError("worst() needs a nonempty set of amounts")
     best = items[0]

@@ -3,8 +3,8 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors coerce their fields through `parse_rational` as well, so no
-float ever enters a computation.
+constructors, `disutility`, `worst` and option-interval membership coerce
+through `parse_rational` as well, so no float ever enters a computation.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -308,3 +308,15 @@ class MislabelledPeak(SinglePeaked):
         return SinglePeaked(
             self.ideal, self.left_slope, self.right_slope
         ).disutility(x)
+
+
+@dataclass(frozen=True)
+class CountingPeaked(SinglePeaked):
+    """A genuine single-peaked preference that records the amount of every
+    disutility call in `calls`."""
+
+    calls: List[Fraction] = field(default_factory=list, compare=False, repr=False)
+
+    def disutility(self, x):
+        self.calls.append(x)
+        return super().disutility(x)

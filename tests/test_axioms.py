@@ -24,6 +24,7 @@ from allotment.economy import Economy, make_allotment
 from allotment.manipulation import check_nom, nom_sweep
 from allotment.preferences import SinglePeaked
 from allotment.rules import (
+    DOMAIN_SP_ENDOWMENTS,
     Rule,
     ced,
     gallery,
@@ -281,6 +282,26 @@ def test_ced_fails_betweenness_at_om_economy():
     assert report.failed
     assert report.witness.agents == (0,)
     assert "2/3" in report.witness.description
+
+
+ENDOWED_TWIN_PEAKS = Economy(
+    (SinglePeaked(F(1, 2)), SinglePeaked(F(1, 2))), F(2), (F(0), F(2))
+)
+
+
+def test_reallocation_betweenness_anchors_at_endowments():
+    # agent 2 gets 3/2, between their endowment 2 and peak 1/2
+    report = check_betweenness(
+        simple_reallocation_from_claims(cea), [ENDOWED_TWIN_PEAKS]
+    )
+    assert report.verdict == PASS_ON_SAMPLE
+    # uniform's 1 for agent 1 (endowment 0, peak 1/2) is no longer between
+    endowed_uniform = Rule(
+        "endowed-uniform", uniform.allocate, DOMAIN_SP_ENDOWMENTS, simple=True
+    )
+    report = check_betweenness(endowed_uniform, [ENDOWED_TWIN_PEAKS])
+    assert report.failed
+    assert report.witness.description == "simple agent 1 gets 1 instead of peak 1/2"
 
 
 # -- strategy-proofness -------------------------------------------------------------

@@ -289,6 +289,20 @@ def test_check_simple_rule_passes_axioms(om_file, capsys):
     assert out.count("PASS_ON_SAMPLE") == 4
 
 
+def test_check_reallocation_betweenness_around_endowments(tmp_path, capsys):
+    path = tmp_path / "endowed.json"
+    path.write_text(json.dumps({
+        "omega": "2",
+        "agents": [{"peak": "1/2"}, {"peak": "1/2"}],
+        "endowments": ["0", "2"],
+    }))
+    code, out, _ = run(
+        capsys, "check", str(path), "realloc:cea", "--axioms", "betweenness"
+    )
+    assert code == 0
+    assert out == "betweenness: PASS_ON_SAMPLE\n"
+
+
 def test_check_bar_fails_symmetry(om_file, capsys):
     code, out, _ = run(
         capsys, "check", om_file, "gallery:bar",

@@ -20,9 +20,12 @@ from allotment.manipulation import (
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
+    DOMAIN_SP_ENDOWMENTS,
+    RULE_NAMES,
     Rule,
     ced,
     gallery,
+    get_rule,
     proportional,
     sequential_rule,
     simple_from_claims,
@@ -31,6 +34,7 @@ from allotment.rules import (
 )
 from allotment.sampling import SLOPE_CATALOGUE, grid
 from helpers import (
+    CountingPeaked,
     MislabelledPeak,
     exact_nom_oracle,
     opponent_profiles_oracle,
@@ -151,6 +155,12 @@ def test_opponent_profiles_match_oracle(grid_step):
 def test_float_arguments_rejected(call):
     with pytest.raises(ValueError, match="decimal"):
         call()
+
+
+def test_interval_membership_rejects_floats():
+    with pytest.raises(ValueError, match="decimal"):
+        0.3 in OptionSetInterval(0, 1)
+    assert 1 in OptionSetInterval(0, 1)
 
 
 # -- obviousness verdicts -------------------------------------------------------
@@ -435,6 +445,72 @@ def exact_cases(draw):
 def test_exact_search_matches_oracle_property(drawn):
     rule, case, peaks = drawn
     assert_matches_oracle(rule, case, peaks)
+
+
+# -- exact search decided at the reference point -----------------------------
+
+
+EXACT_REGISTERED = [get_rule(name) for name in RULE_NAMES if get_rule(name).simple]
+
+
+@pytest.mark.parametrize(
+    "misreports", [None, [F(k, 100) for k in range(500)]], ids=["grid", "500"]
+)
+def test_exact_search_reads_no_misreport_for_genuine_preferences(misreports):
+    # d(r) and the two truthful ends decide every case: the reference point
+    # is a truthful end, so no misreport can beat the truthful worst
+    sweeps = [
+        (False, nom_sweep(21, 25, n_values=(2, 3, 4))),
+        (True, nom_sweep(22, 25, n_values=(2, 3, 4), with_endowments=True)),
+    ]
+    searched = 0
+    for rule in EXACT_REGISTERED:
+        endowed = rule.domain == DOMAIN_SP_ENDOWMENTS
+        for with_endowments, cases in sweeps:
+            if with_endowments != endowed:
+                continue
+            for case in cases:
+                if case.n < rule.min_agents:
+                    continue
+                p = case.pref
+                pref = CountingPeaked(p.peak, p.left_slope, p.right_slope)
+                found = find_obvious_manipulation(
+                    rule,
+                    case.agent,
+                    pref,
+                    case.omega,
+                    case.n,
+                    misreport_peaks=misreports,
+                    endowment=case.endowment,
+                )
+                assert found is None, (rule.name, case)
+                assert len(pref.calls) <= 4, (rule.name, case, pref.calls)
+                searched += 1
+    assert searched >= 200
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=st.fractions(min_value=0, max_value=20, max_denominator=12),
+    left=st.fractions(min_value=F(1, 12), max_value=100, max_denominator=12),
+    right=st.fractions(min_value=F(1, 12), max_value=100, max_denominator=12),
+    omega=st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12),
+    n=st.integers(2, 8),
+    share=st.none() | st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+def test_reference_point_is_the_worst_truthful_outcome(
+    peak, left, right, omega, n, share
+):
+    # the paper's NOM claim in endpoint form: r lies in every option set
+    # and is no better than either truthful end, so no misreport's worst
+    # outcome can beat the truthful worst
+    pref = SinglePeaked(peak, left, right)
+    endowment = None if share is None else share * omega
+    reference = omega / n if endowment is None else endowment
+    oset = option_set_simple(peak, omega, n, endowment)
+    assert reference in oset
+    worst_end = max(pref.disutility(oset.lo), pref.disutility(oset.hi))
+    assert pref.disutility(reference) >= worst_end
 
 
 # -- sampled search against the full-option-set oracle ------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from allotment.preferences import SinglePeaked, SinglePlateaued, worst
+from allotment.rational import ZERO
 from helpers import brute_force_worst
 
 STEEP_RIGHT = SinglePeaked(F(1, 3), F(1), F(3))
@@ -61,6 +62,26 @@ def test_float_fields_rejected(build):
     # a float would enter every later computation as its binary expansion
     with pytest.raises(ValueError, match="decimal"):
         build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SinglePeaked(F(1, 2)).disutility(0.1),
+        lambda: SinglePlateaued(F(0), F(1)).disutility(0.5),
+        lambda: worst(SinglePeaked(F(1, 2)), [F(0), 0.1]),
+    ],
+    ids=["peaked", "plateaued", "worst"],
+)
+def test_float_amounts_rejected(call):
+    with pytest.raises(ValueError, match="decimal"):
+        call()
+
+
+def test_int_amounts_accepted_and_plateau_zero_shared():
+    assert SinglePeaked(F(1, 2)).disutility(1) == F(1, 2)
+    assert worst(SinglePeaked(F(1, 2)), [0, 2]) == 2
+    assert SinglePlateaued(F(0), F(1)).disutility(1) is ZERO
 
 
 def test_worst_picks_maximal_disutility():

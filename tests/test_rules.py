@@ -194,11 +194,13 @@ def test_simple_family_feasible_and_between_property(e):
 @given(economies(endowed=True))
 def test_reallocation_rules_feasible_and_between_property(e):
     # betweenness around each agent's own endowment, the reference point of
-    # the reallocation rules (check_betweenness anchors at equal division)
+    # the reallocation rules: by check_betweenness and by hand
     part = partition(e, e.endowments)
     for name in ("cea", "cel", "pro"):
-        x = get_rule(f"realloc:{name}")(e)
+        rule = get_rule(f"realloc:{name}")
+        x = rule(e)
         assert_feasible(x, e)
+        assert not check_betweenness(rule, [e]).failed, rule.name
         for i in part.plus:
             assert x[i] == e.prefs[i].peak
         for i in part.minus:
