@@ -37,7 +37,7 @@ from .manipulation import (
 )
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import RationalParseError, format_rational, parse_rational
-from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, RULE_NAMES, get_rule
+from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, RULE_NAMES, Rule, get_rule
 from .sampling import standard_suite
 
 AXIOM_NAMES = list(AXIOM_CHECKERS) + ["nom"]
@@ -253,8 +253,8 @@ def _random_count(args) -> Optional[int]:
     return args.samples if args.random == -1 else args.random
 
 
-def _check_economies(args) -> List[Economy]:
-    wants_endowments = args.rule.startswith("realloc:") or (
+def _check_economies(args, rule: Rule) -> List[Economy]:
+    wants_endowments = rule.domain == DOMAIN_SP_ENDOWMENTS or (
         "endowments-guarantee" in args.axiom_list
     )
     count = _random_count(args)
@@ -281,7 +281,7 @@ def cmd_check(args) -> int:
                 f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_NAMES)}"
             )
     rule = get_rule(args.rule, order=args.order, selector=args.selector)
-    econs = _check_economies(args)
+    econs = _check_economies(args, rule)
 
     reports: List[AxiomReport] = []
     for axiom in args.axiom_list:

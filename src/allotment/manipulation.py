@@ -1,6 +1,6 @@
 """Option sets, obvious-manipulation detection, and NOM verification.
 
-For registered simple rules the option set of an agent is the exact closed
+For rules marked simple the option set of an agent is the exact closed
 interval between a reference point r (equal division, or the agent's own
 endowment on the reallocation domain) and the (feasibility-capped) peak;
 `option_set_simple` builds it for either reference point, so NOM verdicts
@@ -11,15 +11,16 @@ exactly when max(d(r), d(min(q, omega))) is below the disutility of the
 worse truthful end. That needs d(r) below it, which a single-peaked
 preference never gives, as r is the truthful end farther from its peak:
 the search then returns at once, without reading the misreports. For
-arbitrary rules option sets are sampled: outcomes are produced by real
-rule runs over deterministic opponent-profile families and every outcome
-carries the economy that achieves it, so certificates replay exactly.
-Sampled PASS verdicts are sample-relative; sampled FAIL certificates use
-only exhibited outcomes. NOM compares worst cases only, so a sampled
-misreport is not obvious as soon as one of its outcomes is, under the
-true preference, no better than the truthful worst: the search stops
-sampling it there, and only an obvious misreport has its whole option set
-built.
+every other rule option sets are sampled by one builder: outcomes are
+produced by real rule runs over deterministic opponent-profile families
+and every outcome carries the first economy that achieves it, so
+certificates replay exactly. Sampled PASS verdicts are sample-relative;
+sampled FAIL certificates use only exhibited outcomes. NOM compares worst
+cases only, so a sampled misreport is not obvious as soon as one of its
+outcomes is, under the true preference, no better than the truthful
+worst: the search builds each misreport's set with the same builder,
+told to stop there, and only an obvious misreport has its whole option
+set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
@@ -36,7 +37,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy
@@ -75,9 +76,6 @@ class SampledOptionSet:
 
     rule: Rule
     agent: int
-    pref: SinglePeaked
-    omega: Fraction
-    n: int
     outcomes: Tuple[Fraction, ...]
     witnesses: Dict[Fraction, Economy]
     grid_spec: str
@@ -117,7 +115,14 @@ def option_set_simple(
     peak, omega = parse_rational(peak), parse_rational(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
-    reference = omega / n if endowment is None else parse_rational(endowment)
+    if endowment is None:
+        reference = omega / n
+    else:
+        reference = parse_rational(endowment)
+        if not 0 <= reference <= omega:
+            raise ValueError(
+                f"endowment {fr(reference)} lies outside [0, {fr(omega)}]"
+            )
     reachable_peak = min(peak, omega)
     return OptionSetInterval(
         min(reference, reachable_peak), max(reference, reachable_peak)
@@ -202,35 +207,29 @@ def _opponent_profiles(
     yield from complementary
 
 
-def _outcomes(
-    rule: Rule,
-    agent: int,
-    pref: SinglePeaked,
-    omega: Fraction,
-    profiles: Iterable[Tuple[SinglePeaked, ...]],
-) -> Iterator[Tuple[Fraction, Economy]]:
-    """(amount handed to `agent`, economy) for each opponent profile in
-    turn, one rule run per item."""
-    for opponents in profiles:
-        econ = Economy(opponents[:agent] + (pref,) + opponents[agent:], omega)
-        yield rule(econ)[agent], econ
-
-
-def _sampled_set(
+def _sample(
     rule: Rule,
     agent: int,
     pref: SinglePeaked,
     omega: Fraction,
     n: int,
     grid_step: int,
-    witnesses: Dict[Fraction, Economy],
-) -> SampledOptionSet:
+    stop: Optional[Callable[[Fraction], bool]] = None,
+) -> Optional[SampledOptionSet]:
+    """The sampled option set of `agent` reporting `pref`: one rule run per
+    opponent profile, in generation order, keeping the first economy that
+    achieves each outcome. None at the first outcome for which `stop`
+    holds, before any later profile is built or run."""
+    witnesses: Dict[Fraction, Economy] = {}
+    for opponents in _opponent_profiles(pref, omega, n, grid_step):
+        econ = Economy(opponents[:agent] + (pref,) + opponents[agent:], omega)
+        outcome = rule(econ)[agent]
+        if stop is not None and stop(outcome):
+            return None
+        witnesses.setdefault(outcome, econ)
     return SampledOptionSet(
         rule=rule,
         agent=agent,
-        pref=pref,
-        omega=omega,
-        n=n,
         outcomes=tuple(sorted(witnesses)),
         witnesses=witnesses,
         grid_spec=(
@@ -255,14 +254,7 @@ def option_set_sampled(
     omega = parse_rational(omega)
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for n={n}")
-    # a whole set reads every profile; building them all before the first
-    # rule run measured about 3 % faster than interleaving the two
-    # (CPython 3.11, 2-vCPU Xeon VM)
-    profiles = list(_opponent_profiles(pref, omega, n, grid_step))
-    witnesses: Dict[Fraction, Economy] = {}
-    for outcome, econ in _outcomes(rule, agent, pref, omega, profiles):
-        witnesses.setdefault(outcome, econ)
-    return _sampled_set(rule, agent, pref, omega, n, grid_step, witnesses)
+    return _sample(rule, agent, pref, omega, n, grid_step)
 
 
 def _worst_of(pref: SinglePeaked, oset) -> Fraction:
@@ -352,14 +344,13 @@ def find_obvious_manipulation(
     grid_step: int = 60,
     option_grid_step: Optional[int] = None,
     endowment: Optional[Fraction] = None,
-    force_sampled: bool = False,
 ) -> Optional[ObviousManipulation]:
     """Search the misreport grid for an obvious manipulation at
     (pref_true, omega) and return the first certificate, or None.
 
-    Registered simple rules are checked against exact option intervals
+    Rules marked simple are checked against exact option intervals
     (anchored at the agent's endowment on the reallocation domain);
-    everything else uses sampled option sets.
+    every other rule uses sampled option sets.
 
     On the exact path every option set is the interval between the
     reference point r (omega/n, or the agent's own endowment) and the
@@ -373,23 +364,24 @@ def find_obvious_manipulation(
     from the peak, so d_truth = d(r).
     Only a preference that ranks amounts around another ideal than its
     reported peak reaches the scan, where each misreport costs one
-    disutility; the certificate, when one exists, is built from the option
-    sets by `is_obvious_manipulation`.
+    disutility.
 
     The default misreport list is the shared grid of (omega, grid_step).
-    Misreports are parsed before any search, so a float is refused even
-    where the verdict needs none of them.
+    Misreports are parsed, and negative ones refused, before any search,
+    so a bad misreport is refused even where the verdict needs none.
 
     On the sampled path d_truth is the true disutility of the worst
     outcome in the full sampled truthful set. A misreport is obvious only
-    if every one of its outcomes has true disutility below d_truth, so its
-    outcomes are generated one rule run at a time and the scan stops at
-    the first outcome with disutility >= d_truth: the misreport's worst
-    outcome is then no better than the truthful worst, whatever the
-    unsampled rest. A scan that never stops has produced the whole sampled
-    option set, from which the certificate is built without re-running
-    the rule, so certificates match a search that samples every set in
-    full.
+    if every one of its outcomes has true disutility below d_truth, so
+    each misreport's set is built by the same sampler as
+    `option_set_sampled`, told to stop at the first outcome with
+    disutility >= d_truth: the misreport's worst outcome is then no better
+    than the truthful worst, whatever the unsampled rest. A sampler that
+    never stops has produced the whole sampled option set, so certificates
+    match a search that samples every set in full.
+
+    On either path the certificate is built from the two option sets by
+    `is_obvious_manipulation`.
     """
     if not isinstance(pref_true, SinglePeaked):
         raise ValueError(
@@ -400,70 +392,57 @@ def find_obvious_manipulation(
         raise ValueError(
             f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
         )
+    if not 0 <= agent < n:
+        raise ValueError(f"agent index {agent} out of range for n={n}")
     omega = parse_rational(omega)
-    peaks = (
-        [parse_rational(q) for q in misreport_peaks]
-        if misreport_peaks is not None
-        else _grid(omega, grid_step)
-    )
+    if misreport_peaks is None:
+        peaks = _grid(omega, grid_step)
+    else:
+        peaks = [parse_rational(q) for q in misreport_peaks]
+        if any(q < 0 for q in peaks):
+            raise ValueError("misreport peaks must be nonnegative")
     if endowment is not None:
         endowment = parse_rational(endowment)
-    if rule.domain == DOMAIN_SP_ENDOWMENTS and force_sampled:
-        raise ValueError(
-            "sampled option sets are not defined on the reallocation domain"
-        )
-    if rule.simple and not force_sampled:
-        return _find_exact(rule, agent, pref_true, omega, n, peaks, endowment)
-
-    step = grid_step if option_grid_step is None else option_grid_step
-    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, grid_step=step)
-    d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
-    for fake_peak in peaks:
-        if fake_peak == pref_true.peak:
-            continue
-        misreport = SinglePeaked(fake_peak)
-        profiles = _opponent_profiles(misreport, omega, n, step)
-        witnesses: Dict[Fraction, Economy] = {}
-        for outcome, econ in _outcomes(rule, agent, misreport, omega, profiles):
-            if pref_true.disutility(outcome) >= d_truth:
-                break
-            witnesses.setdefault(outcome, econ)
-        else:
-            # every outcome beat the truthful worst: the witnesses are the
-            # misreport's whole sampled option set
-            oset_mis = _sampled_set(rule, agent, misreport, omega, n, step, witnesses)
-            return ObviousManipulation(
-                rule_name=rule.name,
-                agent=agent,
-                pref_true=pref_true,
-                misreport=misreport,
-                omega=omega,
-                n=n,
-                oset_true=oset_true,
-                oset_misreport=oset_mis,
-                verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
-            )
-    return None
+    if rule.simple:
+        found = _find_exact(rule, pref_true, omega, n, peaks, endowment)
+    else:
+        step = grid_step if option_grid_step is None else option_grid_step
+        found = _find_sampled(rule, agent, pref_true, omega, n, peaks, step)
+    if found is None:
+        return None
+    misreport, oset_true, oset_mis = found
+    return ObviousManipulation(
+        rule_name=rule.name,
+        agent=agent,
+        pref_true=pref_true,
+        misreport=misreport,
+        omega=omega,
+        n=n,
+        oset_true=oset_true,
+        oset_misreport=oset_mis,
+        verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
+    )
 
 
 def _find_exact(
     rule: Rule,
-    agent: int,
     pref_true: SinglePeaked,
     omega: Fraction,
     n: int,
     peaks: Sequence[Fraction],
     endowment: Optional[Fraction],
-) -> Optional[ObviousManipulation]:
+) -> Optional[Tuple[SinglePeaked, OptionSetInterval, OptionSetInterval]]:
     """The exact-interval search of `find_obvious_manipulation`: None at
     once when d(r) >= d_truth, else each misreport decided from the two
     endpoint disutilities of its interval."""
     if rule.domain != DOMAIN_SP_ENDOWMENTS:
-        endowment = None
+        reference = omega / n
     elif endowment is None:
         raise ValueError("reallocation rules need the agent's own endowment")
-    oset_true = option_set_simple(pref_true.peak, omega, n, endowment)
-    reference = omega / n if endowment is None else endowment
+    else:
+        reference = endowment
+    # equal division passed as the endowment gives the omega/n interval
+    oset_true = option_set_simple(pref_true.peak, omega, n, reference)
     d_ref = pref_true.disutility(reference)
     d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
     if d_ref >= d_truth:
@@ -473,18 +452,36 @@ def _find_exact(
         if fake_peak == pref_true.peak:
             continue
         if max(d_ref, pref_true.disutility(min(fake_peak, omega))) < d_truth:
-            oset_mis = option_set_simple(fake_peak, omega, n, endowment)
-            return ObviousManipulation(
-                rule_name=rule.name,
-                agent=agent,
-                pref_true=pref_true,
-                misreport=SinglePeaked(fake_peak),
-                omega=omega,
-                n=n,
-                oset_true=oset_true,
-                oset_misreport=oset_mis,
-                verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
-            )
+            oset_mis = option_set_simple(fake_peak, omega, n, reference)
+            return SinglePeaked(fake_peak), oset_true, oset_mis
+    return None
+
+
+def _find_sampled(
+    rule: Rule,
+    agent: int,
+    pref_true: SinglePeaked,
+    omega: Fraction,
+    n: int,
+    peaks: Sequence[Fraction],
+    grid_step: int,
+) -> Optional[Tuple[SinglePeaked, SampledOptionSet, SampledOptionSet]]:
+    """The sampled search of `find_obvious_manipulation`: the first
+    misreport whose sampler never reaches an outcome as bad as the
+    truthful worst."""
+    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, grid_step)
+    d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
+
+    def no_better(outcome: Fraction) -> bool:
+        return pref_true.disutility(outcome) >= d_truth
+
+    for fake_peak in peaks:
+        if fake_peak == pref_true.peak:
+            continue
+        misreport = SinglePeaked(fake_peak)
+        oset_mis = _sample(rule, agent, misreport, omega, n, grid_step, no_better)
+        if oset_mis is not None:
+            return misreport, oset_true, oset_mis
     return None
 
 
@@ -558,7 +555,6 @@ def check_nom(
     cases: Sequence[NomCase],
     grid_step: int = 60,
     option_grid_step: Optional[int] = None,
-    force_sampled: bool = False,
 ) -> AxiomReport:
     """Run the obvious-manipulation search over a sweep of cases.
 
@@ -577,7 +573,6 @@ def check_nom(
             grid_step=grid_step,
             option_grid_step=option_grid_step,
             endowment=case.endowment,
-            force_sampled=force_sampled,
         )
         if certificate is None:
             return None

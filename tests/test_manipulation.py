@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -221,10 +222,10 @@ def test_find_manipulation_of_proportional():
 
 def test_uniform_admits_no_obvious_manipulation():
     assert find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2) is None
-    # also under forced sampling, which exercises the rule itself
+    # also without the simple flag, which samples the rule itself
     assert (
         find_obvious_manipulation(
-            uniform, 0, OM_PREF, F(1), 2, grid_step=12, force_sampled=True
+            replace(uniform, simple=False), 0, OM_PREF, F(1), 2, grid_step=12
         )
         is None
     )
@@ -303,12 +304,50 @@ def test_endowment_cases_need_endowment():
 def test_too_few_agents_rejected():
     # the exact path never runs the rule, so the size check must not rely on it
     bar = gallery("bar")
-    for force_sampled in (False, True):
+    for rule in (bar, replace(bar, simple=False)):
         with pytest.raises(ValueError, match="at least 3 agents"):
-            find_obvious_manipulation(
-                bar, 0, OM_PREF, F(1), 2, grid_step=6, force_sampled=force_sampled
-            )
+            find_obvious_manipulation(rule, 0, OM_PREF, F(1), 2, grid_step=6)
     assert find_obvious_manipulation(bar, 0, OM_PREF, F(1), 3, grid_step=6) is None
+
+
+@pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
+def test_agent_index_checked_on_both_paths(rule):
+    for agent in (2, 5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            find_obvious_manipulation(rule, agent, OM_PREF, F(1), 2, grid_step=6)
+    with pytest.raises(ValueError, match="out of range"):
+        check_nom(rule, [NomCase(OM_PREF, F(1), 2, agent=7)], grid_step=6)
+
+
+@pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
+def test_negative_misreport_peaks_refused_on_both_paths(rule):
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_obvious_manipulation(
+            rule, 0, OM_PREF, F(1), 2, misreport_peaks=[F(1, 2), -1], grid_step=6
+        )
+
+
+@pytest.mark.parametrize("endowment", [F(5), F(-1, 3)])
+def test_endowments_outside_zero_omega_refused(endowment):
+    with pytest.raises(ValueError, match="outside"):
+        option_set_simple(F(1, 3), F(1), 2, endowment=endowment)
+    with pytest.raises(ValueError, match="outside"):
+        find_obvious_manipulation(
+            get_rule("realloc:cea"), 0, OM_PREF, F(1), 2, endowment=endowment
+        )
+    # the ends of [0, omega] are endowments
+    assert option_set_simple(F(1, 3), F(1), 2, endowment=F(1)).hi == 1
+
+
+def test_reallocation_rule_without_simple_flag_refused():
+    # sampled option sets draw no endowments, so the rule refuses every
+    # sampled economy instead of yielding a verdict
+    rule = replace(get_rule("realloc:cea"), simple=False)
+    for endowment in (None, F(1, 2)):
+        with pytest.raises(ValueError, match="needs individual endowments"):
+            find_obvious_manipulation(
+                rule, 0, OM_PREF, F(1), 2, grid_step=6, endowment=endowment
+            )
 
 
 def test_check_nom_without_eligible_cases_reports_no_cases():
@@ -517,13 +556,13 @@ def test_reference_point_is_the_worst_truthful_outcome(
 
 
 SAMPLED_RULES = [
-    (gallery("equal_division"), False),
-    (gallery("star"), False),
-    (gallery("hat"), False),
-    (gallery("underline"), False),
-    (ced, False),
-    (proportional, False),
-    (uniform, True),
+    gallery("equal_division"),
+    gallery("star"),
+    gallery("hat"),
+    gallery("underline"),
+    ced,
+    proportional,
+    replace(uniform, simple=False),
 ]
 
 
@@ -531,7 +570,7 @@ def test_sampled_search_matches_oracle():
     # seed 12 past its four leading witnesses, which seed 11 already has
     cases = nom_sweep(11, 6) + nom_sweep(12, 8)[4:]
     fired = searched = 0
-    for rule, force_sampled in SAMPLED_RULES:
+    for rule in SAMPLED_RULES:
         for case in cases:
             if case.n < rule.min_agents:
                 continue
@@ -545,7 +584,6 @@ def test_sampled_search_matches_oracle():
                 case.n,
                 misreport_peaks=peaks,
                 option_grid_step=20,
-                force_sampled=force_sampled,
             )
             expected = sampled_nom_oracle(
                 rule, case.agent, case.pref, case.omega, case.n, peaks, 20
@@ -581,9 +619,9 @@ def counting(rule):
 def test_sampled_search_stops_before_full_option_sets():
     rule, calls = counting(uniform)
     peaks = grid(F(1), 12)
-    args = (rule, 0, OM_PREF, F(1), 2)
+    args = (replace(rule, simple=False), 0, OM_PREF, F(1), 2)
     assert find_obvious_manipulation(
-        *args, misreport_peaks=peaks, grid_step=12, force_sampled=True
+        *args, misreport_peaks=peaks, grid_step=12
     ) is None
     searched = len(calls)
     calls.clear()
