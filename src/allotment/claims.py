@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 from .levels import solve_min_level
-from .rational import ZERO, parse_rational
+from .rational import ZERO, exact_sum, parse_rational
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,11 @@ class ClaimsProblem:
         claims = tuple(parse_rational(c) for c in self.claims)
         object.__setattr__(self, "claims", claims)
         object.__setattr__(self, "endowment", parse_rational(self.endowment))
-        total = sum(claims, ZERO)
+        total = exact_sum(claims)
         object.__setattr__(self, "total", total)
-        if any(c < 0 for c in claims):
+        if any(c.numerator < 0 for c in claims):
             raise ValueError("claims must be nonnegative")
-        if self.endowment < 0 or self.endowment > total:
+        if self.endowment.numerator < 0 or self.endowment > total:
             raise ValueError(f"endowment {self.endowment} outside [0, {total}]")
 
 
@@ -60,9 +60,9 @@ def _check_awards(cp: ClaimsProblem, amounts: Sequence[Fraction]) -> Awards:
     # the three rules build every award from Fractions, so none is re-wrapped
     amounts = tuple(amounts)
     for award, claim in zip(amounts, cp.claims):
-        if award < 0 or award > claim:
+        if award.numerator < 0 or award > claim:
             raise AssertionError(f"award {award} outside [0, {claim}]")
-    if sum(amounts, ZERO) != cp.endowment:
+    if exact_sum(amounts) != cp.endowment:
         raise AssertionError("awards do not exhaust the endowment")
     return Awards(amounts)
 
@@ -77,7 +77,8 @@ def cel(cp: ClaimsProblem) -> Awards:
     """Constrained equal losses: award_i = max(0, claim_i - lam), where the
     losses min(claim_i, lam) total sum(claims) - E."""
     lam = solve_min_level(cp.claims, cp.total - cp.endowment)
-    return _check_awards(cp, [max(ZERO, c - lam) for c in cp.claims])
+    excess = [c - lam for c in cp.claims]
+    return _check_awards(cp, [x if x.numerator > 0 else ZERO for x in excess])
 
 
 def pro(cp: ClaimsProblem) -> Awards:

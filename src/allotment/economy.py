@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .claims import ClaimsProblem
 from .preferences import Preference, SinglePeaked, SinglePlateaued
-from .rational import ZERO, parse_rational
+from .rational import exact_sum, parse_rational
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class Economy:
         object.__setattr__(self, "omega", parse_rational(self.omega))
         if len(prefs) < 2:
             raise ValueError("an economy needs at least two agents")
-        if self.omega <= 0:
+        if self.omega.numerator <= 0:
             raise ValueError("the social endowment must be positive")
         object.__setattr__(self, "equal_share", self.omega / len(prefs))
         object.__setattr__(
@@ -57,9 +57,9 @@ class Economy:
             object.__setattr__(self, "endowments", endowments)
             if len(endowments) != len(self.prefs):
                 raise ValueError("one endowment per agent required")
-            if any(w < 0 for w in endowments):
+            if any(w.numerator < 0 for w in endowments):
                 raise ValueError("endowments must be nonnegative")
-            if sum(endowments) != self.omega:
+            if exact_sum(endowments) != self.omega:
                 raise ValueError("endowments must sum to omega exactly")
 
     @property
@@ -96,9 +96,9 @@ class Allotment:
         amounts = tuple(parse_rational(a) for a in self.amounts)
         object.__setattr__(self, "amounts", amounts)
         object.__setattr__(self, "omega", parse_rational(self.omega))
-        if any(a < 0 for a in amounts):
+        if any(a.numerator < 0 for a in amounts):
             raise ValueError("allotments must be nonnegative")
-        total = sum(amounts, ZERO)
+        total = exact_sum(amounts)
         if total != self.omega:
             raise ValueError(
                 f"infeasible allotment: sum {total} != omega {self.omega}"
@@ -146,23 +146,23 @@ def partition(
         reference = (econ.equal_share,) * econ.n
     elif len(reference) != econ.n:
         raise ValueError("one reference point per agent required")
-    z = sum(peaks, ZERO) - econ.omega
-    demand = z >= 0
+    z = exact_sum(peaks) - econ.omega
+    demand = z.numerator >= 0
     plus, minus = [], []
-    residual = econ.omega  # less the plus peaks and the minus references
+    served = []  # the plus peaks and the minus references
     for i, p in enumerate(peaks):
         r = reference[i]
         if p < r if demand else p > r:
             plus.append(i)
-            residual -= p
+            served.append(p)
         else:
             minus.append(i)
-            residual -= r
+            served.append(r)
     return SimplePartition(
         plus=frozenset(plus),
         minus=frozenset(minus),
         z=z,
-        E=abs(residual),
+        E=abs(econ.omega - exact_sum(served)),
         reference=tuple(reference),
     )
 
@@ -172,10 +172,15 @@ def claims_of_minus(part: SimplePartition, econ: Economy) -> ClaimsProblem:
 
     Claims are |peak - reference point| taken over minus agents in
     increasing index order (the same order the rules module uses to map
-    awards back).
+    awards back): peak - reference under excess demand, where no minus
+    peak lies below its reference point, and reference - peak under excess
+    supply. `ClaimsProblem` still refuses a negative claim.
     """
-    peaks = econ.peaks()
-    claims = tuple(abs(peaks[i] - part.reference[i]) for i in sorted(part.minus))
+    peaks, reference = econ.peaks(), part.reference
+    if part.z.numerator >= 0:
+        claims = tuple(peaks[i] - reference[i] for i in sorted(part.minus))
+    else:
+        claims = tuple(reference[i] - peaks[i] for i in sorted(part.minus))
     return ClaimsProblem(claims=claims, endowment=part.E)
 
 

@@ -4,7 +4,9 @@ Every rule in the library reduces to finding the level at which a sum of
 clamped linear pieces hits a target. Each solver sorts the breakpoints and
 scans prefix sums, so the returned level is an exact rational; no floating
 bisection is ever used in the allocation path (bisection appears only as a
-test oracle).
+test oracle). The totals that bound the target are summed over the common
+denominator (`rational.exact_sum`), and inputs are coerced through
+`parse_rational`, so a float is refused.
 
 The constrained-equal-losses level has no solver of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
@@ -16,12 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import ZERO
-
-
-def _fraction(value) -> Fraction:
-    """The value as a Fraction, wrapped only if it is not one already."""
-    return value if type(value) is Fraction else Fraction(value)
+from .rational import ZERO, exact_sum, parse_rational
 
 
 def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
@@ -29,9 +26,9 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
 
     The water-filling level for constrained-equal-awards-type rules.
     """
-    caps = list(map(_fraction, caps))
-    target = _fraction(target)
-    if target < 0 or target > sum(caps, ZERO):
+    caps = list(map(parse_rational, caps))
+    target = parse_rational(target)
+    if target.numerator < 0 or target > exact_sum(caps):
         raise ValueError("target outside [0, sum of caps]")
     if not caps:
         return ZERO
@@ -47,9 +44,9 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
 
 def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
     """Level lam with sum_i max(floor_i, lam) = target, target >= sum(floors)."""
-    floors = list(map(_fraction, floors))
-    target = _fraction(target)
-    total = sum(floors, ZERO)
+    floors = list(map(parse_rational, floors))
+    target = parse_rational(target)
+    total = exact_sum(floors)
     if target < total:
         raise ValueError("target below the sum of floors")
     if not floors:
@@ -83,15 +80,15 @@ def solve_clamp_level(
     carried from breakpoint to breakpoint until it reaches the target.
     O(k log k) for k intervals, dominated by the two sorts.
     """
-    lows = list(map(_fraction, lows))
-    highs = list(map(_fraction, highs))
-    target = _fraction(target)
+    lows = list(map(parse_rational, lows))
+    highs = list(map(parse_rational, highs))
+    target = parse_rational(target)
     if len(lows) != len(highs):
         raise ValueError("lows and highs must have the same length")
     if any(h < l for l, h in zip(lows, highs)):
         raise ValueError("each interval needs low <= high")
-    value = sum(lows, ZERO)
-    if not (value <= target <= sum(highs, ZERO)):
+    value = exact_sum(lows)
+    if not (value <= target <= exact_sum(highs)):
         raise ValueError("target outside [sum of lows, sum of highs]")
     if not lows:
         return ZERO

@@ -369,6 +369,8 @@ def find_obvious_manipulation(
     The default misreport list is the shared grid of (omega, grid_step).
     Misreports are parsed, and negative ones refused, before any search,
     so a bad misreport is refused even where the verdict needs none.
+    `endowment` is read only on the reallocation domain, but on every path
+    it must lie in [0, omega] when given.
 
     On the sampled path d_truth is the true disutility of the worst
     outcome in the full sampled truthful set. A misreport is obvious only
@@ -403,6 +405,10 @@ def find_obvious_manipulation(
             raise ValueError("misreport peaks must be nonnegative")
     if endowment is not None:
         endowment = parse_rational(endowment)
+        if not 0 <= endowment <= omega:
+            raise ValueError(
+                f"endowment {fr(endowment)} lies outside [0, {fr(omega)}]"
+            )
     if rule.simple:
         found = _find_exact(rule, pref_true, omega, n, peaks, endowment)
     else:

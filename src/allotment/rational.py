@@ -3,13 +3,25 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst` and option-interval membership coerce
-through `parse_rational` as well, so no float ever enters a computation.
+constructors, `disutility`, `worst`, option-interval membership, the
+level solvers, `sampling.grid` and `format_rational` coerce through
+`parse_rational` as well, so no float ever enters a computation.
+
+Fraction arithmetic runs as Python code, and every `+` builds a reduced
+Fraction, so `sum` over n Fractions pays n - 1 gcds and temporaries.
+`exact_sum` scales each numerator to the least common denominator of the
+terms, adds the integers and builds one Fraction at the end; the rule
+path takes every sum it checks or divides through it. A Fraction has the
+sign of its numerator (the denominator is always positive), so the rule
+path tests signs as `x.numerator < 0` rather than `x < 0`, which skips
+the comparison's rational type check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 ZERO = Fraction(0)
 """The exact zero, shared so that hot loops build no Fraction for it."""
@@ -51,9 +63,21 @@ def parse_rational(value) -> Fraction:
     raise RationalParseError(f"not a rational: {value!r}")
 
 
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of Fractions (or ints): the numerators scaled to the
+    least common denominator are added as integers, and one Fraction is
+    built from the total. The empty sum is 0."""
+    values = tuple(values)
+    common = lcm(*[v.denominator for v in values])
+    return Fraction(
+        sum([v.numerator * (common // v.denominator) for v in values]), common
+    )
+
+
 def format_rational(x: Fraction) -> str:
-    """Canonical "p/q" rendering ("p" when the denominator is 1)."""
-    x = Fraction(x)
+    """Canonical "p/q" rendering ("p" when the denominator is 1) of an
+    exact rational; a float is refused like on input."""
+    x = parse_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

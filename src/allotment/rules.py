@@ -23,7 +23,7 @@ from .claims import CLAIMS_RULES, ClaimsRule
 from .economy import Allotment, Economy, claims_of_minus, make_allotment, partition
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
-from .rational import ZERO
+from .rational import ZERO, exact_sum
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -73,7 +73,7 @@ class Rule:
 
 def _uniform_amounts(econ: Economy) -> Tuple[Fraction, ...]:
     peaks = econ.peaks()
-    if sum(peaks, ZERO) >= econ.omega:
+    if exact_sum(peaks) >= econ.omega:
         lam = solve_min_level(peaks, econ.omega)
         return tuple(min(p, lam) for p in peaks)
     lam = solve_max_level(peaks, econ.omega)
@@ -86,11 +86,12 @@ def _uniform(econ: Economy) -> Allotment:
 
 def _ced(econ: Economy) -> Allotment:
     peaks = econ.peaks()
-    total = sum(peaks, ZERO)
+    total = exact_sum(peaks)
     if total >= econ.omega:
         # equal losses: the cuts min(p, d) total sum(peaks) - omega
         d = solve_min_level(peaks, total - econ.omega)
-        amounts = [max(ZERO, p - d) for p in peaks]
+        excess = [p - d for p in peaks]
+        amounts = [x if x.numerator > 0 else ZERO for x in excess]
     else:
         d = (econ.omega - total) / econ.n
         amounts = [p + d for p in peaks]
@@ -99,7 +100,7 @@ def _ced(econ: Economy) -> Allotment:
 
 def _proportional(econ: Economy) -> Allotment:
     peaks = econ.peaks()
-    total = sum(peaks, ZERO)
+    total = exact_sum(peaks)
     if total == 0:
         return make_allotment(econ, [econ.equal_share] * econ.n)
     return make_allotment(econ, [p / total * econ.omega for p in peaks])
@@ -127,7 +128,7 @@ def _simple_rule(claims_rule: ClaimsRule, name: str, domain: str) -> Rule:
     def allocate(econ: Economy) -> Allotment:
         part = partition(econ, econ.endowments if endowed else None)
         awards = claims_rule(claims_of_minus(part, econ))
-        demand = part.z >= 0
+        demand = part.z.numerator >= 0
         amounts = list(econ.peaks())  # plus agents keep their peak
         for nu, i in zip(awards, sorted(part.minus)):
             r = part.reference[i]
@@ -222,15 +223,16 @@ def sequential_allotment(
     # far the agent's peak lies beyond equal division, room what is left of
     # the residual, and slack (never positive) is what keeps each later
     # window nonempty
-    demand = part.z >= 0
+    demand = part.z.numerator >= 0
     amounts = [peaks[i] if i in part.plus else share for i in range(econ.n)]
     room = part.E
     slack = -abs(part.z)
     for t, agent in enumerate(order[:-1]):
-        assert slack <= 0
+        assert slack.numerator <= 0
         gap = peaks[agent] - share if demand else share - peaks[agent]
-        lo = max(ZERO, gap + slack)
-        hi = min(gap, room)
+        floor = gap + slack  # lo = max(0, floor), hi = min(gap, room)
+        lo = floor if floor.numerator > 0 else ZERO
+        hi = room if room < gap else gap
         if lo > hi:
             raise BoundsViolation(f"empty window [{lo}, {hi}] at step {t + 1}")
         lam = selector(lo, hi)
@@ -238,10 +240,10 @@ def sequential_allotment(
             raise ValueError("selector left the admissible window")
         amounts[agent] = share + lam if demand else share - lam
         room -= lam
-        slack += gap - lam
+        slack = floor - lam  # slack + gap - lam
     last = order[-1]
-    amounts[last] = econ.omega - sum(
-        (a for i, a in enumerate(amounts) if i != last), ZERO
+    amounts[last] = econ.omega - exact_sum(
+        a for i, a in enumerate(amounts) if i != last
     )
     return make_allotment(econ, amounts)
 
@@ -293,10 +295,10 @@ def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
     def allocate(econ: Economy) -> Allotment:
         lows = [p.plateau_lo for p in econ.prefs]
         highs = [p.plateau_hi for p in econ.prefs]
-        z_lo = sum(lows) - econ.omega
-        z_hi = sum(highs) - econ.omega
-        if z_lo >= 0 or z_hi <= 0:
-            ends = lows if z_lo >= 0 else highs
+        z_lo = exact_sum(lows) - econ.omega
+        z_hi = exact_sum(highs) - econ.omega
+        if z_lo.numerator >= 0 or z_hi.numerator <= 0:
+            ends = lows if z_lo.numerator >= 0 else highs
             reduced = Economy(
                 tuple(
                     SinglePeaked(end, p.left_slope, p.right_slope)
@@ -356,12 +358,12 @@ def _hat(econ: Economy) -> Allotment:
     # under excess supply the minimum-peak agents soak up the whole residual,
     # which may leave them beyond equal division (no clamping)
     peaks = econ.peaks()
-    if sum(peaks) - econ.omega >= 0:
+    if exact_sum(peaks) >= econ.omega:
         return _uniform(econ)
     low = min(peaks)
     hatted = frozenset(i for i, p in enumerate(peaks) if p == low)
     lam = (
-        econ.omega - sum(p for i, p in enumerate(peaks) if i not in hatted)
+        econ.omega - exact_sum(p for i, p in enumerate(peaks) if i not in hatted)
     ) / len(hatted)
     amounts = [lam if i in hatted else peaks[i] for i in range(econ.n)]
     return make_allotment(econ, amounts)
@@ -372,10 +374,10 @@ def _underline(econ: Economy) -> Allotment:
     # comparison, not just the peak
     peaks = econ.peaks()
     first = econ.prefs[0]
-    rest_excess = sum(peaks[1:]) - econ.omega
+    rest_excess = exact_sum(peaks[1:]) - econ.omega
     prefers_zero = first.disutility(0) < first.disutility(econ.equal_share)
     strictly_lowest = all(peaks[0] < peaks[j] for j in range(1, econ.n))
-    if rest_excess >= 0 and prefers_zero and strictly_lowest:
+    if rest_excess.numerator >= 0 and prefers_zero and strictly_lowest:
         replaced = econ.replace_pref(
             0, SinglePeaked(Fraction(0), first.left_slope, first.right_slope)
         )

@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 from .claims import ClaimsProblem
 from .economy import Economy
 from .preferences import SinglePeaked, SinglePlateaued
+from .rational import parse_rational
 
 # slope pairs used for preference perturbations; enough to flip every
 # ordinal comparison the gallery rules consult (a >= 3b flips 0-vs-omega/n
@@ -252,7 +253,8 @@ def standard_suite(
 
 
 def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
-    """Peak grid: multiples of omega/step covering [0, 2*omega].
+    """Peak grid: multiples of omega/step covering [0, 2*omega]; omega is
+    an exact rational (a float is refused).
 
     A denominator below 1 is refused: 0 divides by zero and a negative one
     gives an empty grid, over which every searched verdict holds vacuously.
@@ -261,6 +263,5 @@ def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
         raise ValueError(
             f"grid step denominator must be at least 1, got {step_denominator}"
         )
-    omega = Fraction(omega)
-    step = omega / step_denominator
+    step = parse_rational(omega) / step_denominator
     return [k * step for k in range(2 * step_denominator + 1)]

@@ -6,6 +6,7 @@ import pytest
 from allotment.claims import (
     Awards,
     ClaimsProblem,
+    _check_awards,
     cea,
     cel,
     pro,
@@ -155,3 +156,14 @@ def test_invalid_problems_rejected():
         ClaimsProblem((F(1),), F(2))
     with pytest.raises(ValueError):
         ClaimsProblem((F(-1), F(2)), F(1))
+    with pytest.raises(ValueError, match="outside"):
+        ClaimsProblem((F(1, 3), F(2, 3)), F(1) + F(1, 10**9))
+
+
+def test_award_checks_fire():
+    tiny = F(1, 10**9)
+    with pytest.raises(AssertionError, match="outside"):
+        _check_awards(KERNEL, (F(1) + tiny, F(1), F(1) - tiny))
+    with pytest.raises(AssertionError, match="exhaust"):
+        _check_awards(KERNEL, (F(1), F(1), F(1) - tiny))
+    assert tuple(_check_awards(KERNEL, (F(1), F(1), F(1)))) == (1, 1, 1)

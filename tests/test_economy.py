@@ -111,6 +111,11 @@ def test_allotment_exact_feasibility():
         Allotment((F(1, 3), F(1, 3)), F(1))
     with pytest.raises(ValueError):
         Allotment((F(-1, 3), F(4, 3)), F(1))
+    tiny = F(1, 10**9)
+    with pytest.raises(ValueError, match="infeasible"):
+        Allotment((F(1, 3), F(2, 3) - tiny), F(1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Allotment((-tiny, F(1) + tiny), F(1))
 
 
 def test_single_agent_economy_rejected():

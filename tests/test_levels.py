@@ -9,6 +9,7 @@ from allotment.claims import cea
 from allotment.economy import Economy
 from allotment.levels import solve_clamp_level, solve_max_level, solve_min_level
 from allotment.preferences import SinglePlateaued
+from allotment.rational import RationalParseError
 from allotment.rules import simple_from_claims, spl_extension
 from helpers import clamp_level_oracle
 
@@ -38,6 +39,21 @@ def test_empty_input_has_level_zero_at_target_zero_only(solve):
 
 
 # -- clamp level -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_min_level([0.1, 0.7], 0.3),
+        lambda: solve_min_level([F(1, 10), F(7, 10)], 0.3),
+        lambda: solve_max_level([0.1, 0.7], F(1)),
+        lambda: solve_clamp_level([F(0)], [0.5], F(1, 4)),
+    ],
+    ids=["min", "min-target", "max", "clamp"],
+)
+def test_level_solvers_refuse_floats(solve):
+    with pytest.raises(RationalParseError, match="decimal"):
+        solve()
 
 
 def test_clamp_level_rejects_bad_input():

@@ -20,6 +20,7 @@ from allotment.manipulation import (
     OptionSetInterval,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
+from allotment.rational import RationalParseError
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
     RULE_NAMES,
@@ -337,6 +338,26 @@ def test_endowments_outside_zero_omega_refused(endowment):
         )
     # the ends of [0, omega] are endowments
     assert option_set_simple(F(1, 3), F(1), 2, endowment=F(1)).hi == 1
+
+
+def test_endowment_range_checked_off_the_reallocation_domain():
+    # the endowment is read only by reallocation rules, but a value outside
+    # [0, omega] is refused on the exact and the sampled path alike
+    with pytest.raises(ValueError, match="outside"):
+        find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2, endowment=F(5))
+    with pytest.raises(ValueError, match="outside"):
+        find_obvious_manipulation(
+            ced, 0, OM_PREF, F(1), 2, grid_step=6, endowment=F(-3)
+        )
+    assert (
+        find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2, endowment=F(1))
+        is None
+    )
+
+
+def test_grid_refuses_a_float_omega():
+    with pytest.raises(RationalParseError, match="decimal"):
+        grid(0.1, 3)
 
 
 def test_reallocation_rule_without_simple_flag_refused():

@@ -272,6 +272,14 @@ def test_sequential_balanced_returns_peaks():
         assert tuple(sequential_rule(name)(e)) == e.peaks()
 
 
+def test_sequential_selector_kept_inside_the_window():
+    def past_hi(lo, hi):
+        return hi + F(1, 10**9)
+
+    with pytest.raises(ValueError, match="selector left the admissible window"):
+        sequential_allotment(THREE_AGENT, order=[1, 2], selector=past_hi)
+
+
 def test_sequential_rejects_bad_order():
     with pytest.raises(ValueError):
         sequential_allotment(THREE_AGENT, order=[0, 1])
