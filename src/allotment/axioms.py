@@ -32,13 +32,9 @@ _Case = TypeVar("_Case")
 
 @dataclass(frozen=True)
 class Witness:
-    """A reproducible violation: economy, agents involved, exact details.
+    """A reproducible violation: economy, agents involved, exact details."""
 
-    The economy is None only for exact-interval manipulation certificates,
-    whose full payload lives in `detail`.
-    """
-
-    economy: Optional[Economy]
+    economy: Economy
     agents: Tuple[int, ...]
     description: str
     perturbed: Optional[Economy] = None

@@ -155,8 +155,7 @@ def witness_to_dict(witness: Optional[Witness]) -> Optional[dict]:
         "agents": [i + 1 for i in witness.agents],
         "description": witness.description,
     }
-    if witness.economy is not None:
-        data["economy"] = economy_to_dict(witness.economy)
+    data["economy"] = economy_to_dict(witness.economy)
     if witness.perturbed is not None:
         data["perturbed_economy"] = economy_to_dict(witness.perturbed)
     if isinstance(witness.detail, ObviousManipulation):
@@ -303,7 +302,7 @@ def cmd_check(args) -> int:
                         agent=i,
                         endowment=(
                             first.endowments[i]
-                            if first.endowments is not None
+                            if rule.domain == DOMAIN_SP_ENDOWMENTS
                             else None
                         ),
                     )
@@ -413,9 +412,9 @@ def cmd_find_manipulation(args) -> int:
     if not 1 <= args.agent <= econ.n:
         raise CliError(f"agent must be between 1 and {econ.n}")
     agent = args.agent - 1
-    endowment = (
-        econ.endowments[agent] if econ.endowments is not None else None
-    )
+    endowment = None
+    if rule.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is not None:
+        endowment = econ.endowments[agent]
     certificate = find_obvious_manipulation(
         rule,
         agent,
@@ -460,8 +459,6 @@ def cmd_find_manipulation(args) -> int:
 
 
 def _render_oset(oset) -> str:
-    if isinstance(oset, OptionSetInterval):
-        return f"{oset} (exact)"
     return (
         f"[{format_rational(min(oset.outcomes))}, "
         f"{format_rational(max(oset.outcomes))}] sampled, "

@@ -3,24 +3,21 @@
 For rules marked simple the option set of an agent is the exact closed
 interval between a reference point r (equal division, or the agent's own
 endowment on the reallocation domain) and the (feasibility-capped) peak;
-`option_set_simple` builds it for either reference point, so NOM verdicts
-are exact. A single-peaked disutility is worst on an interval
-at one of its two ends, so each exact verdict compares endpoint
-disutilities only: since r lies in every option set, misreport q is obvious
-exactly when max(d(r), d(min(q, omega))) is below the disutility of the
-worse truthful end. That needs d(r) below it, which a single-peaked
-preference never gives, as r is the truthful end farther from its peak:
-the search then returns at once, without reading the misreports. For
-every other rule option sets are sampled by one builder: outcomes are
-produced by real rule runs over deterministic opponent-profile families
-and every outcome carries the first economy that achieves it, so
-certificates replay exactly. Sampled PASS verdicts are sample-relative;
-sampled FAIL certificates use only exhibited outcomes. NOM compares worst
-cases only, so a sampled misreport is not obvious as soon as one of its
-outcomes is, under the true preference, no better than the truthful
-worst: the search builds each misreport's set with the same builder,
-told to stop there, and only an obvious misreport has its whole option
-set built.
+`option_set_simple` builds it around equal division. For these rules NOM
+is a lemma, not a search: r lies in every option set and is the truthful
+end farther from the peak, so it is the truthful worst, and no
+misreport's worst outcome can beat it (NOM as the worst-case comparison
+of Troyan and Morrill, "Obvious manipulations", JET 2020). The search
+checks its inputs and returns None. For every other rule option sets are
+sampled by one builder: outcomes are produced by real rule runs over
+deterministic opponent-profile families and every outcome carries the
+first economy that achieves it, so certificates replay exactly. Sampled
+PASS verdicts are sample-relative; sampled FAIL certificates use only
+exhibited outcomes. NOM compares worst cases only, so a sampled
+misreport is not obvious as soon as one of its outcomes is, under the
+true preference, no better than the truthful worst: the search builds
+each misreport's set with the same builder, told to stop there, and only
+an obvious misreport has its whole option set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
@@ -105,24 +102,14 @@ class ManipulationVerdict:
     definition_agrees: bool = True
 
 
-def option_set_simple(
-    peak: Fraction, omega: Fraction, n: int, endowment: Optional[Fraction] = None
-) -> OptionSetInterval:
-    """Exact option set of any simple rule: the interval between the agent's
-    reference point and the peak capped at omega (no outcome can exceed the
-    endowment by feasibility). The reference point is equal division, or
-    the agent's own `endowment` under a reallocation rule."""
+def option_set_simple(peak: Fraction, omega: Fraction, n: int) -> OptionSetInterval:
+    """Exact option set of any simple rule on the single-peaked domain: the
+    interval between equal division and the peak capped at omega (no
+    outcome can exceed the endowment by feasibility)."""
     peak, omega = parse_rational(peak), parse_rational(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
-    if endowment is None:
-        reference = omega / n
-    else:
-        reference = parse_rational(endowment)
-        if not 0 <= reference <= omega:
-            raise ValueError(
-                f"endowment {fr(reference)} lies outside [0, {fr(omega)}]"
-            )
+    reference = omega / n
     reachable_peak = min(peak, omega)
     return OptionSetInterval(
         min(reference, reachable_peak), max(reference, reachable_peak)
@@ -318,8 +305,8 @@ class ObviousManipulation:
     misreport: SinglePeaked
     omega: Fraction
     n: int
-    oset_true: object
-    oset_misreport: object
+    oset_true: SampledOptionSet
+    oset_misreport: SampledOptionSet
     verdict: ManipulationVerdict
 
     def describe(self) -> str:
@@ -348,42 +335,31 @@ def find_obvious_manipulation(
     """Search the misreport grid for an obvious manipulation at
     (pref_true, omega) and return the first certificate, or None.
 
-    Rules marked simple are checked against exact option intervals
-    (anchored at the agent's endowment on the reallocation domain);
-    every other rule uses sampled option sets.
+    The inputs are checked on every rule before any search: the true
+    preference is single-peaked, n meets the rule's minimum, the agent
+    index is in range, misreports are parsed and none is negative (the
+    default list is the shared grid of (omega, grid_step)), and
+    `endowment`, the agent's own share, lies in [0, omega]. Only a
+    reallocation rule reads an endowment, so any other rule refuses one,
+    and a reallocation rule marked simple needs one.
 
-    On the exact path every option set is the interval between the
-    reference point r (omega/n, or the agent's own endowment) and the
-    capped peak min(peak, omega). A single-peaked disutility is worst on
-    an interval at one of its ends, so misreport q is obvious exactly when
-    max(d(r), d(min(q, omega))) < d_truth, where d_truth is the true
-    disutility of the worse end of the truthful interval. So no misreport
-    is obvious unless d(r) < d_truth, and the search returns None after
-    those two disutilities otherwise. For a single-peaked preference that
-    is always: r in [0, omega] is the end of the truthful interval farther
-    from the peak, so d_truth = d(r).
-    Only a preference that ranks amounts around another ideal than its
-    reported peak reaches the scan, where each misreport costs one
-    disutility.
+    A rule marked simple then returns None without a search: its option
+    sets are intervals between the reference point r (omega/n, or the
+    endowment) and the capped peak, so r lies in every option set, and r
+    is the end of the truthful interval farther from the peak, the
+    truthful worst. No misreport's worst outcome beats d(r), so none is
+    obvious.
 
-    The default misreport list is the shared grid of (omega, grid_step).
-    Misreports are parsed, and negative ones refused, before any search,
-    so a bad misreport is refused even where the verdict needs none.
-    `endowment` is read only on the reallocation domain, but on every path
-    it must lie in [0, omega] when given.
-
-    On the sampled path d_truth is the true disutility of the worst
-    outcome in the full sampled truthful set. A misreport is obvious only
-    if every one of its outcomes has true disutility below d_truth, so
-    each misreport's set is built by the same sampler as
-    `option_set_sampled`, told to stop at the first outcome with
-    disutility >= d_truth: the misreport's worst outcome is then no better
-    than the truthful worst, whatever the unsampled rest. A sampler that
-    never stops has produced the whole sampled option set, so certificates
-    match a search that samples every set in full.
-
-    On either path the certificate is built from the two option sets by
-    `is_obvious_manipulation`.
+    Every other rule is searched on sampled option sets. d_truth is the
+    true disutility of the worst outcome in the full sampled truthful set.
+    A misreport is obvious only if every one of its outcomes has true
+    disutility below d_truth, so each misreport's set is built by the same
+    sampler as `option_set_sampled`, told to stop at the first outcome
+    with disutility >= d_truth: the misreport's worst outcome is then no
+    better than the truthful worst, whatever the unsampled rest. A sampler
+    that never stops has produced the whole sampled option set, so
+    certificates match a search that samples every set in full, and the
+    certificate's verdict is `is_obvious_manipulation` of the two sets.
     """
     if not isinstance(pref_true, SinglePeaked):
         raise ValueError(
@@ -409,74 +385,19 @@ def find_obvious_manipulation(
             raise ValueError(
                 f"endowment {fr(endowment)} lies outside [0, {fr(omega)}]"
             )
+        if rule.domain != DOMAIN_SP_ENDOWMENTS:
+            raise ValueError(
+                f"rule {rule.name} reads no endowment: only reallocation "
+                "rules take one"
+            )
     if rule.simple:
-        found = _find_exact(rule, pref_true, omega, n, peaks, endowment)
-    else:
-        step = grid_step if option_grid_step is None else option_grid_step
-        found = _find_sampled(rule, agent, pref_true, omega, n, peaks, step)
-    if found is None:
+        if endowment is None and rule.domain == DOMAIN_SP_ENDOWMENTS:
+            raise ValueError("reallocation rules need the agent's own endowment")
         return None
-    misreport, oset_true, oset_mis = found
-    return ObviousManipulation(
-        rule_name=rule.name,
-        agent=agent,
-        pref_true=pref_true,
-        misreport=misreport,
-        omega=omega,
-        n=n,
-        oset_true=oset_true,
-        oset_misreport=oset_mis,
-        verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
-    )
 
-
-def _find_exact(
-    rule: Rule,
-    pref_true: SinglePeaked,
-    omega: Fraction,
-    n: int,
-    peaks: Sequence[Fraction],
-    endowment: Optional[Fraction],
-) -> Optional[Tuple[SinglePeaked, OptionSetInterval, OptionSetInterval]]:
-    """The exact-interval search of `find_obvious_manipulation`: None at
-    once when d(r) >= d_truth, else each misreport decided from the two
-    endpoint disutilities of its interval."""
-    if rule.domain != DOMAIN_SP_ENDOWMENTS:
-        reference = omega / n
-    elif endowment is None:
-        raise ValueError("reallocation rules need the agent's own endowment")
-    else:
-        reference = endowment
-    # equal division passed as the endowment gives the omega/n interval
-    oset_true = option_set_simple(pref_true.peak, omega, n, reference)
-    d_ref = pref_true.disutility(reference)
-    d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
-    if d_ref >= d_truth:
-        # max(d_ref, x) < d_truth needs d_ref < d_truth: no misreport fires
-        return None
-    for fake_peak in peaks:
-        if fake_peak == pref_true.peak:
-            continue
-        if max(d_ref, pref_true.disutility(min(fake_peak, omega))) < d_truth:
-            oset_mis = option_set_simple(fake_peak, omega, n, reference)
-            return SinglePeaked(fake_peak), oset_true, oset_mis
-    return None
-
-
-def _find_sampled(
-    rule: Rule,
-    agent: int,
-    pref_true: SinglePeaked,
-    omega: Fraction,
-    n: int,
-    peaks: Sequence[Fraction],
-    grid_step: int,
-) -> Optional[Tuple[SinglePeaked, SampledOptionSet, SampledOptionSet]]:
-    """The sampled search of `find_obvious_manipulation`: the first
-    misreport whose sampler never reaches an outcome as bad as the
-    truthful worst."""
-    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, grid_step)
-    d_truth = pref_true.disutility(_worst_of(pref_true, oset_true))
+    step = grid_step if option_grid_step is None else option_grid_step
+    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, step)
+    d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
 
     def no_better(outcome: Fraction) -> bool:
         return pref_true.disutility(outcome) >= d_truth
@@ -485,9 +406,19 @@ def _find_sampled(
         if fake_peak == pref_true.peak:
             continue
         misreport = SinglePeaked(fake_peak)
-        oset_mis = _sample(rule, agent, misreport, omega, n, grid_step, no_better)
+        oset_mis = _sample(rule, agent, misreport, omega, n, step, no_better)
         if oset_mis is not None:
-            return misreport, oset_true, oset_mis
+            return ObviousManipulation(
+                rule_name=rule.name,
+                agent=agent,
+                pref_true=pref_true,
+                misreport=misreport,
+                omega=omega,
+                n=n,
+                oset_true=oset_true,
+                oset_misreport=oset_mis,
+                verdict=is_obvious_manipulation(pref_true, oset_true, oset_mis),
+            )
     return None
 
 
@@ -582,13 +513,10 @@ def check_nom(
         )
         if certificate is None:
             return None
-        witness_econ = None
-        if isinstance(certificate.oset_misreport, SampledOptionSet):
-            witness_econ = certificate.oset_misreport.witnesses[
-                certificate.verdict.w_misreport
-            ]
         return Witness(
-            economy=witness_econ,
+            economy=certificate.oset_misreport.witnesses[
+                certificate.verdict.w_misreport
+            ],
             agents=(case.agent,),
             description=certificate.describe(),
             detail=certificate,

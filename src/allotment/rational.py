@@ -4,8 +4,9 @@ All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
 constructors, `disutility`, `worst`, option-interval membership, the
-level solvers, `sampling.grid` and `format_rational` coerce through
-`parse_rational` as well, so no float ever enters a computation.
+level solvers, `sampling.grid`, `sampling.random_rational` and
+`format_rational` coerce through `parse_rational` as well, so no float
+ever enters a computation.
 
 Fraction arithmetic runs as Python code, and every `+` builds a reduced
 Fraction, so `sum` over n Fractions pays n - 1 gcds and temporaries.

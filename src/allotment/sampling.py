@@ -32,15 +32,16 @@ MAX_DENOMINATOR = 60
 def random_rational(
     rng: random.Random, hi: Fraction, max_den: int = MAX_DENOMINATOR
 ) -> Fraction:
-    """A rational in [0, hi] with denominator at most max_den."""
-    hi = Fraction(hi)
+    """A rational in [0, hi] with denominator at most max_den; `hi` is
+    coerced through `parse_rational`, so a float bound is refused."""
+    hi = parse_rational(hi)
     den = rng.randint(1, max_den)
     top = int(hi * den)
     return Fraction(rng.randint(0, top), den)
 
 
 def random_preference(rng: random.Random, omega: Fraction) -> SinglePeaked:
-    peak = random_rational(rng, 2 * Fraction(omega))
+    peak = random_rational(rng, 2 * parse_rational(omega))
     left, right = rng.choice(SLOPE_CATALOGUE)
     return SinglePeaked(peak, left, right)
 

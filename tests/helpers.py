@@ -16,7 +16,6 @@ from allotment.manipulation import (
     option_set_simple,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rules import DOMAIN_SP_ENDOWMENTS
 from allotment.sampling import grid as peak_grid
 
 
@@ -250,26 +249,6 @@ def brute_force_worst(pref, amounts):
     return best
 
 
-def exact_nom_oracle(rule, pref_true, omega, n, peaks, endowment=None):
-    """Reference exact NOM search: the full option-set verdict for every
-    misreport peak, in grid order.
-
-    Returns (misreport peak, truthful set, misreport set, verdict) for the
-    first obvious misreport, or None.
-    """
-    if rule.domain != DOMAIN_SP_ENDOWMENTS:
-        endowment = None
-    oset_true = option_set_simple(pref_true.peak, omega, n, endowment)
-    for peak in peaks:
-        if peak == pref_true.peak:
-            continue
-        oset_mis = option_set_simple(peak, omega, n, endowment)
-        verdict = is_obvious_manipulation(pref_true, oset_true, oset_mis)
-        if verdict.is_obvious:
-            return peak, oset_true, oset_mis, verdict
-    return None
-
-
 def sampled_nom_oracle(rule, agent, pref_true, omega, n, peaks, grid_step):
     """Reference sampled NOM search: the full sampled option set and its
     verdict for every misreport peak, in grid order.
@@ -291,23 +270,6 @@ def sampled_nom_oracle(rule, agent, pref_true, omega, n, peaks, grid_step):
         if verdict.is_obvious:
             return misreport, oset_true, oset_mis, verdict
     return None
-
-
-@dataclass(frozen=True)
-class MislabelledPeak(SinglePeaked):
-    """Reports `peak` to the rule but ranks amounts around `ideal`.
-
-    Still single-peaked, so the endpoint argument holds; unlike a genuine
-    preference it can strictly prefer a misreport's worst outcome, which
-    reaches the certificate branch of the exact search.
-    """
-
-    ideal: Fraction = Fraction(0)
-
-    def disutility(self, x):
-        return SinglePeaked(
-            self.ideal, self.left_slope, self.right_slope
-        ).disutility(x)
 
 
 @dataclass(frozen=True)

@@ -493,6 +493,26 @@ def test_find_manipulation_proportional(om_file, capsys):
 
 
 @pytest.mark.parametrize(
+    "rule,expected",
+    [("uniform", 0), ("simple:cea", 0), ("realloc:cea", 0), ("ced", 1)],
+)
+def test_nom_on_endowed_files_for_every_rule(tmp_path, capsys, rule, expected):
+    # only a reallocation rule reads the agents' endowments, so the others
+    # are searched without them, as on the same file without endowments
+    path = tmp_path / "endowed-om.json"
+    path.write_text(json.dumps(dict(OM_ECONOMY, endowments=["1/2", "1/2"])))
+    grids = ("--grid-step", "20")
+    for argv in (
+        ("find-manipulation", str(path), rule, "1", "--misreport-grid", "20"),
+        ("check", str(path), rule, "--axioms", "nom"),
+    ):
+        code, out, err = run(capsys, *argv, *grids)
+        assert (code, err) == (expected, ""), (argv, err)
+        found = "obvious manipulation found:" in out or "nom: FAIL" in out
+        assert found == bool(expected), (argv, out)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("option-set", "ced", "1", "--grid-step", "0"),

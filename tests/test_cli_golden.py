@@ -4,9 +4,10 @@ Pins `allocate` for the simple, reallocation, sequential (every selector,
 ascending and descending order) and single-plateaued rules on economies
 with excess demand, excess supply and balance, all carrying individual
 endowments, plus `option-set` for a simple rule, `find-manipulation` for
-a reallocation rule and `check` of the two reference-point guarantees, in
-both output formats, and the rendering of a reallocation certificate. A refactor of the rules must leave every byte
-as it is.
+a reallocation rule (no manipulation) and for `ced` on the README's
+two-agent economy (a sampled certificate), and `check` of the two
+reference-point guarantees, in both output formats. A refactor of the
+rules must leave every byte as it is.
 
 After an intended change of output, rewrite the golden file with
 
@@ -19,19 +20,13 @@ import io
 import json
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from allotment.cli import certificate_to_dict, main
-from allotment.manipulation import find_obvious_manipulation
-from allotment.rules import get_rule
-from allotment.sampling import grid
-from helpers import MislabelledPeak
+from allotment.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.txt"
-CERTIFICATE = "realloc:cea certificate"
 
 
 def _agents(*specs):
@@ -100,6 +95,14 @@ ECONOMIES = {
         "omega": "3",
         "agents": _agents(("0", "1/2"), ("1/2", "3/2"), ("1", "3")),
     },
+    # the README's economy, where agent 1 obviously manipulates ced
+    "two-agent": {
+        "omega": "1",
+        "agents": [
+            {"peak": "1/3", "left_slope": "1", "right_slope": "3"},
+            {"peak": "0"},
+        ],
+    },
 }
 
 # the non-simple agents of each economy (1-based), highest index first
@@ -135,6 +138,7 @@ def cases():
             + ["--misreport-grid", "12"]
             + tail
         )
+        found.append(["find-manipulation", "two-agent", "ced", "1"] + tail)
         # the two reference-point guarantees, each with a failing witness
         for rule, fails in (
             ("simple:cea", "endowments-guarantee"),
@@ -159,28 +163,6 @@ def run_case(argv, directory):
     return code, out.getvalue()
 
 
-def render_certificate():
-    """A reallocation certificate as the CLI renders it: the description
-    line, then the machine form.
-
-    No CLI run prints one, since a simple rule leaves a genuine preference
-    no obvious manipulation. This true preference reports peak 1/3 but
-    ranks amounts around 1, its own endowment, so misreporting 1 is
-    obvious.
-    """
-    cert = find_obvious_manipulation(
-        get_rule("realloc:cea"),
-        1,
-        MislabelledPeak(Fraction(1, 3), ideal=Fraction(1)),
-        Fraction(5),
-        5,
-        misreport_peaks=grid(Fraction(5), 12),
-        endowment=Fraction(1),
-    )
-    machine = json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True)
-    return f"{cert.describe()}\n{machine}\n"
-
-
 @functools.lru_cache(maxsize=None)
 def load_golden():
     """{case id: (exit code, stdout)} from the golden file."""
@@ -202,7 +184,6 @@ def write_golden():
         for key, argv in cases():
             code, out = run_case(argv, directory)
             chunks.append(f"### {key} | exit {code}\n{out}")
-    chunks.append(f"### {CERTIFICATE} | exit 0\n{render_certificate()}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(chunks))
 
@@ -211,7 +192,7 @@ CASES = cases()
 
 
 def test_golden_file_lists_every_case():
-    assert list(load_golden()) == [key for key, _ in CASES] + [CERTIFICATE]
+    assert list(load_golden()) == [key for key, _ in CASES]
 
 
 @pytest.mark.parametrize("key,argv", CASES, ids=[key for key, _ in CASES])
@@ -219,10 +200,6 @@ def test_stdout_matches_golden(key, argv, tmp_path_factory):
     directory = tmp_path_factory.getbasetemp() / "golden-economies"
     directory.mkdir(exist_ok=True)
     assert run_case(argv, directory) == load_golden()[key]
-
-
-def test_realloc_certificate_matches_golden():
-    assert render_certificate() == load_golden()[CERTIFICATE][1]
 
 
 if __name__ == "__main__":
