@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .claims import ClaimsProblem
 from .preferences import Preference, SinglePeaked, SinglePlateaued
-from .rational import exact_sum, parse_rational
+from .rational import _scaled, exact_sum, parse_rational
 
 
 @dataclass(frozen=True)
@@ -140,31 +140,47 @@ def partition(
     Under excess demand (z >= 0, the balanced case included) the simple
     agents are those demanding strictly less than their reference point;
     under excess supply those demanding strictly more.
+
+    The comparisons and sums run in `_split`, on integers over the common
+    denominator of the peaks, the reference points and omega; z and E
+    become Fractions only in the result.
     """
-    peaks = econ.peaks()
     if reference is None:
         reference = (econ.equal_share,) * econ.n
     elif len(reference) != econ.n:
         raise ValueError("one reference point per agent required")
-    z = exact_sum(peaks) - econ.omega
-    demand = z.numerator >= 0
+    common, _, _, z, left, plus, minus = _split(econ, reference)
+    return SimplePartition(
+        plus=frozenset(plus),
+        minus=frozenset(minus),
+        z=Fraction(z, common),
+        E=Fraction(abs(left), common),
+        reference=tuple(reference),
+    )
+
+
+def _split(econ: Economy, reference: Sequence[Fraction]):
+    """The split of `partition` on integers, for it and the sequential
+    window: (D, peaks, references, z, left, plus, minus), where D is the
+    common denominator (`rational._scaled`), each amount is a numerator
+    over D, plus and minus are ascending agent lists, and left is omega
+    less the plus peaks and the minus references, so E = |left|."""
+    n = econ.n
+    common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
+    peaks, reference = scaled[:n], scaled[n:-1]
+    z = sum(peaks) - scaled[-1]
+    demand = z >= 0
     plus, minus = [], []
-    served = []  # the plus peaks and the minus references
+    left = scaled[-1]
     for i, p in enumerate(peaks):
         r = reference[i]
         if p < r if demand else p > r:
             plus.append(i)
-            served.append(p)
+            left -= p
         else:
             minus.append(i)
-            served.append(r)
-    return SimplePartition(
-        plus=frozenset(plus),
-        minus=frozenset(minus),
-        z=z,
-        E=abs(econ.omega - exact_sum(served)),
-        reference=tuple(reference),
-    )
+            left -= r
+    return common, peaks, reference, z, left, plus, minus
 
 
 def claims_of_minus(part: SimplePartition, econ: Economy) -> ClaimsProblem:

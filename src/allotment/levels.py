@@ -4,9 +4,13 @@ Every rule in the library reduces to finding the level at which a sum of
 clamped linear pieces hits a target. Each solver sorts the breakpoints and
 scans prefix sums, so the returned level is an exact rational; no floating
 bisection is ever used in the allocation path (bisection appears only as a
-test oracle). The totals that bound the target are summed over the common
-denominator (`rational.exact_sum`), and inputs are coerced through
-`parse_rational`, so a float is refused.
+test oracle). Inputs are coerced through `parse_rational`, so a float is
+refused.
+
+The scans run on integers: the breakpoints and the target are scaled to
+their least common denominator D (`rational._scaled`), so every sort,
+comparison and prefix sum is an integer operation, and the one Fraction
+built is the level, p / (D*k) when k pieces share the remainder p / D.
 
 The constrained-equal-losses level has no solver of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import ZERO, exact_sum, parse_rational
+from .rational import ZERO, _scaled, parse_rational
 
 
 def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
@@ -26,27 +30,27 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
 
     The water-filling level for constrained-equal-awards-type rules.
     """
-    caps = list(map(parse_rational, caps))
-    target = parse_rational(target)
-    if target.numerator < 0 or target > exact_sum(caps):
+    common, caps = _scaled([*map(parse_rational, caps), parse_rational(target)])
+    target = caps.pop()
+    if target < 0 or target > sum(caps):
         raise ValueError("target outside [0, sum of caps]")
     if not caps:
         return ZERO
     ordered = sorted(caps)
     k = len(ordered)
-    consumed = ZERO  # total of caps already fully served
+    consumed = 0  # total of caps already fully served
     for j, cap in enumerate(ordered):
         if consumed + cap * (k - j) >= target:
-            return (target - consumed) / (k - j)
+            return Fraction(target - consumed, common * (k - j))
         consumed += cap
-    return ordered[-1]
+    return Fraction(ordered[-1], common)
 
 
 def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
     """Level lam with sum_i max(floor_i, lam) = target, target >= sum(floors)."""
-    floors = list(map(parse_rational, floors))
-    target = parse_rational(target)
-    total = exact_sum(floors)
+    common, floors = _scaled([*map(parse_rational, floors), parse_rational(target)])
+    target = floors.pop()
+    total = sum(floors)
     if target < total:
         raise ValueError("target below the sum of floors")
     if not floors:
@@ -55,13 +59,14 @@ def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
         return ZERO
     ordered = sorted(floors)
     k = len(ordered)
-    prefix = ZERO  # total of floors already lifted to lam
+    prefix = 0  # total of floors already lifted to lam
     for j in range(1, k + 1):
         prefix += ordered[j - 1]
-        # lam in [ordered[j-1], ordered[j]]: sum = (total - prefix) + j*lam
-        lam = (target - (total - prefix)) / j
-        if lam >= ordered[j - 1] and (j == k or lam <= ordered[j]):
-            return lam
+        # lam in [ordered[j-1], ordered[j]]: sum = (total - prefix) + j*lam,
+        # so j*lam = target - (total - prefix)
+        lifted = target - total + prefix
+        if lifted >= ordered[j - 1] * j and (j == k or lifted <= ordered[j] * j):
+            return Fraction(lifted, common * j)
     raise AssertionError("unreachable: max-level scan must bracket the target")
 
 
@@ -85,16 +90,19 @@ def solve_clamp_level(
     target = parse_rational(target)
     if len(lows) != len(highs):
         raise ValueError("lows and highs must have the same length")
+    common, ends = _scaled([*lows, *highs, target])
+    target = ends.pop()
+    lows, highs = ends[: len(lows)], ends[len(lows) :]
     if any(h < l for l, h in zip(lows, highs)):
         raise ValueError("each interval needs low <= high")
-    value = exact_sum(lows)
-    if not (value <= target <= exact_sum(highs)):
+    value = sum(lows)
+    if not (value <= target <= sum(highs)):
         raise ValueError("target outside [sum of lows, sum of highs]")
     if not lows:
         return ZERO
     previous = min(lows)
     if value >= target:
-        return previous
+        return Fraction(previous, common)
     starts = sorted(l for l, h in zip(lows, highs) if l < h)
     stops = sorted(h for l, h in zip(lows, highs) if l < h)
     k = len(starts)
@@ -105,7 +113,7 @@ def solve_clamp_level(
         point = starts[i] if i < k and starts[i] <= stops[j] else stops[j]
         reached = value + active * (point - previous)
         if reached >= target:
-            return previous + (target - value) / active
+            return Fraction(previous * active + target - value, common * active)
         value, previous = reached, point
         while i < k and starts[i] == point:
             active += 1

@@ -29,16 +29,16 @@ class SinglePeaked:
 
     def __post_init__(self):
         object.__setattr__(self, "peak", parse_rational(self.peak))
-        if self.peak < 0:
+        if self.peak.numerator < 0:
             raise ValueError(f"peak must be nonnegative, got {self.peak}")
         object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
         object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
-        if self.left_slope <= 0 or self.right_slope <= 0:
+        if self.left_slope.numerator <= 0 or self.right_slope.numerator <= 0:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:
         x = parse_rational(x)
-        if x < 0:
+        if x.numerator < 0:
             raise ValueError(f"consumption must be nonnegative, got {x}")
         if x <= self.peak:
             return self.left_slope * (self.peak - x)
@@ -63,16 +63,16 @@ class SinglePlateaued:
         object.__setattr__(self, "plateau_hi", parse_rational(self.plateau_hi))
         object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
         object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
-        if self.plateau_lo < 0:
+        if self.plateau_lo.numerator < 0:
             raise ValueError("plateau_lo must be nonnegative")
         if self.plateau_hi < self.plateau_lo:
             raise ValueError("plateau_hi must be >= plateau_lo")
-        if self.left_slope <= 0 or self.right_slope <= 0:
+        if self.left_slope.numerator <= 0 or self.right_slope.numerator <= 0:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:
         x = parse_rational(x)
-        if x < 0:
+        if x.numerator < 0:
             raise ValueError(f"consumption must be nonnegative, got {x}")
         if x < self.plateau_lo:
             return self.left_slope * (self.plateau_lo - x)

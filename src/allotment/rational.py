@@ -4,25 +4,31 @@ All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
 constructors, `disutility`, `worst`, option-interval membership, the
-level solvers, `sampling.grid`, `sampling.random_rational` and
-`format_rational` coerce through `parse_rational` as well, so no float
-ever enters a computation.
+level solvers, the sequential window's selector values, `sampling.grid`,
+`sampling.random_rational` and `format_rational` coerce through
+`parse_rational` as well, so no float ever enters a computation.
 
-Fraction arithmetic runs as Python code, and every `+` builds a reduced
-Fraction, so `sum` over n Fractions pays n - 1 gcds and temporaries.
-`exact_sum` scales each numerator to the least common denominator of the
-terms, adds the integers and builds one Fraction at the end; the rule
-path takes every sum it checks or divides through it. A Fraction has the
-sign of its numerator (the denominator is always positive), so the rule
-path tests signs as `x.numerator < 0` rather than `x < 0`, which skips
-the comparison's rational type check.
+Fraction arithmetic runs as Python code: every `+` or `-` builds a
+reduced Fraction (a gcd and a temporary) and every `<` runs a rational
+type check. So the rule path runs on integers over one common
+denominator. The private `_scaled` returns the least common denominator
+D of a group of values and their numerators over D. The level solvers
+and `economy._split` (the split behind `partition` and the sequential
+window of `rules.sequential_allotment`) sort, compare, add and subtract
+those integers, and build a Fraction only where a value leaves them (a
+level p / (D*k), a residual, an amount). `exact_sum` is `_scaled` plus
+one Fraction, and the rule path takes every other sum it checks or
+divides through it. Every public value stays a Fraction. A Fraction has
+the sign of its numerator (the denominator is always positive), so where
+the rule path still holds Fractions it tests signs as `x.numerator < 0`
+rather than `x < 0`, which skips the comparison's rational type check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, List, Tuple
 
 ZERO = Fraction(0)
 """The exact zero, shared so that hot loops build no Fraction for it."""
@@ -64,15 +70,22 @@ def parse_rational(value) -> Fraction:
     raise RationalParseError(f"not a rational: {value!r}")
 
 
+def _scaled(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
+    """(D, numerators): D is the least common denominator of the values
+    (Fractions or ints; 1 for none) and each value is numerator / D.
+
+    The one place that writes the rule path's integer format."""
+    values = tuple(values)
+    common = lcm(*[v.denominator for v in values])
+    return common, [v.numerator * (common // v.denominator) for v in values]
+
+
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of Fractions (or ints): the numerators scaled to the
     least common denominator are added as integers, and one Fraction is
     built from the total. The empty sum is 0."""
-    values = tuple(values)
-    common = lcm(*[v.denominator for v in values])
-    return Fraction(
-        sum([v.numerator * (common // v.denominator) for v in values]), common
-    )
+    common, numerators = _scaled(values)
+    return Fraction(sum(numerators), common)
 
 
 def format_rational(x: Fraction) -> str:

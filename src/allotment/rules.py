@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .claims import CLAIMS_RULES, ClaimsRule
-from .economy import Allotment, Economy, claims_of_minus, make_allotment, partition
+from .economy import Allotment, Economy, claims_of_minus, make_allotment
+from .economy import _split, partition
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
-from .rational import ZERO, exact_sum
+from .rational import ZERO, exact_sum, parse_rational
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -34,8 +36,10 @@ DOMAIN_SP_ENDOWMENTS = "SP-with-endowments"
 class Rule:
     """A named, deterministic map from economies to feasible allotments.
 
-    `simple` marks registered members of the simple family, for which the
-    manipulation machinery may use exact closed-form option sets.
+    `simple` marks registered members of the simple family. It is a
+    promise the manipulation machinery trusts without running the rule:
+    `find_obvious_manipulation` checks its inputs and returns None for a
+    simple rule, since NOM is a lemma of the family.
     `min_agents` lets samplers and checkers skip economies a rule rejects.
     """
 
@@ -204,10 +208,12 @@ def sequential_allotment(
     `order` is an explicit agent sequence or one of the policies
     "ascending" (default) and "descending".
     """
-    part = partition(econ)
-    peaks = econ.peaks()
-    share = econ.equal_share
-    minus = sorted(part.minus)
+    n = econ.n
+    # the split and the window run on integers over one denominator D;
+    # Fractions are built only for the selector and the amounts
+    common, peaks, amounts, z, left, plus, minus = _split(
+        econ, (econ.equal_share,) * n
+    )
     if order is None or order == "ascending":
         order = minus
     elif order == "descending":
@@ -223,29 +229,41 @@ def sequential_allotment(
     # far the agent's peak lies beyond equal division, room what is left of
     # the residual, and slack (never positive) is what keeps each later
     # window nonempty
-    demand = part.z.numerator >= 0
-    amounts = [peaks[i] if i in part.plus else share for i in range(econ.n)]
-    room = part.E
-    slack = -abs(part.z)
+    share = amounts[0]
+    for i in plus:
+        amounts[i] = peaks[i]
+    demand = z >= 0
+    room = abs(left)
+    slack = -abs(z)
     for t, agent in enumerate(order[:-1]):
-        assert slack.numerator <= 0
+        assert slack <= 0
         gap = peaks[agent] - share if demand else share - peaks[agent]
         floor = gap + slack  # lo = max(0, floor), hi = min(gap, room)
-        lo = floor if floor.numerator > 0 else ZERO
+        lo = floor if floor > 0 else 0
         hi = room if room < gap else gap
         if lo > hi:
-            raise BoundsViolation(f"empty window [{lo}, {hi}] at step {t + 1}")
-        lam = selector(lo, hi)
+            raise BoundsViolation(
+                f"empty window [{Fraction(lo, common)}, {Fraction(hi, common)}]"
+                f" at step {t + 1}"
+            )
+        lam = parse_rational(selector(Fraction(lo, common), Fraction(hi, common)))
+        scale = lam.denominator // gcd(common, lam.denominator)
+        if scale > 1:
+            # the selector's value lies off the grid 1/D: refine D
+            common *= scale
+            peaks = [p * scale for p in peaks]
+            amounts = [a * scale for a in amounts]
+            share, room, floor = share * scale, room * scale, floor * scale
+            lo, hi = lo * scale, hi * scale
+        lam = lam.numerator * (common // lam.denominator)
         if not lo <= lam <= hi:
             raise ValueError("selector left the admissible window")
         amounts[agent] = share + lam if demand else share - lam
         room -= lam
         slack = floor - lam  # slack + gap - lam
     last = order[-1]
-    amounts[last] = econ.omega - exact_sum(
-        a for i, a in enumerate(amounts) if i != last
-    )
-    return make_allotment(econ, amounts)
+    amounts[last] += share * n - sum(amounts)  # omega less the others
+    return make_allotment(econ, [Fraction(a, common) for a in amounts])
 
 
 def sequential_rule(
@@ -394,7 +412,8 @@ GALLERY_BUILDERS = {
 }
 
 # bar is simple at its special profile (amounts stay between omega/n and the
-# peaks for n >= 3), so it keeps the exact option-set machinery
+# peaks for n >= 3), so it is marked simple, and its NOM verdict rests on
+# that flag: `find_obvious_manipulation` returns None for it unsearched
 _GALLERY_SIMPLE = {"bar"}
 
 

@@ -80,6 +80,48 @@ def bisect_decreasing(func, target, lo, hi, iterations=60):
     return lo, hi
 
 
+def min_level_oracle(caps, target):
+    """Reference min level: the library's former scan on Fractions, kept as
+    the oracle for the integer scan in `allotment.levels.solve_min_level`."""
+    caps = [Fraction(c) for c in caps]
+    target = Fraction(target)
+    if target < 0 or target > sum(caps):
+        raise ValueError("target outside [0, sum of caps]")
+    if not caps:
+        return Fraction(0)
+    ordered = sorted(caps)
+    k = len(ordered)
+    consumed = Fraction(0)
+    for j, cap in enumerate(ordered):
+        if consumed + cap * (k - j) >= target:
+            return (target - consumed) / (k - j)
+        consumed += cap
+    return ordered[-1]
+
+
+def max_level_oracle(floors, target):
+    """Reference max level: the library's former scan on Fractions, kept as
+    the oracle for the integer scan in `allotment.levels.solve_max_level`."""
+    floors = [Fraction(f) for f in floors]
+    target = Fraction(target)
+    total = sum(floors)
+    if target < total:
+        raise ValueError("target below the sum of floors")
+    if not floors:
+        if target != 0:
+            raise ValueError("target must be 0 when there are no floors")
+        return Fraction(0)
+    ordered = sorted(floors)
+    k = len(ordered)
+    prefix = Fraction(0)
+    for j in range(1, k + 1):
+        prefix += ordered[j - 1]
+        lam = (target - (total - prefix)) / j
+        if lam >= ordered[j - 1] and (j == k or lam <= ordered[j]):
+            return lam
+    raise AssertionError("unreachable: max-level scan must bracket the target")
+
+
 def clamp_level_oracle(lows, highs, target):
     """Reference clamp level: re-sums every interval at every breakpoint.
 
@@ -113,6 +155,37 @@ def clamp_level_oracle(lows, highs, target):
             return previous + (target - total_at(previous)) / active
         previous = point
     return points[-1]
+
+
+def sequential_allotment_oracle(econ: Economy, selector, order=None):
+    """Reference sequential construction: the library's former window loop
+    on Fractions, with the simple/non-simple split around omega/n computed
+    here as well. Kept as the oracle for the integer window in
+    `allotment.rules.sequential_allotment`; `order` is an explicit sequence
+    of the non-simple agents, ascending when None."""
+    peaks, omega, n = econ.peaks(), econ.omega, econ.n
+    share = omega / n
+    z = sum(peaks) - omega
+    demand = z >= 0
+    plus = {i for i, p in enumerate(peaks) if (p < share if demand else p > share)}
+    amounts = [peaks[i] if i in plus else share for i in range(n)]
+    order = [i for i in range(n) if i not in plus] if order is None else order
+    room = abs(omega - sum(amounts))
+    slack = -abs(z)
+    for agent in order[:-1]:
+        gap = peaks[agent] - share if demand else share - peaks[agent]
+        floor = gap + slack
+        lo, hi = max(Fraction(0), floor), min(gap, room)
+        assert lo <= hi
+        lam = selector(lo, hi)
+        if not lo <= lam <= hi:
+            raise ValueError("selector left the admissible window")
+        amounts[agent] = share + lam if demand else share - lam
+        room -= lam
+        slack = floor - lam
+    last = order[-1]
+    amounts[last] = omega - sum(a for i, a in enumerate(amounts) if i != last)
+    return tuple(amounts)
 
 
 def opponent_profiles_oracle(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from allotment.claims import cea, cel, pro
 from allotment.economy import Economy, partition
 from allotment.levels import solve_max_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
+from allotment.rational import RationalParseError
 from allotment.rules import (
     SELECTORS,
     ced,
@@ -27,7 +29,7 @@ from allotment.sampling import (
     random_plateaued_economy,
     two_agent_om_economy,
 )
-from helpers import bisect_increasing, economies
+from helpers import bisect_increasing, economies, sequential_allotment_oracle
 
 
 def econ(peaks, omega, endowments=None):
@@ -280,6 +282,13 @@ def test_sequential_selector_kept_inside_the_window():
         sequential_allotment(THREE_AGENT, order=[1, 2], selector=past_hi)
 
 
+def test_sequential_refuses_a_float_from_the_selector():
+    with pytest.raises(RationalParseError, match="decimal"):
+        sequential_allotment(
+            THREE_AGENT, order=[1, 2], selector=lambda lo, hi: float(lo)
+        )
+
+
 def test_sequential_rejects_bad_order():
     with pytest.raises(ValueError):
         sequential_allotment(THREE_AGENT, order=[0, 1])
@@ -300,6 +309,38 @@ def test_sequential_windows_nonempty_and_output_simple():
             for i in part.minus:
                 peak = e.prefs[i].peak
                 assert min(share, peak) <= x[i] <= max(share, peak)
+
+
+def select_seventh(lo, hi):
+    return lo + (hi - lo) / 7
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [SELECTORS["mid"], SELECTORS["quarter"], select_seventh],
+    ids=["mid", "quarter", "seventh"],
+)
+def test_sequential_window_follows_selectors_off_the_economy_grid(selector):
+    # six agents whose peaks, omega and omega/6 have no factor 7 in their
+    # denominators, so a selector's value may lie off their common grid
+    rng = random.Random(83)
+    off_grid, supply = 0, 0
+    for _ in range(150):
+        omega = F(rng.randint(1, 5))
+        # peaks up to omega/3 give excess supply about two times in three
+        top = omega * rng.choice([F(1, 3), F(2)])
+        dens = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]) for _ in range(6)]
+        e = econ([F(rng.randint(0, int(top * d)), d) for d in dens], omega)
+        grid = lcm(*dens, e.equal_share.denominator)
+        part = partition(e)
+        supply += part.z < 0
+        minus = sorted(part.minus)
+        for order in (minus, minus[::-1]):
+            x = sequential_allotment(e, order=order, selector=selector)
+            assert tuple(x) == sequential_allotment_oracle(e, selector, order)
+            assert all(type(a) is F for a in x)
+            off_grid += any(grid % a.denominator for a in x)
+    assert off_grid > 0 and 0 < supply < 150
 
 
 # -- single-plateaued extension --------------------------------------------------
