@@ -29,19 +29,11 @@ from .claims import (
     cel,
     pro,
 )
-from .economy import (
-    Allotment,
-    Economy,
-    SimplePartition,
-    claims_of_minus,
-    make_allotment,
-    partition,
-)
+from .economy import Allotment, Economy, make_allotment
 from .manipulation import (
     ManipulationVerdict,
     NomCase,
     ObviousManipulation,
-    OptionSetInterval,
     SampledOptionSet,
     check_nom,
     find_obvious_manipulation,

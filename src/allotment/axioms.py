@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
-from .economy import Economy, partition
+from .economy import Economy, _split
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
@@ -280,8 +280,9 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("betweenness", econ)
-        part = partition(econ, econ.endowments if endowed else None)
-        for i in sorted(part.plus):
+        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
+        *_, plus, minus = _split(econ, reference)
+        for i in plus:
             if x[i] != peaks[i]:
                 return Witness(
                     econ,
@@ -289,8 +290,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
                     f"simple agent {i + 1} gets {fr(x[i])} instead of "
                     f"peak {fr(peaks[i])}",
                 )
-        for i in sorted(part.minus):
-            r = part.reference[i]
+        for i in minus:
+            r = reference[i]
             lo, hi = min(r, peaks[i]), max(r, peaks[i])
             if not lo <= x[i] <= hi:
                 return Witness(

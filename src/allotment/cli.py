@@ -7,7 +7,8 @@ so exactness survives end to end. Only check draws random economies
 (--seed); identical invocations print identical bytes.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 usage or parse error (including a flag the subcommand does not take, an
+2 usage or parse error (including a flag the subcommand does not take,
+--selector or --order with a rule other than simple:appendix-b, an
 economy file of the wrong shape or with an unknown key, an empty grid, a
 sample count below 1, a rule that needs more agents than the economy has,
 a peak-reading check on single-plateaued agents, and a check in which a
@@ -28,7 +29,6 @@ from .economy import Economy
 from .manipulation import (
     NomCase,
     ObviousManipulation,
-    OptionSetInterval,
     check_nom,
     find_obvious_manipulation,
     nom_sweep,
@@ -164,12 +164,6 @@ def witness_to_dict(witness: Optional[Witness]) -> Optional[dict]:
 
 
 def option_set_to_dict(oset, show_witnesses: bool = False) -> dict:
-    if isinstance(oset, OptionSetInterval):
-        return {
-            "kind": "exact",
-            "lo": format_rational(oset.lo),
-            "hi": format_rational(oset.hi),
-        }
     data = {
         "kind": "sampled",
         "min": format_rational(min(oset.outcomes)),
@@ -201,7 +195,7 @@ def certificate_to_dict(cert: ObviousManipulation) -> dict:
         "disutility_worst_misreport": format_rational(
             cert.verdict.d_w_misreport
         ),
-        "exactness": cert.verdict.exactness,
+        "exactness": "SAMPLED",
         "strictly_preferred": cert.verdict.is_obvious,
     }
 
@@ -218,9 +212,21 @@ def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
 # subcommands
 
 
+def _rule(args) -> Rule:
+    """The named rule; --selector and --order only apply to
+    simple:appendix-b and are a usage error with any other rule."""
+    if args.rule != "simple:appendix-b":
+        for flag, value in (("--selector", args.selector), ("--order", args.order)):
+            if value is not None:
+                raise CliError(
+                    f"{flag} applies only to simple:appendix-b, not {args.rule}"
+                )
+    return get_rule(args.rule, order=args.order, selector=args.selector or "lo")
+
+
 def cmd_allocate(args) -> int:
     econ = load_economy(args.economy)
-    rule = get_rule(args.rule, order=args.order, selector=args.selector)
+    rule = _rule(args)
     try:
         allotment = rule(econ)
     except ValueError as exc:
@@ -279,7 +285,7 @@ def cmd_check(args) -> int:
             raise CliError(
                 f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_NAMES)}"
             )
-    rule = get_rule(args.rule, order=args.order, selector=args.selector)
+    rule = _rule(args)
     econs = _check_economies(args, rule)
 
     reports: List[AxiomReport] = []
@@ -350,7 +356,7 @@ def cmd_check(args) -> int:
 
 def cmd_option_set(args) -> int:
     econ = load_economy(args.economy)
-    rule = get_rule(args.rule, order=args.order, selector=args.selector)
+    rule = _rule(args)
     if rule.domain in (DOMAIN_SPL, DOMAIN_SP_ENDOWMENTS):
         raise CliError(
             "option sets are computed on the plain single-peaked domain"
@@ -374,13 +380,19 @@ def cmd_option_set(args) -> int:
         sampled, show_witnesses=args.show_witnesses
     )
     if rule.simple:
-        interval = option_set_simple(pref.peak, econ.omega, econ.n)
-        inside = all(o in interval for o in sampled.outcomes)
-        endpoints = {interval.lo, interval.hi} <= set(sampled.outcomes)
-        document["exact"] = option_set_to_dict(interval)
+        lo, hi = option_set_simple(pref.peak, econ.omega, econ.n)
+        inside = all(lo <= o <= hi for o in sampled.outcomes)
+        endpoints = {lo, hi} <= set(sampled.outcomes)
+        document["exact"] = {
+            "kind": "exact",
+            "lo": format_rational(lo),
+            "hi": format_rational(hi),
+        }
         document["sampled_inside_exact"] = inside
         document["endpoints_attained"] = endpoints
-        lines.append(f"option set: {interval} (exact)")
+        lines.append(
+            f"option set: [{format_rational(lo)}, {format_rational(hi)}] (exact)"
+        )
         lines.append(
             "sampled confirmation: "
             f"{len(sampled.outcomes)} outcomes inside={inside} "
@@ -408,7 +420,7 @@ def cmd_option_set(args) -> int:
 
 def cmd_find_manipulation(args) -> int:
     econ = load_economy(args.economy)
-    rule = get_rule(args.rule, order=args.order, selector=args.selector)
+    rule = _rule(args)
     if not 1 <= args.agent <= econ.n:
         raise CliError(f"agent must be between 1 and {econ.n}")
     agent = args.agent - 1
@@ -484,7 +496,7 @@ def _add_common(parser: argparse.ArgumentParser, grid_step: bool = True) -> None
     parser.add_argument(
         "--selector",
         choices=("lo", "hi", "mid", "quarter"),
-        default="lo",
+        default=None,
         help="level selector for simple:appendix-b",
     )
     parser.add_argument(

@@ -1,11 +1,12 @@
-"""Economies, allotments, and the excess-demand bookkeeping behind simple rules.
+"""Economies, allotments, and the split behind simple rules.
 
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
-The partition machinery classifies agents as simple/non-simple relative to
-one reference point per agent -- equal division omega/n, or the agent's
-own endowment for the reallocation rules -- and computes the residual
-that the second-step claims problem divides.
+`_split` classifies agents as simple/non-simple relative to one reference
+point per agent -- equal division omega/n, or the agent's own endowment
+for the reallocation rules -- and computes the excess demand and the
+residual that the second step divides. The simple rules of `rules` and
+`axioms.check_betweenness` all read it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .claims import ClaimsProblem
 from .preferences import Preference, SinglePeaked, SinglePlateaued
 from .rational import _scaled, exact_sum, parse_rational
 
@@ -114,57 +114,20 @@ class Allotment:
         return len(self.amounts)
 
 
-@dataclass(frozen=True)
-class SimplePartition:
-    """Simple/non-simple split of an economy plus the second-step residual.
-
-    reference holds each agent's reference point r_i; plus holds the simple
-    agents (served their peak), minus the rest; z is the excess demand and
-    E the amount the claims problem must distribute.
-    """
-
-    plus: frozenset
-    minus: frozenset
-    z: Fraction
-    E: Fraction
-    reference: Tuple[Fraction, ...]
-
-
-def partition(
-    econ: Economy, reference: Optional[Sequence[Fraction]] = None
-) -> SimplePartition:
-    """Classify agents as simple (plus) or non-simple (minus) around one
-    reference point per agent: omega/n by default, or the individual
-    endowments for the reallocation rules.
-
-    Under excess demand (z >= 0, the balanced case included) the simple
-    agents are those demanding strictly less than their reference point;
-    under excess supply those demanding strictly more.
-
-    The comparisons and sums run in `_split`, on integers over the common
-    denominator of the peaks, the reference points and omega; z and E
-    become Fractions only in the result.
-    """
-    if reference is None:
-        reference = (econ.equal_share,) * econ.n
-    elif len(reference) != econ.n:
-        raise ValueError("one reference point per agent required")
-    common, _, _, z, left, plus, minus = _split(econ, reference)
-    return SimplePartition(
-        plus=frozenset(plus),
-        minus=frozenset(minus),
-        z=Fraction(z, common),
-        E=Fraction(abs(left), common),
-        reference=tuple(reference),
-    )
-
-
 def _split(econ: Economy, reference: Sequence[Fraction]):
-    """The split of `partition` on integers, for it and the sequential
-    window: (D, peaks, references, z, left, plus, minus), where D is the
-    common denominator (`rational._scaled`), each amount is a numerator
-    over D, plus and minus are ascending agent lists, and left is omega
-    less the plus peaks and the minus references, so E = |left|."""
+    """Classify agents as simple (plus) or non-simple (minus) around one
+    reference point per agent: omega/n, or the individual endowments for
+    the reallocation rules. Under excess demand (z >= 0, the balanced case
+    included) the simple agents are those demanding strictly less than
+    their reference point; under excess supply those demanding strictly
+    more.
+
+    Runs on integers: returns (D, peaks, references, z, left, plus, minus),
+    where D is the common denominator of the peaks, the reference points
+    and omega (`rational._scaled`), each amount is a numerator over D,
+    plus and minus are ascending agent lists, and left is omega less the
+    plus peaks and the minus references, so the non-simple agents divide
+    E = |left| / D."""
     n = econ.n
     common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
     peaks, reference = scaled[:n], scaled[n:-1]
@@ -181,23 +144,6 @@ def _split(econ: Economy, reference: Sequence[Fraction]):
             minus.append(i)
             left -= r
     return common, peaks, reference, z, left, plus, minus
-
-
-def claims_of_minus(part: SimplePartition, econ: Economy) -> ClaimsProblem:
-    """The claims problem the non-simple agents solve.
-
-    Claims are |peak - reference point| taken over minus agents in
-    increasing index order (the same order the rules module uses to map
-    awards back): peak - reference under excess demand, where no minus
-    peak lies below its reference point, and reference - peak under excess
-    supply. `ClaimsProblem` still refuses a negative claim.
-    """
-    peaks, reference = econ.peaks(), part.reference
-    if part.z.numerator >= 0:
-        claims = tuple(peaks[i] - reference[i] for i in sorted(part.minus))
-    else:
-        claims = tuple(reference[i] - peaks[i] for i in sorted(part.minus))
-    return ClaimsProblem(claims=claims, endowment=part.E)
 
 
 def make_allotment(econ: Economy, amounts: Sequence) -> Allotment:

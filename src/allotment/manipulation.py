@@ -3,21 +3,22 @@
 For rules marked simple the option set of an agent is the exact closed
 interval between a reference point r (equal division, or the agent's own
 endowment on the reallocation domain) and the (feasibility-capped) peak;
-`option_set_simple` builds it around equal division. For these rules NOM
-is a lemma, not a search: r lies in every option set and is the truthful
-end farther from the peak, so it is the truthful worst, and no
+`option_set_simple` returns its ends (lo, hi) around equal division. NOM
+is then a lemma, not a search: r lies in every option set and is the
+truthful end farther from the peak, so it is the truthful worst, and no
 misreport's worst outcome can beat it (NOM as the worst-case comparison
 of Troyan and Morrill, "Obvious manipulations", JET 2020). The search
 checks its inputs and returns None. For every other rule option sets are
-sampled by one builder: outcomes are produced by real rule runs over
-deterministic opponent-profile families and every outcome carries the
-first economy that achieves it, so certificates replay exactly. Sampled
-PASS verdicts are sample-relative; sampled FAIL certificates use only
-exhibited outcomes. NOM compares worst cases only, so a sampled
-misreport is not obvious as soon as one of its outcomes is, under the
-true preference, no better than the truthful worst: the search builds
-each misreport's set with the same builder, told to stop there, and only
-an obvious misreport has its whole option set built.
+sampled by one builder into a `SampledOptionSet`, the one option-set
+type that verdicts and certificates read: outcomes are produced by real
+rule runs over deterministic opponent-profile families and every outcome
+carries the first economy that achieves it, so certificates replay
+exactly. Sampled PASS verdicts are sample-relative; sampled FAIL
+certificates use only exhibited outcomes. NOM compares worst cases only,
+so a sampled misreport is not obvious as soon as one of its outcomes is,
+under the true preference, no better than the truthful worst: the search
+builds each misreport's set with the same builder, told to stop there,
+and only an obvious misreport has its whole option set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
@@ -43,30 +44,6 @@ from .rational import format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import SLOPE_CATALOGUE, grid as peak_grid
 
-EXACT = "EXACT"
-SAMPLED = "SAMPLED"
-
-
-@dataclass(frozen=True)
-class OptionSetInterval:
-    """A closed interval of reachable amounts (exact, simple rules only)."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", parse_rational(self.lo))
-        object.__setattr__(self, "hi", parse_rational(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("interval needs lo <= hi")
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= parse_rational(x) <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{fr(self.lo)}, {fr(self.hi)}]"
-
-
 @dataclass
 class SampledOptionSet:
     """Finite set of reachable amounts with replayable witness economies."""
@@ -85,12 +62,11 @@ class SampledOptionSet:
 
 @dataclass(frozen=True)
 class ManipulationVerdict:
-    """Worst-case evidence for one (truth, misreport) option-set pair.
-
-    For SAMPLED exactness the verdict is relative to the sampled sets. The
-    Definition-1 evaluation (every misreport outcome beats some truthful
-    outcome) and the worst-case evaluation always agree; both are computed
-    and their agreement is recorded.
+    """Worst-case evidence for one (truth, misreport) pair of sampled
+    option sets, relative to those sets. The Definition-1 evaluation
+    (every misreport outcome beats some truthful outcome) and the
+    worst-case evaluation always agree; both are computed and their
+    agreement is recorded.
     """
 
     is_obvious: bool
@@ -98,22 +74,21 @@ class ManipulationVerdict:
     w_misreport: Fraction
     d_w_truth: Fraction
     d_w_misreport: Fraction
-    exactness: str
     definition_agrees: bool = True
 
 
-def option_set_simple(peak: Fraction, omega: Fraction, n: int) -> OptionSetInterval:
-    """Exact option set of any simple rule on the single-peaked domain: the
-    interval between equal division and the peak capped at omega (no
-    outcome can exceed the endowment by feasibility)."""
+def option_set_simple(
+    peak: Fraction, omega: Fraction, n: int
+) -> Tuple[Fraction, Fraction]:
+    """Exact option set (lo, hi) of any simple rule on the single-peaked
+    domain: the closed interval between equal division and the peak capped
+    at omega (no outcome can exceed the endowment by feasibility)."""
     peak, omega = parse_rational(peak), parse_rational(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
     reference = omega / n
     reachable_peak = min(peak, omega)
-    return OptionSetInterval(
-        min(reference, reachable_peak), max(reference, reachable_peak)
-    )
+    return min(reference, reachable_peak), max(reference, reachable_peak)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -177,11 +152,9 @@ def _opponent_profiles(
 
     # the targets cost a search of the grid, which most scans that stop
     # inside the identical family never need
-    interval = option_set_simple(pref.peak, omega, n)
+    lo, hi = option_set_simple(pref.peak, omega, n)
     targets = sorted(
-        {interval.lo, interval.hi}.union(
-            keys[bisect_left(keys, interval.lo) : bisect_right(keys, interval.hi)]
-        )
+        {lo, hi}.union(keys[bisect_left(keys, lo) : bisect_right(keys, hi)])
     )
     for x in targets:
         # a witness profile is constant, so it repeats an identical profile
@@ -244,52 +217,35 @@ def option_set_sampled(
     return _sample(rule, agent, pref, omega, n, grid_step)
 
 
-def _worst_of(pref: SinglePeaked, oset) -> Fraction:
-    if isinstance(oset, OptionSetInterval):
-        # piecewise-linear disutility attains its interval maximum at an end
-        return worst(pref, (oset.lo, oset.hi))
-    return worst(pref, oset.outcomes)
-
-
 def is_obvious_manipulation(
-    pref_true: SinglePeaked, oset_true, oset_misreport
+    pref_true: SinglePeaked,
+    oset_true: SampledOptionSet,
+    oset_misreport: SampledOptionSet,
 ) -> ManipulationVerdict:
-    """Decide obviousness from the two option sets.
+    """Decide obviousness from two sampled option sets.
 
     Uses the worst-case form (the misreport's worst outcome strictly beats
     the truthful worst outcome) and the direct every-outcome form; they are
-    equivalent whenever worsts exist and both are recorded. Both sets must
-    share an exactness level.
+    equivalent whenever worsts exist and both are recorded.
     """
-    exact = isinstance(oset_true, OptionSetInterval)
-    if exact != isinstance(oset_misreport, OptionSetInterval):
-        raise ValueError("option sets must share an exactness level")
-
-    w_truth = _worst_of(pref_true, oset_true)
-    w_mis = _worst_of(pref_true, oset_misreport)
+    w_truth = worst(pref_true, oset_true.outcomes)
+    w_mis = worst(pref_true, oset_misreport.outcomes)
     d_truth = pref_true.disutility(w_truth)
     d_mis = pref_true.disutility(w_mis)
     worst_case_form = d_mis < d_truth
-
-    if exact:
-        # on intervals both forms reduce to the same endpoint comparison
-        definition_form = worst_case_form
-    else:
-        definition_form = all(
-            any(
-                pref_true.disutility(x_mis) < pref_true.disutility(x)
-                for x in oset_true.outcomes
-            )
-            for x_mis in oset_misreport.outcomes
+    definition_form = all(
+        any(
+            pref_true.disutility(x_mis) < pref_true.disutility(x)
+            for x in oset_true.outcomes
         )
-
+        for x_mis in oset_misreport.outcomes
+    )
     return ManipulationVerdict(
         is_obvious=worst_case_form,
         w_truth=w_truth,
         w_misreport=w_mis,
         d_w_truth=d_truth,
         d_w_misreport=d_mis,
-        exactness=EXACT if exact else SAMPLED,
         definition_agrees=definition_form == worst_case_form,
     )
 
@@ -317,7 +273,7 @@ class ObviousManipulation:
             f"{fr(self.verdict.w_truth)} (disutility "
             f"{fr(self.verdict.d_w_truth)}) vs worst misreport outcome "
             f"{fr(self.verdict.w_misreport)} (disutility "
-            f"{fr(self.verdict.d_w_misreport)}) [{self.verdict.exactness}]"
+            f"{fr(self.verdict.d_w_misreport)}) [SAMPLED]"
         )
 
 
@@ -338,7 +294,8 @@ def find_obvious_manipulation(
     The inputs are checked on every rule before any search: the true
     preference is single-peaked, n meets the rule's minimum, the agent
     index is in range, misreports are parsed and none is negative (the
-    default list is the shared grid of (omega, grid_step)), and
+    default list is the shared grid of (omega, grid_step)), the option
+    grid (of option_grid_step, or grid_step when None) is not empty, and
     `endowment`, the agent's own share, lies in [0, omega]. Only a
     reallocation rule reads an endowment, so any other rule refuses one,
     and a reallocation rule marked simple needs one.
@@ -379,6 +336,10 @@ def find_obvious_manipulation(
         peaks = [parse_rational(q) for q in misreport_peaks]
         if any(q < 0 for q in peaks):
             raise ValueError("misreport peaks must be nonnegative")
+    step = grid_step if option_grid_step is None else option_grid_step
+    if misreport_peaks is not None or step != grid_step:
+        # refuses an empty option grid; the default misreport list is it
+        _grid(omega, step)
     if endowment is not None:
         endowment = parse_rational(endowment)
         if not 0 <= endowment <= omega:
@@ -395,7 +356,6 @@ def find_obvious_manipulation(
             raise ValueError("reallocation rules need the agent's own endowment")
         return None
 
-    step = grid_step if option_grid_step is None else option_grid_step
     oset_true = option_set_sampled(rule, agent, pref_true, omega, n, step)
     d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
 

@@ -3,25 +3,26 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, option-interval membership, the
-level solvers, the sequential window's selector values, `sampling.grid`,
-`sampling.random_rational` and `format_rational` coerce through
-`parse_rational` as well, so no float ever enters a computation.
+constructors, `disutility`, `worst`, the level solvers, the sequential
+window's selector values, `sampling.grid`, `sampling.random_rational`
+and `format_rational` coerce through `parse_rational` as well, so no
+float ever enters a computation.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd and a temporary) and every `<` runs a rational
 type check. So the rule path runs on integers over one common
 denominator. The private `_scaled` returns the least common denominator
 D of a group of values and their numerators over D. The level solvers
-and `economy._split` (the split behind `partition` and the sequential
-window of `rules.sequential_allotment`) sort, compare, add and subtract
-those integers, and build a Fraction only where a value leaves them (a
-level p / (D*k), a residual, an amount). `exact_sum` is `_scaled` plus
-one Fraction, and the rule path takes every other sum it checks or
-divides through it. Every public value stays a Fraction. A Fraction has
-the sign of its numerator (the denominator is always positive), so where
-the rule path still holds Fractions it tests signs as `x.numerator < 0`
-rather than `x < 0`, which skips the comparison's rational type check.
+and `economy._split` (the split behind the claims-rule and sequential
+simple rules and `axioms.check_betweenness`) sort, compare, add and
+subtract those integers, and build a Fraction only where a value leaves
+them (a level p / (D*k), a claim, a residual, an amount). `exact_sum`
+is `_scaled` plus one Fraction, and the rule path takes every other sum
+it checks or divides through it. Every public value stays a Fraction. A
+Fraction has the sign of its numerator (the denominator is always
+positive), so where the rule path still holds Fractions it tests signs
+as `x.numerator < 0` rather than `x < 0`, which skips the comparison's
+rational type check.
 """
 
 from __future__ import annotations

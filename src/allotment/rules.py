@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .claims import CLAIMS_RULES, ClaimsRule
-from .economy import Allotment, Economy, claims_of_minus, make_allotment
-from .economy import _split, partition
+from .claims import CLAIMS_RULES, ClaimsProblem, ClaimsRule
+from .economy import Allotment, Economy, _split, make_allotment
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
 from .rational import ZERO, exact_sum, parse_rational
@@ -126,17 +125,20 @@ def _simple_rule(claims_rule: ClaimsRule, name: str, domain: str) -> Rule:
     Simple agents receive their peak; each non-simple agent moves from the
     reference point toward their peak by their award in the residual claims
     problem (upward under excess demand, downward under excess supply).
+    The claims are |peak - reference point| over the non-simple agents in
+    the ascending order `_split` returns, and the awards map back through
+    that same list.
     """
     endowed = domain == DOMAIN_SP_ENDOWMENTS
 
     def allocate(econ: Economy) -> Allotment:
-        part = partition(econ, econ.endowments if endowed else None)
-        awards = claims_rule(claims_of_minus(part, econ))
-        demand = part.z.numerator >= 0
+        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
+        common, peaks, scaled, z, left, _, minus = _split(econ, reference)
+        claims = [Fraction(abs(peaks[i] - scaled[i]), common) for i in minus]
+        awards = claims_rule(ClaimsProblem(claims, Fraction(abs(left), common)))
         amounts = list(econ.peaks())  # plus agents keep their peak
-        for nu, i in zip(awards, sorted(part.minus)):
-            r = part.reference[i]
-            amounts[i] = r + nu if demand else r - nu
+        for nu, i in zip(awards, minus):
+            amounts[i] = reference[i] + nu if z >= 0 else reference[i] - nu
         return make_allotment(econ, amounts)
 
     return Rule(name, allocate, domain=domain, simple=True)

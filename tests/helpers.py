@@ -157,20 +157,36 @@ def clamp_level_oracle(lows, highs, target):
     return points[-1]
 
 
-def sequential_allotment_oracle(econ: Economy, selector, order=None):
-    """Reference sequential construction: the library's former window loop
-    on Fractions, with the simple/non-simple split around omega/n computed
-    here as well. Kept as the oracle for the integer window in
-    `allotment.rules.sequential_allotment`; `order` is an explicit sequence
-    of the non-simple agents, ascending when None."""
-    peaks, omega, n = econ.peaks(), econ.omega, econ.n
-    share = omega / n
+def split_oracle(econ: Economy, reference: Sequence[Fraction]):
+    """Reference simple/non-simple split on Fractions around one reference
+    point per agent: (z, E, plus, minus), with plus and minus ascending
+    agent lists. Kept as the oracle for the integer split in
+    `allotment.economy._split`."""
+    peaks, omega = econ.peaks(), econ.omega
     z = sum(peaks) - omega
     demand = z >= 0
-    plus = {i for i, p in enumerate(peaks) if (p < share if demand else p > share)}
+    plus = [
+        i
+        for i, (p, r) in enumerate(zip(peaks, reference))
+        if (p < r if demand else p > r)
+    ]
+    minus = [i for i in range(econ.n) if i not in plus]
+    E = abs(omega - sum(peaks[i] for i in plus) - sum(reference[i] for i in minus))
+    return z, E, plus, minus
+
+
+def sequential_allotment_oracle(econ: Economy, selector, order=None):
+    """Reference sequential construction: the library's former window loop
+    on Fractions, around the split of `split_oracle`. Kept as the oracle
+    for the integer window in `allotment.rules.sequential_allotment`;
+    `order` is an explicit sequence of the non-simple agents, ascending
+    when None."""
+    peaks, omega, n = econ.peaks(), econ.omega, econ.n
+    share = omega / n
+    z, room, plus, minus = split_oracle(econ, (share,) * n)
+    demand = z >= 0
     amounts = [peaks[i] if i in plus else share for i in range(n)]
-    order = [i for i in range(n) if i not in plus] if order is None else order
-    room = abs(omega - sum(amounts))
+    order = minus if order is None else order
     slack = -abs(z)
     for agent in order[:-1]:
         gap = peaks[agent] - share if demand else share - peaks[agent]
@@ -205,11 +221,8 @@ def opponent_profiles_oracle(
     identical = (tuple(SinglePeaked(q) for _ in range(n - 1)) for q in points)
 
     def witness() -> Iterator[Tuple[SinglePeaked, ...]]:
-        interval = option_set_simple(pref.peak, omega, n)
-        targets = sorted(
-            {interval.lo, interval.hi}
-            | {g for g in points if interval.lo <= g <= interval.hi}
-        )
+        lo, hi = option_set_simple(pref.peak, omega, n)
+        targets = sorted({lo, hi} | {g for g in points if lo <= g <= hi})
         for x in targets:
             yield tuple(SinglePeaked((omega - x) / (n - 1)) for _ in range(n - 1))
 

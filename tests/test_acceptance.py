@@ -23,7 +23,7 @@ from allotment.axioms import (
     check_symmetry,
 )
 from allotment.claims import ClaimsProblem, cea, cel, pro
-from allotment.economy import Economy, partition
+from allotment.economy import Economy
 from allotment.levels import solve_min_level
 from allotment.manipulation import (
     check_nom,
@@ -54,7 +54,7 @@ from allotment.sampling import (
     standard_suite,
     two_agent_om_economy,
 )
-from helpers import bisect_decreasing, bisect_increasing
+from helpers import bisect_decreasing, bisect_increasing, split_oracle
 
 
 @contextmanager
@@ -153,13 +153,13 @@ def test_c04_option_set_interval_and_witnesses():
             cases.append((peak, omega, n))
         for rule in simple_family():
             for peak, omega, n in cases:
-                interval = option_set_simple(peak, omega, n)
+                lo, hi = option_set_simple(peak, omega, n)
                 sampled = option_set_sampled(
                     rule, 0, SinglePeaked(peak), omega, n
                 )
-                assert all(x in interval for x in sampled.outcomes), rule.name
+                assert all(lo <= x <= hi for x in sampled.outcomes), rule.name
                 # endpoints reached through the explicit witness profiles
-                for target in (interval.lo, interval.hi):
+                for target in (lo, hi):
                     opponents = [
                         SinglePeaked((omega - target) / (n - 1))
                         for _ in range(n - 1)
@@ -254,7 +254,7 @@ def test_c08_sequential_construction_always_feasible():
         selectors = list(SELECTORS.values())
         for _ in range(500):
             econ = random_economy(rng)
-            minus = sorted(partition(econ).minus)
+            *_, minus = split_oracle(econ, (econ.equal_share,) * econ.n)
             order = minus[:]
             rng.shuffle(order)
             for selector in selectors:
@@ -316,15 +316,16 @@ def test_c10_worst_case_equals_every_outcome_form():
                 )
                 verdict = is_obvious_manipulation(pref, truth, misreport)
                 assert verdict.definition_agrees
-        # interval pairs from the simple-rule sweep agree as well
+        # sampled sets of simple rules agree as well, and never convict
         for rule in simple_family()[:3]:
             for peak in (F(0), F(1, 3), F(1, 2), F(5, 4)):
-                truth = option_set_simple(peak, F(1), 2)
+                pref = SinglePeaked(peak)
+                truth = option_set_sampled(rule, 0, pref, F(1), 2, grid_step=12)
                 for k in range(0, 13):
-                    misreport = option_set_simple(F(k, 6), F(1), 2)
-                    verdict = is_obvious_manipulation(
-                        SinglePeaked(peak), truth, misreport
+                    misreport = option_set_sampled(
+                        rule, 0, SinglePeaked(F(k, 6)), F(1), 2, grid_step=12
                     )
+                    verdict = is_obvious_manipulation(pref, truth, misreport)
                     assert verdict.definition_agrees
                     assert not verdict.is_obvious
 

@@ -126,6 +126,24 @@ def test_bad_order_rejected(three_file, capsys):
     assert "bad order 'sideways'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("allocate", "ced", "--order", "2,1"),
+        ("allocate", "simple:cea", "--selector", "lo"),
+        ("check", "uniform", "--axioms", "betweenness", "--selector", "hi"),
+        ("option-set", "simple:cea", "1", "--order", "descending"),
+        ("find-manipulation", "ced", "1", "--selector", "mid"),
+    ],
+)
+def test_sequential_flags_refused_for_other_rules(om_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], om_file, *argv[1:])
+    assert code == 2
+    assert out == ""
+    flag = "--order" if "--order" in argv else "--selector"
+    assert f"error: {flag} applies only to simple:appendix-b, not {argv[1]}" in err
+
+
 def test_allocate_machine_format_round_trips(om_file, capsys):
     code, out, _ = run(capsys, "allocate", om_file, "ced", "--format", "machine")
     assert code == 0
@@ -519,6 +537,9 @@ def test_nom_on_endowed_files_for_every_rule(tmp_path, capsys, rule, expected):
         ("find-manipulation", "ced", "1", "--misreport-grid", "0"),
         ("find-manipulation", "ced", "1", "--misreport-grid", "-3"),
         ("find-manipulation", "ced", "1", "--grid-step", "0"),
+        # a simple rule's search is skipped, its grid check is not
+        ("find-manipulation", "simple:cea", "1", "--grid-step", "0"),
+        ("find-manipulation", "uniform", "1", "--grid-step", "0"),
         ("check", "uniform", "--axioms", "nom", "--grid-step", "-1"),
     ],
 )

@@ -3,14 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from allotment.economy import (
-    Allotment,
-    Economy,
-    claims_of_minus,
-    partition,
-)
+from allotment.claims import cea, cel, pro
+from allotment.economy import Allotment, Economy, _split
 from allotment.preferences import SinglePeaked
+from allotment.rules import simple_from_claims, simple_reallocation_from_claims
 from allotment.sampling import random_economy
+from helpers import split_oracle
 
 
 def econ(peaks, omega, endowments=None):
@@ -19,90 +17,140 @@ def econ(peaks, omega, endowments=None):
     )
 
 
+def split(e, reference=None):
+    """`_split` read back as Fractions, (z, E, plus, minus), after checking
+    its integer format against the inputs and its result against the
+    Fraction oracle."""
+    if reference is None:
+        reference = (e.equal_share,) * e.n
+    common, peaks, scaled, z, left, plus, minus = _split(e, reference)
+    assert [F(p, common) for p in peaks] == list(e.peaks())
+    assert [F(r, common) for r in scaled] == list(reference)
+    got = (F(z, common), F(abs(left), common), plus, minus)
+    assert got == split_oracle(e, reference)
+    return got
+
+
 def test_excess_supply_example():
-    assert partition(econ([F(1, 3), 0], 1)).z == F(-2, 3)
+    assert split(econ([F(1, 3), 0], 1)) == (F(-2, 3), 0, [], [0, 1])
 
 
 def test_excess_balanced_example():
-    assert partition(econ([F(1, 2), F(1, 2)], 1)).z == 0
+    assert split(econ([F(1, 2), F(1, 2)], 1)) == (0, 0, [], [0, 1])
 
 
-def test_excess_demand_example():
-    assert partition(econ([F(1, 2), F(3, 2), F(5, 2)], 3)).z == F(3, 2)
+def test_split_demand_example():
+    z, E, plus, minus = split(econ([F(1, 2), F(3, 2), F(5, 2)], 3))
+    assert z == F(3, 2)
+    assert (plus, minus) == ([0], [1, 2])
+    assert E == F(1, 2)
 
 
-def test_partition_demand_example():
-    part = partition(econ([F(1, 2), F(3, 2), F(5, 2)], 3))
-    assert part.plus == {0}
-    assert part.minus == {1, 2}
-    assert part.E == F(1, 2)
+def test_split_everyone_at_equal_division():
+    z, E, plus, minus = split(econ([1, 1, 1], 3))
+    assert (z, E, plus, minus) == (0, 0, [], [0, 1, 2])
 
 
-def test_partition_everyone_at_equal_division():
-    part = partition(econ([1, 1, 1], 3))
-    assert part.plus == frozenset()
-    assert part.E == 0
+def test_split_endowment_examples():
+    e = econ([0, 2], 2, (F(1), F(1)))
+    assert split(e, e.endowments) == (0, 1, [0], [1])
+    e2 = econ([1, 1], 2, (F(1, 2), F(3, 2)))
+    assert split(e2, e2.endowments) == (0, F(1, 2), [1], [0])
 
 
-def test_partition_supply_example():
-    part = partition(econ([F(1, 3), 0], 1))
-    assert part.z < 0
-    assert part.plus == frozenset()
-    assert part.minus == {0, 1}
-    assert part.E == 0
+def test_split_matches_oracle_on_random_economies():
+    rng = random.Random(29)
+    for _ in range(500):
+        e = random_economy(rng)
+        split(e)
+        endowed = random_economy(rng, with_endowments=True)
+        split(endowed)
+        split(endowed, endowed.endowments)
 
 
-def test_claims_of_minus_demand():
-    e = econ([F(1, 2), F(3, 2), F(5, 2)], 3)
-    cp = claims_of_minus(partition(e), e)
-    assert cp.claims == (F(1, 2), F(3, 2))
-    assert cp.endowment == F(1, 2)
-
-
-def test_claims_of_minus_balanced_zero_endowment():
-    e = econ([F(1, 2), F(1, 2)], 1)
-    cp = claims_of_minus(partition(e), e)
-    assert cp.endowment == 0
-
-
-def test_claims_of_minus_boundary_total_equals_endowment():
-    # z = 0 with one non-simple agent claiming exactly the residual
-    e = econ([0, 0, 3], 3)
-    part = partition(e)
-    assert part.plus == {0, 1}
-    cp = claims_of_minus(part, e)
-    assert cp.claims == (F(2),)
-    assert cp.endowment == F(2)
-
-
-def test_partition_permutation_invariant():
+def test_split_permutation_invariant():
     rng = random.Random(23)
     for _ in range(200):
-        e = random_economy(rng)
-        part = partition(e)
+        e = random_economy(rng, with_endowments=rng.random() < 0.5)
+        reference = e.endowments or (e.equal_share,) * e.n
+        z, E, plus, _ = split(e, reference)
         perm = list(range(e.n))
         rng.shuffle(perm)
-        permuted = Economy(tuple(e.prefs[p] for p in perm), e.omega)
-        ppart = partition(permuted)
-        assert ppart.z == part.z
-        assert ppart.E == part.E
-        assert ppart.plus == {perm.index(i) for i in part.plus}
+        permuted = Economy(
+            tuple(e.prefs[p] for p in perm),
+            e.omega,
+            None if e.endowments is None else tuple(e.endowments[p] for p in perm),
+        )
+        pz, pE, pplus, _ = split(permuted, tuple(reference[p] for p in perm))
+        assert (pz, pE) == (z, E)
+        assert pplus == sorted(perm.index(i) for i in plus)
+
+
+# -- the claims problem the non-simple agents solve ------------------------
+
+
+def recording(claims_rule=cea):
+    """A claims rule that records every problem it is handed."""
+    seen = []
+
+    def rule(cp):
+        seen.append(cp)
+        return claims_rule(cp)
+
+    return rule, seen
+
+
+def test_claims_problem_demand():
+    record, seen = recording()
+    e = econ([F(1, 2), F(3, 2), F(5, 2)], 3)
+    assert tuple(simple_from_claims(record)(e)) == (F(1, 2), F(5, 4), F(5, 4))
+    assert seen[0].claims == (F(1, 2), F(3, 2))
+    assert seen[0].endowment == F(1, 2)
+
+
+def test_claims_problem_balanced_zero_endowment():
+    record, seen = recording()
+    simple_from_claims(record)(econ([F(1, 2), F(1, 2)], 1))
+    assert seen[0].endowment == 0
+
+
+def test_claims_problem_boundary_total_equals_endowment():
+    # z = 0 with one non-simple agent claiming exactly the residual
+    record, seen = recording()
+    assert tuple(simple_from_claims(record)(econ([0, 0, 3], 3))) == (0, 0, 3)
+    assert seen[0].claims == (F(2),)
+    assert seen[0].endowment == F(2)
+
+
+def test_claims_problem_around_endowments():
+    record, seen = recording()
+    e = econ([1, 1], 2, (F(1, 2), F(3, 2)))
+    simple_reallocation_from_claims(record)(e)
+    assert seen[0].claims == (F(1, 2),)
+    assert seen[0].endowment == F(1, 2)
 
 
 def test_claims_cover_residual_on_random_economies():
-    # well-definedness of the second-step claims problem
+    # well-definedness of the second-step claims problem: the claims are
+    # |peak - reference point| over the oracle's non-simple agents, in
+    # ascending order, and cover the oracle's residual
     rng = random.Random(29)
     for _ in range(1000):
-        e = random_economy(rng)
-        part = partition(e)
-        cp = claims_of_minus(part, e)
-        assert sum(cp.claims) >= part.E
+        e = random_economy(rng, with_endowments=rng.random() < 0.5)
+        claims_rule = rng.choice([cea, cel, pro])
+        references = [(simple_from_claims, (e.equal_share,) * e.n)]
         if e.endowments is not None:
-            epart = partition(e, e.endowments)
-            assert (
-                sum(abs(e.prefs[i].peak - e.endowments[i]) for i in epart.minus)
-                >= epart.E
+            references.append((simple_reallocation_from_claims, e.endowments))
+        for build, reference in references:
+            record, seen = recording(claims_rule)
+            build(record)(e)
+            _, E, _, minus = split_oracle(e, reference)
+            peaks = e.peaks()
+            assert seen[0].claims == tuple(
+                abs(peaks[i] - reference[i]) for i in minus
             )
+            assert seen[0].endowment == E
+            assert sum(seen[0].claims) >= E
 
 
 def test_allotment_exact_feasibility():
@@ -139,17 +187,3 @@ def test_float_omega_endowments_and_amounts_rejected():
         Economy(prefs, F(2), (0.5, 1.5))
     with pytest.raises(ValueError, match="decimal"):
         Allotment((0.5, 1.5), F(2))
-
-
-def test_endowment_partition_examples():
-    e = econ([0, 2], 2, (F(1), F(1)))
-    part = partition(e, e.endowments)
-    assert part.plus == {0}
-    assert part.minus == {1}
-    assert part.E == 1
-
-    e2 = econ([1, 1], 2, (F(1, 2), F(3, 2)))
-    part2 = partition(e2, e2.endowments)
-    assert part2.plus == {1}
-    assert part2.minus == {0}
-    assert part2.E == F(1, 2)

@@ -17,7 +17,6 @@ from allotment.manipulation import (
     nom_sweep,
     option_set_sampled,
     option_set_simple,
-    OptionSetInterval,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
@@ -43,26 +42,20 @@ OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
 
 def test_option_set_below_equal_division():
-    assert option_set_simple(F(1, 3), F(1), 2) == OptionSetInterval(
-        F(1, 3), F(1, 2)
-    )
+    assert option_set_simple(F(1, 3), F(1), 2) == (F(1, 3), F(1, 2))
 
 
 def test_option_set_degenerate_at_equal_division():
-    assert option_set_simple(F(1, 2), F(1), 2) == OptionSetInterval(
-        F(1, 2), F(1, 2)
-    )
+    assert option_set_simple(F(1, 2), F(1), 2) == (F(1, 2), F(1, 2))
 
 
 def test_option_set_above_equal_division():
-    assert option_set_simple(F(3, 4), F(1), 2) == OptionSetInterval(
-        F(1, 2), F(3, 4)
-    )
+    assert option_set_simple(F(3, 4), F(1), 2) == (F(1, 2), F(3, 4))
 
 
 def test_option_set_caps_peak_at_omega():
     # feasibility truncates unattainably large peaks
-    assert option_set_simple(F(3), F(1), 2) == OptionSetInterval(F(1, 2), F(1))
+    assert option_set_simple(F(3), F(1), 2) == (F(1, 2), F(1))
 
 
 # -- sampled option sets -------------------------------------------------------
@@ -79,10 +72,10 @@ def test_sampled_simple_rule_inside_exact_interval():
     rule = simple_from_claims(cel)
     for peak in (F(1, 3), F(3, 4), F(1, 2), F(7, 5)):
         s = option_set_sampled(rule, 0, SinglePeaked(peak), F(1), 2)
-        interval = option_set_simple(peak, F(1), 2)
-        assert all(x in interval for x in s.outcomes)
-        assert interval.lo in s.outcomes
-        assert interval.hi in s.outcomes
+        lo, hi = option_set_simple(peak, F(1), 2)
+        assert all(lo <= x <= hi for x in s.outcomes)
+        assert lo in s.outcomes
+        assert hi in s.outcomes
 
 
 def test_sampled_ced_peak_zero_capped_at_half():
@@ -128,7 +121,6 @@ def test_opponent_profiles_match_oracle(grid_step):
     [
         lambda: option_set_simple(F(1, 3), 0.1, 2),
         lambda: option_set_simple(0.5, F(1), 2),
-        lambda: OptionSetInterval(0.25, F(1)),
         lambda: option_set_sampled(ced, 0, OM_PREF, 0.5, 2),
         lambda: find_obvious_manipulation(ced, 0, OM_PREF, 0.1, 2, grid_step=6),
         lambda: find_obvious_manipulation(
@@ -143,12 +135,6 @@ def test_opponent_profiles_match_oracle(grid_step):
 def test_float_arguments_rejected(call):
     with pytest.raises(ValueError, match="decimal"):
         call()
-
-
-def test_interval_membership_rejects_floats():
-    with pytest.raises(ValueError, match="decimal"):
-        0.3 in OptionSetInterval(0, 1)
-    assert 1 in OptionSetInterval(0, 1)
 
 
 # -- obviousness verdicts -------------------------------------------------------
@@ -167,26 +153,27 @@ def test_om_economy_verdict_exact_values():
 
 
 def test_identical_option_sets_not_obvious():
-    interval = option_set_simple(F(1, 3), F(1), 2)
-    verdict = is_obvious_manipulation(OM_PREF, interval, interval)
-    assert not verdict.is_obvious
+    for rule in (ced, simple_from_claims(cel)):
+        oset = option_set_sampled(rule, 0, OM_PREF, F(1), 2, grid_step=12)
+        verdict = is_obvious_manipulation(OM_PREF, oset, oset)
+        assert not verdict.is_obvious
+        assert verdict.w_misreport == verdict.w_truth
 
 
 def test_misreport_containing_equal_division_never_obvious():
     # every simple-rule option set contains omega/n, and every truthful
     # outcome is at least as good as omega/n, so nothing is obvious
-    truth = option_set_simple(F(1, 3), F(1), 2)
-    for fake in (F(0), F(1, 4), F(3, 4), F(1)):
-        misreport = option_set_simple(fake, F(1), 2)
-        verdict = is_obvious_manipulation(OM_PREF, truth, misreport)
-        assert not verdict.is_obvious
-
-
-def test_mixed_exactness_rejected():
-    truth = option_set_simple(F(1, 3), F(1), 2)
-    sampled = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=12)
-    with pytest.raises(ValueError):
-        is_obvious_manipulation(OM_PREF, truth, sampled)
+    for rule in (simple_from_claims(cea), simple_from_claims(cel)):
+        truth = option_set_sampled(rule, 0, OM_PREF, F(1), 2, grid_step=12)
+        assert truth.outcomes[-1] == F(1, 2)
+        for fake in (F(0), F(1, 4), F(3, 4), F(1)):
+            misreport = option_set_sampled(
+                rule, 0, SinglePeaked(fake), F(1), 2, grid_step=12
+            )
+            assert F(1, 2) in misreport.outcomes
+            verdict = is_obvious_manipulation(OM_PREF, truth, misreport)
+            assert not verdict.is_obvious
+            assert verdict.w_truth == F(1, 2)
 
 
 # -- search ---------------------------------------------------------------------
@@ -261,7 +248,7 @@ def test_hat_fails_nom_by_search():
         gallery("hat"), nom_sweep(2, 6), grid_step=20, option_grid_step=20
     )
     assert report.failed
-    assert report.witness.detail.verdict.exactness == "SAMPLED"
+    assert report.witness.description.endswith("[SAMPLED]")
 
 
 def test_nom_witness_economy_replays():
@@ -392,11 +379,13 @@ def test_empty_grids_rejected(step):
         grid(F(1), step)
     with pytest.raises(ValueError):
         find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2, grid_step=step)
-    # an explicit bad option grid is refused, not replaced by grid_step
-    with pytest.raises(ValueError):
-        find_obvious_manipulation(
-            ced, 0, OM_PREF, F(1), 2, grid_step=6, option_grid_step=step
-        )
+    # an explicit bad option grid is refused, not replaced by grid_step,
+    # also for a simple rule, whose search is skipped
+    for rule in (uniform, ced):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_obvious_manipulation(
+                rule, 0, OM_PREF, F(1), 2, grid_step=6, option_grid_step=step
+            )
 
 
 # -- simple rules decided by the reference point -----------------------------
@@ -459,14 +448,14 @@ def test_reference_point_is_the_worst_truthful_outcome(
     pref = SinglePeaked(peak, left, right)
     if share is None:
         reference = omega / n
-        oset = option_set_simple(peak, omega, n)
+        lo, hi = option_set_simple(peak, omega, n)
     else:
         # the reallocation domain's interval, around the agent's endowment
         reference = share * omega
         capped = min(peak, omega)
-        oset = OptionSetInterval(min(reference, capped), max(reference, capped))
-    assert reference in oset
-    worst_end = max(pref.disutility(oset.lo), pref.disutility(oset.hi))
+        lo, hi = min(reference, capped), max(reference, capped)
+    assert lo <= reference <= hi
+    worst_end = max(pref.disutility(lo), pref.disutility(hi))
     assert pref.disutility(reference) >= worst_end
 
 

@@ -5,19 +5,18 @@ import allotment
 # the package's public surface; test oracles live in tests/helpers.py
 PUBLIC_NAMES = """
     AXIOM_CHECKERS Allotment Awards AxiomReport ClaimsProblem Economy
-    ManipulationVerdict NO_CASES NomCase ObviousManipulation
-    OptionSetInterval RULE_NAMES RationalParseError Rule SELECTORS
-    SLOPE_CATALOGUE SampledOptionSet SimplePartition SinglePeaked
-    SinglePlateaued Witness cea ced cel check_betweenness check_edg
-    check_edlb check_endowments_guarantee check_envy_free check_nom
-    check_own_peak_only check_peak_responsive check_same_sided
-    check_strategy_proofness check_symmetry claims_of_minus
-    find_obvious_manipulation format_rational gallery get_rule grid
-    is_obvious_manipulation make_allotment nom_sweep option_set_sampled
-    option_set_simple parse_rational partition pro proportional
-    random_economy sequential_allotment sequential_rule
-    simple_from_claims simple_reallocation_from_claims spl_extension
-    standard_suite two_agent_om_economy uniform witness_economies worst
+    ManipulationVerdict NO_CASES NomCase ObviousManipulation RULE_NAMES
+    RationalParseError Rule SELECTORS SLOPE_CATALOGUE SampledOptionSet
+    SinglePeaked SinglePlateaued Witness cea ced cel check_betweenness
+    check_edg check_edlb check_endowments_guarantee check_envy_free
+    check_nom check_own_peak_only check_peak_responsive check_same_sided
+    check_strategy_proofness check_symmetry find_obvious_manipulation
+    format_rational gallery get_rule grid is_obvious_manipulation
+    make_allotment nom_sweep option_set_sampled option_set_simple
+    parse_rational pro proportional random_economy sequential_allotment
+    sequential_rule simple_from_claims simple_reallocation_from_claims
+    spl_extension standard_suite two_agent_om_economy uniform
+    witness_economies worst
 """.split()
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from allotment.axioms import check_betweenness
 from allotment.claims import cea, cel, pro
-from allotment.economy import Economy, partition
+from allotment.economy import Economy
 from allotment.levels import solve_max_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
@@ -29,7 +29,12 @@ from allotment.sampling import (
     random_plateaued_economy,
     two_agent_om_economy,
 )
-from helpers import bisect_increasing, economies, sequential_allotment_oracle
+from helpers import (
+    bisect_increasing,
+    economies,
+    sequential_allotment_oracle,
+    split_oracle,
+)
 
 
 def econ(peaks, omega, endowments=None):
@@ -157,13 +162,13 @@ def test_simple_rules_respect_betweenness():
     rules = [simple_from_claims(r) for r in (cea, cel, pro)]
     for _ in range(200):
         e = random_economy(rng)
-        part = partition(e)
         share = e.equal_share
+        _, _, plus, minus = split_oracle(e, (share,) * e.n)
         for rule in rules:
             x = rule(e)
-            for i in part.plus:
+            for i in plus:
                 assert x[i] == e.prefs[i].peak
-            for i in part.minus:
+            for i in minus:
                 peak = e.prefs[i].peak
                 assert min(share, peak) <= x[i] <= max(share, peak)
 
@@ -197,15 +202,15 @@ def test_simple_family_feasible_and_between_property(e):
 def test_reallocation_rules_feasible_and_between_property(e):
     # betweenness around each agent's own endowment, the reference point of
     # the reallocation rules: by check_betweenness and by hand
-    part = partition(e, e.endowments)
+    _, _, plus, minus = split_oracle(e, e.endowments)
     for name in ("cea", "cel", "pro"):
         rule = get_rule(f"realloc:{name}")
         x = rule(e)
         assert_feasible(x, e)
         assert not check_betweenness(rule, [e]).failed, rule.name
-        for i in part.plus:
+        for i in plus:
             assert x[i] == e.prefs[i].peak
-        for i in part.minus:
+        for i in minus:
             w, peak = e.endowments[i], e.prefs[i].peak
             assert min(w, peak) <= x[i] <= max(w, peak)
 
@@ -298,15 +303,15 @@ def test_sequential_windows_nonempty_and_output_simple():
     rng = random.Random(59)
     for _ in range(300):
         e = random_economy(rng)
-        part = partition(e)
-        order = sorted(part.minus)
+        _, _, plus, minus = split_oracle(e, (e.equal_share,) * e.n)
+        order = minus[:]
         rng.shuffle(order)
         for name, selector in SELECTORS.items():
             x = sequential_allotment(e, order=order, selector=selector)
             share = e.equal_share
-            for i in part.plus:
+            for i in plus:
                 assert x[i] == e.prefs[i].peak
-            for i in part.minus:
+            for i in minus:
                 peak = e.prefs[i].peak
                 assert min(share, peak) <= x[i] <= max(share, peak)
 
@@ -332,9 +337,8 @@ def test_sequential_window_follows_selectors_off_the_economy_grid(selector):
         dens = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]) for _ in range(6)]
         e = econ([F(rng.randint(0, int(top * d)), d) for d in dens], omega)
         grid = lcm(*dens, e.equal_share.denominator)
-        part = partition(e)
-        supply += part.z < 0
-        minus = sorted(part.minus)
+        z, _, _, minus = split_oracle(e, (e.equal_share,) * e.n)
+        supply += z < 0
         for order in (minus, minus[::-1]):
             x = sequential_allotment(e, order=order, selector=selector)
             assert tuple(x) == sequential_allotment_oracle(e, selector, order)
