@@ -7,6 +7,11 @@ point per agent -- equal division omega/n, or the agent's own endowment
 for the reallocation rules -- and computes the excess demand and the
 residual that the second step divides. The simple rules of `rules` and
 `axioms.check_betweenness` all read it.
+
+Feasibility (nonnegative amounts summing to omega) is checked on integers
+over one denominator (`_check_feasible`): by the `Allotment` constructor
+after scaling its amounts, and by `Allotment._of_scaled`, through which
+the simple rules build their allotments from the integers they hold.
 """
 
 from __future__ import annotations
@@ -96,13 +101,21 @@ class Allotment:
         amounts = tuple(parse_rational(a) for a in self.amounts)
         object.__setattr__(self, "amounts", amounts)
         object.__setattr__(self, "omega", parse_rational(self.omega))
-        if any(a.numerator < 0 for a in amounts):
-            raise ValueError("allotments must be nonnegative")
-        total = exact_sum(amounts)
-        if total != self.omega:
-            raise ValueError(
-                f"infeasible allotment: sum {total} != omega {self.omega}"
-            )
+        _check_feasible(*_scaled(amounts), self.omega)
+
+    @classmethod
+    def _of_scaled(
+        cls, common: int, amounts: Sequence[int], omega: Fraction
+    ) -> "Allotment":
+        """The allotment of integer amounts over `common`, through the
+        same check as the constructor, which is not run a second time."""
+        _check_feasible(common, amounts, omega)
+        allotment = object.__new__(cls)
+        object.__setattr__(
+            allotment, "amounts", tuple(Fraction(a, common) for a in amounts)
+        )
+        object.__setattr__(allotment, "omega", omega)
+        return allotment
 
     def __getitem__(self, i: int) -> Fraction:
         return self.amounts[i]
@@ -112,6 +125,18 @@ class Allotment:
 
     def __len__(self) -> int:
         return len(self.amounts)
+
+
+def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> None:
+    """Refuse amounts, integers over `common`, that are negative or do not
+    sum to omega exactly."""
+    if any(a < 0 for a in amounts):
+        raise ValueError("allotments must be nonnegative")
+    total = sum(amounts)
+    if total * omega.denominator != omega.numerator * common:
+        raise ValueError(
+            f"infeasible allotment: sum {Fraction(total, common)} != omega {omega}"
+        )
 
 
 def _split(econ: Economy, reference: Sequence[Fraction]):

@@ -11,6 +11,8 @@ The scans run on integers: the breakpoints and the target are scaled to
 their least common denominator D (`rational._scaled`), so every sort,
 comparison and prefix sum is an integer operation, and the one Fraction
 built is the level, p / (D*k) when k pieces share the remainder p / D.
+The claims rules call the scan of `solve_min_level` itself (`_min_level`),
+which returns (p, k) and builds no Fraction.
 
 The constrained-equal-losses level has no solver of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
@@ -20,7 +22,7 @@ the losses total t is `solve_min_level(claims, sum(claims) - t)`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .rational import ZERO, _scaled, parse_rational
 
@@ -32,18 +34,23 @@ def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
     """
     common, caps = _scaled([*map(parse_rational, caps), parse_rational(target)])
     target = caps.pop()
+    p, k = _min_level(caps, target)
+    return Fraction(p, common * k)
+
+
+def _min_level(caps: Sequence[int], target: int) -> Tuple[int, int]:
+    """The scan of `solve_min_level` on integers over one denominator D:
+    (p, k) such that the level is p / (D*k), with k >= 1."""
     if target < 0 or target > sum(caps):
         raise ValueError("target outside [0, sum of caps]")
-    if not caps:
-        return ZERO
     ordered = sorted(caps)
     k = len(ordered)
     consumed = 0  # total of caps already fully served
     for j, cap in enumerate(ordered):
         if consumed + cap * (k - j) >= target:
-            return Fraction(target - consumed, common * (k - j))
+            return target - consumed, k - j
         consumed += cap
-    return Fraction(ordered[-1], common)
+    return 0, 1  # no caps: the target is 0
 
 
 def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:

@@ -42,7 +42,7 @@ from .economy import Economy
 from .preferences import SinglePeaked, worst
 from .rational import format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
-from .sampling import SLOPE_CATALOGUE, grid as peak_grid
+from .sampling import SLOPE_CATALOGUE, _check_grid_step, grid as peak_grid
 
 @dataclass
 class SampledOptionSet:
@@ -331,15 +331,13 @@ def find_obvious_manipulation(
         raise ValueError(f"agent index {agent} out of range for n={n}")
     omega = parse_rational(omega)
     if misreport_peaks is None:
-        peaks = _grid(omega, grid_step)
+        _check_grid_step(grid_step)
     else:
         peaks = [parse_rational(q) for q in misreport_peaks]
         if any(q < 0 for q in peaks):
             raise ValueError("misreport peaks must be nonnegative")
     step = grid_step if option_grid_step is None else option_grid_step
-    if misreport_peaks is not None or step != grid_step:
-        # refuses an empty option grid; the default misreport list is it
-        _grid(omega, step)
+    _check_grid_step(step)  # refuses an empty option grid
     if endowment is not None:
         endowment = parse_rational(endowment)
         if not 0 <= endowment <= omega:
@@ -356,6 +354,8 @@ def find_obvious_manipulation(
             raise ValueError("reallocation rules need the agent's own endowment")
         return None
 
+    if misreport_peaks is None:
+        peaks = _grid(omega, grid_step)
     oset_true = option_set_sampled(rule, agent, pref_true, omega, n, step)
     d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
 

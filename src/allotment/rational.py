@@ -12,11 +12,14 @@ Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd and a temporary) and every `<` runs a rational
 type check. So the rule path runs on integers over one common
 denominator. The private `_scaled` returns the least common denominator
-D of a group of values and their numerators over D. The level solvers
-and `economy._split` (the split behind the claims-rule and sequential
-simple rules and `axioms.check_betweenness`) sort, compare, add and
-subtract those integers, and build a Fraction only where a value leaves
-them (a level p / (D*k), a claim, a residual, an amount). `exact_sum`
+D of a group of values (and of a given denominator, when one is passed)
+and their numerators over D. The level solvers, `economy._split` (the
+split behind the claims-rule and sequential simple rules and
+`axioms.check_betweenness`), the claims rules and the allotment check
+sort, compare, add and subtract those integers, and build a Fraction
+only where a value leaves them (a level p / (D*k), a claim, an award, a
+residual, an amount). The claims-rule simple rules read a claims rule's
+awards back to integers over a multiple of the split's D. `exact_sum`
 is `_scaled` plus one Fraction, and the rule path takes every other sum
 it checks or divides through it. Every public value stays a Fraction. A
 Fraction has the sign of its numerator (the denominator is always
@@ -71,13 +74,14 @@ def parse_rational(value) -> Fraction:
     raise RationalParseError(f"not a rational: {value!r}")
 
 
-def _scaled(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
-    """(D, numerators): D is the least common denominator of the values
-    (Fractions or ints; 1 for none) and each value is numerator / D.
+def _scaled(values: Iterable[Fraction], common: int = 1) -> Tuple[int, List[int]]:
+    """(D, numerators): D is the least common multiple of `common` and the
+    denominators of the values (Fractions or ints; `common` for none), and
+    each value is numerator / D.
 
     The one place that writes the rule path's integer format."""
     values = tuple(values)
-    common = lcm(*[v.denominator for v in values])
+    common = lcm(common, *[v.denominator for v in values])
     return common, [v.numerator * (common // v.denominator) for v in values]
 
 

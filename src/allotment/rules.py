@@ -20,11 +20,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .claims import CLAIMS_RULES, ClaimsProblem, ClaimsRule
+from .claims import CLAIMS_RULES, ClaimsProblem, ClaimsRule, _check_awards
 from .economy import Allotment, Economy, _split, make_allotment
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
-from .rational import ZERO, exact_sum, parse_rational
+from .rational import ZERO, _scaled, exact_sum, parse_rational
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -127,19 +127,29 @@ def _simple_rule(claims_rule: ClaimsRule, name: str, domain: str) -> Rule:
     problem (upward under excess demand, downward under excess supply).
     The claims are |peak - reference point| over the non-simple agents in
     the ascending order `_split` returns, and the awards map back through
-    that same list.
+    that same list. The awards of any claims rule are read back as
+    integers over one denominator shared with the split's and checked
+    like the three rules check their own (`claims._check_awards`), so a
+    claims rule that leaves [0, claim] or misses E is refused rather than
+    trusted as simple.
     """
     endowed = domain == DOMAIN_SP_ENDOWMENTS
 
     def allocate(econ: Economy) -> Allotment:
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         common, peaks, scaled, z, left, _, minus = _split(econ, reference)
-        claims = [Fraction(abs(peaks[i] - scaled[i]), common) for i in minus]
-        awards = claims_rule(ClaimsProblem(claims, Fraction(abs(left), common)))
-        amounts = list(econ.peaks())  # plus agents keep their peak
+        cp = ClaimsProblem(
+            tuple(Fraction(abs(peaks[i] - scaled[i]), common) for i in minus),
+            Fraction(abs(left), common),
+        )
+        unit, awards = _scaled(map(parse_rational, claims_rule(cp)), common)
+        _check_awards(cp, awards, unit // cp._common)
+        scale = unit // common
+        amounts = [p * scale for p in peaks]  # plus agents keep their peak
         for nu, i in zip(awards, minus):
-            amounts[i] = reference[i] + nu if z >= 0 else reference[i] - nu
-        return make_allotment(econ, amounts)
+            r = scaled[i] * scale
+            amounts[i] = r + nu if z >= 0 else r - nu
+        return Allotment._of_scaled(unit, amounts, econ.omega)
 
     return Rule(name, allocate, domain=domain, simple=True)
 
@@ -265,7 +275,7 @@ def sequential_allotment(
         slack = floor - lam  # slack + gap - lam
     last = order[-1]
     amounts[last] += share * n - sum(amounts)  # omega less the others
-    return make_allotment(econ, [Fraction(a, common) for a in amounts])
+    return Allotment._of_scaled(common, amounts, econ.omega)
 
 
 def sequential_rule(

@@ -260,9 +260,14 @@ def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
     A denominator below 1 is refused: 0 divides by zero and a negative one
     gives an empty grid, over which every searched verdict holds vacuously.
     """
+    _check_grid_step(step_denominator)
+    step = parse_rational(omega) / step_denominator
+    return [k * step for k in range(2 * step_denominator + 1)]
+
+
+def _check_grid_step(step_denominator: int) -> None:
+    """Refuse a grid step denominator below 1 (see `grid`)."""
     if step_denominator < 1:
         raise ValueError(
             f"grid step denominator must be at least 1, got {step_denominator}"
         )
-    step = parse_rational(omega) / step_denominator
-    return [k * step for k in range(2 * step_denominator + 1)]

@@ -50,6 +50,22 @@ def economies(draw, endowed=False, plateaued=False):
     return Economy(tuple(prefs), omega, endowments)
 
 
+# denominators up to 10**6, so the terms rarely share one and the common
+# denominator of 40 terms runs to hundreds of digits
+LARGE = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6))
+TERMS = st.lists(LARGE, max_size=40)
+
+
+def end_or_inside(draw, low, high):
+    """low, high, or a point strictly between them with a large denominator."""
+    end = draw(st.sampled_from(["low", "high", "inside"]))
+    if end == "low" or low == high:
+        return low
+    if end == "high":
+        return high
+    return low + (high - low) * draw(LARGE.filter(lambda x: 0 < x < 1))
+
+
 def bisect_increasing(func, target, lo, hi, iterations=60):
     """Bracket the level where an increasing func crosses target.
 
@@ -97,6 +113,33 @@ def min_level_oracle(caps, target):
             return (target - consumed) / (k - j)
         consumed += cap
     return ordered[-1]
+
+
+def cea_oracle(claims, endowment):
+    """Reference constrained equal awards: the library's former Fraction
+    formula min(c, lam), kept as the oracle for the integer awards of
+    `allotment.claims.cea`."""
+    lam = min_level_oracle(claims, endowment)
+    return tuple(min(Fraction(c), lam) for c in claims)
+
+
+def cel_oracle(claims, endowment):
+    """Reference constrained equal losses: max(0, c - lam), where the
+    losses min(c, lam) total sum(claims) - E."""
+    lam = min_level_oracle(claims, sum(claims, Fraction(0)) - endowment)
+    return tuple(max(Fraction(0), c - lam) for c in claims)
+
+
+def pro_oracle(claims, endowment):
+    """Reference proportional division: c / sum(claims) * E, zeros when
+    every claim is 0."""
+    total = sum(claims, Fraction(0))
+    if total == 0:
+        return (Fraction(0),) * len(claims)
+    return tuple(Fraction(c) / total * endowment for c in claims)
+
+
+CLAIMS_ORACLES = {"cea": cea_oracle, "cel": cel_oracle, "pro": pro_oracle}
 
 
 def max_level_oracle(floors, target):
@@ -173,6 +216,20 @@ def split_oracle(econ: Economy, reference: Sequence[Fraction]):
     minus = [i for i in range(econ.n) if i not in plus]
     E = abs(omega - sum(peaks[i] for i in plus) - sum(reference[i] for i in minus))
     return z, E, plus, minus
+
+
+def simple_rule_oracle(econ: Economy, reference: Sequence[Fraction], claims_oracle):
+    """Reference simple rule on Fractions: the plus agents of `split_oracle`
+    keep their peak, and each minus agent moves from its reference point
+    toward its peak by its award in the residual claims problem (upward
+    under excess demand, downward under excess supply)."""
+    peaks = econ.peaks()
+    z, E, plus, minus = split_oracle(econ, reference)
+    awards = claims_oracle([abs(peaks[i] - reference[i]) for i in minus], E)
+    amounts = list(peaks)
+    for nu, i in zip(awards, minus):
+        amounts[i] = reference[i] + nu if z >= 0 else reference[i] - nu
+    return tuple(amounts)
 
 
 def sequential_allotment_oracle(econ: Economy, selector, order=None):

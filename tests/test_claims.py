@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allotment.claims import (
     Awards,
@@ -14,9 +16,12 @@ from allotment.claims import (
 from allotment.levels import solve_min_level
 from allotment.sampling import random_claims_problem
 from helpers import (
+    CLAIMS_ORACLES,
+    TERMS,
     bisect_decreasing,
     bisect_increasing,
     check_claims_rule_properties,
+    end_or_inside,
 )
 
 KERNEL = ClaimsProblem((F(1), F(2), F(3)), F(3))
@@ -72,6 +77,18 @@ def test_awards_bounded_and_exhaustive_on_random_problems():
             assert sum(awards) == cp.endowment
             for award, claim in zip(awards, cp.claims):
                 assert 0 <= award <= claim
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.data())
+def test_rules_match_fraction_oracle_at_large_denominators(claims, data):
+    # E at 0, at the sum of the claims, or strictly between them
+    endowment = end_or_inside(data.draw, F(0), sum(claims, F(0)))
+    cp = ClaimsProblem(claims, endowment)
+    for rule in (cea, cel, pro):
+        awards = rule(cp)
+        assert all(type(a) is F for a in awards)
+        assert tuple(awards) == CLAIMS_ORACLES[rule.__name__](claims, endowment)
 
 
 def test_cea_cel_duality():
@@ -161,9 +178,12 @@ def test_invalid_problems_rejected():
 
 
 def test_award_checks_fire():
-    tiny = F(1, 10**9)
-    with pytest.raises(AssertionError, match="outside"):
-        _check_awards(KERNEL, (F(1) + tiny, F(1), F(1) - tiny))
+    # the check reads awards as integers over the problem's denominator
+    # (1 for KERNEL) times a scale, here over 10**9
+    scale = 10**9
+    over = r"award 1000000001/1000000000 outside \[0, 1\]"
+    with pytest.raises(AssertionError, match=over):
+        _check_awards(KERNEL, (scale + 1, scale, scale - 1), scale)
     with pytest.raises(AssertionError, match="exhaust"):
-        _check_awards(KERNEL, (F(1), F(1), F(1) - tiny))
-    assert tuple(_check_awards(KERNEL, (F(1), F(1), F(1)))) == (1, 1, 1)
+        _check_awards(KERNEL, (scale, scale, scale - 1), scale)
+    assert _check_awards(KERNEL, (scale, scale, scale), scale) is None

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from allotment.claims import cea, cel, pro
-from allotment.economy import Allotment, Economy, _split
+from allotment.economy import Allotment, Economy, _check_feasible, _split
 from allotment.preferences import SinglePeaked
 from allotment.rules import simple_from_claims, simple_reallocation_from_claims
 from allotment.sampling import random_economy
@@ -164,6 +164,37 @@ def test_allotment_exact_feasibility():
         Allotment((F(1, 3), F(2, 3) - tiny), F(1))
     with pytest.raises(ValueError, match="nonnegative"):
         Allotment((-tiny, F(1) + tiny), F(1))
+
+
+@pytest.mark.parametrize(
+    "amounts, omega",
+    [
+        ((F(-1, 3), F(4, 3)), F(1)),
+        ((F(1, 3), F(1, 3)), F(1)),
+        ((F(1, 3), F(2, 3) - F(1, 10**9)), F(1)),
+        ((F(1, 3), F(2, 3)), F(1, 2)),
+    ],
+)
+def test_integer_feasibility_check_matches_the_constructor(amounts, omega):
+    # the integer check refuses with the constructor's messages, at the
+    # least common denominator of the amounts and at a multiple of it
+    with pytest.raises(ValueError) as refused:
+        Allotment(amounts, omega)
+    common = 3 * 10**9
+    scaled = [a.numerator * (common // a.denominator) for a in amounts]
+    for k in (1, 7):
+        with pytest.raises(ValueError) as integer:
+            _check_feasible(common * k, [a * k for a in scaled], omega)
+        assert str(integer.value) == str(refused.value)
+        with pytest.raises(ValueError) as built:
+            Allotment._of_scaled(common * k, [a * k for a in scaled], omega)
+        assert str(built.value) == str(refused.value)
+
+
+def test_integer_allotment_equals_the_constructed_one():
+    x = Allotment._of_scaled(12, [4, 8], F(1))
+    assert x == Allotment((F(1, 3), F(2, 3)), F(1))
+    assert all(type(a) is F for a in x) and x.amounts == (F(1, 3), F(2, 3))
 
 
 def test_single_agent_economy_rejected():

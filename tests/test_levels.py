@@ -11,7 +11,13 @@ from allotment.levels import solve_clamp_level, solve_max_level, solve_min_level
 from allotment.preferences import SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import simple_from_claims, spl_extension
-from helpers import clamp_level_oracle, max_level_oracle, min_level_oracle
+from helpers import (
+    TERMS,
+    clamp_level_oracle,
+    end_or_inside,
+    max_level_oracle,
+    min_level_oracle,
+)
 
 
 def clamped_total(lows, highs, lam):
@@ -40,26 +46,10 @@ def test_empty_input_has_level_zero_at_target_zero_only(solve):
 
 # -- min and max levels at large denominators ------------------------------------
 
-# denominators up to 10**6, so the terms rarely share one and the common
-# denominator of 40 terms runs to hundreds of digits
-LARGE = st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6))
-TERMS = st.lists(LARGE, max_size=40)
-
-
-def _target(draw, low, high):
-    """low, high, or a point strictly between them with a large denominator."""
-    end = draw(st.sampled_from(["low", "high", "inside"]))
-    if end == "low" or low == high:
-        return low
-    if end == "high":
-        return high
-    return low + (high - low) * draw(LARGE.filter(lambda x: 0 < x < 1))
-
-
 @settings(max_examples=300, deadline=None)
 @given(TERMS, st.data())
 def test_min_level_exact_at_large_denominators(caps, data):
-    target = _target(data.draw, F(0), sum(caps, F(0)))
+    target = end_or_inside(data.draw, F(0), sum(caps, F(0)))
     lam = solve_min_level(caps, target)
     assert type(lam) is F
     assert lam == min_level_oracle(caps, target)
@@ -72,7 +62,7 @@ def test_max_level_exact_at_large_denominators(floors, data):
     # the sum of max(floor, lam) is sum(floors) up to lam = min(floors) and
     # k * max(floors) at lam = max(floors), where the last floor is lifted
     total = sum(floors, F(0))
-    target = _target(data.draw, total, len(floors) * max(floors, default=F(0)))
+    target = end_or_inside(data.draw, total, len(floors) * max(floors, default=F(0)))
     lam = solve_max_level(floors, target)
     assert type(lam) is F
     assert lam == max_level_oracle(floors, target)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from allotment import NO_CASES
 from allotment.claims import cea, cel
 from allotment.manipulation import (
+    _grid,
     _opponent_profiles,
     check_nom,
     find_obvious_manipulation,
@@ -389,6 +390,17 @@ def test_empty_grids_rejected(step):
 
 
 # -- simple rules decided by the reference point -----------------------------
+
+
+def test_simple_rule_check_builds_no_grid():
+    # a simple rule's search is skipped, so only its grid steps are checked
+    # and the shared peak grid is neither built nor looked up
+    cases = nom_sweep(5, 8)
+    before = _grid.cache_info()
+    report = check_nom(get_rule("simple:cea"), cases, grid_step=7, option_grid_step=9)
+    assert not report.failed
+    after = _grid.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 EXACT_REGISTERED = [get_rule(name) for name in RULE_NAMES if get_rule(name).simple]

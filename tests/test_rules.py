@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from allotment.axioms import check_betweenness
-from allotment.claims import cea, cel, pro
+from allotment.claims import Awards, cea, cel, pro
 from allotment.economy import Economy
 from allotment.levels import solve_max_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
@@ -30,9 +30,11 @@ from allotment.sampling import (
     two_agent_om_economy,
 )
 from helpers import (
+    CLAIMS_ORACLES,
     bisect_increasing,
     economies,
     sequential_allotment_oracle,
+    simple_rule_oracle,
     split_oracle,
 )
 
@@ -213,6 +215,76 @@ def test_reallocation_rules_feasible_and_between_property(e):
         for i in minus:
             w, peak = e.endowments[i], e.prefs[i].peak
             assert min(w, peak) <= x[i] <= max(w, peak)
+
+
+def assert_claims_rules_match_oracle(e):
+    """simple:cea|cel|pro, and realloc:cea|cel|pro when e has endowments,
+    equal the Fraction oracle built on `split_oracle`."""
+    references = [("simple", (e.equal_share,) * e.n)]
+    if e.endowments is not None:
+        references.append(("realloc", e.endowments))
+    for prefix, reference in references:
+        for name, oracle in CLAIMS_ORACLES.items():
+            x = get_rule(f"{prefix}:{name}")(e)
+            assert tuple(x) == simple_rule_oracle(e, reference, oracle), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(economies())
+def test_simple_claims_rules_match_fraction_oracle(e):
+    assert_claims_rules_match_oracle(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(economies(endowed=True))
+def test_reallocation_claims_rules_match_fraction_oracle(e):
+    assert_claims_rules_match_oracle(e)
+
+
+def test_claims_rules_match_fraction_oracle_at_n_1000():
+    # peaks average omega/n times `spread`, so the spreads below give excess
+    # supply and excess demand at n = 1000
+    rng = random.Random(83)
+    n = 1000
+    sides = set()
+    for spread in (F(4, 5), F(5, 4), F(9, 10), F(11, 10)):
+        omega = F(rng.randint(1, 5), rng.randint(1, 3))
+        peaks = []
+        for _ in range(n):
+            den = rng.randint(1, 60)
+            peaks.append(F(rng.randint(0, 2 * den), den) * omega * spread / n)
+        weights = [rng.randint(0, 12) for _ in range(n)]
+        endowments = tuple(omega * w / sum(weights) for w in weights)
+        e = econ(peaks, omega, endowments)
+        sides.add(sum(peaks) > omega)
+        assert_claims_rules_match_oracle(e)
+    assert sides == {False, True}
+
+
+def test_claims_rule_awards_are_checked():
+    # omega 2, peaks (1/2, 1, 1): agent 1 keeps its peak, agents 2 and 3
+    # claim 1/3 each and divide E = 1/6
+    e = econ([F(1, 2), 1, 1], 2)
+
+    def overpays(cp):
+        # would give agent 2 the amount 11/10, beyond its peak, and agent 3
+        # the amount 2/5, below equal division
+        first = cp.claims[0] + F(1, 10)
+        rest = (F(0),) * (len(cp.claims) - 2)
+        return Awards((first, cp.endowment - first) + rest)
+
+    def short(cp):
+        return Awards(cea(cp).amounts[:-1])
+
+    def wasteful(cp):
+        return Awards((F(0),) * len(cp.claims))
+
+    with pytest.raises(AssertionError, match=r"award 13/30 outside \[0, 1/3\]"):
+        simple_from_claims(overpays)(e)
+    with pytest.raises(AssertionError, match="1 awards for 2 claims"):
+        simple_from_claims(short)(e)
+    with pytest.raises(AssertionError, match="exhaust"):
+        simple_from_claims(wasteful)(e)
 
 
 # -- reallocation variant -------------------------------------------------------
