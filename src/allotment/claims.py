@@ -5,24 +5,24 @@ at least E. Awards stay between zero and the claim and exhaust E exactly.
 The water-filling levels are found by exact breakpoint scans (levels module),
 never by floating bisection.
 
-The rules run on integers: a problem holds its claims and E as integers
-over their least common denominator D, cea and cel read the level
-p / (D*k) from the integer scan of the levels module and award
-min(c*k, p) and max(c*k - p, 0) over D*k, pro awards c*E over D times the
-total, and one integer check (`_check_awards`) refuses any award outside
-[0, claim] or a vector that does not exhaust E before `Awards` builds its
-Fractions. The simple rules run the same check on any claims rule's
-awards.
+The rules run on integers. cea, cel and pro each have a private core
+(claims, E, D) -> (awards, scale), claims and E over a denominator D and
+awards over D*scale: min(c*k, p) and max(c*k - p, 0) at the level p / (D*k)
+of the levels module's integer scan, and c*E over D times the total.
+`_core` is the one integer entry of any claims rule: a built-in core, or an
+adapter that runs any other rule on a `ClaimsProblem`. One integer check
+(`_check_awards`) refuses an award outside [0, claim] or awards that miss
+E, once per call of a public rule and once per call of a simple rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .levels import _min_level
-from .rational import ZERO, _scaled, parse_rational
+from .rational import _scaled, parse_rational
 
 
 @dataclass(frozen=True)
@@ -75,50 +75,83 @@ class Awards:
 
 ClaimsRule = Callable[[ClaimsProblem], Awards]
 
+# (claims, E, D) -> (awards, scale): claims and E over D, awards over D*scale
+ClaimsCore = Callable[[Sequence[int], int, int], Tuple[List[int], int]]
 
-def _check_awards(cp: ClaimsProblem, awards: Sequence[int], scale: int) -> None:
-    """Refuse an award vector of `cp` given as integers over
-    cp._common * scale: one award per claim, each in [0, claim], and
+
+def _check_awards(claims, endowment, common, awards, scale) -> None:
+    """Refuse awards, integers over common * scale, for claims and E
+    integers over common: one award per claim, each in [0, claim], and
     exactly E in all."""
-    if len(awards) != len(cp._claims):
-        raise AssertionError(f"{len(awards)} awards for {len(cp._claims)} claims")
-    for award, claim in zip(awards, cp._claims):
+    if len(awards) != len(claims):
+        raise AssertionError(f"{len(awards)} awards for {len(claims)} claims")
+    for award, claim in zip(awards, claims):
         if award < 0 or award > claim * scale:
             raise AssertionError(
-                f"award {Fraction(award, cp._common * scale)} outside"
-                f" [0, {Fraction(claim, cp._common)}]"
+                f"award {Fraction(award, common * scale)} outside"
+                f" [0, {Fraction(claim, common)}]"
             )
-    if sum(awards) != cp._endowment * scale:
+    if sum(awards) != endowment * scale:
         raise AssertionError("awards do not exhaust the endowment")
 
 
 def _awards(cp: ClaimsProblem, awards: Sequence[int], scale: int) -> Awards:
     """The checked Awards of integer awards over cp._common * scale."""
-    _check_awards(cp, awards, scale)
+    _check_awards(cp._claims, cp._endowment, cp._common, awards, scale)
     unit = cp._common * scale
     return Awards(tuple(Fraction(a, unit) for a in awards))
 
 
+def _cea(claims, endowment, common):
+    p, k = _min_level(claims, endowment)  # lam = p / (D*k)
+    return [min(c * k, p) for c in claims], k
+
+
+def _cel(claims, endowment, common):
+    p, k = _min_level(claims, sum(claims) - endowment)
+    return [max(c * k - p, 0) for c in claims], k
+
+
+def _pro(claims, endowment, common):
+    # with no claims in all E is 0 too, and every award is 0 over scale 1
+    total = sum(claims)
+    return [c * endowment for c in claims], total or 1
+
+
 def cea(cp: ClaimsProblem) -> Awards:
     """Constrained equal awards: award_i = min(claim_i, lam)."""
-    p, k = _min_level(cp._claims, cp._endowment)  # lam = p / (D*k)
-    return _awards(cp, [min(c * k, p) for c in cp._claims], k)
+    return _awards(cp, *_cea(cp._claims, cp._endowment, cp._common))
 
 
 def cel(cp: ClaimsProblem) -> Awards:
     """Constrained equal losses: award_i = max(0, claim_i - lam), where the
     losses min(claim_i, lam) total sum(claims) - E."""
-    p, k = _min_level(cp._claims, sum(cp._claims) - cp._endowment)
-    return _awards(cp, [max(c * k - p, 0) for c in cp._claims], k)
+    return _awards(cp, *_cel(cp._claims, cp._endowment, cp._common))
 
 
 def pro(cp: ClaimsProblem) -> Awards:
     """Proportional: award_i = claim_i / sum(claims) * E (zeros when all claims are 0)."""
-    total = sum(cp._claims)
-    if total == 0:
-        # endowment is forced to 0 by the problem invariant
-        return Awards((ZERO,) * len(cp.claims))
-    return _awards(cp, [c * cp._endowment for c in cp._claims], total)
+    return _awards(cp, *_pro(cp._claims, cp._endowment, cp._common))
+
+
+# the integer core of each built-in rule, read by `_core`; as a function
+# attribute it survives a wrapper made with functools.wraps
+cea._core, cel._core, pro._core = _cea, _cel, _pro
+
+
+def _core(rule: ClaimsRule) -> ClaimsCore:
+    """The integer entry of a claims rule: a built-in rule's core, or an
+    adapter that builds the ClaimsProblem, calls the rule and reads its
+    awards back over a multiple of D, the simple rules' one Fraction door."""
+
+    def adapter(claims, endowment, common):
+        cp = ClaimsProblem(
+            tuple(Fraction(c, common) for c in claims), Fraction(endowment, common)
+        )
+        unit, awards = _scaled(map(parse_rational, rule(cp)), common)
+        return awards, unit // common
+
+    return getattr(rule, "_core", adapter)
 
 
 CLAIMS_RULES = {"cea": cea, "cel": cel, "pro": pro}

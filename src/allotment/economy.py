@@ -5,13 +5,13 @@ An economy is a profile of preferences plus a social endowment omega
 `_split` classifies agents as simple/non-simple relative to one reference
 point per agent -- equal division omega/n, or the agent's own endowment
 for the reallocation rules -- and computes the excess demand and the
-residual that the second step divides. The simple rules of `rules` and
-`axioms.check_betweenness` all read it.
+residual that the second step divides. The one simple-rule builder
+(`rules._simple_rule`) and `axioms.check_betweenness` read it.
 
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
 after scaling its amounts, and by `Allotment._of_scaled`, through which
-the simple rules build their allotments from the integers they hold.
+the simple-rule builder builds its allotments from the integers it holds.
 """
 
 from __future__ import annotations

@@ -9,23 +9,18 @@ and `format_rational` coerce through `parse_rational` as well, so no
 float ever enters a computation.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
-reduced Fraction (a gcd and a temporary) and every `<` runs a rational
-type check. So the rule path runs on integers over one common
-denominator. The private `_scaled` returns the least common denominator
-D of a group of values (and of a given denominator, when one is passed)
-and their numerators over D. The level solvers, `economy._split` (the
-split behind the claims-rule and sequential simple rules and
-`axioms.check_betweenness`), the claims rules and the allotment check
-sort, compare, add and subtract those integers, and build a Fraction
-only where a value leaves them (a level p / (D*k), a claim, an award, a
-residual, an amount). The claims-rule simple rules read a claims rule's
-awards back to integers over a multiple of the split's D. `exact_sum`
-is `_scaled` plus one Fraction, and the rule path takes every other sum
-it checks or divides through it. Every public value stays a Fraction. A
-Fraction has the sign of its numerator (the denominator is always
-positive), so where the rule path still holds Fractions it tests signs
-as `x.numerator < 0` rather than `x < 0`, which skips the comparison's
-rational type check.
+reduced Fraction (a gcd) and every `<` runs a rational type check. So the
+rule path runs on integers over one common denominator D, written by the
+private `_scaled`: the level solvers, `economy._split`, the integer entry
+of the claims rules (`claims._core`) and the one simple-rule builder
+(`rules._simple_rule`) from the split to the allotment. A Fraction is
+built only where a value leaves the integers (a level, an award, an
+amount, a selector's window) or where a custom claims rule reads its
+`ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the rule
+path takes every other sum it checks or divides through it. Every public
+value stays a Fraction. A Fraction has the sign of its numerator, so where
+the rule path still holds Fractions it tests signs as `x.numerator < 0`,
+which skips the comparison's type check.
 """
 
 from __future__ import annotations

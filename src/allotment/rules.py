@@ -1,12 +1,15 @@
-"""Allotment rules: the three classical rules, the simple-rule constructor
-over claims rules, the sequential-adjustment algorithm, reallocation and
-single-plateaued variants, and the five independence-gallery rules.
+"""Allotment rules: the three classical rules, the simple rules,
+reallocation and single-plateaued variants, and the five
+independence-gallery rules.
 
 A simple rule has one reference point per agent: equal division omega/n,
 or the agent's own endowment for the reallocation rules. Agents on the
 near side of it get their peak and a claims problem divides the rest;
 excess supply mirrors excess demand through comparisons only, so both
-cases share one code path.
+cases share one code path. Every simple rule is built by `_simple_rule`
+from the integer entry of a claims rule (`claims._core`): cea, cel, pro,
+any custom claims rule, and the sequential-adjustment construction, which
+is a claims rule over claim positions (`_sequential`).
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
@@ -20,11 +23,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .claims import CLAIMS_RULES, ClaimsProblem, ClaimsRule, _check_awards
+from .claims import CLAIMS_RULES, ClaimsCore, ClaimsRule, _check_awards, _core
 from .economy import Allotment, Economy, _split, make_allotment
 from .levels import solve_clamp_level, solve_max_level, solve_min_level
 from .preferences import SinglePeaked
-from .rational import ZERO, _scaled, exact_sum, parse_rational
+from .rational import ZERO, exact_sum, parse_rational
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -115,52 +118,54 @@ proportional = Rule("proportional", _proportional)
 
 
 # ---------------------------------------------------------------------------
-# simple rules from claims rules
+# simple rules: one builder over the integer entry of a claims rule
 
 
-def _simple_rule(claims_rule: ClaimsRule, name: str, domain: str) -> Rule:
-    """The simple rule driven by `claims_rule` around a reference point:
-    omega/n, or each agent's own endowment on the reallocation domain.
+def _simple_rule(
+    core: ClaimsCore, name: str, domain: str = DOMAIN_SP, order=None
+) -> Rule:
+    """The simple rule of a claims-rule core (`claims._core`) around a
+    reference point: omega/n, or each agent's own endowment on the
+    reallocation domain.
 
     Simple agents receive their peak; each non-simple agent moves from the
     reference point toward their peak by their award in the residual claims
     problem (upward under excess demand, downward under excess supply).
-    The claims are |peak - reference point| over the non-simple agents in
-    the ascending order `_split` returns, and the awards map back through
-    that same list. The awards of any claims rule are read back as
-    integers over one denominator shared with the split's and checked
-    like the three rules check their own (`claims._check_awards`), so a
-    claims rule that leaves [0, claim] or misses E is refused rather than
-    trusted as simple.
+    The claims are |peak - reference point| over the non-simple agents as
+    `_split` lists them, or in an explicit `order` of those agents. The
+    awards are checked once (`claims._check_awards`): a claims rule that
+    leaves [0, claim] or misses E is refused rather than trusted as simple.
     """
     endowed = domain == DOMAIN_SP_ENDOWMENTS
 
     def allocate(econ: Economy) -> Allotment:
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         common, peaks, scaled, z, left, _, minus = _split(econ, reference)
-        cp = ClaimsProblem(
-            tuple(Fraction(abs(peaks[i] - scaled[i]), common) for i in minus),
-            Fraction(abs(left), common),
-        )
-        unit, awards = _scaled(map(parse_rational, claims_rule(cp)), common)
-        _check_awards(cp, awards, unit // cp._common)
-        scale = unit // common
+        if order is not None:
+            if sorted(order) != minus:
+                agents = ", ".join(str(i + 1) for i in minus)
+                raise ValueError(
+                    f"order must enumerate the non-simple agents {agents}"
+                    " (numbered from 1)"
+                )
+            minus = order
+        claims = [abs(peaks[i] - scaled[i]) for i in minus]
+        awards, scale = core(claims, abs(left), common)
+        _check_awards(claims, abs(left), common, awards, scale)
         amounts = [p * scale for p in peaks]  # plus agents keep their peak
         for nu, i in zip(awards, minus):
             r = scaled[i] * scale
             amounts[i] = r + nu if z >= 0 else r - nu
-        return Allotment._of_scaled(unit, amounts, econ.omega)
+        return Allotment._of_scaled(common * scale, amounts, econ.omega)
 
     return Rule(name, allocate, domain=domain, simple=True)
 
 
-def simple_from_claims(
-    claims_rule: ClaimsRule, name: Optional[str] = None
-) -> Rule:
+def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
     """The simple rule driven by the given claims rule, around equal
     division omega/n."""
     rule_name = name or f"simple:{getattr(claims_rule, '__name__', 'custom')}"
-    return _simple_rule(claims_rule, rule_name, DOMAIN_SP)
+    return _simple_rule(_core(claims_rule), rule_name)
 
 
 def simple_reallocation_from_claims(
@@ -169,36 +174,19 @@ def simple_reallocation_from_claims(
     """Reallocation variant: each agent's endowment replaces equal division
     as the reference point, and the claims are |peak - endowment|."""
     rule_name = name or f"realloc:{getattr(claims_rule, '__name__', 'custom')}"
-    return _simple_rule(claims_rule, rule_name, DOMAIN_SP_ENDOWMENTS)
+    return _simple_rule(_core(claims_rule), rule_name, DOMAIN_SP_ENDOWMENTS)
 
 
 # ---------------------------------------------------------------------------
-# sequential-adjustment construction (a simple rule without a claims rule)
+# sequential-adjustment construction (a claims rule over claim positions)
 
 LambdaSelector = Callable[[Fraction, Fraction], Fraction]
 
-
-def select_lo(lo: Fraction, hi: Fraction) -> Fraction:
-    return lo
-
-
-def select_hi(lo: Fraction, hi: Fraction) -> Fraction:
-    return hi
-
-
-def select_mid(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
-def select_quarter(lo: Fraction, hi: Fraction) -> Fraction:
-    return lo + (hi - lo) / 4
-
-
 SELECTORS: Dict[str, LambdaSelector] = {
-    "lo": select_lo,
-    "hi": select_hi,
-    "mid": select_mid,
-    "quarter": select_quarter,
+    "lo": lambda lo, hi: lo,
+    "hi": lambda lo, hi: hi,
+    "mid": lambda lo, hi: (lo + hi) / 2,
+    "quarter": lambda lo, hi: lo + (hi - lo) / 4,
 }
 
 
@@ -206,10 +194,55 @@ class BoundsViolation(AssertionError):
     """An empty adjustment window; must not happen on valid economies."""
 
 
+def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
+    """The sequential construction as a claims-rule core. The claimants
+    are visited by position (last first when `descending`); each gets the
+    award `selector` picks in the window that keeps every later step
+    feasible: at most the claim (`gap`) and what is left of E (`room`), at
+    least room less the claims still to come (`floor`). The last gets the
+    room. A selector value off the grid 1/(D*scale) refines the scale."""
+
+    def core(claims, endowment, common):
+        positions = range(len(claims))[:: -1 if descending else 1]
+        awards = [0] * len(claims)
+        scale, room, rest = 1, endowment, sum(claims)
+        for t, j in enumerate(positions[:-1]):
+            rest -= claims[j]
+            gap, floor = claims[j] * scale, room - rest * scale
+            lo = floor if floor > 0 else 0
+            hi = room if room < gap else gap
+            unit = common * scale
+            if lo > hi:
+                raise BoundsViolation(
+                    f"empty window [{Fraction(lo, unit)}, {Fraction(hi, unit)}]"
+                    f" at step {t + 1}"
+                )
+            lam = parse_rational(selector(Fraction(lo, unit), Fraction(hi, unit)))
+            p, q = lam.numerator, lam.denominator
+            if not lo * q <= p * unit <= hi * q:
+                raise ValueError("selector left the admissible window")
+            refine = q // gcd(unit, q)
+            if refine > 1:  # lam lies off the grid 1/(D*scale): refine it
+                scale, unit, room = scale * refine, unit * refine, room * refine
+                awards = [a * refine for a in awards]
+            awards[j] = p * (unit // q)
+            room -= awards[j]
+        if positions:
+            awards[positions[-1]] = room
+        return awards, scale
+
+    return core
+
+
+def _sequential_rule(selector: LambdaSelector, order, name: str) -> Rule:
+    # a policy orders the claim positions, an explicit order the claims
+    explicit = order not in (None, "ascending", "descending")
+    core = _sequential(selector, order == "descending")
+    return _simple_rule(core, name, order=list(order) if explicit else None)
+
+
 def sequential_allotment(
-    econ: Economy,
-    order=None,
-    selector: LambdaSelector = select_lo,
+    econ: Economy, order=None, selector: LambdaSelector = SELECTORS["lo"]
 ) -> Allotment:
     """Sequential construction of a simple-rule outcome.
 
@@ -220,68 +253,11 @@ def sequential_allotment(
     `order` is an explicit agent sequence or one of the policies
     "ascending" (default) and "descending".
     """
-    n = econ.n
-    # the split and the window run on integers over one denominator D;
-    # Fractions are built only for the selector and the amounts
-    common, peaks, amounts, z, left, plus, minus = _split(
-        econ, (econ.equal_share,) * n
-    )
-    if order is None or order == "ascending":
-        order = minus
-    elif order == "descending":
-        order = minus[::-1]
-    else:
-        order = list(order)
-        if sorted(order) != minus:
-            raise ValueError(
-                f"order must enumerate the non-simple agents {minus}"
-            )
-
-    # every step reads the window in the direction of the case: gap is how
-    # far the agent's peak lies beyond equal division, room what is left of
-    # the residual, and slack (never positive) is what keeps each later
-    # window nonempty
-    share = amounts[0]
-    for i in plus:
-        amounts[i] = peaks[i]
-    demand = z >= 0
-    room = abs(left)
-    slack = -abs(z)
-    for t, agent in enumerate(order[:-1]):
-        assert slack <= 0
-        gap = peaks[agent] - share if demand else share - peaks[agent]
-        floor = gap + slack  # lo = max(0, floor), hi = min(gap, room)
-        lo = floor if floor > 0 else 0
-        hi = room if room < gap else gap
-        if lo > hi:
-            raise BoundsViolation(
-                f"empty window [{Fraction(lo, common)}, {Fraction(hi, common)}]"
-                f" at step {t + 1}"
-            )
-        lam = parse_rational(selector(Fraction(lo, common), Fraction(hi, common)))
-        scale = lam.denominator // gcd(common, lam.denominator)
-        if scale > 1:
-            # the selector's value lies off the grid 1/D: refine D
-            common *= scale
-            peaks = [p * scale for p in peaks]
-            amounts = [a * scale for a in amounts]
-            share, room, floor = share * scale, room * scale, floor * scale
-            lo, hi = lo * scale, hi * scale
-        lam = lam.numerator * (common // lam.denominator)
-        if not lo <= lam <= hi:
-            raise ValueError("selector left the admissible window")
-        amounts[agent] = share + lam if demand else share - lam
-        room -= lam
-        slack = floor - lam  # slack + gap - lam
-    last = order[-1]
-    amounts[last] += share * n - sum(amounts)  # omega less the others
-    return Allotment._of_scaled(common, amounts, econ.omega)
+    return _sequential_rule(selector, order, "simple:appendix-b").allocate(econ)
 
 
 def sequential_rule(
-    selector: str = "lo",
-    order=None,
-    name: Optional[str] = None,
+    selector: str = "lo", order=None, name: Optional[str] = None
 ) -> Rule:
     """Package the sequential construction as a named simple rule.
 
@@ -290,7 +266,6 @@ def sequential_rule(
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
-    pick = SELECTORS[selector]
     if name is None:
         tag = selector
         if isinstance(order, str):
@@ -298,11 +273,7 @@ def sequential_rule(
         elif order is not None:
             tag += ",order=" + ",".join(str(i + 1) for i in order)
         name = f"simple:appendix-b[{tag}]"
-
-    def allocate(econ: Economy) -> Allotment:
-        return sequential_allotment(econ, order=order, selector=pick)
-
-    return Rule(name, allocate, simple=True)
+    return _sequential_rule(SELECTORS[selector], order, name)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,8 @@ def simple_rule_oracle(econ: Economy, reference: Sequence[Fraction], claims_orac
 def sequential_allotment_oracle(econ: Economy, selector, order=None):
     """Reference sequential construction: the library's former window loop
     on Fractions, around the split of `split_oracle`. Kept as the oracle
-    for the integer window in `allotment.rules.sequential_allotment`;
+    for the integer window, now the claims rule `allotment.rules._sequential`
+    that `sequential_allotment` runs through the simple-rule builder;
     `order` is an explicit sequence of the non-simple agents, ascending
     when None."""
     peaks, omega, n = econ.peaks(), econ.omega, econ.n

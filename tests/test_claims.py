@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from allotment.claims import (
     Awards,
     ClaimsProblem,
     _check_awards,
+    _core,
     cea,
     cel,
     pro,
@@ -178,12 +180,27 @@ def test_invalid_problems_rejected():
 
 
 def test_award_checks_fire():
-    # the check reads awards as integers over the problem's denominator
-    # (1 for KERNEL) times a scale, here over 10**9
+    # the check reads integer claims and E over the problem's denominator
+    # (1 for KERNEL) and awards over it times a scale, here over 10**9
     scale = 10**9
+    problem = (KERNEL._claims, KERNEL._endowment, KERNEL._common)
     over = r"award 1000000001/1000000000 outside \[0, 1\]"
     with pytest.raises(AssertionError, match=over):
-        _check_awards(KERNEL, (scale + 1, scale, scale - 1), scale)
+        _check_awards(*problem, (scale + 1, scale, scale - 1), scale)
     with pytest.raises(AssertionError, match="exhaust"):
-        _check_awards(KERNEL, (scale, scale, scale - 1), scale)
-    assert _check_awards(KERNEL, (scale, scale, scale), scale) is None
+        _check_awards(*problem, (scale, scale, scale - 1), scale)
+    assert _check_awards(*problem, (scale, scale, scale), scale) is None
+
+
+def test_integer_entry_survives_a_wrapper():
+    # a wrapper made with functools.wraps keeps a built-in rule's integer
+    # core, so a wrapped rule and the bare one take the same path; a plain
+    # lambda hides it, and its simple rule goes through the adapter
+    for rule in (cea, cel, pro):
+        wrapped = functools.wraps(rule)(lambda cp, rule=rule: rule(cp))
+        assert _core(wrapped) is _core(rule)
+        adapter = _core(lambda cp, rule=rule: rule(cp))
+        assert adapter is not _core(rule)
+        awards, scale = adapter(KERNEL._claims, KERNEL._endowment, KERNEL._common)
+        unit = KERNEL._common * scale
+        assert [F(a, unit) for a in awards] == list(rule(KERNEL))

@@ -126,6 +126,20 @@ def test_bad_order_rejected(three_file, capsys):
     assert "bad order 'sideways'" in capsys.readouterr().err
 
 
+def test_explicit_order_refusal_names_agents_from_1(three_file, capsys):
+    # --order numbers agents from 1, and so does its refusal: the
+    # non-simple agents of this economy are 2 and 3, not 1 and 2
+    code, out, err = run(
+        capsys, "allocate", three_file, "simple:appendix-b", "--order", "1,2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: order must enumerate the non-simple agents 2, 3"
+        " (numbered from 1)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

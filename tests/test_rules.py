@@ -5,14 +5,17 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
+import allotment.rules as rules_module
 from allotment.axioms import check_betweenness
-from allotment.claims import Awards, cea, cel, pro
-from allotment.economy import Economy
+from allotment.claims import Awards, _awards, cea, cel, pro
+from allotment.economy import Economy, _split
 from allotment.levels import solve_max_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
+    RULE_NAMES,
     SELECTORS,
+    _sequential,
     ced,
     gallery,
     get_rule,
@@ -25,8 +28,10 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import (
+    random_claims_problem,
     random_economy,
     random_plateaued_economy,
+    standard_suite,
     two_agent_om_economy,
 )
 from helpers import (
@@ -285,6 +290,87 @@ def test_claims_rule_awards_are_checked():
         simple_from_claims(short)(e)
     with pytest.raises(AssertionError, match="exhaust"):
         simple_from_claims(wasteful)(e)
+
+
+# -- one builder, two doors: the integer entry and the ClaimsRule adapter --------
+
+SEQUENTIAL_VARIANTS = [
+    ("lo", None),
+    ("hi", None),
+    ("mid", None),
+    ("quarter", None),
+    ("lo", "descending"),
+]
+
+
+def sequential_claims_rule(selector, order):
+    """The sequential construction as a public-style ClaimsRule, with the
+    integer core reachable the way cea, cel and pro carry theirs."""
+    core = _sequential(SELECTORS[selector], order == "descending")
+
+    def rule(cp):
+        return _awards(cp, *core(cp._claims, cp._endowment, cp._common))
+
+    rule._core = core
+    return rule
+
+
+def two_doors():
+    """(simple rule, reallocation rule, claims rule) for cea, cel, pro and
+    c04's five sequential variants. No reallocation rule is registered for
+    the sequential variants, so theirs is built from the claims rule with
+    its integer entry in view."""
+    for rule in (cea, cel, pro):
+        name = rule.__name__
+        yield get_rule(f"simple:{name}"), get_rule(f"realloc:{name}"), rule
+    for selector, order in SEQUENTIAL_VARIANTS:
+        rule = sequential_claims_rule(selector, order)
+        realloc = simple_reallocation_from_claims(rule)
+        yield sequential_rule(selector, order), realloc, rule
+
+
+def test_hidden_integer_entry_gives_the_same_allotments():
+    # the two-step claim: each simple rule is the simple rule of a claims
+    # rule, and the ClaimsRule door (a lambda hides the integer entry)
+    # gives the registered rule's allotments exactly
+    plain = standard_suite(10, 48)
+    endowed = standard_suite(11, 40, with_endowments=True)
+    for registered, registered_endowed, rule in two_doors():
+        hidden = simple_from_claims(lambda cp: rule(cp))
+        hidden_endowed = simple_reallocation_from_claims(lambda cp: rule(cp))
+        for e in plain:
+            assert tuple(hidden(e)) == tuple(registered(e)), registered.name
+        for e in endowed:
+            assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
+
+
+def test_sequential_claims_rules_are_claims_rules():
+    rng = random.Random(89)
+    rules = [sequential_claims_rule(*variant) for variant in SEQUENTIAL_VARIANTS]
+    for _ in range(300):
+        cp = random_claims_problem(rng)
+        for rule in rules:
+            awards = rule(cp)
+            assert len(awards) == len(cp.claims)
+            assert all(0 <= a <= c for a, c in zip(awards, cp.claims))
+            assert sum(awards) == cp.endowment
+
+
+def test_each_simple_rule_call_splits_once(monkeypatch):
+    calls = []
+
+    def counted(econ, reference):
+        calls.append(econ)
+        return _split(econ, reference)
+
+    monkeypatch.setattr(rules_module, "_split", counted)
+    e = econ([F(1, 2), 1, F(3, 2)], 2, (F(1), F(1, 2), F(1, 2)))
+    simple = [get_rule(name) for name in RULE_NAMES if name.startswith("simple:")]
+    explicit = sequential_rule("hi", order=[2, 1])
+    for rule in simple + [explicit, get_rule("realloc:cel")]:
+        calls.clear()
+        rule(e)
+        assert len(calls) == 1, rule.name
 
 
 # -- reallocation variant -------------------------------------------------------
