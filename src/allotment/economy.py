@@ -11,7 +11,8 @@ residual that the second step divides. The one simple-rule builder
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
 after scaling its amounts, and by `Allotment._of_scaled`, through which
-the simple-rule builder builds its allotments from the integers it holds.
+the simple-rule builder, ced and proportional build their allotments from
+the integers they hold.
 """
 
 from __future__ import annotations

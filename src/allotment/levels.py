@@ -1,22 +1,23 @@
 """Exact solvers for the piecewise-linear level equations behind the rules.
 
-Every rule in the library reduces to finding the level at which a sum of
-clamped linear pieces hits a target. Each solver sorts the breakpoints and
-scans prefix sums, so the returned level is an exact rational; no floating
-bisection is ever used in the allocation path (bisection appears only as a
-test oracle). Inputs are coerced through `parse_rational`, so a float is
-refused.
+Two levels are found here, each at which a sum of clamped linear pieces
+hits a target: the water-filling level of the claims rules (`_min_level`,
+sum_i min(c_i, lam) = t) and the clamp level of the single-plateaued
+extension (`solve_clamp_level`). Each sorts the breakpoints and scans
+prefix sums, so the level is exact; no floating bisection is ever used in
+the allocation path (bisection appears only as a test oracle).
 
-The scans run on integers: the breakpoints and the target are scaled to
-their least common denominator D (`rational._scaled`), so every sort,
-comparison and prefix sum is an integer operation, and the one Fraction
-built is the level, p / (D*k) when k pieces share the remainder p / D.
-The claims rules call the scan of `solve_min_level` itself (`_min_level`),
-which returns (p, k) and builds no Fraction.
+The scans run on integers over one common denominator D
+(`rational._scaled`), so every sort, comparison and prefix sum is an
+integer operation. `_min_level` takes integers and returns (p, k), the
+level p / (D*k), building no Fraction; the claims cores (`claims._cea`,
+`_cel`) call it, and through them every simple rule, uniform and ced.
+`solve_clamp_level` takes Fractions, coerced through `parse_rational`
+so that a float is refused, and builds one Fraction, the level.
 
-The constrained-equal-losses level has no solver of its own: since
+The constrained-equal-losses level has no scan of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
-the losses total t is `solve_min_level(claims, sum(claims) - t)`.
+the losses total t is `_min_level(claims, sum(claims) - t)`.
 """
 
 from __future__ import annotations
@@ -27,20 +28,10 @@ from typing import Sequence, Tuple
 from .rational import ZERO, _scaled, parse_rational
 
 
-def solve_min_level(caps: Sequence[Fraction], target: Fraction) -> Fraction:
-    """Level lam with sum_i min(cap_i, lam) = target, 0 <= target <= sum(caps).
-
-    The water-filling level for constrained-equal-awards-type rules.
-    """
-    common, caps = _scaled([*map(parse_rational, caps), parse_rational(target)])
-    target = caps.pop()
-    p, k = _min_level(caps, target)
-    return Fraction(p, common * k)
-
-
 def _min_level(caps: Sequence[int], target: int) -> Tuple[int, int]:
-    """The scan of `solve_min_level` on integers over one denominator D:
-    (p, k) such that the level is p / (D*k), with k >= 1."""
+    """Level lam with sum_i min(cap_i, lam) = target, 0 <= target <=
+    sum(caps), for caps and target integers over one denominator D: (p, k)
+    such that lam is p / (D*k), with k >= 1 (0 / D for no caps)."""
     if target < 0 or target > sum(caps):
         raise ValueError("target outside [0, sum of caps]")
     ordered = sorted(caps)
@@ -51,30 +42,6 @@ def _min_level(caps: Sequence[int], target: int) -> Tuple[int, int]:
             return target - consumed, k - j
         consumed += cap
     return 0, 1  # no caps: the target is 0
-
-
-def solve_max_level(floors: Sequence[Fraction], target: Fraction) -> Fraction:
-    """Level lam with sum_i max(floor_i, lam) = target, target >= sum(floors)."""
-    common, floors = _scaled([*map(parse_rational, floors), parse_rational(target)])
-    target = floors.pop()
-    total = sum(floors)
-    if target < total:
-        raise ValueError("target below the sum of floors")
-    if not floors:
-        if target != 0:
-            raise ValueError("target must be 0 when there are no floors")
-        return ZERO
-    ordered = sorted(floors)
-    k = len(ordered)
-    prefix = 0  # total of floors already lifted to lam
-    for j in range(1, k + 1):
-        prefix += ordered[j - 1]
-        # lam in [ordered[j-1], ordered[j]]: sum = (total - prefix) + j*lam,
-        # so j*lam = target - (total - prefix)
-        lifted = target - total + prefix
-        if lifted >= ordered[j - 1] * j and (j == k or lifted <= ordered[j] * j):
-            return Fraction(lifted, common * j)
-    raise AssertionError("unreachable: max-level scan must bracket the target")
 
 
 def solve_clamp_level(

@@ -3,17 +3,18 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, the level solvers, the sequential
-window's selector values, `sampling.grid`, `sampling.random_rational`
-and `format_rational` coerce through `parse_rational` as well, so no
-float ever enters a computation.
+constructors, `disutility`, `worst`, the clamp-level solver, the
+sequential window's selector values, `sampling.grid`,
+`sampling.random_rational` and `format_rational` coerce through
+`parse_rational` as well, so no float ever enters a computation.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
 rule path runs on integers over one common denominator D, written by the
-private `_scaled`: the level solvers, `economy._split`, the integer entry
-of the claims rules (`claims._core`) and the one simple-rule builder
-(`rules._simple_rule`) from the split to the allotment. A Fraction is
+private `_scaled`: the level scans, `economy._split`, the integer entry
+of the claims rules (`claims._core`), the one simple-rule builder
+(`rules._simple_rule`) from the split to the allotment, and ced and
+proportional, which run the claims cores on the peaks. A Fraction is
 built only where a value leaves the integers (a level, an award, an
 amount, a selector's window) or where a custom claims rule reads its
 `ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the rule

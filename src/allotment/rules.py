@@ -9,7 +9,10 @@ excess supply mirrors excess demand through comparisons only, so both
 cases share one code path. Every simple rule is built by `_simple_rule`
 from the integer entry of a claims rule (`claims._core`): cea, cel, pro,
 any custom claims rule, and the sequential-adjustment construction, which
-is a claims rule over claim positions (`_sequential`).
+is a claims rule over claim positions (`_sequential`). The uniform rule
+is the simple rule of cea. ced and proportional run the cel and pro cores
+on the peaks themselves, with equal gains for ced under excess supply and
+equal division for proportional when every peak is 0.
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
@@ -21,13 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-from .claims import CLAIMS_RULES, ClaimsCore, ClaimsRule, _check_awards, _core
+from .claims import (
+    CLAIMS_RULES,
+    ClaimsCore,
+    ClaimsRule,
+    _cea,
+    _cel,
+    _check_awards,
+    _core,
+    _pro,
+)
 from .economy import Allotment, Economy, _split, make_allotment
-from .levels import solve_clamp_level, solve_max_level, solve_min_level
+from .levels import solve_clamp_level
 from .preferences import SinglePeaked
-from .rational import ZERO, exact_sum, parse_rational
+from .rational import _scaled, exact_sum, parse_rational
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -71,50 +83,6 @@ class Rule:
                 raise ValueError(
                     f"rule {self.name} needs individual endowments"
                 )
-
-
-# ---------------------------------------------------------------------------
-# three classical rules
-
-
-def _uniform_amounts(econ: Economy) -> Tuple[Fraction, ...]:
-    peaks = econ.peaks()
-    if exact_sum(peaks) >= econ.omega:
-        lam = solve_min_level(peaks, econ.omega)
-        return tuple(min(p, lam) for p in peaks)
-    lam = solve_max_level(peaks, econ.omega)
-    return tuple(max(p, lam) for p in peaks)
-
-
-def _uniform(econ: Economy) -> Allotment:
-    return make_allotment(econ, _uniform_amounts(econ))
-
-
-def _ced(econ: Economy) -> Allotment:
-    peaks = econ.peaks()
-    total = exact_sum(peaks)
-    if total >= econ.omega:
-        # equal losses: the cuts min(p, d) total sum(peaks) - omega
-        d = solve_min_level(peaks, total - econ.omega)
-        excess = [p - d for p in peaks]
-        amounts = [x if x.numerator > 0 else ZERO for x in excess]
-    else:
-        d = (econ.omega - total) / econ.n
-        amounts = [p + d for p in peaks]
-    return make_allotment(econ, amounts)
-
-
-def _proportional(econ: Economy) -> Allotment:
-    peaks = econ.peaks()
-    total = exact_sum(peaks)
-    if total == 0:
-        return make_allotment(econ, [econ.equal_share] * econ.n)
-    return make_allotment(econ, [p / total * econ.omega for p in peaks])
-
-
-uniform = Rule("uniform", _uniform, simple=True)
-ced = Rule("ced", _ced)
-proportional = Rule("proportional", _proportional)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +146,39 @@ def simple_reallocation_from_claims(
 
 
 # ---------------------------------------------------------------------------
+# three classical rules, on the claims-rule cores
+
+
+def _ced(econ: Economy) -> Allotment:
+    n = econ.n
+    common, peaks = _scaled([*econ.peaks(), econ.omega])
+    omega = peaks.pop()
+    z = sum(peaks) - omega
+    if z >= 0:
+        # equal losses from the peaks: the cuts total the excess demand
+        amounts, scale = _cel(peaks, omega, common)
+        return Allotment._of_scaled(common * scale, amounts, econ.omega)
+    # equal gains: every peak is raised by (omega - sum(peaks)) / n
+    return Allotment._of_scaled(common * n, [p * n - z for p in peaks], econ.omega)
+
+
+def _proportional(econ: Economy) -> Allotment:
+    n = econ.n
+    common, peaks = _scaled([*econ.peaks(), econ.omega])
+    omega = peaks.pop()
+    if not any(peaks):
+        return Allotment._of_scaled(common * n, [omega] * n, econ.omega)
+    amounts, scale = _pro(peaks, omega, common)
+    return Allotment._of_scaled(common * scale, amounts, econ.omega)
+
+
+# the uniform rule (Sprumont 1991) is the simple rule of equal awards
+uniform = _simple_rule(_cea, "uniform")
+ced = Rule("ced", _ced)
+proportional = Rule("proportional", _proportional)
+
+
+# ---------------------------------------------------------------------------
 # sequential-adjustment construction (a claims rule over claim positions)
 
 LambdaSelector = Callable[[Fraction, Fraction], Fraction]
@@ -236,6 +237,10 @@ def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
 
 def _sequential_rule(selector: LambdaSelector, order, name: str) -> Rule:
     # a policy orders the claim positions, an explicit order the claims
+    if isinstance(order, str) and order not in ("ascending", "descending"):
+        raise ValueError(
+            f"unknown order policy {order!r}; choose ascending or descending"
+        )
     explicit = order not in (None, "ascending", "descending")
     core = _sequential(selector, order == "descending")
     return _simple_rule(core, name, order=list(order) if explicit else None)
@@ -335,7 +340,7 @@ def _star(econ: Economy) -> Allotment:
     ):
         amounts = [peaks[0], peaks[1]] + [Fraction(0)] * (econ.n - 2)
         return make_allotment(econ, amounts)
-    return _uniform(econ)
+    return uniform.allocate(econ)
 
 
 def _bar(econ: Economy) -> Allotment:
@@ -352,7 +357,7 @@ def _bar(econ: Economy) -> Allotment:
             econ.n - 2
         )
         return make_allotment(econ, amounts)
-    return _uniform(econ)
+    return uniform.allocate(econ)
 
 
 def _hat(econ: Economy) -> Allotment:
@@ -360,7 +365,7 @@ def _hat(econ: Economy) -> Allotment:
     # which may leave them beyond equal division (no clamping)
     peaks = econ.peaks()
     if exact_sum(peaks) >= econ.omega:
-        return _uniform(econ)
+        return uniform.allocate(econ)
     low = min(peaks)
     hatted = frozenset(i for i, p in enumerate(peaks) if p == low)
     lam = (
@@ -382,8 +387,8 @@ def _underline(econ: Economy) -> Allotment:
         replaced = econ.replace_pref(
             0, SinglePeaked(Fraction(0), first.left_slope, first.right_slope)
         )
-        return make_allotment(econ, _uniform(replaced).amounts)
-    return _uniform(econ)
+        return make_allotment(econ, uniform.allocate(replaced).amounts)
+    return uniform.allocate(econ)
 
 
 GALLERY_BUILDERS = {

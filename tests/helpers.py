@@ -98,7 +98,7 @@ def bisect_decreasing(func, target, lo, hi, iterations=60):
 
 def min_level_oracle(caps, target):
     """Reference min level: the library's former scan on Fractions, kept as
-    the oracle for the integer scan in `allotment.levels.solve_min_level`."""
+    the oracle for the integer scan `allotment.levels._min_level`."""
     caps = [Fraction(c) for c in caps]
     target = Fraction(target)
     if target < 0 or target > sum(caps):
@@ -143,8 +143,8 @@ CLAIMS_ORACLES = {"cea": cea_oracle, "cel": cel_oracle, "pro": pro_oracle}
 
 
 def max_level_oracle(floors, target):
-    """Reference max level: the library's former scan on Fractions, kept as
-    the oracle for the integer scan in `allotment.levels.solve_max_level`."""
+    """Reference max level: the library's former scan on Fractions, the
+    level of `uniform_oracle` under excess supply."""
     floors = [Fraction(f) for f in floors]
     target = Fraction(target)
     total = sum(floors)
@@ -163,6 +163,43 @@ def max_level_oracle(floors, target):
         if lam >= ordered[j - 1] and (j == k or lam <= ordered[j]):
             return lam
     raise AssertionError("unreachable: max-level scan must bracket the target")
+
+
+def uniform_oracle(econ: Economy):
+    """Reference uniform rule: the library's former Fraction formula,
+    min(p, lam) under excess demand and max(p, lam) under excess supply,
+    with the level where the amounts total omega. Independent of the
+    simple-rule builder that `allotment.rules.uniform` runs through."""
+    peaks, omega = econ.peaks(), econ.omega
+    if sum(peaks) >= omega:
+        lam = min_level_oracle(peaks, omega)
+        return tuple(min(p, lam) for p in peaks)
+    lam = max_level_oracle(peaks, omega)
+    return tuple(max(p, lam) for p in peaks)
+
+
+def ced_oracle(econ: Economy):
+    """Reference constrained equal distance: the library's former Fraction
+    formula. Under excess demand each peak is cut by min(p, d), the cuts
+    totalling sum(peaks) - omega; under excess supply each peak is raised
+    by (omega - sum(peaks)) / n."""
+    peaks, omega = econ.peaks(), econ.omega
+    total = sum(peaks, Fraction(0))
+    if total >= omega:
+        d = min_level_oracle(peaks, total - omega)
+        return tuple(max(Fraction(0), p - d) for p in peaks)
+    d = (omega - total) / econ.n
+    return tuple(p + d for p in peaks)
+
+
+def proportional_oracle(econ: Economy):
+    """Reference proportional rule: p / sum(peaks) * omega, equal division
+    when every peak is 0."""
+    peaks, omega = econ.peaks(), econ.omega
+    total = sum(peaks, Fraction(0))
+    if total == 0:
+        return (omega / econ.n,) * econ.n
+    return tuple(p / total * omega for p in peaks)
 
 
 def clamp_level_oracle(lows, highs, target):

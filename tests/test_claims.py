@@ -15,7 +15,6 @@ from allotment.claims import (
     cel,
     pro,
 )
-from allotment.levels import solve_min_level
 from allotment.sampling import random_claims_problem
 from helpers import (
     CLAIMS_ORACLES,
@@ -24,6 +23,7 @@ from helpers import (
     bisect_increasing,
     check_claims_rule_properties,
     end_or_inside,
+    min_level_oracle,
 )
 
 KERNEL = ClaimsProblem((F(1), F(2), F(3)), F(3))
@@ -111,7 +111,7 @@ def test_scan_levels_match_bisection_oracle():
         if not cp.claims or cp.total == 0:
             continue
         top = max(cp.claims)
-        lam_cea = solve_min_level(cp.claims, cp.endowment)
+        lam_cea = min_level_oracle(cp.claims, cp.endowment)
         lo, hi = bisect_increasing(
             lambda lam: sum(min(c, lam) for c in cp.claims),
             cp.endowment,
@@ -125,7 +125,7 @@ def test_scan_levels_match_bisection_oracle():
             if c <= lo:
                 assert award == c
 
-        lam_cel = solve_min_level(cp.claims, cp.total - cp.endowment)
+        lam_cel = min_level_oracle(cp.claims, cp.total - cp.endowment)
         lo, hi = bisect_decreasing(
             lambda lam: sum(max(F(0), c - lam) for c in cp.claims),
             cp.endowment,

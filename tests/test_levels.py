@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from allotment.claims import cea
 from allotment.economy import Economy
-from allotment.levels import solve_clamp_level, solve_max_level, solve_min_level
+from allotment.levels import _min_level, solve_clamp_level
 from allotment.preferences import SinglePlateaued
-from allotment.rational import RationalParseError
+from allotment.rational import RationalParseError, _scaled
 from allotment.rules import simple_from_claims, spl_extension
 from helpers import (
     TERMS,
     clamp_level_oracle,
     end_or_inside,
-    max_level_oracle,
     min_level_oracle,
 )
 
@@ -24,17 +23,25 @@ def clamped_total(lows, highs, lam):
     return sum(min(h, max(l, lam)) for l, h in zip(lows, highs))
 
 
+def min_level(caps, target):
+    """The level of the integer scan `_min_level` for Fraction caps and
+    target, scaled to one denominator D and read back from (p, k)."""
+    common, scaled = _scaled([*caps, target])
+    target = scaled.pop()
+    p, k = _min_level(scaled, target)
+    return F(p, common * k)
+
+
 # -- empty input -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda target: solve_min_level([], target),
-        lambda target: solve_max_level([], target),
+        lambda target: min_level([], target),
         lambda target: solve_clamp_level([], [], target),
     ],
-    ids=["min", "max", "clamp"],
+    ids=["min", "clamp"],
 )
 def test_empty_input_has_level_zero_at_target_zero_only(solve):
     lam = solve(F(0))
@@ -44,29 +51,15 @@ def test_empty_input_has_level_zero_at_target_zero_only(solve):
             solve(target)
 
 
-# -- min and max levels at large denominators ------------------------------------
+# -- min level at large denominators ---------------------------------------------
 
 @settings(max_examples=300, deadline=None)
 @given(TERMS, st.data())
 def test_min_level_exact_at_large_denominators(caps, data):
     target = end_or_inside(data.draw, F(0), sum(caps, F(0)))
-    lam = solve_min_level(caps, target)
-    assert type(lam) is F
+    lam = min_level(caps, target)
     assert lam == min_level_oracle(caps, target)
     assert sum((min(c, lam) for c in caps), F(0)) == target
-
-
-@settings(max_examples=300, deadline=None)
-@given(TERMS, st.data())
-def test_max_level_exact_at_large_denominators(floors, data):
-    # the sum of max(floor, lam) is sum(floors) up to lam = min(floors) and
-    # k * max(floors) at lam = max(floors), where the last floor is lifted
-    total = sum(floors, F(0))
-    target = end_or_inside(data.draw, total, len(floors) * max(floors, default=F(0)))
-    lam = solve_max_level(floors, target)
-    assert type(lam) is F
-    assert lam == max_level_oracle(floors, target)
-    assert sum((max(f, lam) for f in floors), F(0)) == target
 
 
 # -- clamp level -----------------------------------------------------------------
@@ -75,12 +68,9 @@ def test_max_level_exact_at_large_denominators(floors, data):
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: solve_min_level([0.1, 0.7], 0.3),
-        lambda: solve_min_level([F(1, 10), F(7, 10)], 0.3),
-        lambda: solve_max_level([0.1, 0.7], F(1)),
         lambda: solve_clamp_level([F(0)], [0.5], F(1, 4)),
     ],
-    ids=["min", "min-target", "max", "clamp"],
+    ids=["clamp"],
 )
 def test_level_solvers_refuse_floats(solve):
     with pytest.raises(RationalParseError, match="decimal"):

@@ -9,7 +9,6 @@ import allotment.rules as rules_module
 from allotment.axioms import check_betweenness
 from allotment.claims import Awards, _awards, cea, cel, pro
 from allotment.economy import Economy, _split
-from allotment.levels import solve_max_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
@@ -37,10 +36,15 @@ from allotment.sampling import (
 from helpers import (
     CLAIMS_ORACLES,
     bisect_increasing,
+    ced_oracle,
     economies,
+    max_level_oracle,
+    min_level_oracle,
+    proportional_oracle,
     sequential_allotment_oracle,
     simple_rule_oracle,
     split_oracle,
+    uniform_oracle,
 )
 
 
@@ -79,8 +83,9 @@ def test_uniform_three_agent_example():
 
 
 def test_uniform_supply_level_solver():
-    # supply branch: raise everyone to a common floor
-    assert solve_max_level([F(1, 3), F(0)], F(1)) == F(1, 2)
+    # supply branch: raise everyone to a common floor, here 1/2
+    e = econ([F(1, 3), 0], 1)
+    assert tuple(uniform(e)) == uniform_oracle(e) == (F(1, 2), F(1, 2))
 
 
 def test_uniform_branch_split_irrelevant_when_balanced():
@@ -94,11 +99,9 @@ def test_uniform_branch_split_irrelevant_when_balanced():
         if omega == 0:
             continue
         balanced = econ(peaks, omega)
-        from allotment.levels import solve_min_level
-
-        lam_demand = solve_min_level(peaks, omega)
+        lam_demand = min_level_oracle(peaks, omega)
         demand = [min(p, lam_demand) for p in peaks]
-        lam_supply = solve_max_level(peaks, omega)
+        lam_supply = max_level_oracle(peaks, omega)
         supply = [max(p, lam_supply) for p in peaks]
         assert demand == supply == peaks
         assert tuple(uniform(balanced)) == tuple(peaks)
@@ -135,12 +138,67 @@ def test_proportional_symmetric_peaks():
     assert tuple(proportional(econ([1, 1], 1))) == (F(1, 2), F(1, 2))
 
 
+# -- the classical rules against their Fraction formulas ------------------------
+
+CLASSICAL_ORACLES = (
+    (uniform, uniform_oracle),
+    (ced, ced_oracle),
+    (proportional, proportional_oracle),
+)
+
+
+def assert_classical_rules_match_oracle(e):
+    for rule, oracle in CLASSICAL_ORACLES:
+        assert tuple(rule(e)) == oracle(e), rule.name
+
+
+def test_classical_rules_match_fraction_oracle_on_standard_suite():
+    for e in standard_suite(11, 1000):
+        assert_classical_rules_match_oracle(e)
+
+
+@pytest.mark.parametrize(
+    "peaks, omega",
+    [
+        ([0, 0], 1),
+        ([0, 0, 0], F(5, 2)),
+        ([F(1, 3), F(2, 3)], 1),
+        ([0, F(1, 2), F(3, 2)], 2),
+    ],
+    ids=["zero-2", "zero-3", "balanced-2", "balanced-3"],
+)
+def test_classical_rules_match_fraction_oracle_at_zero_and_balanced_peaks(
+    peaks, omega
+):
+    e = econ(peaks, omega)
+    assert_classical_rules_match_oracle(e)
+    if sum(peaks) == omega:
+        for rule, _ in CLASSICAL_ORACLES:
+            assert tuple(rule(e)) == e.peaks(), rule.name
+
+
+@pytest.mark.parametrize("n", [250, 1000])
+def test_classical_rules_match_fraction_oracle_at_large_n(n):
+    # peaks average omega/n times `spread`: excess supply, then excess demand
+    rng = random.Random(n)
+    for spread in (F(4, 5), F(5, 4)):
+        omega = F(rng.randint(1, 5), rng.randint(1, 3))
+        peaks = []
+        for _ in range(n):
+            den = rng.randint(1, 60)
+            peaks.append(F(rng.randint(0, 2 * den), den) * omega * spread / n)
+        assert (sum(peaks) > omega) == (spread > 1)
+        assert_classical_rules_match_oracle(econ(peaks, omega))
+
+
 # -- simple rules from claims rules -------------------------------------------
 
 
 def test_simple_cea_equals_uniform_on_worked_example():
-    assert tuple(simple_from_claims(cea)(THREE_AGENT)) == tuple(
-        uniform(THREE_AGENT)
+    # Sprumont's uniform rule, as its Fraction formula, is the simple rule
+    # of constrained equal awards
+    assert tuple(simple_from_claims(cea)(THREE_AGENT)) == uniform_oracle(
+        THREE_AGENT
     )
 
 
@@ -161,7 +219,7 @@ def test_simple_cea_equals_uniform_on_random_economies():
     rule = simple_from_claims(cea)
     for _ in range(300):
         e = random_economy(rng)
-        assert tuple(rule(e)) == tuple(uniform(e))
+        assert tuple(rule(e)) == uniform_oracle(e)
 
 
 def test_simple_rules_respect_betweenness():
@@ -455,6 +513,14 @@ def test_sequential_refuses_a_float_from_the_selector():
 def test_sequential_rejects_bad_order():
     with pytest.raises(ValueError):
         sequential_allotment(THREE_AGENT, order=[0, 1])
+
+
+def test_sequential_refuses_unknown_order_policy():
+    # refused when the rule is built, naming the policy, not at every call
+    with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
+        sequential_rule("lo", order="sideways")
+    with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
+        sequential_allotment(THREE_AGENT, order="sideways")
 
 
 def test_sequential_windows_nonempty_and_output_simple():
