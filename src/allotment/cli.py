@@ -231,24 +231,25 @@ def cmd_allocate(args) -> int:
         allotment = rule(econ)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    exact = ", ".join(format_rational(a) for a in allotment)
-    approx = ", ".join(f"{float(a):.6g}" for a in allotment)
-    document = {
-        "command": "allocate",
-        "rule": rule.name,
-        "economy": economy_to_dict(econ),
-        "allotment": [format_rational(a) for a in allotment],
-        "decimal": [float(a) for a in allotment],
-    }
-    emit(
-        document,
-        args.format,
-        [
-            f"rule: {rule.name}",
-            f"allotment: {exact}",
-            f"decimal: {approx}",
-        ],
-    )
+    exact = [format_rational(a) for a in allotment]
+    approx = [float(a) for a in allotment]
+    # only the chosen format is built: the machine document or the table
+    if args.format == "machine":
+        document = {
+            "command": "allocate",
+            "rule": rule.name,
+            "economy": economy_to_dict(econ),
+            "allotment": exact,
+            "decimal": approx,
+        }
+        emit(document, args.format, [])
+        return 0
+    lines = [
+        f"rule: {rule.name}",
+        f"allotment: {', '.join(exact)}",
+        "decimal: " + ", ".join(f"{a:.6g}" for a in approx),
+    ]
+    emit({}, args.format, lines)
     return 0
 
 

@@ -12,12 +12,14 @@ Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
 after scaling its amounts, and by `Allotment._of_scaled`, through which
 the simple-rule builder, ced and proportional build their allotments from
-the integers they hold.
+the integers they hold. Every allotment keeps those integers, and builds
+an amount's Fraction only when it is read: a sampled option set, which
+reads one agent's amount per rule run, builds one Fraction per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -91,41 +93,96 @@ class Economy:
         return Economy(tuple(prefs), self.omega, self.endowments)
 
 
-@dataclass(frozen=True)
-class Allotment:
-    """Nonnegative amounts summing to omega exactly."""
+_set = object.__setattr__
 
-    amounts: Tuple[Fraction, ...]
-    omega: Fraction
+
+class Allotment:
+    """Nonnegative amounts summing to omega exactly.
+
+    Held as integers over one denominator (`_common`, `_numerators`), the
+    form in which `_check_feasible` refused anything infeasible before the
+    allotment existed. Reading one amount by index builds only that
+    Fraction; the tuple `amounts` is built on first access and kept.
+    Equality, hashing, repr and immutability are those of a frozen
+    dataclass of (amounts, omega).
+    """
+
+    __slots__ = ("omega", "_common", "_numerators", "_amounts")
+
+    def __init__(self, amounts: Sequence, omega: Fraction):
+        _set(self, "_amounts", amounts)
+        _set(self, "omega", omega)
+        self.__post_init__()
 
     def __post_init__(self):
-        amounts = tuple(parse_rational(a) for a in self.amounts)
-        object.__setattr__(self, "amounts", amounts)
-        object.__setattr__(self, "omega", parse_rational(self.omega))
-        _check_feasible(*_scaled(amounts), self.omega)
+        amounts = tuple(parse_rational(a) for a in self._amounts)
+        omega = parse_rational(self.omega)
+        common, numerators = _scaled(amounts)
+        _check_feasible(common, numerators, omega)
+        _set(self, "_amounts", amounts)
+        _set(self, "omega", omega)
+        _set(self, "_common", common)
+        _set(self, "_numerators", numerators)
 
     @classmethod
     def _of_scaled(
         cls, common: int, amounts: Sequence[int], omega: Fraction
     ) -> "Allotment":
         """The allotment of integer amounts over `common`, through the
-        same check as the constructor, which is not run a second time."""
+        same check as the constructor, which is not run a second time. It
+        keeps the integers and builds no amount until one is read."""
         _check_feasible(common, amounts, omega)
         allotment = object.__new__(cls)
-        object.__setattr__(
-            allotment, "amounts", tuple(Fraction(a, common) for a in amounts)
-        )
-        object.__setattr__(allotment, "omega", omega)
+        _set(allotment, "omega", omega)
+        _set(allotment, "_common", common)
+        _set(allotment, "_numerators", amounts)
+        _set(allotment, "_amounts", None)
         return allotment
 
-    def __getitem__(self, i: int) -> Fraction:
+    @property
+    def amounts(self) -> Tuple[Fraction, ...]:
+        if self._amounts is None:
+            common = self._common
+            _set(
+                self,
+                "_amounts",
+                tuple(Fraction(a, common) for a in self._numerators),
+            )
+        return self._amounts
+
+    def __getitem__(self, i):
+        if self._amounts is None and type(i) is int:
+            return Fraction(self._numerators[i], self._common)
         return self.amounts[i]
 
     def __iter__(self):
         return iter(self.amounts)
 
     def __len__(self) -> int:
-        return len(self.amounts)
+        return len(self._numerators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.amounts, self.omega) == (other.amounts, other.omega)
+
+    def __hash__(self):
+        return hash((self.amounts, self.omega))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(amounts={self.amounts!r},"
+            f" omega={self.omega!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.amounts, self.omega)
 
 
 def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> None:

@@ -3,10 +3,13 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, the clamp-level solver, the
-sequential window's selector values, `sampling.grid`,
-`sampling.random_rational` and `format_rational` coerce through
-`parse_rational` as well, so no float ever enters a computation.
+constructors, `disutility`, `worst`, the clamp-level solver, the values
+of custom selectors in the sequential window (the built-in ones are
+computed on integers), `sampling.grid`, `sampling.random_rational` and
+`format_rational` coerce through `parse_rational` as well, so no float
+ever enters a computation. A string of ASCII digits, optionally followed
+by "/" and ASCII digits -- the canonical form `format_rational` writes --
+is read as two ints; any other string goes through Fraction's own parser.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
@@ -16,12 +19,12 @@ of the claims rules (`claims._core`), the one simple-rule builder
 (`rules._simple_rule`) from the split to the allotment, and ced and
 proportional, which run the claims cores on the peaks. A Fraction is
 built only where a value leaves the integers (a level, an award, an
-amount, a selector's window) or where a custom claims rule reads its
-`ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the rule
-path takes every other sum it checks or divides through it. Every public
-value stays a Fraction. A Fraction has the sign of its numerator, so where
-the rule path still holds Fractions it tests signs as `x.numerator < 0`,
-which skips the comparison's type check.
+amount that is read, a custom selector's window) or where a custom claims
+rule reads its `ClaimsProblem`. `exact_sum` is `_scaled` plus one
+Fraction, and the rule path takes every other sum it checks or divides
+through it. Every public value stays a Fraction. A Fraction has the sign
+of its numerator, so where the rule path still holds Fractions it tests
+signs as `x.numerator < 0`, which skips the comparison's type check.
 """
 
 from __future__ import annotations
@@ -59,11 +62,16 @@ def parse_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        if "." in text or "e" in text.lower():
+        num, slash, den = text.partition("/")
+        # ASCII digits, optionally "/" and ASCII digits: no regex needed
+        canonical = text.isascii() and num.isdigit() and (den.isdigit() or not slash)
+        if not canonical and ("." in text or "e" in text.lower()):
             raise RationalParseError(
                 f"decimal {value!r} rejected: use an exact \"p/q\" string"
             )
         try:
+            if canonical:
+                return Fraction(int(num), int(den or 1))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"not a rational: {value!r}") from exc

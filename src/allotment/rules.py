@@ -190,6 +190,16 @@ SELECTORS: Dict[str, LambdaSelector] = {
     "quarter": lambda lo, hi: lo + (hi - lo) / 4,
 }
 
+# the integer form of each built-in selector, read by `_sequential`: the
+# pair (a, b) of lo + (hi - lo) * a / b; as a function attribute it
+# survives a wrapper made with functools.wraps
+(
+    SELECTORS["lo"]._share,
+    SELECTORS["hi"]._share,
+    SELECTORS["mid"]._share,
+    SELECTORS["quarter"]._share,
+) = (0, 1), (1, 1), (1, 2), (1, 4)
+
 
 class BoundsViolation(AssertionError):
     """An empty adjustment window; must not happen on valid economies."""
@@ -201,7 +211,14 @@ def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
     award `selector` picks in the window that keeps every later step
     feasible: at most the claim (`gap`) and what is left of E (`room`), at
     least room less the claims still to come (`floor`). The last gets the
-    room. A selector value off the grid 1/(D*scale) refines the scale."""
+    room. A built-in selector's value lo + (hi - lo) * a / b is computed on
+    integers from the pair (a, b) it carries (`_share`); any other selector
+    is called on the window's ends as Fractions, and its value is read
+    through `parse_rational` (so a float is refused) and checked against
+    the window. A selector value off the grid 1/(D*scale) refines the
+    scale."""
+
+    share = getattr(selector, "_share", None)
 
     def core(claims, endowment, common):
         positions = range(len(claims))[:: -1 if descending else 1]
@@ -218,8 +235,14 @@ def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
                     f"empty window [{Fraction(lo, unit)}, {Fraction(hi, unit)}]"
                     f" at step {t + 1}"
                 )
-            lam = parse_rational(selector(Fraction(lo, unit), Fraction(hi, unit)))
-            p, q = lam.numerator, lam.denominator
+            if share is None:
+                lam = parse_rational(selector(Fraction(lo, unit), Fraction(hi, unit)))
+                p, q = lam.numerator, lam.denominator
+            else:  # lam = p / q, reduced, on integers
+                a, b = share
+                p, q = lo * b + (hi - lo) * a, unit * b
+                g = gcd(p, q)
+                p, q = p // g, q // g
             if not lo * q <= p * unit <= hi * q:
                 raise ValueError("selector left the admissible window")
             refine = q // gcd(unit, q)

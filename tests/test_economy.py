@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -192,9 +193,34 @@ def test_integer_feasibility_check_matches_the_constructor(amounts, omega):
 
 
 def test_integer_allotment_equals_the_constructed_one():
-    x = Allotment._of_scaled(12, [4, 8], F(1))
-    assert x == Allotment((F(1, 3), F(2, 3)), F(1))
-    assert all(type(a) is F for a in x) and x.amounts == (F(1, 3), F(2, 3))
+    built = Allotment((F(1, 3), F(2, 3)), F(1))
+
+    def scaled():
+        return Allotment._of_scaled(12, [4, 8], F(1))
+
+    x = scaled()
+    assert x == built and built == x and hash(x) == hash(built)
+    assert repr(x) == repr(built)
+    assert repr(x) == (
+        "Allotment(amounts=(Fraction(1, 3), Fraction(2, 3)),"
+        " omega=Fraction(1, 1))"
+    )
+    assert x.amounts == built.amounts == (F(1, 3), F(2, 3))
+    assert all(type(a) is F for a in x) and list(x) == list(built)
+    assert len(x) == len(built) == 2
+    assert x != Allotment((F(2, 3), F(1, 3)), F(1)) and x != x.amounts
+    # amounts read by index, before the tuple is built and after
+    for fresh in (scaled(), x):
+        assert fresh[-1] == built[-1] == F(2, 3) and type(fresh[-1]) is F
+        assert fresh[0:1] == built[0:1] == (F(1, 3),)
+    first = scaled()
+    assert first[1] == F(2, 3) and type(first[1]) is F
+    assert first.amounts == built.amounts and first == built
+    with pytest.raises(IndexError):
+        scaled()[2]
+    with pytest.raises(AttributeError):
+        x.omega = F(2)
+    assert pickle.loads(pickle.dumps(scaled())) == built
 
 
 def test_single_agent_economy_rejected():

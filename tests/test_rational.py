@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allotment.rational import RationalParseError, exact_sum, format_rational
+from allotment.rational import (
+    RationalParseError,
+    exact_sum,
+    format_rational,
+    parse_rational,
+)
 
 TERMS = st.one_of(
     st.integers(-(10**6), 10**6),
@@ -23,3 +28,51 @@ def test_exact_sum_matches_fraction_sum(xs):
 def test_format_rational_refuses_floats():
     with pytest.raises(RationalParseError, match="decimal"):
         format_rational(0.1)
+
+
+def parsed(text):
+    """parse_rational's result on a string: the Fraction, or the message
+    it refuses with."""
+    try:
+        return parse_rational(text)
+    except RationalParseError as exc:
+        return str(exc)
+
+
+def parsed_by_fraction(text):
+    """The string rule without a shortcut: decimals refused, everything
+    else read by Fraction's own parser."""
+    stripped = text.strip()
+    if "." in stripped or "e" in stripped.lower():
+        return f"decimal {text!r} rejected: use an exact \"p/q\" string"
+    try:
+        return F(stripped)
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational: {text!r}"
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+SPACES = st.text(" \t\n", max_size=2)
+CANONICAL = st.tuples(
+    SPACES,
+    DIGITS,
+    st.one_of(st.just(""), st.sampled_from(["/0", "/00"]), DIGITS.map("/".__add__)),
+    SPACES,
+).map("".join)
+# signs, underscores, decimals, exponents, a stray or doubled slash, and
+# non-ASCII digits (Arabic-Indic, fullwidth, superscript)
+OTHER = st.text("0123456789/+-_.eE \u0663\uff15\u00b2", max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANONICAL)
+def test_canonical_strings_parse_as_fraction_does(text):
+    result = parsed(text)
+    assert result == parsed_by_fraction(text)
+    assert type(result) is F or result == f"not a rational: {text!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(OTHER)
+def test_other_strings_keep_the_fraction_parser_result(text):
+    assert parsed(text) == parsed_by_fraction(text)

@@ -12,9 +12,12 @@ from allotment.economy import Economy, _split
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
+    DOMAIN_SP_ENDOWMENTS,
     RULE_NAMES,
     SELECTORS,
     _sequential,
+    _sequential_rule,
+    _simple_rule,
     ced,
     gallery,
     get_rule,
@@ -400,6 +403,26 @@ def test_hidden_integer_entry_gives_the_same_allotments():
             assert tuple(hidden(e)) == tuple(registered(e)), registered.name
         for e in endowed:
             assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
+    # the selector door: a lambda hides a built-in selector's integer form,
+    # so the window runs on Fractions through parse_rational instead
+    for name, selector in SELECTORS.items():
+        hidden_selector = lambda lo, hi, selector=selector: selector(lo, hi)
+        assert not hasattr(hidden_selector, "_share")
+        for order in ("ascending", "descending"):
+            registered = sequential_rule(name, order)
+            hidden = _sequential_rule(hidden_selector, order, registered.name)
+            for e in plain:
+                assert tuple(hidden(e)) == tuple(registered(e)), registered.name
+            registered_endowed, hidden_endowed = (
+                _simple_rule(
+                    _sequential(s, order == "descending"),
+                    registered.name,
+                    DOMAIN_SP_ENDOWMENTS,
+                )
+                for s in (selector, hidden_selector)
+            )
+            for e in endowed:
+                assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
 
 
 def test_sequential_claims_rules_are_claims_rules():
