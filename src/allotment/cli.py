@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import List, Optional, Union
 
@@ -38,7 +39,7 @@ from .manipulation import (
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import RationalParseError, format_rational, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, RULE_NAMES, Rule, get_rule
-from .sampling import standard_suite
+from .sampling import random_plateaued_economy, standard_suite
 
 AXIOM_NAMES = list(AXIOM_CHECKERS) + ["nom"]
 ORDER_POLICIES = ("ascending", "descending")
@@ -265,6 +266,9 @@ def _check_economies(args, rule: Rule) -> List[Economy]:
     )
     count = _random_count(args)
     if count is not None:
+        if rule.domain == DOMAIN_SPL:
+            rng = random.Random(args.seed)
+            return [random_plateaued_economy(rng) for _ in range(count)]
         return standard_suite(
             args.seed,
             count,

@@ -3,17 +3,17 @@
 Two levels are found here, each at which a sum of clamped linear pieces
 hits a target: the water-filling level of the claims rules (`_min_level`,
 sum_i min(c_i, lam) = t) and the clamp level of the single-plateaued
-extension (`solve_clamp_level`). Each sorts the breakpoints and scans
-prefix sums, so the level is exact; no floating bisection is ever used in
-the allocation path (bisection appears only as a test oracle).
+extension (`_clamp_level`, sum_i clamp(lam, lo_i, hi_i) = t). Each sorts
+the breakpoints and scans prefix sums, so the level is exact; no floating
+bisection is ever used in the allocation path (bisection appears only as
+a test oracle).
 
-The scans run on integers over one common denominator D
-(`rational._scaled`), so every sort, comparison and prefix sum is an
-integer operation. `_min_level` takes integers and returns (p, k), the
-level p / (D*k), building no Fraction; the claims cores (`claims._cea`,
-`_cel`) call it, and through them every simple rule, uniform and ced.
-`solve_clamp_level` takes Fractions, coerced through `parse_rational`
-so that a float is refused, and builds one Fraction, the level.
+Both scans take integers over one common denominator D
+(`rational._scaled`, run by the caller), so every sort, comparison and
+prefix sum is an integer operation, and both return (p, k), the level
+p / (D*k), building no Fraction. The claims cores (`claims._cea`, `_cel`)
+call `_min_level`, and through them every simple rule, uniform and ced;
+`rules.spl_extension` calls `_clamp_level`.
 
 The constrained-equal-losses level has no scan of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which
@@ -22,10 +22,7 @@ the losses total t is `_min_level(claims, sum(claims) - t)`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
-
-from .rational import ZERO, _scaled, parse_rational
 
 
 def _min_level(caps: Sequence[int], target: int) -> Tuple[int, int]:
@@ -44,10 +41,12 @@ def _min_level(caps: Sequence[int], target: int) -> Tuple[int, int]:
     return 0, 1  # no caps: the target is 0
 
 
-def solve_clamp_level(
-    lows: Sequence[Fraction], highs: Sequence[Fraction], target: Fraction
-) -> Fraction:
-    """Level lam with sum_i clamp(lam, low_i, high_i) = target.
+def _clamp_level(
+    lows: Sequence[int], highs: Sequence[int], target: int
+) -> Tuple[int, int]:
+    """Level lam with sum_i clamp(lam, low_i, high_i) = target, for lows,
+    highs and target integers over one denominator D: (p, k) such that lam
+    is p / (D*k), with k >= 1 (0 / D for no intervals).
 
     Requires sum(lows) <= target <= sum(highs). When the sum is flat at the
     target over an interval of levels, the smallest such level is returned
@@ -59,24 +58,18 @@ def solve_clamp_level(
     carried from breakpoint to breakpoint until it reaches the target.
     O(k log k) for k intervals, dominated by the two sorts.
     """
-    lows = list(map(parse_rational, lows))
-    highs = list(map(parse_rational, highs))
-    target = parse_rational(target)
     if len(lows) != len(highs):
         raise ValueError("lows and highs must have the same length")
-    common, ends = _scaled([*lows, *highs, target])
-    target = ends.pop()
-    lows, highs = ends[: len(lows)], ends[len(lows) :]
     if any(h < l for l, h in zip(lows, highs)):
         raise ValueError("each interval needs low <= high")
     value = sum(lows)
     if not (value <= target <= sum(highs)):
         raise ValueError("target outside [sum of lows, sum of highs]")
     if not lows:
-        return ZERO
+        return 0, 1
     previous = min(lows)
     if value >= target:
-        return Fraction(previous, common)
+        return previous, 1
     starts = sorted(l for l, h in zip(lows, highs) if l < h)
     stops = sorted(h for l, h in zip(lows, highs) if l < h)
     k = len(starts)
@@ -87,7 +80,7 @@ def solve_clamp_level(
         point = starts[i] if i < k and starts[i] <= stops[j] else stops[j]
         reached = value + active * (point - previous)
         if reached >= target:
-            return Fraction(previous * active + target - value, common * active)
+            return previous * active + target - value, active
         value, previous = reached, point
         while i < k and starts[i] == point:
             active += 1

@@ -3,21 +3,22 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, the clamp-level solver, the values
-of custom selectors in the sequential window (the built-in ones are
-computed on integers), `sampling.grid`, `sampling.random_rational` and
-`format_rational` coerce through `parse_rational` as well, so no float
-ever enters a computation. A string of ASCII digits, optionally followed
-by "/" and ASCII digits -- the canonical form `format_rational` writes --
-is read as two ints; any other string goes through Fraction's own parser.
+constructors, `disutility`, `worst`, the values of custom selectors in
+the sequential window (the built-in ones are computed on integers),
+`sampling.grid`, `sampling.random_rational` and `format_rational` coerce
+through `parse_rational` as well, so no float ever enters a computation.
+A string of ASCII digits, optionally followed by "/" and ASCII digits --
+the canonical form `format_rational` writes -- is read as two ints; any
+other string goes through Fraction's own parser.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
 rule path runs on integers over one common denominator D, written by the
 private `_scaled`: the level scans, `economy._split`, the integer entry
 of the claims rules (`claims._core`), the one simple-rule builder
-(`rules._simple_rule`) from the split to the allotment, and ced and
-proportional, which run the claims cores on the peaks. A Fraction is
+(`rules._simple_rule`) from the split to the allotment, ced and
+proportional, which run the claims cores on the peaks, and the
+single-plateaued extension (`rules.spl_extension`). A Fraction is
 built only where a value leaves the integers (a level, an award, an
 amount that is read, a custom selector's window) or where a custom claims
 rule reads its `ClaimsProblem`. `exact_sum` is `_scaled` plus one

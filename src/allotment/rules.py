@@ -37,7 +37,7 @@ from .claims import (
     _pro,
 )
 from .economy import Allotment, Economy, _split, make_allotment
-from .levels import solve_clamp_level
+from .levels import _clamp_level
 from .preferences import SinglePeaked
 from .rational import _scaled, exact_sum, parse_rational
 
@@ -311,12 +311,13 @@ def sequential_rule(
 def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
     """Extend a simple rule to single-plateaued preferences.
 
-    With z computed at the left endpoints (z_lo) and right endpoints (z_hi):
-    z_lo >= 0 applies the base rule to the left-endpoint profile, z_hi <= 0
-    to the right-endpoint profile. In between (z_lo < 0 < z_hi) every
-    plateau straddles the solution, and the unique level clamped into each
-    plateau is feasible, lies inside every plateau, and reduces to equal
-    division whenever all plateaus contain omega/n.
+    When the plateaus' left endpoints sum to at least omega, the base rule
+    runs on the left-endpoint profile; when their right endpoints sum to at
+    most omega, on the right-endpoint profile. In between every plateau
+    straddles the solution, and the unique level clamped into each plateau
+    (`levels._clamp_level`, on the integers of one `_scaled` call) is
+    feasible, lies inside every plateau, and reduces to equal division
+    whenever all plateaus contain omega/n.
     """
     if not base.simple:
         raise ValueError("spl_extension needs a simple base rule")
@@ -324,22 +325,22 @@ def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
     def allocate(econ: Economy) -> Allotment:
         lows = [p.plateau_lo for p in econ.prefs]
         highs = [p.plateau_hi for p in econ.prefs]
-        z_lo = exact_sum(lows) - econ.omega
-        z_hi = exact_sum(highs) - econ.omega
-        if z_lo.numerator >= 0 or z_hi.numerator <= 0:
-            ends = lows if z_lo.numerator >= 0 else highs
+        common, scaled = _scaled([*lows, *highs, econ.omega])
+        omega = scaled.pop()
+        lo, hi = scaled[: econ.n], scaled[econ.n :]
+        demand = sum(lo) >= omega
+        if demand or sum(hi) <= omega:
             reduced = Economy(
                 tuple(
                     SinglePeaked(end, p.left_slope, p.right_slope)
-                    for end, p in zip(ends, econ.prefs)
+                    for end, p in zip(lows if demand else highs, econ.prefs)
                 ),
                 econ.omega,
             )
-            return make_allotment(econ, base(reduced).amounts)
-        lam = solve_clamp_level(lows, highs, econ.omega)
-        return make_allotment(
-            econ, [min(h, max(l, lam)) for l, h in zip(lows, highs)]
-        )
+            return base(reduced)
+        level, k = _clamp_level(lo, hi, omega)
+        amounts = [min(h * k, max(l * k, level)) for l, h in zip(lo, hi)]
+        return Allotment._of_scaled(common * k, amounts, econ.omega)
 
     return Rule(name or f"spl[{base.name}]", allocate, domain=DOMAIN_SPL)
 
@@ -410,7 +411,7 @@ def _underline(econ: Economy) -> Allotment:
         replaced = econ.replace_pref(
             0, SinglePeaked(Fraction(0), first.left_slope, first.right_slope)
         )
-        return make_allotment(econ, uniform.allocate(replaced).amounts)
+        return uniform.allocate(replaced)
     return uniform.allocate(econ)
 
 

@@ -205,8 +205,10 @@ def proportional_oracle(econ: Economy):
 def clamp_level_oracle(lows, highs, target):
     """Reference clamp level: re-sums every interval at every breakpoint.
 
-    The library's former quadratic scan, kept as the oracle for the sweep in
-    `allotment.levels.solve_clamp_level`.
+    The library's former quadratic scan over Fractions, kept as the oracle
+    for the integer sweep `allotment.levels._clamp_level` (read back as a
+    Fraction through the `clamp_level` adapter in `test_levels.py`) and for
+    the straddling branch of `spl_extension`.
     """
     lows = [Fraction(x) for x in lows]
     highs = [Fraction(x) for x in highs]

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from allotment.cli import (
 from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import Rule
+from allotment.sampling import random_plateaued_economy
 from helpers import economies
 
 OM_ECONOMY = {
@@ -413,6 +415,38 @@ def test_check_machine_witness_replays(om_file, capsys):
     from allotment.rules import get_rule
 
     assert check_symmetry(get_rule("gallery:bar"), [witness]).failed
+
+
+def test_check_random_draws_plateaued_economies_for_spl_rules(capsys):
+    # the rule's domain picks the draws: an spl: rule is checked on seeded
+    # single-plateaued economies, which the peak-free checkers accept
+    argv = ("check", "--random", "50", "spl:cea", "--axioms", "symmetry,envy-free,edlb")
+    first = run(capsys, *argv)
+    assert first == (
+        0,
+        "symmetry: PASS_ON_SAMPLE\nenvy-free: PASS_ON_SAMPLE\nedlb: PASS_ON_SAMPLE\n",
+        "",
+    )
+    assert run(capsys, *argv) == first
+
+    code, out, _ = run(
+        capsys, "check", "--random", "50", "spl:cel",
+        "--axioms", "envy-free", "--format", "machine",
+    )
+    assert code == 1
+    witness = json.loads(out)["axioms"][0]["witness"]["economy"]
+    rng = random.Random(0)
+    draws = [random_plateaued_economy(rng) for _ in range(2)]
+    assert economy_from_dict(witness) == draws[1]
+
+    code, out, err = run(
+        capsys, "check", "--random", "50", "spl:cel", "--axioms", "efficiency"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: efficiency reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n"
+    )
 
 
 def test_option_set_simple_rule_exact(tmp_path, capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allotment.claims import cea
+from allotment.claims import cea, cel, pro
 from allotment.economy import Economy
-from allotment.levels import _min_level, solve_clamp_level
-from allotment.preferences import SinglePlateaued
-from allotment.rational import RationalParseError, _scaled
+from allotment.levels import _clamp_level, _min_level
+from allotment.preferences import SinglePeaked, SinglePlateaued
+from allotment.rational import _scaled
 from allotment.rules import simple_from_claims, spl_extension
 from helpers import (
     TERMS,
@@ -32,6 +32,16 @@ def min_level(caps, target):
     return F(p, common * k)
 
 
+def clamp_level(lows, highs, target):
+    """The level of the integer scan `_clamp_level` for Fraction lows,
+    highs and target, scaled to one denominator D and read back from
+    (p, k)."""
+    common, scaled = _scaled([*lows, *highs, target])
+    target = scaled.pop()
+    p, k = _clamp_level(scaled[: len(lows)], scaled[len(lows) :], target)
+    return F(p, common * k)
+
+
 # -- empty input -----------------------------------------------------------------
 
 
@@ -39,7 +49,7 @@ def min_level(caps, target):
     "solve",
     [
         lambda target: min_level([], target),
-        lambda target: solve_clamp_level([], [], target),
+        lambda target: clamp_level([], [], target),
     ],
     ids=["min", "clamp"],
 )
@@ -65,25 +75,13 @@ def test_min_level_exact_at_large_denominators(caps, data):
 # -- clamp level -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [
-        lambda: solve_clamp_level([F(0)], [0.5], F(1, 4)),
-    ],
-    ids=["clamp"],
-)
-def test_level_solvers_refuse_floats(solve):
-    with pytest.raises(RationalParseError, match="decimal"):
-        solve()
-
-
 def test_clamp_level_rejects_bad_input():
     with pytest.raises(ValueError, match="same length"):
-        solve_clamp_level([F(0)], [], F(0))
+        clamp_level([F(0)], [], F(0))
     with pytest.raises(ValueError, match="low <= high"):
-        solve_clamp_level([F(1)], [F(0)], F(1))
+        clamp_level([F(1)], [F(0)], F(1))
     with pytest.raises(ValueError, match="target outside"):
-        solve_clamp_level([F(0), F(1)], [F(1), F(2)], F(4))
+        clamp_level([F(0), F(1)], [F(1), F(2)], F(4))
 
 
 # few distinct ends, so repeated breakpoints are common
@@ -107,7 +105,7 @@ def clamp_cases(draw):
 @given(clamp_cases())
 def test_clamp_level_matches_oracle(case):
     lows, highs, target = case
-    lam = solve_clamp_level(lows, highs, target)
+    lam = clamp_level(lows, highs, target)
     assert isinstance(lam, F)
     assert lam == clamp_level_oracle(lows, highs, target)
 
@@ -129,23 +127,36 @@ def test_clamp_level_is_smallest_solution_at_k_1000():
         clamped_total(lows, highs, points[len(points) // 2]),  # on a breakpoint
     ]
     for target in targets:
-        lam = solve_clamp_level(lows, highs, target)
+        lam = clamp_level(lows, highs, target)
         assert clamped_total(lows, highs, lam) == target
         below = max(p for p in points if p < lam)
         assert clamped_total(lows, highs, (below + lam) / 2) < target
 
 
 def test_spl_straddling_level_matches_oracle_at_n_300():
+    # the straddling level against the oracle, and both endpoint branches
+    # (omega below the lows' sum, omega above the highs' sum) against the
+    # base rule on the reduced economy, for each of the three spl: rules
     rng = random.Random(73)
     lows, highs = [], []
     for _ in range(300):
         a, b = F(rng.randint(0, 200), 100), F(rng.randint(0, 200), 100)
         lows.append(min(a, b))
         highs.append(max(a, b))
-    omega = (sum(lows) + sum(highs)) / 2  # every plateau straddles the level
-    econ = Economy(
-        tuple(SinglePlateaued(lo, hi) for lo, hi in zip(lows, highs)), omega
-    )
-    lam = clamp_level_oracle(lows, highs, omega)
-    x = spl_extension(simple_from_claims(cea))(econ)
-    assert tuple(x) == tuple(min(h, max(l, lam)) for l, h in zip(lows, highs))
+    low_total, high_total = sum(lows), sum(highs)
+    for claims_rule in (cea, cel, pro):
+        base = simple_from_claims(claims_rule)
+        extended = spl_extension(base)
+        for omega in (low_total / 3, (low_total + high_total) / 2, high_total + 7):
+            econ = Economy(
+                tuple(SinglePlateaued(lo, hi) for lo, hi in zip(lows, highs)), omega
+            )
+            x = extended(econ)
+            if low_total < omega < high_total:  # every plateau straddles the level
+                lam = clamp_level_oracle(lows, highs, omega)
+                expected = tuple(min(h, max(l, lam)) for l, h in zip(lows, highs))
+            else:
+                ends = lows if omega < low_total else highs
+                reduced = Economy(tuple(SinglePeaked(e) for e in ends), omega)
+                expected = tuple(base(reduced))
+            assert tuple(x) == expected
