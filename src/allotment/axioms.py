@@ -280,8 +280,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("betweenness", econ)
+        *_, plus, minus = _split(econ, econ.endowments if endowed else None)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
-        *_, plus, minus = _split(econ, reference)
         for i in plus:
             if x[i] != peaks[i]:
                 return Witness(

@@ -8,6 +8,14 @@ for the reallocation rules -- and computes the excess demand and the
 residual that the second step divides. The one simple-rule builder
 (`rules._simple_rule`) and `axioms.check_betweenness` read it.
 
+A single-peaked economy's integer profile -- the peaks and omega as
+numerators over their least common denominator D -- is computed the first
+time it is read (`Economy._integer_profile`) and kept outside equality,
+hashing and repr. `_split` divides omega equally on it, peaks * n against
+omega over D * n, and ced and proportional read it too. The sampled
+option sets build their economies through `Economy._of_checked`, which
+skips the checks the sampler has made once per set.
+
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
 after scaling its amounts, and by `Allotment._of_scaled`, through which
@@ -33,7 +41,7 @@ class Economy:
 
     Endowments, when present, must sum to omega exactly. The peak profile
     (None unless every preference is single-peaked) and equal division are
-    computed once, at construction.
+    computed once, at construction; the integer profile on first read.
     """
 
     prefs: Tuple[Preference, ...]
@@ -42,6 +50,9 @@ class Economy:
     equal_share: Fraction = field(init=False, repr=False, compare=False)
     _peaks: Optional[Tuple[Fraction, ...]] = field(
         init=False, repr=False, compare=False
+    )
+    _integers: Optional[Tuple[int, Tuple[int, ...], int]] = field(
+        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -86,6 +97,33 @@ class Economy:
         if self._peaks is None:
             raise ValueError("peaks() requires single-peaked preferences")
         return self._peaks
+
+    def _integer_profile(self) -> Tuple[int, Tuple[int, ...], int]:
+        """(D, peaks, omega): the peaks and omega as integers over their
+        least common denominator D (`rational._scaled`), computed the first
+        time they are read and kept. Requires single-peaked preferences."""
+        if self._integers is None:
+            common, scaled = _scaled([*self.peaks(), self.omega])
+            omega = scaled.pop()
+            object.__setattr__(self, "_integers", (common, tuple(scaled), omega))
+        return self._integers
+
+    @classmethod
+    def _of_checked(
+        cls, prefs: Tuple[SinglePeaked, ...], omega: Fraction, equal_share: Fraction
+    ) -> "Economy":
+        """The economy without endowments of a profile whose checks the
+        caller has made: a tuple of at least two single-peaked preferences,
+        omega a positive Fraction and equal_share omega / n. Equal to
+        `Economy(prefs, omega)` in every field, equality, hash, repr and
+        pickle; `__post_init__` is not run."""
+        econ = object.__new__(cls)
+        _set(econ, "prefs", prefs)
+        _set(econ, "omega", omega)
+        _set(econ, "endowments", None)
+        _set(econ, "equal_share", equal_share)
+        _set(econ, "_peaks", tuple(p.peak for p in prefs))
+        return econ
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
         prefs = list(self.prefs)
@@ -197,27 +235,34 @@ def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> Non
         )
 
 
-def _split(econ: Economy, reference: Sequence[Fraction]):
+def _split(econ: Economy, reference: Optional[Sequence[Fraction]] = None):
     """Classify agents as simple (plus) or non-simple (minus) around one
-    reference point per agent: omega/n, or the individual endowments for
-    the reallocation rules. Under excess demand (z >= 0, the balanced case
-    included) the simple agents are those demanding strictly less than
-    their reference point; under excess supply those demanding strictly
-    more.
+    reference point per agent: omega/n when `reference` is None, or the
+    given points (the individual endowments for the reallocation rules).
+    Under excess demand (z >= 0, the balanced case included) the simple
+    agents are those demanding strictly less than their reference point;
+    under excess supply those demanding strictly more.
 
     Runs on integers: returns (D, peaks, references, z, left, plus, minus),
-    where D is the common denominator of the peaks, the reference points
-    and omega (`rational._scaled`), each amount is a numerator over D,
-    plus and minus are ascending agent lists, and left is omega less the
-    plus peaks and the minus references, so the non-simple agents divide
-    E = |left| / D."""
+    where D is a common denominator of the peaks, the reference points and
+    omega, each amount is a numerator over D, plus and minus are ascending
+    agent lists, and left is omega less the plus peaks and the minus
+    references, so the non-simple agents divide E = |left| / D. For equal
+    division D is n times the integer profile's, so omega/n is omega's
+    numerator and nothing is rescaled; given points are scaled with the
+    peaks and omega (`rational._scaled`)."""
     n = econ.n
-    common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
-    peaks, reference = scaled[:n], scaled[n:-1]
-    z = sum(peaks) - scaled[-1]
+    if reference is None:
+        common, peaks, omega = econ._integer_profile()
+        common, peaks, reference = common * n, [p * n for p in peaks], [omega] * n
+        omega *= n
+    else:
+        common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
+        peaks, reference, omega = scaled[:n], scaled[n:-1], scaled[-1]
+    z = sum(peaks) - omega
     demand = z >= 0
     plus, minus = [], []
-    left = scaled[-1]
+    left = omega
     for i, p in enumerate(peaks):
         r = reference[i]
         if p < r if demand else p > r:

@@ -22,17 +22,26 @@ and only an obvious misreport has its whole option set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
-built once and shared across rules, agents and misreports. Sharing is
-unobservable: the cache key is the whole input, compared by type as well
-as value, and the value is made of tuples of fractions or of frozen
-preferences, which no caller can change.
+built once and shared across rules, agents and misreports. So is the
+witness family: the witness profile of every grid target, of which an
+agent's option set reads a slice, building a profile only for an end of
+the set that lies off the grid. Sharing is unobservable: the cache key is
+the whole input, compared by type as well as value, and the value is made
+of tuples of fractions or of frozen preferences, which no caller can
+change.
+
+`option_set_sampled` makes the economy constructor's checks once per set
+(two agents or more, a positive omega, a single-peaked report), so each
+opponent profile's economy comes through the checked door
+`Economy._of_checked`, equal to the public one in every field; the rule
+still checks its domain, and the allotment its feasibility, on every run.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -105,15 +114,18 @@ def _shared_families(
 ) -> Tuple[
     Tuple[Tuple[SinglePeaked, ...], ...],
     Tuple[Tuple[SinglePeaked, ...], ...],
-    Tuple[Fraction, ...],
+    Tuple[Optional[Tuple[SinglePeaked, ...]], ...],
 ]:
     """The opponent families that do not depend on the agent: the identical
     family, the complementary family (without its profiles the identical
-    family already holds), and the identical family's peak keys, which are
-    the grid in increasing order.
+    family already holds), and the witness profile of every grid target
+    k * omega / grid_step, k = 0 .. grid_step, indexed by k.
 
-    Every profile is made of one unit-slope preference per distinct grid
-    peak, shared by every slot and profile.
+    Every profile is made of one unit-slope preference per distinct peak,
+    shared by every slot and profile. The witness profile of target k puts
+    every opponent at (grid_step - k) * omega / (grid_step * (n - 1)),
+    which lies on the grid exactly when (grid_step - k) % (n - 1) == 0;
+    the identical family holds those profiles, so their entries are None.
     """
     points = _grid(omega, grid_step)
     unit = {q: SinglePeaked(q) for q in points}
@@ -125,7 +137,13 @@ def _shared_families(
         for q in points
         if n >= 3 and q <= omega and q != omega - q
     )
-    return identical, complementary, points
+    witness = tuple(
+        None
+        if (grid_step - k) % (n - 1) == 0
+        else (SinglePeaked((omega - points[k]) / (n - 1)),) * (n - 1)
+        for k in range(grid_step + 1)
+    )
+    return identical, complementary, witness
 
 
 def _opponent_profiles(
@@ -139,30 +157,34 @@ def _opponent_profiles(
 
     identical      all opponents share one grid peak;
     witness        all opponents at (omega - x)/(n - 1) for each target x
-                   between equal division and the capped peak (this is the
-                   profile that forces a simple rule to hand the agent x);
+                   between equal division and the capped peak, in
+                   increasing order (this is the profile that forces a
+                   simple rule to hand the agent x);
     complementary  opponents alternate q and omega - q, exercising branches
                    keyed to peak sums.
 
     Profiles are generated lazily, so a consumer that stops early builds
-    no more witness profiles than it reads.
+    no more witness profiles than it reads. The targets are the option
+    set's two ends and the grid points between them; the grid points' are
+    a slice of the shared witness family, and only an end that lies off
+    the grid gets a profile of its own.
     """
-    identical, complementary, keys = _shared_families(omega, n, grid_step)
+    identical, complementary, witness = _shared_families(omega, n, grid_step)
     yield from identical
 
-    # the targets cost a search of the grid, which most scans that stop
-    # inside the identical family never need
+    # a witness profile is constant, so it repeats an identical profile
+    # exactly when its peak is on the grid, and never a complementary one;
+    # the peak of an off-grid target is off the grid too
     lo, hi = option_set_simple(pref.peak, omega, n)
-    targets = sorted(
-        {lo, hi}.union(keys[bisect_left(keys, lo) : bisect_right(keys, hi)])
-    )
-    for x in targets:
-        # a witness profile is constant, so it repeats an identical profile
-        # exactly when its peak is on the grid, and never a complementary one
-        peak = (omega - x) / (n - 1)
-        at = bisect_left(keys, peak)
-        if at == len(keys) or keys[at] != peak:
-            yield (SinglePeaked(peak),) * (n - 1)
+    at_lo, at_hi = lo * grid_step / omega, hi * grid_step / omega
+    first, last = math.ceil(at_lo), math.floor(at_hi)
+    if at_lo != first:
+        yield (SinglePeaked((omega - lo) / (n - 1)),) * (n - 1)
+    for profile in witness[first : last + 1]:
+        if profile is not None:
+            yield profile
+    if at_hi != last and hi != lo:
+        yield (SinglePeaked((omega - hi) / (n - 1)),) * (n - 1)
 
     yield from complementary
 
@@ -179,10 +201,17 @@ def _sample(
     """The sampled option set of `agent` reporting `pref`: one rule run per
     opponent profile, in generation order, keeping the first economy that
     achieves each outcome. None at the first outcome for which `stop`
-    holds, before any later profile is built or run."""
+    holds, before any later profile is built or run.
+
+    Every economy comes through `Economy._of_checked`, with omega / n
+    computed once: `option_set_sampled` has made the constructor's checks
+    for the set, and the opponents are the families' unit-slope
+    preferences."""
     witnesses: Dict[Fraction, Economy] = {}
+    share = omega / n
     for opponents in _opponent_profiles(pref, omega, n, grid_step):
-        econ = Economy(opponents[:agent] + (pref,) + opponents[agent:], omega)
+        prefs = opponents[:agent] + (pref,) + opponents[agent:]
+        econ = Economy._of_checked(prefs, omega, share)
         outcome = rule(econ)[agent]
         if stop is not None and stop(outcome):
             return None
@@ -210,11 +239,37 @@ def option_set_sampled(
 ) -> SampledOptionSet:
     """Sampled option set: exact amounts the rule hands `agent` across the
     opponent-profile families, with the achieving economy kept per outcome
-    (first in generation order)."""
-    omega = parse_rational(omega)
+    (first in generation order).
+
+    The inputs are checked once, before any profile is built: `pref` is
+    single-peaked, n meets the rule's minimum and is at least 2, the agent
+    index is in range and omega is positive. The economies are then built
+    without repeating those checks (see `_sample`)."""
+    if not isinstance(pref, SinglePeaked):
+        raise ValueError(
+            "sampled option sets need a single-peaked report, got "
+            f"{type(pref).__name__}"
+        )
+    omega = _checked_omega(rule, agent, n, omega)
+    return _sample(rule, agent, pref, omega, n, grid_step)
+
+
+def _checked_omega(rule: Rule, agent: int, n: int, omega) -> Fraction:
+    """omega parsed, after refusing n below the rule's minimum, an agent
+    index outside [0, n), and n below 2 or an omega that is not positive
+    with `Economy`'s messages."""
+    if n < rule.min_agents:
+        raise ValueError(
+            f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
+        )
+    if n < 2:
+        raise ValueError("an economy needs at least two agents")
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for n={n}")
-    return _sample(rule, agent, pref, omega, n, grid_step)
+    omega = parse_rational(omega)
+    if omega.numerator <= 0:
+        raise ValueError("the social endowment must be positive")
+    return omega
 
 
 def is_obvious_manipulation(
@@ -292,11 +347,12 @@ def find_obvious_manipulation(
     (pref_true, omega) and return the first certificate, or None.
 
     The inputs are checked on every rule before any search: the true
-    preference is single-peaked, n meets the rule's minimum, the agent
-    index is in range, misreports are parsed and none is negative (the
-    default list is the shared grid of (omega, grid_step)), the option
-    grid (of option_grid_step, or grid_step when None) is not empty, and
-    `endowment`, the agent's own share, lies in [0, omega]. Only a
+    preference is single-peaked, n meets the rule's minimum and is at
+    least 2, the agent index is in range, omega is positive, misreports
+    are parsed and none is negative (the default list is the shared grid
+    of (omega, grid_step)), the option grid (of option_grid_step, or
+    grid_step when None) is not empty, and `endowment`, the agent's own
+    share, lies in [0, omega]. Only a
     reallocation rule reads an endowment, so any other rule refuses one,
     and a reallocation rule marked simple needs one.
 
@@ -323,20 +379,14 @@ def find_obvious_manipulation(
             "obvious manipulation is defined for single-peaked true "
             f"preferences, got {type(pref_true).__name__}"
         )
-    if n < rule.min_agents:
-        raise ValueError(
-            f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
-        )
-    if not 0 <= agent < n:
-        raise ValueError(f"agent index {agent} out of range for n={n}")
-    omega = parse_rational(omega)
-    if misreport_peaks is None:
-        _check_grid_step(grid_step)
-    else:
+    omega = _checked_omega(rule, agent, n, omega)
+    step = grid_step if option_grid_step is None else option_grid_step
+    if misreport_peaks is not None:
         peaks = [parse_rational(q) for q in misreport_peaks]
         if any(q < 0 for q in peaks):
             raise ValueError("misreport peaks must be nonnegative")
-    step = grid_step if option_grid_step is None else option_grid_step
+    elif step != grid_step:  # else the one check below covers both grids
+        _check_grid_step(grid_step)
     _check_grid_step(step)  # refuses an empty option grid
     if endowment is not None:
         endowment = parse_rational(endowment)

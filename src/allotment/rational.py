@@ -14,11 +14,14 @@ other string goes through Fraction's own parser.
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
 rule path runs on integers over one common denominator D, written by the
-private `_scaled`: the level scans, `economy._split`, the integer entry
-of the claims rules (`claims._core`), the one simple-rule builder
-(`rules._simple_rule`) from the split to the allotment, ced and
-proportional, which run the claims cores on the peaks, and the
-single-plateaued extension (`rules.spl_extension`). A Fraction is
+private `_scaled`: the level scans, an economy's integer profile
+(`Economy._integer_profile`, computed once per economy), which
+`economy._split` reads for equal division (endowments are scaled with
+the peaks on each call), the integer entry of the claims rules
+(`claims._core`), the one simple-rule builder (`rules._simple_rule`) from
+the split to the allotment, ced and proportional, which run the claims
+cores on the integer profile's peaks, and the single-plateaued extension
+(`rules.spl_extension`). A Fraction is
 built only where a value leaves the integers (a level, an award, an
 amount that is read, a custom selector's window) or where a custom claims
 rule reads its `ClaimsProblem`. `exact_sum` is `_scaled` plus one

@@ -107,8 +107,10 @@ def _simple_rule(
     endowed = domain == DOMAIN_SP_ENDOWMENTS
 
     def allocate(econ: Economy) -> Allotment:
-        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
-        common, peaks, scaled, z, left, _, minus = _split(econ, reference)
+        if endowed and econ.endowments is None:
+            raise ValueError(f"rule {name} needs individual endowments")
+        split = _split(econ, econ.endowments if endowed else None)
+        common, peaks, scaled, z, left, _, minus = split
         if order is not None:
             if sorted(order) != minus:
                 agents = ", ".join(str(i + 1) for i in minus)
@@ -151,8 +153,7 @@ def simple_reallocation_from_claims(
 
 def _ced(econ: Economy) -> Allotment:
     n = econ.n
-    common, peaks = _scaled([*econ.peaks(), econ.omega])
-    omega = peaks.pop()
+    common, peaks, omega = econ._integer_profile()
     z = sum(peaks) - omega
     if z >= 0:
         # equal losses from the peaks: the cuts total the excess demand
@@ -164,8 +165,7 @@ def _ced(econ: Economy) -> Allotment:
 
 def _proportional(econ: Economy) -> Allotment:
     n = econ.n
-    common, peaks = _scaled([*econ.peaks(), econ.omega])
-    omega = peaks.pop()
+    common, peaks, omega = econ._integer_profile()
     if not any(peaks):
         return Allotment._of_scaled(common * n, [omega] * n, econ.omega)
     amounts, scale = _pro(peaks, omega, common)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -333,6 +334,40 @@ def opponent_profiles_oracle(
         if profile not in seen:
             seen.add(profile)
             yield profile
+
+
+def sorted_targets_profiles_oracle(
+    pref: SinglePeaked,
+    omega: Fraction,
+    n: int,
+    grid_step: int,
+) -> Iterator[Tuple[SinglePeaked, ...]]:
+    """Reference opponent profiles in generation order, with the witness
+    targets found on Fractions: the grid points inside the option set are
+    found by bisecting the grid, joined to its two ends and sorted, and a
+    witness profile is dropped when bisecting the grid finds its peak.
+
+    The library's former generator, kept as the oracle for the order of
+    `allotment.manipulation._opponent_profiles`, which reads the witness
+    profiles of grid targets from a family shared per (omega, n, step).
+    """
+    keys = peak_grid(omega, grid_step)
+    for q in keys:
+        yield (SinglePeaked(q),) * (n - 1)
+    lo, hi = option_set_simple(pref.peak, omega, n)
+    targets = sorted(
+        {lo, hi}.union(keys[bisect_left(keys, lo) : bisect_right(keys, hi)])
+    )
+    for x in targets:
+        peak = (omega - x) / (n - 1)
+        at = bisect_left(keys, peak)
+        if at == len(keys) or keys[at] != peak:
+            yield (SinglePeaked(peak),) * (n - 1)
+    for q in keys:
+        if n >= 3 and q <= omega and q != omega - q:
+            yield tuple(
+                SinglePeaked(q if j % 2 == 0 else omega - q) for j in range(n - 1)
+            )
 
 
 def pareto_improvement_on_grid(

@@ -659,6 +659,14 @@ def test_find_manipulation_refuses_too_few_agents(om_file, capsys):
     assert "needs at least 3 agents" in err
 
 
+def test_option_set_refuses_too_few_agents(om_file, capsys):
+    # refused by option_set_sampled before any opponent profile is built
+    code, out, err = run(capsys, "option-set", om_file, "gallery:bar", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rule gallery:bar needs at least 3 agents, got 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,7 @@ from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy, _check_feasible, _split
 from allotment.preferences import SinglePeaked
 from allotment.rules import simple_from_claims, simple_reallocation_from_claims
-from allotment.sampling import random_economy
+from allotment.sampling import random_economy, standard_suite
 from helpers import split_oracle
 
 
@@ -67,6 +67,55 @@ def test_split_matches_oracle_on_random_economies():
         endowed = random_economy(rng, with_endowments=True)
         split(endowed)
         split(endowed, endowed.endowments)
+
+
+def assert_equal_division_split(e):
+    """`_split(e)`, which reads the cached integer profile, divides omega
+    equally exactly as the Fraction oracle and the explicit-reference path
+    do."""
+    share = (e.equal_share,) * e.n
+    common, peaks, scaled, z, left, plus, minus = _split(e)
+    assert [F(p, common) for p in peaks] == list(e.peaks())
+    assert [F(r, common) for r in scaled] == list(share)
+    got = (F(z, common), F(abs(left), common), plus, minus)
+    assert got == split_oracle(e, share) == split(e, share)
+
+
+def test_equal_division_split_matches_oracle_on_standard_suite():
+    for e in standard_suite(31, 300):
+        assert_equal_division_split(e)
+    for e in standard_suite(32, 100, with_endowments=True):
+        assert_equal_division_split(e)
+
+
+def test_equal_division_split_matches_oracle_at_n_1000():
+    rng = random.Random(1000)
+    # excess supply, excess demand, and balanced by the last peak
+    for spread, balanced in ((F(4, 5), False), (F(5, 4), False), (F(1, 2), True)):
+        omega = F(rng.randint(1, 5), rng.randint(1, 3))
+        peaks = [
+            F(rng.randint(0, 120), 60) * omega * spread / 1000 for _ in range(999)
+        ]
+        peaks.append(omega - sum(peaks) if balanced else omega / 1000)
+        assert_equal_division_split(econ(peaks, omega))
+
+
+def test_integer_profile_is_cached_and_unobservable():
+    e = econ([F(1, 3), F(5, 4), 2], F(7, 2))
+    fresh = pickle.dumps(e)
+    profile = e._integer_profile()
+    assert profile == (12, (4, 15, 24), 42)
+    assert e._integer_profile() is profile
+    again = econ([F(1, 3), F(5, 4), 2], F(7, 2))
+    assert e == again and hash(e) == hash(again) and repr(e) == repr(again)
+    assert "_integers" not in repr(e)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == again and repr(back) == repr(again)
+    assert back._integer_profile() == profile
+    # an economy whose profile was never read pickles to the same bytes
+    # as one built before the profile was cached
+    assert pickle.dumps(again) == fresh
+    assert pickle.loads(fresh)._integer_profile() == profile
 
 
 def test_split_permutation_invariant():

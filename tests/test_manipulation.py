@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from allotment import NO_CASES
 from allotment.claims import cea, cel
+from allotment.economy import Economy
 from allotment.manipulation import (
     _grid,
     _opponent_profiles,
+    _shared_families,
     check_nom,
     find_obvious_manipulation,
     is_obvious_manipulation,
@@ -23,6 +26,7 @@ from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
+    GALLERY_BUILDERS,
     RULE_NAMES,
     Rule,
     ced,
@@ -34,7 +38,12 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import grid, random_preference, random_rational
-from helpers import CountingPeaked, opponent_profiles_oracle, sampled_nom_oracle
+from helpers import (
+    CountingPeaked,
+    opponent_profiles_oracle,
+    sampled_nom_oracle,
+    sorted_targets_profiles_oracle,
+)
 
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
@@ -115,6 +124,51 @@ def test_opponent_profiles_match_oracle(grid_step):
                 for _ in range(2):
                     got = peaks_and_slopes(_opponent_profiles(pref, *args))
                     assert got == expected, (pref.peak, omega, n)
+
+
+def recording_rule(seen):
+    """A rule that is not simple, records every economy it runs on and
+    hands out equal division."""
+    divide = gallery("equal_division").allocate
+
+    def allocate(econ):
+        seen.append(econ)
+        return divide(econ)
+
+    return Rule("recorder", allocate)
+
+
+@pytest.mark.parametrize("omega", [F(3), F(5, 3)], ids=["3", "5/3"])
+@pytest.mark.parametrize("grid_step", [1, 7, 20, 60])
+def test_sampled_economies_follow_the_sorted_targets_order(omega, grid_step):
+    # the witness targets come from a shared family indexed by grid point;
+    # the sampler must still run the rule on the profiles of the former
+    # generator (sorted Fraction targets, bisected grid), in its order
+    step = omega / grid_step
+    for n in range(2, 7):
+        peaks = {
+            F(0),
+            omega / n,
+            3 * step,  # on the grid
+            step / 2,  # off the grid, below equal division
+            omega - step / 3,  # off the grid, above equal division
+            omega,
+            3 * omega / 2,  # above omega: capped
+        }
+        for peak in sorted(peaks):
+            pref = SinglePeaked(peak, F(1), F(3))
+            expected = list(sorted_targets_profiles_oracle(pref, omega, n, grid_step))
+            for agent in sorted({0, n // 2, n - 1}):
+                seen = []
+                option_set_sampled(recording_rule(seen), agent, pref, omega, n, grid_step)
+                got = [
+                    tuple(p for i, p in enumerate(e.prefs) if i != agent)
+                    for e in seen
+                ]
+                assert [e.prefs[agent] for e in seen] == [pref] * len(seen)
+                assert peaks_and_slopes(got) == peaks_and_slopes(expected), (
+                    n, peak, agent
+                )
 
 
 @pytest.mark.parametrize(
@@ -259,6 +313,46 @@ def test_nom_witness_economy_replays():
     assert cert.oset_misreport.rule(econ)[cert.agent] == cert.verdict.w_misreport
 
 
+def assert_public(econ, rule, agent, outcome):
+    """A sampler's economy, built without `Economy.__post_init__`, is the
+    public `Economy` of its profile in every observable way, and replays."""
+    public = Economy(econ.prefs, econ.omega)
+    assert econ == public and public == econ
+    assert hash(econ) == hash(public)
+    assert repr(econ) == repr(public)
+    assert econ.peaks() == public.peaks()
+    assert econ.equal_share == public.equal_share
+    # every field, the integer profile too once both have read it
+    assert econ._integer_profile() == public._integer_profile()
+    assert list(vars(econ).items()) == list(vars(public).items())
+    back = pickle.loads(pickle.dumps(econ))
+    assert back == public and repr(back) == repr(public)
+    assert (back.peaks(), back.equal_share) == (public.peaks(), public.equal_share)
+    assert rule(public)[agent] == rule(back)[agent] == outcome
+
+
+def test_sampled_and_certificate_economies_equal_public_ones():
+    cases = nom_sweep(3, 12, n_values=(2, 3, 4))
+    rules = [ced, proportional] + [gallery(name) for name in GALLERY_BUILDERS]
+    certificates = 0
+    for rule in rules:
+        for case in cases:
+            if case.n < rule.min_agents:
+                continue
+            args = (rule, case.agent, case.pref, case.omega, case.n)
+            sets = [option_set_sampled(*args, grid_step=12)]
+            if not rule.simple:
+                certificate = find_obvious_manipulation(*args, grid_step=12)
+                if certificate is not None:
+                    certificates += 1
+                    sets += [certificate.oset_true, certificate.oset_misreport]
+            for oset in sets:
+                for outcome, econ in oset.witnesses.items():
+                    assert oset.replay(outcome)
+                    assert_public(econ, rule, case.agent, outcome)
+    assert certificates > 0
+
+
 def test_definition_and_worst_case_forms_agree_across_grid():
     truth = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=12)
     for k in range(0, 25):
@@ -284,6 +378,55 @@ def test_too_few_agents_rejected():
         with pytest.raises(ValueError, match="at least 3 agents"):
             find_obvious_manipulation(rule, 0, OM_PREF, F(1), 2, grid_step=6)
     assert find_obvious_manipulation(bar, 0, OM_PREF, F(1), 3, grid_step=6) is None
+
+
+@pytest.mark.parametrize("omega", [F(0), F(-1), F(-1, 60)])
+@pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
+def test_nonpositive_omega_refused_on_both_paths(rule, omega):
+    # a simple rule's search never builds an economy, so it must not pass
+    # NOM vacuously on an omega that `Economy` refuses
+    pref = SinglePeaked(F(1, 2))
+    with pytest.raises(ValueError, match="^the social endowment must be positive$"):
+        find_obvious_manipulation(rule, 0, pref, omega, 3)
+    with pytest.raises(ValueError, match="^the social endowment must be positive$"):
+        option_set_sampled(rule, 0, pref, omega, 3)
+
+
+@pytest.mark.parametrize(
+    "rule, pref, n, message",
+    [
+        (ced, OM_PREF, 1, "rule ced needs at least 2 agents, got 1"),
+        (replace(ced, min_agents=1), OM_PREF, 1, "an economy needs at least two agents"),
+        (gallery("bar"), OM_PREF, 2, "rule gallery:bar needs at least 3 agents, got 2"),
+        (
+            ced,
+            SinglePlateaued(F(1, 4), F(1, 2)),
+            2,
+            "sampled option sets need a single-peaked report, got SinglePlateaued",
+        ),
+        (
+            get_rule("spl:cea"),
+            SinglePlateaued(F(1, 4), F(1, 2)),
+            2,
+            "sampled option sets need a single-peaked report, got SinglePlateaued",
+        ),
+    ],
+    ids=["n=1", "n=1, min_agents=1", "below min_agents", "plateau", "plateau, spl"],
+)
+def test_sampled_option_set_refuses_before_building_families(rule, pref, n, message):
+    _shared_families.cache_clear()
+    with pytest.raises(ValueError) as refused:
+        option_set_sampled(rule, 0, pref, F(1), n, grid_step=6)
+    assert str(refused.value) == message
+    assert _shared_families.cache_info().currsize == 0
+
+
+def test_one_agent_refused_for_a_simple_rule_too():
+    # a simple rule's search builds no economy, so it must not pass NOM
+    # vacuously on a single agent
+    lone = replace(uniform, min_agents=1)
+    with pytest.raises(ValueError, match="^an economy needs at least two agents$"):
+        find_obvious_manipulation(lone, 0, OM_PREF, F(1), 1)
 
 
 @pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
@@ -386,6 +529,11 @@ def test_empty_grids_rejected(step):
         with pytest.raises(ValueError, match="at least 1"):
             find_obvious_manipulation(
                 rule, 0, OM_PREF, F(1), 2, grid_step=6, option_grid_step=step
+            )
+        # and a bad misreport grid beside a good option grid
+        with pytest.raises(ValueError, match="at least 1"):
+            find_obvious_manipulation(
+                rule, 0, OM_PREF, F(1), 2, grid_step=step, option_grid_step=6
             )
 
 

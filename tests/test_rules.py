@@ -440,7 +440,7 @@ def test_sequential_claims_rules_are_claims_rules():
 def test_each_simple_rule_call_splits_once(monkeypatch):
     calls = []
 
-    def counted(econ, reference):
+    def counted(econ, reference=None):
         calls.append(econ)
         return _split(econ, reference)
 
