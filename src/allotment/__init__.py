@@ -52,7 +52,6 @@ from .rules import (
     gallery,
     get_rule,
     proportional,
-    sequential_allotment,
     sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,

@@ -9,9 +9,10 @@ so exactness survives end to end. Only check draws random economies
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 usage or parse error (including a flag the subcommand does not take,
 --selector or --order with a rule other than simple:appendix-b, an
-economy file of the wrong shape or with an unknown key, an empty grid, a
-sample count below 1, a rule that needs more agents than the economy has,
-a peak-reading check on single-plateaued agents, and a check in which a
+--expect-fail axiom that --axioms does not request, an economy file of
+the wrong shape or with an unknown key, an empty grid, a sample count
+below 1, a rule that needs more agents than the economy has, a
+peak-reading check on single-plateaued agents, and a check in which a
 requested axiom inspected no case), 3 internal error (any other
 exception, reported as "internal error: <Type>: <message>" so that a
 crash never reads as a FAIL).
@@ -38,11 +39,11 @@ from .manipulation import (
 )
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import RationalParseError, format_rational, parse_rational
-from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, RULE_NAMES, Rule, get_rule
+from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, ORDER_POLICIES, RULE_NAMES
+from .rules import SELECTORS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
 
 AXIOM_NAMES = list(AXIOM_CHECKERS) + ["nom"]
-ORDER_POLICIES = ("ascending", "descending")
 
 
 class CliError(Exception):
@@ -290,6 +291,9 @@ def cmd_check(args) -> int:
             raise CliError(
                 f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_NAMES)}"
             )
+    for axiom in args.expect_fail or []:
+        if axiom not in args.axiom_list:
+            raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
     rule = _rule(args)
     econs = _check_economies(args, rule)
 
@@ -500,7 +504,7 @@ def _add_common(parser: argparse.ArgumentParser, grid_step: bool = True) -> None
     )
     parser.add_argument(
         "--selector",
-        choices=("lo", "hi", "mid", "quarter"),
+        choices=tuple(SELECTORS),
         default=None,
         help="level selector for simple:appendix-b",
     )

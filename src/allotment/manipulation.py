@@ -95,6 +95,10 @@ def option_set_simple(
     peak, omega = parse_rational(peak), parse_rational(omega)
     if n < 2:
         raise ValueError("option sets need n >= 2")
+    if omega.numerator <= 0:
+        raise ValueError("the social endowment must be positive")
+    if peak.numerator < 0:
+        raise ValueError(f"peak must be nonnegative, got {peak}")
     reference = omega / n
     reachable_peak = min(peak, omega)
     return min(reference, reachable_peak), max(reference, reachable_peak)
@@ -457,6 +461,8 @@ def nom_sweep(
 ) -> List[NomCase]:
     """Seeded sweep of NOM cases; without endowments the known
     manipulation witnesses with n in n_values come first."""
+    if not n_values or min(n_values) < 2:
+        raise ValueError(f"n_values must be nonempty, each n >= 2: {n_values!r}")
     rng = random.Random(seed)
     cases: List[NomCase] = []
     if not with_endowments:

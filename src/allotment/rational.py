@@ -3,10 +3,9 @@
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, the values of custom selectors in
-the sequential window (the built-in ones are computed on integers),
-`sampling.grid`, `sampling.random_rational` and `format_rational` coerce
-through `parse_rational` as well, so no float ever enters a computation.
+constructors, `disutility`, `worst`, `sampling.grid`,
+`sampling.random_rational` and `format_rational` coerce through
+`parse_rational` as well, so no float ever enters a computation.
 A string of ASCII digits, optionally followed by "/" and ASCII digits --
 the canonical form `format_rational` writes -- is read as two ints; any
 other string goes through Fraction's own parser.
@@ -21,14 +20,14 @@ the peaks on each call), the integer entry of the claims rules
 (`claims._core`), the one simple-rule builder (`rules._simple_rule`) from
 the split to the allotment, ced and proportional, which run the claims
 cores on the integer profile's peaks, and the single-plateaued extension
-(`rules.spl_extension`). A Fraction is
-built only where a value leaves the integers (a level, an award, an
-amount that is read, a custom selector's window) or where a custom claims
-rule reads its `ClaimsProblem`. `exact_sum` is `_scaled` plus one
-Fraction, and the rule path takes every other sum it checks or divides
-through it. Every public value stays a Fraction. A Fraction has the sign
-of its numerator, so where the rule path still holds Fractions it tests
-signs as `x.numerator < 0`, which skips the comparison's type check.
+(`rules.spl_extension`). A Fraction is built only where a value leaves
+the integers (a level, an award, an amount that is read) or where a
+custom claims rule reads its `ClaimsProblem`. `exact_sum` is `_scaled`
+plus one Fraction, and the rule path takes every other sum it checks or
+divides through it. Every public value stays a Fraction. A Fraction has
+the sign of its numerator, so where the rule path still holds Fractions
+it tests signs as `x.numerator < 0`, which skips the comparison's type
+check.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ near side of it get their peak and a claims problem divides the rest;
 excess supply mirrors excess demand through comparisons only, so both
 cases share one code path. Every simple rule is built by `_simple_rule`
 from the integer entry of a claims rule (`claims._core`): cea, cel, pro,
-any custom claims rule, and the sequential-adjustment construction, which
-is a claims rule over claim positions (`_sequential`). The uniform rule
-is the simple rule of cea. ced and proportional run the cel and pro cores
+any custom claims rule, and the sequential-adjustment construction, a
+claims rule over claim positions (`_sequential`) that awards a fixed
+integer share of each window (`SELECTORS`). The uniform rule is the
+simple rule of cea. ced and proportional run the cel and pro cores
 on the peaks themselves, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .claims import (
     CLAIMS_RULES,
@@ -39,7 +40,7 @@ from .claims import (
 from .economy import Allotment, Economy, _split, make_allotment
 from .levels import _clamp_level
 from .preferences import SinglePeaked
-from .rational import _scaled, exact_sum, parse_rational
+from .rational import _scaled, exact_sum
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -68,21 +69,13 @@ class Rule:
         return self.allocate(econ)
 
     def check_domain(self, econ: Economy) -> None:
-        if self.domain == DOMAIN_SP and not econ.is_single_peaked:
-            raise ValueError(f"rule {self.name} needs single-peaked preferences")
         if self.domain == DOMAIN_SPL and not econ.is_single_plateaued:
-            raise ValueError(
-                f"rule {self.name} needs single-plateaued preferences"
-            )
-        if self.domain == DOMAIN_SP_ENDOWMENTS:
-            if not econ.is_single_peaked:
-                raise ValueError(
-                    f"rule {self.name} needs single-peaked preferences"
-                )
-            if econ.endowments is None:
-                raise ValueError(
-                    f"rule {self.name} needs individual endowments"
-                )
+            raise ValueError(f"rule {self.name} needs single-plateaued preferences")
+        single_peaked = self.domain in (DOMAIN_SP, DOMAIN_SP_ENDOWMENTS)
+        if single_peaked and not econ.is_single_peaked:
+            raise ValueError(f"rule {self.name} needs single-peaked preferences")
+        if self.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is None:
+            raise ValueError(f"rule {self.name} needs individual endowments")
 
 
 # ---------------------------------------------------------------------------
@@ -181,44 +174,24 @@ proportional = Rule("proportional", _proportional)
 # ---------------------------------------------------------------------------
 # sequential-adjustment construction (a claims rule over claim positions)
 
-LambdaSelector = Callable[[Fraction, Fraction], Fraction]
-
-SELECTORS: Dict[str, LambdaSelector] = {
-    "lo": lambda lo, hi: lo,
-    "hi": lambda lo, hi: hi,
-    "mid": lambda lo, hi: (lo + hi) / 2,
-    "quarter": lambda lo, hi: lo + (hi - lo) / 4,
-}
-
-# the integer form of each built-in selector, read by `_sequential`: the
-# pair (a, b) of lo + (hi - lo) * a / b; as a function attribute it
-# survives a wrapper made with functools.wraps
-(
-    SELECTORS["lo"]._share,
-    SELECTORS["hi"]._share,
-    SELECTORS["mid"]._share,
-    SELECTORS["quarter"]._share,
-) = (0, 1), (1, 1), (1, 2), (1, 4)
+# each selector's share (a, b) of the window: the award lo + (hi - lo) * a / b
+SELECTORS = {"lo": (0, 1), "hi": (1, 1), "mid": (1, 2), "quarter": (1, 4)}
+ORDER_POLICIES = ("ascending", "descending")
 
 
 class BoundsViolation(AssertionError):
     """An empty adjustment window; must not happen on valid economies."""
 
 
-def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
+def _sequential(share: Tuple[int, int], descending: bool) -> ClaimsCore:
     """The sequential construction as a claims-rule core. The claimants
     are visited by position (last first when `descending`); each gets the
-    award `selector` picks in the window that keeps every later step
-    feasible: at most the claim (`gap`) and what is left of E (`room`), at
-    least room less the claims still to come (`floor`). The last gets the
-    room. A built-in selector's value lo + (hi - lo) * a / b is computed on
-    integers from the pair (a, b) it carries (`_share`); any other selector
-    is called on the window's ends as Fractions, and its value is read
-    through `parse_rational` (so a float is refused) and checked against
-    the window. A selector value off the grid 1/(D*scale) refines the
-    scale."""
-
-    share = getattr(selector, "_share", None)
+    award lo + (hi - lo) * a / b, for the share (a, b), of the window that
+    keeps every later step feasible: at most the claim (`gap`) and what is
+    left of E (`room`), at least room less the claims still to come
+    (`floor`). The last gets the room. An award off the grid 1/(D*scale)
+    refines the scale."""
+    a, b = share
 
     def core(claims, endowment, common):
         positions = range(len(claims))[:: -1 if descending else 1]
@@ -235,20 +208,14 @@ def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
                     f"empty window [{Fraction(lo, unit)}, {Fraction(hi, unit)}]"
                     f" at step {t + 1}"
                 )
-            if share is None:
-                lam = parse_rational(selector(Fraction(lo, unit), Fraction(hi, unit)))
-                p, q = lam.numerator, lam.denominator
-            else:  # lam = p / q, reduced, on integers
-                a, b = share
-                p, q = lo * b + (hi - lo) * a, unit * b
-                g = gcd(p, q)
-                p, q = p // g, q // g
-            if not lo * q <= p * unit <= hi * q:
-                raise ValueError("selector left the admissible window")
+            # the award p / q, reduced, on integers
+            p, q = lo * b + (hi - lo) * a, unit * b
+            g = gcd(p, q)
+            p, q = p // g, q // g
             refine = q // gcd(unit, q)
-            if refine > 1:  # lam lies off the grid 1/(D*scale): refine it
+            if refine > 1:  # the award lies off the grid 1/(D*scale): refine it
                 scale, unit, room = scale * refine, unit * refine, room * refine
-                awards = [a * refine for a in awards]
+                awards = [x * refine for x in awards]
             awards[j] = p * (unit // q)
             room -= awards[j]
         if positions:
@@ -258,42 +225,28 @@ def _sequential(selector: LambdaSelector, descending: bool) -> ClaimsCore:
     return core
 
 
-def _sequential_rule(selector: LambdaSelector, order, name: str) -> Rule:
-    # a policy orders the claim positions, an explicit order the claims
-    if isinstance(order, str) and order not in ("ascending", "descending"):
-        raise ValueError(
-            f"unknown order policy {order!r}; choose ascending or descending"
-        )
-    explicit = order not in (None, "ascending", "descending")
-    core = _sequential(selector, order == "descending")
-    return _simple_rule(core, name, order=list(order) if explicit else None)
-
-
-def sequential_allotment(
-    econ: Economy, order=None, selector: LambdaSelector = SELECTORS["lo"]
-) -> Allotment:
-    """Sequential construction of a simple-rule outcome.
-
-    Simple agents start at their peak and the rest at equal division; the
-    non-simple agents are then visited in `order` and adjusted by a surplus
-    chosen by `selector` within the window that keeps every later step
-    feasible. The last visited agent's amount is pinned by feasibility.
-    `order` is an explicit agent sequence or one of the policies
-    "ascending" (default) and "descending".
-    """
-    return _sequential_rule(selector, order, "simple:appendix-b").allocate(econ)
-
-
 def sequential_rule(
     selector: str = "lo", order=None, name: Optional[str] = None
 ) -> Rule:
-    """Package the sequential construction as a named simple rule.
+    """The sequential construction as a named simple rule.
 
-    `order` is an ordering policy ("ascending"/"descending") or, for
-    single-economy use, an explicit agent sequence.
+    Simple agents start at their peak and the rest at equal division; the
+    non-simple agents are then visited in `order`, and each is adjusted by
+    the share `SELECTORS[selector]` of the window that keeps every later
+    step feasible. The last visited agent's amount is pinned by
+    feasibility. `order` is an ordering policy ("ascending", the default,
+    or "descending") or, for single-economy use, an explicit agent
+    sequence. Any other selection is a claims rule: build its simple rule
+    with `simple_from_claims`.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
+    # a policy orders the claim positions, an explicit order the claims
+    if isinstance(order, str) and order not in ORDER_POLICIES:
+        raise ValueError(
+            f"unknown order policy {order!r}; choose ascending or descending"
+        )
+    explicit = order is not None and not isinstance(order, str)
     if name is None:
         tag = selector
         if isinstance(order, str):
@@ -301,7 +254,8 @@ def sequential_rule(
         elif order is not None:
             tag += ",order=" + ",".join(str(i + 1) for i in order)
         name = f"simple:appendix-b[{tag}]"
-    return _sequential_rule(SELECTORS[selector], order, name)
+    core = _sequential(SELECTORS[selector], order == "descending")
+    return _simple_rule(core, name, order=list(order) if explicit else None)
 
 
 # ---------------------------------------------------------------------------
@@ -447,45 +401,40 @@ def gallery(name: str) -> Rule:
 # ---------------------------------------------------------------------------
 # name-based registry (CLI entry point)
 
+# every registered rule by name, built once; simple:appendix-b holds its
+# default, which `get_rule` rebuilds per call from a selector and an order
+_CLAIMS = sorted(CLAIMS_RULES.items())
+_REGISTRY: Dict[str, Rule] = {
+    "uniform": uniform,
+    "ced": ced,
+    "proportional": proportional,
+    **{f"simple:{r}": simple_from_claims(c, f"simple:{r}") for r, c in _CLAIMS},
+    "simple:appendix-b": sequential_rule(),
+    **{
+        f"realloc:{r}": simple_reallocation_from_claims(c, f"realloc:{r}")
+        for r, c in _CLAIMS
+    },
+    **{
+        f"spl:{r}": spl_extension(simple_from_claims(c), f"spl:{r}")
+        for r, c in _CLAIMS
+    },
+    **{f"gallery:{g}": gallery(g) for g in sorted(GALLERY_BUILDERS)},
+}
+RULE_NAMES = list(_REGISTRY)
+
 
 def get_rule(
     name: str,
     order: Optional[Sequence[int]] = None,
     selector: str = "lo",
 ) -> Rule:
-    """Resolve a namespaced rule name like "simple:cea" or "gallery:bar".
+    """Look up a registered rule by its namespaced name, like "simple:cea"
+    or "gallery:bar".
 
     `order` and `selector` only apply to simple:appendix-b.
     """
-    if name == "uniform":
-        return uniform
-    if name == "ced":
-        return ced
-    if name == "proportional":
-        return proportional
-    if ":" in name:
-        prefix, _, rest = name.partition(":")
-        if prefix == "simple":
-            if rest == "appendix-b":
-                return sequential_rule(selector=selector, order=order)
-            if rest in CLAIMS_RULES:
-                return simple_from_claims(CLAIMS_RULES[rest], name=name)
-        if prefix == "realloc" and rest in CLAIMS_RULES:
-            return simple_reallocation_from_claims(CLAIMS_RULES[rest], name=name)
-        if prefix == "spl" and rest in CLAIMS_RULES:
-            return spl_extension(
-                simple_from_claims(CLAIMS_RULES[rest]), name=name
-            )
-        if prefix == "gallery":
-            return gallery(rest)
-    raise ValueError(f"unknown rule {name!r}")
-
-
-RULE_NAMES = (
-    ["uniform", "ced", "proportional"]
-    + [f"simple:{r}" for r in sorted(CLAIMS_RULES)]
-    + ["simple:appendix-b"]
-    + [f"realloc:{r}" for r in sorted(CLAIMS_RULES)]
-    + [f"spl:{r}" for r in sorted(CLAIMS_RULES)]
-    + [f"gallery:{g}" for g in sorted(GALLERY_BUILDERS)]
-)
+    if name == "simple:appendix-b":
+        return sequential_rule(selector=selector, order=order)
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown rule {name!r}")
+    return _REGISTRY[name]

@@ -276,9 +276,9 @@ def sequential_allotment_oracle(econ: Economy, selector, order=None):
     """Reference sequential construction: the library's former window loop
     on Fractions, around the split of `split_oracle`. Kept as the oracle
     for the integer window, now the claims rule `allotment.rules._sequential`
-    that `sequential_allotment` runs through the simple-rule builder;
-    `order` is an explicit sequence of the non-simple agents, ascending
-    when None."""
+    that `sequential_rule` runs through the simple-rule builder;
+    `selector` maps a window's ends (lo, hi) to the award, and `order` is
+    an explicit sequence of the non-simple agents, ascending when None."""
     peaks, omega, n = econ.peaks(), econ.omega, econ.n
     share = omega / n
     z, room, plus, minus = split_oracle(econ, (share,) * n)

@@ -355,6 +355,17 @@ def test_check_expect_fail_inverts_exit(om_file, capsys):
     assert "FAIL" in out
 
 
+def test_check_expect_fail_outside_axioms_exits_2(capsys):
+    # an expected failure of an axiom that is not checked is never checked,
+    # so exit 0 would be vacuous
+    code, out, err = run(
+        capsys, "check", "--random", "20", "uniform",
+        "--axioms", "edg", "--expect-fail", "symmetry",
+    )
+    assert (code, out) == (2, "")
+    assert "--expect-fail 'symmetry' is not among --axioms" in err
+
+
 def test_check_equal_division_fails_efficiency(om_file, capsys):
     code, out, _ = run(
         capsys, "check", om_file, "gallery:equal_division",

@@ -68,6 +68,21 @@ def test_option_set_caps_peak_at_omega():
     assert option_set_simple(F(3), F(1), 2) == (F(1, 2), F(1))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 1, 2), "^peak must be nonnegative, got -1$"),
+        ((F(-1, 3), 1, 3), "^peak must be nonnegative, got -1/3$"),
+        ((1, -1, 3), "^the social endowment must be positive$"),
+        ((1, 0, 3), "^the social endowment must be positive$"),
+    ],
+)
+def test_option_set_refuses_negative_peak_and_nonpositive_omega(args, message):
+    # the messages of `SinglePeaked` and `Economy`, which refuse the same
+    with pytest.raises(ValueError, match=message):
+        option_set_simple(*args)
+
+
 # -- sampled option sets -------------------------------------------------------
 
 
@@ -329,6 +344,34 @@ def assert_public(econ, rule, agent, outcome):
     assert back == public and repr(back) == repr(public)
     assert (back.peaks(), back.equal_share) == (public.peaks(), public.equal_share)
     assert rule(public)[agent] == rule(back)[agent] == outcome
+
+
+@pytest.mark.parametrize("n_values", [(), [], (1,), (2, 1), (3, 0)])
+def test_nom_sweep_refuses_empty_or_small_n_values(n_values):
+    with pytest.raises(ValueError, match="n_values must be nonempty, each n >= 2"):
+        nom_sweep(0, 5, n_values=n_values)
+
+
+def test_nom_sweep_stream_is_pinned():
+    # (peak, slopes, omega, n, agent[, endowment]) of seeded sweeps
+    cases = nom_sweep(7, 6, n_values=(3, 4))
+    assert [
+        (c.pref.peak, c.pref.left_slope, c.pref.right_slope, c.omega, c.n, c.agent)
+        for c in cases
+    ] == [
+        (F(1, 3), 1, 3, 1, 3, 0),
+        (0, 1, 1, 1, 3, 0),
+        (F(6, 13), 1, 1, 3, 3, 2),
+        (F(7, 38), 10, 1, 1, 4, 1),
+        (F(13, 14), 1, 1, 1, 3, 0),
+        (F(1, 4), 1, 3, 1, 4, 0),
+    ]
+    cases = nom_sweep(7, 3, n_values=(2, 5), with_endowments=True)
+    assert [(c.pref.peak, c.omega, c.n, c.agent, c.endowment) for c in cases] == [
+        (F(6, 13), 3, 2, 0, F(137, 53)),
+        (F(259, 59), 3, 2, 1, F(1, 3)),
+        (F(23, 16), 4, 2, 0, F(1, 4)),
+    ]
 
 
 def test_sampled_and_certificate_economies_equal_public_ones():

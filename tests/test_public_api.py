@@ -13,8 +13,8 @@ PUBLIC_NAMES = """
     check_strategy_proofness check_symmetry find_obvious_manipulation
     format_rational gallery get_rule grid is_obvious_manipulation
     make_allotment nom_sweep option_set_sampled option_set_simple
-    parse_rational pro proportional random_economy sequential_allotment
-    sequential_rule simple_from_claims simple_reallocation_from_claims
+    parse_rational pro proportional random_economy sequential_rule
+    simple_from_claims simple_reallocation_from_claims
     spl_extension standard_suite two_agent_om_economy uniform
     witness_economies worst
 """.split()

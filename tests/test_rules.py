@@ -10,19 +10,14 @@ from allotment.axioms import check_betweenness
 from allotment.claims import Awards, _awards, cea, cel, pro
 from allotment.economy import Economy, _split
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rational import RationalParseError
 from allotment.rules import (
-    DOMAIN_SP_ENDOWMENTS,
     RULE_NAMES,
     SELECTORS,
     _sequential,
-    _sequential_rule,
-    _simple_rule,
     ced,
     gallery,
     get_rule,
     proportional,
-    sequential_allotment,
     sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
@@ -403,26 +398,6 @@ def test_hidden_integer_entry_gives_the_same_allotments():
             assert tuple(hidden(e)) == tuple(registered(e)), registered.name
         for e in endowed:
             assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
-    # the selector door: a lambda hides a built-in selector's integer form,
-    # so the window runs on Fractions through parse_rational instead
-    for name, selector in SELECTORS.items():
-        hidden_selector = lambda lo, hi, selector=selector: selector(lo, hi)
-        assert not hasattr(hidden_selector, "_share")
-        for order in ("ascending", "descending"):
-            registered = sequential_rule(name, order)
-            hidden = _sequential_rule(hidden_selector, order, registered.name)
-            for e in plain:
-                assert tuple(hidden(e)) == tuple(registered(e)), registered.name
-            registered_endowed, hidden_endowed = (
-                _simple_rule(
-                    _sequential(s, order == "descending"),
-                    registered.name,
-                    DOMAIN_SP_ENDOWMENTS,
-                )
-                for s in (selector, hidden_selector)
-            )
-            for e in endowed:
-                assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
 
 
 def test_sequential_claims_rules_are_claims_rules():
@@ -503,12 +478,12 @@ def test_reallocation_between_endowment_and_peak():
 
 
 def test_sequential_always_lo_trace():
-    x = sequential_allotment(THREE_AGENT, order=[1, 2], selector=SELECTORS["lo"])
+    x = sequential_rule("lo", order=[1, 2])(THREE_AGENT)
     assert tuple(x) == (F(1, 2), F(1), F(3, 2))
 
 
 def test_sequential_always_hi_trace():
-    x = sequential_allotment(THREE_AGENT, order=[1, 2], selector=SELECTORS["hi"])
+    x = sequential_rule("hi", order=[1, 2])(THREE_AGENT)
     assert tuple(x) == (F(1, 2), F(3, 2), F(1))
 
 
@@ -518,32 +493,15 @@ def test_sequential_balanced_returns_peaks():
         assert tuple(sequential_rule(name)(e)) == e.peaks()
 
 
-def test_sequential_selector_kept_inside_the_window():
-    def past_hi(lo, hi):
-        return hi + F(1, 10**9)
-
-    with pytest.raises(ValueError, match="selector left the admissible window"):
-        sequential_allotment(THREE_AGENT, order=[1, 2], selector=past_hi)
-
-
-def test_sequential_refuses_a_float_from_the_selector():
-    with pytest.raises(RationalParseError, match="decimal"):
-        sequential_allotment(
-            THREE_AGENT, order=[1, 2], selector=lambda lo, hi: float(lo)
-        )
-
-
 def test_sequential_rejects_bad_order():
     with pytest.raises(ValueError):
-        sequential_allotment(THREE_AGENT, order=[0, 1])
+        sequential_rule("lo", order=[0, 1])(THREE_AGENT)
 
 
 def test_sequential_refuses_unknown_order_policy():
     # refused when the rule is built, naming the policy, not at every call
     with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
         sequential_rule("lo", order="sideways")
-    with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
-        sequential_allotment(THREE_AGENT, order="sideways")
 
 
 def test_sequential_windows_nonempty_and_output_simple():
@@ -553,8 +511,8 @@ def test_sequential_windows_nonempty_and_output_simple():
         _, _, plus, minus = split_oracle(e, (e.equal_share,) * e.n)
         order = minus[:]
         rng.shuffle(order)
-        for name, selector in SELECTORS.items():
-            x = sequential_allotment(e, order=order, selector=selector)
+        for name in SELECTORS:
+            x = sequential_rule(name, order)(e)
             share = e.equal_share
             for i in plus:
                 assert x[i] == e.prefs[i].peak
@@ -563,18 +521,16 @@ def test_sequential_windows_nonempty_and_output_simple():
                 assert min(share, peak) <= x[i] <= max(share, peak)
 
 
-def select_seventh(lo, hi):
-    return lo + (hi - lo) / 7
+@pytest.mark.parametrize("name", ["mid", "quarter"])
+def test_sequential_window_follows_selectors_off_the_economy_grid(name):
+    # six agents whose peaks, omega and omega/6 often have odd denominators,
+    # so half or a quarter of a window may lie off their common grid; the
+    # oracle runs the window on Fractions, at the selector's share of it
+    num, den = SELECTORS[name]
 
+    def selector(lo, hi):
+        return lo + (hi - lo) * F(num, den)
 
-@pytest.mark.parametrize(
-    "selector",
-    [SELECTORS["mid"], SELECTORS["quarter"], select_seventh],
-    ids=["mid", "quarter", "seventh"],
-)
-def test_sequential_window_follows_selectors_off_the_economy_grid(selector):
-    # six agents whose peaks, omega and omega/6 have no factor 7 in their
-    # denominators, so a selector's value may lie off their common grid
     rng = random.Random(83)
     off_grid, supply = 0, 0
     for _ in range(150):
@@ -587,7 +543,7 @@ def test_sequential_window_follows_selectors_off_the_economy_grid(selector):
         z, _, _, minus = split_oracle(e, (e.equal_share,) * e.n)
         supply += z < 0
         for order in (minus, minus[::-1]):
-            x = sequential_allotment(e, order=order, selector=selector)
+            x = sequential_rule(name, order)(e)
             assert tuple(x) == sequential_allotment_oracle(e, selector, order)
             assert all(type(a) is F for a in x)
             off_grid += any(grid % a.denominator for a in x)
@@ -761,6 +717,39 @@ def test_rules_are_same_sided_except_equal_division():
                     assert xi <= p
                 if z <= 0:
                     assert xi >= p
+
+
+def test_rule_names_are_pinned():
+    assert RULE_NAMES == [
+        "uniform",
+        "ced",
+        "proportional",
+        "simple:cea",
+        "simple:cel",
+        "simple:pro",
+        "simple:appendix-b",
+        "realloc:cea",
+        "realloc:cel",
+        "realloc:pro",
+        "spl:cea",
+        "spl:cel",
+        "spl:pro",
+        "gallery:bar",
+        "gallery:equal_division",
+        "gallery:hat",
+        "gallery:star",
+        "gallery:underline",
+    ]
+
+
+def test_each_registered_rule_carries_its_name():
+    # simple:appendix-b is built per call, and its name tags the selector
+    for name in RULE_NAMES:
+        if name == "simple:appendix-b":
+            assert get_rule(name).name == "simple:appendix-b[lo]"
+            assert get_rule(name, selector="mid").name == "simple:appendix-b[mid]"
+        else:
+            assert get_rule(name).name == name
 
 
 def test_get_rule_registry():
