@@ -10,10 +10,11 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 usage or parse error (including a flag the subcommand does not take,
 --selector or --order with a rule other than simple:appendix-b, an
 --expect-fail axiom that --axioms does not request, an economy file of
-the wrong shape or with an unknown key, an empty grid, a sample count
-below 1, a rule that needs more agents than the economy has, a
-peak-reading check on single-plateaued agents, and a check in which a
-requested axiom inspected no case), 3 internal error (any other
+the wrong shape or with an unknown key, an empty grid, a --random count
+below 1, a check given both an economy file and --random, a rule that
+needs more agents than the economy has, a peak-reading check on
+single-plateaued agents, and a check in which a requested axiom
+inspected no case), 3 internal error (any other
 exception, reported as "internal error: <Type>: <message>" so that a
 crash never reads as a FAIL).
 """
@@ -255,24 +256,17 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def _random_count(args) -> Optional[int]:
-    if args.random is None:
-        return None
-    return args.samples if args.random == -1 else args.random
-
-
 def _check_economies(args, rule: Rule) -> List[Economy]:
     wants_endowments = rule.domain == DOMAIN_SP_ENDOWMENTS or (
         "endowments-guarantee" in args.axiom_list
     )
-    count = _random_count(args)
-    if count is not None:
+    if args.random is not None:
         if rule.domain == DOMAIN_SPL:
             rng = random.Random(args.seed)
-            return [random_plateaued_economy(rng) for _ in range(count)]
+            return [random_plateaued_economy(rng) for _ in range(args.random)]
         return standard_suite(
             args.seed,
-            count,
+            args.random,
             with_endowments=wants_endowments,
         )
     econ = load_economy(args.economy)
@@ -300,11 +294,10 @@ def cmd_check(args) -> int:
     reports: List[AxiomReport] = []
     for axiom in args.axiom_list:
         if axiom == "nom":
-            count = _random_count(args)
-            if count is not None:
+            if args.random is not None:
                 cases = nom_sweep(
                     args.seed,
-                    count,
+                    args.random,
                     with_endowments=rule.domain == DOMAIN_SP_ENDOWMENTS,
                 )
             else:
@@ -564,15 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--random",
-        nargs="?",
         type=_positive_int,
-        const=-1,
         default=None,
         metavar="COUNT",
-        help=(
-            "check on COUNT seeded random economies instead of a file "
-            "(bare --random uses --samples)"
-        ),
+        help="check on COUNT seeded random economies instead of a file",
     )
     p_check.add_argument(
         "--expect-fail",
@@ -582,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="invert the exit-code contribution of this axiom (repeatable)",
     )
     p_check.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_check.add_argument(
-        "--samples", type=_positive_int, default=1000, help="sample count for sweeps"
-    )
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -625,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.economy is None and args.random is None:
-        parser.error("check needs an economy file or --random COUNT")
+    if args.command == "check" and (args.economy is None) == (args.random is None):
+        parser.error("check needs an economy file or --random COUNT, not both")
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -58,11 +58,7 @@ class Economy:
     def __post_init__(self):
         prefs = tuple(self.prefs)
         object.__setattr__(self, "prefs", prefs)
-        object.__setattr__(self, "omega", parse_rational(self.omega))
-        if len(prefs) < 2:
-            raise ValueError("an economy needs at least two agents")
-        if self.omega.numerator <= 0:
-            raise ValueError("the social endowment must be positive")
+        object.__setattr__(self, "omega", _checked_size(len(prefs), self.omega))
         object.__setattr__(self, "equal_share", self.omega / len(prefs))
         object.__setattr__(
             self,
@@ -132,6 +128,19 @@ class Economy:
 
 
 _set = object.__setattr__
+
+
+def _checked_size(n: int, omega) -> Fraction:
+    """omega parsed, after `Economy`'s refusals of an agent count n that
+    is not an int of at least 2, then of an omega that is not positive."""
+    omega = parse_rational(omega)
+    if not isinstance(n, int):
+        raise ValueError(f"an economy needs a whole number of agents, got {n!r}")
+    if n < 2:
+        raise ValueError("an economy needs at least two agents")
+    if omega.numerator <= 0:
+        raise ValueError("the social endowment must be positive")
+    return omega
 
 
 class Allotment:

@@ -1,24 +1,26 @@
 """Option sets, obvious-manipulation detection, and NOM verification.
 
-For rules marked simple the option set of an agent is the exact closed
+For a simple rule the option set of an agent is the exact closed
 interval between a reference point r (equal division, or the agent's own
 endowment on the reallocation domain) and the (feasibility-capped) peak;
-`option_set_simple` returns its ends (lo, hi) around equal division. NOM
-is then a lemma, not a search: r lies in every option set and is the
-truthful end farther from the peak, so it is the truthful worst, and no
-misreport's worst outcome can beat it (NOM as the worst-case comparison
-of Troyan and Morrill, "Obvious manipulations", JET 2020). The search
-checks its inputs and returns None. For every other rule option sets are
-sampled by one builder into a `SampledOptionSet`, the one option-set
-type that verdicts and certificates read: outcomes are produced by real
-rule runs over deterministic opponent-profile families and every outcome
-carries the first economy that achieves it, so certificates replay
-exactly. Sampled PASS verdicts are sample-relative; sampled FAIL
-certificates use only exhibited outcomes. NOM compares worst cases only,
-so a sampled misreport is not obvious as soon as one of its outcomes is,
-under the true preference, no better than the truthful worst: the search
-builds each misreport's set with the same builder, told to stop there,
-and only an obvious misreport has its whole option set built.
+`option_set_simple` returns its ends (lo, hi) around equal division.
+`Rule.simple` is derived from how the rule was built, not promised by a
+caller, so NOM is a lemma, not a search: r lies in every option set and
+is the truthful end farther from the peak, so it is the truthful worst,
+and no misreport's worst outcome can beat it (NOM as the worst-case
+comparison of Troyan and Morrill, "Obvious manipulations", JET 2020).
+The search checks its inputs and returns None. For every other rule
+option sets are sampled by one builder into a `SampledOptionSet`, the
+one option-set type that verdicts and certificates read: outcomes are
+produced by real rule runs over deterministic opponent-profile families
+and every outcome carries the first economy that achieves it, so
+certificates replay exactly. Sampled PASS verdicts are sample-relative;
+sampled FAIL certificates use only exhibited outcomes. NOM compares
+worst cases only, so a sampled misreport is not obvious as soon as one
+of its outcomes is, under the true preference, no better than the
+truthful worst: the search builds each misreport's set with the same
+builder, told to stop there, and only an obvious misreport has its whole
+option set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
@@ -31,7 +33,8 @@ of tuples of fractions or of frozen preferences, which no caller can
 change.
 
 `option_set_sampled` makes the economy constructor's checks once per set
-(two agents or more, a positive omega, a single-peaked report), so each
+(an int count of two agents or more and a positive omega, through
+`economy._checked_size`, and a single-peaked report), so each
 opponent profile's economy comes through the checked door
 `Economy._of_checked`, equal to the public one in every field; the rule
 still checks its domain, and the allotment its feasibility, on every run.
@@ -47,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomReport, Witness, _scan
-from .economy import Economy
+from .economy import Economy, _checked_size
 from .preferences import SinglePeaked, worst
 from .rational import format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
@@ -92,11 +95,8 @@ def option_set_simple(
     """Exact option set (lo, hi) of any simple rule on the single-peaked
     domain: the closed interval between equal division and the peak capped
     at omega (no outcome can exceed the endowment by feasibility)."""
-    peak, omega = parse_rational(peak), parse_rational(omega)
-    if n < 2:
-        raise ValueError("option sets need n >= 2")
-    if omega.numerator <= 0:
-        raise ValueError("the social endowment must be positive")
+    peak = parse_rational(peak)
+    omega = _checked_size(n, omega)
     if peak.numerator < 0:
         raise ValueError(f"peak must be nonnegative, got {peak}")
     reference = omega / n
@@ -246,9 +246,10 @@ def option_set_sampled(
     (first in generation order).
 
     The inputs are checked once, before any profile is built: `pref` is
-    single-peaked, n meets the rule's minimum and is at least 2, the agent
-    index is in range and omega is positive. The economies are then built
-    without repeating those checks (see `_sample`)."""
+    single-peaked, n meets the rule's minimum and is an int of at least 2,
+    omega is positive and the agent index is an int in range. The
+    economies are then built without repeating those checks (see
+    `_sample`)."""
     if not isinstance(pref, SinglePeaked):
         raise ValueError(
             "sampled option sets need a single-peaked report, got "
@@ -259,20 +260,18 @@ def option_set_sampled(
 
 
 def _checked_omega(rule: Rule, agent: int, n: int, omega) -> Fraction:
-    """omega parsed, after refusing n below the rule's minimum, an agent
-    index outside [0, n), and n below 2 or an omega that is not positive
-    with `Economy`'s messages."""
-    if n < rule.min_agents:
+    """omega parsed, after refusing n below the rule's minimum, the
+    economy's size and endowment as `Economy` does (`_checked_size`), and
+    an agent index that is not an int in [0, n)."""
+    if isinstance(n, int) and n < rule.min_agents:
         raise ValueError(
             f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
         )
-    if n < 2:
-        raise ValueError("an economy needs at least two agents")
+    omega = _checked_size(n, omega)
+    if not isinstance(agent, int):
+        raise ValueError(f"agent index must be an int, got {agent!r}")
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for n={n}")
-    omega = parse_rational(omega)
-    if omega.numerator <= 0:
-        raise ValueError("the social endowment must be positive")
     return omega
 
 
@@ -351,30 +350,30 @@ def find_obvious_manipulation(
     (pref_true, omega) and return the first certificate, or None.
 
     The inputs are checked on every rule before any search: the true
-    preference is single-peaked, n meets the rule's minimum and is at
-    least 2, the agent index is in range, omega is positive, misreports
-    are parsed and none is negative (the default list is the shared grid
-    of (omega, grid_step)), the option grid (of option_grid_step, or
-    grid_step when None) is not empty, and `endowment`, the agent's own
-    share, lies in [0, omega]. Only a
+    preference is single-peaked, n meets the rule's minimum and is an int
+    of at least 2, omega is positive, the agent index is an int in range,
+    misreports are parsed and none is negative (the default list is the
+    shared grid of (omega, grid_step)), the option grid (of
+    option_grid_step, or grid_step when None) is not empty, and
+    `endowment`, the agent's own share, lies in [0, omega]. Only a
     reallocation rule reads an endowment, so any other rule refuses one,
-    and a reallocation rule marked simple needs one.
+    and a simple reallocation rule needs one.
 
-    A rule marked simple then returns None without a search: its option
-    sets are intervals between the reference point r (omega/n, or the
-    endowment) and the capped peak, so r lies in every option set, and r
-    is the end of the truthful interval farther from the peak, the
-    truthful worst. No misreport's worst outcome beats d(r), so none is
-    obvious.
+    A simple rule (`Rule.simple`, derived from how the rule was built)
+    then returns None without a search: its option sets are intervals
+    between the reference point r (omega/n, or the endowment) and the
+    capped peak, so r lies in every option set, and r is the end of the
+    truthful interval farther from the peak, the truthful worst. No
+    misreport's worst outcome beats d(r), so none is obvious.
 
-    Every other rule is searched on sampled option sets. d_truth is the
-    true disutility of the worst outcome in the full sampled truthful set.
-    A misreport is obvious only if every one of its outcomes has true
-    disutility below d_truth, so each misreport's set is built by the same
-    sampler as `option_set_sampled`, told to stop at the first outcome
-    with disutility >= d_truth: the misreport's worst outcome is then no
-    better than the truthful worst, whatever the unsampled rest. A sampler
-    that never stops has produced the whole sampled option set, so
+    Every other rule is searched on sampled option sets, all built by
+    `_sample` on the inputs checked above. d_truth is the true disutility
+    of the worst outcome in the full sampled truthful set. A misreport is
+    obvious only if every one of its outcomes has true disutility below
+    d_truth, so each misreport's set is built by the same sampler, told
+    to stop at the first outcome with disutility >= d_truth: the
+    misreport's worst outcome is then no better than the truthful worst,
+    whatever the unsampled rest. A sampler that never stops has produced the whole sampled option set, so
     certificates match a search that samples every set in full, and the
     certificate's verdict is `is_obvious_manipulation` of the two sets.
     """
@@ -410,7 +409,7 @@ def find_obvious_manipulation(
 
     if misreport_peaks is None:
         peaks = _grid(omega, grid_step)
-    oset_true = option_set_sampled(rule, agent, pref_true, omega, n, step)
+    oset_true = _sample(rule, agent, pref_true, omega, n, step)
     d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
 
     def no_better(outcome: Fraction) -> bool:
@@ -461,8 +460,10 @@ def nom_sweep(
 ) -> List[NomCase]:
     """Seeded sweep of NOM cases; without endowments the known
     manipulation witnesses with n in n_values come first."""
-    if not n_values or min(n_values) < 2:
-        raise ValueError(f"n_values must be nonempty, each n >= 2: {n_values!r}")
+    if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
+        raise ValueError(
+            f"n_values must be nonempty, each n >= 2 an int: {n_values!r}"
+        )
     rng = random.Random(seed)
     cases: List[NomCase] = []
     if not with_endowments:

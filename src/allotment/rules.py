@@ -17,7 +17,8 @@ equal division for proportional when every peak is 0.
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
-allotment on its declared domain.
+allotment on its declared domain. Whether a rule is simple is derived
+from how it was built, never declared (see `Rule`).
 """
 
 from __future__ import annotations
@@ -51,18 +52,26 @@ DOMAIN_SP_ENDOWMENTS = "SP-with-endowments"
 class Rule:
     """A named, deterministic map from economies to feasible allotments.
 
-    `simple` marks registered members of the simple family. It is a
-    promise the manipulation machinery trusts without running the rule:
-    `find_obvious_manipulation` checks its inputs and returns None for a
-    simple rule, since NOM is a lemma of the family.
+    `simple` is derived, never passed: True exactly when `allocate`
+    carries the mark `_simple_rule` puts on each function it builds, for
+    this rule's own `domain`. That is sound by construction:
+    `claims._check_awards` keeps every award in [0, claim] on every call,
+    so each amount lies between the agent's reference point r and peak,
+    and at the reference profile (every other peak at its own r) E is 0,
+    so the agent gets r whatever it reports. So r is in every option set
+    and is the truthful worst, and NOM holds without a search.
     `min_agents` lets samplers and checkers skip economies a rule rejects.
     """
 
     name: str
     allocate: Callable[[Economy], Allotment] = field(compare=False)
     domain: str = DOMAIN_SP
-    simple: bool = False
+    simple: bool = field(init=False, default=False)
     min_agents: int = 2
+
+    def __post_init__(self):
+        mark = getattr(self.allocate, "_simple_domain", None)
+        object.__setattr__(self, "simple", mark == self.domain)
 
     def __call__(self, econ: Economy) -> Allotment:
         self.check_domain(econ)
@@ -121,7 +130,8 @@ def _simple_rule(
             amounts[i] = r + nu if z >= 0 else r - nu
         return Allotment._of_scaled(common * scale, amounts, econ.omega)
 
-    return Rule(name, allocate, domain=domain, simple=True)
+    allocate._simple_domain = domain  # read by `Rule`: the rule is simple
+    return Rule(name, allocate, domain=domain)
 
 
 def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
@@ -377,10 +387,9 @@ GALLERY_BUILDERS = {
     "underline": _underline,
 }
 
-# bar is simple at its special profile (amounts stay between omega/n and the
-# peaks for n >= 3), so it is marked simple, and its NOM verdict rests on
-# that flag: `find_obvious_manipulation` returns None for it unsearched
-_GALLERY_SIMPLE = {"bar"}
+# bar is uniform but at one profile, which is not the reference profile and
+# where the amounts lie between omega/n and the peaks for n >= 3: simple
+_bar._simple_domain = DOMAIN_SP
 
 
 def gallery(name: str) -> Rule:
@@ -393,7 +402,6 @@ def gallery(name: str) -> Rule:
     return Rule(
         f"gallery:{name}",
         GALLERY_BUILDERS[name],
-        simple=name in _GALLERY_SIMPLE,
         min_agents=3 if name in ("star", "bar") else 2,
     )
 

@@ -296,9 +296,7 @@ def test_reallocation_betweenness_anchors_at_endowments():
     )
     assert report.verdict == PASS_ON_SAMPLE
     # uniform's 1 for agent 1 (endowment 0, peak 1/2) is no longer between
-    endowed_uniform = Rule(
-        "endowed-uniform", uniform.allocate, DOMAIN_SP_ENDOWMENTS, simple=True
-    )
+    endowed_uniform = Rule("endowed-uniform", uniform.allocate, DOMAIN_SP_ENDOWMENTS)
     report = check_betweenness(endowed_uniform, [ENDOWED_TWIN_PEAKS])
     assert report.failed
     assert report.witness.description == "simple agent 1 gets 1 instead of peak 1/2"

@@ -306,11 +306,10 @@ def test_realloc_without_endowments_rejected(om_file, capsys):
     assert "endowments" in err
 
 
-def test_check_simple_rule_passes_axioms(om_file, capsys):
+def test_check_simple_rule_passes_axioms(capsys):
     code, out, _ = run(
         capsys,
         "check",
-        om_file,
         "simple:cea",
         "--axioms",
         "efficiency,edg,symmetry,nom",
@@ -337,18 +336,18 @@ def test_check_reallocation_betweenness_around_endowments(tmp_path, capsys):
     assert out == "betweenness: PASS_ON_SAMPLE\n"
 
 
-def test_check_bar_fails_symmetry(om_file, capsys):
+def test_check_bar_fails_symmetry(capsys):
     code, out, _ = run(
-        capsys, "check", om_file, "gallery:bar",
+        capsys, "check", "gallery:bar",
         "--axioms", "symmetry", "--random", "30",
     )
     assert code == 1
     assert "FAIL" in out
 
 
-def test_check_expect_fail_inverts_exit(om_file, capsys):
+def test_check_expect_fail_inverts_exit(capsys):
     code, out, _ = run(
-        capsys, "check", om_file, "gallery:bar",
+        capsys, "check", "gallery:bar",
         "--axioms", "symmetry", "--random", "30", "--expect-fail", "symmetry",
     )
     assert code == 0
@@ -366,9 +365,9 @@ def test_check_expect_fail_outside_axioms_exits_2(capsys):
     assert "--expect-fail 'symmetry' is not among --axioms" in err
 
 
-def test_check_equal_division_fails_efficiency(om_file, capsys):
+def test_check_equal_division_fails_efficiency(capsys):
     code, out, _ = run(
-        capsys, "check", om_file, "gallery:equal_division",
+        capsys, "check", "gallery:equal_division",
         "--axioms", "efficiency", "--random", "30",
     )
     assert code == 1
@@ -404,11 +403,10 @@ def test_check_nom_on_file_economy(om_file, capsys):
     assert "PASS_ON_SAMPLE" in out
 
 
-def test_check_machine_witness_replays(om_file, capsys):
+def test_check_machine_witness_replays(capsys):
     code, out, _ = run(
         capsys,
         "check",
-        om_file,
         "gallery:bar",
         "--axioms",
         "symmetry",
@@ -681,8 +679,6 @@ def test_option_set_refuses_too_few_agents(om_file, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--random", "--samples", "-3"),
-        ("--random", "--samples", "0"),
         ("--random", "0"),
         ("--random", "-5"),
     ],
@@ -694,6 +690,25 @@ def test_counts_below_one_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "count must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("/nonexistent.json", "uniform", "--axioms", "edg", "--random", "5"),
+        ("--random", "uniform", "--axioms", "edg"),
+        ("uniform", "--axioms", "edg", "--random"),
+        ("uniform", "--axioms", "edg", "--random", "5", "--samples", "5"),
+    ],
+    ids=["file and --random", "bare --random", "trailing --random", "--samples"],
+)
+def test_check_random_takes_a_count_and_no_file(capsys, argv):
+    # a file given with --random was never read, and a bare --random or
+    # --samples was a second way to set the one count
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_check_refuses_vacuous_pass(om_file, three_file, capsys):
@@ -725,9 +740,9 @@ def test_crash_exits_3_not_the_fail_code(om_file, capsys, monkeypatch):
     assert err == "internal error: RuntimeError: kernel exploded\n"
 
 
-def test_identical_invocations_are_byte_identical(om_file, capsys):
+def test_identical_invocations_are_byte_identical(capsys):
     args = (
-        "check", om_file, "uniform", "--axioms", "efficiency,sp",
+        "check", "uniform", "--axioms", "efficiency,sp",
         "--random", "20", "--seed", "7", "--grid-step", "6",
         "--format", "machine",
     )

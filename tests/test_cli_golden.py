@@ -139,7 +139,8 @@ def cases():
             + tail
         )
         found.append(["find-manipulation", "two-agent", "ced", "1"] + tail)
-        # the two reference-point guarantees, each with a failing witness
+        # the two reference-point guarantees, each with a failing witness;
+        # --random draws the economies, so "demand" only names the case
         for rule, fails in (
             ("simple:cea", "endowments-guarantee"),
             ("realloc:cea", "edg"),
@@ -153,13 +154,18 @@ def cases():
 
 
 def run_case(argv, directory):
-    """Exit code and stdout of one CLI run on the named economy."""
-    path = Path(directory) / f"{argv[1]}.json"
-    if not path.exists():
-        path.write_text(json.dumps(ECONOMIES[argv[1]]))
+    """Exit code and stdout of one CLI run on the named economy; a
+    `check --random` case draws its economies and is given no file."""
+    if "--random" in argv:
+        files = []
+    else:
+        path = Path(directory) / f"{argv[1]}.json"
+        if not path.exists():
+            path.write_text(json.dumps(ECONOMIES[argv[1]]))
+        files = [str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([argv[0], str(path)] + argv[2:])
+        code = main([argv[0], *files] + argv[2:])
     return code, out.getvalue()
 
 

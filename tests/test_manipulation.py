@@ -48,6 +48,14 @@ from helpers import (
 OM_PREF = SinglePeaked(F(1, 3), F(1), F(3))
 
 
+def wrapped(rule):
+    """`rule` behind a wrapper: the same allotments, but not built by a
+    simple-rule builder, so the search samples it."""
+    return Rule(
+        rule.name, lambda e: rule.allocate(e), rule.domain, min_agents=rule.min_agents
+    )
+
+
 # -- exact option sets -------------------------------------------------------
 
 
@@ -266,10 +274,10 @@ def test_find_manipulation_of_proportional():
 
 def test_uniform_admits_no_obvious_manipulation():
     assert find_obvious_manipulation(uniform, 0, OM_PREF, F(1), 2) is None
-    # also without the simple flag, which samples the rule itself
+    # also behind a wrapper, which the search samples
     assert (
         find_obvious_manipulation(
-            replace(uniform, simple=False), 0, OM_PREF, F(1), 2, grid_step=12
+            wrapped(uniform), 0, OM_PREF, F(1), 2, grid_step=12
         )
         is None
     )
@@ -417,7 +425,7 @@ def test_too_few_agents_rejected():
     # a simple rule's search never runs the rule, so the size check must not
     # rely on it
     bar = gallery("bar")
-    for rule in (bar, replace(bar, simple=False)):
+    for rule in (bar, wrapped(bar)):
         with pytest.raises(ValueError, match="at least 3 agents"):
             find_obvious_manipulation(rule, 0, OM_PREF, F(1), 2, grid_step=6)
     assert find_obvious_manipulation(bar, 0, OM_PREF, F(1), 3, grid_step=6) is None
@@ -481,6 +489,81 @@ def test_agent_index_checked_on_both_paths(rule):
         check_nom(rule, [NomCase(OM_PREF, F(1), 2, agent=7)], grid_step=6)
 
 
+HALF = SinglePeaked(F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: option_set_simple(F(1, 2), 1, 2.5), "whole number of agents, got 2.5"),
+        (
+            lambda: option_set_sampled(ced, 0, HALF, 1, 2.5),
+            "whole number of agents, got 2.5",
+        ),
+        (
+            lambda: find_obvious_manipulation(uniform, 0, HALF, 1, 2.5),
+            "whole number of agents, got 2.5",
+        ),
+        (
+            lambda: find_obvious_manipulation(ced, 0, HALF, 1, 2.5),
+            "whole number of agents, got 2.5",
+        ),
+        (
+            lambda: find_obvious_manipulation(gallery("bar"), 0, HALF, 1, "3"),
+            "whole number of agents, got '3'",
+        ),
+        (
+            lambda: find_obvious_manipulation(uniform, 0.0, HALF, 1, 2),
+            "agent index must be an int, got 0.0",
+        ),
+        (
+            lambda: option_set_sampled(ced, 0.0, HALF, 1, 2),
+            "agent index must be an int, got 0.0",
+        ),
+        (
+            lambda: nom_sweep(0, 3, n_values=(2.5,)),
+            "n_values must be nonempty, each n >= 2 an int",
+        ),
+    ],
+    ids=[
+        "option_set_simple n",
+        "option_set_sampled n",
+        "exact search n",
+        "sampled search n",
+        "string n",
+        "exact search agent",
+        "option_set_sampled agent",
+        "nom_sweep n",
+    ],
+)
+def test_non_integer_agent_count_or_index_refused(call, message):
+    # a float n would leak floats into an exact interval, or pass NOM on
+    # an economy that cannot exist
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_rule_takes_no_simple_flag():
+    # no caller can declare a rule simple: the flag is derived
+    with pytest.raises(TypeError, match="simple"):
+        Rule("fake", proportional.allocate, simple=True)
+    with pytest.raises(ValueError, match="simple"):
+        replace(uniform, simple=False)
+
+
+def test_proportional_under_another_name_is_searched_and_fails_nom():
+    fake = Rule("fake", proportional.allocate)
+    assert not fake.simple
+    report = check_nom(fake, nom_sweep(10, 20))
+    assert report.failed
+    certificate = report.witness.detail
+    agent, verdict = certificate.agent, certificate.verdict
+    assert certificate.oset_true.replay(verdict.w_truth)
+    assert certificate.oset_misreport.replay(verdict.w_misreport)
+    assert fake(report.witness.economy)[agent] == verdict.w_misreport
+    assert report.witness.economy.prefs[agent] == certificate.misreport
+
+
 @pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
 def test_negative_misreport_peaks_refused_on_both_paths(rule):
     with pytest.raises(ValueError, match="nonnegative"):
@@ -531,7 +614,7 @@ def test_random_draws_refuse_a_float_bound():
 def test_reallocation_rule_without_simple_flag_refused():
     # sampled option sets draw no endowments, so the rule refuses every
     # sampled economy instead of yielding a verdict
-    rule = replace(get_rule("realloc:cea"), simple=False)
+    rule = wrapped(get_rule("realloc:cea"))
     for endowment in (None, F(1, 2)):
         with pytest.raises(ValueError, match="needs individual endowments"):
             find_obvious_manipulation(
@@ -672,7 +755,7 @@ SAMPLED_RULES = [
     gallery("underline"),
     ced,
     proportional,
-    replace(uniform, simple=False),
+    wrapped(uniform),
 ]
 
 
@@ -723,13 +806,13 @@ def counting(rule):
         calls.append(econ)
         return rule(econ)
 
-    return Rule(rule.name, allocate, rule.domain, rule.simple, rule.min_agents), calls
+    return Rule(rule.name, allocate, rule.domain, min_agents=rule.min_agents), calls
 
 
 def test_sampled_search_stops_before_full_option_sets():
     rule, calls = counting(uniform)
     peaks = grid(F(1), 12)
-    args = (replace(rule, simple=False), 0, OM_PREF, F(1), 2)
+    args = (rule, 0, OM_PREF, F(1), 2)
     assert find_obvious_manipulation(
         *args, misreport_peaks=peaks, grid_step=12
     ) is None

@@ -11,8 +11,10 @@ from allotment.claims import Awards, _awards, cea, cel, pro
 from allotment.economy import Economy, _split
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
+    DOMAIN_SP_ENDOWMENTS,
     RULE_NAMES,
     SELECTORS,
+    Rule,
     _sequential,
     ced,
     gallery,
@@ -740,6 +742,40 @@ def test_rule_names_are_pinned():
         "gallery:star",
         "gallery:underline",
     ]
+
+
+def test_registered_simple_flags_are_pinned():
+    # read at the parent commit, where `simple` was still an argument
+    assert {name: get_rule(name).simple for name in RULE_NAMES} == {
+        "uniform": True,
+        "ced": False,
+        "proportional": False,
+        "simple:cea": True,
+        "simple:cel": True,
+        "simple:pro": True,
+        "simple:appendix-b": True,
+        "realloc:cea": True,
+        "realloc:cel": True,
+        "realloc:pro": True,
+        "spl:cea": False,
+        "spl:cel": False,
+        "spl:pro": False,
+        "gallery:bar": True,
+        "gallery:equal_division": False,
+        "gallery:hat": False,
+        "gallery:star": False,
+        "gallery:underline": False,
+    }
+
+
+def test_simple_follows_the_builder_and_domain():
+    # the mark travels with the built function, for its own domain only
+    assert Rule("alias", uniform.allocate).simple
+    assert not Rule("wrapper", lambda e: uniform.allocate(e)).simple
+    assert not Rule("endowed", uniform.allocate, DOMAIN_SP_ENDOWMENTS).simple
+    assert not Rule("fake", proportional.allocate).simple
+    with pytest.raises(ValueError, match="needs a simple base rule"):
+        spl_extension(Rule("wrapper", lambda e: uniform.allocate(e)))
 
 
 def test_each_registered_rule_carries_its_name():
