@@ -5,24 +5,24 @@ An economy is a profile of preferences plus a social endowment omega
 `_split` classifies agents as simple/non-simple relative to one reference
 point per agent -- equal division omega/n, or the agent's own endowment
 for the reallocation rules -- and computes the excess demand and the
-residual that the second step divides. The one simple-rule builder
-(`rules._simple_rule`) and `axioms.check_betweenness` read it.
+residual that the second step divides, on integers (`_split_scaled`).
+The simple rules (`rules._simple_rule`) and `axioms.check_betweenness`
+read it.
 
 A single-peaked economy's integer profile -- the peaks and omega as
 numerators over their least common denominator D -- is computed the first
 time it is read (`Economy._integer_profile`) and kept outside equality,
-hashing and repr. `_split` divides omega equally on it, peaks * n against
-omega over D * n, and ced and proportional read it too. The sampled
-option sets build their economies through `Economy._of_checked`, which
-skips the checks the sampler has made once per set.
+hashing and repr. The rules' integer kernels (`rules._of_kernel`) run on
+it. The sampled option sets run them on the integers they hold, and build
+their economies through `Economy._of_checked`, which skips the checks the
+sampler has made once per set.
 
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
-after scaling its amounts, and by `Allotment._of_scaled`, through which
-the simple-rule builder, ced and proportional build their allotments from
-the integers they hold. Every allotment keeps those integers, and builds
-an amount's Fraction only when it is read: a sampled option set, which
-reads one agent's amount per rule run, builds one Fraction per run.
+after scaling its amounts, by `Allotment._of_scaled`, through which the
+rules build their allotments from the integers they hold, and on every
+kernel run of a sampled option set. Every allotment keeps those integers,
+and builds an amount's Fraction only when it is read.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _checked_size(n: int, omega) -> Fraction:
     """omega parsed, after `Economy`'s refusals of an agent count n that
     is not an int of at least 2, then of an omega that is not positive."""
     omega = parse_rational(omega)
-    if not isinstance(n, int):
+    if type(n) is not int:  # a bool is refused too
         raise ValueError(f"an economy needs a whole number of agents, got {n!r}")
     if n < 2:
         raise ValueError("an economy needs at least two agents")
@@ -235,7 +235,7 @@ class Allotment:
 def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> None:
     """Refuse amounts, integers over `common`, that are negative or do not
     sum to omega exactly."""
-    if any(a < 0 for a in amounts):
+    if min(amounts, default=0) < 0:
         raise ValueError("allotments must be nonnegative")
     total = sum(amounts)
     if total * omega.denominator != omega.numerator * common:
@@ -257,17 +257,28 @@ def _split(econ: Economy, reference: Optional[Sequence[Fraction]] = None):
     omega, each amount is a numerator over D, plus and minus are ascending
     agent lists, and left is omega less the plus peaks and the minus
     references, so the non-simple agents divide E = |left| / D. For equal
-    division D is n times the integer profile's, so omega/n is omega's
-    numerator and nothing is rescaled; given points are scaled with the
-    peaks and omega (`rational._scaled`)."""
-    n = econ.n
+    division the split runs on the integer profile (`_split_scaled`);
+    given points are scaled with the peaks and omega (`rational._scaled`)."""
     if reference is None:
-        common, peaks, omega = econ._integer_profile()
+        return _split_scaled(*econ._integer_profile())
+    n = econ.n
+    common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
+    return _split_scaled(common, scaled[:n], scaled[-1], scaled[n:-1])
+
+
+def _split_scaled(
+    common: int,
+    peaks: Sequence[int],
+    omega: int,
+    reference: Optional[Sequence[int]] = None,
+):
+    """`_split` of the peaks, omega and the reference points as integers
+    over D. With no reference points the split is around equal division,
+    over D * n, so omega/n is omega's numerator and nothing is rescaled."""
+    if reference is None:
+        n = len(peaks)
         common, peaks, reference = common * n, [p * n for p in peaks], [omega] * n
         omega *= n
-    else:
-        common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
-        peaks, reference, omega = scaled[:n], scaled[n:-1], scaled[-1]
     z = sum(peaks) - omega
     demand = z >= 0
     plus, minus = [], []

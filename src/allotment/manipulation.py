@@ -24,20 +24,22 @@ option set built.
 
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
-built once and shared across rules, agents and misreports. So is the
+built once and shared across rules, agents and misreports, with every
+profile's peaks as integers over the families' denominator. So is the
 witness family: the witness profile of every grid target, of which an
 agent's option set reads a slice, building a profile only for an end of
 the set that lies off the grid. Sharing is unobservable: the cache key is
 the whole input, compared by type as well as value, and the value is made
-of tuples of fractions or of frozen preferences, which no caller can
+of tuples of fractions, ints or frozen preferences, which no caller can
 change.
 
 `option_set_sampled` makes the economy constructor's checks once per set
 (an int count of two agents or more and a positive omega, through
-`economy._checked_size`, and a single-peaked report), so each
-opponent profile's economy comes through the checked door
-`Economy._of_checked`, equal to the public one in every field; the rule
-still checks its domain, and the allotment its feasibility, on every run.
+`economy._checked_size`, and a single-peaked report), and `_sample` the
+rule's domain check. A rule's integer kernel (`rules._of_kernel`) then
+runs on each profile's integers, and only the first witness of each
+outcome gets an economy, through `Economy._of_checked`; any other rule
+runs on every profile's economy. Feasibility is checked on every run.
 """
 
 from __future__ import annotations
@@ -50,11 +52,16 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomReport, Witness, _scan
-from .economy import Economy, _checked_size
+from .economy import Economy, _check_feasible, _checked_size
 from .preferences import SinglePeaked, worst
-from .rational import format_rational as fr, parse_rational
+from .rational import _scaled, format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import SLOPE_CATALOGUE, _check_grid_step, grid as peak_grid
+
+# an opponent profile: the opponents and their peaks' numerators over a D
+Profile = Tuple[Tuple[SinglePeaked, ...], Optional[Tuple[int, ...]]]
+Family = Tuple[Optional[Profile], ...]
+
 
 @dataclass
 class SampledOptionSet:
@@ -115,39 +122,50 @@ def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
 @functools.lru_cache(maxsize=32, typed=True)
 def _shared_families(
     omega: Fraction, n: int, grid_step: int
-) -> Tuple[
-    Tuple[Tuple[SinglePeaked, ...], ...],
-    Tuple[Tuple[SinglePeaked, ...], ...],
-    Tuple[Optional[Tuple[SinglePeaked, ...]], ...],
-]:
-    """The opponent families that do not depend on the agent: the identical
-    family, the complementary family (without its profiles the identical
-    family already holds), and the witness profile of every grid target
-    k * omega / grid_step, k = 0 .. grid_step, indexed by k.
+) -> Tuple[int, Family, Family, Family]:
+    """The opponent families that do not depend on the agent, after a
+    common denominator D of their peaks and omega: the identical family,
+    the complementary family (without its profiles the identical family
+    already holds), and the witness profile of every grid target
+    k * omega / grid_step, k = 0 .. grid_step, indexed by k. Each profile
+    is a pair (opponents, their peaks' numerators over D).
 
     Every profile is made of one unit-slope preference per distinct peak,
     shared by every slot and profile. The witness profile of target k puts
     every opponent at (grid_step - k) * omega / (grid_step * (n - 1)),
     which lies on the grid exactly when (grid_step - k) % (n - 1) == 0;
     the identical family holds those profiles, so their entries are None.
+    Grid point k is k * omega / grid_step, so omega - point k is point
+    grid_step - k, and D is the grid's times n - 1, over which every
+    target's peak (omega - point k) / (n - 1) is an integer too.
     """
     points = _grid(omega, grid_step)
-    unit = {q: SinglePeaked(q) for q in points}
-    identical = tuple((unit[q],) * (n - 1) for q in points)
+    common, scaled = _scaled(points)
+    common, top = common * (n - 1), scaled[grid_step] * (n - 1)
+    unit = [(SinglePeaked(q), x * (n - 1)) for q, x in zip(points, scaled)]
+
+    def profile(*slots) -> Profile:
+        """The n - 1 opponents that cycle through the given slots."""
+        cycle = [slots[j % len(slots)] for j in range(n - 1)]
+        return tuple(pref for pref, _ in cycle), tuple(x for _, x in cycle)
+
+    identical = tuple(profile(slot) for slot in unit)
     # a complementary profile is constant only at q = omega/2, where the
     # identical family holds it; distinct q lead with distinct peaks
     complementary = tuple(
-        tuple(unit[q] if j % 2 == 0 else unit[omega - q] for j in range(n - 1))
-        for q in points
-        if n >= 3 and q <= omega and q != omega - q
+        profile(unit[k], unit[grid_step - k])
+        for k in range(grid_step + 1)
+        if n >= 3 and 2 * k != grid_step
     )
     witness = tuple(
         None
         if (grid_step - k) % (n - 1) == 0
-        else (SinglePeaked((omega - points[k]) / (n - 1)),) * (n - 1)
-        for k in range(grid_step + 1)
+        else profile(
+            (SinglePeaked((omega - points[k]) / (n - 1)), (top - x) // (n - 1))
+        )
+        for k, (_, x) in enumerate(unit[: grid_step + 1])
     )
-    return identical, complementary, witness
+    return common, identical, complementary, witness
 
 
 def _opponent_profiles(
@@ -155,7 +173,7 @@ def _opponent_profiles(
     omega: Fraction,
     n: int,
     grid_step: int,
-) -> Iterator[Tuple[SinglePeaked, ...]]:
+) -> Iterator[Profile]:
     """Deterministic opponent families of unit-slope preferences, deduped
     on the opponents' peaks in generation order:
 
@@ -170,10 +188,11 @@ def _opponent_profiles(
     Profiles are generated lazily, so a consumer that stops early builds
     no more witness profiles than it reads. The targets are the option
     set's two ends and the grid points between them; the grid points' are
-    a slice of the shared witness family, and only an end that lies off
-    the grid gets a profile of its own.
+    a slice of the shared witness family, with their peaks' numerators
+    over the families' D, and only an end that lies off the grid gets a
+    profile of its own, with None.
     """
-    identical, complementary, witness = _shared_families(omega, n, grid_step)
+    _, identical, complementary, witness = _shared_families(omega, n, grid_step)
     yield from identical
 
     # a witness profile is constant, so it repeats an identical profile
@@ -183,12 +202,10 @@ def _opponent_profiles(
     at_lo, at_hi = lo * grid_step / omega, hi * grid_step / omega
     first, last = math.ceil(at_lo), math.floor(at_hi)
     if at_lo != first:
-        yield (SinglePeaked((omega - lo) / (n - 1)),) * (n - 1)
-    for profile in witness[first : last + 1]:
-        if profile is not None:
-            yield profile
+        yield (SinglePeaked((omega - lo) / (n - 1)),) * (n - 1), None
+    yield from filter(None, witness[first : last + 1])
     if at_hi != last and hi != lo:
-        yield (SinglePeaked((omega - hi) / (n - 1)),) * (n - 1)
+        yield (SinglePeaked((omega - hi) / (n - 1)),) * (n - 1), None
 
     yield from complementary
 
@@ -204,22 +221,61 @@ def _sample(
 ) -> Optional[SampledOptionSet]:
     """The sampled option set of `agent` reporting `pref`: one rule run per
     opponent profile, in generation order, keeping the first economy that
-    achieves each outcome. None at the first outcome for which `stop`
-    holds, before any later profile is built or run.
+    achieves each outcome. None at the first outcome for which `stop` (a
+    predicate, asked once per outcome) holds, before any later run.
 
-    Every economy comes through `Economy._of_checked`, with omega / n
-    computed once: `option_set_sampled` has made the constructor's checks
-    for the set, and the opponents are the families' unit-slope
-    preferences."""
-    witnesses: Dict[Fraction, Economy] = {}
+    A rule's integer kernel runs after one domain check (every economy of
+    the set is single-peaked, without endowments), on a shared profile's
+    numerators over the families' D refined by the report's peak, or on
+    an off-grid end's economy; `economy._check_feasible` checks every run,
+    and only the first witness of an outcome gets an economy. Any other
+    rule is called on each profile's economy. Outcomes are keyed as
+    reduced integer pairs. Every economy comes through
+    `Economy._of_checked`: `option_set_sampled` has made the checks."""
     share = omega / n
-    for opponents in _opponent_profiles(pref, omega, n, grid_step):
-        prefs = opponents[:agent] + (pref,) + opponents[agent:]
-        econ = Economy._of_checked(prefs, omega, share)
-        outcome = rule(econ)[agent]
+    kernel = getattr(rule.allocate, "_kernel", None)
+
+    def splice(opponents, own):
+        return opponents[:agent] + (own,) + opponents[agent:]
+
+    if kernel is None:
+
+        def run(opponents, numerators):
+            econ = Economy._of_checked(splice(opponents, pref), omega, share)
+            outcome = rule(econ)[agent]
+            return (outcome.numerator, outcome.denominator), econ
+
+    else:
+        family = _shared_families(omega, n, grid_step)[0]
+        common, (report, total) = _scaled([pref.peak, omega], family)
+        scale = common // family
+        rule.check_domain(Economy._of_checked((pref,) * n, omega, share))
+
+        def run(opponents, numerators):
+            econ = None
+            if numerators is None:  # an off-grid end, on its economy's D
+                econ = Economy._of_checked(splice(opponents, pref), omega, share)
+                unit, amounts = kernel(*econ._integer_profile())
+            else:
+                if scale != 1:
+                    numerators = tuple(x * scale for x in numerators)
+                unit, amounts = kernel(common, splice(numerators, report), total)
+            _check_feasible(unit, amounts, omega)
+            g = math.gcd(amounts[agent], unit)
+            return (amounts[agent] // g, unit // g), econ
+
+    found: Dict[Tuple[int, int], Tuple[Fraction, Economy]] = {}
+    for opponents, numerators in _opponent_profiles(pref, omega, n, grid_step):
+        key, econ = run(opponents, numerators)
+        if key in found:
+            continue
+        outcome = Fraction(*key)
         if stop is not None and stop(outcome):
             return None
-        witnesses.setdefault(outcome, econ)
+        if econ is None:
+            econ = Economy._of_checked(splice(opponents, pref), omega, share)
+        found[key] = outcome, econ
+    witnesses = dict(found.values())
     return SampledOptionSet(
         rule=rule,
         agent=agent,
@@ -263,12 +319,12 @@ def _checked_omega(rule: Rule, agent: int, n: int, omega) -> Fraction:
     """omega parsed, after refusing n below the rule's minimum, the
     economy's size and endowment as `Economy` does (`_checked_size`), and
     an agent index that is not an int in [0, n)."""
-    if isinstance(n, int) and n < rule.min_agents:
+    if type(n) is int and n < rule.min_agents:
         raise ValueError(
             f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
         )
     omega = _checked_size(n, omega)
-    if not isinstance(agent, int):
+    if type(agent) is not int:  # a bool is refused too
         raise ValueError(f"agent index must be an int, got {agent!r}")
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for n={n}")

@@ -14,15 +14,17 @@ Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
 rule path runs on integers over one common denominator D, written by the
 private `_scaled`: the level scans, an economy's integer profile
-(`Economy._integer_profile`, computed once per economy), which
-`economy._split` reads for equal division (endowments are scaled with
-the peaks on each call), the integer entry of the claims rules
-(`claims._core`), the one simple-rule builder (`rules._simple_rule`) from
-the split to the allotment, ced and proportional, which run the claims
-cores on the integer profile's peaks, and the single-plateaued extension
-(`rules.spl_extension`). A Fraction is built only where a value leaves
-the integers (a level, an award, an amount that is read) or where a
-custom claims rule reads its `ClaimsProblem`. `exact_sum` is `_scaled`
+(`Economy._integer_profile`, computed once per economy), the split
+(`economy._split_scaled`; endowments are scaled with the peaks on each
+call), the integer entry of the claims rules (`claims._core`), the rules'
+integer kernels (`rules._of_kernel`: each simple rule around equal
+division, ced and proportional), the reallocation rules, the
+single-plateaued extension (`rules.spl_extension`) and the sampled option
+sets, which keep each shared opponent profile's peaks over one D
+(`manipulation._shared_families`) and run the kernels on them. A
+Fraction is built only where a value leaves the integers (a level, an
+award, an amount that is read, a sampled set's distinct outcome) or where
+a custom claims rule reads its `ClaimsProblem`. `exact_sum` is `_scaled`
 plus one Fraction, and the rule path takes every other sum it checks or
 divides through it. Every public value stays a Fraction. A Fraction has
 the sign of its numerator, so where the rule path still holds Fractions

@@ -15,6 +15,9 @@ simple rule of cea. ced and proportional run the cel and pro cores
 on the peaks themselves, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
 
+Each of them but the reallocation rules is one integer kernel, from
+which its `allocate` is derived (`_of_kernel`).
+
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
 allotment on its declared domain. Whether a rule is simple is derived
@@ -38,7 +41,7 @@ from .claims import (
     _core,
     _pro,
 )
-from .economy import Allotment, Economy, _split, make_allotment
+from .economy import Allotment, Economy, _split, _split_scaled, make_allotment
 from .levels import _clamp_level
 from .preferences import SinglePeaked
 from .rational import _scaled, exact_sum
@@ -61,6 +64,8 @@ class Rule:
     so the agent gets r whatever it reports. So r is in every option set
     and is the truthful worst, and NOM holds without a search.
     `min_agents` lets samplers and checkers skip economies a rule rejects.
+    The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
+    option sets run it in place of the rule after one `check_domain`.
     """
 
     name: str
@@ -87,6 +92,18 @@ class Rule:
             raise ValueError(f"rule {self.name} needs individual endowments")
 
 
+def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
+    """The allocate function of an integer kernel (D, peaks, omega) ->
+    (unit, amounts), run on the economy's integer profile, and carrying
+    the kernel as `_kernel` for `manipulation._sample` to run."""
+
+    def allocate(econ: Economy) -> Allotment:
+        return Allotment._of_scaled(*kernel(*econ._integer_profile()), econ.omega)
+
+    allocate._kernel = kernel
+    return allocate
+
+
 # ---------------------------------------------------------------------------
 # simple rules: one builder over the integer entry of a claims rule
 
@@ -106,12 +123,8 @@ def _simple_rule(
     awards are checked once (`claims._check_awards`): a claims rule that
     leaves [0, claim] or misses E is refused rather than trusted as simple.
     """
-    endowed = domain == DOMAIN_SP_ENDOWMENTS
 
-    def allocate(econ: Economy) -> Allotment:
-        if endowed and econ.endowments is None:
-            raise ValueError(f"rule {name} needs individual endowments")
-        split = _split(econ, econ.endowments if endowed else None)
+    def divide(split):
         common, peaks, scaled, z, left, _, minus = split
         if order is not None:
             if sorted(order) != minus:
@@ -128,8 +141,18 @@ def _simple_rule(
         for nu, i in zip(awards, minus):
             r = scaled[i] * scale
             amounts[i] = r + nu if z >= 0 else r - nu
-        return Allotment._of_scaled(common * scale, amounts, econ.omega)
+        return common * scale, amounts
 
+    if domain == DOMAIN_SP_ENDOWMENTS:
+
+        def allocate(econ: Economy) -> Allotment:
+            if econ.endowments is None:
+                raise ValueError(f"rule {name} needs individual endowments")
+            split = _split(econ, econ.endowments)
+            return Allotment._of_scaled(*divide(split), econ.omega)
+
+    else:  # around equal division: the split of the integer profile
+        allocate = _of_kernel(lambda *profile: divide(_split_scaled(*profile)))
     allocate._simple_domain = domain  # read by `Rule`: the rule is simple
     return Rule(name, allocate, domain=domain)
 
@@ -154,31 +177,29 @@ def simple_reallocation_from_claims(
 # three classical rules, on the claims-rule cores
 
 
-def _ced(econ: Economy) -> Allotment:
-    n = econ.n
-    common, peaks, omega = econ._integer_profile()
+def _ced(common: int, peaks: Sequence[int], omega: int):
     z = sum(peaks) - omega
     if z >= 0:
         # equal losses from the peaks: the cuts total the excess demand
         amounts, scale = _cel(peaks, omega, common)
-        return Allotment._of_scaled(common * scale, amounts, econ.omega)
+        return common * scale, amounts
     # equal gains: every peak is raised by (omega - sum(peaks)) / n
-    return Allotment._of_scaled(common * n, [p * n - z for p in peaks], econ.omega)
+    n = len(peaks)
+    return common * n, [p * n - z for p in peaks]
 
 
-def _proportional(econ: Economy) -> Allotment:
-    n = econ.n
-    common, peaks, omega = econ._integer_profile()
+def _proportional(common: int, peaks: Sequence[int], omega: int):
     if not any(peaks):
-        return Allotment._of_scaled(common * n, [omega] * n, econ.omega)
+        n = len(peaks)
+        return common * n, [omega] * n
     amounts, scale = _pro(peaks, omega, common)
-    return Allotment._of_scaled(common * scale, amounts, econ.omega)
+    return common * scale, amounts
 
 
 # the uniform rule (Sprumont 1991) is the simple rule of equal awards
 uniform = _simple_rule(_cea, "uniform")
-ced = Rule("ced", _ced)
-proportional = Rule("proportional", _proportional)
+ced = Rule("ced", _of_kernel(_ced))
+proportional = Rule("proportional", _of_kernel(_proportional))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +266,10 @@ def sequential_rule(
     the share `SELECTORS[selector]` of the window that keeps every later
     step feasible. The last visited agent's amount is pinned by
     feasibility. `order` is an ordering policy ("ascending", the default,
-    or "descending") or, for single-economy use, an explicit agent
-    sequence. Any other selection is a claims rule: build its simple rule
-    with `simple_from_claims`.
+    or "descending") or, for single-economy use, an explicit sequence of
+    distinct agent indices (from 0); any other order is refused here, as
+    no economy accepts it. Any other selection is a claims rule: build its
+    simple rule with `simple_from_claims`.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
@@ -257,6 +279,16 @@ def sequential_rule(
             f"unknown order policy {order!r}; choose ascending or descending"
         )
     explicit = order is not None and not isinstance(order, str)
+    if explicit:
+        order = list(order)
+        agents = all(type(i) is int and i >= 0 for i in order)
+        if not order or not agents or len(set(order)) < len(order):
+            # numbered from 1, like the refusal of an order at call time
+            shown = ", ".join(str(i + 1) if type(i) is int else repr(i) for i in order)
+            raise ValueError(
+                "an explicit order must list distinct agents (numbered from 1),"
+                f" got [{shown}]"
+            )
     if name is None:
         tag = selector
         if isinstance(order, str):
@@ -265,7 +297,7 @@ def sequential_rule(
             tag += ",order=" + ",".join(str(i + 1) for i in order)
         name = f"simple:appendix-b[{tag}]"
     core = _sequential(SELECTORS[selector], order == "descending")
-    return _simple_rule(core, name, order=list(order) if explicit else None)
+    return _simple_rule(core, name, order=order if explicit else None)
 
 
 # ---------------------------------------------------------------------------

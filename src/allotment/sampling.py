@@ -266,7 +266,13 @@ def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
 
 
 def _check_grid_step(step_denominator: int) -> None:
-    """Refuse a grid step denominator below 1 (see `grid`)."""
+    """Refuse a grid step denominator that is not an int (a bool
+    included) or is below 1 (see `grid`)."""
+    if type(step_denominator) is not int:
+        raise ValueError(
+            "grid step denominator must be a whole number of at least 1,"
+            f" got {step_denominator!r}"
+        )
     if step_denominator < 1:
         raise ValueError(
             f"grid step denominator must be at least 1, got {step_denominator}"

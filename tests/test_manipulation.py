@@ -1,3 +1,4 @@
+import functools
 import pickle
 import random
 from dataclasses import replace
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allotment import NO_CASES
-from allotment.claims import cea, cel
-from allotment.economy import Economy
+import allotment.manipulation as manipulation_module
+import allotment.rules as rules_module
+from allotment.claims import Awards, cea, cel
+from allotment.economy import Economy, _checked_size, make_allotment
 from allotment.manipulation import (
     _grid,
     _opponent_profiles,
@@ -25,6 +28,8 @@ from allotment.manipulation import (
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
+    DOMAIN_SP,
+    DOMAIN_SPL,
     DOMAIN_SP_ENDOWMENTS,
     GALLERY_BUILDERS,
     RULE_NAMES,
@@ -145,8 +150,20 @@ def test_opponent_profiles_match_oracle(grid_step):
                 expected = peaks_and_slopes(opponent_profiles_oracle(pref, *args))
                 # the second call reads the cached shared families
                 for _ in range(2):
-                    got = peaks_and_slopes(_opponent_profiles(pref, *args))
+                    profiles = list(_opponent_profiles(pref, *args))
+                    got = peaks_and_slopes(opponents for opponents, _ in profiles)
                     assert got == expected, (pref.peak, omega, n)
+                    # a shared profile's numerators are its peaks over the
+                    # families' D; an off-grid end's profile has none
+                    common = _shared_families(*args)[0]
+                    for opponents, numerators in profiles:
+                        peaks = tuple(p.peak for p in opponents)
+                        if numerators is None:
+                            assert len(set(peaks)) == 1 and peaks[0] not in grid(
+                                omega, grid_step
+                            )
+                        else:
+                            assert tuple(F(x, common) for x in numerators) == peaks
 
 
 def recording_rule(seen):
@@ -404,6 +421,139 @@ def test_sampled_and_certificate_economies_equal_public_ones():
     assert certificates > 0
 
 
+# -- the kernel path of sampled option sets ----------------------------------
+
+
+def c04_cases():
+    """The (peak, omega, n) cases of acceptance criterion c04, whose option
+    sets are sampled for agent 0 on the default grid."""
+    rng = random.Random(20)
+    cases = []
+    while len(cases) < 100:
+        omega = F(rng.randint(1, 5))
+        n = rng.randint(2, 6)
+        den = rng.randint(1, 60)
+        cases.append((F(rng.randint(0, 2 * omega.numerator * den), den), omega, n))
+    return cases
+
+
+def priority_first(cp):
+    """A claims rule with no integer core: claimants in index order."""
+    remaining, awards = cp.endowment, []
+    for claim in cp.claims:
+        awards.append(min(claim, remaining))
+        remaining -= awards[-1]
+    return Awards(tuple(awards))
+
+
+def midway(econ):
+    """A custom rule, halfway between uniform and ced."""
+    return make_allotment(econ, [(u + c) / 2 for u, c in zip(uniform(econ), ced(econ))])
+
+
+KERNEL_PATH_RULES = [
+    *(rule for rule in map(get_rule, RULE_NAMES) if rule.domain == DOMAIN_SP),
+    simple_from_claims(priority_first, "simple:priority"),  # kernel, adapter core
+    Rule("wrapped", lambda econ: uniform.allocate(econ)),  # no kernel
+    Rule("midway", midway),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def c04_public_economies():
+    """Each c04 case's report and the public `Economy` of every opponent
+    profile of the oracle generator, in generation order."""
+    cases = []
+    for peak, omega, n in c04_cases():
+        pref = SinglePeaked(peak)
+        profiles = opponent_profiles_oracle(pref, omega, n, 60)
+        economies = [Economy((pref,) + opponents, omega) for opponents in profiles]
+        cases.append((pref, omega, n, economies))
+    return cases
+
+
+@pytest.mark.parametrize("rule", KERNEL_PATH_RULES, ids=lambda rule: rule.name)
+def test_sampled_sets_equal_a_public_loop_on_c04_cases(rule):
+    # the kernel path keeps the outcomes, the first witness of each and
+    # their order of a loop over public economies on every c04 case; the
+    # adapter, which calls the rule on those economies, on the first 25
+    kernel = rule.name in ("uniform", "ced", "proportional")
+    kernel = kernel or rule.name.startswith("simple:")
+    assert hasattr(rule.allocate, "_kernel") == kernel
+    for pref, omega, n, economies in c04_public_economies()[: 100 if kernel else 25]:
+        if n < rule.min_agents:
+            continue
+        expected = {}
+        for econ in economies:
+            expected.setdefault(rule(econ)[0], econ)
+        oset = option_set_sampled(rule, 0, pref, omega, n)
+        assert list(oset.witnesses.items()) == list(expected.items())
+        assert oset.outcomes == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (get_rule("spl:cea"), "rule spl:cea needs single-plateaued preferences"),
+        (get_rule("realloc:cea"), "rule realloc:cea needs individual endowments"),
+        (
+            Rule("x", uniform.allocate, domain=DOMAIN_SPL),
+            "rule x needs single-plateaued preferences",
+        ),
+    ],
+    ids=["spl", "realloc", "kernel on SPL"],
+)
+def test_sampled_domain_refused_once_per_set(rule, message, monkeypatch):
+    checks = []
+    check_domain = Rule.check_domain
+
+    def counted(self, econ):
+        checks.append(econ)
+        return check_domain(self, econ)
+
+    monkeypatch.setattr(Rule, "check_domain", counted)
+    with pytest.raises(ValueError) as refused:
+        option_set_sampled(rule, 0, HALF, F(1), 3, grid_step=6)
+    assert str(refused.value) == message
+    assert len(checks) == 1
+    # a kernel rule's accepted set checks its domain once too
+    checks.clear()
+    option_set_sampled(uniform, 0, HALF, F(1), 3, grid_step=6)
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("name", ["uniform", "ced", "proportional", "simple:cel"])
+def test_each_kernel_call_is_checked(name, monkeypatch):
+    # every kernel run has its awards (a simple rule's) and its amounts
+    # checked, once each
+    awards, feasible = [], []
+
+    def counting(calls, check):
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        rules_module, "_check_awards", counting(awards, rules_module._check_awards)
+    )
+    monkeypatch.setattr(
+        manipulation_module,
+        "_check_feasible",
+        counting(feasible, manipulation_module._check_feasible),
+    )
+    rule = get_rule(name)
+    for peak, omega, n in c04_cases()[:10]:
+        pref = SinglePeaked(peak)
+        awards.clear()
+        feasible.clear()
+        option_set_sampled(rule, 0, pref, omega, n)
+        profiles = len(list(_opponent_profiles(pref, omega, n, 60)))
+        assert len(feasible) == profiles
+        assert len(awards) == (profiles if rule.simple else 0)
+
+
 def test_definition_and_worst_case_forms_agree_across_grid():
     truth = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=12)
     for k in range(0, 25):
@@ -524,6 +674,24 @@ HALF = SinglePeaked(F(1, 2))
             lambda: nom_sweep(0, 3, n_values=(2.5,)),
             "n_values must be nonempty, each n >= 2 an int",
         ),
+        # a bool is an int to Python, but no agent count or index
+        (
+            lambda: option_set_sampled(ced, True, HALF, 1, 2),
+            "agent index must be an int, got True",
+        ),
+        (
+            lambda: find_obvious_manipulation(ced, False, HALF, 1, 2),
+            "agent index must be an int, got False",
+        ),
+        (
+            lambda: option_set_sampled(ced, 0, HALF, 1, True),
+            "whole number of agents, got True",
+        ),
+        (
+            lambda: find_obvious_manipulation(uniform, 0, HALF, 1, True),
+            "whole number of agents, got True",
+        ),
+        (lambda: _checked_size(True, 1), "whole number of agents, got True"),
     ],
     ids=[
         "option_set_simple n",
@@ -534,6 +702,11 @@ HALF = SinglePeaked(F(1, 2))
         "exact search agent",
         "option_set_sampled agent",
         "nom_sweep n",
+        "option_set_sampled bool agent",
+        "sampled search bool agent",
+        "option_set_sampled bool n",
+        "exact search bool n",
+        "economy size bool n",
     ],
 )
 def test_non_integer_agent_count_or_index_refused(call, message):
@@ -643,7 +816,7 @@ def test_plateaued_true_preference_rejected():
             find_obvious_manipulation(rule, 0, pref, F(1), 2, grid_step=6)
 
 
-@pytest.mark.parametrize("step", [0, -3])
+@pytest.mark.parametrize("step", [0, -3, True, 2.5, "6"])
 def test_empty_grids_rejected(step):
     with pytest.raises(ValueError, match="at least 1"):
         grid(F(1), step)
@@ -661,6 +834,9 @@ def test_empty_grids_rejected(step):
             find_obvious_manipulation(
                 rule, 0, OM_PREF, F(1), 2, grid_step=step, option_grid_step=6
             )
+    # and a sampled option set's grid, before any profile is built
+    with pytest.raises(ValueError, match="at least 1"):
+        option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=step)
 
 
 # -- simple rules decided by the reference point -----------------------------

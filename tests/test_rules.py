@@ -5,10 +5,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
+import allotment.economy as economy_module
 import allotment.rules as rules_module
 from allotment.axioms import check_betweenness
 from allotment.claims import Awards, _awards, cea, cel, pro
-from allotment.economy import Economy, _split
+from allotment.economy import Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
@@ -414,14 +415,33 @@ def test_sequential_claims_rules_are_claims_rules():
             assert sum(awards) == cp.endowment
 
 
+@pytest.mark.parametrize(
+    "order", [[], [1, 1], [-1, 0], [0, 1.0], [True, 0], ["1", "2"]]
+)
+def test_explicit_order_refused_at_build_time(order):
+    # no economy accepts an order that is not distinct indices from 0
+    with pytest.raises(ValueError, match="^an explicit order must list distinct"):
+        sequential_rule("lo", order=order)
+
+
+def test_explicit_order_numbers_agents_from_1():
+    with pytest.raises(ValueError, match=r"\(numbered from 1\), got \[0, 1\]$"):
+        sequential_rule("lo", order=[-1, 0])
+    assert sequential_rule("lo", order=(5, 1)).name == "simple:appendix-b[lo,order=6,2]"
+
+
 def test_each_simple_rule_call_splits_once(monkeypatch):
+    # one integer split per call: the kernel of a rule around equal
+    # division runs `_split_scaled`, and a reallocation rule runs `_split`,
+    # which scales the endowments and calls it
     calls = []
 
-    def counted(econ, reference=None):
-        calls.append(econ)
-        return _split(econ, reference)
+    def counted(*args):
+        calls.append(args)
+        return _split_scaled(*args)
 
-    monkeypatch.setattr(rules_module, "_split", counted)
+    monkeypatch.setattr(rules_module, "_split_scaled", counted)
+    monkeypatch.setattr(economy_module, "_split_scaled", counted)
     e = econ([F(1, 2), 1, F(3, 2)], 2, (F(1), F(1, 2), F(1, 2)))
     simple = [get_rule(name) for name in RULE_NAMES if name.startswith("simple:")]
     explicit = sequential_rule("hi", order=[2, 1])
