@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
-from .economy import Economy, _split
+from .economy import Economy, _split_scaled
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
@@ -280,7 +280,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
         peaks = _peaks("betweenness", econ)
-        *_, plus, minus = _split(econ, econ.endowments if endowed else None)
+        *profile, endowments = econ._integer_profile()
+        *_, plus, minus = _split_scaled(*profile, endowments if endowed else None)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         for i in plus:
             if x[i] != peaks[i]:

@@ -2,19 +2,19 @@
 
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
-`_split` classifies agents as simple/non-simple relative to one reference
-point per agent -- equal division omega/n, or the agent's own endowment
-for the reallocation rules -- and computes the excess demand and the
-residual that the second step divides, on integers (`_split_scaled`).
-The simple rules (`rules._simple_rule`) and `axioms.check_betweenness`
-read it.
 
-A single-peaked economy's integer profile -- the peaks and omega as
-numerators over their least common denominator D -- is computed the first
-time it is read (`Economy._integer_profile`) and kept outside equality,
-hashing and repr. The rules' integer kernels (`rules._of_kernel`) run on
-it. The sampled option sets run them on the integers they hold, and build
-their economies through `Economy._of_checked`, which skips the checks the
+A single-peaked economy's integer profile -- the peaks, omega and the
+endowments (None when there are none) as numerators over their least
+common denominator D -- is computed the first time it is read
+(`Economy._integer_profile`) and kept outside equality, hashing and repr.
+`_split_scaled` classifies agents on it as simple/non-simple relative to
+one reference point per agent -- equal division omega/n, or the agent's
+own endowment for the reallocation rules -- and computes the excess
+demand and the residual that the second step divides. The simple rules
+(`rules._simple_rule`) and `axioms.check_betweenness` read it, and the
+rules' integer kernels (`rules._of_kernel`) run on the profile. The
+sampled option sets run them on the integers they hold, and build their
+economies through `Economy._of_checked`, which skips the checks the
 sampler has made once per set.
 
 Feasibility (nonnegative amounts summing to omega) is checked on integers
@@ -51,7 +51,7 @@ class Economy:
     _peaks: Optional[Tuple[Fraction, ...]] = field(
         init=False, repr=False, compare=False
     )
-    _integers: Optional[Tuple[int, Tuple[int, ...], int]] = field(
+    _integers: Optional[tuple] = field(
         init=False, default=None, repr=False, compare=False
     )
 
@@ -94,14 +94,17 @@ class Economy:
             raise ValueError("peaks() requires single-peaked preferences")
         return self._peaks
 
-    def _integer_profile(self) -> Tuple[int, Tuple[int, ...], int]:
-        """(D, peaks, omega): the peaks and omega as integers over their
-        least common denominator D (`rational._scaled`), computed the first
-        time they are read and kept. Requires single-peaked preferences."""
+    def _integer_profile(self) -> tuple:
+        """(D, peaks, omega, endowments): the peaks, omega and the
+        endowments (None when there are none) as integers over their least
+        common denominator D (`rational._scaled`), computed the first time
+        they are read and kept. Requires single-peaked preferences."""
         if self._integers is None:
-            common, scaled = _scaled([*self.peaks(), self.omega])
-            omega = scaled.pop()
-            object.__setattr__(self, "_integers", (common, tuple(scaled), omega))
+            n, endowments = self.n, self.endowments
+            common, scaled = _scaled([*self.peaks(), self.omega, *(endowments or ())])
+            scaled = tuple(scaled)
+            rest = None if endowments is None else scaled[n + 1 :]
+            object.__setattr__(self, "_integers", (common, scaled[:n], scaled[n], rest))
         return self._integers
 
     @classmethod
@@ -244,7 +247,12 @@ def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> Non
         )
 
 
-def _split(econ: Economy, reference: Optional[Sequence[Fraction]] = None):
+def _split_scaled(
+    common: int,
+    peaks: Sequence[int],
+    omega: int,
+    reference: Optional[Sequence[int]] = None,
+):
     """Classify agents as simple (plus) or non-simple (minus) around one
     reference point per agent: omega/n when `reference` is None, or the
     given points (the individual endowments for the reallocation rules).
@@ -252,29 +260,12 @@ def _split(econ: Economy, reference: Optional[Sequence[Fraction]] = None):
     agents are those demanding strictly less than their reference point;
     under excess supply those demanding strictly more.
 
-    Runs on integers: returns (D, peaks, references, z, left, plus, minus),
-    where D is a common denominator of the peaks, the reference points and
-    omega, each amount is a numerator over D, plus and minus are ascending
-    agent lists, and left is omega less the plus peaks and the minus
-    references, so the non-simple agents divide E = |left| / D. For equal
-    division the split runs on the integer profile (`_split_scaled`);
-    given points are scaled with the peaks and omega (`rational._scaled`)."""
-    if reference is None:
-        return _split_scaled(*econ._integer_profile())
-    n = econ.n
-    common, scaled = _scaled([*econ.peaks(), *reference, econ.omega])
-    return _split_scaled(common, scaled[:n], scaled[-1], scaled[n:-1])
-
-
-def _split_scaled(
-    common: int,
-    peaks: Sequence[int],
-    omega: int,
-    reference: Optional[Sequence[int]] = None,
-):
-    """`_split` of the peaks, omega and the reference points as integers
-    over D. With no reference points the split is around equal division,
-    over D * n, so omega/n is omega's numerator and nothing is rescaled."""
+    Every amount is an integer over D, as in an economy's integer profile.
+    Returns (D, peaks, references, z, left, plus, minus), plus and minus
+    ascending agent lists and left omega less the plus peaks and the minus
+    references, so the non-simple agents divide E = |left| / D. Around
+    equal division the split is over D * n, so omega/n is omega's
+    numerator and nothing is rescaled."""
     if reference is None:
         n = len(peaks)
         common, peaks, reference = common * n, [p * n for p in peaks], [omega] * n

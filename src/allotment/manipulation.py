@@ -36,10 +36,12 @@ change.
 `option_set_sampled` makes the economy constructor's checks once per set
 (an int count of two agents or more and a positive omega, through
 `economy._checked_size`, and a single-peaked report), and `_sample` the
-rule's domain check. A rule's integer kernel (`rules._of_kernel`) then
-runs on each profile's integers, and only the first witness of each
-outcome gets an economy, through `Economy._of_checked`; any other rule
-runs on every profile's economy. Feasibility is checked on every run.
+rule's domain check. A rule's integer kernel (`rules._of_kernel`; every
+registered rule that reads only peaks has one) then runs on each
+profile's integers, and only the first witness of each outcome gets an
+economy, through `Economy._of_checked`; any other rule (gallery:underline,
+which reads a slope, or a custom rule) runs on every profile's economy.
+Feasibility is checked on every run.
 """
 
 from __future__ import annotations
@@ -229,8 +231,8 @@ def _sample(
     numerators over the families' D refined by the report's peak, or on
     an off-grid end's economy; `economy._check_feasible` checks every run,
     and only the first witness of an outcome gets an economy. Any other
-    rule is called on each profile's economy. Outcomes are keyed as
-    reduced integer pairs. Every economy comes through
+    rule is called on each profile's economy. Outcomes are keyed, and
+    sorted, as reduced integer pairs. Every economy comes through
     `Economy._of_checked`: `option_set_sampled` has made the checks."""
     share = omega / n
     kernel = getattr(rule.allocate, "_kernel", None)
@@ -255,7 +257,7 @@ def _sample(
             econ = None
             if numerators is None:  # an off-grid end, on its economy's D
                 econ = Economy._of_checked(splice(opponents, pref), omega, share)
-                unit, amounts = kernel(*econ._integer_profile())
+                unit, amounts = kernel(*econ._integer_profile()[:3])
             else:
                 if scale != 1:
                     numerators = tuple(x * scale for x in numerators)
@@ -275,12 +277,14 @@ def _sample(
         if econ is None:
             econ = Economy._of_checked(splice(opponents, pref), omega, share)
         found[key] = outcome, econ
-    witnesses = dict(found.values())
+    # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
+    lcm = math.lcm(*{q for _, q in found})
+    ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))
     return SampledOptionSet(
         rule=rule,
         agent=agent,
-        outcomes=tuple(sorted(witnesses)),
-        witnesses=witnesses,
+        outcomes=tuple(found[key][0] for key in ordered),
+        witnesses=dict(found.values()),
         grid_spec=(
             f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
             f"[0, {fr(2 * omega)}]; identical, witness, and complementary "

@@ -15,8 +15,11 @@ simple rule of cea. ced and proportional run the cel and pro cores
 on the peaks themselves, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
 
-Each of them but the reallocation rules is one integer kernel, from
-which its `allocate` is derived (`_of_kernel`).
+Every rule that reads only peaks is one integer kernel, from which its
+`allocate` is derived (`_of_kernel`). The reallocation rules and
+gallery:underline, which also read the endowments or a slope, run on the
+same integer profile of the economy (`Economy._integer_profile`), and a
+single-plateaued extension runs its base's kernel on the plateau ends.
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
@@ -41,10 +44,9 @@ from .claims import (
     _core,
     _pro,
 )
-from .economy import Allotment, Economy, _split, _split_scaled, make_allotment
+from .economy import Allotment, Economy, _split_scaled
 from .levels import _clamp_level
-from .preferences import SinglePeaked
-from .rational import _scaled, exact_sum
+from .rational import _scaled
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -65,7 +67,8 @@ class Rule:
     and is the truthful worst, and NOM holds without a search.
     `min_agents` lets samplers and checkers skip economies a rule rejects.
     The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
-    option sets run it in place of the rule after one `check_domain`.
+    option sets run it in place of the rule after one `check_domain`, and
+    `spl_extension` runs its base's on the plateau ends.
     """
 
     name: str
@@ -98,7 +101,8 @@ def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
     the kernel as `_kernel` for `manipulation._sample` to run."""
 
     def allocate(econ: Economy) -> Allotment:
-        return Allotment._of_scaled(*kernel(*econ._integer_profile()), econ.omega)
+        common, peaks, omega, _ = econ._integer_profile()
+        return Allotment._of_scaled(*kernel(common, peaks, omega), econ.omega)
 
     allocate._kernel = kernel
     return allocate
@@ -119,9 +123,10 @@ def _simple_rule(
     reference point toward their peak by their award in the residual claims
     problem (upward under excess demand, downward under excess supply).
     The claims are |peak - reference point| over the non-simple agents as
-    `_split` lists them, or in an explicit `order` of those agents. The
-    awards are checked once (`claims._check_awards`): a claims rule that
-    leaves [0, claim] or misses E is refused rather than trusted as simple.
+    `_split_scaled` lists them, or in an explicit `order` of those agents.
+    The awards are checked once (`claims._check_awards`): a claims rule
+    that leaves [0, claim] or misses E is refused rather than trusted as
+    simple.
     """
 
     def divide(split):
@@ -148,7 +153,7 @@ def _simple_rule(
         def allocate(econ: Economy) -> Allotment:
             if econ.endowments is None:
                 raise ValueError(f"rule {name} needs individual endowments")
-            split = _split(econ, econ.endowments)
+            split = _split_scaled(*econ._integer_profile())  # around endowments
             return Allotment._of_scaled(*divide(split), econ.omega)
 
     else:  # around equal division: the split of the integer profile
@@ -188,10 +193,14 @@ def _ced(common: int, peaks: Sequence[int], omega: int):
     return common * n, [p * n - z for p in peaks]
 
 
+def _equal_division(common: int, peaks: Sequence[int], omega: int):
+    n = len(peaks)
+    return common * n, [omega] * n
+
+
 def _proportional(common: int, peaks: Sequence[int], omega: int):
     if not any(peaks):
-        n = len(peaks)
-        return common * n, [omega] * n
+        return _equal_division(common, peaks, omega)
     amounts, scale = _pro(peaks, omega, common)
     return common * scale, amounts
 
@@ -305,18 +314,22 @@ def sequential_rule(
 
 
 def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
-    """Extend a simple rule to single-plateaued preferences.
+    """Extend a simple rule around equal division, which has a kernel
+    (`_of_kernel`), to single-plateaued preferences.
 
-    When the plateaus' left endpoints sum to at least omega, the base rule
-    runs on the left-endpoint profile; when their right endpoints sum to at
-    most omega, on the right-endpoint profile. In between every plateau
-    straddles the solution, and the unique level clamped into each plateau
-    (`levels._clamp_level`, on the integers of one `_scaled` call) is
+    When the plateaus' left ends sum to at least omega, the base's kernel
+    runs on them as peaks; when their right ends sum to at most omega, on
+    the right ends. In between every plateau straddles the solution, and
+    the unique level clamped into each plateau (`levels._clamp_level`) is
     feasible, lies inside every plateau, and reduces to equal division
-    whenever all plateaus contain omega/n.
+    whenever all plateaus contain omega/n. Both run on the integers of one
+    `_scaled` call.
     """
-    if not base.simple:
-        raise ValueError("spl_extension needs a simple base rule")
+    kernel = getattr(base.allocate, "_kernel", None)
+    if not base.simple or kernel is None:
+        raise ValueError(
+            "spl_extension needs a simple base rule around equal division"
+        )
 
     def allocate(econ: Economy) -> Allotment:
         lows = [p.plateau_lo for p in econ.prefs]
@@ -326,102 +339,78 @@ def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
         lo, hi = scaled[: econ.n], scaled[econ.n :]
         demand = sum(lo) >= omega
         if demand or sum(hi) <= omega:
-            reduced = Economy(
-                tuple(
-                    SinglePeaked(end, p.left_slope, p.right_slope)
-                    for end, p in zip(lows if demand else highs, econ.prefs)
-                ),
-                econ.omega,
-            )
-            return base(reduced)
-        level, k = _clamp_level(lo, hi, omega)
-        amounts = [min(h * k, max(l * k, level)) for l, h in zip(lo, hi)]
-        return Allotment._of_scaled(common * k, amounts, econ.omega)
+            unit, amounts = kernel(common, lo if demand else hi, omega)
+        else:
+            level, k = _clamp_level(lo, hi, omega)
+            unit = common * k
+            amounts = [min(h * k, max(l * k, level)) for l, h in zip(lo, hi)]
+        return Allotment._of_scaled(unit, amounts, econ.omega)
 
-    return Rule(name or f"spl[{base.name}]", allocate, domain=DOMAIN_SPL)
+    name = name or f"spl[{base.name}]"
+    return Rule(name, allocate, domain=DOMAIN_SPL, min_agents=base.min_agents)
 
 
 # ---------------------------------------------------------------------------
-# independence gallery: each rule fails exactly one axiom
+# independence gallery: each rule fails exactly one axiom; all but
+# underline are integer kernels, falling back to uniform's
+
+_uniform = uniform.allocate._kernel
 
 
-def _equal_division(econ: Economy) -> Allotment:
-    return make_allotment(econ, [econ.equal_share] * econ.n)
-
-
-def _star(econ: Economy) -> Allotment:
+def _star(common: int, peaks: Sequence[int], omega: int):
     # first two agents absorb omega when their peaks split it exactly and
     # every other peak differs from both
-    if econ.n < 3:
+    if len(peaks) < 3:
         raise ValueError("gallery:star needs at least three agents")
-    peaks = econ.peaks()
-    if peaks[0] + peaks[1] == econ.omega and all(
-        peaks[j] not in (peaks[0], peaks[1]) for j in range(2, econ.n)
-    ):
-        amounts = [peaks[0], peaks[1]] + [Fraction(0)] * (econ.n - 2)
-        return make_allotment(econ, amounts)
-    return uniform.allocate(econ)
+    first, second = peaks[0], peaks[1]
+    if first + second == omega and all(p not in (first, second) for p in peaks[2:]):
+        return common, [first, second] + [0] * (len(peaks) - 2)
+    return _uniform(common, peaks, omega)
 
 
-def _bar(econ: Economy) -> Allotment:
+def _bar(common: int, peaks: Sequence[int], omega: int):
     # asymmetric split at one profile: both leading peaks at omega, rest at 0
-    if econ.n < 3:
+    if len(peaks) < 3:
         raise ValueError("gallery:bar needs at least three agents")
-    peaks = econ.peaks()
-    if (
-        peaks[0] == econ.omega
-        and peaks[1] == econ.omega
-        and all(peaks[j] == 0 for j in range(2, econ.n))
-    ):
-        amounts = [econ.omega / 3, 2 * econ.omega / 3] + [Fraction(0)] * (
-            econ.n - 2
-        )
-        return make_allotment(econ, amounts)
-    return uniform.allocate(econ)
+    if peaks[0] == peaks[1] == omega and not any(peaks[2:]):
+        return common * 3, [omega, 2 * omega] + [0] * (len(peaks) - 2)
+    return _uniform(common, peaks, omega)
 
 
-def _hat(econ: Economy) -> Allotment:
+def _hat(common: int, peaks: Sequence[int], omega: int):
     # under excess supply the minimum-peak agents soak up the whole residual,
     # which may leave them beyond equal division (no clamping)
-    peaks = econ.peaks()
-    if exact_sum(peaks) >= econ.omega:
-        return uniform.allocate(econ)
+    if sum(peaks) >= omega:
+        return _uniform(common, peaks, omega)
     low = min(peaks)
-    hatted = frozenset(i for i, p in enumerate(peaks) if p == low)
-    lam = (
-        econ.omega - exact_sum(p for i, p in enumerate(peaks) if i not in hatted)
-    ) / len(hatted)
-    amounts = [lam if i in hatted else peaks[i] for i in range(econ.n)]
-    return make_allotment(econ, amounts)
+    hatted = peaks.count(low)
+    residual = omega - sum(peaks) + low * hatted  # what the hatted agents share
+    return common * hatted, [residual if p == low else p * hatted for p in peaks]
 
 
 def _underline(econ: Economy) -> Allotment:
     # consults agent 1's full preference: the 0-versus-equal-division
     # comparison, not just the peak
-    peaks = econ.peaks()
+    common, peaks, omega, _ = econ._integer_profile()
     first = econ.prefs[0]
-    rest_excess = exact_sum(peaks[1:]) - econ.omega
     prefers_zero = first.disutility(0) < first.disutility(econ.equal_share)
-    strictly_lowest = all(peaks[0] < peaks[j] for j in range(1, econ.n))
-    if rest_excess.numerator >= 0 and prefers_zero and strictly_lowest:
-        replaced = econ.replace_pref(
-            0, SinglePeaked(Fraction(0), first.left_slope, first.right_slope)
-        )
-        return uniform.allocate(replaced)
-    return uniform.allocate(econ)
+    strictly_lowest = all(peaks[0] < p for p in peaks[1:])
+    if sum(peaks[1:]) >= omega and prefers_zero and strictly_lowest:
+        peaks = (0, *peaks[1:])  # uniform as if agent 1's peak were 0
+    return Allotment._of_scaled(*_uniform(common, peaks, omega), econ.omega)
 
 
 GALLERY_BUILDERS = {
-    "equal_division": _equal_division,
-    "star": _star,
-    "bar": _bar,
-    "hat": _hat,
+    "equal_division": _of_kernel(_equal_division),
+    "star": _of_kernel(_star),
+    "bar": _of_kernel(_bar),
+    "hat": _of_kernel(_hat),
     "underline": _underline,
 }
 
 # bar is uniform but at one profile, which is not the reference profile and
 # where the amounts lie between omega/n and the peaks for n >= 3: simple
-_bar._simple_domain = DOMAIN_SP
+GALLERY_BUILDERS["bar"]._simple_domain = DOMAIN_SP
 
 
 def gallery(name: str) -> Rule:

@@ -203,6 +203,77 @@ def proportional_oracle(econ: Economy):
     return tuple(p / total * omega for p in peaks)
 
 
+def equal_division_oracle(econ: Economy):
+    """Reference gallery:equal_division: omega/n each."""
+    return (econ.equal_share,) * econ.n
+
+
+def star_oracle(econ: Economy):
+    """Reference gallery:star, the library's former Fraction body: the
+    first two agents absorb omega when their peaks split it exactly and
+    every other peak differs from both; uniform otherwise."""
+    peaks = econ.peaks()
+    if peaks[0] + peaks[1] == econ.omega and all(
+        peaks[j] not in (peaks[0], peaks[1]) for j in range(2, econ.n)
+    ):
+        return (peaks[0], peaks[1]) + (Fraction(0),) * (econ.n - 2)
+    return uniform_oracle(econ)
+
+
+def bar_oracle(econ: Economy):
+    """Reference gallery:bar, the library's former Fraction body: omega/3
+    and 2 omega/3 to the first two agents when both peak at omega and every
+    other peak is 0; uniform otherwise."""
+    peaks = econ.peaks()
+    if (
+        peaks[0] == econ.omega
+        and peaks[1] == econ.omega
+        and all(peaks[j] == 0 for j in range(2, econ.n))
+    ):
+        return (econ.omega / 3, 2 * econ.omega / 3) + (Fraction(0),) * (econ.n - 2)
+    return uniform_oracle(econ)
+
+
+def hat_oracle(econ: Economy):
+    """Reference gallery:hat, the library's former Fraction body: under
+    excess supply the minimum-peak agents share what the others leave;
+    uniform otherwise."""
+    peaks = econ.peaks()
+    if sum(peaks) >= econ.omega:
+        return uniform_oracle(econ)
+    low = min(peaks)
+    hatted = frozenset(i for i, p in enumerate(peaks) if p == low)
+    lam = (
+        econ.omega - sum(p for i, p in enumerate(peaks) if i not in hatted)
+    ) / len(hatted)
+    return tuple(lam if i in hatted else peaks[i] for i in range(econ.n))
+
+
+def underline_oracle(econ: Economy):
+    """Reference gallery:underline, the library's former Fraction body:
+    uniform with agent 1's peak replaced by 0 when the others' peaks total
+    at least omega, agent 1 strictly prefers 0 to equal division and has
+    the strictly lowest peak; uniform otherwise."""
+    peaks = econ.peaks()
+    first = econ.prefs[0]
+    prefers_zero = first.disutility(0) < first.disutility(econ.equal_share)
+    strictly_lowest = all(peaks[0] < peaks[j] for j in range(1, econ.n))
+    if sum(peaks[1:]) >= econ.omega and prefers_zero and strictly_lowest:
+        econ = econ.replace_pref(
+            0, SinglePeaked(Fraction(0), first.left_slope, first.right_slope)
+        )
+    return uniform_oracle(econ)
+
+
+GALLERY_ORACLES = {
+    "equal_division": equal_division_oracle,
+    "star": star_oracle,
+    "bar": bar_oracle,
+    "hat": hat_oracle,
+    "underline": underline_oracle,
+}
+
+
 def clamp_level_oracle(lows, highs, target):
     """Reference clamp level: re-sums every interval at every breakpoint.
 
@@ -240,11 +311,33 @@ def clamp_level_oracle(lows, highs, target):
     return points[-1]
 
 
+def spl_extension_oracle(base, econ: Economy):
+    """Reference single-plateaued extension: `spl_extension`'s former
+    route. The base rule runs on a single-peaked economy of the left ends
+    when they sum to at least omega, of the right ends when they sum to at
+    most omega; otherwise every agent gets the level clamped into its
+    plateau (`clamp_level_oracle`)."""
+    lows = [p.plateau_lo for p in econ.prefs]
+    highs = [p.plateau_hi for p in econ.prefs]
+    if sum(lows) >= econ.omega or sum(highs) <= econ.omega:
+        ends = lows if sum(lows) >= econ.omega else highs
+        reduced = Economy(
+            tuple(
+                SinglePeaked(end, p.left_slope, p.right_slope)
+                for end, p in zip(ends, econ.prefs)
+            ),
+            econ.omega,
+        )
+        return tuple(base(reduced))
+    level = clamp_level_oracle(lows, highs, econ.omega)
+    return tuple(min(h, max(l, level)) for l, h in zip(lows, highs))
+
+
 def split_oracle(econ: Economy, reference: Sequence[Fraction]):
     """Reference simple/non-simple split on Fractions around one reference
     point per agent: (z, E, plus, minus), with plus and minus ascending
-    agent lists. Kept as the oracle for the integer split in
-    `allotment.economy._split`."""
+    agent lists. Kept as the oracle for the integer split
+    `allotment.economy._split_scaled`."""
     peaks, omega = econ.peaks(), econ.omega
     z = sum(peaks) - omega
     demand = z >= 0

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from allotment.claims import cea, cel, pro
-from allotment.economy import Allotment, Economy, _check_feasible, _split
+from allotment.economy import Allotment, Economy, _check_feasible, _split_scaled
 from allotment.preferences import SinglePeaked
+from allotment.rational import _scaled
 from allotment.rules import simple_from_claims, simple_reallocation_from_claims
 from allotment.sampling import random_economy, standard_suite
 from helpers import split_oracle
@@ -18,13 +19,21 @@ def econ(peaks, omega, endowments=None):
     )
 
 
-def split(e, reference=None):
-    """`_split` read back as Fractions, (z, E, plus, minus), after checking
-    its integer format against the inputs and its result against the
-    Fraction oracle."""
-    if reference is None:
-        reference = (e.equal_share,) * e.n
-    common, peaks, scaled, z, left, plus, minus = _split(e, reference)
+def split(e, endowed=False):
+    """`_split_scaled` on the economy's integer profile, around its
+    endowments when `endowed` and around equal division otherwise, read
+    back as Fractions, (z, E, plus, minus), after checking its integer
+    format against the inputs and its result against the Fraction
+    oracle."""
+    *profile, endowments = e._integer_profile()
+    reference = e.endowments if endowed else (e.equal_share,) * e.n
+    result = _split_scaled(*profile, endowments if endowed else None)
+    return read_back(e, reference, result)
+
+
+def read_back(e, reference, result):
+    """A split's result as (z, E, plus, minus), checked as `split` says."""
+    common, peaks, scaled, z, left, plus, minus = result
     assert [F(p, common) for p in peaks] == list(e.peaks())
     assert [F(r, common) for r in scaled] == list(reference)
     got = (F(z, common), F(abs(left), common), plus, minus)
@@ -54,9 +63,9 @@ def test_split_everyone_at_equal_division():
 
 def test_split_endowment_examples():
     e = econ([0, 2], 2, (F(1), F(1)))
-    assert split(e, e.endowments) == (0, 1, [0], [1])
+    assert split(e, endowed=True) == (0, 1, [0], [1])
     e2 = econ([1, 1], 2, (F(1, 2), F(3, 2)))
-    assert split(e2, e2.endowments) == (0, F(1, 2), [1], [0])
+    assert split(e2, endowed=True) == (0, F(1, 2), [1], [0])
 
 
 def test_split_matches_oracle_on_random_economies():
@@ -66,19 +75,23 @@ def test_split_matches_oracle_on_random_economies():
         split(e)
         endowed = random_economy(rng, with_endowments=True)
         split(endowed)
-        split(endowed, endowed.endowments)
+        split(endowed, endowed=True)
 
 
 def assert_equal_division_split(e):
-    """`_split(e)`, which reads the cached integer profile, divides omega
-    equally exactly as the Fraction oracle and the explicit-reference path
-    do."""
+    """`_split_scaled` on the cached integer profile divides omega equally
+    exactly as the Fraction oracle and the explicit-reference path, the
+    split of equal division's points scaled with the peaks, do."""
     share = (e.equal_share,) * e.n
-    common, peaks, scaled, z, left, plus, minus = _split(e)
+    common, peaks, omega, _ = e._integer_profile()
+    common, peaks, scaled, z, left, plus, minus = _split_scaled(common, peaks, omega)
     assert [F(p, common) for p in peaks] == list(e.peaks())
     assert [F(r, common) for r in scaled] == list(share)
     got = (F(z, common), F(abs(left), common), plus, minus)
-    assert got == split_oracle(e, share) == split(e, share)
+    n = e.n
+    common, scaled = _scaled([*e.peaks(), *share, e.omega])
+    explicit = _split_scaled(common, scaled[:n], scaled[-1], scaled[n:-1])
+    assert got == split_oracle(e, share) == read_back(e, share, explicit)
 
 
 def test_equal_division_split_matches_oracle_on_standard_suite():
@@ -100,13 +113,23 @@ def test_equal_division_split_matches_oracle_at_n_1000():
         assert_equal_division_split(econ(peaks, omega))
 
 
-def test_integer_profile_is_cached_and_unobservable():
-    e = econ([F(1, 3), F(5, 4), 2], F(7, 2))
+@pytest.mark.parametrize(
+    "endowments, profile",
+    [
+        (None, (12, (4, 15, 24), 42, None)),
+        # D also covers the endowments' denominators
+        ((F(1, 6), 1, F(7, 3)), (12, (4, 15, 24), 42, (2, 12, 28))),
+        ((F(1, 8), F(5, 8), F(11, 4)), (24, (8, 30, 48), 84, (3, 15, 66))),
+    ],
+    ids=["no endowments", "endowed", "endowed, finer D"],
+)
+def test_integer_profile_is_cached_and_unobservable(endowments, profile):
+    e = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
     fresh = pickle.dumps(e)
+    assert e._integer_profile() == profile
     profile = e._integer_profile()
-    assert profile == (12, (4, 15, 24), 42)
     assert e._integer_profile() is profile
-    again = econ([F(1, 3), F(5, 4), 2], F(7, 2))
+    again = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
     assert e == again and hash(e) == hash(again) and repr(e) == repr(again)
     assert "_integers" not in repr(e)
     back = pickle.loads(pickle.dumps(e))
@@ -122,8 +145,8 @@ def test_split_permutation_invariant():
     rng = random.Random(23)
     for _ in range(200):
         e = random_economy(rng, with_endowments=rng.random() < 0.5)
-        reference = e.endowments or (e.equal_share,) * e.n
-        z, E, plus, _ = split(e, reference)
+        endowed = e.endowments is not None
+        z, E, plus, _ = split(e, endowed)
         perm = list(range(e.n))
         rng.shuffle(perm)
         permuted = Economy(
@@ -131,7 +154,7 @@ def test_split_permutation_invariant():
             e.omega,
             None if e.endowments is None else tuple(e.endowments[p] for p in perm),
         )
-        pz, pE, pplus, _ = split(permuted, tuple(reference[p] for p in perm))
+        pz, pE, pplus, _ = split(permuted, endowed)
         assert (pz, pE) == (z, E)
         assert pplus == sorted(perm.index(i) for i in plus)
 

@@ -5,14 +5,14 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
-import allotment.economy as economy_module
 import allotment.rules as rules_module
-from allotment.axioms import check_betweenness
+from allotment.axioms import NO_CASES, check_betweenness, check_symmetry
 from allotment.claims import Awards, _awards, cea, cel, pro
 from allotment.economy import Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
+    ORDER_POLICIES,
     RULE_NAMES,
     SELECTORS,
     Rule,
@@ -33,9 +33,11 @@ from allotment.sampling import (
     random_plateaued_economy,
     standard_suite,
     two_agent_om_economy,
+    witness_economies,
 )
 from helpers import (
     CLAIMS_ORACLES,
+    GALLERY_ORACLES,
     bisect_increasing,
     ced_oracle,
     economies,
@@ -44,6 +46,7 @@ from helpers import (
     proportional_oracle,
     sequential_allotment_oracle,
     simple_rule_oracle,
+    spl_extension_oracle,
     split_oracle,
     uniform_oracle,
 )
@@ -432,8 +435,8 @@ def test_explicit_order_numbers_agents_from_1():
 
 def test_each_simple_rule_call_splits_once(monkeypatch):
     # one integer split per call: the kernel of a rule around equal
-    # division runs `_split_scaled`, and a reallocation rule runs `_split`,
-    # which scales the endowments and calls it
+    # division and a reallocation rule each run `_split_scaled` on the
+    # economy's integer profile
     calls = []
 
     def counted(*args):
@@ -441,7 +444,6 @@ def test_each_simple_rule_call_splits_once(monkeypatch):
         return _split_scaled(*args)
 
     monkeypatch.setattr(rules_module, "_split_scaled", counted)
-    monkeypatch.setattr(economy_module, "_split_scaled", counted)
     e = econ([F(1, 2), 1, F(3, 2)], 2, (F(1), F(1, 2), F(1, 2)))
     simple = [get_rule(name) for name in RULE_NAMES if name.startswith("simple:")]
     explicit = sequential_rule("hi", order=[2, 1])
@@ -619,7 +621,72 @@ def test_spl_dispatch_and_feasibility_on_random_economies():
                 assert lo <= xi <= hi
 
 
+# every simple base with a kernel: the claims rules and the four selectors
+# in both orders around equal division, and gallery:bar
+SPL_BASES = [
+    *(simple_from_claims(c) for c in (cea, cel, pro)),
+    *(sequential_rule(s, order) for s in SELECTORS for order in ORDER_POLICIES),
+    gallery("bar"),
+]
+
+
+@pytest.mark.parametrize("base", SPL_BASES, ids=lambda base: base.name)
+def test_spl_extension_matches_the_reduced_economy_route(base):
+    rng = random.Random(89)
+    extended = spl_extension(base)
+    for _ in range(300):
+        e = random_plateaued_economy(rng)
+        if e.n >= extended.min_agents:
+            assert tuple(extended(e)) == spl_extension_oracle(base, e)
+
+
+def test_spl_extension_needs_as_many_agents_as_its_base():
+    extended = spl_extension(gallery("bar"))
+    assert extended.min_agents == 3
+    # the left ends sum to omega, so the base would run at n = 2
+    two = Economy((SinglePlateaued(F(1), F(2)), SinglePlateaued(F(1), F(3))), F(2))
+    report = check_symmetry(extended, [two])
+    assert (report.verdict, report.checked) == (NO_CASES, 0)
+
+
 # -- gallery -------------------------------------------------------------------
+
+
+def assert_gallery_matches_oracle(e):
+    for name, oracle in GALLERY_ORACLES.items():
+        rule = gallery(name)
+        if e.n >= rule.min_agents:
+            assert tuple(rule(e)) == oracle(e), name
+
+
+def test_gallery_matches_fraction_oracle_on_standard_suite():
+    for e in standard_suite(10, 200):
+        assert_gallery_matches_oracle(e)
+
+
+def test_gallery_special_cases_match_fraction_oracle_on_witness_economies():
+    # between them the witness economies reach every special case
+    for e in witness_economies():
+        assert_gallery_matches_oracle(e)
+    for name in ("equal_division", "star", "bar", "hat", "underline"):
+        rule = gallery(name)
+        assert any(
+            rule(e) != uniform(e) for e in witness_economies() if e.n >= rule.min_agents
+        ), name
+
+
+def test_gallery_matches_fraction_oracle_at_n_1000():
+    # peaks average omega/n times `spread`: excess supply, then excess demand
+    rng = random.Random(1000)
+    n = 1000
+    for spread in (F(4, 5), F(5, 4)):
+        omega = F(rng.randint(1, 5), rng.randint(1, 3))
+        peaks = []
+        for _ in range(n):
+            den = rng.randint(1, 60)
+            peaks.append(F(rng.randint(0, 2 * den), den) * omega * spread / n)
+        assert (sum(peaks) > omega) == (spread > 1)
+        assert_gallery_matches_oracle(econ(peaks, omega))
 
 
 def test_equal_division_rule():
@@ -796,6 +863,14 @@ def test_simple_follows_the_builder_and_domain():
     assert not Rule("fake", proportional.allocate).simple
     with pytest.raises(ValueError, match="needs a simple base rule"):
         spl_extension(Rule("wrapper", lambda e: uniform.allocate(e)))
+
+
+def test_spl_extension_refuses_a_reallocation_base():
+    # simple on its own domain, but plateaus carry no endowments to split
+    # around, so every call outside the straddling case would fail
+    message = "needs a simple base rule around equal division"
+    with pytest.raises(ValueError, match=message):
+        spl_extension(get_rule("realloc:cea"))
 
 
 def test_each_registered_rule_carries_its_name():
