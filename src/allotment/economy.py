@@ -13,9 +13,8 @@ own endowment for the reallocation rules -- and computes the excess
 demand and the residual that the second step divides. The simple rules
 (`rules._simple_rule`) and `axioms.check_betweenness` read it, and the
 rules' integer kernels (`rules._of_kernel`) run on the profile. The
-sampled option sets run them on the integers they hold, and build their
-economies through `Economy._of_checked`, which skips the checks the
-sampler has made once per set.
+sampled option sets run them on the integers they hold, and build every
+economy they keep through the constructor.
 
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor
@@ -40,14 +39,14 @@ class Economy:
     """A profile of n >= 2 preferences and a positive social endowment.
 
     Endowments, when present, must sum to omega exactly. The peak profile
-    (None unless every preference is single-peaked) and equal division are
-    computed once, at construction; the integer profile on first read.
+    (None unless every preference is single-peaked) is computed once, at
+    construction; the integer profile on first read; equal division
+    omega / n on every read.
     """
 
     prefs: Tuple[Preference, ...]
     omega: Fraction
     endowments: Optional[Tuple[Fraction, ...]] = None
-    equal_share: Fraction = field(init=False, repr=False, compare=False)
     _peaks: Optional[Tuple[Fraction, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -59,7 +58,6 @@ class Economy:
         prefs = tuple(self.prefs)
         object.__setattr__(self, "prefs", prefs)
         object.__setattr__(self, "omega", _checked_size(len(prefs), self.omega))
-        object.__setattr__(self, "equal_share", self.omega / len(prefs))
         object.__setattr__(
             self,
             "_peaks",
@@ -80,6 +78,10 @@ class Economy:
     @property
     def n(self) -> int:
         return len(self.prefs)
+
+    @property
+    def equal_share(self) -> Fraction:
+        return self.omega / len(self.prefs)
 
     @property
     def is_single_peaked(self) -> bool:
@@ -106,23 +108,6 @@ class Economy:
             rest = None if endowments is None else scaled[n + 1 :]
             object.__setattr__(self, "_integers", (common, scaled[:n], scaled[n], rest))
         return self._integers
-
-    @classmethod
-    def _of_checked(
-        cls, prefs: Tuple[SinglePeaked, ...], omega: Fraction, equal_share: Fraction
-    ) -> "Economy":
-        """The economy without endowments of a profile whose checks the
-        caller has made: a tuple of at least two single-peaked preferences,
-        omega a positive Fraction and equal_share omega / n. Equal to
-        `Economy(prefs, omega)` in every field, equality, hash, repr and
-        pickle; `__post_init__` is not run."""
-        econ = object.__new__(cls)
-        _set(econ, "prefs", prefs)
-        _set(econ, "omega", omega)
-        _set(econ, "endowments", None)
-        _set(econ, "equal_share", equal_share)
-        _set(econ, "_peaks", tuple(p.peak for p in prefs))
-        return econ
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
         prefs = list(self.prefs)

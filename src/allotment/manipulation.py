@@ -33,15 +33,16 @@ the whole input, compared by type as well as value, and the value is made
 of tuples of fractions, ints or frozen preferences, which no caller can
 change.
 
-`option_set_sampled` makes the economy constructor's checks once per set
-(an int count of two agents or more and a positive omega, through
-`economy._checked_size`, and a single-peaked report), and `_sample` the
-rule's domain check. A rule's integer kernel (`rules._of_kernel`; every
-registered rule that reads only peaks has one) then runs on each
-profile's integers, and only the first witness of each outcome gets an
-economy, through `Economy._of_checked`; any other rule (gallery:underline,
-which reads a slope, or a custom rule) runs on every profile's economy.
-Feasibility is checked on every run.
+`option_set_sampled` refuses bad inputs once per set, before any
+profile is built (the rule's minimum agent count, the economy's size and
+endowment through `economy._checked_size`, and a single-peaked report),
+and `_sample` makes the rule's domain check once. A rule's integer kernel
+(`rules._of_kernel`; every registered rule that reads only peaks has
+one) then runs on each profile's integers, and only the first witness of
+each outcome gets an economy; any other rule (gallery:underline, which
+reads a slope, or a custom rule) runs on every profile's economy. Every
+economy comes through the public constructor, and feasibility is
+checked on every run.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ def _sample(
     and only the first witness of an outcome gets an economy. Any other
     rule is called on each profile's economy. Outcomes are keyed, and
     sorted, as reduced integer pairs. Every economy comes through
-    `Economy._of_checked`: `option_set_sampled` has made the checks."""
-    share = omega / n
+    `Economy(prefs, omega)`; `option_set_sampled` has refused bad inputs
+    once, so none of them fails its checks."""
     kernel = getattr(rule.allocate, "_kernel", None)
 
     def splice(opponents, own):
@@ -243,7 +244,7 @@ def _sample(
     if kernel is None:
 
         def run(opponents, numerators):
-            econ = Economy._of_checked(splice(opponents, pref), omega, share)
+            econ = Economy(splice(opponents, pref), omega)
             outcome = rule(econ)[agent]
             return (outcome.numerator, outcome.denominator), econ
 
@@ -251,12 +252,12 @@ def _sample(
         family = _shared_families(omega, n, grid_step)[0]
         common, (report, total) = _scaled([pref.peak, omega], family)
         scale = common // family
-        rule.check_domain(Economy._of_checked((pref,) * n, omega, share))
+        rule.check_domain(Economy((pref,) * n, omega))
 
         def run(opponents, numerators):
             econ = None
             if numerators is None:  # an off-grid end, on its economy's D
-                econ = Economy._of_checked(splice(opponents, pref), omega, share)
+                econ = Economy(splice(opponents, pref), omega)
                 unit, amounts = kernel(*econ._integer_profile()[:3])
             else:
                 if scale != 1:
@@ -275,7 +276,7 @@ def _sample(
         if stop is not None and stop(outcome):
             return None
         if econ is None:
-            econ = Economy._of_checked(splice(opponents, pref), omega, share)
+            econ = Economy(splice(opponents, pref), omega)
         found[key] = outcome, econ
     # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
     lcm = math.lcm(*{q for _, q in found})
@@ -307,9 +308,10 @@ def option_set_sampled(
 
     The inputs are checked once, before any profile is built: `pref` is
     single-peaked, n meets the rule's minimum and is an int of at least 2,
-    omega is positive and the agent index is an int in range. The
-    economies are then built without repeating those checks (see
-    `_sample`)."""
+    omega is positive and the agent index is an int in range. Every
+    economy is then built by the public constructor (see `_sample`), and
+    these refusals come first so that a bad input fails once per set,
+    not at its first profile."""
     if not isinstance(pref, SinglePeaked):
         raise ValueError(
             "sampled option sets need a single-peaked report, got "
@@ -323,10 +325,7 @@ def _checked_omega(rule: Rule, agent: int, n: int, omega) -> Fraction:
     """omega parsed, after refusing n below the rule's minimum, the
     economy's size and endowment as `Economy` does (`_checked_size`), and
     an agent index that is not an int in [0, n)."""
-    if type(n) is int and n < rule.min_agents:
-        raise ValueError(
-            f"rule {rule.name} needs at least {rule.min_agents} agents, got {n}"
-        )
+    rule._check_agents(n)
     omega = _checked_size(n, omega)
     if type(agent) is not int:  # a bool is refused too
         raise ValueError(f"agent index must be an int, got {agent!r}")

@@ -65,7 +65,8 @@ class Rule:
     and at the reference profile (every other peak at its own r) E is 0,
     so the agent gets r whatever it reports. So r is in every option set
     and is the truthful worst, and NOM holds without a search.
-    `min_agents` lets samplers and checkers skip economies a rule rejects.
+    `check_domain` refuses an economy of fewer than `min_agents` agents,
+    which samplers and checkers skip.
     The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
     option sets run it in place of the rule after one `check_domain`, and
     `spl_extension` runs its base's on the plateau ends.
@@ -85,6 +86,14 @@ class Rule:
         self.check_domain(econ)
         return self.allocate(econ)
 
+    def _check_agents(self, n) -> None:
+        """Refuse an int agent count n below `min_agents`; any other n is
+        left to `economy._checked_size`."""
+        if type(n) is int and n < self.min_agents:
+            raise ValueError(
+                f"rule {self.name} needs at least {self.min_agents} agents, got {n}"
+            )
+
     def check_domain(self, econ: Economy) -> None:
         if self.domain == DOMAIN_SPL and not econ.is_single_plateaued:
             raise ValueError(f"rule {self.name} needs single-plateaued preferences")
@@ -93,6 +102,7 @@ class Rule:
             raise ValueError(f"rule {self.name} needs single-peaked preferences")
         if self.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is None:
             raise ValueError(f"rule {self.name} needs individual endowments")
+        self._check_agents(econ.n)
 
 
 def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
@@ -360,8 +370,6 @@ _uniform = uniform.allocate._kernel
 def _star(common: int, peaks: Sequence[int], omega: int):
     # first two agents absorb omega when their peaks split it exactly and
     # every other peak differs from both
-    if len(peaks) < 3:
-        raise ValueError("gallery:star needs at least three agents")
     first, second = peaks[0], peaks[1]
     if first + second == omega and all(p not in (first, second) for p in peaks[2:]):
         return common, [first, second] + [0] * (len(peaks) - 2)
@@ -370,8 +378,6 @@ def _star(common: int, peaks: Sequence[int], omega: int):
 
 def _bar(common: int, peaks: Sequence[int], omega: int):
     # asymmetric split at one profile: both leading peaks at omega, rest at 0
-    if len(peaks) < 3:
-        raise ValueError("gallery:bar needs at least three agents")
     if peaks[0] == peaks[1] == omega and not any(peaks[2:]):
         return common * 3, [omega, 2 * omega] + [0] * (len(peaks) - 2)
     return _uniform(common, peaks, omega)

@@ -668,6 +668,14 @@ def test_find_manipulation_refuses_too_few_agents(om_file, capsys):
     assert "needs at least 3 agents" in err
 
 
+@pytest.mark.parametrize("rule", ["gallery:bar", "gallery:star"])
+def test_allocate_refuses_too_few_agents(om_file, capsys, rule):
+    code, out, err = run(capsys, "allocate", om_file, rule)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: rule {rule} needs at least 3 agents, got 2\n"
+
+
 def test_option_set_refuses_too_few_agents(om_file, capsys):
     # refused by option_set_sampled before any opponent profile is built
     code, out, err = run(capsys, "option-set", om_file, "gallery:bar", "1")

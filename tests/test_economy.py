@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 from fractions import Fraction as F
@@ -139,6 +140,18 @@ def test_integer_profile_is_cached_and_unobservable(endowments, profile):
     # as one built before the profile was cached
     assert pickle.dumps(again) == fresh
     assert pickle.loads(fresh)._integer_profile() == profile
+
+
+@pytest.mark.parametrize(
+    "endowments", [None, (F(1, 6), 1, F(7, 3))], ids=["no endowments", "endowed"]
+)
+def test_equal_share_is_derived_and_unobservable(endowments):
+    e = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
+    state, fresh, text, digest = dict(vars(e)), pickle.dumps(e), repr(e), hash(e)
+    assert e.equal_share == F(7, 6)
+    assert (vars(e), pickle.dumps(e), repr(e), hash(e)) == (state, fresh, text, digest)
+    assert e == econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
+    assert "equal_share" not in {f.name for f in dataclasses.fields(Economy)}
 
 
 def test_split_permutation_invariant():

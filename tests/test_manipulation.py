@@ -354,8 +354,8 @@ def test_nom_witness_economy_replays():
 
 
 def assert_public(econ, rule, agent, outcome):
-    """A sampler's economy, built without `Economy.__post_init__`, is the
-    public `Economy` of its profile in every observable way, and replays."""
+    """A sampler's economy is the public `Economy` of its profile in every
+    observable way, and replays."""
     public = Economy(econ.prefs, econ.omega)
     assert econ == public and public == econ
     assert hash(econ) == hash(public)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import lcm
 
@@ -647,6 +648,19 @@ def test_spl_extension_needs_as_many_agents_as_its_base():
     two = Economy((SinglePlateaued(F(1), F(2)), SinglePlateaued(F(1), F(3))), F(2))
     report = check_symmetry(extended, [two])
     assert (report.verdict, report.checked) == (NO_CASES, 0)
+
+
+@pytest.mark.parametrize(
+    "plateaus",
+    [((0, 2), (0, 2)), ((1, 2), (1, 3))],
+    ids=["straddling", "left ends"],
+)
+def test_spl_extension_refuses_fewer_agents_than_its_base_on_each_branch(plateaus):
+    extended = spl_extension(gallery("bar"))
+    two = Economy(tuple(SinglePlateaued(F(lo), F(hi)) for lo, hi in plateaus), F(2))
+    message = "rule spl[gallery:bar] needs at least 3 agents, got 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extended(two)
 
 
 # -- gallery -------------------------------------------------------------------
