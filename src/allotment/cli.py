@@ -13,10 +13,10 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 the wrong shape or with an unknown key, an empty grid, a --random count
 below 1, a check given both an economy file and --random, a rule that
 needs more agents than the economy has, a peak-reading check on
-single-plateaued agents, and a check in which a requested axiom
-inspected no case), 3 internal error (any other
-exception, reported as "internal error: <Type>: <message>" so that a
-crash never reads as a FAIL).
+single-plateaued agents, nom with a single-plateaued rule, and a check
+in which a requested axiom inspected no case), 3 internal error (any
+other exception, reported as "internal error: <Type>: <message>" so
+that a crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -289,6 +289,11 @@ def cmd_check(args) -> int:
         if axiom not in args.axiom_list:
             raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
     rule = _rule(args)
+    if "nom" in args.axiom_list and rule.domain == DOMAIN_SPL:
+        raise CliError(
+            "obvious manipulation (nom) is checked on the single-peaked domain"
+            f" only, and rule {rule.name} needs single-plateaued preferences"
+        )
     econs = _check_economies(args, rule)
 
     reports: List[AxiomReport] = []
@@ -560,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="COUNT",
-        help="check on COUNT seeded random economies instead of a file",
+        help="check any witness economies, then seeded draws up to COUNT, not a file",
     )
     p_check.add_argument(
         "--expect-fail",

@@ -3,10 +3,10 @@
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
 
-A single-peaked economy's integer profile -- the peaks, omega and the
-endowments (None when there are none) as numerators over their least
-common denominator D -- is computed the first time it is read
-(`Economy._integer_profile`) and kept outside equality, hashing and repr.
+An economy's integer profile -- the peaks (a single-plateaued economy's
+effective peaks), omega and the endowments (None when there are none) as
+numerators over one denominator D -- is computed the first time it is
+read (`Economy._integer_profile`) and kept outside equality, hashing and repr.
 `_split_scaled` classifies agents on it as simple/non-simple relative to
 one reference point per agent -- equal division omega/n, or the agent's
 own endowment for the reallocation rules -- and computes the excess
@@ -30,6 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from .levels import _clamp_level
 from .preferences import Preference, SinglePeaked, SinglePlateaued
 from .rational import _scaled, exact_sum, parse_rational
 
@@ -99,14 +100,29 @@ class Economy:
     def _integer_profile(self) -> tuple:
         """(D, peaks, omega, endowments): the peaks, omega and the
         endowments (None when there are none) as integers over their least
-        common denominator D (`rational._scaled`), computed the first time
-        they are read and kept. Requires single-peaked preferences."""
+        common denominator D (`rational._scaled`), computed on first read
+        and kept. Plateaus read as effective peaks: the low ends if they
+        sum to at least omega, the high ends if at most omega, otherwise
+        each plateau clamped at one level (`levels._clamp_level`), over
+        D * k. These sum to omega, so a simple rule's non-simple agents
+        divide E = the sum of their claims, `claims._check_awards` makes
+        every award its claim, and the rule returns the peaks unchanged."""
         if self._integers is None:
             n, endowments = self.n, self.endowments
-            common, scaled = _scaled([*self.peaks(), self.omega, *(endowments or ())])
-            scaled = tuple(scaled)
-            rest = None if endowments is None else scaled[n + 1 :]
-            object.__setattr__(self, "_integers", (common, scaled[:n], scaled[n], rest))
+            plateaus = self._peaks is None and self.is_single_plateaued
+            lows = [p.plateau_lo for p in self.prefs] if plateaus else self.peaks()
+            highs = [p.plateau_hi for p in self.prefs] if plateaus else ()
+            common, scaled = _scaled([*lows, *highs, self.omega, *(endowments or ())])
+            m = n + len(highs)
+            peaks, hi, omega, rest = scaled[:n], scaled[n:m], scaled[m], scaled[m + 1 :]
+            if plateaus and sum(hi) <= omega:
+                peaks = hi
+            elif plateaus and sum(peaks) < omega:  # every plateau straddles
+                level, k = _clamp_level(peaks, hi, omega)
+                common, omega, rest = common * k, omega * k, [w * k for w in rest]
+                peaks = [min(h * k, max(l * k, level)) for l, h in zip(peaks, hi)]
+            rest = None if endowments is None else tuple(rest)
+            object.__setattr__(self, "_integers", (common, tuple(peaks), omega, rest))
         return self._integers
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":

@@ -13,7 +13,7 @@ Both scans take integers over one common denominator D
 prefix sum is an integer operation, and both return (p, k), the level
 p / (D*k), building no Fraction. The claims cores (`claims._cea`, `_cel`)
 call `_min_level`, and through them every simple rule, uniform and ced;
-`rules.spl_extension` calls `_clamp_level`.
+`Economy._integer_profile` calls `_clamp_level` (`rules.spl_extension`).
 
 The constrained-equal-losses level has no scan of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which

@@ -517,8 +517,9 @@ def nom_sweep(
     n_values: Sequence[int] = (2, 3),
     with_endowments: bool = False,
 ) -> List[NomCase]:
-    """Seeded sweep of NOM cases; without endowments the known
-    manipulation witnesses with n in n_values come first."""
+    """Seeded sweep of NOM cases: without endowments the known
+    manipulation witnesses with n in n_values (up to 4) come first, then
+    random draws up to `count` cases in all."""
     if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
         raise ValueError(
             f"n_values must be nonempty, each n >= 2 an int: {n_values!r}"

@@ -14,13 +14,13 @@ Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
 rule path runs on integers over one common denominator D, written by the
 private `_scaled`: the level scans, an economy's integer profile
-(`Economy._integer_profile`: the peaks, omega and the endowments, computed
-once per economy), the split on it (`economy._split_scaled`), the integer
-entry of the claims rules (`claims._core`), the rules' integer kernels
-(`rules._of_kernel`: every rule that reads only peaks), the reallocation
-rules and gallery:underline, the single-plateaued extension
-(`rules.spl_extension`, which scales the plateau ends) and the sampled option
-sets, which keep each shared opponent profile's peaks over one D
+(`Economy._integer_profile`: the peaks, or a plateau economy's effective
+peaks, omega and the endowments, computed once per economy), the split
+on it (`economy._split_scaled`), the integer entry of the claims rules
+(`claims._core`), the rules' integer kernels (`rules._of_kernel`: every
+rule that reads only peaks, and through the profile the single-plateaued
+extension), the reallocation rules and gallery:underline, and the
+sampled option sets, which keep each shared opponent profile's peaks over one D
 (`manipulation._shared_families`) and run the kernels on them. A
 Fraction is built only where a value leaves the integers (a level, an
 award, an amount that is read, a sampled set's distinct outcome) or where

@@ -18,8 +18,8 @@ equal division for proportional when every peak is 0.
 Every rule that reads only peaks is one integer kernel, from which its
 `allocate` is derived (`_of_kernel`). The reallocation rules and
 gallery:underline, which also read the endowments or a slope, run on the
-same integer profile of the economy (`Economy._integer_profile`), and a
-single-plateaued extension runs its base's kernel on the plateau ends.
+same integer profile of the economy (`Economy._integer_profile`); a
+single-plateaued extension is its base's allocate on the effective peaks.
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
@@ -45,8 +45,6 @@ from .claims import (
     _pro,
 )
 from .economy import Allotment, Economy, _split_scaled
-from .levels import _clamp_level
-from .rational import _scaled
 
 DOMAIN_SP = "SP"
 DOMAIN_SPL = "SPL"
@@ -68,8 +66,8 @@ class Rule:
     `check_domain` refuses an economy of fewer than `min_agents` agents,
     which samplers and checkers skip.
     The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
-    option sets run it in place of the rule after one `check_domain`, and
-    `spl_extension` runs its base's on the plateau ends.
+    option sets run it in place of the rule after one `check_domain`. An
+    `spl_extension` rule shares its base's `allocate`, marks included.
     """
 
     name: str
@@ -325,39 +323,18 @@ def sequential_rule(
 
 def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
     """Extend a simple rule around equal division, which has a kernel
-    (`_of_kernel`), to single-plateaued preferences.
-
-    When the plateaus' left ends sum to at least omega, the base's kernel
-    runs on them as peaks; when their right ends sum to at most omega, on
-    the right ends. In between every plateau straddles the solution, and
-    the unique level clamped into each plateau (`levels._clamp_level`) is
-    feasible, lies inside every plateau, and reduces to equal division
-    whenever all plateaus contain omega/n. Both run on the integers of one
-    `_scaled` call.
+    (`_of_kernel`), to single-plateaued preferences: the base's own
+    `allocate`, run on the effective peaks that a plateau economy's
+    integer profile holds (`Economy._integer_profile`). Where every
+    plateau straddles the solution, those are one level clamped into each
+    plateau, which the base returns unchanged.
     """
-    kernel = getattr(base.allocate, "_kernel", None)
-    if not base.simple or kernel is None:
+    if not base.simple or getattr(base.allocate, "_kernel", None) is None:
         raise ValueError(
             "spl_extension needs a simple base rule around equal division"
         )
-
-    def allocate(econ: Economy) -> Allotment:
-        lows = [p.plateau_lo for p in econ.prefs]
-        highs = [p.plateau_hi for p in econ.prefs]
-        common, scaled = _scaled([*lows, *highs, econ.omega])
-        omega = scaled.pop()
-        lo, hi = scaled[: econ.n], scaled[econ.n :]
-        demand = sum(lo) >= omega
-        if demand or sum(hi) <= omega:
-            unit, amounts = kernel(common, lo if demand else hi, omega)
-        else:
-            level, k = _clamp_level(lo, hi, omega)
-            unit = common * k
-            amounts = [min(h * k, max(l * k, level)) for l, h in zip(lo, hi)]
-        return Allotment._of_scaled(unit, amounts, econ.omega)
-
     name = name or f"spl[{base.name}]"
-    return Rule(name, allocate, domain=DOMAIN_SPL, min_agents=base.min_agents)
+    return Rule(name, base.allocate, domain=DOMAIN_SPL, min_agents=base.min_agents)
 
 
 # ---------------------------------------------------------------------------

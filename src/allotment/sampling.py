@@ -241,10 +241,10 @@ def standard_suite(
     count: int,
     with_endowments: bool = False,
 ) -> List[Economy]:
-    """The seeded economy suite the axiom checkers run on.
-
-    Without endowments the witness economies come first, so every known
-    violation is found deterministically, before any random draw.
+    """The seeded economy suite the axiom checkers run on: `count` random
+    economies with endowments; without, the 8 witness economies first, so
+    every known violation is found deterministically, then random draws
+    up to `count` in all (none when `count` is 8 or less).
     """
     rng = random.Random(seed)
     suite: List[Economy] = [] if with_endowments else witness_economies()

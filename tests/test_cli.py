@@ -426,6 +426,18 @@ def test_check_machine_witness_replays(capsys):
     assert check_symmetry(get_rule("gallery:bar"), [witness]).failed
 
 
+@pytest.mark.parametrize("count, samples", [("3", 8), ("40", 40)])
+def test_check_random_puts_the_witness_economies_first(capsys, count, samples):
+    # the 8 witness economies always come first; random draws only fill
+    # the suite up to COUNT
+    code, out, _ = run(
+        capsys, "check", "--random", count, "uniform", "--axioms", "edg",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert json.loads(out)["samples"] == samples
+
+
 def test_check_random_draws_plateaued_economies_for_spl_rules(capsys):
     # the rule's domain picks the draws: an spl: rule is checked on seeded
     # single-plateaued economies, which the peak-free checkers accept
@@ -624,6 +636,11 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "single-peaked" in err
+    # drawn cases are refused the same way, naming the axiom, not the rule
+    code, out, err = run(capsys, "check", "--random", "3", "spl:cea", "--axioms", "nom")
+    assert code == 2
+    assert out == ""
+    assert "obvious manipulation (nom)" in err and "single-peaked domain" in err
 
 
 @pytest.mark.parametrize(

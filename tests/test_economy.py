@@ -7,7 +7,7 @@ import pytest
 
 from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy, _check_feasible, _split_scaled
-from allotment.preferences import SinglePeaked
+from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import _scaled
 from allotment.rules import simple_from_claims, simple_reallocation_from_claims
 from allotment.sampling import random_economy, standard_suite
@@ -114,23 +114,63 @@ def test_equal_division_split_matches_oracle_at_n_1000():
         assert_equal_division_split(econ(peaks, omega))
 
 
+PEAKS = [F(1, 3), F(5, 4), 2]
+# plateaus as (lo, hi) at omega = 3: the lows sum below 3 and the highs
+# above (every plateau straddles), the lows to at least 3 (demand), the
+# highs to at most 3 (supply)
+STRADDLE = [(0, F(1, 2)), (F(1, 2), F(3, 2)), (1, 3)]
+DEMAND = [(F(1, 2), 1), (2, F(5, 2)), (F(5, 2), 3)]
+SUPPLY = [(0, F(1, 4)), (F(1, 2), 1), (F(3, 2), F(3, 2))]
+
+
+def economy_of(agents, omega, endowments):
+    """An economy of peaks, or of plateaus given as (lo, hi) pairs."""
+    prefs = tuple(
+        SinglePlateaued(*map(F, a)) if isinstance(a, tuple) else SinglePeaked(F(a))
+        for a in agents
+    )
+    return Economy(prefs, F(omega), endowments)
+
+
 @pytest.mark.parametrize(
-    "endowments, profile",
+    "agents, omega, endowments, profile",
     [
-        (None, (12, (4, 15, 24), 42, None)),
+        (PEAKS, F(7, 2), None, (12, (4, 15, 24), 42, None)),
         # D also covers the endowments' denominators
-        ((F(1, 6), 1, F(7, 3)), (12, (4, 15, 24), 42, (2, 12, 28))),
-        ((F(1, 8), F(5, 8), F(11, 4)), (24, (8, 30, 48), 84, (3, 15, 66))),
+        (PEAKS, F(7, 2), (F(1, 6), 1, F(7, 3)), (12, (4, 15, 24), 42, (2, 12, 28))),
+        (
+            PEAKS,
+            F(7, 2),
+            (F(1, 8), F(5, 8), F(11, 4)),
+            (24, (8, 30, 48), 84, (3, 15, 66)),
+        ),
+        # a plateau economy holds its effective peaks: straddling plateaus
+        # clamped at the level 5/4, over D * k = 2 * 2, endowments included
+        (STRADDLE, 3, None, (4, (2, 5, 5), 12, None)),
+        (STRADDLE, 3, (1, F(1, 2), F(3, 2)), (4, (2, 5, 5), 12, (4, 2, 6))),
+        # the lows under excess demand, the highs under excess supply
+        (DEMAND, 3, None, (2, (1, 4, 5), 6, None)),
+        (SUPPLY, 3, None, (4, (1, 4, 6), 12, None)),
     ],
-    ids=["no endowments", "endowed", "endowed, finer D"],
+    ids=[
+        "no endowments",
+        "endowed",
+        "endowed, finer D",
+        "plateaus straddling",
+        "plateaus straddling, endowed",
+        "plateaus under demand",
+        "plateaus under supply",
+    ],
 )
-def test_integer_profile_is_cached_and_unobservable(endowments, profile):
-    e = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
+def test_integer_profile_is_cached_and_unobservable(
+    agents, omega, endowments, profile
+):
+    e = economy_of(agents, omega, endowments)
     fresh = pickle.dumps(e)
     assert e._integer_profile() == profile
     profile = e._integer_profile()
     assert e._integer_profile() is profile
-    again = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
+    again = economy_of(agents, omega, endowments)
     assert e == again and hash(e) == hash(again) and repr(e) == repr(again)
     assert "_integers" not in repr(e)
     back = pickle.loads(pickle.dumps(e))

@@ -578,12 +578,23 @@ def test_sequential_window_follows_selectors_off_the_economy_grid(name):
 # -- single-plateaued extension --------------------------------------------------
 
 
-def test_spl_degenerate_plateaus_reproduce_base():
+# every simple base with a kernel: the claims rules and the four selectors
+# in both orders around equal division, and gallery:bar
+SPL_BASES = [
+    *(simple_from_claims(c) for c in (cea, cel, pro)),
+    *(sequential_rule(s, order) for s in SELECTORS for order in ORDER_POLICIES),
+    gallery("bar"),
+]
+
+
+@pytest.mark.parametrize("base", SPL_BASES, ids=lambda base: base.name)
+def test_spl_degenerate_plateaus_reproduce_base(base):
     rng = random.Random(61)
-    base = simple_from_claims(cel)
     extended = spl_extension(base)
     for _ in range(200):
         e = random_economy(rng)
+        if e.n < base.min_agents:
+            continue
         flat = Economy(
             tuple(
                 SinglePlateaued(p.peak, p.peak, p.left_slope, p.right_slope)
@@ -620,15 +631,6 @@ def test_spl_dispatch_and_feasibility_on_random_economies():
         if sum(lows) - e.omega < 0 < sum(highs) - e.omega:
             for xi, lo, hi in zip(x, lows, highs):
                 assert lo <= xi <= hi
-
-
-# every simple base with a kernel: the claims rules and the four selectors
-# in both orders around equal division, and gallery:bar
-SPL_BASES = [
-    *(simple_from_claims(c) for c in (cea, cel, pro)),
-    *(sequential_rule(s, order) for s in SELECTORS for order in ORDER_POLICIES),
-    gallery("bar"),
-]
 
 
 @pytest.mark.parametrize("base", SPL_BASES, ids=lambda base: base.name)
