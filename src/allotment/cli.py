@@ -3,8 +3,13 @@
 Subcommands: allocate, check, option-set, find-manipulation. Economies load
 from JSON objects (omega, an agents array, an optional endowments array)
 whose rationals are exact "p/q" strings or integers; decimals are rejected
-so exactness survives end to end. Only check draws random economies
-(--seed); identical invocations print identical bytes.
+so exactness survives end to end. Each document has its own parse memo,
+so a string repeated across its agents (a slope, say) is parsed once.
+Only check draws random economies (--seed); identical invocations print
+identical bytes. --format machine prints, byte for byte, what
+`json.dumps(document, indent=2, sort_keys=True)` would, through a small
+writer of its own (`_machine_json`) that skips json's pure-Python
+indenting encoder.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 usage or parse error (including a flag the subcommand does not take,
@@ -25,7 +30,8 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional, Union
+from fractions import Fraction
+from typing import Dict, List, Optional, Union
 
 from .axioms import AXIOM_CHECKERS, AxiomReport, Witness
 from .economy import Economy
@@ -68,23 +74,39 @@ def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
             )
 
 
-def pref_from_dict(raw: dict):
+def _read_rational(value, memo: Dict[str, Fraction]) -> Fraction:
+    """`parse_rational(value)`, once per distinct string of a document:
+    `memo` maps each string already read to its Fraction. Only values of
+    exact type str are looked up or stored, since True == 1 == 1.0 as
+    dict keys; every other value goes to `parse_rational` and its
+    refusals."""
+    if type(value) is str:
+        parsed = memo.get(value)
+        if parsed is None:
+            parsed = memo[value] = parse_rational(value)
+        return parsed
+    return parse_rational(value)
+
+
+def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
+    """The preference of one agent entry; its numbers are read through
+    the document's `memo` (see `_read_rational`)."""
     if not isinstance(raw, dict):
         raise CliError(f"agent entry must be an object, got {json.dumps(raw)}")
     if {"plateau_lo", "plateau_hi"} <= raw.keys():
         _reject_unknown_keys(raw, PLATEAU_KEYS, "a plateau agent")
         return SinglePlateaued(
-            parse_rational(raw["plateau_lo"]),
-            parse_rational(raw["plateau_hi"]),
-            parse_rational(raw.get("left_slope", 1)),
-            parse_rational(raw.get("right_slope", 1)),
+            _read_rational(raw["plateau_lo"], memo),
+            _read_rational(raw["plateau_hi"], memo),
+            _read_rational(raw.get("left_slope", 1), memo),
+            _read_rational(raw.get("right_slope", 1), memo),
         )
     if "peak" in raw:
         _reject_unknown_keys(raw, PEAK_KEYS, "a peak agent")
         return SinglePeaked(
-            parse_rational(raw["peak"]),
-            parse_rational(raw.get("left_slope", 1)),
-            parse_rational(raw.get("right_slope", 1)),
+            _read_rational(raw["peak"], memo),
+            _read_rational(raw.get("left_slope", 1), memo),
+            _read_rational(raw.get("right_slope", 1), memo),
         )
     raise CliError(f"agent entry needs a peak or a plateau: {raw}")
 
@@ -111,12 +133,13 @@ def economy_from_dict(raw: dict) -> Economy:
     for key in ("agents", "endowments"):
         if raw.get(key) is not None and not isinstance(raw[key], list):
             raise CliError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
+    memo: Dict[str, Fraction] = {}
     try:
-        omega = parse_rational(raw["omega"])
-        prefs = tuple(pref_from_dict(entry) for entry in raw["agents"])
+        omega = _read_rational(raw["omega"], memo)
+        prefs = tuple(pref_from_dict(entry, memo) for entry in raw["agents"])
         endowments = None
         if raw.get("endowments") is not None:
-            endowments = tuple(parse_rational(w) for w in raw["endowments"])
+            endowments = tuple(_read_rational(w, memo) for w in raw["endowments"])
         return Economy(prefs, omega, endowments)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed economy file: {exc}") from exc
@@ -203,9 +226,60 @@ def certificate_to_dict(cert: ObviousManipulation) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# json writes the non-finite floats as JavaScript names
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _machine_json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    Before Python 3.13 json's C encoder does not indent, so json.dumps
+    with an indent runs the pure-Python one. This writer covers the
+    types a report holds: dicts (str keys), lists and tuples, str, int,
+    float, bool and None; any other value raises TypeError. `newline` is
+    the line break plus the indent of the enclosing level."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _encode_str(key)
+            + ": "
+            + (_encode_str(item) if type(item) is str else _machine_json(item, inner))
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [
+            _encode_str(item) if type(item) is str else _machine_json(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
     if fmt == "machine":
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(_machine_json(document))
     else:
         for line in table_lines:
             print(line)
@@ -294,7 +368,11 @@ def cmd_check(args) -> int:
             "obvious manipulation (nom) is checked on the single-peaked domain"
             f" only, and rule {rule.name} needs single-plateaued preferences"
         )
-    econs = _check_economies(args, rule)
+    # nom draws its own cases: with --random and no other axiom, no suite
+    # is built and the sample count is the number of nom cases
+    nom_only_draw = args.random is not None and set(args.axiom_list) == {"nom"}
+    econs = [] if nom_only_draw else _check_economies(args, rule)
+    samples = len(econs)
 
     reports: List[AxiomReport] = []
     for axiom in args.axiom_list:
@@ -305,6 +383,8 @@ def cmd_check(args) -> int:
                     args.random,
                     with_endowments=rule.domain == DOMAIN_SP_ENDOWMENTS,
                 )
+                if nom_only_draw:
+                    samples = len(cases)
             else:
                 first = econs[0]
                 cases = [
@@ -345,7 +425,7 @@ def cmd_check(args) -> int:
     document = {
         "command": "check",
         "rule": rule.name,
-        "samples": len(econs),
+        "samples": samples,
         "seed": args.seed,
         "axioms": [
             {

@@ -8,7 +8,12 @@ constructors, `disutility`, `worst`, `sampling.grid`,
 `parse_rational` as well, so no float ever enters a computation.
 A string of ASCII digits, optionally followed by "/" and ASCII digits --
 the canonical form `format_rational` writes -- is read as two ints; any
-other string goes through Fraction's own parser.
+other string goes through Fraction's own parser. `parse_rational` tests
+the type of its input in this order: an exact Fraction, a str (or str
+subclass), a bool (refused), an int, a Fraction subclass, a float
+(refused). So a Fraction and a string, the two inputs on the hot paths,
+are recognised before the `isinstance(value, Fraction)` test, which runs
+through `ABCMeta` on every call.
 
 Fraction arithmetic runs as Python code: every `+` or `-` builds a
 reduced Fraction (a gcd) and every `<` runs a rational type check. So the
@@ -55,16 +60,6 @@ def parse_rational(value) -> Fraction:
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise RationalParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise RationalParseError(
-            f"decimal {value!r} rejected: use an exact \"p/q\" string"
-        )
     if isinstance(value, str):
         text = value.strip()
         num, slash, den = text.partition("/")
@@ -80,6 +75,16 @@ def parse_rational(value) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"not a rational: {value!r}") from exc
+    if isinstance(value, bool):
+        raise RationalParseError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise RationalParseError(
+            f"decimal {value!r} rejected: use an exact \"p/q\" string"
+        )
     raise RationalParseError(f"not a rational: {value!r}")
 
 

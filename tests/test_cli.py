@@ -3,13 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allotment.cli import (
     ECONOMY_KEYS,
     PEAK_KEYS,
     PLATEAU_KEYS,
+    _machine_json,
     economy_from_dict,
     economy_to_dict,
     load_economy,
@@ -195,6 +196,125 @@ def test_economy_round_trip_is_field_identical_property(econ):
         econ.endowments,
     )
     assert economy_to_dict(back) == document
+
+
+@pytest.mark.parametrize("endowed", [False, True], ids=["plain", "endowed"])
+@pytest.mark.parametrize("plateaued", [False, True], ids=["peaks", "plateaus"])
+def test_large_document_reads_to_the_economy_built_from_fractions(
+    plateaued, endowed
+):
+    # 1,000 agents drawn from a few values, so most strings repeat across
+    # agents and fields and are read through the document's parse memo;
+    # a slope of 1 is sometimes written as the JSON integer 1
+    rng = random.Random(27)
+    values = [F(k, 4) for k in range(9)]
+    slopes = [F(1), F(3), F(1, 2)]
+
+    def text(x):
+        return 1 if x == 1 and rng.random() < 0.5 else str(x)
+
+    prefs, agents = [], []
+    for _ in range(1000):
+        left, right = rng.choice(slopes), rng.choice(slopes)
+        if plateaued:
+            lo, hi = sorted(rng.choices(values, k=2))
+            prefs.append(SinglePlateaued(lo, hi, left, right))
+            agents.append({"plateau_lo": str(lo), "plateau_hi": str(hi)})
+        else:
+            peak = rng.choice(values)
+            prefs.append(SinglePeaked(peak, left, right))
+            agents.append({"peak": str(peak)})
+        agents[-1].update(left_slope=text(left), right_slope=text(right))
+    endowments = [rng.choice(values[1:]) for _ in prefs]
+    omega = sum(endowments)
+    document = {"omega": str(omega), "agents": agents}
+    if endowed:
+        document["endowments"] = [str(w) for w in endowments]
+    econ = economy_from_dict(json.loads(json.dumps(document)))
+    expected = Economy(tuple(prefs), omega, tuple(endowments) if endowed else None)
+    assert (econ.prefs, econ.omega, econ.endowments) == (
+        expected.prefs,
+        expected.omega,
+        expected.endowments,
+    )
+    numbers = [econ.omega, *(econ.endowments or ())]
+    numbers += [value for pref in econ.prefs for value in vars(pref).values()]
+    assert {type(x) for x in numbers} == {F}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "not a rational: True"),
+        (1.0, 'decimal 1.0 rejected: use an exact "p/q" string'),
+        ("1.0", 'decimal \'1.0\' rejected: use an exact "p/q" string'),
+        ("2e3", 'decimal \'2e3\' rejected: use an exact "p/q" string'),
+    ],
+    ids=["true", "float", "decimal-string", "exponent-string"],
+)
+@pytest.mark.parametrize("field", ["peak", "right_slope", "endowments"])
+def test_parse_memo_keeps_every_refusal(tmp_path, capsys, value, message, field):
+    # "1" is read (and memoised) first; True == 1 == 1.0 as dict keys, so
+    # a memo keyed on values of any type would accept the later value
+    second = {"peak": "1"}
+    endowments = ["1", "1"]
+    if field == "endowments":
+        endowments[1] = value
+    else:
+        second[field] = value
+    document = {
+        "omega": "2",
+        "agents": [{"peak": "1", "left_slope": "1"}, second],
+        "endowments": endowments,
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "allocate", str(path), "uniform")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+MACHINE_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", 'a "quoted" \\path\\', "\x00\t\n\r\x1f\x7f", "é €\u2028 😀",
+     "\ud800"]
+)
+MACHINE_SCALARS = (
+    MACHINE_STRINGS
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, 1.5, float("inf"), float("nan")])
+)
+MACHINE_DOCUMENTS = st.recursive(
+    MACHINE_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(MACHINE_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(MACHINE_DOCUMENTS)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "": ()})
+@example({"x": [-0.0, 1e16, 5e-324, float("-inf")], "y": [True, None, -(10**30)]})
+def test_machine_writer_matches_json_dumps(document):
+    assert _machine_json(document) == json.dumps(document, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [F(1, 2), {1, 2}, {"a": [b"x"]}, {1: "x"}],
+    ids=["fraction", "set", "nested-bytes", "int-key"],
+)
+def test_machine_writer_refuses_values_outside_a_report(value):
+    # json refuses the first three too; it would write the int key as
+    # "1", but a report's keys are all strings
+    with pytest.raises(TypeError):
+        _machine_json(value)
 
 
 def test_decimals_rejected(tmp_path, capsys):
@@ -436,6 +556,26 @@ def test_check_random_puts_the_witness_economies_first(capsys, count, samples):
     )
     assert code == 0
     assert json.loads(out)["samples"] == samples
+
+
+@pytest.mark.parametrize("count, samples", [("3", 4), ("40", 40)])
+def test_check_random_nom_alone_counts_its_own_cases(
+    capsys, monkeypatch, count, samples
+):
+    # nom draws its NOM cases (the 4 witnesses first), so no economy
+    # suite is built and samples counts the cases
+    def no_suite(*args, **kwargs):
+        raise AssertionError("standard_suite built for nom alone")
+
+    monkeypatch.setattr("allotment.cli.standard_suite", no_suite)
+    code, out, _ = run(
+        capsys, "check", "--random", count, "uniform", "--axioms", "nom",
+        "--grid-step", "12", "--format", "machine",
+    )
+    assert code == 0
+    document = json.loads(out)
+    assert document["samples"] == samples
+    assert document["axioms"][0]["checked"] == samples
 
 
 def test_check_random_draws_plateaued_economies_for_spl_rules(capsys):
