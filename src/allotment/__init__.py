@@ -29,7 +29,7 @@ from .claims import (
     cel,
     pro,
 )
-from .economy import Allotment, Economy, make_allotment
+from .economy import Allotment, Economy
 from .manipulation import (
     ManipulationVerdict,
     NomCase,

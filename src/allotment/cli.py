@@ -27,6 +27,7 @@ that a crash never reads as a FAIL).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -613,7 +614,9 @@ def _parse_order(text: str) -> Union[str, List[int]]:
         raise argparse.ArgumentTypeError(f"bad order {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="allotment",
         description=(

@@ -284,7 +284,3 @@ def _split_scaled(
             minus.append(i)
             left -= r
     return common, peaks, reference, z, left, plus, minus
-
-
-def make_allotment(econ: Economy, amounts: Sequence) -> Allotment:
-    return Allotment(tuple(amounts), econ.omega)

@@ -59,7 +59,8 @@ from .economy import Economy, _check_feasible, _checked_size
 from .preferences import SinglePeaked, worst
 from .rational import _scaled, format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
-from .sampling import SLOPE_CATALOGUE, _check_grid_step, grid as peak_grid
+from .sampling import _check_count, _check_grid_step, grid as peak_grid
+from .sampling import random_preference, random_rational, two_agent_om_economy
 
 # an opponent profile: the opponents and their peaks' numerators over a D
 Profile = Tuple[Tuple[SinglePeaked, ...], Optional[Tuple[int, ...]]]
@@ -517,50 +518,30 @@ def nom_sweep(
     n_values: Sequence[int] = (2, 3),
     with_endowments: bool = False,
 ) -> List[NomCase]:
-    """Seeded sweep of NOM cases: without endowments the known
-    manipulation witnesses with n in n_values (up to 4) come first, then
-    random draws up to `count` cases in all."""
+    """Seeded sweep of NOM cases, `count` in all (a count that is not an
+    int is refused). Without endowments the two preferences of
+    `sampling.two_agent_om_economy` come first, at each n of 2 and 3 that
+    is in n_values. Each further case draws an integer omega in 1..5, an
+    n from n_values, its preference by `sampling.random_preference`, on
+    the reallocation domain an endowment in [0, omega] by
+    `sampling.random_rational`, and then the agent."""
     if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
         raise ValueError(
             f"n_values must be nonempty, each n >= 2 an int: {n_values!r}"
         )
+    _check_count(count)
     rng = random.Random(seed)
     cases: List[NomCase] = []
     if not with_endowments:
-        witnesses = [
-            NomCase(
-                SinglePeaked(Fraction(1, 3), Fraction(1), Fraction(3)),
-                Fraction(1),
-                2,
-            ),
-            NomCase(SinglePeaked(Fraction(0)), Fraction(1), 2),
-            NomCase(
-                SinglePeaked(Fraction(1, 3), Fraction(1), Fraction(3)),
-                Fraction(1),
-                3,
-            ),
-            NomCase(SinglePeaked(Fraction(0)), Fraction(1), 3),
-        ]
-        cases.extend(c for c in witnesses if c.n in n_values)
+        om = two_agent_om_economy()
+        ns = [n for n in (2, 3) if n in n_values]
+        cases = [NomCase(pref, om.omega, n) for n in ns for pref in om.prefs]
     while len(cases) < count:
         omega = Fraction(rng.randint(1, 5))
         n = rng.choice(list(n_values))
-        den = rng.randint(1, 60)
-        peak = Fraction(rng.randint(0, 2 * omega.numerator * den), den)
-        left, right = rng.choice(SLOPE_CATALOGUE)
-        endowment = None
-        if with_endowments:
-            wden = rng.randint(1, 60)
-            endowment = Fraction(rng.randint(0, omega.numerator * wden), wden)
-        cases.append(
-            NomCase(
-                SinglePeaked(peak, left, right),
-                omega,
-                n,
-                agent=rng.randrange(n),
-                endowment=endowment,
-            )
-        )
+        pref = random_preference(rng, omega)
+        endowment = random_rational(rng, omega) if with_endowments else None
+        cases.append(NomCase(pref, omega, n, rng.randrange(n), endowment))
     return cases
 
 

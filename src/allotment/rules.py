@@ -273,10 +273,9 @@ def _sequential(share: Tuple[int, int], descending: bool) -> ClaimsCore:
     return core
 
 
-def sequential_rule(
-    selector: str = "lo", order=None, name: Optional[str] = None
-) -> Rule:
-    """The sequential construction as a named simple rule.
+def sequential_rule(selector: str = "lo", order=None) -> Rule:
+    """The sequential construction as the simple rule named
+    simple:appendix-b[selector], any given order appended to the name.
 
     Simple agents start at their peak and the rest at equal division; the
     non-simple agents are then visited in `order`, and each is adjusted by
@@ -306,14 +305,13 @@ def sequential_rule(
                 "an explicit order must list distinct agents (numbered from 1),"
                 f" got [{shown}]"
             )
-    if name is None:
-        tag = selector
-        if isinstance(order, str):
-            tag += f",{order}"
-        elif order is not None:
-            tag += ",order=" + ",".join(str(i + 1) for i in order)
-        name = f"simple:appendix-b[{tag}]"
+    tag = selector
+    if isinstance(order, str):
+        tag += f",{order}"
+    elif order is not None:
+        tag += ",order=" + ",".join(str(i + 1) for i in order)
     core = _sequential(SELECTORS[selector], order == "descending")
+    name = f"simple:appendix-b[{tag}]"
     return _simple_rule(core, name, order=order if explicit else None)
 
 

@@ -1,10 +1,11 @@
 """Seeded generation of rational economies, claims problems, and grids.
 
-Everything here is driven by an explicit `random.Random` so any report or
-test that names its seed is reproducible byte for byte. Peaks are rationals
-with denominator at most 60, so every witness value the library cares
-about (thirds, halves, quarters) is expressible, and the named witness
-economies are injected at the front of each suite.
+Every seeded draw in the package is written here (`manipulation.nom_sweep`
+composes these draws), driven by an explicit `random.Random`, so any
+report or test that names its seed is reproducible byte for byte. Peaks
+are rationals with denominator at most 60, so every witness value the
+library cares about (thirds, halves, quarters) is expressible, and the
+named witness economies are injected at the front of each suite.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ SLOPE_CATALOGUE: Tuple[Tuple[Fraction, Fraction], ...] = tuple(
 MAX_DENOMINATOR = 60
 
 
-def random_rational(
-    rng: random.Random, hi: Fraction, max_den: int = MAX_DENOMINATOR
-) -> Fraction:
-    """A rational in [0, hi] with denominator at most max_den; `hi` is
-    coerced through `parse_rational`, so a float bound is refused."""
+def random_rational(rng: random.Random, hi: Fraction) -> Fraction:
+    """A rational in [0, hi], denominator at most MAX_DENOMINATOR; `hi`
+    goes through `parse_rational`, so a float bound is refused."""
     hi = parse_rational(hi)
-    den = rng.randint(1, max_den)
+    den = rng.randint(1, MAX_DENOMINATOR)
     top = int(hi * den)
     return Fraction(rng.randint(0, top), den)
 
@@ -117,10 +116,8 @@ def random_plateaued_economy(rng: random.Random) -> Economy:
     return Economy(tuple(prefs), omega)
 
 
-def random_claims_problem(
-    rng: random.Random, max_agents: int = 6
-) -> ClaimsProblem:
-    n = rng.randint(1, max_agents)
+def random_claims_problem(rng: random.Random) -> ClaimsProblem:
+    n = rng.randint(1, 6)
     claims = [random_rational(rng, Fraction(5)) for _ in range(n)]
     if rng.random() < 1 / 4 and n >= 2:
         src, dst = rng.sample(range(n), 2)
@@ -244,8 +241,10 @@ def standard_suite(
     """The seeded economy suite the axiom checkers run on: `count` random
     economies with endowments; without, the 8 witness economies first, so
     every known violation is found deterministically, then random draws
-    up to `count` in all (none when `count` is 8 or less).
+    up to `count` in all (none when `count` is 8 or less). A count that
+    is not an int is refused.
     """
+    _check_count(count)
     rng = random.Random(seed)
     suite: List[Economy] = [] if with_endowments else witness_economies()
     while len(suite) < count:
@@ -277,3 +276,9 @@ def _check_grid_step(step_denominator: int) -> None:
         raise ValueError(
             f"grid step denominator must be at least 1, got {step_denominator}"
         )
+
+
+def _check_count(count: int) -> None:
+    """Refuse a number of draws that is not an int (a bool included)."""
+    if type(count) is not int:
+        raise ValueError(f"count must be a whole number, got {count!r}")

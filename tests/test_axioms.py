@@ -20,7 +20,7 @@ from allotment.axioms import (
     check_symmetry,
 )
 from allotment.claims import cea, cel, pro
-from allotment.economy import Economy, make_allotment
+from allotment.economy import Allotment, Economy
 from allotment.manipulation import check_nom, nom_sweep
 from allotment.preferences import SinglePeaked
 from allotment.rules import (
@@ -168,7 +168,7 @@ def test_bar_fails_symmetry():
 def test_symmetry_accepts_indifferent_unequal_amounts():
     # a mirror split around a symmetric peak is indifferent, hence symmetric
     mirror = constant_rule(
-        "mirror", lambda e: make_allotment(e, [F(1, 4), F(3, 4)])
+        "mirror", lambda e: Allotment((F(1, 4), F(3, 4)), e.omega)
     )
     pref = SinglePeaked(F(1, 2))
     report = check_symmetry(mirror, [Economy((pref, pref), F(1))])

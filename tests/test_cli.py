@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from allotment.cli import (
     PEAK_KEYS,
     PLATEAU_KEYS,
     _machine_json,
+    build_parser,
     economy_from_dict,
     economy_to_dict,
     load_economy,
@@ -903,6 +905,21 @@ def test_crash_exits_3_not_the_fail_code(om_file, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: kernel exploded\n"
+
+
+def test_main_builds_its_parser_once(om_file, capsys, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    build_parser.cache_clear()
+    for rule in ("uniform", "ced"):
+        assert run(capsys, "allocate", om_file, rule)[0] == 0
+    assert built == ["allotment"]
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -12,7 +12,7 @@ from allotment import NO_CASES
 import allotment.manipulation as manipulation_module
 import allotment.rules as rules_module
 from allotment.claims import Awards, cea, cel
-from allotment.economy import Economy, _checked_size, make_allotment
+from allotment.economy import Allotment, Economy, _checked_size
 from allotment.manipulation import (
     _grid,
     _opponent_profiles,
@@ -42,7 +42,7 @@ from allotment.rules import (
     simple_reallocation_from_claims,
     uniform,
 )
-from allotment.sampling import grid, random_preference, random_rational
+from allotment.sampling import grid, random_preference, random_rational, standard_suite
 from helpers import (
     CountingPeaked,
     opponent_profiles_oracle,
@@ -377,6 +377,19 @@ def test_nom_sweep_refuses_empty_or_small_n_values(n_values):
         nom_sweep(0, 5, n_values=n_values)
 
 
+@pytest.mark.parametrize("count", [10.5, 5.0, True, "12", None])
+@pytest.mark.parametrize("sweep", [nom_sweep, standard_suite])
+def test_sweeps_refuse_a_count_that_is_not_an_int(sweep, count):
+    # a float count drew one case too many, and True the witnesses alone
+    with pytest.raises(ValueError, match=f"whole number, got {count!r}"):
+        sweep(0, count)
+
+
+def test_sweeps_below_the_witness_count_return_the_witnesses():
+    assert len(nom_sweep(0, -1)) == len(nom_sweep(0, 0)) == 4
+    assert len(standard_suite(0, -1)) == len(standard_suite(0, 0)) == 8
+
+
 def test_nom_sweep_stream_is_pinned():
     # (peak, slopes, omega, n, agent[, endowment]) of seeded sweeps
     cases = nom_sweep(7, 6, n_values=(3, 4))
@@ -448,7 +461,8 @@ def priority_first(cp):
 
 def midway(econ):
     """A custom rule, halfway between uniform and ced."""
-    return make_allotment(econ, [(u + c) / 2 for u, c in zip(uniform(econ), ced(econ))])
+    amounts = [(u + c) / 2 for u, c in zip(uniform(econ), ced(econ))]
+    return Allotment(tuple(amounts), econ.omega)
 
 
 KERNEL_PATH_RULES = [

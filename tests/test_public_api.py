@@ -12,7 +12,7 @@ PUBLIC_NAMES = """
     check_nom check_own_peak_only check_peak_responsive check_same_sided
     check_strategy_proofness check_symmetry find_obvious_manipulation
     format_rational gallery get_rule grid is_obvious_manipulation
-    make_allotment nom_sweep option_set_sampled option_set_simple
+    nom_sweep option_set_sampled option_set_simple
     parse_rational pro proportional random_economy sequential_rule
     simple_from_claims simple_reallocation_from_claims
     spl_extension standard_suite two_agent_om_economy uniform
