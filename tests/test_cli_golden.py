@@ -5,7 +5,9 @@ ascending and descending order) and single-plateaued rules on economies
 with excess demand, excess supply and balance, all carrying individual
 endowments, plus `option-set` for a simple rule, `find-manipulation` for
 a reallocation rule (no manipulation) and for `ced` on the README's
-two-agent economy (a sampled certificate), and `check` of the two
+two-agent economy (a sampled certificate), `option-set` of `ced` there
+with every witness economy, `check` of nom on it (a FAIL whose witness
+economy comes from the misreport's sampled set), and `check` of the two
 reference-point guarantees, in both output formats. A refactor of the
 rules must leave every byte as it is.
 
@@ -139,6 +141,18 @@ def cases():
             + tail
         )
         found.append(["find-manipulation", "two-agent", "ced", "1"] + tail)
+        # every witness of a non-simple rule's sampled option set, and the
+        # witness economy a nom FAIL reads from the misreport's set
+        found.append(
+            ["option-set", "two-agent", "ced", "1", "--show-witnesses"]
+            + ["--grid-step", "6"]
+            + tail
+        )
+        found.append(
+            ["check", "two-agent", "ced", "--axioms", "nom"]
+            + ["--expect-fail", "nom"]
+            + tail
+        )
         # the two reference-point guarantees, each with a failing witness;
         # --random draws the economies, so "demand" only names the case
         for rule, fails in (
