@@ -25,24 +25,28 @@ option set built.
 The peak grid depends only on (omega, grid step), and the identical and
 complementary opponent families only on (omega, n, grid step), so each is
 built once and shared across rules, agents and misreports, with every
-profile's peaks as integers over the families' denominator. So is the
+profile's peaks as integers over the families' denominator D. So is the
 witness family: the witness profile of every grid target, of which an
 agent's option set reads a slice, building a profile only for an end of
-the set that lies off the grid. Sharing is unobservable: the cache key is
-the whole input, compared by type as well as value, and the value is made
-of tuples of fractions, ints or frozen preferences, which no caller can
-change.
+the set that lies off the grid. A report whose peak refines D by a factor
+reads the same families with every numerator times that factor, built
+once per (omega, n, grid step, factor) and shared the same way. Sharing
+is unobservable: the cache key is the whole input, compared by type as
+well as value, and the value is made of tuples of fractions, ints or
+frozen preferences, which no caller can change.
 
 `option_set_sampled` refuses bad inputs once per set, before any
 profile is built (the rule's minimum agent count, the economy's size and
 endowment through `economy._checked_size`, and a single-peaked report),
 and `_sample` makes the rule's domain check once. A rule's integer kernel
 (`rules._of_kernel`; every registered rule that reads only peaks has
-one) then runs on each profile's integers, and only the first witness of
-each outcome gets an economy; any other rule (gallery:underline, which
-reads a slope, or a custom rule) runs on every profile's economy. Every
-economy comes through the public constructor, and feasibility is
-checked on every run.
+one) then runs on each profile's integers, and no economy is built for
+its witnesses until one is read: `SampledOptionSet.witnesses` keeps the
+first witness of each outcome as its preference profile and builds its
+economy on first read. Any other rule (gallery:underline, which reads a
+slope, or a custom rule) runs on every profile's economy, which is kept
+as the witness. Every economy comes through the public constructor, and
+feasibility is checked on every run.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -67,14 +72,54 @@ Profile = Tuple[Tuple[SinglePeaked, ...], Optional[Tuple[int, ...]]]
 Family = Tuple[Optional[Profile], ...]
 
 
+class _Witnesses(Mapping):
+    """The first witness economy of each outcome of a sampled option set,
+    read-only, in generation order.
+
+    `found` maps each outcome's reduced (numerator, denominator) to
+    [outcome, witness], where a witness is an `Economy` or, until it is
+    first read, the preference profile of one: its economy is then built
+    through `Economy(prefs, omega)` and kept. Equality and repr are those
+    of the dict {outcome: economy}, so they read every witness."""
+
+    def __init__(self, omega: Fraction, found: Dict[Tuple[int, int], list]):
+        self._omega = omega
+        self._found = found
+
+    def __getitem__(self, outcome) -> Economy:
+        try:
+            entry = self._found[outcome.numerator, outcome.denominator]
+        except (AttributeError, KeyError):
+            raise KeyError(outcome) from None
+        if isinstance(entry[1], tuple):
+            entry[1] = Economy(entry[1], self._omega)
+        return entry[1]
+
+    def __contains__(self, outcome) -> bool:
+        try:
+            return (outcome.numerator, outcome.denominator) in self._found
+        except AttributeError:
+            return False
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return (outcome for outcome, _ in self._found.values())
+
+    def __len__(self) -> int:
+        return len(self._found)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass
 class SampledOptionSet:
-    """Finite set of reachable amounts with replayable witness economies."""
+    """Finite set of reachable amounts with replayable witness economies,
+    each built when it is first read."""
 
     rule: Rule
     agent: int
     outcomes: Tuple[Fraction, ...]
-    witnesses: Dict[Fraction, Economy]
+    witnesses: Mapping[Fraction, Economy]
     grid_spec: str
 
     def replay(self, outcome: Fraction) -> bool:
@@ -172,11 +217,31 @@ def _shared_families(
     return common, identical, complementary, witness
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _rescaled_families(
+    omega: Fraction, n: int, grid_step: int, scale: int
+) -> Tuple[int, Family, Family, Family]:
+    """`_shared_families` over D * scale: the same profiles, each with its
+    numerators times `scale`, built once per (omega, n, grid step, scale)
+    and shared by every rule and report whose peak refines D by `scale`.
+    64 entries hold the 61 distinct (omega, n, scale) of c04's 100 cases."""
+    common, *families = _shared_families(omega, n, grid_step)
+
+    def rescaled(profile: Optional[Profile]) -> Optional[Profile]:
+        if profile is None:
+            return None
+        opponents, numerators = profile
+        return opponents, tuple(x * scale for x in numerators)
+
+    return (common * scale, *(tuple(map(rescaled, f)) for f in families))
+
+
 def _opponent_profiles(
     pref: SinglePeaked,
     omega: Fraction,
     n: int,
     grid_step: int,
+    scale: int = 1,
 ) -> Iterator[Profile]:
     """Deterministic opponent families of unit-slope preferences, deduped
     on the opponents' peaks in generation order:
@@ -193,10 +258,15 @@ def _opponent_profiles(
     no more witness profiles than it reads. The targets are the option
     set's two ends and the grid points between them; the grid points' are
     a slice of the shared witness family, with their peaks' numerators
-    over the families' D, and only an end that lies off the grid gets a
-    profile of its own, with None.
+    over the families' D (times `scale`, from `_rescaled_families`), and
+    only an end that lies off the grid gets a profile of its own, with
+    None.
     """
-    _, identical, complementary, witness = _shared_families(omega, n, grid_step)
+    _, identical, complementary, witness = (
+        _shared_families(omega, n, grid_step)
+        if scale == 1
+        else _rescaled_families(omega, n, grid_step, scale)
+    )
     yield from identical
 
     # a witness profile is constant, so it repeats an identical profile
@@ -224,17 +294,21 @@ def _sample(
     stop: Optional[Callable[[Fraction], bool]] = None,
 ) -> Optional[SampledOptionSet]:
     """The sampled option set of `agent` reporting `pref`: one rule run per
-    opponent profile, in generation order, keeping the first economy that
-    achieves each outcome. None at the first outcome for which `stop` (a
+    opponent profile, in generation order, keeping the first witness of
+    each outcome. None at the first outcome for which `stop` (a
     predicate, asked once per outcome) holds, before any later run.
 
     A rule's integer kernel runs after one domain check (every economy of
     the set is single-peaked, without endowments), on a shared profile's
-    numerators over the families' D refined by the report's peak, or on
-    an off-grid end's economy; `economy._check_feasible` checks every run,
-    and only the first witness of an outcome gets an economy. Any other
-    rule is called on each profile's economy. Outcomes are keyed, and
-    sorted, as reduced integer pairs. Every economy comes through
+    numerators over the families' D refined by the report's peak (the
+    families of `_rescaled_families` when the peak's denominator does not
+    divide D), or on an off-grid end's economy; `economy._check_feasible`
+    checks every run. A kernel witness is kept as its preference profile,
+    and its economy is built when `SampledOptionSet.witnesses` is first
+    read at its outcome. Any other rule is called on each profile's
+    economy, and an off-grid end has one too: that economy is kept as it
+    is. Outcomes are keyed, and sorted, as reduced integer pairs, so no
+    outcome is hashed as a Fraction. Every economy comes through
     `Economy(prefs, omega)`; `option_set_sampled` has refused bad inputs
     once, so none of them fails its checks."""
     kernel = getattr(rule.allocate, "_kernel", None)
@@ -242,6 +316,7 @@ def _sample(
     def splice(opponents, own):
         return opponents[:agent] + (own,) + opponents[agent:]
 
+    scale = 1
     if kernel is None:
 
         def run(opponents, numerators):
@@ -256,29 +331,27 @@ def _sample(
         rule.check_domain(Economy((pref,) * n, omega))
 
         def run(opponents, numerators):
-            econ = None
             if numerators is None:  # an off-grid end, on its economy's D
                 econ = Economy(splice(opponents, pref), omega)
                 unit, amounts = kernel(*econ._integer_profile()[:3])
             else:
-                if scale != 1:
-                    numerators = tuple(x * scale for x in numerators)
+                econ = None
                 unit, amounts = kernel(common, splice(numerators, report), total)
             _check_feasible(unit, amounts, omega)
             g = math.gcd(amounts[agent], unit)
             return (amounts[agent] // g, unit // g), econ
 
-    found: Dict[Tuple[int, int], Tuple[Fraction, Economy]] = {}
-    for opponents, numerators in _opponent_profiles(pref, omega, n, grid_step):
+    # {reduced outcome: [outcome, its first economy or preference profile]}
+    found: Dict[Tuple[int, int], list] = {}
+    profiles = _opponent_profiles(pref, omega, n, grid_step, scale)
+    for opponents, numerators in profiles:
         key, econ = run(opponents, numerators)
         if key in found:
             continue
         outcome = Fraction(*key)
         if stop is not None and stop(outcome):
             return None
-        if econ is None:
-            econ = Economy(splice(opponents, pref), omega)
-        found[key] = outcome, econ
+        found[key] = [outcome, splice(opponents, pref) if econ is None else econ]
     # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
     lcm = math.lcm(*{q for _, q in found})
     ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))
@@ -286,7 +359,7 @@ def _sample(
         rule=rule,
         agent=agent,
         outcomes=tuple(found[key][0] for key in ordered),
-        witnesses=dict(found.values()),
+        witnesses=_Witnesses(omega, found),
         grid_spec=(
             f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
             f"[0, {fr(2 * omega)}]; identical, witness, and complementary "
@@ -412,8 +485,10 @@ def find_obvious_manipulation(
     The inputs are checked on every rule before any search: the true
     preference is single-peaked, n meets the rule's minimum and is an int
     of at least 2, omega is positive, the agent index is an int in range,
-    misreports are parsed and none is negative (the default list is the
-    shared grid of (omega, grid_step)), the option grid (of
+    misreports are parsed, none is negative and one at least differs from
+    the true peak, so no list leaves the search nothing to try (the
+    default list is the shared grid of (omega, grid_step), which always
+    does), the option grid (of
     option_grid_step, or grid_step when None) is not empty, and
     `endowment`, the agent's own share, lies in [0, omega]. Only a
     reallocation rule reads an endowment, so any other rule refuses one,
@@ -448,6 +523,11 @@ def find_obvious_manipulation(
         peaks = [parse_rational(q) for q in misreport_peaks]
         if any(q < 0 for q in peaks):
             raise ValueError("misreport peaks must be nonnegative")
+        if all(q == pref_true.peak for q in peaks):
+            raise ValueError(
+                "misreport peaks must hold a peak other than the true peak "
+                f"{fr(pref_true.peak)}"
+            )
     elif step != grid_step:  # else the one check below covers both grids
         _check_grid_step(grid_step)
     _check_grid_step(step)  # refuses an empty option grid

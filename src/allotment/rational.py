@@ -26,12 +26,14 @@ on it (`economy._split_scaled`), the integer entry of the claims rules
 rule that reads only peaks, and through the profile the single-plateaued
 extension), the reallocation rules and gallery:underline, and the
 sampled option sets, which keep each shared opponent profile's peaks over one D
-(`manipulation._shared_families`) and run the kernels on them. A
-Fraction is built only where a value leaves the integers (a level, an
-award, an amount that is read, a sampled set's distinct outcome) or where
-a custom claims rule reads its `ClaimsProblem`. `exact_sum` is `_scaled`
-plus one Fraction, and the rule path takes every other sum it checks or
-divides through it. Every public value stays a Fraction. A Fraction has
+(`manipulation._shared_families`, times the factor by which a report's
+peak refines D in `manipulation._rescaled_families`) and run the kernels
+on them. A Fraction is built only where a value leaves the integers (a
+level, an award, an amount that is read, a sampled set's distinct
+outcome, which the sampler keys and sorts as its reduced integer pair,
+so it never hashes one) or where a custom claims rule reads its
+`ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the rule
+path takes every other sum it checks or divides through it. Every public value stays a Fraction. A Fraction has
 the sign of its numerator, so where the rule path still holds Fractions
 it tests signs as `x.numerator < 0`, which skips the comparison's type
 check.

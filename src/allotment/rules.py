@@ -71,7 +71,7 @@ class Rule:
     """
 
     name: str
-    allocate: Callable[[Economy], Allotment] = field(compare=False)
+    allocate: Callable[[Economy], Allotment] = field(compare=False, repr=False)
     domain: str = DOMAIN_SP
     simple: bool = field(init=False, default=False)
     min_agents: int = 2

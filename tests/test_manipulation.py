@@ -1,8 +1,14 @@
+import contextlib
 import functools
+import io
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -506,6 +512,101 @@ def test_sampled_sets_equal_a_public_loop_on_c04_cases(rule):
         assert oset.outcomes == tuple(sorted(expected))
 
 
+# -- witness economies built when read ---------------------------------------
+
+
+def counting_economies(monkeypatch):
+    """Every `Economy` built from now on, in order."""
+    built = []
+    post_init = Economy.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Economy, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["ced", "proportional", "simple:cel"])
+def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
+    name, monkeypatch
+):
+    rule = get_rule(name)
+    built = counting_economies(monkeypatch)
+    off_grid_sets = 0
+    for peak, omega, n in c04_cases()[:20]:
+        pref = SinglePeaked(peak)
+        profiles = list(_opponent_profiles(pref, omega, n, 60))
+        off_grid = sum(numerators is None for _, numerators in profiles)
+        off_grid_sets += off_grid > 0
+        built.clear()
+        oset = option_set_sampled(rule, 0, pref, omega, n)
+        # the domain check's economy, then one per off-grid end
+        assert built[0].prefs == (pref,) * n
+        assert len(built) == 1 + off_grid
+        ends = built[1:]
+        # a witness read once builds its economy once, through the public
+        # constructor, unless an off-grid end's economy is the witness;
+        # every read returns the same object
+        built.clear()
+        kept = 0
+        for outcome in oset.outcomes:
+            first = oset.witnesses[outcome]
+            kept += any(first is end for end in ends)
+            assert oset.witnesses[outcome] is first
+            assert oset.replay(outcome)
+        assert len(built) == len(oset.outcomes) - kept
+        assert oset.witnesses == dict(oset.witnesses.items())
+        assert len(built) == len(oset.outcomes) - kept
+    assert off_grid_sets > 0
+
+
+def test_witnesses_read_like_the_dict_they_replace():
+    oset = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=6)
+    plain = dict(oset.witnesses.items())
+    assert oset.witnesses == plain and plain == oset.witnesses
+    assert repr(oset.witnesses) == repr(plain)
+    assert list(oset.witnesses) == list(plain) and len(oset.witnesses) == len(plain)
+    assert F(1, 2) in oset.witnesses and F(1, 7) not in oset.witnesses
+    assert oset.witnesses.get(F(1, 7)) is None
+    with pytest.raises(KeyError):
+        oset.witnesses[F(1, 7)]
+    with pytest.raises(TypeError):
+        oset.witnesses[F(1, 2)] = plain[F(1, 2)]
+    other = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=6)
+    assert other == oset
+    assert other != option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=12)
+
+
+REPR_SOURCE = """
+from fractions import Fraction as F
+from allotment.manipulation import option_set_sampled
+from allotment.preferences import SinglePeaked
+from allotment.rules import ced
+pref = SinglePeaked(F(1, 3), F(1), F(3))
+print(repr(option_set_sampled(ced, 0, pref, F(1), 3, grid_step=4)))
+"""
+
+
+def test_sampled_set_repr_is_the_same_in_every_process():
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(REPR_SOURCE, {})
+    assert "0x" not in here.getvalue()
+    src = str(Path(manipulation_module.__file__).parents[1])
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        there = subprocess.run(
+            [sys.executable, "-c", REPR_SOURCE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert there.stdout == here.getvalue()
+
+
 @pytest.mark.parametrize(
     "rule, message",
     [
@@ -758,6 +859,39 @@ def test_negative_misreport_peaks_refused_on_both_paths(rule):
         find_obvious_manipulation(
             rule, 0, OM_PREF, F(1), 2, misreport_peaks=[F(1, 2), -1], grid_step=6
         )
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ced, uniform, get_rule("simple:cea"), gallery("hat")],
+    ids=["ced", "uniform", "simple:cea", "hat"],
+)
+@pytest.mark.parametrize(
+    "misreports", [[], [OM_PREF.peak], ["1/3", F(2, 6)]], ids=["empty", "truth", "twice"]
+)
+def test_a_misreport_list_with_nothing_to_try_is_refused(
+    rule, misreports, monkeypatch
+):
+    # ced is obviously manipulable at the OM economy, so a search over no
+    # misreport would pass vacuously; every rule refuses before searching
+    searched = []
+    monkeypatch.setattr(
+        manipulation_module, "_sample", lambda *args: searched.append(args)
+    )
+    n = rule.min_agents
+    with pytest.raises(ValueError, match="^misreport peaks must hold a peak other"):
+        find_obvious_manipulation(
+            rule, 0, OM_PREF, F(1), n, misreport_peaks=misreports
+        )
+    assert searched == []
+
+
+def test_a_misreport_list_beside_the_true_peak_is_searched():
+    found = find_obvious_manipulation(
+        ced, 0, OM_PREF, F(1), 2, misreport_peaks=[OM_PREF.peak, 0]
+    )
+    assert found.misreport.peak == 0
+    assert find_obvious_manipulation(ced, 0, OM_PREF, F(1), 2).misreport.peak == 0
 
 
 @pytest.mark.parametrize("endowment", [F(5), F(-1, 3)])
