@@ -40,13 +40,12 @@ profile is built (the rule's minimum agent count, the economy's size and
 endowment through `economy._checked_size`, and a single-peaked report),
 and `_sample` makes the rule's domain check once. A rule's integer kernel
 (`rules._of_kernel`; every registered rule that reads only peaks has
-one) then runs on each profile's integers, and no economy is built for
-its witnesses until one is read: `SampledOptionSet.witnesses` keeps the
-first witness of each outcome as its preference profile and builds its
-economy on first read. Any other rule (gallery:underline, which reads a
-slope, or a custom rule) runs on every profile's economy, which is kept
-as the witness. Every economy comes through the public constructor, and
-feasibility is checked on every run.
+one) then runs on each profile's integers, and the first witness of
+each outcome is kept as its preference profile, whose economy
+`SampledOptionSet.witnesses` builds on first read; any other rule
+(gallery:underline, which reads a slope, or a custom rule) runs on every
+profile's economy. Every economy comes through the public constructor,
+and feasibility is checked on every run.
 """
 
 from __future__ import annotations
@@ -73,14 +72,11 @@ Family = Tuple[Optional[Profile], ...]
 
 
 class _Witnesses(Mapping):
-    """The first witness economy of each outcome of a sampled option set,
-    read-only, in generation order.
-
-    `found` maps each outcome's reduced (numerator, denominator) to
-    [outcome, witness], where a witness is an `Economy` or, until it is
-    first read, the preference profile of one: its economy is then built
-    through `Economy(prefs, omega)` and kept. Equality and repr are those
-    of the dict {outcome: economy}, so they read every witness."""
+    """The read-only {outcome: first witness economy} of a sampled option
+    set, in generation order. `found` maps each outcome's reduced
+    (numerator, denominator) to [outcome, witness]; a witness held as a
+    preference profile becomes `Economy(prefs, omega)` on first read.
+    Equality and repr are the dict's, so they read every witness."""
 
     def __init__(self, omega: Fraction, found: Dict[Tuple[int, int], list]):
         self._omega = omega
@@ -94,12 +90,6 @@ class _Witnesses(Mapping):
         if isinstance(entry[1], tuple):
             entry[1] = Economy(entry[1], self._omega)
         return entry[1]
-
-    def __contains__(self, outcome) -> bool:
-        try:
-            return (outcome.numerator, outcome.denominator) in self._found
-        except AttributeError:
-            return False
 
     def __iter__(self) -> Iterator[Fraction]:
         return (outcome for outcome, _ in self._found.values())
@@ -300,15 +290,13 @@ def _sample(
 
     A rule's integer kernel runs after one domain check (every economy of
     the set is single-peaked, without endowments), on a shared profile's
-    numerators over the families' D refined by the report's peak (the
-    families of `_rescaled_families` when the peak's denominator does not
-    divide D), or on an off-grid end's economy; `economy._check_feasible`
-    checks every run. A kernel witness is kept as its preference profile,
-    and its economy is built when `SampledOptionSet.witnesses` is first
-    read at its outcome. Any other rule is called on each profile's
-    economy, and an off-grid end has one too: that economy is kept as it
-    is. Outcomes are keyed, and sorted, as reduced integer pairs, so no
-    outcome is hashed as a Fraction. Every economy comes through
+    numerators over the families' D refined by the report's peak
+    (`_rescaled_families`), or on an off-grid end's economy;
+    `economy._check_feasible` checks every run. A witness without an
+    economy is kept as its preference profile, whose economy
+    `SampledOptionSet.witnesses` builds on first read. Any other rule is
+    called on each profile's economy. Outcomes are keyed, and sorted, as
+    reduced integer pairs. Every economy comes through
     `Economy(prefs, omega)`; `option_set_sampled` has refused bad inputs
     once, so none of them fails its checks."""
     kernel = getattr(rule.allocate, "_kernel", None)
@@ -485,10 +473,9 @@ def find_obvious_manipulation(
     The inputs are checked on every rule before any search: the true
     preference is single-peaked, n meets the rule's minimum and is an int
     of at least 2, omega is positive, the agent index is an int in range,
-    misreports are parsed, none is negative and one at least differs from
-    the true peak, so no list leaves the search nothing to try (the
-    default list is the shared grid of (omega, grid_step), which always
-    does), the option grid (of
+    misreports are parsed, none is negative and one differs from the true
+    peak (the default list, the shared grid of (omega, grid_step), always
+    has one), the option grid (of
     option_grid_step, or grid_step when None) is not empty, and
     `endowment`, the agent's own share, lies in [0, omega]. Only a
     reallocation rule reads an endowment, so any other rule refuses one,

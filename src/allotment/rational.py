@@ -33,10 +33,10 @@ level, an award, an amount that is read, a sampled set's distinct
 outcome, which the sampler keys and sorts as its reduced integer pair,
 so it never hashes one) or where a custom claims rule reads its
 `ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the rule
-path takes every other sum it checks or divides through it. Every public value stays a Fraction. A Fraction has
-the sign of its numerator, so where the rule path still holds Fractions
-it tests signs as `x.numerator < 0`, which skips the comparison's type
-check.
+path takes every other sum it checks or divides through it. Every public
+value stays a Fraction. A Fraction has the sign of its numerator, so
+where the rule path still holds Fractions it tests signs as
+`x.numerator < 0`, which skips the comparison's type check.
 """
 
 from __future__ import annotations
