@@ -319,11 +319,11 @@ def _sample(
         rule.check_domain(Economy((pref,) * n, omega))
 
         def run(opponents, numerators):
+            econ = None
             if numerators is None:  # an off-grid end, on its economy's D
                 econ = Economy(splice(opponents, pref), omega)
                 unit, amounts = kernel(*econ._integer_profile()[:3])
             else:
-                econ = None
                 unit, amounts = kernel(common, splice(numerators, report), total)
             _check_feasible(unit, amounts, omega)
             g = math.gcd(amounts[agent], unit)
