@@ -55,7 +55,6 @@ from .rules import (
     sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
-    spl_extension,
     uniform,
 )
 from .sampling import (

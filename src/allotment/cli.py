@@ -16,12 +16,12 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 --selector or --order with a rule other than simple:appendix-b, an
 --expect-fail axiom that --axioms does not request, an economy file of
 the wrong shape or with an unknown key, an empty grid, a --random count
-below 1, a check given both an economy file and --random, a rule that
-needs more agents than the economy has, a peak-reading check on
-single-plateaued agents, nom with a single-plateaued rule, and a check
-in which a requested axiom inspected no case), 3 internal error (any
-other exception, reported as "internal error: <Type>: <message>" so
-that a crash never reads as a FAIL).
+below 1, a check given both an economy file and --random, a rule run on
+too few agents or on preferences outside its domain, a peak-reading
+check on single-plateaued agents, nom with an spl: rule, and a check in
+which a requested axiom inspected no case), 3 internal error (any other
+exception, reported as "internal error: <Type>: <message>" so that a
+crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .manipulation import (
 )
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import RationalParseError, format_rational, parse_rational
-from .rules import DOMAIN_SP_ENDOWMENTS, DOMAIN_SPL, ORDER_POLICIES, RULE_NAMES
+from .rules import DOMAIN_SP_ENDOWMENTS, ORDER_POLICIES, RULE_NAMES
 from .rules import SELECTORS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
 
@@ -331,12 +331,18 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+def _checked_on_plateaus(rule: Rule) -> bool:
+    """An spl: rule, for which `check --random` draws plateaus and `check`
+    refuses nom."""
+    return rule.name.startswith("spl:")
+
+
 def _check_economies(args, rule: Rule) -> List[Economy]:
     wants_endowments = rule.domain == DOMAIN_SP_ENDOWMENTS or (
         "endowments-guarantee" in args.axiom_list
     )
     if args.random is not None:
-        if rule.domain == DOMAIN_SPL:
+        if _checked_on_plateaus(rule):
             rng = random.Random(args.seed)
             return [random_plateaued_economy(rng) for _ in range(args.random)]
         return standard_suite(
@@ -364,10 +370,10 @@ def cmd_check(args) -> int:
         if axiom not in args.axiom_list:
             raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
     rule = _rule(args)
-    if "nom" in args.axiom_list and rule.domain == DOMAIN_SPL:
+    if "nom" in args.axiom_list and _checked_on_plateaus(rule):
         raise CliError(
             "obvious manipulation (nom) is checked on the single-peaked domain"
-            f" only, and rule {rule.name} needs single-plateaued preferences"
+            f" only, and rule {rule.name} is checked on single-plateaued economies"
         )
     # nom draws its own cases: with --random and no other axiom, no suite
     # is built and the sample count is the number of nom cases
@@ -445,7 +451,7 @@ def cmd_check(args) -> int:
 def cmd_option_set(args) -> int:
     econ = load_economy(args.economy)
     rule = _rule(args)
-    if rule.domain in (DOMAIN_SPL, DOMAIN_SP_ENDOWMENTS):
+    if rule.domain == DOMAIN_SP_ENDOWMENTS:
         raise CliError(
             "option sets are computed on the plain single-peaked domain"
         )

@@ -106,7 +106,8 @@ class Economy:
         each plateau clamped at one level (`levels._clamp_level`), over
         D * k. These sum to omega, so a simple rule's non-simple agents
         divide E = the sum of their claims, `claims._check_awards` makes
-        every award its claim, and the rule returns the peaks unchanged."""
+        every award its claim, and the rule returns the peaks unchanged:
+        so every simple rule around equal division takes plateaus."""
         if self._integers is None:
             n, endowments = self.n, self.endowments
             plateaus = self._peaks is None and self.is_single_plateaued

@@ -2,8 +2,8 @@
 
 Two levels are found here, each at which a sum of clamped linear pieces
 hits a target: the water-filling level of the claims rules (`_min_level`,
-sum_i min(c_i, lam) = t) and the clamp level of the single-plateaued
-extension (`_clamp_level`, sum_i clamp(lam, lo_i, hi_i) = t). Each sorts
+sum_i min(c_i, lam) = t) and the clamp level of a single-plateaued
+economy (`_clamp_level`, sum_i clamp(lam, lo_i, hi_i) = t). Each sorts
 the breakpoints and scans prefix sums, so the level is exact; no floating
 bisection is ever used in the allocation path (bisection appears only as
 a test oracle).
@@ -13,7 +13,7 @@ Both scans take integers over one common denominator D
 prefix sum is an integer operation, and both return (p, k), the level
 p / (D*k), building no Fraction. The claims cores (`claims._cea`, `_cel`)
 call `_min_level`, and through them every simple rule, uniform and ced;
-`Economy._integer_profile` calls `_clamp_level` (`rules.spl_extension`).
+`Economy._integer_profile` calls `_clamp_level` on straddling plateaus.
 
 The constrained-equal-losses level has no scan of its own: since
 sum_i max(0, c_i - lam) = sum(c) - sum_i min(c_i, lam), the level at which

@@ -23,8 +23,8 @@ private `_scaled`: the level scans, an economy's integer profile
 peaks, omega and the endowments, computed once per economy), the split
 on it (`economy._split_scaled`), the integer entry of the claims rules
 (`claims._core`), the rules' integer kernels (`rules._of_kernel`: every
-rule that reads only peaks, and through the profile the single-plateaued
-extension), the reallocation rules and gallery:underline, and the
+rule that reads only peaks, and through the profile the simple rules on
+plateaus), the reallocation rules and gallery:underline, and the
 sampled option sets, which keep each shared opponent profile's peaks over one D
 (`manipulation._shared_families`, times the factor by which a report's
 peak refines D in `manipulation._rescaled_families`) and run the kernels

@@ -1,6 +1,5 @@
-"""Allotment rules: the three classical rules, the simple rules,
-reallocation and single-plateaued variants, and the five
-independence-gallery rules.
+"""Allotment rules: the three classical rules, the simple rules and
+their reallocation variants, and the five independence-gallery rules.
 
 A simple rule has one reference point per agent: equal division omega/n,
 or the agent's own endowment for the reallocation rules. Agents on the
@@ -18,8 +17,10 @@ equal division for proportional when every peak is 0.
 Every rule that reads only peaks is one integer kernel, from which its
 `allocate` is derived (`_of_kernel`). The reallocation rules and
 gallery:underline, which also read the endowments or a slope, run on the
-same integer profile of the economy (`Economy._integer_profile`); a
-single-plateaued extension is its base's allocate on the effective peaks.
+same integer profile of the economy (`Economy._integer_profile`), which
+holds a single-plateaued economy's effective peaks: so the simple rules
+around equal division, all kernels, take plateaus, and `spl:cea|cel|pro`
+are the simple rules of cea, cel and pro under a second name.
 
 Every rule takes full preferences (own-peak-onliness is a property to be
 checked, not a structural guarantee) and returns an exactly feasible
@@ -47,7 +48,6 @@ from .claims import (
 from .economy import Allotment, Economy, _split_scaled
 
 DOMAIN_SP = "SP"
-DOMAIN_SPL = "SPL"
 DOMAIN_SP_ENDOWMENTS = "SP-with-endowments"
 
 
@@ -63,11 +63,13 @@ class Rule:
     and at the reference profile (every other peak at its own r) E is 0,
     so the agent gets r whatever it reports. So r is in every option set
     and is the truthful worst, and NOM holds without a search.
-    `check_domain` refuses an economy of fewer than `min_agents` agents,
-    which samplers and checkers skip.
     The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
-    option sets run it in place of the rule after one `check_domain`. An
-    `spl_extension` rule shares its base's `allocate`, marks included.
+    option sets run it in place of the rule after one `check_domain`.
+    Every allocate marked simple around equal division (`DOMAIN_SP`) has
+    one, so it reads a plateau economy's effective peaks, and
+    `check_domain` lets such a rule take economies of single-plateaued
+    agents. Every rule takes single-peaked ones of at least `min_agents`
+    agents (samplers and checkers skip smaller ones).
     """
 
     name: str
@@ -77,6 +79,8 @@ class Rule:
     min_agents: int = 2
 
     def __post_init__(self):
+        if self.domain not in (DOMAIN_SP, DOMAIN_SP_ENDOWMENTS):
+            raise ValueError(f"unknown domain {self.domain!r}")
         mark = getattr(self.allocate, "_simple_domain", None)
         object.__setattr__(self, "simple", mark == self.domain)
 
@@ -93,11 +97,14 @@ class Rule:
             )
 
     def check_domain(self, econ: Economy) -> None:
-        if self.domain == DOMAIN_SPL and not econ.is_single_plateaued:
-            raise ValueError(f"rule {self.name} needs single-plateaued preferences")
-        single_peaked = self.domain in (DOMAIN_SP, DOMAIN_SP_ENDOWMENTS)
-        if single_peaked and not econ.is_single_peaked:
-            raise ValueError(f"rule {self.name} needs single-peaked preferences")
+        if not econ.is_single_peaked:
+            if not (self.simple and self.domain == DOMAIN_SP):
+                raise ValueError(f"rule {self.name} needs single-peaked preferences")
+            if not econ.is_single_plateaued:
+                raise ValueError(
+                    f"rule {self.name} needs every agent single-peaked"
+                    " or every agent single-plateaued"
+                )
         if self.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is None:
             raise ValueError(f"rule {self.name} needs individual endowments")
         self._check_agents(econ.n)
@@ -316,26 +323,6 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
 
 
 # ---------------------------------------------------------------------------
-# single-plateaued extension
-
-
-def spl_extension(base: Rule, name: Optional[str] = None) -> Rule:
-    """Extend a simple rule around equal division, which has a kernel
-    (`_of_kernel`), to single-plateaued preferences: the base's own
-    `allocate`, run on the effective peaks that a plateau economy's
-    integer profile holds (`Economy._integer_profile`). Where every
-    plateau straddles the solution, those are one level clamped into each
-    plateau, which the base returns unchanged.
-    """
-    if not base.simple or getattr(base.allocate, "_kernel", None) is None:
-        raise ValueError(
-            "spl_extension needs a simple base rule around equal division"
-        )
-    name = name or f"spl[{base.name}]"
-    return Rule(name, base.allocate, domain=DOMAIN_SPL, min_agents=base.min_agents)
-
-
-# ---------------------------------------------------------------------------
 # independence gallery: each rule fails exactly one axiom; all but
 # underline are integer kernels, falling back to uniform's
 
@@ -424,10 +411,7 @@ _REGISTRY: Dict[str, Rule] = {
         f"realloc:{r}": simple_reallocation_from_claims(c, f"realloc:{r}")
         for r, c in _CLAIMS
     },
-    **{
-        f"spl:{r}": spl_extension(simple_from_claims(c), f"spl:{r}")
-        for r, c in _CLAIMS
-    },
+    **{f"spl:{r}": simple_from_claims(c, f"spl:{r}") for r, c in _CLAIMS},
     **{f"gallery:{g}": gallery(g) for g in sorted(GALLERY_BUILDERS)},
 }
 RULE_NAMES = list(_REGISTRY)

@@ -280,7 +280,7 @@ def clamp_level_oracle(lows, highs, target):
     The library's former quadratic scan over Fractions, kept as the oracle
     for the integer sweep `allotment.levels._clamp_level` (read back as a
     Fraction through the `clamp_level` adapter in `test_levels.py`) and for
-    the straddling branch of `spl_extension`.
+    the straddling branch of a simple rule on single-plateaued economies.
     """
     lows = [Fraction(x) for x in lows]
     highs = [Fraction(x) for x in highs]
@@ -312,11 +312,12 @@ def clamp_level_oracle(lows, highs, target):
 
 
 def spl_extension_oracle(base, econ: Economy):
-    """Reference single-plateaued extension: `spl_extension`'s former
-    route. The base rule runs on a single-peaked economy of the left ends
-    when they sum to at least omega, of the right ends when they sum to at
-    most omega; otherwise every agent gets the level clamped into its
-    plateau (`clamp_level_oracle`)."""
+    """Reference allotment of a simple rule around equal division on a
+    single-plateaued economy, through a single-peaked one. The rule runs
+    on a single-peaked economy of the left ends when they sum to at least
+    omega, of the right ends when they sum to at most omega; otherwise
+    every agent gets the level clamped into its plateau
+    (`clamp_level_oracle`)."""
     lows = [p.plateau_lo for p in econ.prefs]
     highs = [p.plateau_hi for p in econ.prefs]
     if sum(lows) >= econ.omega or sum(highs) <= econ.omega:

@@ -41,7 +41,6 @@ from allotment.rules import (
     sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
-    spl_extension,
     SELECTORS,
 )
 from allotment.sampling import (
@@ -372,15 +371,14 @@ def test_c13_single_plateaued_extension():
     with criterion(13, "single-plateaued extension dispatch and feasibility"):
         rng = random.Random(70)
         bases = [simple_from_claims(cea), simple_from_claims(cel)]
-        extensions = [spl_extension(base) for base in bases]
         for _ in range(500):
             econ = random_plateaued_economy(rng)
             lows = [p.plateau_lo for p in econ.prefs]
             highs = [p.plateau_hi for p in econ.prefs]
             z_lo = sum(lows) - econ.omega
             z_hi = sum(highs) - econ.omega
-            for base, extended in zip(bases, extensions):
-                x = extended(econ)
+            for base in bases:
+                x = base(econ)
                 assert sum(x) == econ.omega
                 assert all(a >= 0 for a in x)
                 if z_lo >= 0:
@@ -414,5 +412,5 @@ def test_c13_single_plateaued_extension():
                 ),
                 econ.omega,
             )
-            for base, extended in zip(bases, extensions):
-                assert tuple(extended(flat)) == tuple(base(econ))
+            for base in bases:
+                assert tuple(base(flat)) == tuple(base(econ))

@@ -20,7 +20,7 @@ from allotment.cli import (
 )
 from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rules import Rule
+from allotment.rules import RULE_NAMES, Rule, get_rule
 from allotment.sampling import random_plateaued_economy
 from helpers import economies
 
@@ -971,3 +971,80 @@ def test_plateau_agents_parse(tmp_path, capsys):
     code, out, _ = run(capsys, "allocate", str(path), "spl:cea")
     assert code == 0
     assert "1, 1" in out
+
+
+PLATEAUS = {
+    "omega": "3",
+    "agents": [
+        {"plateau_lo": "1/2", "plateau_hi": "1"},
+        {"plateau_lo": "2", "plateau_hi": "5/2"},
+        {"plateau_lo": "5/2", "plateau_hi": "3"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "rule, amounts",
+    [
+        ("uniform", "1/2, 5/4, 5/4"),
+        ("spl:cea", "1/2, 5/4, 5/4"),
+        ("simple:cel", "1/2, 1, 3/2"),
+        ("gallery:bar", "1/2, 5/4, 5/4"),
+    ],
+)
+def test_simple_rules_allocate_plateaus(tmp_path, capsys, rule, amounts):
+    path = tmp_path / "plateaus.json"
+    path.write_text(json.dumps(PLATEAUS))
+    code, out, err = run(capsys, "allocate", str(path), rule)
+    assert (code, err) == (0, "")
+    assert f"allotment: {amounts}\n" in out
+
+
+@pytest.mark.parametrize("rule", ["spl:cea", "spl:cel", "spl:pro"])
+@pytest.mark.parametrize("command", ["option-set", "find-manipulation"])
+def test_spl_rules_answer_as_their_twins_on_peaks(three_file, capsys, rule, command):
+    twin = rule.replace("spl:", "simple:")
+    code, out, err = run(capsys, command, three_file, rule, "2")
+    assert (code, err) == (0, "")
+    expected = (0, out.replace(rule, twin), "")
+    assert run(capsys, command, three_file, twin, "2") == expected
+
+
+# the rules simple around equal division, which take plateaus but no mix
+SIMPLE_AROUND_EQUAL_DIVISION = {
+    "uniform",
+    "simple:cea",
+    "simple:cel",
+    "simple:pro",
+    "simple:appendix-b",
+    "spl:cea",
+    "spl:cel",
+    "spl:pro",
+    "gallery:bar",
+}
+
+
+@pytest.mark.parametrize("name", RULE_NAMES)
+def test_every_rule_refuses_a_mix_of_peaks_and_plateaus(tmp_path, capsys, name):
+    path = tmp_path / "mixed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega": "3",
+                "agents": [
+                    {"peak": "1/2"},
+                    {"plateau_lo": "1", "plateau_hi": "2"},
+                    {"peak": "3/2"},
+                ],
+                "endowments": ["1", "1", "1"],
+            }
+        )
+    )
+    code, out, err = run(capsys, "allocate", str(path), name)
+    assert (code, out) == (2, "")
+    rule = get_rule(name)
+    if name in SIMPLE_AROUND_EQUAL_DIVISION:
+        domain = "every agent single-peaked or every agent single-plateaued"
+    else:
+        domain = "single-peaked preferences"
+    assert err == f"error: rule {rule.name} needs {domain}\n"

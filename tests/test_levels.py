@@ -10,7 +10,7 @@ from allotment.economy import Economy
 from allotment.levels import _clamp_level, _min_level
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import _scaled
-from allotment.rules import simple_from_claims, spl_extension
+from allotment.rules import simple_from_claims
 from helpers import (
     TERMS,
     clamp_level_oracle,
@@ -136,7 +136,7 @@ def test_clamp_level_is_smallest_solution_at_k_1000():
 def test_spl_straddling_level_matches_oracle_at_n_300():
     # the straddling level against the oracle, and both endpoint branches
     # (omega below the lows' sum, omega above the highs' sum) against the
-    # base rule on the reduced economy, for each of the three spl: rules
+    # rule on the reduced economy, for the simple rules of cea, cel and pro
     rng = random.Random(73)
     lows, highs = [], []
     for _ in range(300):
@@ -146,12 +146,11 @@ def test_spl_straddling_level_matches_oracle_at_n_300():
     low_total, high_total = sum(lows), sum(highs)
     for claims_rule in (cea, cel, pro):
         base = simple_from_claims(claims_rule)
-        extended = spl_extension(base)
         for omega in (low_total / 3, (low_total + high_total) / 2, high_total + 7):
             econ = Economy(
                 tuple(SinglePlateaued(lo, hi) for lo, hi in zip(lows, highs)), omega
             )
-            x = extended(econ)
+            x = base(econ)
             if low_total < omega < high_total:  # every plateau straddles the level
                 lam = clamp_level_oracle(lows, highs, omega)
                 expected = tuple(min(h, max(l, lam)) for l, h in zip(lows, highs))

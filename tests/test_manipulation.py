@@ -35,7 +35,6 @@ from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import RationalParseError
 from allotment.rules import (
     DOMAIN_SP,
-    DOMAIN_SPL,
     DOMAIN_SP_ENDOWMENTS,
     GALLERY_BUILDERS,
     RULE_NAMES,
@@ -472,6 +471,7 @@ def midway(econ):
 
 
 KERNEL_PATH_RULES = [
+    # every registered rule but the reallocation rules, the spl: names included
     *(rule for rule in map(get_rule, RULE_NAMES) if rule.domain == DOMAIN_SP),
     simple_from_claims(priority_first, "simple:priority"),  # kernel, adapter core
     Rule("wrapped", lambda econ: uniform.allocate(econ)),  # no kernel
@@ -498,7 +498,7 @@ def test_sampled_sets_equal_a_public_loop_on_c04_cases(rule):
     # their order of a loop over public economies on every c04 case; the
     # adapter, which calls the rule on those economies, on the first 25
     kernel = rule.name in ("uniform", "ced", "proportional")
-    kernel = kernel or rule.name.startswith(("simple:", "gallery:"))
+    kernel = kernel or rule.name.startswith(("simple:", "spl:", "gallery:"))
     kernel = kernel and rule.name != "gallery:underline"  # reads a slope
     assert hasattr(rule.allocate, "_kernel") == kernel
     for pref, omega, n, economies in c04_public_economies()[: 100 if kernel else 25]:
@@ -610,14 +610,13 @@ def test_sampled_set_repr_is_the_same_in_every_process():
 @pytest.mark.parametrize(
     "rule, message",
     [
-        (get_rule("spl:cea"), "rule spl:cea needs single-plateaued preferences"),
         (get_rule("realloc:cea"), "rule realloc:cea needs individual endowments"),
         (
-            Rule("x", uniform.allocate, domain=DOMAIN_SPL),
-            "rule x needs single-plateaued preferences",
+            Rule("x", uniform.allocate, domain=DOMAIN_SP_ENDOWMENTS),
+            "rule x needs individual endowments",
         ),
     ],
-    ids=["spl", "realloc", "kernel on SPL"],
+    ids=["realloc", "kernel on endowments"],
 )
 def test_sampled_domain_refused_once_per_set(rule, message, monkeypatch):
     checks = []
@@ -632,10 +631,12 @@ def test_sampled_domain_refused_once_per_set(rule, message, monkeypatch):
         option_set_sampled(rule, 0, HALF, F(1), 3, grid_step=6)
     assert str(refused.value) == message
     assert len(checks) == 1
-    # a kernel rule's accepted set checks its domain once too
-    checks.clear()
-    option_set_sampled(uniform, 0, HALF, F(1), 3, grid_step=6)
-    assert len(checks) == 1
+    # a kernel rule's accepted set checks its domain once too, an spl: rule's
+    # as its simple twin's
+    for accepted in (uniform, get_rule("spl:cea")):
+        checks.clear()
+        option_set_sampled(accepted, 0, HALF, F(1), 3, grid_step=6)
+        assert len(checks) == 1
 
 
 @pytest.mark.parametrize("name", ["uniform", "ced", "proportional", "simple:cel"])

@@ -15,7 +15,7 @@ PUBLIC_NAMES = """
     nom_sweep option_set_sampled option_set_simple
     parse_rational pro proportional random_economy sequential_rule
     simple_from_claims simple_reallocation_from_claims
-    spl_extension standard_suite two_agent_om_economy uniform
+    standard_suite two_agent_om_economy uniform
     witness_economies worst
 """.split()
 

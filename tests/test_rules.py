@@ -12,6 +12,7 @@ from allotment.claims import Awards, _awards, cea, cel, pro
 from allotment.economy import Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
+    DOMAIN_SP,
     DOMAIN_SP_ENDOWMENTS,
     ORDER_POLICIES,
     RULE_NAMES,
@@ -25,7 +26,6 @@ from allotment.rules import (
     sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
-    spl_extension,
     uniform,
 )
 from allotment.sampling import (
@@ -575,12 +575,13 @@ def test_sequential_window_follows_selectors_off_the_economy_grid(name):
     assert off_grid > 0 and 0 < supply < 150
 
 
-# -- single-plateaued extension --------------------------------------------------
+# -- single-plateaued economies --------------------------------------------------
 
 
-# every simple base with a kernel: the claims rules and the four selectors
-# in both orders around equal division, and gallery:bar
+# every simple rule around equal division, each a kernel: uniform, the
+# claims rules and the four selectors in both orders, and gallery:bar
 SPL_BASES = [
+    uniform,
     *(simple_from_claims(c) for c in (cea, cel, pro)),
     *(sequential_rule(s, order) for s in SELECTORS for order in ORDER_POLICIES),
     gallery("bar"),
@@ -590,7 +591,6 @@ SPL_BASES = [
 @pytest.mark.parametrize("base", SPL_BASES, ids=lambda base: base.name)
 def test_spl_degenerate_plateaus_reproduce_base(base):
     rng = random.Random(61)
-    extended = spl_extension(base)
     for _ in range(200):
         e = random_economy(rng)
         if e.n < base.min_agents:
@@ -602,53 +602,52 @@ def test_spl_degenerate_plateaus_reproduce_base(base):
             ),
             e.omega,
         )
-        assert tuple(extended(flat)) == tuple(base(e))
+        assert tuple(base(flat)) == tuple(base(e))
 
 
 def test_spl_straddling_plateaus_use_clamp_level():
     e = Economy(
         (SinglePlateaued(F(0), F(2)), SinglePlateaued(F(0), F(2))), F(2)
     )
-    assert tuple(spl_extension(uniform)(e)) == (F(1), F(1))
+    assert tuple(uniform(e)) == (F(1), F(1))
 
 
 def test_spl_demand_side_dispatch():
     e = Economy(
         (SinglePlateaued(F(2), F(3)), SinglePlateaued(F(2), F(3))), F(2)
     )
-    # left endpoints already exhaust omega, so the base rule sees peaks (2, 2)
-    assert tuple(spl_extension(uniform)(e)) == (F(1), F(1))
+    # left endpoints already exhaust omega, so the rule reads peaks (2, 2)
+    assert tuple(uniform(e)) == (F(1), F(1))
 
 
 def test_spl_dispatch_and_feasibility_on_random_economies():
     rng = random.Random(67)
-    extended = spl_extension(simple_from_claims(cea))
+    rule = simple_from_claims(cea)
     for _ in range(300):
         e = random_plateaued_economy(rng)
         lows = [p.plateau_lo for p in e.prefs]
         highs = [p.plateau_hi for p in e.prefs]
-        x = extended(e)
+        x = rule(e)
         if sum(lows) - e.omega < 0 < sum(highs) - e.omega:
             for xi, lo, hi in zip(x, lows, highs):
                 assert lo <= xi <= hi
 
 
 @pytest.mark.parametrize("base", SPL_BASES, ids=lambda base: base.name)
-def test_spl_extension_matches_the_reduced_economy_route(base):
+def test_plateaus_match_the_reduced_economy_route(base):
     rng = random.Random(89)
-    extended = spl_extension(base)
     for _ in range(300):
         e = random_plateaued_economy(rng)
-        if e.n >= extended.min_agents:
-            assert tuple(extended(e)) == spl_extension_oracle(base, e)
+        if e.n >= base.min_agents:
+            assert tuple(base(e)) == spl_extension_oracle(base, e)
 
 
-def test_spl_extension_needs_as_many_agents_as_its_base():
-    extended = spl_extension(gallery("bar"))
-    assert extended.min_agents == 3
-    # the left ends sum to omega, so the base would run at n = 2
+def test_bar_on_plateaus_needs_three_agents():
+    bar = gallery("bar")
+    assert bar.min_agents == 3
+    # the left ends sum to omega, so the kernel would run at n = 2
     two = Economy((SinglePlateaued(F(1), F(2)), SinglePlateaued(F(1), F(3))), F(2))
-    report = check_symmetry(extended, [two])
+    report = check_symmetry(bar, [two])
     assert (report.verdict, report.checked) == (NO_CASES, 0)
 
 
@@ -657,12 +656,65 @@ def test_spl_extension_needs_as_many_agents_as_its_base():
     [((0, 2), (0, 2)), ((1, 2), (1, 3))],
     ids=["straddling", "left ends"],
 )
-def test_spl_extension_refuses_fewer_agents_than_its_base_on_each_branch(plateaus):
-    extended = spl_extension(gallery("bar"))
+def test_bar_refuses_two_plateau_agents_on_each_branch(plateaus):
     two = Economy(tuple(SinglePlateaued(F(lo), F(hi)) for lo, hi in plateaus), F(2))
-    message = "rule spl[gallery:bar] needs at least 3 agents, got 2"
+    message = "rule gallery:bar needs at least 3 agents, got 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        extended(two)
+        gallery("bar")(two)
+
+
+@pytest.mark.parametrize("claims", ["cea", "cel", "pro"])
+def test_spl_rules_allocate_as_their_simple_twins(claims):
+    spl, twin = get_rule(f"spl:{claims}"), get_rule(f"simple:{claims}")
+    assert spl.simple
+    rng = random.Random(97)
+    plateaus = [random_plateaued_economy(rng) for _ in range(100)]
+    for e in standard_suite(10, 48) + plateaus:
+        assert tuple(spl(e)) == tuple(twin(e))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ced,
+        proportional,
+        *(gallery(g) for g in ("equal_division", "star", "hat", "underline")),
+        *(get_rule(f"realloc:{r}") for r in ("cea", "cel", "pro")),
+        Rule("w", lambda e: uniform.allocate(e)),  # no kernel, not simple
+    ],
+    ids=lambda rule: rule.name,
+)
+def test_rules_outside_the_simple_family_refuse_plateaus(rule):
+    e = Economy(
+        (
+            SinglePlateaued(F(0), F(1)),
+            SinglePlateaued(F(1, 2), F(2)),
+            SinglePlateaued(F(1), F(1)),
+        ),
+        F(2),
+        (F(1), F(1, 2), F(1, 2)),
+    )
+    message = f"rule {rule.name} needs single-peaked preferences"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rule(e)
+
+
+def test_simple_around_equal_division_implies_a_kernel():
+    # the invariant through which `Rule.check_domain` lets these rules
+    # take plateaus: each reads them as its integer profile's peaks
+    rules = [get_rule(name) for name in RULE_NAMES]
+    rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
+    for rule in rules:
+        if rule.simple and rule.domain == DOMAIN_SP:
+            assert callable(rule.allocate._kernel), rule.name
+
+
+@pytest.mark.parametrize("domain", ["sp", "SPL", "", None])
+def test_rule_refuses_an_unknown_domain(domain):
+    # an unknown domain would skip every preference check
+    message = f"unknown domain {domain!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Rule("typo", ced.allocate, domain=domain)
 
 
 # -- gallery -------------------------------------------------------------------
@@ -848,7 +900,7 @@ def test_rule_names_are_pinned():
 
 
 def test_registered_simple_flags_are_pinned():
-    # read at the parent commit, where `simple` was still an argument
+    # the spl: names are the simple rules of cea, cel and pro
     assert {name: get_rule(name).simple for name in RULE_NAMES} == {
         "uniform": True,
         "ced": False,
@@ -860,9 +912,9 @@ def test_registered_simple_flags_are_pinned():
         "realloc:cea": True,
         "realloc:cel": True,
         "realloc:pro": True,
-        "spl:cea": False,
-        "spl:cel": False,
-        "spl:pro": False,
+        "spl:cea": True,
+        "spl:cel": True,
+        "spl:pro": True,
         "gallery:bar": True,
         "gallery:equal_division": False,
         "gallery:hat": False,
@@ -877,16 +929,19 @@ def test_simple_follows_the_builder_and_domain():
     assert not Rule("wrapper", lambda e: uniform.allocate(e)).simple
     assert not Rule("endowed", uniform.allocate, DOMAIN_SP_ENDOWMENTS).simple
     assert not Rule("fake", proportional.allocate).simple
-    with pytest.raises(ValueError, match="needs a simple base rule"):
-        spl_extension(Rule("wrapper", lambda e: uniform.allocate(e)))
 
 
-def test_spl_extension_refuses_a_reallocation_base():
-    # simple on its own domain, but plateaus carry no endowments to split
-    # around, so every call outside the straddling case would fail
-    message = "needs a simple base rule around equal division"
-    with pytest.raises(ValueError, match=message):
-        spl_extension(get_rule("realloc:cea"))
+def test_a_reallocation_rule_refuses_plateaus():
+    # simple on its own domain, but its reference points are endowments,
+    # which a plateau economy's effective peaks are not split around
+    e = Economy(
+        (SinglePlateaued(F(0), F(1)), SinglePlateaued(F(1, 2), F(2))),
+        F(2),
+        (F(1), F(1)),
+    )
+    message = "rule realloc:cea needs single-peaked preferences"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        get_rule("realloc:cea")(e)
 
 
 def test_each_registered_rule_carries_its_name():
@@ -904,13 +959,15 @@ def test_get_rule_registry():
     assert get_rule("simple:cea").simple
     assert get_rule("gallery:hat").name == "gallery:hat"
     assert get_rule("realloc:pro").domain == "SP-with-endowments"
-    assert get_rule("spl:cel").domain == "SPL"
+    assert get_rule("spl:cel").domain == "SP"
+    assert get_rule("spl:cel").simple
     with pytest.raises(ValueError):
         get_rule("simple:unknown")
 
 
 def test_domain_mismatch_rejected():
+    mixed = Economy((SinglePeaked(F(1)), SinglePlateaued(F(0), F(1))), F(1))
     with pytest.raises(ValueError):
-        get_rule("spl:cea")(THREE_AGENT)
+        get_rule("spl:cea")(mixed)
     with pytest.raises(ValueError):
         get_rule("realloc:cea")(THREE_AGENT)
