@@ -7,9 +7,12 @@ endowments, plus `option-set` for a simple rule, `find-manipulation` for
 a reallocation rule (no manipulation) and for `ced` on the README's
 two-agent economy (a sampled certificate), `option-set` of `ced` there
 with every witness economy, `check` of nom on it (a FAIL whose witness
-economy comes from the misreport's sampled set), and `check` of the two
-reference-point guarantees, in both output formats. A refactor of the
-rules must leave every byte as it is.
+economy comes from the misreport's sampled set), `check` of the two
+reference-point guarantees, and `check` of own-peak-only for
+`gallery:underline` (a FAIL whose witness and slope-perturbed economy are
+pinned) and for `uniform` (a PASS) on the economy that triggers underline,
+in both output formats. A refactor of the rules must leave every byte as
+it is.
 
 After an intended change of output, rewrite the golden file with
 
@@ -105,6 +108,14 @@ ECONOMIES = {
             {"peak": "0"},
         ],
     },
+    # agent 1 has the strictly lowest peak, prefers 0 to equal division
+    # and the others' peaks sum to at least omega: underline's special case
+    "underline": {
+        "omega": "4",
+        "agents": _agents(
+            ("1/4", "1", "10"), ("2", "1", "1"), ("2", "1", "1"), ("2", "1", "1")
+        ),
+    },
 }
 
 # the non-simple agents of each economy (1-based), highest index first
@@ -164,6 +175,16 @@ def cases():
                 + ["--random", "40", "--seed", "1", "--expect-fail", fails]
                 + tail
             )
+        # own-peak-only on underline's economy: underline consults agent 1's
+        # slopes and fails with a perturbed economy, uniform passes
+        found.append(
+            ["check", "underline", "gallery:underline", "--axioms", "own-peak-only"]
+            + ["--expect-fail", "own-peak-only"]
+            + tail
+        )
+        found.append(
+            ["check", "underline", "uniform", "--axioms", "own-peak-only"] + tail
+        )
     return [(" ".join(argv), argv) for argv in found]
 
 
