@@ -120,18 +120,22 @@ def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
 
 def check_own_peak_only(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Replace each agent's slopes (peak fixed) by the SLOPE_CATALOGUE
-    alternatives; any change in that agent's amount is a violation."""
+    alternatives; any change in that agent's amount is a violation. The
+    amounts are compared on the `Allotment`s' integers, so the rule must
+    return an `Allotment`, as `Rule` is typed to."""
 
     def violation(econ: Economy) -> Optional[Witness]:
         peaks = _peaks("own-peak-only", econ)
         x = rule(econ)
         for i, pref in enumerate(econ.prefs):
+            own = (pref.left_slope, pref.right_slope)
+            amount = x._numerators[i]  # over x._common
             for left, right in SLOPE_CATALOGUE:
-                if (left, right) == (pref.left_slope, pref.right_slope):
+                if (left, right) == own:
                     continue
                 variant = econ.replace_pref(i, SinglePeaked(peaks[i], left, right))
                 y = rule(variant)
-                if y[i] != x[i]:
+                if y._numerators[i] * x._common != amount * y._common:
                     return Witness(
                         econ,
                         (i,),

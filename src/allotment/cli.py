@@ -18,7 +18,8 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 the wrong shape or with an unknown key, an empty grid, a --random count
 below 1, a check given both an economy file and --random, a rule run on
 too few agents or on preferences outside its domain, a peak-reading
-check on single-plateaued agents, nom with an spl: rule, and a check in
+check on single-plateaued agents, nom on an economy file of
+single-plateaued agents or with --random and an spl: rule, and a check in
 which a requested axiom inspected no case), 3 internal error (any other
 exception, reported as "internal error: <Type>: <message>" so that a
 crash never reads as a FAIL).
@@ -332,8 +333,8 @@ def cmd_allocate(args) -> int:
 
 
 def _checked_on_plateaus(rule: Rule) -> bool:
-    """An spl: rule, for which `check --random` draws plateaus and `check`
-    refuses nom."""
+    """An spl: rule, for which `check --random` draws plateaus and refuses
+    nom."""
     return rule.name.startswith("spl:")
 
 
@@ -370,7 +371,8 @@ def cmd_check(args) -> int:
         if axiom not in args.axiom_list:
             raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
     rule = _rule(args)
-    if "nom" in args.axiom_list and _checked_on_plateaus(rule):
+    nom = "nom" in args.axiom_list
+    if nom and args.random is not None and _checked_on_plateaus(rule):
         raise CliError(
             "obvious manipulation (nom) is checked on the single-peaked domain"
             f" only, and rule {rule.name} is checked on single-plateaued economies"
@@ -379,6 +381,13 @@ def cmd_check(args) -> int:
     # is built and the sample count is the number of nom cases
     nom_only_draw = args.random is not None and set(args.axiom_list) == {"nom"}
     econs = [] if nom_only_draw else _check_economies(args, rule)
+    if nom and args.random is None and not econs[0].is_single_peaked:
+        # decided by the file's preferences, before any rule runs, so every
+        # rule is refused in the same words
+        raise CliError(
+            "obvious manipulation (nom) is checked on the single-peaked domain"
+            " only; this economy has single-plateaued agents"
+        )
     samples = len(econs)
 
     reports: List[AxiomReport] = []

@@ -6,7 +6,9 @@ An economy is a profile of preferences plus a social endowment omega
 An economy's integer profile -- the peaks (a single-plateaued economy's
 effective peaks), omega and the endowments (None when there are none) as
 numerators over one denominator D -- is computed the first time it is
-read (`Economy._integer_profile`) and kept outside equality, hashing and repr.
+read (`Economy._integer_profile`), or inherited from the economy it was
+made from when `Economy.replace_pref` changes one agent's slopes and keeps
+every peak, and kept outside equality, hashing and repr.
 `_split_scaled` classifies agents on it as simple/non-simple relative to
 one reference point per agent -- equal division omega/n, or the agent's
 own endowment for the reallocation rules -- and computes the excess
@@ -41,8 +43,8 @@ class Economy:
 
     Endowments, when present, must sum to omega exactly. The peak profile
     (None unless every preference is single-peaked) is computed once, at
-    construction; the integer profile on first read; equal division
-    omega / n on every read.
+    construction; the integer profile on first read, unless `replace_pref`
+    hands it down; equal division omega / n on every read.
     """
 
     prefs: Tuple[Preference, ...]
@@ -127,9 +129,24 @@ class Economy:
         return self._integers
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
+        """This economy with `agent`'s preference replaced by `pref`, built
+        through the constructor. It inherits this economy's integer profile
+        when that profile has been read, every preference here is
+        single-peaked, and `pref` is single-peaked with the replaced
+        agent's peak: the profile is a function of the peaks, omega and the
+        endowments alone, and none of them changed. Otherwise the new
+        economy computes its own profile on first read."""
         prefs = list(self.prefs)
         prefs[agent] = pref
-        return Economy(tuple(prefs), self.omega, self.endowments)
+        econ = Economy(tuple(prefs), self.omega, self.endowments)
+        if (
+            self._integers is not None
+            and self._peaks is not None
+            and isinstance(pref, SinglePeaked)
+            and pref.peak == self._peaks[agent]
+        ):
+            object.__setattr__(econ, "_integers", self._integers)
+        return econ
 
 
 _set = object.__setattr__

@@ -358,12 +358,16 @@ def _hat(common: int, peaks: Sequence[int], omega: int):
 
 def _underline(econ: Economy) -> Allotment:
     # consults agent 1's full preference: the 0-versus-equal-division
-    # comparison, not just the peak
+    # comparison, not just the peak; the two conditions on the integer
+    # profile come first, so the disutilities are computed only when they
+    # hold
     common, peaks, omega, _ = econ._integer_profile()
     first = econ.prefs[0]
-    prefers_zero = first.disutility(0) < first.disutility(econ.equal_share)
-    strictly_lowest = all(peaks[0] < p for p in peaks[1:])
-    if sum(peaks[1:]) >= omega and prefers_zero and strictly_lowest:
+    if (
+        sum(peaks[1:]) >= omega
+        and all(peaks[0] < p for p in peaks[1:])
+        and first.disutility(0) < first.disutility(econ.equal_share)
+    ):
         peaks = (0, *peaks[1:])  # uniform as if agent 1's peak were 0
     return Allotment._of_scaled(*_uniform(common, peaks, omega), econ.omega)
 

@@ -95,6 +95,32 @@ def test_underline_fails_own_peak_onliness():
     assert report.witness.perturbed is not None
 
 
+def slope_swapped_uniform(econ):
+    """uniform's kernel on the integer profile, then the last two agents'
+    amounts swapped when the last agent's left slope is 10: a rule that
+    reads a slope the profile does not hold."""
+    unit, amounts = uniform.allocate._kernel(*econ._integer_profile()[:3])
+    if econ.prefs[-1].left_slope == 10:
+        amounts = [*amounts[:-2], amounts[-1], amounts[-2]]
+    return Allotment._of_scaled(unit, amounts, econ.omega)
+
+
+def test_own_peak_only_sees_slopes_behind_an_inherited_profile():
+    # every variant inherits its base's integer profile, so only the rule's
+    # own reading of the slopes can tell them apart
+    rule = Rule("slope-swapped-uniform", slope_swapped_uniform)
+    report = check_own_peak_only(rule, [econ([0, F(1, 2), 3], 2)])
+    assert report.failed
+    assert report.witness.agents == (2,)
+    assert report.witness.description == (
+        "agent 3 moves from 3/2 to 1/2 when slopes change to (10,1) with the"
+        " same peak"
+    )
+    report = check_own_peak_only(rule, SUITE[:60])
+    assert report.failed
+    assert report.witness.agents == (report.witness.economy.n - 1,)
+
+
 def test_simple_rules_own_peak_only():
     for rule in (simple_from_claims(cel), simple_from_claims(pro)):
         assert not check_own_peak_only(rule, SUITE[:40]).failed

@@ -785,6 +785,36 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
     assert "obvious manipulation (nom)" in err and "single-peaked domain" in err
 
 
+def test_nom_refuses_a_plateau_file_in_one_text_for_every_rule(tmp_path, capsys):
+    # the refusal reads the file's preferences, not the rule's name
+    path = tmp_path / "plateau.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega": "2",
+                "agents": [
+                    {"plateau_lo": "0", "plateau_hi": "2"},
+                    {"plateau_lo": "1/2", "plateau_hi": "1"},
+                ],
+            }
+        )
+    )
+    for rule in ("spl:cea", "uniform", "simple:cea", "ced"):
+        assert run(capsys, "check", str(path), rule, "--axioms", "nom") == (
+            2,
+            "",
+            "error: obvious manipulation (nom) is checked on the single-peaked"
+            " domain only; this economy has single-plateaued agents\n",
+        )
+    # an spl: rule is simple, so on a single-peaked file nom passes
+    peaks = tmp_path / "peaks.json"
+    peaks.write_text(
+        json.dumps({"omega": "2", "agents": [{"peak": "1/2"}, {"peak": "1"}]})
+    )
+    code, out, _ = run(capsys, "check", str(peaks), "spl:cea", "--axioms", "nom")
+    assert (code, out) == (0, "nom: PASS_ON_SAMPLE\n")
+
+
 @pytest.mark.parametrize(
     "axiom",
     [

@@ -10,7 +10,7 @@ from allotment.economy import Allotment, Economy, _check_feasible, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import _scaled
 from allotment.rules import simple_from_claims, simple_reallocation_from_claims
-from allotment.sampling import random_economy, standard_suite
+from allotment.sampling import SLOPE_CATALOGUE, random_economy, standard_suite
 from helpers import split_oracle
 
 
@@ -180,6 +180,53 @@ def test_integer_profile_is_cached_and_unobservable(
     # as one built before the profile was cached
     assert pickle.dumps(again) == fresh
     assert pickle.loads(fresh)._integer_profile() == profile
+
+
+@pytest.mark.parametrize("endowed", [False, True], ids=["no endowments", "endowed"])
+def test_slope_variants_inherit_the_integer_profile(endowed):
+    # own-peak-only's variants: one agent's slopes replaced, its peak kept
+    for base in standard_suite(43, 40, with_endowments=endowed):
+        profile = base._integer_profile()
+        for i, pref in enumerate(base.prefs):
+            for left, right in SLOPE_CATALOGUE:
+                variant = base.replace_pref(i, SinglePeaked(pref.peak, left, right))
+                fresh = Economy(variant.prefs, variant.omega, variant.endowments)
+                assert variant == fresh
+                assert variant._integer_profile() is profile
+                assert profile == fresh._integer_profile()
+
+
+def read_profile(e):
+    e._integer_profile()
+    return e
+
+
+@pytest.mark.parametrize(
+    "base, agent, pref",
+    [
+        (read_profile(econ([F(1, 3), F(5, 4), 2], F(7, 2))), 1, SinglePeaked(F(3, 2))),
+        (
+            read_profile(economy_of(STRADDLE, 3, None)),
+            1,
+            SinglePlateaued(F(1, 2), F(3, 2), 3, 1),
+        ),
+        (econ([F(1, 3), F(5, 4), 2], F(7, 2)), 1, SinglePeaked(F(5, 4), 3, 1)),
+    ],
+    ids=["changed peak", "plateau economy", "profile never read"],
+)
+def test_other_replacements_compute_their_own_profile(base, agent, pref):
+    variant = base.replace_pref(agent, pref)
+    assert variant._integers is None
+    fresh = Economy(variant.prefs, variant.omega, variant.endowments)
+    assert variant._integer_profile() == fresh._integer_profile()
+    assert variant._integer_profile() is not base._integers
+
+
+def test_a_peak_replacing_a_plateau_inherits_nothing():
+    # the new economy mixes peaks and plateaus, so it has no profile at all
+    base = read_profile(economy_of(STRADDLE, 3, None))
+    variant = base.replace_pref(1, SinglePeaked(F(1, 2)))
+    assert variant._integers is None
 
 
 @pytest.mark.parametrize(
