@@ -8,11 +8,11 @@ never by floating bisection.
 The rules run on integers. cea, cel and pro each have a private core
 (claims, E, D) -> (awards, scale), claims and E over a denominator D and
 awards over D*scale: min(c*k, p) and max(c*k - p, 0) at the level p / (D*k)
-of the levels module's integer scan, and c*E over D times the total.
-`_core` is the one integer entry of any claims rule: a built-in core, or an
-adapter that runs any other rule on a `ClaimsProblem`. One integer check
-(`_check_awards`) refuses an award outside [0, claim] or awards that miss
-E, once per call of a public rule and once per call of a simple rule.
+of the levels module's integer scan, and c*E over D times the total. Each
+ignores any further argument. `_core` is the one integer entry of any claims
+rule: a built-in core, or an adapter that runs any other rule on a
+`ClaimsProblem`. One integer check (`_check_awards`) refuses an award outside
+[0, claim] or awards that miss E, once per call of a public or simple rule.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class Awards:
 
 ClaimsRule = Callable[[ClaimsProblem], Awards]
 
-# (claims, E, D) -> (awards, scale): claims and E over D, awards over D*scale
-ClaimsCore = Callable[[Sequence[int], int, int], Tuple[List[int], int]]
+# (claims, E, D, *ignored) -> (awards, scale): claims, E over D, awards over D*scale
+ClaimsCore = Callable[..., Tuple[List[int], int]]
 
 
 def _check_awards(claims, endowment, common, awards, scale) -> None:
@@ -102,17 +102,17 @@ def _awards(cp: ClaimsProblem, awards: Sequence[int], scale: int) -> Awards:
     return Awards(tuple(Fraction(a, unit) for a in awards))
 
 
-def _cea(claims, endowment, common):
+def _cea(claims, endowment, common, *_):
     p, k = _min_level(claims, endowment)  # lam = p / (D*k)
     return [min(c * k, p) for c in claims], k
 
 
-def _cel(claims, endowment, common):
+def _cel(claims, endowment, common, *_):
     p, k = _min_level(claims, sum(claims) - endowment)
     return [max(c * k - p, 0) for c in claims], k
 
 
-def _pro(claims, endowment, common):
+def _pro(claims, endowment, common, *_):
     # with no claims in all E is 0 too, and every award is 0 over scale 1
     total = sum(claims)
     return [c * endowment for c in claims], total or 1
@@ -144,7 +144,7 @@ def _core(rule: ClaimsRule) -> ClaimsCore:
     adapter that builds the ClaimsProblem, calls the rule and reads its
     awards back over a multiple of D, the simple rules' one Fraction door."""
 
-    def adapter(claims, endowment, common):
+    def adapter(claims, endowment, common, *_):
         cp = ClaimsProblem(
             tuple(Fraction(c, common) for c in claims), Fraction(endowment, common)
         )

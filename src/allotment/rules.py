@@ -3,15 +3,15 @@ their reallocation variants, and the five independence-gallery rules.
 
 A simple rule has one reference point per agent: equal division omega/n,
 or the agent's own endowment for the reallocation rules. Agents on the
-near side of it get their peak and a claims problem divides the rest;
-excess supply mirrors excess demand through comparisons only, so both
-cases share one code path. Every simple rule is built by `_simple_rule`
-from the integer entry of a claims rule (`claims._core`): cea, cel, pro,
-any custom claims rule, and the sequential-adjustment construction, a
-claims rule over claim positions (`_sequential`) that awards a fixed
-integer share of each window (`SELECTORS`). The uniform rule is the
-simple rule of cea. ced and proportional run the cel and pro cores
-on the peaks themselves, with equal gains for ced under excess supply and
+near side of it get their peak, and `_simple_rule` builds every simple
+rule from a division of the whole split that awards each other agent at
+most |peak - reference point| toward their peak (excess supply mirrors
+excess demand). A claims rule's integer entry (`claims._core`: cea, cel,
+pro or any custom rule) and the sequential construction (`_sequential`,
+a fixed integer share of each window, `SELECTORS`) read only the claims;
+an explicit order (`_in_order`) and gallery:bar read the agents too.
+uniform is the simple rule of cea. ced and proportional run the cel and
+pro cores on the peaks, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
 
 Every rule that reads only peaks is one integer kernel, from which its
@@ -22,16 +22,16 @@ holds a single-plateaued economy's effective peaks: so the simple rules
 around equal division, all kernels, take plateaus, and `spl:cea|cel|pro`
 are the simple rules of cea, cel and pro under a second name.
 
-Every rule takes full preferences (own-peak-onliness is a property to be
-checked, not a structural guarantee) and returns an exactly feasible
-allotment on its declared domain. Whether a rule is simple is derived
-from how it was built, never declared (see `Rule`).
+Every rule takes full preferences (own-peak-onliness is checked, not built
+in) and returns an exactly feasible allotment on its declared domain; whether
+it is simple is derived from how it was built, never declared (see `Rule`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -53,23 +53,23 @@ DOMAIN_SP_ENDOWMENTS = "SP-with-endowments"
 
 @dataclass(frozen=True)
 class Rule:
-    """A named, deterministic map from economies to feasible allotments.
+    """A named, deterministic map from economies to feasible allotments; a
+    call refuses an `allocate` that returns anything but an `Allotment`.
 
     `simple` is derived, never passed: True exactly when `allocate`
     carries the mark `_simple_rule` puts on each function it builds, for
-    this rule's own `domain`. That is sound by construction:
-    `claims._check_awards` keeps every award in [0, claim] on every call,
-    so each amount lies between the agent's reference point r and peak,
-    and at the reference profile (every other peak at its own r) E is 0,
-    so the agent gets r whatever it reports. So r is in every option set
-    and is the truthful worst, and NOM holds without a search.
-    The other mark on `allocate` is `_kernel` (`_of_kernel`): the sampled
-    option sets run it in place of the rule after one `check_domain`.
-    Every allocate marked simple around equal division (`DOMAIN_SP`) has
-    one, so it reads a plateau economy's effective peaks, and
-    `check_domain` lets such a rule take economies of single-plateaued
-    agents. Every rule takes single-peaked ones of at least `min_agents`
-    agents (samplers and checkers skip smaller ones).
+    this rule's own `domain`. That is sound by construction: every call
+    checks each award in [0, claim], so each amount lies between the
+    agent's reference point r and peak, and at the reference profile
+    (every other peak at its own r) E is 0, so the agent gets r whatever
+    it reports: r is in every option set and is the truthful worst, and
+    NOM holds without a search. The other mark is `_kernel`
+    (`_of_kernel`): the sampled option sets run it in place of the rule
+    after one `check_domain`. Every allocate marked simple around equal
+    division (`DOMAIN_SP`) has one, so it reads a plateau economy's
+    effective peaks, and `check_domain` lets such a rule take economies
+    of single-plateaued agents. Every rule takes single-peaked ones of at
+    least `min_agents` agents (samplers and checkers skip smaller ones).
     """
 
     name: str
@@ -86,7 +86,11 @@ class Rule:
 
     def __call__(self, econ: Economy) -> Allotment:
         self.check_domain(econ)
-        return self.allocate(econ)
+        x = self.allocate(econ)
+        if not isinstance(x, Allotment):
+            kind = type(x).__name__
+            raise TypeError(f"rule {self.name} must return an Allotment, not {kind}")
+        return x
 
     def _check_agents(self, n) -> None:
         """Refuse an int agent count n below `min_agents`; any other n is
@@ -124,38 +128,26 @@ def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
 
 
 # ---------------------------------------------------------------------------
-# simple rules: one builder over the integer entry of a claims rule
+# simple rules: one builder over a division of the split
 
 
-def _simple_rule(
-    core: ClaimsCore, name: str, domain: str = DOMAIN_SP, order=None
-) -> Rule:
-    """The simple rule of a claims-rule core (`claims._core`) around a
-    reference point: omega/n, or each agent's own endowment on the
-    reallocation domain.
+def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Rule:
+    """The simple rule of a division around a reference point: omega/n, or
+    each agent's own endowment on the reallocation domain.
 
     Simple agents receive their peak; each non-simple agent moves from the
-    reference point toward their peak by their award in the residual claims
-    problem (upward under excess demand, downward under excess supply).
-    The claims are |peak - reference point| over the non-simple agents as
-    `_split_scaled` lists them, or in an explicit `order` of those agents.
-    The awards are checked once (`claims._check_awards`): a claims rule
-    that leaves [0, claim] or misses E is refused rather than trusted as
-    simple.
+    reference point toward their peak (up under excess demand, down under
+    excess supply) by their award. `division(claims, E, D, split)` returns
+    (awards, scale), over D * scale, for the claims |peak - reference| of
+    the non-simple agents as the split lists them; a claims-rule core reads
+    the first three only. Every call checks the awards (`_check_awards`):
+    a division that leaves [0, claim] or misses E is refused, not trusted.
     """
 
     def divide(split):
         common, peaks, scaled, z, left, _, minus = split
-        if order is not None:
-            if sorted(order) != minus:
-                agents = ", ".join(str(i + 1) for i in minus)
-                raise ValueError(
-                    f"order must enumerate the non-simple agents {agents}"
-                    " (numbered from 1)"
-                )
-            minus = order
         claims = [abs(peaks[i] - scaled[i]) for i in minus]
-        awards, scale = core(claims, abs(left), common)
+        awards, scale = division(claims, abs(left), common, split)
         _check_awards(claims, abs(left), common, awards, scale)
         amounts = [p * scale for p in peaks]  # plus agents keep their peak
         for nu, i in zip(awards, minus):
@@ -248,7 +240,7 @@ def _sequential(share: Tuple[int, int], descending: bool) -> ClaimsCore:
     refines the scale."""
     a, b = share
 
-    def core(claims, endowment, common):
+    def core(claims, endowment, common, *_):
         positions = range(len(claims))[:: -1 if descending else 1]
         awards = [0] * len(claims)
         scale, room, rest = 1, endowment, sum(claims)
@@ -301,8 +293,11 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
         raise ValueError(
             f"unknown order policy {order!r}; choose ascending or descending"
         )
-    explicit = order is not None and not isinstance(order, str)
-    if explicit:
+    core = _sequential(SELECTORS[selector], order == "descending")
+    tag = selector
+    if isinstance(order, str):
+        tag += f",{order}"
+    elif order is not None:
         order = list(order)
         agents = all(type(i) is int and i >= 0 for i in order)
         if not order or not agents or len(set(order)) < len(order):
@@ -312,14 +307,24 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
                 "an explicit order must list distinct agents (numbered from 1),"
                 f" got [{shown}]"
             )
-    tag = selector
-    if isinstance(order, str):
-        tag += f",{order}"
-    elif order is not None:
         tag += ",order=" + ",".join(str(i + 1) for i in order)
-    core = _sequential(SELECTORS[selector], order == "descending")
-    name = f"simple:appendix-b[{tag}]"
-    return _simple_rule(core, name, order=order if explicit else None)
+        core = partial(_in_order, core, order)
+    return _simple_rule(core, f"simple:appendix-b[{tag}]")
+
+
+def _in_order(core: ClaimsCore, order, claims, endowment, common, split):
+    """The division that runs `core` on the claims in an explicit `order` of
+    the non-simple agents, refused on a split whose non-simple agents differ."""
+    minus = split[-1]
+    if sorted(order) != minus:
+        raise ValueError(
+            "order must enumerate the non-simple agents "
+            + ", ".join(str(i + 1) for i in minus) + " (numbered from 1)"
+        )
+    claim = dict(zip(minus, claims))
+    awards, scale = core([claim[i] for i in order], endowment, common)
+    award = dict(zip(order, awards))
+    return [award[i] for i in minus], scale
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +343,14 @@ def _star(common: int, peaks: Sequence[int], omega: int):
     return _uniform(common, peaks, omega)
 
 
-def _bar(common: int, peaks: Sequence[int], omega: int):
-    # asymmetric split at one profile: both leading peaks at omega, rest at 0
+def _bar(claims, endowment, common, split):
+    # cea's awards but where both leading peaks are omega and the rest 0:
+    # there agents 1 and 2 get omega/3 and 2 omega/3 (the split is over D*n)
+    _, peaks, reference, _, _, _, _ = split
+    omega = reference[0] * len(peaks)
     if peaks[0] == peaks[1] == omega and not any(peaks[2:]):
-        return common * 3, [omega, 2 * omega] + [0] * (len(peaks) - 2)
-    return _uniform(common, peaks, omega)
+        return [omega - 3 * reference[0], 2 * omega - 3 * reference[1]], 3
+    return _cea(claims, endowment, common)
 
 
 def _hat(common: int, peaks: Sequence[int], omega: int):
@@ -375,14 +383,10 @@ def _underline(econ: Economy) -> Allotment:
 GALLERY_BUILDERS = {
     "equal_division": _of_kernel(_equal_division),
     "star": _of_kernel(_star),
-    "bar": _of_kernel(_bar),
+    "bar": _simple_rule(_bar, "gallery:bar").allocate,
     "hat": _of_kernel(_hat),
     "underline": _underline,
 }
-
-# bar is uniform but at one profile, which is not the reference profile and
-# where the amounts lie between omega/n and the peaks for n >= 3: simple
-GALLERY_BUILDERS["bar"]._simple_domain = DOMAIN_SP
 
 
 def gallery(name: str) -> Rule:

@@ -121,6 +121,16 @@ def test_own_peak_only_sees_slopes_behind_an_inherited_profile():
     assert report.witness.agents == (report.witness.economy.n - 1,)
 
 
+def test_checkers_refuse_a_rule_that_returns_no_allotment():
+    # a rule's call refuses any result but an Allotment, so every checker
+    # stops with the same error instead of trusting or tripping on it
+    listed = Rule("t", lambda e: list(uniform(e)))
+    message = "rule t must return an Allotment, not list"
+    for check in (check_same_sided, check_own_peak_only):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            check(listed, standard_suite(0, 20))
+
+
 def test_simple_rules_own_peak_only():
     for rule in (simple_from_claims(cel), simple_from_claims(pro)):
         assert not check_own_peak_only(rule, SUITE[:40]).failed

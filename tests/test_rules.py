@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import allotment.rules as rules_module
 from allotment.axioms import NO_CASES, check_betweenness, check_symmetry
-from allotment.claims import Awards, _awards, cea, cel, pro
+from allotment.claims import Awards, _awards, _cea, cea, cel, pro
 from allotment.economy import Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
@@ -774,6 +774,36 @@ def test_star_falls_back_to_uniform():
 def test_bar_special_branch():
     e = econ([3, 3, 0], 3)
     assert tuple(gallery("bar")(e)) == (F(1), F(2), F(0))
+
+
+def test_bar_allocate_is_checked_below_three_agents():
+    # bar's simple mark is earned by the award check on every call, so its
+    # allocate under a rule that takes two agents is refused at the
+    # trigger, where agent 1's omega/3 lies below omega/2
+    bar2 = Rule("bar2", gallery("bar").allocate)
+    assert bar2.simple and bar2.min_agents == 2
+    with pytest.raises(AssertionError, match=re.escape("award -1/6 outside [0, 1/2]")):
+        bar2(econ([1, 1], 1))
+    assert tuple(bar2(econ([1, 0], 1))) == (F(1), F(0))
+
+
+def test_a_division_below_the_reference_point_is_refused_on_every_call():
+    # a bar-like division that hands agents 1 and 2 omega/5 and 4 omega/5
+    # at bar's trigger: agent 1's award is negative at n = 4
+    def fifths(claims, endowment, common, split):
+        _, peaks, reference, _, _, _, _ = split
+        omega = reference[0] * len(peaks)
+        if peaks[0] == peaks[1] == omega and not any(peaks[2:]):
+            return [omega - 5 * reference[0], 4 * omega - 5 * reference[1]], 5
+        return _cea(claims, endowment, common)
+
+    rule = rules_module._simple_rule(fifths, "fifths")
+    assert rule.simple
+    for omega in (1, 2, F(7, 3), 4):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=r"^award -\S+ outside"):
+                rule(econ([omega, omega, 0, 0], omega))
+    assert tuple(rule(econ([2, 2, 0, 0], 1))) == tuple(uniform(econ([2, 2, 0, 0], 1)))
 
 
 def test_hat_supply_branch():
