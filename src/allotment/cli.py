@@ -18,11 +18,12 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 the wrong shape or with an unknown key, an empty grid, a --random count
 below 1, a check given both an economy file and --random, a rule run on
 too few agents or on preferences outside its domain, a peak-reading
-check on single-plateaued agents, nom on an economy file of
-single-plateaued agents or with --random and an spl: rule, and a check in
-which a requested axiom inspected no case), 3 internal error (any other
-exception, reported as "internal error: <Type>: <message>" so that a
-crash never reads as a FAIL).
+check on single-plateaued agents, nom on single-plateaued agents (a
+file's, or the draws of --random with an spl: rule; one text, before any
+draw), an endowment-reading check on a file without endowments, and a
+check in which a requested axiom inspected no case), 3 internal error
+(any other exception, reported as "internal error: <Type>: <message>" so
+that a crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -332,98 +333,72 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def _checked_on_plateaus(rule: Rule) -> bool:
-    """An spl: rule, for which `check --random` draws plateaus and refuses
-    nom."""
-    return rule.name.startswith("spl:")
-
-
-def _check_economies(args, rule: Rule) -> List[Economy]:
-    wants_endowments = rule.domain == DOMAIN_SP_ENDOWMENTS or (
-        "endowments-guarantee" in args.axiom_list
-    )
-    if args.random is not None:
-        if _checked_on_plateaus(rule):
-            rng = random.Random(args.seed)
-            return [random_plateaued_economy(rng) for _ in range(args.random)]
-        return standard_suite(
-            args.seed,
-            args.random,
-            with_endowments=wants_endowments,
-        )
-    econ = load_economy(args.economy)
-    if wants_endowments and econ.endowments is None:
-        raise CliError(
-            "this check needs individual endowments, but the economy "
-            "file has none"
-        )
-    return [econ]
-
-
 def cmd_check(args) -> int:
-    args.axiom_list = [a.strip() for a in args.axioms.split(",") if a.strip()]
-    for axiom in args.axiom_list:
+    """Check the requested axioms on one economy file or on seeded draws.
+
+    Every refusal comes before any draw or rule run. `plateaued` is read
+    from the file's preferences, or for --random from the rule: an spl:
+    rule is checked on `random_plateaued_economy` draws, every other rule
+    on `standard_suite`. nom is refused on plateaus in one text for both.
+    nom draws its own cases, so with --random and no other axiom no suite
+    is drawn and the sample count is the number of nom cases."""
+    axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    for axiom in axioms:
         if axiom not in AXIOM_NAMES:
             raise CliError(
                 f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_NAMES)}"
             )
     for axiom in args.expect_fail or []:
-        if axiom not in args.axiom_list:
+        if axiom not in axioms:
             raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
     rule = _rule(args)
-    nom = "nom" in args.axiom_list
-    if nom and args.random is not None and _checked_on_plateaus(rule):
-        raise CliError(
-            "obvious manipulation (nom) is checked on the single-peaked domain"
-            f" only, and rule {rule.name} is checked on single-plateaued economies"
-        )
-    # nom draws its own cases: with --random and no other axiom, no suite
-    # is built and the sample count is the number of nom cases
-    nom_only_draw = args.random is not None and set(args.axiom_list) == {"nom"}
-    econs = [] if nom_only_draw else _check_economies(args, rule)
-    if nom and args.random is None and not econs[0].is_single_peaked:
-        # decided by the file's preferences, before any rule runs, so every
-        # rule is refused in the same words
+    realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
+    wants_endowments = realloc or "endowments-guarantee" in axioms
+    if args.random is None:
+        econ = load_economy(args.economy)
+        if wants_endowments and econ.endowments is None:
+            raise CliError(
+                "this check needs individual endowments, but the economy "
+                "file has none"
+            )
+        plateaued = not econ.is_single_peaked
+    else:
+        plateaued = rule.name.startswith("spl:")
+    if "nom" in axioms and plateaued:
         raise CliError(
             "obvious manipulation (nom) is checked on the single-peaked domain"
             " only; this economy has single-plateaued agents"
         )
+    if args.random is None:
+        econs = [econ]
+    elif set(axioms) == {"nom"}:
+        econs = []
+    elif plateaued:
+        rng = random.Random(args.seed)
+        econs = [random_plateaued_economy(rng) for _ in range(args.random)]
+    else:
+        econs = standard_suite(
+            args.seed, args.random, with_endowments=wants_endowments
+        )
     samples = len(econs)
 
     reports: List[AxiomReport] = []
-    for axiom in args.axiom_list:
-        if axiom == "nom":
-            if args.random is not None:
-                cases = nom_sweep(
-                    args.seed,
-                    args.random,
-                    with_endowments=rule.domain == DOMAIN_SP_ENDOWMENTS,
-                )
-                if nom_only_draw:
-                    samples = len(cases)
-            else:
-                first = econs[0]
-                cases = [
-                    NomCase(
-                        pref,
-                        first.omega,
-                        first.n,
-                        agent=i,
-                        endowment=(
-                            first.endowments[i]
-                            if rule.domain == DOMAIN_SP_ENDOWMENTS
-                            else None
-                        ),
-                    )
-                    for i, pref in enumerate(first.prefs)
-                ]
-            reports.append(check_nom(rule, cases, grid_step=args.grid_step))
-        elif axiom == "sp":
-            reports.append(
-                AXIOM_CHECKERS[axiom](rule, econs, grid_step=args.grid_step)
-            )
+    for axiom in axioms:
+        if axiom != "nom":
+            extra = {"grid_step": args.grid_step} if axiom == "sp" else {}
+            reports.append(AXIOM_CHECKERS[axiom](rule, econs, **extra))
+            continue
+        if args.random is None:
+            endowments = econ.endowments if realloc else (None,) * econ.n
+            cases = [
+                NomCase(pref, econ.omega, econ.n, i, endowments[i])
+                for i, pref in enumerate(econ.prefs)
+            ]
         else:
-            reports.append(AXIOM_CHECKERS[axiom](rule, econs))
+            cases = nom_sweep(args.seed, args.random, with_endowments=realloc)
+            if not econs:
+                samples = len(cases)
+        reports.append(check_nom(rule, cases, grid_step=args.grid_step))
 
     unchecked = [report.axiom for report in reports if report.checked == 0]
     if unchecked:

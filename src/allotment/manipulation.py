@@ -37,15 +37,16 @@ frozen preferences, which no caller can change.
 
 `option_set_sampled` refuses bad inputs once per set, before any
 profile is built (the rule's minimum agent count, the economy's size and
-endowment through `economy._checked_size`, and a single-peaked report),
-and `_sample` makes the rule's domain check once. A rule's integer kernel
-(`rules._of_kernel`; every registered rule that reads only peaks has
-one) then runs on each profile's integers, and the first witness of
-each outcome is kept as its preference profile, whose economy
-`SampledOptionSet.witnesses` builds on first read; any other rule
-(gallery:underline, which reads a slope, or a custom rule) runs on every
-profile's economy. Every economy comes through the public constructor,
-and feasibility is checked on every run.
+endowment through `economy._checked_size`, and a single-peaked report).
+`_sample` then runs each profile through one branch: a rule's integer
+kernel (`rules._of_kernel`; every registered rule that reads only peaks
+has one) runs, after one domain check per set, on the integers of every
+profile that has them, and every other run (an off-grid end, or any run
+of gallery:underline, which reads a slope, or of a custom rule) is a
+call of the rule on the profile's economy. Every economy comes through
+the public constructor, feasibility is checked on every run, and the
+first witness of each outcome is kept as its preference profile, whose
+economy `SampledOptionSet.witnesses` builds on first read.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ Family = Tuple[Optional[Profile], ...]
 class _Witnesses(Mapping):
     """The read-only {outcome: first witness economy} of a sampled option
     set, in generation order. `found` maps each outcome's reduced
-    (numerator, denominator) to [outcome, witness]; a witness held as a
-    preference profile becomes `Economy(prefs, omega)` on first read.
-    Equality and repr are the dict's, so they read every witness."""
+    (numerator, denominator) to [outcome, witness]; a witness is held as
+    its preference profile until its first read builds and keeps
+    `Economy(prefs, omega)`. Equality and repr are the dict's, so they
+    read every witness."""
 
     def __init__(self, omega: Fraction, found: Dict[Tuple[int, int], list]):
         self._omega = omega
@@ -248,9 +250,9 @@ def _opponent_profiles(
     no more witness profiles than it reads. The targets are the option
     set's two ends and the grid points between them; the grid points' are
     a slice of the shared witness family, with their peaks' numerators
-    over the families' D (times `scale`, from `_rescaled_families`), and
-    only an end that lies off the grid gets a profile of its own, with
-    None.
+    over the families' D (times `scale`, from `_rescaled_families`). Only
+    an end that lies off the grid gets a profile of its own, whose
+    numerators are None: `_sample` runs the rule on its economy.
     """
     _, identical, complementary, witness = (
         _shared_families(omega, n, grid_step)
@@ -288,58 +290,46 @@ def _sample(
     each outcome. None at the first outcome for which `stop` (a
     predicate, asked once per outcome) holds, before any later run.
 
-    A rule's integer kernel runs after one domain check (every economy of
-    the set is single-peaked, without endowments), on a shared profile's
-    numerators over the families' D refined by the report's peak
-    (`_rescaled_families`), or on an off-grid end's economy;
-    `economy._check_feasible` checks every run. A witness without an
-    economy is kept as its preference profile, whose economy
-    `SampledOptionSet.witnesses` builds on first read. Any other rule is
-    called on each profile's economy. Outcomes are keyed, and sorted, as
-    reduced integer pairs. Every economy comes through
-    `Economy(prefs, omega)`; `option_set_sampled` has refused bad inputs
-    once, so none of them fails its checks."""
+    A rule's integer kernel runs, after one domain check (every economy of
+    the set is single-peaked, without endowments), on each profile that
+    has numerators: over the families' D refined by the report's peak
+    (`_rescaled_families`). Every other run, an off-grid end's or any run
+    of a rule without a kernel, calls the rule on `Economy(prefs, omega)`
+    and reads its allotment's integers. `economy._check_feasible` checks
+    every run once more. Each witness is kept as its preference profile,
+    whose economy `SampledOptionSet.witnesses` builds on first read.
+    Outcomes are keyed, and sorted, as reduced integer pairs;
+    `option_set_sampled` has refused bad inputs once, so no economy fails
+    its checks."""
     kernel = getattr(rule.allocate, "_kernel", None)
-
-    def splice(opponents, own):
-        return opponents[:agent] + (own,) + opponents[agent:]
-
     scale = 1
-    if kernel is None:
-
-        def run(opponents, numerators):
-            econ = Economy(splice(opponents, pref), omega)
-            outcome = rule(econ)[agent]
-            return (outcome.numerator, outcome.denominator), econ
-
-    else:
+    if kernel is not None:
         family = _shared_families(omega, n, grid_step)[0]
         common, (report, total) = _scaled([pref.peak, omega], family)
         scale = common // family
         rule.check_domain(Economy((pref,) * n, omega))
 
-        def run(opponents, numerators):
-            econ = None
-            if numerators is None:  # an off-grid end, on its economy's D
-                econ = Economy(splice(opponents, pref), omega)
-                unit, amounts = kernel(*econ._integer_profile()[:3])
-            else:
-                unit, amounts = kernel(common, splice(numerators, report), total)
-            _check_feasible(unit, amounts, omega)
-            g = math.gcd(amounts[agent], unit)
-            return (amounts[agent] // g, unit // g), econ
-
-    # {reduced outcome: [outcome, its first economy or preference profile]}
+    # {reduced outcome: [outcome, its preference profile, then economy]}
     found: Dict[Tuple[int, int], list] = {}
-    profiles = _opponent_profiles(pref, omega, n, grid_step, scale)
-    for opponents, numerators in profiles:
-        key, econ = run(opponents, numerators)
+    for opponents, numerators in _opponent_profiles(
+        pref, omega, n, grid_step, scale
+    ):
+        prefs = opponents[:agent] + (pref,) + opponents[agent:]
+        if kernel is not None and numerators is not None:
+            peaks = numerators[:agent] + (report,) + numerators[agent:]
+            unit, amounts = kernel(common, peaks, total)
+        else:
+            allotment = rule(Economy(prefs, omega))
+            unit, amounts = allotment._common, allotment._numerators
+        _check_feasible(unit, amounts, omega)
+        g = math.gcd(amounts[agent], unit)
+        key = (amounts[agent] // g, unit // g)
         if key in found:
             continue
         outcome = Fraction(*key)
         if stop is not None and stop(outcome):
             return None
-        found[key] = [outcome, splice(opponents, pref) if econ is None else econ]
+        found[key] = [outcome, prefs]
     # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
     lcm = math.lcm(*{q for _, q in found})
     ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))

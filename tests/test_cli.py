@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import allotment.cli as cli_module
 from allotment.cli import (
     ECONOMY_KEYS,
     PEAK_KEYS,
@@ -426,6 +427,29 @@ def test_realloc_without_endowments_rejected(om_file, capsys):
     code, _, err = run(capsys, "allocate", om_file, "realloc:cea")
     assert code == 2
     assert "endowments" in err
+    # a check that reads endowments refuses the file before any rule runs
+    for rule, axiom in (
+        ("realloc:cea", "symmetry"),
+        ("uniform", "endowments-guarantee"),
+    ):
+        assert run(capsys, "check", om_file, rule, "--axioms", axiom) == (
+            2,
+            "",
+            "error: this check needs individual endowments, but the economy "
+            "file has none\n",
+        )
+
+
+def test_unreadable_economy_files_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "allocate", str(missing), "uniform")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"omega": "1",')
+    code, out, err = run(capsys, "allocate", str(broken), "uniform")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {broken} is not valid JSON: ")
 
 
 def test_check_simple_rule_passes_axioms(capsys):
@@ -649,10 +673,22 @@ def test_option_set_sampled_for_ced(om_file, capsys):
     assert "sampled range [0, 2/3]" in out
 
 
-def test_option_set_agent_out_of_range(om_file, capsys):
-    code, _, err = run(capsys, "option-set", om_file, "ced", "5")
-    assert code == 2
-    assert "agent" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("option-set", "ced", "5"), "agent must be between 1 and 2"),
+        (("find-manipulation", "ced", "3"), "agent must be between 1 and 2"),
+        (("find-manipulation", "ced", "0"), "agent must be between 1 and 2"),
+        (
+            ("option-set", "realloc:cea", "1"),
+            "option sets are computed on the plain single-peaked domain",
+        ),
+    ],
+    ids=["option-set", "find-manipulation", "find-manipulation-0", "realloc"],
+)
+def test_agent_commands_refuse_bad_agents_and_domains(om_file, capsys, argv, message):
+    command, *rest = argv
+    assert run(capsys, command, om_file, *rest) == (2, "", f"error: {message}\n")
 
 
 def test_find_manipulation_certificate(om_file, capsys):
@@ -761,7 +797,7 @@ def test_empty_grids_exit_2(om_file, capsys, argv):
     assert "grid step denominator must be at least 1" in err
 
 
-def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
+def test_nom_refuses_plateaued_preferences(tmp_path, capsys, monkeypatch):
     path = tmp_path / "plateau.json"
     path.write_text(
         json.dumps(
@@ -774,15 +810,26 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys):
             }
         )
     )
-    code, out, err = run(capsys, "check", str(path), "spl:cea", "--axioms", "nom")
-    assert code == 2
-    assert out == ""
-    assert "single-peaked" in err
-    # drawn cases are refused the same way, naming the axiom, not the rule
-    code, out, err = run(capsys, "check", "--random", "3", "spl:cea", "--axioms", "nom")
-    assert code == 2
-    assert out == ""
-    assert "obvious manipulation (nom)" in err and "single-peaked domain" in err
+    # an spl: rule's draws are plateaus, so --random is refused in the
+    # file's words, before any draw: a draw would exit 3 here
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an economy before the nom refusal")
+
+    for name in ("random_plateaued_economy", "standard_suite", "nom_sweep"):
+        monkeypatch.setattr(cli_module, name, no_draw)
+    refusal = (
+        2,
+        "",
+        "error: obvious manipulation (nom) is checked on the single-peaked"
+        " domain only; this economy has single-plateaued agents\n",
+    )
+    for argv in (
+        ("--random", "5", "spl:cea", "--axioms", "nom,symmetry"),
+        ("--random", "3", "spl:cea", "--axioms", "nom"),
+        (str(path), "uniform", "--axioms", "nom"),
+        (str(path), "spl:cea", "--axioms", "symmetry,nom"),
+    ):
+        assert run(capsys, "check", *argv) == refusal
 
 
 def test_nom_refuses_a_plateau_file_in_one_text_for_every_rule(tmp_path, capsys):

@@ -227,6 +227,10 @@ def test_a_peak_replacing_a_plateau_inherits_nothing():
     base = read_profile(economy_of(STRADDLE, 3, None))
     variant = base.replace_pref(1, SinglePeaked(F(1, 2)))
     assert variant._integers is None
+    # and no peak profile, like the plateau economy it came from
+    for e in (base, variant):
+        with pytest.raises(ValueError, match=r"^peaks\(\) requires single-peaked"):
+            e.peaks()
 
 
 @pytest.mark.parametrize(
@@ -403,6 +407,9 @@ def test_single_agent_economy_rejected():
 def test_endowments_must_sum_to_omega():
     with pytest.raises(ValueError):
         econ([1, 1], 2, (F(1), F(3, 2)))
+    # a negative endowment is refused before the sum is read
+    with pytest.raises(ValueError, match="^endowments must be nonnegative$"):
+        econ([1, 1], 2, (F(-1), F(3)))
     e = econ([1, 1], 2, (F(1, 2), F(3, 2)))
     assert e.endowments == (F(1, 2), F(3, 2))
 

@@ -562,6 +562,30 @@ def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
     assert off_grid_sets > 0
 
 
+@pytest.mark.parametrize(
+    "rule", [gallery("underline"), wrapped(ced)], ids=["underline", "wrapped ced"]
+)
+def test_rules_without_a_kernel_build_one_economy_per_profile(rule, monkeypatch):
+    built = counting_economies(monkeypatch)
+    for peak, omega, n in c04_cases()[:10]:
+        if n < rule.min_agents:
+            continue
+        pref = SinglePeaked(peak)
+        profiles = list(_opponent_profiles(pref, omega, n, 60))
+        built.clear()
+        oset = option_set_sampled(rule, 0, pref, omega, n)
+        # the rule checks its domain on every call, so no economy is built
+        # for a domain check: one per profile, in generation order
+        assert [e.prefs for e in built] == [(pref, *opp) for opp, _ in profiles]
+        # every witness is kept as its profile and built on its first read
+        built.clear()
+        for outcome in oset.outcomes:
+            first = oset.witnesses[outcome]
+            assert built[-1] is first
+            assert oset.witnesses[outcome] is first
+        assert len(built) == len(oset.outcomes)
+
+
 def test_witnesses_read_like_the_dict_they_replace():
     oset = option_set_sampled(ced, 0, OM_PREF, F(1), 2, grid_step=6)
     plain = dict(oset.witnesses.items())

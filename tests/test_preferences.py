@@ -151,6 +151,8 @@ def test_plateau_disutility_shape():
 def test_negative_consumption_rejected():
     with pytest.raises(ValueError):
         STEEP_RIGHT.disutility(F(-1, 2))
+    with pytest.raises(ValueError, match="^consumption must be nonnegative, got -1/2$"):
+        SinglePlateaued(F(0), F(1)).disutility(F(-1, 2))
 
 
 def test_empty_worst_rejected():
@@ -165,3 +167,8 @@ def test_invalid_preferences_rejected():
         SinglePeaked(F(1), F(0), F(1))
     with pytest.raises(ValueError):
         SinglePlateaued(F(2), F(1))
+    with pytest.raises(ValueError, match="^plateau_lo must be nonnegative$"):
+        SinglePlateaued(F(-1), F(1))
+    for slopes in ((F(0), F(1)), (F(1), F(-1))):
+        with pytest.raises(ValueError, match="^slopes must be strictly positive$"):
+            SinglePlateaued(F(0), F(1), *slopes)

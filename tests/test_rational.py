@@ -30,6 +30,16 @@ def test_format_rational_refuses_floats():
         format_rational(0.1)
 
 
+def test_a_fraction_subclass_is_taken_as_it_is():
+    # tested after str, bool and int, before float
+    class Exact(F):
+        pass
+
+    half = Exact(1, 2)
+    assert parse_rational(half) is half
+    assert format_rational(half) == "1/2"
+
+
 def parsed(text):
     """parse_rational's result on a string: the Fraction, or the message
     it refuses with."""

@@ -482,8 +482,11 @@ def test_reallocation_hand_evaluated_partition():
 
 
 def test_reallocation_rejects_missing_endowments():
-    with pytest.raises(ValueError):
-        simple_reallocation_from_claims(cea)(econ([1, 1], 2))
+    rule = simple_reallocation_from_claims(cea)
+    # refused by the rule's domain check, and by its allocate called alone
+    for run in (rule, rule.allocate):
+        with pytest.raises(ValueError, match="^rule realloc:cea needs individual"):
+            run(econ([1, 1], 2))
 
 
 def test_reallocation_between_endowment_and_peak():
@@ -527,6 +530,8 @@ def test_sequential_refuses_unknown_order_policy():
     # refused when the rule is built, naming the policy, not at every call
     with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
         sequential_rule("lo", order="sideways")
+    with pytest.raises(ValueError, match="^unknown selector 'middle'$"):
+        sequential_rule("middle")
 
 
 def test_sequential_windows_nonempty_and_output_simple():
