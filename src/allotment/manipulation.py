@@ -29,15 +29,16 @@ profile's peaks as integers over the families' denominator D. So is the
 witness family: the witness profile of every grid target, of which an
 agent's option set reads a slice, building a profile only for an end of
 the set that lies off the grid. A report whose peak refines D by a factor
-reads the same families with every numerator times that factor, built
-once per (omega, n, grid step, factor) and shared the same way. Sharing
-is unobservable: the cache key is the whole input, compared by type as
+reads the same profiles with every numerator times that factor, kept in
+the same cache under (omega, n, grid step, factor). Sharing is
+unobservable: the cache key is the whole input, compared by type as
 well as value, and the value is made of tuples of fractions, ints or
 frozen preferences, which no caller can change.
 
-`option_set_sampled` refuses bad inputs once per set, before any
-profile is built (the rule's minimum agent count, the economy's size and
-endowment through `economy._checked_size`, and a single-peaked report).
+Both doors, `option_set_sampled` and `find_obvious_manipulation`,
+refuse bad inputs once, before any profile is built, in one check and
+one set of texts (a report that is not single-peaked, the rule's minimum
+agent count, the economy's size and endowment, the agent index).
 `_sample` then runs each profile through one branch: a rule's integer
 kernel (`rules._of_kernel`; every registered rule that reads only peaks
 has one) runs, after one domain check per set, on the integers of every
@@ -160,16 +161,16 @@ def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
     return tuple(peak_grid(omega, grid_step))
 
 
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=96, typed=True)
 def _shared_families(
-    omega: Fraction, n: int, grid_step: int
+    omega: Fraction, n: int, grid_step: int, scale: int
 ) -> Tuple[int, Family, Family, Family]:
     """The opponent families that do not depend on the agent, after a
-    common denominator D of their peaks and omega: the identical family,
-    the complementary family (without its profiles the identical family
-    already holds), and the witness profile of every grid target
+    common denominator D * `scale` of their peaks and omega: the identical
+    family, the complementary family (without its profiles the identical
+    family already holds), and the witness profile of every grid target
     k * omega / grid_step, k = 0 .. grid_step, indexed by k. Each profile
-    is a pair (opponents, their peaks' numerators over D).
+    is a pair (opponents, their peaks' numerators over D * scale).
 
     Every profile is made of one unit-slope preference per distinct peak,
     shared by every slot and profile. The witness profile of target k puts
@@ -179,7 +180,22 @@ def _shared_families(
     Grid point k is k * omega / grid_step, so omega - point k is point
     grid_step - k, and D is the grid's times n - 1, over which every
     target's peak (omega - point k) / (n - 1) is an integer too.
+
+    A scale above 1 is the scale-1 entry with every numerator times
+    `scale`, sharing its opponents. Callers pass all four arguments
+    positionally, so one input has one key: 32 entries hold the scale-1
+    families and 64 the 61 distinct (omega, n, scale) of c04's 100 cases.
     """
+    if scale != 1:
+        common, *families = _shared_families(omega, n, grid_step, 1)
+        rescaled = [
+            tuple(
+                None if p is None else (p[0], tuple(x * scale for x in p[1]))
+                for p in family
+            )
+            for family in families
+        ]
+        return (common * scale, *rescaled)
     points = _grid(omega, grid_step)
     common, scaled = _scaled(points)
     common, top = common * (n - 1), scaled[grid_step] * (n - 1)
@@ -209,25 +225,6 @@ def _shared_families(
     return common, identical, complementary, witness
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _rescaled_families(
-    omega: Fraction, n: int, grid_step: int, scale: int
-) -> Tuple[int, Family, Family, Family]:
-    """`_shared_families` over D * scale: the same profiles, each with its
-    numerators times `scale`, built once per (omega, n, grid step, scale)
-    and shared by every rule and report whose peak refines D by `scale`.
-    64 entries hold the 61 distinct (omega, n, scale) of c04's 100 cases."""
-    common, *families = _shared_families(omega, n, grid_step)
-
-    def rescaled(profile: Optional[Profile]) -> Optional[Profile]:
-        if profile is None:
-            return None
-        opponents, numerators = profile
-        return opponents, tuple(x * scale for x in numerators)
-
-    return (common * scale, *(tuple(map(rescaled, f)) for f in families))
-
-
 def _opponent_profiles(
     pref: SinglePeaked,
     omega: Fraction,
@@ -250,14 +247,12 @@ def _opponent_profiles(
     no more witness profiles than it reads. The targets are the option
     set's two ends and the grid points between them; the grid points' are
     a slice of the shared witness family, with their peaks' numerators
-    over the families' D (times `scale`, from `_rescaled_families`). Only
-    an end that lies off the grid gets a profile of its own, whose
-    numerators are None: `_sample` runs the rule on its economy.
+    over the families' D times `scale`. Only an end that lies off the
+    grid gets a profile of its own, whose numerators are None: `_sample`
+    runs the rule on its economy.
     """
-    _, identical, complementary, witness = (
-        _shared_families(omega, n, grid_step)
-        if scale == 1
-        else _rescaled_families(omega, n, grid_step, scale)
+    _, identical, complementary, witness = _shared_families(
+        omega, n, grid_step, scale
     )
     yield from identical
 
@@ -293,18 +288,18 @@ def _sample(
     A rule's integer kernel runs, after one domain check (every economy of
     the set is single-peaked, without endowments), on each profile that
     has numerators: over the families' D refined by the report's peak
-    (`_rescaled_families`). Every other run, an off-grid end's or any run
-    of a rule without a kernel, calls the rule on `Economy(prefs, omega)`
-    and reads its allotment's integers. `economy._check_feasible` checks
-    every run once more. Each witness is kept as its preference profile,
-    whose economy `SampledOptionSet.witnesses` builds on first read.
-    Outcomes are keyed, and sorted, as reduced integer pairs;
-    `option_set_sampled` has refused bad inputs once, so no economy fails
-    its checks."""
+    (`_shared_families` at that scale). Every other run, an off-grid
+    end's or any run of a rule without a kernel, calls the rule on
+    `Economy(prefs, omega)` and reads its allotment's integers.
+    `economy._check_feasible` checks every run once more. Each witness is
+    kept as its preference profile, whose economy
+    `SampledOptionSet.witnesses` builds on first read. Outcomes are
+    keyed, and sorted, as reduced integer pairs; both callers have run
+    `_checked_omega` first, so no economy fails its checks."""
     kernel = getattr(rule.allocate, "_kernel", None)
     scale = 1
     if kernel is not None:
-        family = _shared_families(omega, n, grid_step)[0]
+        family = _shared_families(omega, n, grid_step, 1)[0]
         common, (report, total) = _scaled([pref.peak, omega], family)
         scale = common // family
         rule.check_domain(Economy((pref,) * n, omega))
@@ -358,25 +353,25 @@ def option_set_sampled(
     opponent-profile families, with the achieving economy kept per outcome
     (first in generation order).
 
-    The inputs are checked once, before any profile is built: `pref` is
-    single-peaked, n meets the rule's minimum and is an int of at least 2,
-    omega is positive and the agent index is an int in range. Every
-    economy is then built by the public constructor (see `_sample`), and
-    these refusals come first so that a bad input fails once per set,
-    not at its first profile."""
+    The inputs are checked once by `_checked_omega`, before any profile
+    is built: `pref` is single-peaked, n meets the rule's minimum and is
+    an int of at least 2, omega is positive and the agent index is an int
+    in range. Every economy is then built by the public constructor (see
+    `_sample`), so a bad input fails once per set, not at its first profile."""
+    omega = _checked_omega(rule, agent, pref, n, omega)
+    return _sample(rule, agent, pref, omega, n, grid_step)
+
+
+def _checked_omega(rule: Rule, agent: int, pref, n: int, omega) -> Fraction:
+    """omega parsed, after refusing a report that is not single-peaked, n
+    below the rule's minimum, the economy's size and endowment as
+    `Economy` does (`_checked_size`), and an agent index that is not an
+    int in [0, n). `find_obvious_manipulation` calls it first too."""
     if not isinstance(pref, SinglePeaked):
         raise ValueError(
             "sampled option sets need a single-peaked report, got "
             f"{type(pref).__name__}"
         )
-    omega = _checked_omega(rule, agent, n, omega)
-    return _sample(rule, agent, pref, omega, n, grid_step)
-
-
-def _checked_omega(rule: Rule, agent: int, n: int, omega) -> Fraction:
-    """omega parsed, after refusing n below the rule's minimum, the
-    economy's size and endowment as `Economy` does (`_checked_size`), and
-    an agent index that is not an int in [0, n)."""
     rule._check_agents(n)
     omega = _checked_size(n, omega)
     if type(agent) is not int:  # a bool is refused too
@@ -462,14 +457,14 @@ def find_obvious_manipulation(
 
     The inputs are checked on every rule before any search: the true
     preference is single-peaked, n meets the rule's minimum and is an int
-    of at least 2, omega is positive, the agent index is an int in range,
-    misreports are parsed, none is negative and one differs from the true
-    peak (the default list, the shared grid of (omega, grid_step), always
-    has one), the option grid (of
-    option_grid_step, or grid_step when None) is not empty, and
-    `endowment`, the agent's own share, lies in [0, omega]. Only a
-    reallocation rule reads an endowment, so any other rule refuses one,
-    and a simple reallocation rule needs one.
+    of at least 2, omega is positive and the agent index is an int in
+    range (`_checked_omega`, in `option_set_sampled`'s texts); misreports
+    are parsed, none is negative and one differs from the true peak (the
+    default list, the shared grid of (omega, grid_step), always has one),
+    the option grid (of option_grid_step, or grid_step when None) is not
+    empty, and `endowment`, the agent's own share, lies in [0, omega].
+    Only a reallocation rule reads an endowment, so any other rule
+    refuses one, and a simple reallocation rule needs one.
 
     A simple rule (`Rule.simple`, derived from how the rule was built)
     then returns None without a search: its option sets are intervals
@@ -489,12 +484,7 @@ def find_obvious_manipulation(
     certificates match a search that samples every set in full, and the
     certificate's verdict is `is_obvious_manipulation` of the two sets.
     """
-    if not isinstance(pref_true, SinglePeaked):
-        raise ValueError(
-            "obvious manipulation is defined for single-peaked true "
-            f"preferences, got {type(pref_true).__name__}"
-        )
-    omega = _checked_omega(rule, agent, n, omega)
+    omega = _checked_omega(rule, agent, pref_true, n, omega)
     step = grid_step if option_grid_step is None else option_grid_step
     if misreport_peaks is not None:
         peaks = [parse_rational(q) for q in misreport_peaks]

@@ -27,9 +27,9 @@ rule that reads only peaks, and through the profile the simple rules on
 plateaus), the reallocation rules and gallery:underline, and the
 sampled option sets (`manipulation._sample`), which keep each shared
 opponent profile's peaks over one D (`manipulation._shared_families`,
-times the factor by which a report's peak refines D in
-`manipulation._rescaled_families`), run a rule's kernel on them, and read
-every other run's outcome from its allotment's integers. A Fraction is
+which also caches them times the factor by which a report's peak
+refines D), run a rule's kernel on them, and read every other run's
+outcome from its allotment's integers. A Fraction is
 built only where a value leaves the integers (a level, an award, an
 amount that is read, a sampled set's distinct outcome, which the sampler
 keys and sorts as its reduced integer pair, so it never hashes one) or

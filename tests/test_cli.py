@@ -252,8 +252,10 @@ def test_large_document_reads_to_the_economy_built_from_fractions(
         (1.0, 'decimal 1.0 rejected: use an exact "p/q" string'),
         ("1.0", 'decimal \'1.0\' rejected: use an exact "p/q" string'),
         ("2e3", 'decimal \'2e3\' rejected: use an exact "p/q" string'),
+        (None, "not a rational: None"),
+        ([1], "not a rational: [1]"),
     ],
-    ids=["true", "float", "decimal-string", "exponent-string"],
+    ids=["true", "float", "decimal-string", "exponent-string", "null", "list"],
 )
 @pytest.mark.parametrize("field", ["peak", "right_slope", "endowments"])
 def test_parse_memo_keeps_every_refusal(tmp_path, capsys, value, message, field):
@@ -423,10 +425,21 @@ def test_allocate_takes_no_sampling_flags(om_file, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_realloc_without_endowments_rejected(om_file, capsys):
+def test_realloc_without_endowments_rejected(om_file, tmp_path, capsys):
     code, _, err = run(capsys, "allocate", om_file, "realloc:cea")
     assert code == 2
     assert "endowments" in err
+    # a file with fewer endowments than agents is refused as it is read
+    short = tmp_path / "short.json"
+    short.write_text(
+        '{"omega": "2", "agents": [{"peak": "1"}, {"peak": "1"}], '
+        '"endowments": ["2"]}'
+    )
+    assert run(capsys, "allocate", str(short), "realloc:cea") == (
+        2,
+        "",
+        "error: one endowment per agent required\n",
+    )
     # a check that reads endowments refuses the file before any rule runs
     for rule, axiom in (
         ("realloc:cea", "symmetry"),

@@ -396,6 +396,10 @@ def test_integer_allotment_equals_the_constructed_one():
         scaled()[2]
     with pytest.raises(AttributeError):
         x.omega = F(2)
+    with pytest.raises(
+        dataclasses.FrozenInstanceError, match="^cannot delete field 'omega'$"
+    ):
+        del x.omega
     assert pickle.loads(pickle.dumps(scaled())) == built
 
 
@@ -410,6 +414,9 @@ def test_endowments_must_sum_to_omega():
     # a negative endowment is refused before the sum is read
     with pytest.raises(ValueError, match="^endowments must be nonnegative$"):
         econ([1, 1], 2, (F(-1), F(3)))
+    # so is a tuple with fewer endowments than agents
+    with pytest.raises(ValueError, match="^one endowment per agent required$"):
+        econ([1, 1], 2, (F(2),))
     e = econ([1, 1], 2, (F(1, 2), F(3, 2)))
     assert e.endowments == (F(1, 2), F(3, 2))
 

@@ -32,7 +32,7 @@ from allotment.manipulation import (
     option_set_simple,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rational import RationalParseError
+from allotment.rational import RationalParseError, _scaled
 from allotment.rules import (
     DOMAIN_SP,
     DOMAIN_SP_ENDOWMENTS,
@@ -160,7 +160,7 @@ def test_opponent_profiles_match_oracle(grid_step):
                     assert got == expected, (pref.peak, omega, n)
                     # a shared profile's numerators are its peaks over the
                     # families' D; an off-grid end's profile has none
-                    common = _shared_families(*args)[0]
+                    common = _shared_families(*args, 1)[0]
                     for opponents, numerators in profiles:
                         peaks = tuple(p.peak for p in opponents)
                         if numerators is None:
@@ -547,19 +547,48 @@ def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
         assert len(built) == 1 + off_grid
         ends = built[1:]
         # a witness read once builds its economy once, through the public
-        # constructor, unless an off-grid end's economy is the witness;
-        # every read returns the same object
+        # constructor, and never is an off-grid end's economy; every read
+        # returns the same object
         built.clear()
-        kept = 0
         for outcome in oset.outcomes:
             first = oset.witnesses[outcome]
-            kept += any(first is end for end in ends)
+            assert not any(first is end for end in ends)
             assert oset.witnesses[outcome] is first
             assert oset.replay(outcome)
-        assert len(built) == len(oset.outcomes) - kept
+        assert len(built) == len(oset.outcomes)
         assert oset.witnesses == dict(oset.witnesses.items())
-        assert len(built) == len(oset.outcomes) - kept
+        assert len(built) == len(oset.outcomes)
     assert off_grid_sets > 0
+
+
+def test_a_refined_report_reads_the_scale_one_profiles_rescaled():
+    # a report whose peak refines the families' D reads the scale-1
+    # profiles, the same opponent objects, with every numerator times the
+    # factor; the two entries share one cache
+    refined = 0
+    for peak, omega, n in c04_cases():
+        pref = SinglePeaked(peak)
+        family = _shared_families(omega, n, 60, 1)[0]
+        scale = _scaled([peak, omega], family)[0] // family
+        if scale == 1:
+            continue
+        refined += 1
+        common = _shared_families(omega, n, 60, scale)[0]
+        pairs = zip(
+            _opponent_profiles(pref, omega, n, 60, scale),
+            _opponent_profiles(pref, omega, n, 60, 1),
+            strict=True,
+        )
+        for (opponents, numerators), (base, base_numerators) in pairs:
+            assert (numerators is None) == (base_numerators is None)
+            if numerators is not None:
+                assert opponents is base
+                peaks = tuple(F(x, common) for x in numerators)
+                assert peaks == tuple(p.peak for p in opponents)
+        _shared_families.cache_clear()
+        option_set_sampled(ced, 0, pref, omega, n)
+        assert _shared_families.cache_info().currsize == 2
+    assert refined > 0
 
 
 @pytest.mark.parametrize(
@@ -988,6 +1017,16 @@ def test_plateaued_true_preference_rejected():
     for rule in (uniform, ced):
         with pytest.raises(ValueError, match="single-peaked"):
             find_obvious_manipulation(rule, 0, pref, F(1), 2, grid_step=6)
+
+
+@pytest.mark.parametrize("rule", [uniform, ced], ids=["simple", "sampled"])
+def test_both_doors_refuse_a_plateau_report_in_one_text(rule):
+    pref = SinglePlateaued(F(1, 4), F(1, 2))
+    message = "sampled option sets need a single-peaked report, got SinglePlateaued"
+    for door in (option_set_sampled, find_obvious_manipulation):
+        with pytest.raises(ValueError) as refused:
+            door(rule, 0, pref, F(1), 2, grid_step=6)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("step", [0, -3, True, 2.5, "6"])
