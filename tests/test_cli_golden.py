@@ -11,8 +11,9 @@ economy comes from the misreport's sampled set), `check` of the two
 reference-point guarantees, and `check` of own-peak-only for
 `gallery:underline` (a FAIL whose witness and slope-perturbed economy are
 pinned) and for `uniform` (a PASS) on the economy that triggers underline,
-in both output formats. A refactor of the rules must leave every byte as
-it is.
+and `check` of own-peak-only (a PASS) and symmetry (a FAIL) for
+`gallery:bar` on drawn economies, in both output formats. A refactor of
+the rules must leave every byte as it is.
 
 After an intended change of output, rewrite the golden file with
 
@@ -184,6 +185,14 @@ def cases():
         )
         found.append(
             ["check", "underline", "uniform", "--axioms", "own-peak-only"] + tail
+        )
+        # own-peak-only and symmetry of gallery:bar on drawn economies: each
+        # slope variant has its base economy's peaks, so bar passes the
+        # first and fails the second
+        found.append(
+            ["check", "demand", "gallery:bar", "--axioms", "own-peak-only,symmetry"]
+            + ["--random", "30", "--seed", "1", "--expect-fail", "symmetry"]
+            + tail
         )
     return [(" ".join(argv), argv) for argv in found]
 
