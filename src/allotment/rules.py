@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -58,18 +58,19 @@ class Rule:
 
     `simple` is derived, never passed: True exactly when `allocate`
     carries the mark `_simple_rule` puts on each function it builds, for
-    this rule's own `domain`. That is sound by construction: every call
-    checks each award in [0, claim], so each amount lies between the
-    agent's reference point r and peak, and at the reference profile
-    (every other peak at its own r) E is 0, so the agent gets r whatever
-    it reports: r is in every option set and is the truthful worst, and
-    NOM holds without a search. The other mark is `_kernel`
-    (`_of_kernel`): the sampled option sets run it in place of the rule
-    after one `check_domain`. Every allocate marked simple around equal
-    division (`DOMAIN_SP`) has one, so it reads a plateau economy's
-    effective peaks, and `check_domain` lets such a rule take economies
-    of single-plateaued agents. Every rule takes single-peaked ones of at
-    least `min_agents` agents (samplers and checkers skip smaller ones).
+    this rule's own `domain`. That is sound by construction: every
+    allotment it returns had each award checked in [0, claim] when its
+    profile was run, so each amount lies between the agent's reference
+    point r and peak, and at the reference profile (every other peak at
+    its own r) E is 0, so the agent gets r whatever it reports: r is in
+    every option set and is the truthful worst, and NOM holds without a
+    search. The other mark is `_kernel` (`_of_kernel`): the sampled
+    option sets run it in place of the rule after one `check_domain`.
+    Every allocate marked simple around equal division (`DOMAIN_SP`) has
+    one, so it reads a plateau economy's effective peaks, and
+    `check_domain` lets such a rule take economies of single-plateaued
+    agents. Every rule takes single-peaked ones of at least `min_agents`
+    agents (samplers and checkers skip smaller ones).
     """
 
     name: str
@@ -117,11 +118,21 @@ class Rule:
 def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
     """The allocate function of an integer kernel (D, peaks, omega) ->
     (unit, amounts), run on the economy's integer profile, and carrying
-    the kernel as `_kernel` for `manipulation._sample` to run."""
+    the kernel as `_kernel` for `manipulation._sample` to run.
+
+    `allocate` keeps its last run: a kernel is a deterministic function
+    of (D, peaks, omega) alone, so an economy with the same integer
+    profile as the last one, such as an own-peak-only slope variant of
+    it, reuses that (unit, amounts), which no caller mutates. A refusal
+    is not kept, so it is raised again. `Allotment._of_scaled` still
+    checks feasibility on every call; a simple rule's awards are checked
+    when its kernel runs. `_kernel` stays the raw kernel, as `_sample`
+    runs each opponent profile once and would only pay for the hashing."""
+    cached = lru_cache(maxsize=1)(kernel)
 
     def allocate(econ: Economy) -> Allotment:
         common, peaks, omega, _ = econ._integer_profile()
-        return Allotment._of_scaled(*kernel(common, peaks, omega), econ.omega)
+        return Allotment._of_scaled(*cached(common, peaks, omega), econ.omega)
 
     allocate._kernel = kernel
     return allocate
@@ -140,8 +151,11 @@ def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Ru
     excess supply) by their award. `division(claims, E, D, split)` returns
     (awards, scale), over D * scale, for the claims |peak - reference| of
     the non-simple agents as the split lists them; a claims-rule core reads
-    the first three only. Every call checks the awards (`_check_awards`):
-    a division that leaves [0, claim] or misses E is refused, not trusted.
+    the first three only. Every run of the division checks its awards
+    (`_check_awards`), so every allotment returned had its awards checked
+    when its profile was run: a division that leaves [0, claim] or misses
+    E is refused, not trusted, and refused again on a repeat, as
+    `_of_kernel` keeps no refusal.
     """
 
     def divide(split):
@@ -171,7 +185,10 @@ def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Ru
 
 def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
     """The simple rule driven by the given claims rule, around equal
-    division omega/n."""
+    division omega/n. A custom claims rule must be a function of its
+    problem: the rule keeps its last run (`_of_kernel`), so an economy
+    whose integer profile equals the last one's reuses that allotment and
+    does not hand the claims rule its problem again."""
     rule_name = name or f"simple:{getattr(claims_rule, '__name__', 'custom')}"
     return _simple_rule(_core(claims_rule), rule_name)
 

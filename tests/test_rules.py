@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 import allotment.rules as rules_module
-from allotment.axioms import NO_CASES, check_betweenness, check_symmetry
+from allotment.axioms import (
+    NO_CASES,
+    check_betweenness,
+    check_own_peak_only,
+    check_symmetry,
+)
 from allotment.claims import Awards, _awards, _cea, cea, cel, pro
-from allotment.economy import Economy, _split_scaled
+from allotment.economy import Allotment, Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP,
@@ -29,6 +34,7 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import (
+    SLOPE_CATALOGUE,
     random_claims_problem,
     random_economy,
     random_plateaued_economy,
@@ -712,6 +718,53 @@ def test_simple_around_equal_division_implies_a_kernel():
     for rule in rules:
         if rule.simple and rule.domain == DOMAIN_SP:
             assert callable(rule.allocate._kernel), rule.name
+
+
+def test_a_kernel_runs_once_per_integer_profile():
+    # own-peak-only's slope variants inherit their base economy's integer
+    # profile, so the kernel runs once per economy checked; the kept run
+    # is the last one only, so e1, e2, e1 runs it three times
+    runs = []
+    kernel = uniform.allocate._kernel
+
+    def counted(*profile):
+        runs.append(profile)
+        return kernel(*profile)
+
+    allocate = rules_module._of_kernel(counted)
+    assert allocate._kernel is counted
+    rule = Rule("counted", allocate)
+    report = check_own_peak_only(rule, standard_suite(0, 200)[:40])
+    assert report.checked == 40 and not report.failed
+    assert len(runs) == report.checked
+    runs.clear()
+    for e in (THREE_AGENT, econ([1, 2, 3], 3), THREE_AGENT):
+        assert tuple(rule(e)) == tuple(uniform(e))
+    assert len(runs) == 3
+
+
+def test_a_kernel_rule_returns_no_stale_allotment():
+    # base economy, a slope variant with its profile, the next economy and
+    # the base again: each call equals a fresh run of the raw kernel
+    rules = [get_rule(name) for name in RULE_NAMES]
+    rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
+    rules = [r for r in rules if hasattr(r.allocate, "_kernel")]
+    kernels = {"ced", "proportional", "gallery:bar", "gallery:equal_division"}
+    kernels |= {"gallery:hat", "gallery:star", "uniform", "simple:appendix-b[lo]"}
+    assert kernels <= {r.name for r in rules}
+    suite = standard_suite(10, 48)
+    for rule in rules:
+        kernel = rule.allocate._kernel
+        econs = [e for e in suite if e.n >= rule.min_agents]
+        for e, following in zip(econs, econs[1:]):
+            own = (e.prefs[0].left_slope, e.prefs[0].right_slope)
+            slopes = next(s for s in SLOPE_CATALOGUE if s != own)
+            variant = e.replace_pref(0, SinglePeaked(e.prefs[0].peak, *slopes))
+            for x in (e, variant, following, e):
+                fresh = Allotment._of_scaled(
+                    *kernel(*x._integer_profile()[:3]), x.omega
+                )
+                assert rule(x) == fresh, rule.name
 
 
 @pytest.mark.parametrize("domain", ["sp", "SPL", "", None])
