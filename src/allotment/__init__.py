@@ -1,7 +1,7 @@
 """Exact-arithmetic allotment rules for single-peaked economies.
 
 Divides a non-disposable commodity among agents with single-peaked (or
-single-plateaued) preferences, entirely in exact rational arithmetic:
+single-plateaued, peaks mixed in) preferences, in exact rational arithmetic:
 classical rules, the simple-rule family built from claims rules, axiom
 checkers, and obvious-manipulation detection with option sets.
 """

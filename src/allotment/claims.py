@@ -11,8 +11,8 @@ awards over D*scale: min(c*k, p) and max(c*k - p, 0) at the level p / (D*k)
 of the levels module's integer scan, and c*E over D times the total. Each
 ignores any further argument. `_core` is the one integer entry of any claims
 rule: a built-in core, or an adapter that runs any other rule on a
-`ClaimsProblem`. One integer check (`_check_awards`) refuses an award outside
-[0, claim] or awards that miss E, once per call of a public or simple rule.
+`ClaimsProblem`. `_check_awards` refuses awards off [0, claim] or off E,
+once per public call and per distinct consecutive profile of a simple rule.
 """
 
 from __future__ import annotations

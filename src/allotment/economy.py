@@ -3,8 +3,8 @@
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
 
-An economy's integer profile -- the peaks (a single-plateaued economy's
-effective peaks), omega and the endowments (None when there are none) as
+An economy's integer profile -- the peaks (effective peaks once any agent
+has a plateau), omega and the endowments (None when there are none) as
 numerators over one denominator D -- is computed the first time it is
 read (`Economy._integer_profile`), or inherited from the economy it was
 made from when `Economy.replace_pref` changes one agent's slopes and keeps
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .levels import _clamp_level
-from .preferences import Preference, SinglePeaked, SinglePlateaued
+from .preferences import Preference, SinglePeaked
 from .rational import _scaled, exact_sum, parse_rational
 
 
@@ -90,10 +90,6 @@ class Economy:
     def is_single_peaked(self) -> bool:
         return self._peaks is not None
 
-    @property
-    def is_single_plateaued(self) -> bool:
-        return all(isinstance(p, SinglePlateaued) for p in self.prefs)
-
     def peaks(self) -> Tuple[Fraction, ...]:
         if self._peaks is None:
             raise ValueError("peaks() requires single-peaked preferences")
@@ -103,16 +99,17 @@ class Economy:
         """(D, peaks, omega, endowments): the peaks, omega and the
         endowments (None when there are none) as integers over their least
         common denominator D (`rational._scaled`), computed on first read
-        and kept. Plateaus read as effective peaks: the low ends if they
-        sum to at least omega, the high ends if at most omega, otherwise
-        each plateau clamped at one level (`levels._clamp_level`), over
-        D * k. These sum to omega, so a simple rule's non-simple agents
+        and kept. Unless all agents are single-peaked, each reads as a plateau
+        (a peak as one of width zero), and the effective peaks are the low
+        ends if they sum to at least omega, the high ends if at most omega,
+        otherwise each plateau clamped at one level (`levels._clamp_level`),
+        over D * k. These sum to omega, so a simple rule's non-simple agents
         divide E = the sum of their claims, `claims._check_awards` makes
         every award its claim, and the rule returns the peaks unchanged:
         so every simple rule around equal division takes plateaus."""
         if self._integers is None:
             n, endowments = self.n, self.endowments
-            plateaus = self._peaks is None and self.is_single_plateaued
+            plateaus = self._peaks is None
             lows = [p.plateau_lo for p in self.prefs] if plateaus else self.peaks()
             highs = [p.plateau_hi for p in self.prefs] if plateaus else ()
             common, scaled = _scaled([*lows, *highs, self.omega, *(endowments or ())])
@@ -120,7 +117,7 @@ class Economy:
             peaks, hi, omega, rest = scaled[:n], scaled[n:m], scaled[m], scaled[m + 1 :]
             if plateaus and sum(hi) <= omega:
                 peaks = hi
-            elif plateaus and sum(peaks) < omega:  # every plateau straddles
+            elif plateaus and sum(peaks) < omega:  # omega between the ends' sums
                 level, k = _clamp_level(peaks, hi, omega)
                 common, omega, rest = common * k, omega * k, [w * k for w in rest]
                 peaks = [min(h * k, max(l * k, level)) for l, h in zip(peaks, hi)]

@@ -1,9 +1,10 @@
 """Single-peaked and single-plateaued preferences with exact comparisons.
 
 A preference is a two-slope piecewise-linear disutility: zero at the peak
-(or on the plateau), increasing linearly away from it on each side. Two
-slopes are enough to realize every ordinal comparison pattern the allotment
-rules and checkers consult, and keep every comparison exact.
+(or on the plateau; a peak is a plateau of width zero, so a profile may
+mix both), increasing linearly away from it on each side. Two slopes are
+enough to realize every ordinal comparison pattern the allotment rules
+and checkers consult, and keep every comparison exact.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class SinglePeaked:
         if x <= self.peak:
             return self.left_slope * (self.peak - x)
         return self.right_slope * (x - self.peak)
+
+    @property
+    def plateau_lo(self) -> Fraction:  # both ends of a plateau of width zero
+        return self.peak
+
+    plateau_hi = plateau_lo
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ Every rule that reads only peaks is one integer kernel, from which its
 `allocate` is derived (`_of_kernel`). The reallocation rules and
 gallery:underline, which also read the endowments or a slope, run on the
 same integer profile of the economy (`Economy._integer_profile`), which
-holds a single-plateaued economy's effective peaks: so the simple rules
-around equal division, all kernels, take plateaus, and `spl:cea|cel|pro`
-are the simple rules of cea, cel and pro under a second name.
+holds plateaus' effective peaks (a peak is a plateau of width zero): so
+the simple rules around equal division, all kernels, take plateaus, and
+`spl:cea|cel|pro` are simple:cea|cel|pro under a second name.
 
 Every rule takes full preferences (own-peak-onliness is checked, not built
 in) and returns an exactly feasible allotment on its declared domain; whether
@@ -68,8 +68,8 @@ class Rule:
     option sets run it in place of the rule after one `check_domain`.
     Every allocate marked simple around equal division (`DOMAIN_SP`) has
     one, so it reads a plateau economy's effective peaks, and
-    `check_domain` lets such a rule take economies of single-plateaued
-    agents. Every rule takes single-peaked ones of at least `min_agents`
+    `check_domain` lets such a rule take single-plateaued economies, peaks
+    mixed in. Every rule takes single-peaked ones of at least `min_agents`
     agents (samplers and checkers skip smaller ones).
     """
 
@@ -102,14 +102,9 @@ class Rule:
             )
 
     def check_domain(self, econ: Economy) -> None:
-        if not econ.is_single_peaked:
-            if not (self.simple and self.domain == DOMAIN_SP):
-                raise ValueError(f"rule {self.name} needs single-peaked preferences")
-            if not econ.is_single_plateaued:
-                raise ValueError(
-                    f"rule {self.name} needs every agent single-peaked"
-                    " or every agent single-plateaued"
-                )
+        """Refuse an economy off this rule's domain (see `Rule`)."""
+        if not (econ.is_single_peaked or self.simple and self.domain == DOMAIN_SP):
+            raise ValueError(f"rule {self.name} needs single-peaked preferences")
         if self.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is None:
             raise ValueError(f"rule {self.name} needs individual endowments")
         self._check_agents(econ.n)

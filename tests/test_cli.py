@@ -23,7 +23,7 @@ from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import RULE_NAMES, Rule, get_rule
 from allotment.sampling import random_plateaued_economy
-from helpers import economies
+from helpers import economies, spl_extension_oracle
 
 OM_ECONOMY = {
     "omega": "1",
@@ -1100,7 +1100,7 @@ def test_spl_rules_answer_as_their_twins_on_peaks(three_file, capsys, rule, comm
     assert run(capsys, command, three_file, twin, "2") == expected
 
 
-# the rules simple around equal division, which take plateaus but no mix
+# the rules simple around equal division, which take plateaus, peaks mixed in
 SIMPLE_AROUND_EQUAL_DIVISION = {
     "uniform",
     "simple:cea",
@@ -1115,7 +1115,7 @@ SIMPLE_AROUND_EQUAL_DIVISION = {
 
 
 @pytest.mark.parametrize("name", RULE_NAMES)
-def test_every_rule_refuses_a_mix_of_peaks_and_plateaus(tmp_path, capsys, name):
+def test_every_rule_on_a_mix_of_peaks_and_plateaus(tmp_path, capsys, name):
     path = tmp_path / "mixed.json"
     path.write_text(
         json.dumps(
@@ -1130,11 +1130,83 @@ def test_every_rule_refuses_a_mix_of_peaks_and_plateaus(tmp_path, capsys, name):
             }
         )
     )
-    code, out, err = run(capsys, "allocate", str(path), name)
-    assert (code, out) == (2, "")
+    code, out, err = run(capsys, "allocate", str(path), name, "--format", "machine")
     rule = get_rule(name)
     if name in SIMPLE_AROUND_EQUAL_DIVISION:
-        domain = "every agent single-peaked or every agent single-plateaued"
+        # a peak is a plateau of width zero: each agent by its effective peak
+        assert (code, err) == (0, "")
+        expected = spl_extension_oracle(rule, load_economy(str(path)))
+        assert [F(a) for a in json.loads(out)["allotment"]] == list(expected)
     else:
-        domain = "single-peaked preferences"
-    assert err == f"error: rule {rule.name} needs {domain}\n"
+        assert (code, out) == (2, "")
+        assert err == f"error: rule {rule.name} needs single-peaked preferences\n"
+
+
+# a peak below equal division and a plateau above it under excess demand,
+# and a plateau clamped at 3/2 between two peaks under excess supply
+MIXED = {
+    "mixed-demand": {
+        "omega": "3",
+        "agents": [
+            {"peak": "1/2"},
+            {"plateau_lo": "3/2", "plateau_hi": "2"},
+            {"peak": "2"},
+        ],
+    },
+    "mixed-straddle": {
+        "omega": "3",
+        "agents": [
+            {"peak": "1/2"},
+            {"plateau_lo": "1", "plateau_hi": "3"},
+            {"peak": "1"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "economy, name, amounts",
+    [
+        ("mixed-demand", "spl:cea", "1/2, 5/4, 5/4"),
+        ("mixed-demand", "spl:cel", "1/2, 1, 3/2"),
+        ("mixed-demand", "spl:pro", "1/2, 7/6, 4/3"),
+        *(
+            ("mixed-straddle", name, "1/2, 3/2, 1")
+            for name in sorted(SIMPLE_AROUND_EQUAL_DIVISION)
+        ),
+    ],
+)
+def test_mixed_economies_allocate_by_effective_peaks(
+    tmp_path, capsys, economy, name, amounts
+):
+    path = tmp_path / f"{economy}.json"
+    path.write_text(json.dumps(MIXED[economy]))
+    code, out, err = run(capsys, "allocate", str(path), name)
+    assert (code, err) == (0, "")
+    assert f"\nallotment: {amounts}\n" in out
+    expected = spl_extension_oracle(get_rule(name), load_economy(str(path)))
+    assert ", ".join(map(str, expected)) == amounts
+
+
+def test_check_on_a_mix_of_peaks_and_plateaus(tmp_path, capsys):
+    # the peak-free checkers take the mix; efficiency and nom read peaks
+    path = tmp_path / "mixed-demand.json"
+    path.write_text(json.dumps(MIXED["mixed-demand"]))
+    check = ("check", str(path), "spl:cea", "--axioms")
+    assert run(capsys, *check, "symmetry,envy-free,edlb") == (
+        0,
+        "symmetry: PASS_ON_SAMPLE\nenvy-free: PASS_ON_SAMPLE\nedlb: PASS_ON_SAMPLE\n",
+        "",
+    )
+    assert run(capsys, *check, "efficiency") == (
+        2,
+        "",
+        "error: efficiency reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n",
+    )
+    assert run(capsys, *check, "nom") == (
+        2,
+        "",
+        "error: obvious manipulation (nom) is checked on the single-peaked"
+        " domain only; this economy has single-plateaued agents\n",
+    )

@@ -50,6 +50,7 @@ from helpers import (
     economies,
     max_level_oracle,
     min_level_oracle,
+    pareto_improvement_on_grid,
     proportional_oracle,
     sequential_allotment_oracle,
     simple_rule_oracle,
@@ -653,6 +654,36 @@ def test_plateaus_match_the_reduced_economy_route(base):
             assert tuple(base(e)) == spl_extension_oracle(base, e)
 
 
+def test_a_peak_is_a_plateau_of_width_zero():
+    # each zero-width plateau drawn becomes the peak it stands for: the
+    # result is a mix of peaks and plateaus, or all peaks, which reads its
+    # integer profile from the peaks alone
+    rng = random.Random(89)
+    mixed = peaked = 0
+    for _ in range(300):
+        e = random_plateaued_economy(rng)
+        swapped = Economy(
+            tuple(
+                SinglePeaked(p.plateau_lo, p.left_slope, p.right_slope)
+                if p.plateau_lo == p.plateau_hi
+                else p
+                for p in e.prefs
+            ),
+            e.omega,
+        )
+        if swapped == e:
+            continue
+        mixed += not swapped.is_single_peaked
+        peaked += swapped.is_single_peaked
+        for base in SPL_BASES:
+            if e.n >= base.min_agents:
+                x = tuple(base(swapped))
+                assert x == tuple(base(e)) == spl_extension_oracle(base, swapped)
+        if e.n <= 3:
+            assert pareto_improvement_on_grid(swapped, uniform(swapped), 24) is None
+    assert mixed > 0 and peaked > 0
+
+
 def test_bar_on_plateaus_needs_three_agents():
     bar = gallery("bar")
     assert bar.min_agents == 3
@@ -1055,7 +1086,7 @@ def test_get_rule_registry():
 
 def test_domain_mismatch_rejected():
     mixed = Economy((SinglePeaked(F(1)), SinglePlateaued(F(0), F(1))), F(1))
-    with pytest.raises(ValueError):
-        get_rule("spl:cea")(mixed)
+    # a mix of peaks and plateaus is in the domain: the low ends sum to omega
+    assert tuple(get_rule("spl:cea")(mixed)) == (F(1), F(0))
     with pytest.raises(ValueError):
         get_rule("realloc:cea")(THREE_AGENT)
