@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
 from .economy import Economy, _split_scaled
@@ -150,13 +151,16 @@ def check_own_peak_only(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
 
 
 def check_symmetry(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
-    """Agents with identical preferences must be indifferent between their
+    """Agents with identical preferences (the same plateau ends and slopes:
+    a peak is a plateau of width zero) must be indifferent between their
     amounts (exact disutility equality, not equality of amounts)."""
+    shape = attrgetter("plateau_lo", "plateau_hi", "left_slope", "right_slope")
 
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
+        kinds = list(map(shape, econ.prefs))
         for i, j in itertools.combinations(range(econ.n), 2):
-            if econ.prefs[i] != econ.prefs[j]:
+            if kinds[i] != kinds[j]:
                 continue
             pref = econ.prefs[i]
             if pref.disutility(x[i]) != pref.disutility(x[j]):

@@ -40,10 +40,10 @@ refuse bad inputs once, before any profile is built, in one check and
 one set of texts (a report that is not single-peaked, the rule's minimum
 agent count, the economy's size and endowment, the agent index).
 `_sample` then runs each profile through one branch: a rule's integer
-kernel (`rules._of_kernel`; every registered rule that reads only peaks
-has one) runs, after one domain check per set, on the integers of every
-profile that has them, and every other run (an off-grid end, or any run
-of gallery:underline, which reads a slope, or of a custom rule) is a
+kernel (`rules._of_kernel`; every registered rule but gallery:underline,
+which reads a slope, has one) runs, after one domain check per set, on
+the integers of every profile that has them, and every other run (an
+off-grid end, or any run of gallery:underline or of a custom rule) is a
 call of the rule on the profile's economy. Every economy comes through
 the public constructor, feasibility is checked on every run, and the
 first witness of each outcome is kept as its preference profile, whose
@@ -312,7 +312,7 @@ def _sample(
         prefs = opponents[:agent] + (pref,) + opponents[agent:]
         if kernel is not None and numerators is not None:
             peaks = numerators[:agent] + (report,) + numerators[agent:]
-            unit, amounts = kernel(common, peaks, total)
+            unit, amounts = kernel(common, peaks, total, None)
         else:
             allotment = rule(Economy(prefs, omega))
             unit, amounts = allotment._common, allotment._numerators

@@ -23,21 +23,21 @@ private `_scaled`: the level scans, an economy's integer profile
 peaks, omega and the endowments, computed once per economy), the split
 on it (`economy._split_scaled`), the integer entry of the claims rules
 (`claims._core`), the rules' integer kernels (`rules._of_kernel`: every
-rule that reads only peaks, and through the profile the simple rules on
-plateaus), the reallocation rules and gallery:underline, and the
-sampled option sets (`manipulation._sample`), which keep each shared
-opponent profile's peaks over one D (`manipulation._shared_families`,
-which also caches them times the factor by which a report's peak
-refines D), run a rule's kernel on them, and read every other run's
-outcome from its allotment's integers. A Fraction is
-built only where a value leaves the integers (a level, an award, an
-amount that is read, a sampled set's distinct outcome, which the sampler
-keys and sorts as its reduced integer pair, so it never hashes one) or
-where a custom claims rule reads its `ClaimsProblem`. `exact_sum` is
-`_scaled` plus one Fraction, and the rule path takes every other sum it
-checks or divides through it. Every public value stays a Fraction. A Fraction has the sign of its numerator, so
-where the rule path still holds Fractions it tests signs as
-`x.numerator < 0`, which skips the comparison's type check.
+rule but gallery:underline, which runs on the profile too, and through
+it the simple rules on plateaus), and the sampled option sets
+(`manipulation._sample`), which keep each shared opponent profile's
+peaks over one D (`manipulation._shared_families`, which also caches
+them times the factor by which a report's peak refines D), run a rule's
+kernel on them, and read every other run's outcome from its allotment's
+integers. A Fraction is built only where a value leaves the integers (a
+level, an award, an amount that is read, a sampled set's distinct
+outcome, which the sampler keys and sorts as its reduced integer pair,
+so it never hashes one) or where a custom claims rule reads its
+`ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the
+rule path takes every other sum it checks or divides through it. Every
+public value stays a Fraction. A Fraction has the sign of its
+numerator, so where the rule path still holds Fractions it tests signs
+as `x.numerator < 0`, which skips the comparison's type check.
 """
 
 from __future__ import annotations

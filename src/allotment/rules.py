@@ -14,12 +14,12 @@ uniform is the simple rule of cea. ced and proportional run the cel and
 pro cores on the peaks, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
 
-Every rule that reads only peaks is one integer kernel, from which its
-`allocate` is derived (`_of_kernel`). The reallocation rules and
-gallery:underline, which also read the endowments or a slope, run on the
-same integer profile of the economy (`Economy._integer_profile`), which
-holds plateaus' effective peaks (a peak is a plateau of width zero): so
-the simple rules around equal division, all kernels, take plateaus, and
+Every rule but gallery:underline, which also reads a slope, is one
+integer kernel over the economy's integer profile (D, peaks, omega,
+endowments) (`Economy._integer_profile`), from which its `allocate` is
+derived (`_of_kernel`); only the reallocation kernels read endowments.
+The profile holds plateaus' effective peaks (a peak is a plateau of width
+zero): so the simple rules around equal division take plateaus, and
 `spl:cea|cel|pro` are simple:cea|cel|pro under a second name.
 
 Every rule takes full preferences (own-peak-onliness is checked, not built
@@ -66,8 +66,8 @@ class Rule:
     every option set and is the truthful worst, and NOM holds without a
     search. The other mark is `_kernel` (`_of_kernel`): the sampled
     option sets run it in place of the rule after one `check_domain`.
-    Every allocate marked simple around equal division (`DOMAIN_SP`) has
-    one, so it reads a plateau economy's effective peaks, and
+    Every allocate marked simple has one; around equal division
+    (`DOMAIN_SP`) it reads a plateau economy's effective peaks, so
     `check_domain` lets such a rule take single-plateaued economies, peaks
     mixed in. Every rule takes single-peaked ones of at least `min_agents`
     agents (samplers and checkers skip smaller ones).
@@ -111,23 +111,22 @@ class Rule:
 
 
 def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
-    """The allocate function of an integer kernel (D, peaks, omega) ->
-    (unit, amounts), run on the economy's integer profile, and carrying
-    the kernel as `_kernel` for `manipulation._sample` to run.
+    """The allocate function of an integer kernel (D, peaks, omega,
+    endowments) -> (unit, amounts), run on the economy's integer profile,
+    and carrying the kernel as `_kernel` for `manipulation._sample` to run.
 
     `allocate` keeps its last run: a kernel is a deterministic function
-    of (D, peaks, omega) alone, so an economy with the same integer
-    profile as the last one, such as an own-peak-only slope variant of
-    it, reuses that (unit, amounts), which no caller mutates. A refusal
-    is not kept, so it is raised again. `Allotment._of_scaled` still
-    checks feasibility on every call; a simple rule's awards are checked
-    when its kernel runs. `_kernel` stays the raw kernel, as `_sample`
-    runs each opponent profile once and would only pay for the hashing."""
+    of its profile alone, so an economy with the same integer profile as
+    the last one, such as an own-peak-only slope variant of it, reuses
+    that (unit, amounts), which no caller mutates. A refusal is not kept,
+    so it is raised again. `Allotment._of_scaled` still checks
+    feasibility on every call; a simple rule's awards are checked when its
+    kernel runs. `_kernel` stays the raw kernel, as `_sample` runs each
+    opponent profile once and would only pay for the hashing."""
     cached = lru_cache(maxsize=1)(kernel)
 
     def allocate(econ: Economy) -> Allotment:
-        common, peaks, omega, _ = econ._integer_profile()
-        return Allotment._of_scaled(*cached(common, peaks, omega), econ.omega)
+        return Allotment._of_scaled(*cached(*econ._integer_profile()), econ.omega)
 
     allocate._kernel = kernel
     return allocate
@@ -153,7 +152,12 @@ def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Ru
     `_of_kernel` keeps no refusal.
     """
 
-    def divide(split):
+    def kernel(common, peaks, omega, endowments):
+        if domain == DOMAIN_SP:
+            endowments = None  # around equal division
+        elif endowments is None:
+            raise ValueError(f"rule {name} needs individual endowments")
+        split = _split_scaled(common, peaks, omega, endowments)
         common, peaks, scaled, z, left, _, minus = split
         claims = [abs(peaks[i] - scaled[i]) for i in minus]
         awards, scale = division(claims, abs(left), common, split)
@@ -164,16 +168,7 @@ def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Ru
             amounts[i] = r + nu if z >= 0 else r - nu
         return common * scale, amounts
 
-    if domain == DOMAIN_SP_ENDOWMENTS:
-
-        def allocate(econ: Economy) -> Allotment:
-            if econ.endowments is None:
-                raise ValueError(f"rule {name} needs individual endowments")
-            split = _split_scaled(*econ._integer_profile())  # around endowments
-            return Allotment._of_scaled(*divide(split), econ.omega)
-
-    else:  # around equal division: the split of the integer profile
-        allocate = _of_kernel(lambda *profile: divide(_split_scaled(*profile)))
+    allocate = _of_kernel(kernel)
     allocate._simple_domain = domain  # read by `Rule`: the rule is simple
     return Rule(name, allocate, domain=domain)
 
@@ -201,7 +196,7 @@ def simple_reallocation_from_claims(
 # three classical rules, on the claims-rule cores
 
 
-def _ced(common: int, peaks: Sequence[int], omega: int):
+def _ced(common: int, peaks: Sequence[int], omega: int, _):
     z = sum(peaks) - omega
     if z >= 0:
         # equal losses from the peaks: the cuts total the excess demand
@@ -212,14 +207,14 @@ def _ced(common: int, peaks: Sequence[int], omega: int):
     return common * n, [p * n - z for p in peaks]
 
 
-def _equal_division(common: int, peaks: Sequence[int], omega: int):
+def _equal_division(common: int, peaks: Sequence[int], omega: int, _):
     n = len(peaks)
     return common * n, [omega] * n
 
 
-def _proportional(common: int, peaks: Sequence[int], omega: int):
+def _proportional(common: int, peaks: Sequence[int], omega: int, _):
     if not any(peaks):
-        return _equal_division(common, peaks, omega)
+        return _equal_division(common, peaks, omega, None)
     amounts, scale = _pro(peaks, omega, common)
     return common * scale, amounts
 
@@ -346,13 +341,13 @@ def _in_order(core: ClaimsCore, order, claims, endowment, common, split):
 _uniform = uniform.allocate._kernel
 
 
-def _star(common: int, peaks: Sequence[int], omega: int):
+def _star(common: int, peaks: Sequence[int], omega: int, _):
     # first two agents absorb omega when their peaks split it exactly and
     # every other peak differs from both
     first, second = peaks[0], peaks[1]
     if first + second == omega and all(p not in (first, second) for p in peaks[2:]):
         return common, [first, second] + [0] * (len(peaks) - 2)
-    return _uniform(common, peaks, omega)
+    return _uniform(common, peaks, omega, None)
 
 
 def _bar(claims, endowment, common, split):
@@ -365,11 +360,11 @@ def _bar(claims, endowment, common, split):
     return _cea(claims, endowment, common)
 
 
-def _hat(common: int, peaks: Sequence[int], omega: int):
+def _hat(common: int, peaks: Sequence[int], omega: int, _):
     # under excess supply the minimum-peak agents soak up the whole residual,
     # which may leave them beyond equal division (no clamping)
     if sum(peaks) >= omega:
-        return _uniform(common, peaks, omega)
+        return _uniform(common, peaks, omega, None)
     low = min(peaks)
     hatted = peaks.count(low)
     residual = omega - sum(peaks) + low * hatted  # what the hatted agents share
@@ -389,7 +384,7 @@ def _underline(econ: Economy) -> Allotment:
         and first.disutility(0) < first.disutility(econ.equal_share)
     ):
         peaks = (0, *peaks[1:])  # uniform as if agent 1's peak were 0
-    return Allotment._of_scaled(*_uniform(common, peaks, omega), econ.omega)
+    return Allotment._of_scaled(*_uniform(common, peaks, omega, None), econ.omega)
 
 
 GALLERY_BUILDERS = {

@@ -22,7 +22,7 @@ from allotment.axioms import (
 from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy
 from allotment.manipulation import check_nom, nom_sweep
-from allotment.preferences import SinglePeaked
+from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
     Rule,
@@ -99,7 +99,7 @@ def slope_swapped_uniform(econ):
     """uniform's kernel on the integer profile, then the last two agents'
     amounts swapped when the last agent's left slope is 10: a rule that
     reads a slope the profile does not hold."""
-    unit, amounts = uniform.allocate._kernel(*econ._integer_profile()[:3])
+    unit, amounts = uniform.allocate._kernel(*econ._integer_profile())
     if econ.prefs[-1].left_slope == 10:
         amounts = [*amounts[:-2], amounts[-1], amounts[-2]]
     return Allotment._of_scaled(unit, amounts, econ.omega)
@@ -199,6 +199,20 @@ def test_bar_fails_symmetry():
     report = check_symmetry(gallery("bar"), [asymmetric_split_economy()])
     assert report.failed
     assert report.witness.agents == (0, 1)
+
+
+def test_a_peak_and_its_zero_width_plateau_are_identical_agents():
+    # bar gives 1, 2, 0 on both economies; agents 1 and 2 hold the same
+    # preference, written as two peaks or as a peak and a plateau [3, 3]
+    for second in (SinglePeaked(3), SinglePlateaued(3, 3)):
+        e = Economy((SinglePeaked(3), second, SinglePeaked(0)), F(3))
+        assert tuple(gallery("bar")(e)) == (1, 2, 0)
+        report = check_symmetry(gallery("bar"), [e])
+        assert report.verdict == FAIL
+        assert report.witness.agents == (0, 1)
+        assert report.witness.description == (
+            "identical agents 1,2 get 1 vs 2 with disutilities 2 vs 1"
+        )
 
 
 def test_symmetry_accepts_indifferent_unequal_amounts():

@@ -223,7 +223,8 @@ def test_other_replacements_compute_their_own_profile(base, agent, pref):
 
 
 def test_a_peak_replacing_a_plateau_inherits_nothing():
-    # the new economy mixes peaks and plateaus, so it has no profile at all
+    # the new economy mixes peaks and plateaus: it inherits no profile and
+    # computes its own on first read
     base = read_profile(economy_of(STRADDLE, 3, None))
     variant = base.replace_pref(1, SinglePeaked(F(1, 2)))
     assert variant._integers is None

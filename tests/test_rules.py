@@ -741,14 +741,23 @@ def test_rules_outside_the_simple_family_refuse_plateaus(rule):
         rule(e)
 
 
-def test_simple_around_equal_division_implies_a_kernel():
-    # the invariant through which `Rule.check_domain` lets these rules
-    # take plateaus: each reads them as its integer profile's peaks
+def test_every_simple_rule_has_a_kernel():
+    # the invariant through which `Rule.check_domain` lets the rules simple
+    # around equal division take plateaus, each reading them as its integer
+    # profile's peaks; a reallocation kernel refuses a profile without
+    # endowments, in its rule's text
     rules = [get_rule(name) for name in RULE_NAMES]
     rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
     for rule in rules:
-        if rule.simple and rule.domain == DOMAIN_SP:
+        if rule.simple:
             assert callable(rule.allocate._kernel), rule.name
+    reallocation = [r for r in rules if r.domain == DOMAIN_SP_ENDOWMENTS]
+    assert {r.name for r in reallocation} >= {"realloc:cea", "realloc:cel"}
+    for rule in reallocation:
+        assert rule.simple
+        message = f"rule {rule.name} needs individual endowments"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rule.allocate._kernel(1, (1, 2, 3), 6, None)
 
 
 def test_a_kernel_runs_once_per_integer_profile():
@@ -775,27 +784,37 @@ def test_a_kernel_runs_once_per_integer_profile():
 
 
 def test_a_kernel_rule_returns_no_stale_allotment():
-    # base economy, a slope variant with its profile, the next economy and
-    # the base again: each call equals a fresh run of the raw kernel
+    # base economy, a slope variant with its profile, on endowed economies
+    # the base with other endowments, then the next economy and the base
+    # again: each call equals a fresh run of the raw kernel on the whole
+    # integer profile, endowments included
     rules = [get_rule(name) for name in RULE_NAMES]
     rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
     rules = [r for r in rules if hasattr(r.allocate, "_kernel")]
     kernels = {"ced", "proportional", "gallery:bar", "gallery:equal_division"}
     kernels |= {"gallery:hat", "gallery:star", "uniform", "simple:appendix-b[lo]"}
+    kernels |= {"realloc:cea", "realloc:cel", "realloc:pro"}
     assert kernels <= {r.name for r in rules}
-    suite = standard_suite(10, 48)
-    for rule in rules:
-        kernel = rule.allocate._kernel
-        econs = [e for e in suite if e.n >= rule.min_agents]
-        for e, following in zip(econs, econs[1:]):
-            own = (e.prefs[0].left_slope, e.prefs[0].right_slope)
-            slopes = next(s for s in SLOPE_CATALOGUE if s != own)
-            variant = e.replace_pref(0, SinglePeaked(e.prefs[0].peak, *slopes))
-            for x in (e, variant, following, e):
-                fresh = Allotment._of_scaled(
-                    *kernel(*x._integer_profile()[:3]), x.omega
-                )
-                assert rule(x) == fresh, rule.name
+    for endowed in (False, True):
+        suite = standard_suite(10, 48, with_endowments=endowed)
+        for rule in rules:
+            if rule.domain == DOMAIN_SP_ENDOWMENTS and not endowed:
+                continue
+            kernel = rule.allocate._kernel
+            econs = [e for e in suite if e.n >= rule.min_agents]
+            for e, following in zip(econs, econs[1:]):
+                own = (e.prefs[0].left_slope, e.prefs[0].right_slope)
+                slopes = next(s for s in SLOPE_CATALOGUE if s != own)
+                variant = e.replace_pref(0, SinglePeaked(e.prefs[0].peak, *slopes))
+                sequence = [e, variant]
+                if endowed:  # same peaks and omega, the endowments rotated
+                    w = e.endowments
+                    sequence.append(Economy(e.prefs, e.omega, w[1:] + w[:1]))
+                for x in (*sequence, following, e):
+                    fresh = Allotment._of_scaled(
+                        *kernel(*x._integer_profile()), x.omega
+                    )
+                    assert rule(x) == fresh, rule.name
 
 
 @pytest.mark.parametrize("domain", ["sp", "SPL", "", None])
