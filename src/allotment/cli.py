@@ -4,9 +4,10 @@ Subcommands: allocate, check, option-set, find-manipulation. Economies load
 from JSON objects (omega, an agents array, an optional endowments array)
 whose rationals are exact "p/q" strings or integers; decimals are rejected
 so exactness survives end to end. Each document has its own parse memo,
-so a string repeated across its agents (a slope, say) is parsed once.
-Only check draws random economies (--seed); identical invocations print
-identical bytes. --format machine prints, byte for byte, what
+so a string repeated across its agents (a slope, say) is parsed once;
+allocate writes the allotment from its integers. Only check draws random
+economies (--seed); identical invocations print identical bytes. --format
+machine prints, byte for byte, what
 `json.dumps(document, indent=2, sort_keys=True)` would, through a small
 writer of its own (`_machine_json`) that skips json's pure-Python
 indenting encoder.
@@ -34,6 +35,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import isfinite
 from typing import Dict, List, Optional, Union
 
 from .axioms import AXIOM_CHECKERS, AxiomReport, Witness
@@ -49,6 +51,7 @@ from .manipulation import (
 )
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import RationalParseError, format_rational, parse_rational
+from .rational import _format_scaled
 from .rules import DOMAIN_SP_ENDOWMENTS, ORDER_POLICIES, RULE_NAMES
 from .rules import SELECTORS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
@@ -92,8 +95,8 @@ def _read_rational(value, memo: Dict[str, Fraction]) -> Fraction:
 
 
 def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
-    """The preference of one agent entry; its numbers are read through
-    the document's `memo` (see `_read_rational`)."""
+    """The preference of one agent entry; its numbers (an omitted slope's
+    "1" too) are read through the document's `memo` (see `_read_rational`)."""
     if not isinstance(raw, dict):
         raise CliError(f"agent entry must be an object, got {json.dumps(raw)}")
     if {"plateau_lo", "plateau_hi"} <= raw.keys():
@@ -101,15 +104,15 @@ def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
         return SinglePlateaued(
             _read_rational(raw["plateau_lo"], memo),
             _read_rational(raw["plateau_hi"], memo),
-            _read_rational(raw.get("left_slope", 1), memo),
-            _read_rational(raw.get("right_slope", 1), memo),
+            _read_rational(raw.get("left_slope", "1"), memo),
+            _read_rational(raw.get("right_slope", "1"), memo),
         )
     if "peak" in raw:
         _reject_unknown_keys(raw, PEAK_KEYS, "a peak agent")
         return SinglePeaked(
             _read_rational(raw["peak"], memo),
-            _read_rational(raw.get("left_slope", 1), memo),
-            _read_rational(raw.get("right_slope", 1), memo),
+            _read_rational(raw.get("left_slope", "1"), memo),
+            _read_rational(raw.get("right_slope", "1"), memo),
         )
     raise CliError(f"agent entry needs a peak or a plateau: {raw}")
 
@@ -258,7 +261,9 @@ def _machine_json(value, newline: str = "\n") -> str:
             return "[]"
         inner = newline + "  "
         items = [
-            _encode_str(item) if type(item) is str else _machine_json(item, inner)
+            _encode_str(item) if type(item) is str
+            else float.__repr__(item) if type(item) is float and isfinite(item)
+            else _machine_json(item, inner)
             for item in value
         ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -311,8 +316,9 @@ def cmd_allocate(args) -> int:
         allotment = rule(econ)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    exact = [format_rational(a) for a in allotment]
-    approx = [float(a) for a in allotment]
+    # int true division is correctly rounded: a / D == float(Fraction(a, D))
+    exact = _format_scaled(allotment._common, allotment._numerators)
+    approx = [a / allotment._common for a in allotment._numerators]
     # only the chosen format is built: the machine document or the table
     if args.format == "machine":
         document = {

@@ -166,9 +166,9 @@ class Allotment:
     """Nonnegative amounts summing to omega exactly.
 
     Held as integers over one denominator (`_common`, `_numerators`), the
-    form in which `_check_feasible` refused anything infeasible before the
-    allotment existed. Reading one amount by index builds only that
-    Fraction; the tuple `amounts` is built on first access and kept.
+    form in which `_check_feasible` checked it and the CLI's allocate
+    writes it. Reading one amount by index builds only that Fraction; the
+    tuple `amounts` is built on first access and kept.
     Equality, hashing, repr and immutability are those of a frozen
     dataclass of (amounts, omega).
     """

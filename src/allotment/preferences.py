@@ -16,6 +16,14 @@ from typing import Iterable, Union
 from .rational import ZERO, parse_rational
 
 
+def _coerce(pref, *names: str) -> None:
+    """`parse_rational` each named field, in order, unless a Fraction."""
+    for name in names:
+        value = getattr(pref, name)
+        if type(value) is not Fraction:
+            object.__setattr__(pref, name, parse_rational(value))
+
+
 @dataclass(frozen=True)
 class SinglePeaked:
     """Preference with a unique ideal amount.
@@ -29,11 +37,10 @@ class SinglePeaked:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "peak", parse_rational(self.peak))
+        _coerce(self, "peak")
         if self.peak.numerator < 0:
             raise ValueError(f"peak must be nonnegative, got {self.peak}")
-        object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
-        object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
+        _coerce(self, "left_slope", "right_slope")
         if self.left_slope.numerator <= 0 or self.right_slope.numerator <= 0:
             raise ValueError("slopes must be strictly positive")
 
@@ -66,10 +73,7 @@ class SinglePlateaued:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "plateau_lo", parse_rational(self.plateau_lo))
-        object.__setattr__(self, "plateau_hi", parse_rational(self.plateau_hi))
-        object.__setattr__(self, "left_slope", parse_rational(self.left_slope))
-        object.__setattr__(self, "right_slope", parse_rational(self.right_slope))
+        _coerce(self, "plateau_lo", "plateau_hi", "left_slope", "right_slope")
         if self.plateau_lo.numerator < 0:
             raise ValueError("plateau_lo must be nonnegative")
         if self.plateau_hi < self.plateau_lo:

@@ -2,10 +2,11 @@
 
 All quantities in the library are `fractions.Fraction` values. Rationals
 travel as "p/q" strings (or bare integers) in files and reports; decimal
-notation is rejected on input, and the preference and economy
-constructors, `disutility`, `worst`, `sampling.grid`,
-`sampling.random_rational` and `format_rational` coerce through
-`parse_rational` as well, so no float ever enters a computation.
+notation is rejected on input, and the economy constructor, `disutility`,
+`worst`, `sampling.grid`, `sampling.random_rational`, the preference
+constructors and `format_rational` (these two only for a value that is
+not an exact Fraction) coerce through `parse_rational` as well, so no
+float ever enters a computation.
 A string of ASCII digits, optionally followed by "/" and ASCII digits --
 the canonical form `format_rational` writes -- is read as two ints; any
 other string goes through Fraction's own parser. `parse_rational` tests
@@ -33,17 +34,18 @@ integers. A Fraction is built only where a value leaves the integers (a
 level, an award, an amount that is read, a sampled set's distinct
 outcome, which the sampler keys and sorts as its reduced integer pair,
 so it never hashes one) or where a custom claims rule reads its
-`ClaimsProblem`. `exact_sum` is `_scaled` plus one Fraction, and the
-rule path takes every other sum it checks or divides through it. Every
-public value stays a Fraction. A Fraction has the sign of its
-numerator, so where the rule path still holds Fractions it tests signs
-as `x.numerator < 0`, which skips the comparison's type check.
+`ClaimsProblem`; the CLI writes an allotment's "p/q" text straight from
+its integers (`_format_scaled`). `exact_sum` is `_scaled` plus one
+Fraction, and the rule path takes every other sum it checks or divides
+through it. Every public value stays a Fraction. A Fraction has the sign
+of its numerator, so where the rule path still holds Fractions it tests
+signs as `x.numerator < 0`, which skips the comparison's type check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Tuple
 
 ZERO = Fraction(0)
@@ -102,6 +104,12 @@ def _scaled(values: Iterable[Fraction], common: int = 1) -> Tuple[int, List[int]
     return common, [v.numerator * (common // v.denominator) for v in values]
 
 
+def _format_scaled(common: int, numerators: Iterable[int]) -> List[str]:
+    """`format_rational` of each numerator / common, reduced by one gcd."""
+    pairs = [(a // g, common // g) for a in numerators for g in (gcd(a, common),)]
+    return [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]
+
+
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of Fractions (or ints): the numerators scaled to the
     least common denominator are added as integers, and one Fraction is
@@ -113,7 +121,7 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" rendering ("p" when the denominator is 1) of an
     exact rational; a float is refused like on input."""
-    x = parse_rational(x)
+    x = x if type(x) is Fraction else parse_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from allotment.cli import (
 )
 from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
+from allotment.rational import format_rational
 from allotment.rules import RULE_NAMES, Rule, get_rule
 from allotment.sampling import random_plateaued_economy
 from helpers import economies, spl_extension_oracle
@@ -170,6 +172,91 @@ def test_allocate_machine_format_round_trips(om_file, capsys):
     document = json.loads(out)
     assert document["allotment"] == ["2/3", "1/3"]
     assert document["economy"] == OM_ECONOMY
+
+
+# a prime above 2**53: the huge economy's amounts have numerators and
+# denominators above 2**53, so no decimal of theirs is exact; under ced,
+# proportional and the pro rules, a numerator rounded to a float before
+# the division would give another decimal
+HUGE_PRIME = 2**61 - 1
+HUGE_PEAKS = [2**62 + 855103382165, 2**62 + 418650159057, 2**63 + 730852075449]
+HUGE_ENDOWMENTS = [2**62 + 32, 2**62 + 33, 2**62 + 35]
+ALLOCATE_DOCUMENTS = {
+    # non-canonical strings, bare JSON ints and omitted slopes
+    "peaked": {
+        "omega": "3",
+        "agents": [
+            {"peak": "2/4"},
+            {"peak": "06/8", "left_slope": 2},
+            {"peak": " 3 ", "right_slope": "3/4"},
+            {"peak": 2, "left_slope": "1/2", "right_slope": "06/4"},
+        ],
+    },
+    "endowed": {
+        "omega": "3",
+        "agents": [{"peak": "2/4"}, {"peak": "06/8"}, {"peak": " 3 "}, {"peak": 2}],
+        "endowments": ["1/2", "2/4", 1, "1"],
+    },
+    "plateaued": {
+        "omega": "4",
+        "agents": [
+            {"plateau_lo": "0", "plateau_hi": "2/4"},
+            {"plateau_lo": "1/3", "plateau_hi": "06/4", "left_slope": 2},
+            {"plateau_lo": 1, "plateau_hi": " 3 "},
+            {"peak": "5/6"},
+        ],
+    },
+    "huge": {
+        "omega": f"{sum(HUGE_ENDOWMENTS)}/{HUGE_PRIME}",
+        "agents": [{"peak": f"{p}/{HUGE_PRIME}"} for p in HUGE_PEAKS],
+        "endowments": [f"{w}/{HUGE_PRIME}" for w in HUGE_ENDOWMENTS],
+    },
+}
+
+
+@pytest.mark.parametrize("name", RULE_NAMES)
+def test_allocate_prints_the_library_allotment(tmp_path, capsys, name):
+    # allocate writes the text and the decimals from the allotment's
+    # integers; they must read as the library's amounts do, in both formats
+    rule, ran = get_rule(name), 0
+    for kind, document in ALLOCATE_DOCUMENTS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(document))
+        try:
+            amounts = list(rule(economy_from_dict(document)))
+        except ValueError as exc:  # a document outside the rule's domain
+            refusal = (2, "", f"error: {exc}\n")
+            assert run(capsys, "allocate", str(path), name) == refusal
+            continue
+        ran += 1
+        code, out, _ = run(capsys, "allocate", str(path), name, "--format", "machine")
+        assert code == 0
+        printed = json.loads(out)
+        assert printed["allotment"] == [format_rational(x) for x in amounts]
+        assert printed["decimal"] == [float(x) for x in amounts]
+        code, out, _ = run(capsys, "allocate", str(path), name)
+        assert (code, out.splitlines()[1:]) == (
+            0,
+            [
+                "allotment: " + ", ".join(format_rational(x) for x in amounts),
+                "decimal: " + ", ".join(f"{float(x):.6g}" for x in amounts),
+            ],
+        )
+    assert ran >= 2
+
+
+def test_allocate_documents_reach_rounded_quotients_and_unreduced_denominators():
+    allotment = get_rule("uniform")(economy_from_dict(ALLOCATE_DOCUMENTS["huge"]))
+    assert all(
+        min(x.numerator, x.denominator) > 2**53 and F(float(x)) != x
+        for x in allotment
+    )
+    # the allotment's common denominator is not the least one of its amounts
+    for allotment in (
+        allotment,
+        get_rule("uniform")(economy_from_dict(ALLOCATE_DOCUMENTS["peaked"])),
+    ):
+        assert allotment._common != lcm(*(x.denominator for x in allotment))
 
 
 def test_economy_round_trip_is_field_identical():

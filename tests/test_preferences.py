@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import allotment.preferences as preferences_module
+import allotment.rational as rational_module
 from allotment.preferences import SinglePeaked, SinglePlateaued, worst
-from allotment.rational import ZERO
+from allotment.rational import ZERO, format_rational, parse_rational
 from helpers import brute_force_worst
 
 STEEP_RIGHT = SinglePeaked(F(1, 3), F(1), F(3))
@@ -172,3 +175,99 @@ def test_invalid_preferences_rejected():
     for slopes in ((F(0), F(1)), (F(1), F(-1))):
         with pytest.raises(ValueError, match="^slopes must be strictly positive$"):
             SinglePlateaued(F(0), F(1), *slopes)
+
+
+class Exact(F):
+    pass
+
+
+# a str (canonical, padded, negative), an int, a bool, a float, a Fraction
+# subclass, a negative and a zero value, and an exact Fraction
+FIELD_VALUES = ["1/2", " 3 ", "-1/2", 2, True, 0.5, Exact(3, 4), F(-1), 0, F(1, 3)]
+
+
+def peaked_reference(peak, left_slope, right_slope):
+    """SinglePeaked's fields when every field went through
+    parse_rational: the peak and its refusal first, then the slopes."""
+    peak = parse_rational(peak)
+    if peak.numerator < 0:
+        raise ValueError(f"peak must be nonnegative, got {peak}")
+    slopes = parse_rational(left_slope), parse_rational(right_slope)
+    if slopes[0].numerator <= 0 or slopes[1].numerator <= 0:
+        raise ValueError("slopes must be strictly positive")
+    return (peak, *slopes)
+
+
+def plateaued_reference(*fields):
+    """SinglePlateaued's fields when every field went through
+    parse_rational: all four read first, then the plateau's refusals, then
+    the slopes'."""
+    lo, hi, left, right = map(parse_rational, fields)
+    if lo.numerator < 0:
+        raise ValueError("plateau_lo must be nonnegative")
+    if hi < lo:
+        raise ValueError("plateau_hi must be >= plateau_lo")
+    if left.numerator <= 0 or right.numerator <= 0:
+        raise ValueError("slopes must be strictly positive")
+    return lo, hi, left, right
+
+
+def outcome(build, args):
+    """The type and value of each field build(*args) returns, or the type
+    and text of its refusal."""
+    try:
+        return [(type(value), value) for value in build(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BOTH_REFUSALS = {
+    "not a rational: True",
+    'decimal 0.5 rejected: use an exact "p/q" string',
+    "slopes must be strictly positive",
+}
+
+
+@pytest.mark.parametrize(
+    "cls, reference, arity, refusals",
+    [
+        (
+            SinglePeaked,
+            peaked_reference,
+            3,
+            {"peak must be nonnegative, got -1/2", "peak must be nonnegative, got -1"},
+        ),
+        (
+            SinglePlateaued,
+            plateaued_reference,
+            4,
+            {"plateau_lo must be nonnegative", "plateau_hi must be >= plateau_lo"},
+        ),
+    ],
+    ids=["peaked", "plateaued"],
+)
+def test_fields_read_and_refuse_as_when_every_field_was_parsed(
+    cls, reference, arity, refusals
+):
+    # a field that is already an exact Fraction is not parsed again; every
+    # other field is, in the same order and with the same refusals
+    texts = set()
+    for args in itertools.product(FIELD_VALUES, repeat=arity):
+        result = outcome(lambda *a: vars(cls(*a)).values(), args)
+        assert result == outcome(reference, args), args
+        if isinstance(result, list):
+            assert all(issubclass(kind, F) for kind, _ in result)
+        else:
+            texts.add(result[1])
+    assert texts == BOTH_REFUSALS | refusals
+
+
+def test_an_exact_fraction_is_not_parsed_again(monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"parsed {value!r} again")
+
+    monkeypatch.setattr(preferences_module, "parse_rational", refuse)
+    monkeypatch.setattr(rational_module, "parse_rational", refuse)
+    SinglePeaked(F(1, 2), F(1), F(3))
+    SinglePlateaued(F(0), F(1, 2), F(2), F(1))
+    assert format_rational(F(3, 4)) == "3/4"

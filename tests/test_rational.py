@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from allotment.rational import (
     RationalParseError,
+    _format_scaled,
     exact_sum,
     format_rational,
     parse_rational,
@@ -28,6 +29,36 @@ def test_exact_sum_matches_fraction_sum(xs):
 def test_format_rational_refuses_floats():
     with pytest.raises(RationalParseError, match="decimal"):
         format_rational(0.1)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_format_rational_refuses_bools(value):
+    with pytest.raises(RationalParseError, match=f"^not a rational: {value}$"):
+        format_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value, text", [(3, "3"), ("06/8", "3/4"), (" 2 ", "2"), (F(-6, 4), "-3/2")]
+)
+def test_format_rational_reads_every_other_exact_value(value, text):
+    assert format_rational(value) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2**80),
+    st.lists(st.integers(0, 2**90), max_size=8),
+    st.integers(1, 2**20),
+)
+def test_scaled_integers_write_the_text_and_decimal_of_their_fractions(
+    common, numerators, factor
+):
+    # numerators over an unreduced common denominator; int true division
+    # rounds correctly, as float(Fraction) does, on quotients above 2**53
+    common, numerators = common * factor, [a * factor for a in numerators]
+    amounts = [F(a, common) for a in numerators]
+    assert _format_scaled(common, numerators) == list(map(format_rational, amounts))
+    assert [a / common for a in numerators] == list(map(float, amounts))
 
 
 def test_a_fraction_subclass_is_taken_as_it_is():
