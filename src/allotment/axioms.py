@@ -96,8 +96,8 @@ def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     under excess supply (both constraints bind in the balanced case)."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        x = rule(econ)
         peaks = _peaks("efficiency", econ)
+        x = rule(econ)
         z = sum(peaks) - econ.omega
         for i in range(econ.n):
             if z >= 0 and x[i] > peaks[i]:
@@ -222,8 +222,8 @@ def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Weakly larger peaks must receive weakly larger amounts."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        x = rule(econ)
         peaks = _peaks("peak-responsive", econ)
+        x = rule(econ)
         for i, j in itertools.permutations(range(econ.n), 2):
             if peaks[i] <= peaks[j] and x[i] > x[j]:
                 return Witness(
@@ -286,8 +286,8 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     endowed = rule.domain == DOMAIN_SP_ENDOWMENTS
 
     def violation(econ: Economy) -> Optional[Witness]:
-        x = rule(econ)
         peaks = _peaks("betweenness", econ)
+        x = rule(econ)
         *profile, endowments = econ._integer_profile()
         *_, plus, minus = _split_scaled(*profile, endowments if endowed else None)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n

@@ -14,17 +14,17 @@ indenting encoder.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 usage or parse error (including a flag the subcommand does not take,
---selector or --order with a rule other than simple:appendix-b, an
---expect-fail axiom that --axioms does not request, an economy file of
-the wrong shape or with an unknown key, an empty grid, a --random count
-below 1, a check given both an economy file and --random, a rule run on
-too few agents or on preferences outside its domain, a peak-reading
-check on single-plateaued agents, nom on single-plateaued agents (a
-file's, or the draws of --random with an spl: rule; one text, before any
-draw), an endowment-reading check on a file without endowments, and a
-check in which a requested axiom inspected no case), 3 internal error
-(any other exception, reported as "internal error: <Type>: <message>" so
-that a crash never reads as a FAIL).
+--selector or --order with a rule other than simple:appendix-b, an empty
+--axioms, an --expect-fail axiom that --axioms does not request, an
+economy file of the wrong shape or with an unknown key, an empty grid, a
+--random count below 1, a check given both an economy file and --random,
+a rule run on too few agents or on preferences outside its domain, a
+peak-reading check on single-plateaued agents, nom on single-plateaued
+agents (a file's, or the draws of --random with an spl: rule; one text,
+before any draw), an endowment-reading check on a file without
+endowments, and a check in which a requested axiom inspected no case),
+3 internal error (any other exception, reported as "internal error:
+<Type>: <message>" so that a crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -342,13 +342,18 @@ def cmd_allocate(args) -> int:
 def cmd_check(args) -> int:
     """Check the requested axioms on one economy file or on seeded draws.
 
-    Every refusal comes before any draw or rule run. `plateaued` is read
-    from the file's preferences, or for --random from the rule: an spl:
-    rule is checked on `random_plateaued_economy` draws, every other rule
-    on `standard_suite`. nom is refused on plateaus in one text for both.
-    nom draws its own cases, so with --random and no other axiom no suite
-    is drawn and the sample count is the number of nom cases."""
+    Usage refusals come before the rule is looked up; a file's missing
+    endowments and nom on plateaus, before any draw or rule run; a
+    peak-reading axiom on plateaus, from its checker before it runs the
+    rule. `plateaued` is read from the file's preferences, or for
+    --random from the rule: an spl: rule is checked on
+    `random_plateaued_economy` draws, every other rule on
+    `standard_suite`. nom draws its own cases, so with --random and no
+    other axiom no suite is drawn and the sample count is the number of
+    nom cases."""
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    if not axioms:
+        raise CliError("--axioms names no axiom; choose from " + ", ".join(AXIOM_NAMES))
     for axiom in axioms:
         if axiom not in AXIOM_NAMES:
             raise CliError(

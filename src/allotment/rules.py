@@ -56,21 +56,20 @@ class Rule:
     """A named, deterministic map from economies to feasible allotments; a
     call refuses an `allocate` that returns anything but an `Allotment`.
 
-    `simple` is derived, never passed: True exactly when `allocate`
-    carries the mark `_simple_rule` puts on each function it builds, for
-    this rule's own `domain`. That is sound by construction: every
-    allotment it returns had each award checked in [0, claim] when its
-    profile was run, so each amount lies between the agent's reference
-    point r and peak, and at the reference profile (every other peak at
-    its own r) E is 0, so the agent gets r whatever it reports: r is in
-    every option set and is the truthful worst, and NOM holds without a
-    search. The other mark is `_kernel` (`_of_kernel`): the sampled
-    option sets run it in place of the rule after one `check_domain`.
-    Every allocate marked simple has one; around equal division
-    (`DOMAIN_SP`) it reads a plateau economy's effective peaks, so
-    `check_domain` lets such a rule take single-plateaued economies, peaks
-    mixed in. Every rule takes single-peaked ones of at least `min_agents`
-    agents (samplers and checkers skip smaller ones).
+    `simple` is never passed: only a Rule that `_simple_rule` returns is
+    simple, so one rebuilt around its `allocate`, or a `dataclasses.replace`
+    copy, is searched. That is sound by construction: every allotment a
+    simple rule returns had each award checked in [0, claim] when its
+    profile was run, so each amount lies between the agent's reference point
+    r and peak, and at the reference profile (every other peak at its own r)
+    E is 0, so the agent gets r whatever it reports: r is in every option
+    set and is the truthful worst, and NOM holds without a search. An
+    `_of_kernel` allocate carries its `_kernel`, which the sampled option
+    sets run in place of the rule after one `check_domain`; a simple rule's,
+    around equal division (`DOMAIN_SP`), reads a plateau economy's effective
+    peaks, so `check_domain` lets such a rule take single-plateaued
+    economies, peaks mixed in. Every rule takes single-peaked ones of at
+    least `min_agents` agents (samplers and checkers skip smaller ones).
     """
 
     name: str
@@ -82,8 +81,6 @@ class Rule:
     def __post_init__(self):
         if self.domain not in (DOMAIN_SP, DOMAIN_SP_ENDOWMENTS):
             raise ValueError(f"unknown domain {self.domain!r}")
-        mark = getattr(self.allocate, "_simple_domain", None)
-        object.__setattr__(self, "simple", mark == self.domain)
 
     def __call__(self, econ: Economy) -> Allotment:
         self.check_domain(econ)
@@ -136,7 +133,9 @@ def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
 # simple rules: one builder over a division of the split
 
 
-def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Rule:
+def _simple_rule(
+    division: ClaimsCore, name: str, domain: str = DOMAIN_SP, min_agents: int = 2
+) -> Rule:
     """The simple rule of a division around a reference point: omega/n, or
     each agent's own endowment on the reallocation domain.
 
@@ -168,9 +167,9 @@ def _simple_rule(division: ClaimsCore, name: str, domain: str = DOMAIN_SP) -> Ru
             amounts[i] = r + nu if z >= 0 else r - nu
         return common * scale, amounts
 
-    allocate = _of_kernel(kernel)
-    allocate._simple_domain = domain  # read by `Rule`: the rule is simple
-    return Rule(name, allocate, domain=domain)
+    rule = Rule(name, _of_kernel(kernel), domain=domain, min_agents=min_agents)
+    object.__setattr__(rule, "simple", True)
+    return rule
 
 
 def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
@@ -387,27 +386,22 @@ def _underline(econ: Economy) -> Allotment:
     return Allotment._of_scaled(*_uniform(common, peaks, omega, None), econ.omega)
 
 
-GALLERY_BUILDERS = {
-    "equal_division": _of_kernel(_equal_division),
-    "star": _of_kernel(_star),
-    "bar": _simple_rule(_bar, "gallery:bar").allocate,
-    "hat": _of_kernel(_hat),
-    "underline": _underline,
+GALLERY = {
+    "equal_division": Rule("gallery:equal_division", _of_kernel(_equal_division)),
+    "star": Rule("gallery:star", _of_kernel(_star), min_agents=3),
+    "bar": _simple_rule(_bar, "gallery:bar", min_agents=3),
+    "hat": Rule("gallery:hat", _of_kernel(_hat)),
+    "underline": Rule("gallery:underline", _underline),
 }
 
 
 def gallery(name: str) -> Rule:
     """One of the five axiom-independence rules by name."""
-    if name not in GALLERY_BUILDERS:
+    if name not in GALLERY:
         raise ValueError(
-            f"unknown gallery rule {name!r}; choose from "
-            + ", ".join(sorted(GALLERY_BUILDERS))
+            f"unknown gallery rule {name!r}; choose from " + ", ".join(sorted(GALLERY))
         )
-    return Rule(
-        f"gallery:{name}",
-        GALLERY_BUILDERS[name],
-        min_agents=3 if name in ("star", "bar") else 2,
-    )
+    return GALLERY[name]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +421,7 @@ _REGISTRY: Dict[str, Rule] = {
         for r, c in _CLAIMS
     },
     **{f"spl:{r}": simple_from_claims(c, f"spl:{r}") for r, c in _CLAIMS},
-    **{f"gallery:{g}": gallery(g) for g in sorted(GALLERY_BUILDERS)},
+    **{f"gallery:{g}": GALLERY[g] for g in sorted(GALLERY)},
 }
 RULE_NAMES = list(_REGISTRY)
 

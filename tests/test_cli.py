@@ -628,6 +628,24 @@ def test_check_unknown_axiom(om_file, capsys):
     assert "unknown axiom" in err
 
 
+@pytest.mark.parametrize("axioms", ["", " ", ",,"])
+def test_check_refuses_an_empty_axiom_list(capsys, monkeypatch, axioms):
+    # a check of no axiom would be a vacuous PASS; it is refused before the
+    # rule is looked up or any economy drawn (either would exit 3 here)
+    def never(*args, **kwargs):
+        raise AssertionError("looked up the rule or drew an economy")
+
+    for name in ("get_rule", "random_plateaued_economy", "standard_suite", "nom_sweep"):
+        monkeypatch.setattr(cli_module, name, never)
+    argv = ("check", "--random", "3", "uniform", "--axioms", axioms)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --axioms names no axiom; choose from "
+        + ", ".join(cli_module.AXIOM_NAMES) + "\n"
+    )
+
+
 def test_check_nom_on_file_economy(om_file, capsys):
     code, out, _ = run(
         capsys, "check", om_file, "ced", "--axioms", "nom", "--grid-step", "20"
@@ -975,26 +993,30 @@ def test_nom_refuses_a_plateau_file_in_one_text_for_every_rule(tmp_path, capsys)
     ],
 )
 def test_peak_checkers_refuse_plateaued_preferences(tmp_path, capsys, axiom):
+    # each checker refuses the economy before it runs the rule, so every
+    # rule gets the axiom's refusal, not its own domain refusal; three
+    # agents, so that gallery:bar and gallery:star inspect the case
     path = tmp_path / "plateau.json"
     path.write_text(
         json.dumps(
             {
-                "omega": "1",
+                "omega": "3/2",
                 "agents": [
                     {"plateau_lo": "1/4", "plateau_hi": "1/2"},
                     {"plateau_lo": "0", "plateau_hi": "1"},
+                    {"plateau_lo": "1/2", "plateau_hi": "1"},
                 ],
-                "endowments": ["1/2", "1/2"],
+                "endowments": ["1/2", "1/2", "1/2"],
             }
         )
     )
-    code, out, err = run(capsys, "check", str(path), "spl:cea", "--axioms", axiom)
-    assert code == 2
-    assert out == ""
-    assert err == (
-        f"error: {axiom} reads each agent's peak, so it is checked on the "
-        "single-peaked domain only; this economy has single-plateaued agents\n"
-    )
+    for rule in RULE_NAMES:
+        code, out, err = run(capsys, "check", str(path), rule, "--axioms", axiom)
+        assert (code, out) == (2, ""), rule
+        assert err == (
+            f"error: {axiom} reads each agent's peak, so it is checked on the "
+            "single-peaked domain only; this economy has single-plateaued agents\n"
+        ), rule
 
 
 def test_find_manipulation_refuses_too_few_agents(om_file, capsys):

@@ -4,6 +4,7 @@ import io
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from allotment import NO_CASES
 import allotment.manipulation as manipulation_module
 import allotment.rules as rules_module
-from allotment.claims import Awards, cea, cel
+from allotment.claims import Awards, _cea, cea, cel
 from allotment.economy import Allotment, Economy, _checked_size
 from allotment.manipulation import (
     _grid,
@@ -36,7 +37,7 @@ from allotment.rational import RationalParseError, _scaled
 from allotment.rules import (
     DOMAIN_SP,
     DOMAIN_SP_ENDOWMENTS,
-    GALLERY_BUILDERS,
+    GALLERY,
     RULE_NAMES,
     Rule,
     ced,
@@ -419,7 +420,7 @@ def test_nom_sweep_stream_is_pinned():
 
 def test_sampled_and_certificate_economies_equal_public_ones():
     cases = nom_sweep(3, 12, n_values=(2, 3, 4))
-    rules = [ced, proportional] + [gallery(name) for name in GALLERY_BUILDERS]
+    rules = [ced, proportional] + list(GALLERY.values())
     certificates = 0
     for rule in rules:
         for case in cases:
@@ -795,7 +796,8 @@ def test_sampled_option_set_refuses_before_building_families(rule, pref, n, mess
 def test_one_agent_refused_for_a_simple_rule_too():
     # a simple rule's search builds no economy, so it must not pass NOM
     # vacuously on a single agent
-    lone = replace(uniform, min_agents=1)
+    lone = rules_module._simple_rule(_cea, "lone", min_agents=1)
+    assert lone.simple
     with pytest.raises(ValueError, match="^an economy needs at least two agents$"):
         find_obvious_manipulation(lone, 0, OM_PREF, F(1), 1)
 
@@ -892,6 +894,17 @@ def test_rule_takes_no_simple_flag():
         Rule("fake", proportional.allocate, simple=True)
     with pytest.raises(ValueError, match="simple"):
         replace(uniform, simple=False)
+
+
+def test_bar_under_two_agents_is_searched_and_refused_at_its_trigger():
+    # neither copy is the Rule the builder returned, so neither is simple:
+    # the search runs the rule, whose award check refuses bar's trigger
+    bar = gallery("bar")
+    message = re.escape("award -1/6 outside [0, 1/2]")
+    for rule in (Rule("bar2", bar.allocate), replace(bar, min_agents=2)):
+        assert not rule.simple
+        with pytest.raises(AssertionError, match=message):
+            find_obvious_manipulation(rule, 0, SinglePeaked(1), 1, 2, grid_step=12)
 
 
 def test_proportional_under_another_name_is_searched_and_fails_nom():

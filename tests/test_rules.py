@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -885,11 +886,11 @@ def test_bar_special_branch():
 
 
 def test_bar_allocate_is_checked_below_three_agents():
-    # bar's simple mark is earned by the award check on every call, so its
-    # allocate under a rule that takes two agents is refused at the
-    # trigger, where agent 1's omega/3 lies below omega/2
+    # bar's allocate under a rule that takes two agents is not simple, and
+    # the award check on every call refuses it at the trigger, where agent
+    # 1's omega/3 lies below omega/2
     bar2 = Rule("bar2", gallery("bar").allocate)
-    assert bar2.simple and bar2.min_agents == 2
+    assert not bar2.simple and bar2.min_agents == 2
     with pytest.raises(AssertionError, match=re.escape("award -1/6 outside [0, 1/2]")):
         bar2(econ([1, 1], 1))
     assert tuple(bar2(econ([1, 0], 1))) == (F(1), F(0))
@@ -1059,11 +1060,21 @@ def test_registered_simple_flags_are_pinned():
         "gallery:star": False,
         "gallery:underline": False,
     }
+    # only the Rule a builder returns is simple: one rebuilt around its
+    # allocate, or a replace copy, is searched
+    for name in RULE_NAMES:
+        rule = get_rule(name)
+        if rule.simple:
+            rebuilt = Rule(
+                rule.name, rule.allocate, rule.domain, min_agents=rule.min_agents
+            )
+            assert not rebuilt.simple, name
+            assert not replace(rule, name="x").simple, name
 
 
 def test_simple_follows_the_builder_and_domain():
-    # the mark travels with the built function, for its own domain only
-    assert Rule("alias", uniform.allocate).simple
+    # simple belongs to the built Rule, never to its allocate function
+    assert not Rule("alias", uniform.allocate).simple
     assert not Rule("wrapper", lambda e: uniform.allocate(e)).simple
     assert not Rule("endowed", uniform.allocate, DOMAIN_SP_ENDOWMENTS).simple
     assert not Rule("fake", proportional.allocate).simple
@@ -1090,6 +1101,14 @@ def test_each_registered_rule_carries_its_name():
             assert get_rule(name, selector="mid").name == "simple:appendix-b[mid]"
         else:
             assert get_rule(name).name == name
+
+
+def test_gallery_names_the_registered_rules():
+    # one table of built Rules: gallery() and the registry hand out the same
+    # objects, and star and bar take three agents
+    for name in ("bar", "equal_division", "hat", "star", "underline"):
+        assert gallery(name) is get_rule(f"gallery:{name}")
+        assert gallery(name).min_agents == (3 if name in ("bar", "star") else 2)
 
 
 def test_get_rule_registry():
