@@ -10,9 +10,10 @@ The rules run on integers. cea, cel and pro each have a private core
 awards over D*scale: min(c*k, p) and max(c*k - p, 0) at the level p / (D*k)
 of the levels module's integer scan, and c*E over D times the total. Each
 ignores any further argument. `_core` is the one integer entry of any claims
-rule: a built-in core, or an adapter that runs any other rule on a
-`ClaimsProblem`. `_check_awards` refuses awards off [0, claim] or off E,
-once per public call and per distinct consecutive profile of a simple rule.
+rule: the core of cea, cel or pro, found by identity, or an adapter that
+runs any other rule on a `ClaimsProblem`. `_check_awards` refuses awards off
+[0, claim] or off E, once per public call and per distinct consecutive
+profile of a simple rule.
 """
 
 from __future__ import annotations
@@ -134,15 +135,14 @@ def pro(cp: ClaimsProblem) -> Awards:
     return _awards(cp, *_pro(cp._claims, cp._endowment, cp._common))
 
 
-# the integer core of each built-in rule, read by `_core`; as a function
-# attribute it survives a wrapper made with functools.wraps
-cea._core, cel._core, pro._core = _cea, _cel, _pro
+# the integer core of each built-in rule, found by identity in `_core`
+_CORES = ((cea, _cea), (cel, _cel), (pro, _pro))
 
 
 def _core(rule: ClaimsRule) -> ClaimsCore:
-    """The integer entry of a claims rule: a built-in rule's core, or an
-    adapter that builds the ClaimsProblem, calls the rule and reads its
-    awards back over a multiple of D, the simple rules' one Fraction door."""
+    """The integer entry of a claims rule: cea's, cel's or pro's core for
+    that very function, or an adapter that builds the ClaimsProblem, calls
+    the rule and reads its awards back over a multiple of D."""
 
     def adapter(claims, endowment, common, *_):
         cp = ClaimsProblem(
@@ -151,7 +151,7 @@ def _core(rule: ClaimsRule) -> ClaimsCore:
         unit, awards = _scaled(map(parse_rational, rule(cp)), common)
         return awards, unit // common
 
-    return getattr(rule, "_core", adapter)
+    return next((core for r, core in _CORES if r is rule), adapter)
 
 
 CLAIMS_RULES = {"cea": cea, "cel": cel, "pro": pro}

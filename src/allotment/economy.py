@@ -14,7 +14,7 @@ one reference point per agent -- equal division omega/n, or the agent's
 own endowment for the reallocation rules -- and computes the excess
 demand and the residual that the second step divides. The simple rules
 (`rules._simple_rule`) and `axioms.check_betweenness` read it, and every
-rule's integer kernel (`rules._of_kernel`) runs on the whole profile. The
+rule's integer kernel (`Rule.kernel`) runs on the whole profile. The
 sampled option sets run them on the integers they hold, and build every
 economy they keep through the constructor.
 

@@ -39,15 +39,15 @@ Both doors, `option_set_sampled` and `find_obvious_manipulation`,
 refuse bad inputs once, before any profile is built, in one check and
 one set of texts (a report that is not single-peaked, the rule's minimum
 agent count, the economy's size and endowment, the agent index).
-`_sample` then runs each profile through one branch: a rule's integer
-kernel (`rules._of_kernel`; every registered rule but gallery:underline,
-which reads a slope, has one) runs, after one domain check per set, on
-the integers of every profile that has them, and every other run (an
-off-grid end, or any run of gallery:underline or of a custom rule) is a
-call of the rule on the profile's economy. Every economy comes through
-the public constructor, feasibility is checked on every run, and the
-first witness of each outcome is kept as its preference profile, whose
-economy `SampledOptionSet.witnesses` builds on first read.
+`_sample` then runs each profile through one branch: a rule's declared
+kernel (`Rule.kernel`; every registered rule but gallery:underline, which
+reads a slope, has one) runs, after one domain check per set, on the
+integers of every profile that has them, and every other run (an off-grid
+end, or any run of a rule without a kernel, a wrapper included) is a call
+of the rule on the profile's economy. Every economy comes through the
+public constructor, feasibility is checked on every run, and the first
+witness of each outcome is kept as its preference profile, whose economy
+`SampledOptionSet.witnesses` builds on first read.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def _sample(
     each outcome. None at the first outcome for which `stop` (a
     predicate, asked once per outcome) holds, before any later run.
 
-    A rule's integer kernel runs, after one domain check (every economy of
+    A rule's `kernel` runs, after one domain check (every economy of
     the set is single-peaked, without endowments), on each profile that
     has numerators: over the families' D refined by the report's peak
     (`_shared_families` at that scale). Every other run, an off-grid
@@ -296,7 +296,7 @@ def _sample(
     `SampledOptionSet.witnesses` builds on first read. Outcomes are
     keyed, and sorted, as reduced integer pairs; both callers have run
     `_checked_omega` first, so no economy fails its checks."""
-    kernel = getattr(rule.allocate, "_kernel", None)
+    kernel = rule.kernel
     scale = 1
     if kernel is not None:
         family = _shared_families(omega, n, grid_step, 1)[0]

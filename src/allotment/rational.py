@@ -23,7 +23,7 @@ private `_scaled`: the level scans, an economy's integer profile
 (`Economy._integer_profile`: the peaks, or a plateau economy's effective
 peaks, omega and the endowments, computed once per economy), the split
 on it (`economy._split_scaled`), the integer entry of the claims rules
-(`claims._core`), the rules' integer kernels (`rules._of_kernel`: every
+(`claims._core`), the rules' integer kernels (`Rule.kernel`: every
 rule but gallery:underline, which runs on the profile too, and through
 it the simple rules on plateaus), and the sampled option sets
 (`manipulation._sample`), which keep each shared opponent profile's

@@ -16,15 +16,15 @@ equal division for proportional when every peak is 0.
 
 Every rule but gallery:underline, which also reads a slope, is one
 integer kernel over the economy's integer profile (D, peaks, omega,
-endowments) (`Economy._integer_profile`), from which its `allocate` is
-derived (`_of_kernel`); only the reallocation kernels read endowments.
+endowments) (`Economy._integer_profile`), declared as its `Rule.kernel`
+by `_kernel_rule`; only the reallocation kernels read endowments.
 The profile holds plateaus' effective peaks (a peak is a plateau of width
 zero): so the simple rules around equal division take plateaus, and
 `spl:cea|cel|pro` are simple:cea|cel|pro under a second name.
 
 Every rule takes full preferences (own-peak-onliness is checked, not built
-in) and returns an exactly feasible allotment on its declared domain; whether
-it is simple is derived from how it was built, never declared (see `Rule`).
+in) and returns an exactly feasible allotment on its declared domain; its
+`simple` and `kernel` come from how it was built, never declared (see `Rule`).
 """
 
 from __future__ import annotations
@@ -56,20 +56,20 @@ class Rule:
     """A named, deterministic map from economies to feasible allotments; a
     call refuses an `allocate` that returns anything but an `Allotment`.
 
-    `simple` is never passed: only a Rule that `_simple_rule` returns is
-    simple, so one rebuilt around its `allocate`, or a `dataclasses.replace`
-    copy, is searched. That is sound by construction: every allotment a
-    simple rule returns had each award checked in [0, claim] when its
-    profile was run, so each amount lies between the agent's reference point
-    r and peak, and at the reference profile (every other peak at its own r)
-    E is 0, so the agent gets r whatever it reports: r is in every option
-    set and is the truthful worst, and NOM holds without a search. An
-    `_of_kernel` allocate carries its `_kernel`, which the sampled option
-    sets run in place of the rule after one `check_domain`; a simple rule's,
-    around equal division (`DOMAIN_SP`), reads a plateau economy's effective
-    peaks, so `check_domain` lets such a rule take single-plateaued
-    economies, peaks mixed in. Every rule takes single-peaked ones of at
-    least `min_agents` agents (samplers and checkers skip smaller ones).
+    `simple` and `kernel` are never passed: only a Rule that `_simple_rule`
+    returns is simple, and only one that `_kernel_rule` returns has a kernel,
+    which sampled option sets run in place of its calls after one `check_domain`.
+    So one rebuilt around or wrapping its `allocate`, or a `dataclasses.replace`
+    copy, is searched through its calls. `simple` is sound by construction: every
+    allotment a simple rule returns had each award checked in [0, claim] when its
+    profile was run, so each amount lies between the agent's reference point r
+    and peak, and at the reference profile (every other peak at its own r) E is
+    0, so the agent gets r whatever it reports: r is in every option set and is
+    the truthful worst, and NOM holds without a search. A simple rule's kernel
+    around equal division (`DOMAIN_SP`) reads a plateau economy's effective
+    peaks, so `check_domain` lets such a rule take single-plateaued economies,
+    peaks mixed in. Every rule takes single-peaked ones of at least `min_agents`
+    agents (samplers and checkers skip smaller ones).
     """
 
     name: str
@@ -77,6 +77,7 @@ class Rule:
     domain: str = DOMAIN_SP
     simple: bool = field(init=False, default=False)
     min_agents: int = 2
+    kernel: Callable = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in (DOMAIN_SP, DOMAIN_SP_ENDOWMENTS):
@@ -107,26 +108,25 @@ class Rule:
         self._check_agents(econ.n)
 
 
-def _of_kernel(kernel: Callable) -> Callable[[Economy], Allotment]:
-    """The allocate function of an integer kernel (D, peaks, omega,
-    endowments) -> (unit, amounts), run on the economy's integer profile,
-    and carrying the kernel as `_kernel` for `manipulation._sample` to run.
-
-    `allocate` keeps its last run: a kernel is a deterministic function
-    of its profile alone, so an economy with the same integer profile as
-    the last one, such as an own-peak-only slope variant of it, reuses
-    that (unit, amounts), which no caller mutates. A refusal is not kept,
-    so it is raised again. `Allotment._of_scaled` still checks
-    feasibility on every call; a simple rule's awards are checked when its
-    kernel runs. `_kernel` stays the raw kernel, as `_sample` runs each
-    opponent profile once and would only pay for the hashing."""
+def _kernel_rule(name: str, kernel: Callable, domain=DOMAIN_SP, min_agents=2) -> Rule:
+    """The Rule of an integer kernel (D, peaks, omega, endowments) -> (unit,
+    amounts), and the one place a Rule's `kernel` is set: to the raw kernel,
+    which `manipulation._sample` runs once per opponent profile. Its `allocate`
+    runs the kernel on the economy's integer profile and keeps its last run: a
+    kernel is a deterministic function of its profile alone, so an economy with
+    the same integer profile as the last one, such as an own-peak-only slope
+    variant of it, reuses that (unit, amounts), which no caller mutates. A
+    refusal is not kept, so it is raised again. `Allotment._of_scaled` still
+    checks feasibility on every call; a simple rule's awards are checked when
+    its kernel runs."""
     cached = lru_cache(maxsize=1)(kernel)
 
     def allocate(econ: Economy) -> Allotment:
         return Allotment._of_scaled(*cached(*econ._integer_profile()), econ.omega)
 
-    allocate._kernel = kernel
-    return allocate
+    rule = Rule(name, allocate, domain=domain, min_agents=min_agents)
+    object.__setattr__(rule, "kernel", kernel)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def _simple_rule(
     (`_check_awards`), so every allotment returned had its awards checked
     when its profile was run: a division that leaves [0, claim] or misses
     E is refused, not trusted, and refused again on a repeat, as
-    `_of_kernel` keeps no refusal.
+    `_kernel_rule` keeps no refusal.
     """
 
     def kernel(common, peaks, omega, endowments):
@@ -167,7 +167,7 @@ def _simple_rule(
             amounts[i] = r + nu if z >= 0 else r - nu
         return common * scale, amounts
 
-    rule = Rule(name, _of_kernel(kernel), domain=domain, min_agents=min_agents)
+    rule = _kernel_rule(name, kernel, domain, min_agents)
     object.__setattr__(rule, "simple", True)
     return rule
 
@@ -175,7 +175,7 @@ def _simple_rule(
 def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
     """The simple rule driven by the given claims rule, around equal
     division omega/n. A custom claims rule must be a function of its
-    problem: the rule keeps its last run (`_of_kernel`), so an economy
+    problem: the rule keeps its last run (`_kernel_rule`), so an economy
     whose integer profile equals the last one's reuses that allotment and
     does not hand the claims rule its problem again."""
     rule_name = name or f"simple:{getattr(claims_rule, '__name__', 'custom')}"
@@ -220,8 +220,8 @@ def _proportional(common: int, peaks: Sequence[int], omega: int, _):
 
 # the uniform rule (Sprumont 1991) is the simple rule of equal awards
 uniform = _simple_rule(_cea, "uniform")
-ced = Rule("ced", _of_kernel(_ced))
-proportional = Rule("proportional", _of_kernel(_proportional))
+ced = _kernel_rule("ced", _ced)
+proportional = _kernel_rule("proportional", _proportional)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def _in_order(core: ClaimsCore, order, claims, endowment, common, split):
 # independence gallery: each rule fails exactly one axiom; all but
 # underline are integer kernels, falling back to uniform's
 
-_uniform = uniform.allocate._kernel
+_uniform = uniform.kernel
 
 
 def _star(common: int, peaks: Sequence[int], omega: int, _):
@@ -387,10 +387,10 @@ def _underline(econ: Economy) -> Allotment:
 
 
 GALLERY = {
-    "equal_division": Rule("gallery:equal_division", _of_kernel(_equal_division)),
-    "star": Rule("gallery:star", _of_kernel(_star), min_agents=3),
+    "equal_division": _kernel_rule("gallery:equal_division", _equal_division),
+    "star": _kernel_rule("gallery:star", _star, min_agents=3),
     "bar": _simple_rule(_bar, "gallery:bar", min_agents=3),
-    "hat": Rule("gallery:hat", _of_kernel(_hat)),
+    "hat": _kernel_rule("gallery:hat", _hat),
     "underline": Rule("gallery:underline", _underline),
 }
 

@@ -99,7 +99,7 @@ def slope_swapped_uniform(econ):
     """uniform's kernel on the integer profile, then the last two agents'
     amounts swapped when the last agent's left slope is 10: a rule that
     reads a slope the profile does not hold."""
-    unit, amounts = uniform.allocate._kernel(*econ._integer_profile())
+    unit, amounts = uniform.kernel(*econ._integer_profile())
     if econ.prefs[-1].left_slope == 10:
         amounts = [*amounts[:-2], amounts[-1], amounts[-2]]
     return Allotment._of_scaled(unit, amounts, econ.omega)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allotment.claims as claims_module
 from allotment.claims import (
     Awards,
     ClaimsProblem,
@@ -192,15 +193,31 @@ def test_award_checks_fire():
     assert _check_awards(*problem, (scale, scale, scale), scale) is None
 
 
-def test_integer_entry_survives_a_wrapper():
-    # a wrapper made with functools.wraps keeps a built-in rule's integer
-    # core, so a wrapped rule and the bare one take the same path; a plain
-    # lambda hides it, and its simple rule goes through the adapter
+def test_a_wrapper_takes_the_adapter():
+    # only cea, cel and pro themselves, found by identity, reach their
+    # integer cores; a wrapper made with functools.wraps, which copies the
+    # wrapped function's attributes, and a plain lambda take the adapter,
+    # and so does a callable that equals everything and cannot be hashed;
+    # the adapter's awards are the rule's
+    class Unhashable:
+        __hash__ = None
+
+        def __init__(self, rule):
+            self.rule = rule
+
+        def __eq__(self, other):
+            return True
+
+        def __call__(self, cp):
+            return self.rule(cp)
+
     for rule in (cea, cel, pro):
+        core = _core(rule)
+        assert core is getattr(claims_module, f"_{rule.__name__}")
         wrapped = functools.wraps(rule)(lambda cp, rule=rule: rule(cp))
-        assert _core(wrapped) is _core(rule)
-        adapter = _core(lambda cp, rule=rule: rule(cp))
-        assert adapter is not _core(rule)
-        awards, scale = adapter(KERNEL._claims, KERNEL._endowment, KERNEL._common)
-        unit = KERNEL._common * scale
-        assert [F(a, unit) for a in awards] == list(rule(KERNEL))
+        for other in (wrapped, lambda cp, rule=rule: rule(cp), Unhashable(rule)):
+            adapter = _core(other)
+            assert adapter is not core
+            awards, scale = adapter(KERNEL._claims, KERNEL._endowment, KERNEL._common)
+            unit = KERNEL._common * scale
+            assert [F(a, unit) for a in awards] == list(rule(KERNEL))

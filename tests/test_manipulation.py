@@ -48,7 +48,13 @@ from allotment.rules import (
     simple_reallocation_from_claims,
     uniform,
 )
-from allotment.sampling import grid, random_preference, random_rational, standard_suite
+from allotment.sampling import (
+    grid,
+    random_preference,
+    random_rational,
+    standard_suite,
+    two_agent_om_economy,
+)
 from helpers import (
     CountingPeaked,
     opponent_profiles_oracle,
@@ -501,7 +507,7 @@ def test_sampled_sets_equal_a_public_loop_on_c04_cases(rule):
     kernel = rule.name in ("uniform", "ced", "proportional")
     kernel = kernel or rule.name.startswith(("simple:", "spl:", "gallery:"))
     kernel = kernel and rule.name != "gallery:underline"  # reads a slope
-    assert hasattr(rule.allocate, "_kernel") == kernel
+    assert (rule.kernel is not None) == kernel
     for pref, omega, n, economies in c04_public_economies()[: 100 if kernel else 25]:
         if n < rule.min_agents:
             continue
@@ -511,6 +517,58 @@ def test_sampled_sets_equal_a_public_loop_on_c04_cases(rule):
         oset = option_set_sampled(rule, 0, pref, omega, n)
         assert list(oset.witnesses.items()) == list(expected.items())
         assert oset.outcomes == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in RULE_NAMES if name != "gallery:underline"]
+)
+def test_rebuilt_kernel_rules_are_sampled_through_their_own_calls(name):
+    # a wrapper of a kernel rule's allocate, which functools.wraps gives
+    # that allocate's attributes, and every replace copy are not the Rule
+    # the builder returned, so none has a kernel; on c04's first cases the
+    # sampled sets of those that call another rule are a public loop's over
+    # that rule, and every outcome replays
+    rule = get_rule(name)
+    assert rule.kernel is not None
+    other = uniform if rule is proportional else proportional
+    copies = [
+        Rule("x", functools.wraps(rule.allocate)(other.allocate)),
+        replace(rule, allocate=other.allocate),
+        replace(rule, name="x"),
+        replace(rule, min_agents=rule.min_agents),
+    ]
+    assert [copy.kernel for copy in copies] == [None] * 4
+    for copy in copies[:2]:
+        if copy.domain != DOMAIN_SP:
+            continue  # sampled option sets have no endowments
+        for pref, omega, n, economies in c04_public_economies()[:8]:
+            if n < copy.min_agents:
+                continue
+            expected = {}
+            for econ in economies:
+                expected.setdefault(other(econ)[0], econ)
+            oset = option_set_sampled(copy, 0, pref, omega, n)
+            assert list(oset.witnesses.items()) == list(expected.items())
+            assert oset.outcomes == tuple(sorted(expected))
+            assert all(oset.replay(outcome) for outcome in oset.outcomes)
+
+
+def test_a_wrapped_proportional_gets_c02s_certificate():
+    # the probe carries uniform's allocate attributes but calls
+    # proportional, so the search runs its calls and finds proportional's
+    # certificate at c02's inputs, which replays
+    probe = Rule(
+        "p-wrapped", functools.wraps(uniform.allocate)(lambda e: proportional(e))
+    )
+    assert probe.kernel is None
+    args = (0, two_agent_om_economy().prefs[0], F(1), 2)
+    certificate = find_obvious_manipulation(probe, *args, grid_step=60)
+    expected = find_obvious_manipulation(proportional, *args, grid_step=60)
+    assert certificate is not None and certificate.verdict.is_obvious
+    assert certificate.misreport == expected.misreport
+    assert certificate.verdict == expected.verdict
+    for oset in (certificate.oset_true, certificate.oset_misreport):
+        assert all(oset.replay(outcome) for outcome in oset.outcomes)
 
 
 # -- witness economies built when read ---------------------------------------
@@ -894,6 +952,14 @@ def test_rule_takes_no_simple_flag():
         Rule("fake", proportional.allocate, simple=True)
     with pytest.raises(ValueError, match="simple"):
         replace(uniform, simple=False)
+
+
+def test_rule_takes_no_kernel():
+    # no caller can declare a kernel: only `rules._kernel_rule` sets one
+    with pytest.raises(TypeError, match="kernel"):
+        Rule("fake", proportional.allocate, kernel=uniform.kernel)
+    with pytest.raises(ValueError, match="kernel"):
+        replace(proportional, kernel=uniform.kernel)
 
 
 def test_bar_under_two_agents_is_searched_and_refused_at_its_trigger():

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from dataclasses import replace
@@ -375,22 +376,20 @@ SEQUENTIAL_VARIANTS = [
 
 
 def sequential_claims_rule(selector, order):
-    """The sequential construction as a public-style ClaimsRule, with the
-    integer core reachable the way cea, cel and pro carry theirs."""
+    """The sequential construction as a public-style ClaimsRule, which
+    simple rules reach through the adapter of `claims._core`."""
     core = _sequential(SELECTORS[selector], order == "descending")
 
     def rule(cp):
         return _awards(cp, *core(cp._claims, cp._endowment, cp._common))
 
-    rule._core = core
     return rule
 
 
 def two_doors():
     """(simple rule, reallocation rule, claims rule) for cea, cel, pro and
     c04's five sequential variants. No reallocation rule is registered for
-    the sequential variants, so theirs is built from the claims rule with
-    its integer entry in view."""
+    the sequential variants, so theirs is built from the claims rule."""
     for rule in (cea, cel, pro):
         name = rule.__name__
         yield get_rule(f"simple:{name}"), get_rule(f"realloc:{name}"), rule
@@ -413,6 +412,21 @@ def test_hidden_integer_entry_gives_the_same_allotments():
             assert tuple(hidden(e)) == tuple(registered(e)), registered.name
         for e in endowed:
             assert tuple(hidden_endowed(e)) == tuple(registered_endowed(e))
+
+
+def test_a_wrapper_of_a_claims_rule_is_run_not_its_namesake():
+    # functools.wraps copies cea's attributes onto a rule that calls cel,
+    # yet its simple rule allocates as simple:cel (uniform gives 1/2, 3/4,
+    # 3/4 on the first economy), and its reallocation rule as realloc:cel
+    fake = functools.wraps(cea)(lambda cp: cel(cp))
+    rule, endowed = simple_from_claims(fake), simple_reallocation_from_claims(fake)
+    three = econ([F(1, 2), F(1), F(3, 2)], 2)
+    assert list(rule(three)) == [F(1, 2), F(2, 3), F(5, 6)]
+    twin, endowed_twin = get_rule("simple:cel"), get_rule("realloc:cel")
+    for e in standard_suite(10, 48):
+        assert tuple(rule(e)) == tuple(twin(e))
+    for e in standard_suite(11, 40, with_endowments=True):
+        assert tuple(endowed(e)) == tuple(endowed_twin(e))
 
 
 def test_sequential_claims_rules_are_claims_rules():
@@ -751,14 +765,14 @@ def test_every_simple_rule_has_a_kernel():
     rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
     for rule in rules:
         if rule.simple:
-            assert callable(rule.allocate._kernel), rule.name
+            assert callable(rule.kernel), rule.name
     reallocation = [r for r in rules if r.domain == DOMAIN_SP_ENDOWMENTS]
     assert {r.name for r in reallocation} >= {"realloc:cea", "realloc:cel"}
     for rule in reallocation:
         assert rule.simple
         message = f"rule {rule.name} needs individual endowments"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            rule.allocate._kernel(1, (1, 2, 3), 6, None)
+            rule.kernel(1, (1, 2, 3), 6, None)
 
 
 def test_a_kernel_runs_once_per_integer_profile():
@@ -766,15 +780,14 @@ def test_a_kernel_runs_once_per_integer_profile():
     # profile, so the kernel runs once per economy checked; the kept run
     # is the last one only, so e1, e2, e1 runs it three times
     runs = []
-    kernel = uniform.allocate._kernel
+    kernel = uniform.kernel
 
     def counted(*profile):
         runs.append(profile)
         return kernel(*profile)
 
-    allocate = rules_module._of_kernel(counted)
-    assert allocate._kernel is counted
-    rule = Rule("counted", allocate)
+    rule = rules_module._kernel_rule("counted", counted)
+    assert rule.kernel is counted
     report = check_own_peak_only(rule, standard_suite(0, 200)[:40])
     assert report.checked == 40 and not report.failed
     assert len(runs) == report.checked
@@ -791,7 +804,7 @@ def test_a_kernel_rule_returns_no_stale_allotment():
     # integer profile, endowments included
     rules = [get_rule(name) for name in RULE_NAMES]
     rules += [sequential_rule(s, o) for s in SELECTORS for o in ORDER_POLICIES]
-    rules = [r for r in rules if hasattr(r.allocate, "_kernel")]
+    rules = [r for r in rules if r.kernel is not None]
     kernels = {"ced", "proportional", "gallery:bar", "gallery:equal_division"}
     kernels |= {"gallery:hat", "gallery:star", "uniform", "simple:appendix-b[lo]"}
     kernels |= {"realloc:cea", "realloc:cel", "realloc:pro"}
@@ -801,7 +814,7 @@ def test_a_kernel_rule_returns_no_stale_allotment():
         for rule in rules:
             if rule.domain == DOMAIN_SP_ENDOWMENTS and not endowed:
                 continue
-            kernel = rule.allocate._kernel
+            kernel = rule.kernel
             econs = [e for e in suite if e.n >= rule.min_agents]
             for e, following in zip(econs, econs[1:]):
                 own = (e.prefs[0].left_slope, e.prefs[0].right_slope)
