@@ -6,7 +6,8 @@ economy and returns a `Witness` that replays deterministically, or None.
 in `manipulation` too): it skips cases with fewer agents than the rule
 needs, counts the rest in the order given, stops at the first witness and
 builds the report. FAIL carries that witness; PASS_ON_SAMPLE is evidence,
-not proof; a check that inspected no case says NO_CASES instead.
+not proof; a check that inspected no case says NO_CASES instead. `AXIOMS`
+is the one table of what each checker reads: peaks, endowments, a grid.
 Indifference is exact disutility equality; there is no tolerance anywhere.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
@@ -79,24 +79,13 @@ def _scan(
     return AxiomReport(axiom, PASS_ON_SAMPLE if checked else NO_CASES, checked)
 
 
-def _peaks(axiom: str, econ: Economy) -> Tuple[Fraction, ...]:
-    """The agents' peaks, or a refusal that names the axiom and its domain."""
-    if not econ.is_single_peaked:
-        raise ValueError(
-            f"{axiom} reads each agent's peak, so it is checked on the "
-            "single-peaked domain only; this economy has single-plateaued "
-            "agents"
-        )
-    return econ.peaks()
-
-
 def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Same-sidedness, equivalent to efficiency on the single-peaked domain:
     nobody exceeds their peak under excess demand, nobody falls short of it
     under excess supply (both constraints bind in the balanced case)."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        peaks = _peaks("efficiency", econ)
+        peaks = econ.peaks()
         x = rule(econ)
         z = sum(peaks) - econ.omega
         for i in range(econ.n):
@@ -126,7 +115,7 @@ def check_own_peak_only(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     return an `Allotment`, as `Rule` is typed to."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        peaks = _peaks("own-peak-only", econ)
+        peaks = econ.peaks()
         x = rule(econ)
         for i, pref in enumerate(econ.prefs):
             own = (pref.left_slope, pref.right_slope)
@@ -187,7 +176,7 @@ def _reference_guarantee(
     def violation(econ: Economy) -> Optional[Witness]:
         if endowed and econ.endowments is None:
             raise ValueError("endowments-guarantee needs endowed economies")
-        peaks = _peaks(axiom, econ)
+        peaks = econ.peaks()
         x = rule(econ)
         reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
         for i, pref in enumerate(econ.prefs):
@@ -222,7 +211,7 @@ def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Weakly larger peaks must receive weakly larger amounts."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        peaks = _peaks("peak-responsive", econ)
+        peaks = econ.peaks()
         x = rule(econ)
         for i, j in itertools.permutations(range(econ.n), 2):
             if peaks[i] <= peaks[j] and x[i] > x[j]:
@@ -286,7 +275,7 @@ def check_betweenness(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     endowed = rule.domain == DOMAIN_SP_ENDOWMENTS
 
     def violation(econ: Economy) -> Optional[Witness]:
-        peaks = _peaks("betweenness", econ)
+        peaks = econ.peaks()
         x = rule(econ)
         *profile, endowments = econ._integer_profile()
         *_, plus, minus = _split_scaled(*profile, endowments if endowed else None)
@@ -323,7 +312,7 @@ def check_strategy_proofness(
     necessarily an obvious one."""
 
     def violation(econ: Economy) -> Optional[Witness]:
-        peaks = _peaks("sp", econ)
+        peaks = econ.peaks()
         x = rule(econ)
         peaks_grid = grid(econ.omega, grid_step)
         for i, pref in enumerate(econ.prefs):
@@ -349,15 +338,31 @@ def check_strategy_proofness(
     return _scan("sp", rule, econs, violation)
 
 
-AXIOM_CHECKERS = {
-    "efficiency": check_same_sided,
-    "own-peak-only": check_own_peak_only,
-    "symmetry": check_symmetry,
-    "edg": check_edg,
-    "endowments-guarantee": check_endowments_guarantee,
-    "peak-responsive": check_peak_responsive,
-    "envy-free": check_envy_free,
-    "edlb": check_edlb,
-    "betweenness": check_betweenness,
-    "sp": check_strategy_proofness,
+@dataclass(frozen=True)
+class Axiom:
+    """An axiom's checker and what it reads, so that a caller refuses or
+    draws before the first case: `peaks` (so single-peaked economies only;
+    the default), `endowments`, and `grid` (the checker takes `grid_step`).
+    `cases` is None for a checker of economies, else its own case source."""
+
+    check: Callable[..., AxiomReport]
+    peaks: bool = True
+    endowments: bool = False
+    grid: bool = False
+    cases: Optional[Callable] = None
+
+
+# the axioms checked on economies (nom's row is in `cli.AXIOMS`)
+AXIOMS = {
+    "efficiency": Axiom(check_same_sided),
+    "own-peak-only": Axiom(check_own_peak_only),
+    "symmetry": Axiom(check_symmetry, peaks=False),
+    "edg": Axiom(check_edg),
+    "endowments-guarantee": Axiom(check_endowments_guarantee, endowments=True),
+    "peak-responsive": Axiom(check_peak_responsive),
+    "envy-free": Axiom(check_envy_free, peaks=False),
+    "edlb": Axiom(check_edlb, peaks=False),
+    "betweenness": Axiom(check_betweenness),
+    "sp": Axiom(check_strategy_proofness, grid=True),
 }
+AXIOM_CHECKERS = {name: row.check for name, row in AXIOMS.items()}

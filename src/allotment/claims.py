@@ -10,10 +10,10 @@ The rules run on integers. cea, cel and pro each have a private core
 awards over D*scale: min(c*k, p) and max(c*k - p, 0) at the level p / (D*k)
 of the levels module's integer scan, and c*E over D times the total. Each
 ignores any further argument. `_core` is the one integer entry of any claims
-rule: the core of cea, cel or pro, found by identity, or an adapter that
-runs any other rule on a `ClaimsProblem`. `_check_awards` refuses awards off
-[0, claim] or off E, once per public call and per distinct consecutive
-profile of a simple rule.
+rule, with its name: cea, cel or pro and its core, found by identity, or
+"custom" and an adapter that runs any other rule on a `ClaimsProblem`.
+`_check_awards` refuses awards off [0, claim] or off E, once per public call
+and per distinct consecutive profile of a simple rule.
 """
 
 from __future__ import annotations
@@ -135,14 +135,15 @@ def pro(cp: ClaimsProblem) -> Awards:
     return _awards(cp, *_pro(cp._claims, cp._endowment, cp._common))
 
 
-# the integer core of each built-in rule, found by identity in `_core`
-_CORES = ((cea, _cea), (cel, _cel), (pro, _pro))
+# the name and integer core of each built-in rule, found by identity in `_core`
+_CORES = (("cea", cea, _cea), ("cel", cel, _cel), ("pro", pro, _pro))
 
 
-def _core(rule: ClaimsRule) -> ClaimsCore:
-    """The integer entry of a claims rule: cea's, cel's or pro's core for
-    that very function, or an adapter that builds the ClaimsProblem, calls
-    the rule and reads its awards back over a multiple of D."""
+def _core(rule: ClaimsRule) -> Tuple[str, ClaimsCore]:
+    """The name and integer entry of a claims rule: cea, cel or pro and its
+    core for that very function (not its `__name__`, which a wrapper copies),
+    or "custom" and an adapter that builds the ClaimsProblem, calls the rule
+    and reads its awards back over a multiple of D."""
 
     def adapter(claims, endowment, common, *_):
         cp = ClaimsProblem(
@@ -151,7 +152,7 @@ def _core(rule: ClaimsRule) -> ClaimsCore:
         unit, awards = _scaled(map(parse_rational, rule(cp)), common)
         return awards, unit // common
 
-    return next((core for r, core in _CORES if r is rule), adapter)
+    return next(((n, core) for n, r, core in _CORES if r is rule), ("custom", adapter))
 
 
-CLAIMS_RULES = {"cea": cea, "cel": cel, "pro": pro}
+CLAIMS_RULES = {name: rule for name, rule, _ in _CORES}

@@ -18,13 +18,11 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 --axioms, an --expect-fail axiom that --axioms does not request, an
 economy file of the wrong shape or with an unknown key, an empty grid, a
 --random count below 1, a check given both an economy file and --random,
-a rule run on too few agents or on preferences outside its domain, a
-peak-reading check on single-plateaued agents, nom on single-plateaued
-agents (a file's, or the draws of --random with an spl: rule; one text,
-before any draw), an endowment-reading check on a file without
-endowments, and a check in which a requested axiom inspected no case),
-3 internal error (any other exception, reported as "internal error:
-<Type>: <message>" so that a crash never reads as a FAIL).
+a rule run on too few agents or on preferences outside its domain, an
+axiom on agents or a file it cannot read (`AXIOMS`), and a check in which
+a requested axiom inspected no case), 3 internal error (any other
+exception, reported as "internal error: <Type>: <message>" so that a
+crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from fractions import Fraction
 from math import isfinite
 from typing import Dict, List, Optional, Union
 
-from .axioms import AXIOM_CHECKERS, AxiomReport, Witness
+from .axioms import AXIOMS as ECONOMY_AXIOMS, Axiom, AxiomReport, Witness
 from .economy import Economy
 from .manipulation import (
     NomCase,
@@ -55,9 +53,6 @@ from .rational import _format_scaled
 from .rules import DOMAIN_SP_ENDOWMENTS, ORDER_POLICIES, RULE_NAMES
 from .rules import SELECTORS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
-
-AXIOM_NAMES = list(AXIOM_CHECKERS) + ["nom"]
-
 
 class CliError(Exception):
     """Usage or parse problem; maps to exit code 2."""
@@ -339,77 +334,74 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    """Check the requested axioms on one economy file or on seeded draws.
+def _nom_cases(args, econ: Optional[Economy], realloc: bool) -> List[NomCase]:
+    """nom's own cases: each agent of the file's economy, or seeded
+    `nom_sweep` draws; only a reallocation rule's cases carry endowments."""
+    if econ is None:
+        return nom_sweep(args.seed, args.random, with_endowments=realloc)
+    endowments = econ.endowments if realloc else (None,) * econ.n
+    return [
+        NomCase(pref, econ.omega, econ.n, i, endowments[i])
+        for i, pref in enumerate(econ.prefs)
+    ]
 
-    Usage refusals come before the rule is looked up; a file's missing
-    endowments and nom on plateaus, before any draw or rule run; a
-    peak-reading axiom on plateaus, from its checker before it runs the
-    rule. `plateaued` is read from the file's preferences, or for
-    --random from the rule: an spl: rule is checked on
-    `random_plateaued_economy` draws, every other rule on
-    `standard_suite`. nom draws its own cases, so with --random and no
-    other axiom no suite is drawn and the sample count is the number of
-    nom cases."""
+
+# every axiom check takes; nom's row is here since `manipulation` imports `axioms`
+AXIOMS = {**ECONOMY_AXIOMS, "nom": Axiom(check_nom, grid=True, cases=_nom_cases)}
+
+
+def cmd_check(args) -> int:
+    """Check the requested axioms on one economy file or on seeded draws
+    (`random_plateaued_economy` for an spl: rule, else `standard_suite`).
+    Each axiom's row of `AXIOMS` says what it reads, so every refusal comes
+    before any draw or rule run. nom draws its own cases: with --random and
+    no other axiom no suite is drawn, and `samples` counts nom's cases."""
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    choose = "; choose from " + ", ".join(AXIOMS)
     if not axioms:
-        raise CliError("--axioms names no axiom; choose from " + ", ".join(AXIOM_NAMES))
+        raise CliError("--axioms names no axiom" + choose)
     for axiom in axioms:
-        if axiom not in AXIOM_NAMES:
-            raise CliError(
-                f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_NAMES)}"
-            )
+        if axiom not in AXIOMS:
+            raise CliError(f"unknown axiom {axiom!r}" + choose)
     for axiom in args.expect_fail or []:
         if axiom not in axioms:
             raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
+    rows = [AXIOMS[axiom] for axiom in axioms]
     rule = _rule(args)
     realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
-    wants_endowments = realloc or "endowments-guarantee" in axioms
-    if args.random is None:
-        econ = load_economy(args.economy)
+    wants_endowments = realloc or any(row.endowments for row in rows)
+    econ = load_economy(args.economy) if args.random is None else None
+    if econ is None:
+        plateaued = rule.name.startswith("spl:")
+    else:
+        plateaued = not econ.is_single_peaked
         if wants_endowments and econ.endowments is None:
             raise CliError(
-                "this check needs individual endowments, but the economy "
-                "file has none"
+                "this check needs individual endowments, but the economy file has none"
             )
-        plateaued = not econ.is_single_peaked
-    else:
-        plateaued = rule.name.startswith("spl:")
-    if "nom" in axioms and plateaued:
+    peak_readers = [axiom for axiom, row in zip(axioms, rows) if row.peaks]
+    if plateaued and peak_readers:
         raise CliError(
-            "obvious manipulation (nom) is checked on the single-peaked domain"
-            " only; this economy has single-plateaued agents"
+            f"{peak_readers[0]} reads each agent's peak, so it is checked on the "
+            "single-peaked domain only; this economy has single-plateaued agents"
         )
-    if args.random is None:
+    if econ is not None:
         econs = [econ]
-    elif set(axioms) == {"nom"}:
+    elif all(row.cases for row in rows):
         econs = []
     elif plateaued:
         rng = random.Random(args.seed)
         econs = [random_plateaued_economy(rng) for _ in range(args.random)]
     else:
-        econs = standard_suite(
-            args.seed, args.random, with_endowments=wants_endowments
-        )
+        econs = standard_suite(args.seed, args.random, with_endowments=wants_endowments)
     samples = len(econs)
 
     reports: List[AxiomReport] = []
-    for axiom in axioms:
-        if axiom != "nom":
-            extra = {"grid_step": args.grid_step} if axiom == "sp" else {}
-            reports.append(AXIOM_CHECKERS[axiom](rule, econs, **extra))
-            continue
-        if args.random is None:
-            endowments = econ.endowments if realloc else (None,) * econ.n
-            cases = [
-                NomCase(pref, econ.omega, econ.n, i, endowments[i])
-                for i, pref in enumerate(econ.prefs)
-            ]
-        else:
-            cases = nom_sweep(args.seed, args.random, with_endowments=realloc)
-            if not econs:
-                samples = len(cases)
-        reports.append(check_nom(rule, cases, grid_step=args.grid_step))
+    for row in rows:
+        cases = econs if row.cases is None else row.cases(args, econ, realloc)
+        samples = samples or len(cases)
+        extra = {"grid_step": args.grid_step} if row.grid else {}
+        reports.append(row.check(rule, cases, **extra))
 
     unchecked = [report.axiom for report in reports if report.checked == 0]
     if unchecked:
@@ -642,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--axioms",
         required=True,
-        help="comma-separated list from: " + ", ".join(AXIOM_NAMES),
+        help="comma-separated list from: " + ", ".join(AXIOMS),
     )
     p_check.add_argument(
         "--random",

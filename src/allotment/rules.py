@@ -174,12 +174,13 @@ def _simple_rule(
 
 def simple_from_claims(claims_rule: ClaimsRule, name: Optional[str] = None) -> Rule:
     """The simple rule driven by the given claims rule, around equal
-    division omega/n. A custom claims rule must be a function of its
-    problem: the rule keeps its last run (`_kernel_rule`), so an economy
-    whose integer profile equals the last one's reuses that allotment and
-    does not hand the claims rule its problem again."""
-    rule_name = name or f"simple:{getattr(claims_rule, '__name__', 'custom')}"
-    return _simple_rule(_core(claims_rule), rule_name)
+    division omega/n; unless named, simple:cea|cel|pro for a built-in claims
+    rule and simple:custom for any other. A custom claims rule must be a
+    function of its problem: the rule keeps its last run (`_kernel_rule`),
+    so an economy whose integer profile equals the last one's reuses that
+    allotment and does not hand the claims rule its problem again."""
+    known, core = _core(claims_rule)
+    return _simple_rule(core, name or f"simple:{known}")
 
 
 def simple_reallocation_from_claims(
@@ -187,8 +188,8 @@ def simple_reallocation_from_claims(
 ) -> Rule:
     """Reallocation variant: each agent's endowment replaces equal division
     as the reference point, and the claims are |peak - endowment|."""
-    rule_name = name or f"realloc:{getattr(claims_rule, '__name__', 'custom')}"
-    return _simple_rule(_core(claims_rule), rule_name, DOMAIN_SP_ENDOWMENTS)
+    known, core = _core(claims_rule)
+    return _simple_rule(core, name or f"realloc:{known}", DOMAIN_SP_ENDOWMENTS)
 
 
 # ---------------------------------------------------------------------------

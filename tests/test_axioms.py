@@ -5,6 +5,7 @@ import pytest
 
 from allotment.axioms import (
     AXIOM_CHECKERS,
+    AXIOMS,
     FAIL,
     NO_CASES,
     PASS_ON_SAMPLE,
@@ -129,6 +130,31 @@ def test_checkers_refuse_a_rule_that_returns_no_allotment():
     for check in (check_same_sided, check_own_peak_only):
         with pytest.raises(TypeError, match=f"^{message}$"):
             check(listed, standard_suite(0, 20))
+
+
+PLATEAUS = Economy(
+    (SinglePlateaued(F(1, 4), F(1, 2)), SinglePlateaued(0, 1), SinglePeaked(F(1, 2))),
+    F(3, 2),
+    (F(1, 2),) * 3,
+)
+
+
+@pytest.mark.parametrize("axiom", list(AXIOMS))
+def test_a_peak_reading_checker_refuses_plateaus_before_the_rule(axiom):
+    # a row that reads peaks has a checker that refuses a plateau economy
+    # through Economy.peaks() before it calls the rule; the other checkers
+    # (symmetry, envy-free, edlb) check it under uniform, which takes plateaus
+    def never(econ):
+        raise AssertionError("ran the rule")
+
+    row = AXIOMS[axiom]
+    assert row.check is AXIOM_CHECKERS[axiom]
+    if row.peaks:
+        with pytest.raises(ValueError, match=r"^peaks\(\) requires single-peaked"):
+            row.check(Rule("never", never), [PLATEAUS])
+    else:
+        assert axiom in ("symmetry", "envy-free", "edlb")
+        assert row.check(uniform, [PLATEAUS]).checked == 1
 
 
 def test_simple_rules_own_peak_only():

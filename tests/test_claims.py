@@ -212,12 +212,12 @@ def test_a_wrapper_takes_the_adapter():
             return self.rule(cp)
 
     for rule in (cea, cel, pro):
-        core = _core(rule)
-        assert core is getattr(claims_module, f"_{rule.__name__}")
+        name, core = _core(rule)
+        assert core is getattr(claims_module, f"_{name}")
         wrapped = functools.wraps(rule)(lambda cp, rule=rule: rule(cp))
         for other in (wrapped, lambda cp, rule=rule: rule(cp), Unhashable(rule)):
-            adapter = _core(other)
-            assert adapter is not core
+            custom, adapter = _core(other)
+            assert (custom, adapter is not core) == ("custom", True)
             awards, scale = adapter(KERNEL._claims, KERNEL._endowment, KERNEL._common)
             unit = KERNEL._common * scale
             assert [F(a, unit) for a in awards] == list(rule(KERNEL))

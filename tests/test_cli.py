@@ -642,7 +642,7 @@ def test_check_refuses_an_empty_axiom_list(capsys, monkeypatch, axioms):
     assert (code, out) == (2, "")
     assert err == (
         "error: --axioms names no axiom; choose from "
-        + ", ".join(cli_module.AXIOM_NAMES) + "\n"
+        + ", ".join(cli_module.AXIOMS) + "\n"
     )
 
 
@@ -938,8 +938,8 @@ def test_nom_refuses_plateaued_preferences(tmp_path, capsys, monkeypatch):
     refusal = (
         2,
         "",
-        "error: obvious manipulation (nom) is checked on the single-peaked"
-        " domain only; this economy has single-plateaued agents\n",
+        "error: nom reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n",
     )
     for argv in (
         ("--random", "5", "spl:cea", "--axioms", "nom,symmetry"),
@@ -968,8 +968,8 @@ def test_nom_refuses_a_plateau_file_in_one_text_for_every_rule(tmp_path, capsys)
         assert run(capsys, "check", str(path), rule, "--axioms", "nom") == (
             2,
             "",
-            "error: obvious manipulation (nom) is checked on the single-peaked"
-            " domain only; this economy has single-plateaued agents\n",
+            "error: nom reads each agent's peak, so it is checked on the "
+            "single-peaked domain only; this economy has single-plateaued agents\n",
         )
     # an spl: rule is simple, so on a single-peaked file nom passes
     peaks = tmp_path / "peaks.json"
@@ -1017,6 +1017,48 @@ def test_peak_checkers_refuse_plateaued_preferences(tmp_path, capsys, axiom):
             f"error: {axiom} reads each agent's peak, so it is checked on the "
             "single-peaked domain only; this economy has single-plateaued agents\n"
         ), rule
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        "efficiency",
+        "own-peak-only",
+        "edg",
+        "endowments-guarantee",
+        "peak-responsive",
+        "betweenness",
+        "sp",
+        "nom",
+    ],
+)
+def test_a_peak_reading_axiom_is_refused_before_any_draw(capsys, monkeypatch, axiom):
+    # an spl: rule's draws are plateaus, so every peak-reading axiom, nom
+    # included, is refused in one text before any draw or rule run, even
+    # after a peak-free axiom; the counters see the draws and runs of a
+    # check that is not refused
+    calls = {"draws": 0, "runs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("random_plateaued_economy", "standard_suite", "nom_sweep"):
+        monkeypatch.setattr(cli_module, name, counted("draws", getattr(cli_module, name)))
+    monkeypatch.setattr(Rule, "__call__", counted("runs", Rule.__call__))
+    check = ("check", "--random", "200", "spl:cea", "--axioms")
+    assert run(capsys, *check, f"symmetry,{axiom}") == (
+        2,
+        "",
+        f"error: {axiom} reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n",
+    )
+    assert calls == {"draws": 0, "runs": 0}
+    code, _, _ = run(capsys, *check, "symmetry")
+    assert (code, calls) == (0, {"draws": 200, "runs": 200})
 
 
 def test_find_manipulation_refuses_too_few_agents(om_file, capsys):
@@ -1316,6 +1358,6 @@ def test_check_on_a_mix_of_peaks_and_plateaus(tmp_path, capsys):
     assert run(capsys, *check, "nom") == (
         2,
         "",
-        "error: obvious manipulation (nom) is checked on the single-peaked"
-        " domain only; this economy has single-plateaued agents\n",
+        "error: nom reads each agent's peak, so it is checked on the "
+        "single-peaked domain only; this economy has single-plateaued agents\n",
     )

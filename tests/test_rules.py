@@ -429,6 +429,20 @@ def test_a_wrapper_of_a_claims_rule_is_run_not_its_namesake():
         assert tuple(endowed(e)) == tuple(endowed_twin(e))
 
 
+def test_an_unnamed_rule_is_named_by_identity():
+    # cea, cel and pro keep their names; any other callable, a wrapper that
+    # copies cea's __name__ included, is custom unless it is given a name
+    for name, rule in (("cea", cea), ("cel", cel), ("pro", pro)):
+        assert simple_from_claims(rule).name == f"simple:{name}"
+        assert simple_reallocation_from_claims(rule).name == f"realloc:{name}"
+    fake = functools.wraps(cea)(lambda cp: cel(cp))
+    for other in (fake, lambda cp: cea(cp)):
+        assert simple_from_claims(other).name == "simple:custom"
+        assert simple_reallocation_from_claims(other).name == "realloc:custom"
+    assert simple_from_claims(fake, name="mine").name == "mine"
+    assert simple_reallocation_from_claims(fake, name="ours").name == "ours"
+
+
 def test_sequential_claims_rules_are_claims_rules():
     rng = random.Random(89)
     rules = [sequential_claims_rule(*variant) for variant in SEQUENTIAL_VARIANTS]
