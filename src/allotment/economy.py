@@ -3,7 +3,9 @@
 An economy is a profile of preferences plus a social endowment omega
 (optionally split into individual endowments summing to omega exactly).
 
-An economy's integer profile -- the peaks (effective peaks once any agent
+An economy stores only its preferences, omega and endowments; whether it
+is single-peaked, and its peaks, are read off the preferences on every
+read. Its integer profile -- the peaks (effective peaks once any agent
 has a plateau), omega and the endowments (None when there are none) as
 numerators over one denominator D -- is computed the first time it is
 read (`Economy._integer_profile`), or inherited from the economy it was
@@ -41,18 +43,14 @@ from .rational import _scaled, exact_sum, parse_rational
 class Economy:
     """A profile of n >= 2 preferences and a positive social endowment.
 
-    Endowments, when present, must sum to omega exactly. The peak profile
-    (None unless every preference is single-peaked) is computed once, at
-    construction; the integer profile on first read, unless `replace_pref`
-    hands it down; equal division omega / n on every read.
+    Endowments, when present, must sum to omega exactly. The integer
+    profile is computed on first read, unless `replace_pref` hands it down;
+    equal division, single-peakedness and the peaks on every read.
     """
 
     prefs: Tuple[Preference, ...]
     omega: Fraction
     endowments: Optional[Tuple[Fraction, ...]] = None
-    _peaks: Optional[Tuple[Fraction, ...]] = field(
-        init=False, repr=False, compare=False
-    )
     _integers: Optional[tuple] = field(
         init=False, default=None, repr=False, compare=False
     )
@@ -61,13 +59,6 @@ class Economy:
         prefs = tuple(self.prefs)
         object.__setattr__(self, "prefs", prefs)
         object.__setattr__(self, "omega", _checked_size(len(prefs), self.omega))
-        object.__setattr__(
-            self,
-            "_peaks",
-            tuple(p.peak for p in prefs)
-            if all(isinstance(p, SinglePeaked) for p in prefs)
-            else None,
-        )
         if self.endowments is not None:
             endowments = tuple(parse_rational(w) for w in self.endowments)
             object.__setattr__(self, "endowments", endowments)
@@ -88,12 +79,12 @@ class Economy:
 
     @property
     def is_single_peaked(self) -> bool:
-        return self._peaks is not None
+        return all(isinstance(p, SinglePeaked) for p in self.prefs)
 
     def peaks(self) -> Tuple[Fraction, ...]:
-        if self._peaks is None:
+        if not self.is_single_peaked:
             raise ValueError("peaks() requires single-peaked preferences")
-        return self._peaks
+        return tuple(p.peak for p in self.prefs)
 
     def _integer_profile(self) -> tuple:
         """(D, peaks, omega, endowments): the peaks, omega and the
@@ -108,10 +99,10 @@ class Economy:
         every award its claim, and the rule returns the peaks unchanged:
         so every simple rule around equal division takes plateaus."""
         if self._integers is None:
-            n, endowments = self.n, self.endowments
-            plateaus = self._peaks is None
-            lows = [p.plateau_lo for p in self.prefs] if plateaus else self.peaks()
-            highs = [p.plateau_hi for p in self.prefs] if plateaus else ()
+            n, endowments, prefs = self.n, self.endowments, self.prefs
+            plateaus = not self.is_single_peaked
+            lows = [p.plateau_lo if plateaus else p.peak for p in prefs]
+            highs = [p.plateau_hi for p in prefs] if plateaus else ()
             common, scaled = _scaled([*lows, *highs, self.omega, *(endowments or ())])
             m = n + len(highs)
             peaks, hi, omega, rest = scaled[:n], scaled[n:m], scaled[m], scaled[m + 1 :]
@@ -138,9 +129,9 @@ class Economy:
         econ = Economy(tuple(prefs), self.omega, self.endowments)
         if (
             self._integers is not None
-            and self._peaks is not None
             and isinstance(pref, SinglePeaked)
-            and pref.peak == self._peaks[agent]
+            and self.is_single_peaked
+            and pref.peak == self.prefs[agent].peak
         ):
             object.__setattr__(econ, "_integers", self._integers)
         return econ

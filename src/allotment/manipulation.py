@@ -29,11 +29,11 @@ profile's peaks as integers over the families' denominator D. So is the
 witness family: the witness profile of every grid target, of which an
 agent's option set reads a slice, building a profile only for an end of
 the set that lies off the grid. A report whose peak refines D by a factor
-reads the same profiles with every numerator times that factor, kept in
-the same cache under (omega, n, grid step, factor). Sharing is
-unobservable: the cache key is the whole input, compared by type as
-well as value, and the value is made of tuples of fractions, ints or
-frozen preferences, which no caller can change.
+reads the same profiles, and each kernel run multiplies the opponents'
+numerators by that factor. Sharing is unobservable: the cache key is the
+whole input, compared by type as well as value, and the value is made of
+tuples of fractions, ints or frozen preferences, which no caller can
+change.
 
 Both doors, `option_set_sampled` and `find_obvious_manipulation`,
 refuse bad inputs once, before any profile is built, in one check and
@@ -161,16 +161,16 @@ def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
     return tuple(peak_grid(omega, grid_step))
 
 
-@functools.lru_cache(maxsize=96, typed=True)
+@functools.lru_cache(maxsize=32, typed=True)
 def _shared_families(
-    omega: Fraction, n: int, grid_step: int, scale: int
+    omega: Fraction, n: int, grid_step: int
 ) -> Tuple[int, Family, Family, Family]:
     """The opponent families that do not depend on the agent, after a
-    common denominator D * `scale` of their peaks and omega: the identical
-    family, the complementary family (without its profiles the identical
-    family already holds), and the witness profile of every grid target
+    common denominator D of their peaks and omega: the identical family,
+    the complementary family (without its profiles the identical family
+    already holds), and the witness profile of every grid target
     k * omega / grid_step, k = 0 .. grid_step, indexed by k. Each profile
-    is a pair (opponents, their peaks' numerators over D * scale).
+    is a pair (opponents, their peaks' numerators over D).
 
     Every profile is made of one unit-slope preference per distinct peak,
     shared by every slot and profile. The witness profile of target k puts
@@ -181,21 +181,11 @@ def _shared_families(
     grid_step - k, and D is the grid's times n - 1, over which every
     target's peak (omega - point k) / (n - 1) is an integer too.
 
-    A scale above 1 is the scale-1 entry with every numerator times
-    `scale`, sharing its opponents. Callers pass all four arguments
-    positionally, so one input has one key: 32 entries hold the scale-1
-    families and 64 the 61 distinct (omega, n, scale) of c04's 100 cases.
+    Callers pass all three arguments positionally, so one input has one
+    key. c04 and the option_sets workload read at most 25 keys (omega in
+    1..5, n in 2..6, grid step 60), gallery_matrix at most 10 (n in 2..3,
+    grid step 20), so 32 entries hold every key of any one of them.
     """
-    if scale != 1:
-        common, *families = _shared_families(omega, n, grid_step, 1)
-        rescaled = [
-            tuple(
-                None if p is None else (p[0], tuple(x * scale for x in p[1]))
-                for p in family
-            )
-            for family in families
-        ]
-        return (common * scale, *rescaled)
     points = _grid(omega, grid_step)
     common, scaled = _scaled(points)
     common, top = common * (n - 1), scaled[grid_step] * (n - 1)
@@ -230,7 +220,6 @@ def _opponent_profiles(
     omega: Fraction,
     n: int,
     grid_step: int,
-    scale: int = 1,
 ) -> Iterator[Profile]:
     """Deterministic opponent families of unit-slope preferences, deduped
     on the opponents' peaks in generation order:
@@ -247,13 +236,11 @@ def _opponent_profiles(
     no more witness profiles than it reads. The targets are the option
     set's two ends and the grid points between them; the grid points' are
     a slice of the shared witness family, with their peaks' numerators
-    over the families' D times `scale`. Only an end that lies off the
-    grid gets a profile of its own, whose numerators are None: `_sample`
-    runs the rule on its economy.
+    over the families' D. Only an end that lies off the grid gets a
+    profile of its own, whose numerators are None: `_sample` runs the
+    rule on its economy.
     """
-    _, identical, complementary, witness = _shared_families(
-        omega, n, grid_step, scale
-    )
+    _, identical, complementary, witness = _shared_families(omega, n, grid_step)
     yield from identical
 
     # a witness profile is constant, so it repeats an identical profile
@@ -287,31 +274,30 @@ def _sample(
 
     A rule's `kernel` runs, after one domain check (every economy of
     the set is single-peaked, without endowments), on each profile that
-    has numerators: over the families' D refined by the report's peak
-    (`_shared_families` at that scale). Every other run, an off-grid
-    end's or any run of a rule without a kernel, calls the rule on
-    `Economy(prefs, omega)` and reads its allotment's integers.
+    has numerators, over the families' D refined by the report's peak:
+    the opponents' numerators times that factor, with the report's
+    inserted. Every other run, an off-grid end's or any run of a rule
+    without a kernel, calls the rule on `Economy(prefs, omega)` and reads
+    its allotment's integers.
     `economy._check_feasible` checks every run once more. Each witness is
     kept as its preference profile, whose economy
     `SampledOptionSet.witnesses` builds on first read. Outcomes are
     keyed, and sorted, as reduced integer pairs; both callers have run
     `_checked_omega` first, so no economy fails its checks."""
     kernel = rule.kernel
-    scale = 1
     if kernel is not None:
-        family = _shared_families(omega, n, grid_step, 1)[0]
+        family = _shared_families(omega, n, grid_step)[0]
         common, (report, total) = _scaled([pref.peak, omega], family)
         scale = common // family
         rule.check_domain(Economy((pref,) * n, omega))
 
     # {reduced outcome: [outcome, its preference profile, then economy]}
     found: Dict[Tuple[int, int], list] = {}
-    for opponents, numerators in _opponent_profiles(
-        pref, omega, n, grid_step, scale
-    ):
+    for opponents, numerators in _opponent_profiles(pref, omega, n, grid_step):
         prefs = opponents[:agent] + (pref,) + opponents[agent:]
         if kernel is not None and numerators is not None:
-            peaks = numerators[:agent] + (report,) + numerators[agent:]
+            peaks = [x * scale for x in numerators]
+            peaks.insert(agent, report)
             unit, amounts = kernel(common, peaks, total, None)
         else:
             allotment = rule(Economy(prefs, omega))

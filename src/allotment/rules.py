@@ -101,7 +101,7 @@ class Rule:
 
     def check_domain(self, econ: Economy) -> None:
         """Refuse an economy off this rule's domain (see `Rule`)."""
-        if not (econ.is_single_peaked or self.simple and self.domain == DOMAIN_SP):
+        if not (self.simple and self.domain == DOMAIN_SP or econ.is_single_peaked):
             raise ValueError(f"rule {self.name} needs single-peaked preferences")
         if self.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is None:
             raise ValueError(f"rule {self.name} needs individual endowments")
@@ -409,7 +409,7 @@ def gallery(name: str) -> Rule:
 # name-based registry (CLI entry point)
 
 # every registered rule by name, built once; simple:appendix-b holds its
-# default, which `get_rule` rebuilds per call from a selector and an order
+# default, and `get_rule` builds it anew only for another selector or an order
 _CLAIMS = sorted(CLAIMS_RULES.items())
 _REGISTRY: Dict[str, Rule] = {
     "uniform": uniform,
@@ -435,9 +435,10 @@ def get_rule(
     """Look up a registered rule by its namespaced name, like "simple:cea"
     or "gallery:bar".
 
-    `order` and `selector` only apply to simple:appendix-b.
+    `order` and `selector` only apply to simple:appendix-b. With their
+    defaults every name returns its one registered Rule.
     """
-    if name == "simple:appendix-b":
+    if name == "simple:appendix-b" and (selector != "lo" or order is not None):
         return sequential_rule(selector=selector, order=order)
     if name not in _REGISTRY:
         raise ValueError(f"unknown rule {name!r}")

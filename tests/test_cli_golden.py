@@ -6,7 +6,9 @@ with excess demand, excess supply and balance, all carrying individual
 endowments, plus `option-set` for a simple rule, `find-manipulation` for
 a reallocation rule (no manipulation) and for `ced` on the README's
 two-agent economy (a sampled certificate), `option-set` of `ced` there
-with every witness economy, `check` of nom on it (a FAIL whose witness
+with every witness economy, `option-set` of `ced` and `find-manipulation`
+for `proportional` on a report whose peak refines the sampled opponent
+families' denominator, `check` of nom on it (a FAIL whose witness
 economy comes from the misreport's sampled set), `check` of the two
 reference-point guarantees, and `check` of own-peak-only for
 `gallery:underline` (a FAIL whose witness and slope-perturbed economy are
@@ -117,6 +119,12 @@ ECONOMIES = {
             ("1/4", "1", "10"), ("2", "1", "1"), ("2", "1", "1"), ("2", "1", "1")
         ),
     },
+    # agent 1's peak 1/7 refines the opponent families' denominator 6 at
+    # grid step 6 by a factor of 7
+    "refined": {
+        "omega": "1",
+        "agents": [{"peak": "1/7"}, {"peak": "1/2"}, {"peak": "1"}],
+    },
 }
 
 # the non-simple agents of each economy (1-based), highest index first
@@ -158,6 +166,18 @@ def cases():
         found.append(
             ["option-set", "two-agent", "ced", "1", "--show-witnesses"]
             + ["--grid-step", "6"]
+            + tail
+        )
+        # a report whose peak refines the families' denominator: every
+        # kernel run reads the families' numerators times the factor
+        found.append(
+            ["option-set", "refined", "ced", "1", "--grid-step", "6"]
+            + ["--show-witnesses"]
+            + tail
+        )
+        found.append(
+            ["find-manipulation", "refined", "proportional", "1"]
+            + ["--grid-step", "6", "--misreport-grid", "6"]
             + tail
         )
         found.append(

@@ -9,7 +9,7 @@ from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy, _check_feasible, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import _scaled
-from allotment.rules import simple_from_claims, simple_reallocation_from_claims
+from allotment.rules import ced, simple_from_claims, simple_reallocation_from_claims
 from allotment.sampling import SLOPE_CATALOGUE, random_economy, standard_suite
 from helpers import split_oracle
 
@@ -234,16 +234,52 @@ def test_a_peak_replacing_a_plateau_inherits_nothing():
             e.peaks()
 
 
+# each value an economy derives on every read, and what it reads
+DERIVED = {
+    "equal_share": (lambda e: e.equal_share, F(7, 6)),
+    "is_single_peaked": (lambda e: e.is_single_peaked, True),
+    "peaks": (lambda e: e.peaks(), (F(1, 3), F(5, 4), F(2))),
+}
+
+
+@pytest.mark.parametrize("derived", DERIVED)
 @pytest.mark.parametrize(
     "endowments", [None, (F(1, 6), 1, F(7, 3))], ids=["no endowments", "endowed"]
 )
-def test_equal_share_is_derived_and_unobservable(endowments):
+def test_derived_values_are_unobservable(endowments, derived):
+    read, expected = DERIVED[derived]
     e = econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
     state, fresh, text, digest = dict(vars(e)), pickle.dumps(e), repr(e), hash(e)
-    assert e.equal_share == F(7, 6)
+    assert read(e) == expected
     assert (vars(e), pickle.dumps(e), repr(e), hash(e)) == (state, fresh, text, digest)
     assert e == econ([F(1, 3), F(5, 4), 2], F(7, 2), endowments)
-    assert "equal_share" not in {f.name for f in dataclasses.fields(Economy)}
+
+
+def test_an_economy_stores_its_inputs_and_integer_profile_only():
+    names = [f.name for f in dataclasses.fields(Economy)]
+    assert names == ["prefs", "omega", "endowments", "_integers"]
+
+
+def test_single_peaked_means_an_instance_of_single_peaked():
+    # a plateau of width zero stands for a peak in the integer profile,
+    # but the economy is not single-peaked: peaks() and ced refuse it
+    e = Economy((SinglePlateaued(F(1, 2), F(1, 2)), SinglePeaked(1)), F(1))
+    assert not e.is_single_peaked
+    with pytest.raises(
+        ValueError, match=r"^peaks\(\) requires single-peaked preferences$"
+    ):
+        e.peaks()
+    with pytest.raises(ValueError, match="^rule ced needs single-peaked preferences$"):
+        ced(e)
+
+    class Peak(SinglePeaked):
+        pass
+
+    # a subclass of SinglePeaked is single-peaked
+    e = Economy((Peak(F(1, 2)), SinglePeaked(1)), F(1))
+    assert e.is_single_peaked
+    assert e.peaks() == (F(1, 2), F(1))
+    assert tuple(ced(e)) == (F(1, 4), F(3, 4))
 
 
 def test_split_permutation_invariant():

@@ -167,7 +167,7 @@ def test_opponent_profiles_match_oracle(grid_step):
                     assert got == expected, (pref.peak, omega, n)
                     # a shared profile's numerators are its peaks over the
                     # families' D; an off-grid end's profile has none
-                    common = _shared_families(*args, 1)[0]
+                    common = _shared_families(*args)[0]
                     for opponents, numerators in profiles:
                         peaks = tuple(p.peak for p in opponents)
                         if numerators is None:
@@ -620,33 +620,19 @@ def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
     assert off_grid_sets > 0
 
 
-def test_a_refined_report_reads_the_scale_one_profiles_rescaled():
-    # a report whose peak refines the families' D reads the scale-1
-    # profiles, the same opponent objects, with every numerator times the
-    # factor; the two entries share one cache
+def test_a_refined_report_adds_one_family_entry():
+    # a report whose peak refines the families' D reads the families kept
+    # for (omega, n, grid step), and each kernel run multiplies their
+    # numerators by the factor, so no rescaled copy is cached
     refined = 0
     for peak, omega, n in c04_cases():
-        pref = SinglePeaked(peak)
-        family = _shared_families(omega, n, 60, 1)[0]
-        scale = _scaled([peak, omega], family)[0] // family
-        if scale == 1:
+        family = _shared_families(omega, n, 60)[0]
+        if _scaled([peak, omega], family)[0] == family:
             continue
         refined += 1
-        common = _shared_families(omega, n, 60, scale)[0]
-        pairs = zip(
-            _opponent_profiles(pref, omega, n, 60, scale),
-            _opponent_profiles(pref, omega, n, 60, 1),
-            strict=True,
-        )
-        for (opponents, numerators), (base, base_numerators) in pairs:
-            assert (numerators is None) == (base_numerators is None)
-            if numerators is not None:
-                assert opponents is base
-                peaks = tuple(F(x, common) for x in numerators)
-                assert peaks == tuple(p.peak for p in opponents)
         _shared_families.cache_clear()
-        option_set_sampled(ced, 0, pref, omega, n)
-        assert _shared_families.cache_info().currsize == 2
+        option_set_sampled(ced, 0, SinglePeaked(peak), omega, n)
+        assert _shared_families.cache_info().currsize == 1
     assert refined > 0
 
 

@@ -1121,7 +1121,7 @@ def test_a_reallocation_rule_refuses_plateaus():
 
 
 def test_each_registered_rule_carries_its_name():
-    # simple:appendix-b is built per call, and its name tags the selector
+    # simple:appendix-b's name tags the selector
     for name in RULE_NAMES:
         if name == "simple:appendix-b":
             assert get_rule(name).name == "simple:appendix-b[lo]"
@@ -1147,6 +1147,20 @@ def test_get_rule_registry():
     assert get_rule("spl:cel").simple
     with pytest.raises(ValueError):
         get_rule("simple:unknown")
+
+
+def test_get_rule_returns_one_rule_per_name():
+    # with the default selector and no order every name, simple:appendix-b
+    # included, is one registered Rule, so every lookup shares its kept
+    # last run; another selector or an order builds a new Rule per call
+    for name in RULE_NAMES:
+        assert get_rule(name) is get_rule(name)
+    default = get_rule("simple:appendix-b")
+    assert get_rule("simple:appendix-b", order=None, selector="lo") is default
+    for options in ({"selector": "hi"}, {"order": "ascending"}, {"order": [0, 1]}):
+        built = get_rule("simple:appendix-b", **options)
+        assert built is not get_rule("simple:appendix-b", **options)
+        assert built is not default
 
 
 def test_domain_mismatch_rejected():
