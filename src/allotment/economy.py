@@ -60,7 +60,9 @@ class Economy:
         object.__setattr__(self, "prefs", prefs)
         object.__setattr__(self, "omega", _checked_size(len(prefs), self.omega))
         if self.endowments is not None:
-            endowments = tuple(parse_rational(w) for w in self.endowments)
+            endowments = tuple(
+                w if type(w) is Fraction else parse_rational(w) for w in self.endowments
+            )
             object.__setattr__(self, "endowments", endowments)
             if len(endowments) != len(self.prefs):
                 raise ValueError("one endowment per agent required")

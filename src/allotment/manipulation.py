@@ -10,44 +10,39 @@ is the truthful end farther from the peak, so it is the truthful worst,
 and no misreport's worst outcome can beat it (NOM as the worst-case
 comparison of Troyan and Morrill, "Obvious manipulations", JET 2020).
 The search checks its inputs and returns None. For every other rule
-option sets are sampled by one builder into a `SampledOptionSet`, the
-one option-set type that verdicts and certificates read: outcomes are
-produced by real rule runs over deterministic opponent-profile families
-and every outcome carries the first economy that achieves it, so
-certificates replay exactly. Sampled PASS verdicts are sample-relative;
-sampled FAIL certificates use only exhibited outcomes. NOM compares
-worst cases only, so a sampled misreport is not obvious as soon as one
-of its outcomes is, under the true preference, no better than the
-truthful worst: the search builds each misreport's set with the same
-builder, told to stop there, and only an obvious misreport has its whole
-option set built.
+option sets are sampled into a `SampledOptionSet`, the one option-set
+type that verdicts and certificates read: outcomes come from real rule
+runs over deterministic opponent-profile families, each with the first
+economy that achieves it, so certificates replay exactly. Sampled PASS
+verdicts are sample-relative; FAIL certificates use only exhibited
+outcomes. NOM compares worst cases only, so a misreport's set stops at
+its first outcome no better, under the true preference, than the
+truthful worst: only an obvious misreport's set is built whole.
 
-The peak grid depends only on (omega, grid step), and the identical and
-complementary opponent families only on (omega, n, grid step), so each is
-built once and shared across rules, agents and misreports, with every
-profile's peaks as integers over the families' denominator D. So is the
-witness family: the witness profile of every grid target, of which an
-agent's option set reads a slice, building a profile only for an end of
-the set that lies off the grid. A report whose peak refines D by a factor
-reads the same profiles, and each kernel run multiplies the opponents'
-numerators by that factor. Sharing is unobservable: the cache key is the
-whole input, compared by type as well as value, and the value is made of
-tuples of fractions, ints or frozen preferences, which no caller can
-change.
+The peak grid depends only on (omega, grid step), and the identical,
+complementary and witness opponent families only on (omega, n, grid
+step), so each is built once and shared across rules, agents and
+misreports, with every profile's peaks as integers over the families'
+denominator D. An option set reads a slice of the witness family and
+builds a profile only for an end that lies off the grid; a report whose
+peak refines D by a factor reads the same profiles, scaled by it. Sharing
+is unobservable: the cache key is the whole input, compared by type as
+well as value, and the value is tuples of fractions, ints or frozen
+preferences, which no caller can change.
 
 Both doors, `option_set_sampled` and `find_obvious_manipulation`,
-refuse bad inputs once, before any profile is built, in one check and
-one set of texts (a report that is not single-peaked, the rule's minimum
-agent count, the economy's size and endowment, the agent index).
-`_sample` then runs each profile through one branch: a rule's declared
+refuse bad inputs once, before any profile is built, in one set of texts
+(a report that is not single-peaked, the rule's minimum agent count, the
+economy's size and endowment, the agent index). Each then builds one
+`_sampler`, which sets up the families, D and, for a rule with a declared
 kernel (`Rule.kernel`; every registered rule but gallery:underline, which
-reads a slope, has one) runs, after one domain check per set, on the
-integers of every profile that has them, and every other run (an off-grid
-end, or any run of a rule without a kernel, a wrapper included) is a call
-of the rule on the profile's economy. Every economy comes through the
-public constructor, feasibility is checked on every run, and the first
-witness of each outcome is kept as its preference profile, whose economy
-`SampledOptionSet.witnesses` builds on first read.
+reads a slope, has one), the domain check once, so each misreport pays
+only its runs. The kernel runs on the integers of every profile that has
+them; every other run (an off-grid end, any run of a rule without a
+kernel, a wrapper included) calls the rule on the profile's economy,
+built by the public constructor. Feasibility is checked on every run, and
+the first witness of each outcome is kept as its preference profile,
+whose economy `SampledOptionSet.witnesses` builds on first read.
 """
 
 from __future__ import annotations
@@ -220,6 +215,7 @@ def _opponent_profiles(
     omega: Fraction,
     n: int,
     grid_step: int,
+    families: Tuple[int, Family, Family, Family],
 ) -> Iterator[Profile]:
     """Deterministic opponent families of unit-slope preferences, deduped
     on the opponents' peaks in generation order:
@@ -234,13 +230,12 @@ def _opponent_profiles(
 
     Profiles are generated lazily, so a consumer that stops early builds
     no more witness profiles than it reads. The targets are the option
-    set's two ends and the grid points between them; the grid points' are
-    a slice of the shared witness family, with their peaks' numerators
-    over the families' D. Only an end that lies off the grid gets a
-    profile of its own, whose numerators are None: `_sample` runs the
-    rule on its economy.
+    set's two ends and the grid points between, whose profiles are a slice
+    of the witness family of `families`, the `_shared_families` of (omega,
+    n, grid_step). Only an end off the grid gets a profile of its own,
+    without numerators.
     """
-    _, identical, complementary, witness = _shared_families(omega, n, grid_step)
+    _, identical, complementary, witness = families
     yield from identical
 
     # a witness profile is constant, so it repeats an identical profile
@@ -258,73 +253,71 @@ def _opponent_profiles(
     yield from complementary
 
 
-def _sample(
-    rule: Rule,
-    agent: int,
-    pref: SinglePeaked,
-    omega: Fraction,
-    n: int,
-    grid_step: int,
-    stop: Optional[Callable[[Fraction], bool]] = None,
-) -> Optional[SampledOptionSet]:
-    """The sampled option set of `agent` reporting `pref`: one rule run per
-    opponent profile, in generation order, keeping the first witness of
-    each outcome. None at the first outcome for which `stop` (a
-    predicate, asked once per outcome) holds, before any later run.
-
-    A rule's `kernel` runs, after one domain check (every economy of
-    the set is single-peaked, without endowments), on each profile that
-    has numerators, over the families' D refined by the report's peak:
-    the opponents' numerators times that factor, with the report's
-    inserted. Every other run, an off-grid end's or any run of a rule
-    without a kernel, calls the rule on `Economy(prefs, omega)` and reads
-    its allotment's integers.
-    `economy._check_feasible` checks every run once more. Each witness is
-    kept as its preference profile, whose economy
-    `SampledOptionSet.witnesses` builds on first read. Outcomes are
-    keyed, and sorted, as reduced integer pairs; both callers have run
+def _sampler(
+    rule: Rule, agent: int, pref: SinglePeaked, omega: Fraction, n: int, grid_step: int
+) -> Callable:
+    """The sampler of one search, set up once: it looks up the opponent
+    families and their D, and runs a `kernel` rule's one domain check on
+    the true report `pref` (the check reads the preference kind, the
+    endowments and n, which no report changes). `sample(report, stop)` is
+    the sampled option set of `agent` reporting `report`, one run per
+    profile in generation order, or None at the first new outcome, a
+    reduced (a, q), for which `stop(a, q)` holds. A kernel runs on the
+    profile's numerators times the factor by which the report's peak
+    refines D (1 when D holds it), the report's inserted; any other run
+    calls the rule on `Economy(prefs, omega)`. Feasibility is checked on
+    every run; a new outcome's witness is kept as its profile, whose
+    economy `SampledOptionSet.witnesses` builds on first read. Callers run
     `_checked_omega` first, so no economy fails its checks."""
-    kernel = rule.kernel
+    families = _shared_families(omega, n, grid_step)
+    family, kernel = families[0], rule.kernel
     if kernel is not None:
-        family = _shared_families(omega, n, grid_step)[0]
-        common, (report, total) = _scaled([pref.peak, omega], family)
-        scale = common // family
         rule.check_domain(Economy((pref,) * n, omega))
-
-    # {reduced outcome: [outcome, its preference profile, then economy]}
-    found: Dict[Tuple[int, int], list] = {}
-    for opponents, numerators in _opponent_profiles(pref, omega, n, grid_step):
-        prefs = opponents[:agent] + (pref,) + opponents[agent:]
-        if kernel is not None and numerators is not None:
-            peaks = [x * scale for x in numerators]
-            peaks.insert(agent, report)
-            unit, amounts = kernel(common, peaks, total, None)
-        else:
-            allotment = rule(Economy(prefs, omega))
-            unit, amounts = allotment._common, allotment._numerators
-        _check_feasible(unit, amounts, omega)
-        g = math.gcd(amounts[agent], unit)
-        key = (amounts[agent] // g, unit // g)
-        if key in found:
-            continue
-        outcome = Fraction(*key)
-        if stop is not None and stop(outcome):
-            return None
-        found[key] = [outcome, prefs]
-    # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
-    lcm = math.lcm(*{q for _, q in found})
-    ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))
-    return SampledOptionSet(
-        rule=rule,
-        agent=agent,
-        outcomes=tuple(found[key][0] for key in ordered),
-        witnesses=_Witnesses(omega, found),
-        grid_spec=(
-            f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
-            f"[0, {fr(2 * omega)}]; identical, witness, and complementary "
-            "families"
-        ),
+    grid_spec = (
+        f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
+        f"[0, {fr(2 * omega)}]; identical, witness, and complementary families"
     )
+
+    def sample(report: SinglePeaked, stop: Optional[Callable] = None):
+        # D refined by the report's peak; omega's denominator divides D
+        peak = report.peak
+        common = math.lcm(family, peak.denominator)
+        scale, mine = common // family, peak.numerator * (common // peak.denominator)
+        total = omega.numerator * (common // omega.denominator)
+        # {reduced outcome: [outcome, its preference profile, then economy]}
+        found: Dict[Tuple[int, int], list] = {}
+        profiles = _opponent_profiles(report, omega, n, grid_step, families)
+        for opponents, numerators in profiles:
+            prefs = None
+            if kernel is not None and numerators is not None:
+                peaks = [x * scale for x in numerators]
+                peaks.insert(agent, mine)
+                unit, amounts = kernel(common, peaks, total, None)
+            else:
+                prefs = opponents[:agent] + (report,) + opponents[agent:]
+                allotment = rule(Economy(prefs, omega))
+                unit, amounts = allotment._common, allotment._numerators
+            _check_feasible(unit, amounts, omega)
+            g = math.gcd(amounts[agent], unit)
+            key = (amounts[agent] // g, unit // g)
+            if key in found:
+                continue
+            if stop is not None and stop(*key):
+                return None
+            prefs = prefs or opponents[:agent] + (report,) + opponents[agent:]
+            found[key] = [Fraction(*key), prefs]
+        # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
+        lcm = math.lcm(*{q for _, q in found})
+        ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))
+        return SampledOptionSet(
+            rule=rule,
+            agent=agent,
+            outcomes=tuple(found[key][0] for key in ordered),
+            witnesses=_Witnesses(omega, found),
+            grid_spec=grid_spec,
+        )
+
+    return sample
 
 
 def option_set_sampled(
@@ -337,15 +330,12 @@ def option_set_sampled(
 ) -> SampledOptionSet:
     """Sampled option set: exact amounts the rule hands `agent` across the
     opponent-profile families, with the achieving economy kept per outcome
-    (first in generation order).
-
-    The inputs are checked once by `_checked_omega`, before any profile
-    is built: `pref` is single-peaked, n meets the rule's minimum and is
-    an int of at least 2, omega is positive and the agent index is an int
-    in range. Every economy is then built by the public constructor (see
-    `_sample`), so a bad input fails once per set, not at its first profile."""
+    (first in generation order). The inputs are checked once, before any
+    profile is built, by `_checked_omega`: `pref` is single-peaked, n is
+    an int of at least 2 and the rule's minimum, omega is positive and the
+    agent index is an int in range."""
     omega = _checked_omega(rule, agent, pref, n, omega)
-    return _sample(rule, agent, pref, omega, n, grid_step)
+    return _sampler(rule, agent, pref, omega, n, grid_step)(pref)
 
 
 def _checked_omega(rule: Rule, agent: int, pref, n: int, omega) -> Fraction:
@@ -427,6 +417,15 @@ class ObviousManipulation:
         )
 
 
+def _no_better(pref: SinglePeaked, d_truth: Fraction) -> Callable:
+    """The search's stop test `pref.disutility(x / q) >= d_truth` (for
+    d_truth >= 0) on ints: x / q lies at or below peak - d_truth / left
+    slope or at or above peak + d_truth / right slope, each computed once."""
+    a, b = (pref.peak - d_truth / pref.left_slope).as_integer_ratio()
+    c, d = (pref.peak + d_truth / pref.right_slope).as_integer_ratio()
+    return lambda x, q: x * b <= a * q or x * d >= c * q
+
+
 def find_obvious_manipulation(
     rule: Rule,
     agent: int,
@@ -459,16 +458,14 @@ def find_obvious_manipulation(
     truthful interval farther from the peak, the truthful worst. No
     misreport's worst outcome beats d(r), so none is obvious.
 
-    Every other rule is searched on sampled option sets, all built by
-    `_sample` on the inputs checked above. d_truth is the true disutility
-    of the worst outcome in the full sampled truthful set. A misreport is
-    obvious only if every one of its outcomes has true disutility below
-    d_truth, so each misreport's set is built by the same sampler, told
-    to stop at the first outcome with disutility >= d_truth: the
-    misreport's worst outcome is then no better than the truthful worst,
-    whatever the unsampled rest. A sampler that never stops has produced the whole sampled option set, so
-    certificates match a search that samples every set in full, and the
-    certificate's verdict is `is_obvious_manipulation` of the two sets.
+    Every other rule is searched on sampled option sets, all built by one
+    `_sampler`, set up once per search. d_truth is the true disutility of
+    the worst outcome in the full sampled truthful set. A misreport is
+    obvious only if all its outcomes have true disutility below d_truth,
+    so its set stops at the first outcome that `_no_better` finds with
+    disutility >= d_truth, whatever the unsampled rest. A set that never
+    stops is whole, so certificates match a search that samples every set
+    in full; the verdict is `is_obvious_manipulation` of the two sets.
     """
     omega = _checked_omega(rule, agent, pref_true, n, omega)
     step = grid_step if option_grid_step is None else option_grid_step
@@ -502,17 +499,15 @@ def find_obvious_manipulation(
 
     if misreport_peaks is None:
         peaks = _grid(omega, grid_step)
-    oset_true = _sample(rule, agent, pref_true, omega, n, step)
+    sample = _sampler(rule, agent, pref_true, omega, n, step)
+    oset_true = sample(pref_true)
     d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
-
-    def no_better(outcome: Fraction) -> bool:
-        return pref_true.disutility(outcome) >= d_truth
-
+    no_better = _no_better(pref_true, d_truth)
     for fake_peak in peaks:
         if fake_peak == pref_true.peak:
             continue
         misreport = SinglePeaked(fake_peak)
-        oset_mis = _sample(rule, agent, misreport, omega, n, step, no_better)
+        oset_mis = sample(misreport, no_better)
         if oset_mis is not None:
             return ObviousManipulation(
                 rule_name=rule.name,

@@ -26,7 +26,7 @@ on it (`economy._split_scaled`), the integer entry of the claims rules
 (`claims._core`), the rules' integer kernels (`Rule.kernel`: every
 rule but gallery:underline, which runs on the profile too, and through
 it the simple rules on plateaus), and the sampled option sets
-(`manipulation._sample`), which keep each shared opponent profile's
+(`manipulation._sampler`), which keep each shared opponent profile's
 peaks over one D (`manipulation._shared_families`; a kernel run
 multiplies them by the factor by which the report's peak refines D),
 run a rule's kernel on them, and read every other run's outcome from its
@@ -98,7 +98,7 @@ def _scaled(values: Iterable[Fraction], common: int = 1) -> Tuple[int, List[int]
     denominators of the values (Fractions or ints; `common` for none), and
     each value is numerator / D.
 
-    The one place that writes the rule path's integer format."""
+    The rule path's integer format (the sampler scales a report itself)."""
     values = tuple(values)
     common = lcm(common, *[v.denominator for v in values])
     return common, [v.numerator * (common // v.denominator) for v in values]

@@ -111,7 +111,7 @@ class Rule:
 def _kernel_rule(name: str, kernel: Callable, domain=DOMAIN_SP, min_agents=2) -> Rule:
     """The Rule of an integer kernel (D, peaks, omega, endowments) -> (unit,
     amounts), and the one place a Rule's `kernel` is set: to the raw kernel,
-    which `manipulation._sample` runs once per opponent profile. Its `allocate`
+    which `manipulation._sampler` runs once per opponent profile. Its `allocate`
     runs the kernel on the economy's integer profile and keeps its last run: a
     kernel is a deterministic function of its profile alone, so an economy with
     the same integer profile as the last one, such as an own-peak-only slope

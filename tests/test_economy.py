@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import allotment.economy as economy_module
 from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy, _check_feasible, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
@@ -456,6 +457,26 @@ def test_endowments_must_sum_to_omega():
         econ([1, 1], 2, (F(2),))
     e = econ([1, 1], 2, (F(1, 2), F(3, 2)))
     assert e.endowments == (F(1, 2), F(3, 2))
+
+
+def test_an_exact_fraction_endowment_is_not_parsed_again(monkeypatch):
+    # only omega goes through `parse_rational` when every endowment is an
+    # exact Fraction; a string endowment is still parsed
+    parsed = []
+    parse = economy_module.parse_rational
+
+    def counted(value):
+        parsed.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(economy_module, "parse_rational", counted)
+    n = 1000
+    prefs = (SinglePeaked(F(1)),) * n
+    e = Economy(prefs, F(n), (F(1),) * n)
+    assert parsed == [F(n)] and e.endowments == (F(1),) * n
+    parsed.clear()
+    e = Economy(prefs[:2], F(2), ("1/2", F(3, 2)))
+    assert parsed == [F(2), "1/2"] and e.endowments == (F(1, 2), F(3, 2))
 
 
 def test_float_omega_endowments_and_amounts_rejected():

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import functools
 import io
 import os
@@ -22,6 +23,7 @@ from allotment.claims import Awards, _cea, cea, cel
 from allotment.economy import Allotment, Economy, _checked_size
 from allotment.manipulation import (
     _grid,
+    _no_better,
     _opponent_profiles,
     _shared_families,
     check_nom,
@@ -49,6 +51,7 @@ from allotment.rules import (
     uniform,
 )
 from allotment.sampling import (
+    SLOPE_CATALOGUE,
     grid,
     random_preference,
     random_rational,
@@ -162,12 +165,13 @@ def test_opponent_profiles_match_oracle(grid_step):
                 expected = peaks_and_slopes(opponent_profiles_oracle(pref, *args))
                 # the second call reads the cached shared families
                 for _ in range(2):
-                    profiles = list(_opponent_profiles(pref, *args))
+                    families = _shared_families(*args)
+                    profiles = list(_opponent_profiles(pref, *args, families))
                     got = peaks_and_slopes(opponents for opponents, _ in profiles)
                     assert got == expected, (pref.peak, omega, n)
                     # a shared profile's numerators are its peaks over the
                     # families' D; an off-grid end's profile has none
-                    common = _shared_families(*args)[0]
+                    common = families[0]
                     for opponents, numerators in profiles:
                         peaks = tuple(p.peak for p in opponents)
                         if numerators is None:
@@ -596,7 +600,8 @@ def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
     off_grid_sets = 0
     for peak, omega, n in c04_cases()[:20]:
         pref = SinglePeaked(peak)
-        profiles = list(_opponent_profiles(pref, omega, n, 60))
+        families = _shared_families(omega, n, 60)
+        profiles = list(_opponent_profiles(pref, omega, n, 60, families))
         off_grid = sum(numerators is None for _, numerators in profiles)
         off_grid_sets += off_grid > 0
         built.clear()
@@ -636,6 +641,118 @@ def test_a_refined_report_adds_one_family_entry():
     assert refined > 0
 
 
+def counting_calls(monkeypatch):
+    """Every economy a `Rule` is called on from now on, in order."""
+    called = []
+    call = Rule.__call__
+
+    def counted(self, econ):
+        called.append(econ)
+        return call(self, econ)
+
+    monkeypatch.setattr(Rule, "__call__", counted)
+    return called
+
+
+def c07_nom_cases():
+    """The NOM cases of acceptance criterion c07: seed 1, three per n."""
+    return [case for n in (2, 3) for case in nom_sweep(1, 3, n_values=(n,))]
+
+
+@pytest.mark.parametrize("rule", [ced, gallery("hat")], ids=["ced", "hat"])
+def test_a_search_builds_one_domain_economy(rule, monkeypatch):
+    # the sampler checks the domain once per search, on the true report;
+    # every other economy is an off-grid end's, on which the rule is
+    # called, or a witness that is read
+    built = counting_economies(monkeypatch)
+    called = counting_calls(monkeypatch)
+    ends = certificates = 0
+    for case in c07_nom_cases():
+        built.clear()
+        called.clear()
+        found = find_obvious_manipulation(
+            rule, case.agent, case.pref, case.omega, case.n, grid_step=20
+        )
+        assert built[0].prefs == (case.pref,) * case.n
+        assert len(built) == 1 + len(called)
+        assert all(econ is end for econ, end in zip(built[1:], called))
+        on_grid = set(grid(case.omega, 20))
+        for end in called:
+            opponents = {p for i, p in enumerate(end.prefs) if i != case.agent}
+            assert len(opponents) == 1 and opponents.pop().peak not in on_grid
+        ends += len(called)
+        if found is not None:
+            certificates += 1
+            built.clear()
+            osets = (found.oset_true, found.oset_misreport)
+            read = [oset.witnesses[x] for oset in osets for x in oset.outcomes]
+            assert len(built) == len(read)
+            assert all(econ is witness for econ, witness in zip(built, read))
+    assert ends > 0 and certificates > 0
+
+
+# sampled kernel runs and rule calls (off-grid ends) of c07's NOM cases per
+# n, and the verdicts: a cheaper search setup must keep the same work
+C07_NOM_WORK = {
+    "equal_division": {2: (245, 2, "PPP"), 3: (309, 4, "PPP")},
+    "star": {3: (330, 4, "PPP")},
+    "hat": {2: (335, 2, "FFF"), 3: (354, 5, "PFP")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(C07_NOM_WORK))
+def test_c07_nom_searches_make_the_same_runs(name, monkeypatch):
+    rule = gallery(name)
+    runs = []
+
+    def counted(*profile):
+        runs.append(profile)
+        return rule.kernel(*profile)
+
+    # a copy whose sampled runs are counted; its calls run the own kernel
+    probe = copy.copy(rule)
+    object.__setattr__(probe, "kernel", counted)
+    called = counting_calls(monkeypatch)
+    for n, (kernel_runs, calls, verdicts) in C07_NOM_WORK[name].items():
+        runs.clear()
+        called.clear()
+        got = "".join(
+            check_nom(probe, [case], grid_step=20, option_grid_step=20).verdict[0]
+            for case in nom_sweep(1, 3, n_values=(n,))
+        )
+        assert (len(runs), len(called), got) == (kernel_runs, calls, verdicts)
+
+
+stop_slopes = st.sampled_from(SLOPE_CATALOGUE) | st.tuples(
+    st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20),
+    st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=st.fractions(min_value=0, max_value=5, max_denominator=30),
+    slopes=stop_slopes,
+    d_truth=st.just(F(0)) | st.fractions(min_value=0, max_value=10, max_denominator=30),
+    outcome=st.fractions(min_value=0, max_value=10, max_denominator=30),
+    on=st.sampled_from([None, "lo", "hi"]),
+)
+def test_the_integer_stop_test_is_the_disutility_test(
+    peak, slopes, d_truth, outcome, on
+):
+    pref = SinglePeaked(peak, *slopes)
+    if on == "lo":  # exactly on a bound, where the test must hold
+        outcome = peak - d_truth / pref.left_slope
+    elif on == "hi":
+        outcome = peak + d_truth / pref.right_slope
+    if outcome < 0:
+        return
+    no_better = _no_better(pref, d_truth)
+    expected = pref.disutility(outcome) >= d_truth
+    assert no_better(outcome.numerator, outcome.denominator) is expected
+    assert expected or on is None
+
+
 @pytest.mark.parametrize(
     "rule", [gallery("underline"), wrapped(ced)], ids=["underline", "wrapped ced"]
 )
@@ -645,7 +762,8 @@ def test_rules_without_a_kernel_build_one_economy_per_profile(rule, monkeypatch)
         if n < rule.min_agents:
             continue
         pref = SinglePeaked(peak)
-        profiles = list(_opponent_profiles(pref, omega, n, 60))
+        families = _shared_families(omega, n, 60)
+        profiles = list(_opponent_profiles(pref, omega, n, 60, families))
         built.clear()
         oset = option_set_sampled(rule, 0, pref, omega, n)
         # the rule checks its domain on every call, so no economy is built
@@ -764,7 +882,8 @@ def test_each_kernel_call_is_checked(name, monkeypatch):
         awards.clear()
         feasible.clear()
         option_set_sampled(rule, 0, pref, omega, n)
-        profiles = len(list(_opponent_profiles(pref, omega, n, 60)))
+        families = _shared_families(omega, n, 60)
+        profiles = len(list(_opponent_profiles(pref, omega, n, 60, families)))
         assert len(feasible) == profiles
         assert len(awards) == (profiles if rule.simple else 0)
 
@@ -995,7 +1114,7 @@ def test_a_misreport_list_with_nothing_to_try_is_refused(
     # misreport would pass vacuously; every rule refuses before searching
     searched = []
     monkeypatch.setattr(
-        manipulation_module, "_sample", lambda *args: searched.append(args)
+        manipulation_module, "_sampler", lambda *args: searched.append(args)
     )
     n = rule.min_agents
     with pytest.raises(ValueError, match="^misreport peaks must hold a peak other"):
