@@ -120,9 +120,9 @@ class SampledOptionSet:
 class ManipulationVerdict:
     """Worst-case evidence for one (truth, misreport) pair of sampled
     option sets, relative to those sets. The Definition-1 evaluation
-    (every misreport outcome beats some truthful outcome) and the
-    worst-case evaluation always agree; both are computed and their
-    agreement is recorded.
+    (every misreport outcome beats some truthful outcome, each outcome's
+    disutility computed once) and the worst-case evaluation always agree;
+    both are computed and their agreement is recorded.
     """
 
     is_obvious: bool
@@ -365,20 +365,19 @@ def is_obvious_manipulation(
     """Decide obviousness from two sampled option sets.
 
     Uses the worst-case form (the misreport's worst outcome strictly beats
-    the truthful worst outcome) and the direct every-outcome form; they are
-    equivalent whenever worsts exist and both are recorded.
+    the truthful worst outcome) and the direct every-outcome form, which
+    asks each outcome's disutility once and shares nothing with `worst`;
+    they are equivalent whenever worsts exist and both are recorded.
     """
     w_truth = worst(pref_true, oset_true.outcomes)
     w_mis = worst(pref_true, oset_misreport.outcomes)
     d_truth = pref_true.disutility(w_truth)
     d_mis = pref_true.disutility(w_mis)
     worst_case_form = d_mis < d_truth
+    truthful = [pref_true.disutility(x) for x in oset_true.outcomes]
     definition_form = all(
-        any(
-            pref_true.disutility(x_mis) < pref_true.disutility(x)
-            for x in oset_true.outcomes
-        )
-        for x_mis in oset_misreport.outcomes
+        any(d < d_x for d_x in truthful)
+        for d in map(pref_true.disutility, oset_misreport.outcomes)
     )
     return ManipulationVerdict(
         is_obvious=worst_case_form,
@@ -546,13 +545,13 @@ def nom_sweep(
     n_values: Sequence[int] = (2, 3),
     with_endowments: bool = False,
 ) -> List[NomCase]:
-    """Seeded sweep of NOM cases, `count` in all (a count that is not an
-    int is refused). Without endowments the two preferences of
-    `sampling.two_agent_om_economy` come first, at each n of 2 and 3 that
-    is in n_values. Each further case draws an integer omega in 1..5, an
-    n from n_values, its preference by `sampling.random_preference`, on
-    the reallocation domain an endowment in [0, omega] by
-    `sampling.random_rational`, and then the agent."""
+    """Seeded sweep of NOM cases: without endowments the witness cases
+    (the two preferences of `sampling.two_agent_om_economy` at each n of 2
+    and 3 in n_values) first, then draws up to `count` in all; with
+    endowments, `count` draws (a count that is not an int is refused). A
+    draw takes an integer omega in 1..5, an n from n_values, a preference
+    by `sampling.random_preference`, on the reallocation domain an
+    endowment in [0, omega] by `sampling.random_rational`, then the agent."""
     if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
         raise ValueError(
             f"n_values must be nonempty, each n >= 2 an int: {n_values!r}"

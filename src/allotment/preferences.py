@@ -96,17 +96,16 @@ Preference = Union[SinglePeaked, SinglePlateaued]
 
 
 def worst(pref: Preference, amounts: Iterable) -> Fraction:
-    """The worst element of a finite set of amounts under pref.
+    """The worst element of a finite set of amounts under pref, ties
+    broken toward the smaller amount, for determinism.
 
-    Ties are broken toward the smaller amount, for determinism.
+    A disutility that falls to the peak (or plateau) and rises after it
+    is convex, so on a finite set it is largest at the least or the
+    greatest amount; an amount strictly between ties the worse end only
+    when that end is the least, so comparing the two ends is exact.
     """
-    items = sorted(parse_rational(a) for a in amounts)
+    items = [parse_rational(a) for a in amounts]
     if not items:
         raise ValueError("worst() needs a nonempty set of amounts")
-    best = items[0]
-    best_d = pref.disutility(best)
-    for a in items[1:]:
-        d = pref.disutility(a)
-        if d > best_d:
-            best, best_d = a, d
-    return best
+    lo, hi = min(items), max(items)
+    return hi if pref.disutility(hi) > pref.disutility(lo) else lo

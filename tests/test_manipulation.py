@@ -723,6 +723,32 @@ def test_c07_nom_searches_make_the_same_runs(name, monkeypatch):
         assert (len(runs), len(called), got) == (kernel_runs, calls, verdicts)
 
 
+def test_a_verdict_asks_each_outcome_disutility_once():
+    # two ends and their disutilities for each worst, then each outcome
+    # once; asking both disutilities of every pair took 82, 454, 22 and
+    # 232 calls on these four certificates
+    hat, sizes = gallery("hat"), []
+    for case in c07_nom_cases():
+        found = find_obvious_manipulation(
+            hat,
+            case.agent,
+            case.pref,
+            case.omega,
+            case.n,
+            grid_step=20,
+            option_grid_step=20,
+        )
+        if found is None:
+            continue
+        p = case.pref
+        pref = CountingPeaked(p.peak, p.left_slope, p.right_slope)
+        truth, mis = found.oset_true, found.oset_misreport
+        assert is_obvious_manipulation(pref, truth, mis) == found.verdict
+        assert len(pref.calls) <= len(truth.outcomes) + len(mis.outcomes) + 6
+        sizes.append((len(truth.outcomes), len(mis.outcomes)))
+    assert sizes == [(8, 6), (20, 18), (4, 2), (14, 12)]
+
+
 stop_slopes = st.sampled_from(SLOPE_CATALOGUE) | st.tuples(
     st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20),
     st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20),
@@ -897,6 +923,23 @@ def test_definition_and_worst_case_forms_agree_across_grid():
         mis = option_set_sampled(ced, 0, SinglePeaked(fake), F(1), 2, grid_step=12)
         verdict = is_obvious_manipulation(OM_PREF, truth, mis)
         assert verdict.definition_agrees
+    # the every-outcome form reads no worst, so it checks the two-ends
+    # worsts on every pair of two sampled rules' c07 sets at n = 3
+    pairs = obvious = 0
+    for rule in (gallery("hat"), gallery("star")):
+        for case in nom_sweep(1, 3, n_values=(3,)):
+            args = (case.omega, case.n)
+            truth = option_set_sampled(rule, case.agent, case.pref, *args, 20)
+            for fake in grid(case.omega, 20):
+                if fake == case.pref.peak:
+                    continue
+                report = SinglePeaked(fake)
+                mis = option_set_sampled(rule, case.agent, report, *args, 20)
+                verdict = is_obvious_manipulation(case.pref, truth, mis)
+                assert verdict.definition_agrees, (rule.name, case, fake)
+                pairs += 1
+                obvious += verdict.is_obvious
+    assert (pairs, obvious) == (244, 17)
 
 
 def test_endowment_cases_need_endowment():

@@ -113,6 +113,27 @@ def test_worst_matches_brute_force_on_random_sets():
             for _ in range(rng.randint(1, 8))
         }
         assert worst(pref, amounts) == brute_force_worst(pref, amounts)
+    # plateaus of width zero and of positive width; amounts on the plateau
+    # and, at a drawn disutility d, the two ends of its level set, so ties
+    # fall at both ends of the set and inside it
+    ties = 0
+    for _ in range(300):
+        lo = F(rng.randint(0, 120), rng.randint(1, 60))
+        hi = lo + rng.choice([0, F(rng.randint(1, 60), rng.randint(1, 12))])
+        left, right = F(rng.randint(1, 10)), F(rng.randint(1, 10))
+        pref = SinglePlateaued(lo, hi, left, right)
+        d = F(rng.randint(0, 20), rng.randint(1, 6))
+        level = [x for x in (lo - d / left, hi + d / right) if x >= 0]
+        on_plateau = [lo + (hi - lo) * F(k, 4) for k in range(5)]
+        drawn = [F(rng.randint(0, 120), rng.randint(1, 60)) for _ in range(8)]
+        amounts = set(rng.sample(on_plateau + drawn, rng.randint(1, 6)))
+        if rng.random() < 0.5:  # the level set's ends, the rest between
+            inside = {x for x in amounts if min(level) <= x <= max(level)}
+            amounts = set(level) | inside
+        assert worst(pref, amounts) == brute_force_worst(pref, amounts)
+        ends = min(amounts), max(amounts)
+        ties += ends[0] < ends[1] and len(set(map(pref.disutility, ends))) == 1
+    assert ties > 50
 
 
 def test_single_peakedness_on_random_triples():
