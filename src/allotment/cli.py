@@ -13,16 +13,17 @@ writer of its own (`_machine_json`) that skips json's pure-Python
 indenting encoder.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 usage or parse error (including a flag the subcommand does not take,
---selector or --order with a rule other than simple:appendix-b, an empty
---axioms, an --expect-fail axiom that --axioms does not request, an
-economy file of the wrong shape or with an unknown key, an empty grid, a
---random count below 1, a check given both an economy file and --random,
-a rule run on too few agents or on preferences outside its domain, an
-axiom on agents or a file it cannot read (`AXIOMS`), and a check in which
-a requested axiom inspected no case), 3 internal error (any other
-exception, reported as "internal error: <Type>: <message>" so that a
-crash never reads as a FAIL).
+2 a usage error argparse reports (a flag the subcommand does not take, a
+--random count below 1, a check given both an economy file and --random)
+or any ValueError, raised here or by the library and printed as "error:
+<message>" (--selector or --order with a rule other than
+simple:appendix-b, an empty --axioms, an --expect-fail axiom that
+--axioms does not request, an economy file of the wrong shape or with an
+unknown key, an empty grid, a rule run on too few agents or on
+preferences outside its domain, an axiom on agents or a file it cannot
+read (`AXIOMS`), a check in which a requested axiom inspected no case),
+3 internal error (any other exception, reported as "internal error:
+<Type>: <message>" so that a crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -48,15 +49,11 @@ from .manipulation import (
     option_set_simple,
 )
 from .preferences import SinglePeaked, SinglePlateaued
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .rational import _format_scaled
 from .rules import DOMAIN_SP_ENDOWMENTS, ORDER_POLICIES, RULE_NAMES
 from .rules import SELECTORS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
-
-class CliError(Exception):
-    """Usage or parse problem; maps to exit code 2."""
-
 
 # ---------------------------------------------------------------------------
 # economy files
@@ -70,7 +67,7 @@ PEAK_KEYS = ("peak", "left_slope", "right_slope")
 def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
     for key in raw:
         if key not in allowed:
-            raise CliError(
+            raise ValueError(
                 f"unknown key {key!r} in {what}; allowed: {', '.join(allowed)}"
             )
 
@@ -93,7 +90,7 @@ def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
     """The preference of one agent entry; its numbers (an omitted slope's
     "1" too) are read through the document's `memo` (see `_read_rational`)."""
     if not isinstance(raw, dict):
-        raise CliError(f"agent entry must be an object, got {json.dumps(raw)}")
+        raise ValueError(f"agent entry must be an object, got {json.dumps(raw)}")
     if {"plateau_lo", "plateau_hi"} <= raw.keys():
         _reject_unknown_keys(raw, PLATEAU_KEYS, "a plateau agent")
         return SinglePlateaued(
@@ -109,7 +106,7 @@ def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
             _read_rational(raw.get("left_slope", "1"), memo),
             _read_rational(raw.get("right_slope", "1"), memo),
         )
-    raise CliError(f"agent entry needs a peak or a plateau: {raw}")
+    raise ValueError(f"agent entry needs a peak or a plateau: {raw}")
 
 
 def pref_to_dict(pref) -> dict:
@@ -129,11 +126,11 @@ def pref_to_dict(pref) -> dict:
 
 def economy_from_dict(raw: dict) -> Economy:
     if not isinstance(raw, dict):
-        raise CliError(f"an economy must be an object, got {json.dumps(raw)}")
+        raise ValueError(f"an economy must be an object, got {json.dumps(raw)}")
     _reject_unknown_keys(raw, ECONOMY_KEYS, "the economy")
     for key in ("agents", "endowments"):
         if raw.get(key) is not None and not isinstance(raw[key], list):
-            raise CliError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
+            raise ValueError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
     memo: Dict[str, Fraction] = {}
     try:
         omega = _read_rational(raw["omega"], memo)
@@ -143,9 +140,7 @@ def economy_from_dict(raw: dict) -> Economy:
             endowments = tuple(_read_rational(w, memo) for w in raw["endowments"])
         return Economy(prefs, omega, endowments)
     except (KeyError, TypeError) as exc:
-        raise CliError(f"malformed economy file: {exc}") from exc
-    except (RationalParseError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"malformed economy file: {exc}") from exc
 
 
 def economy_to_dict(econ: Economy) -> dict:
@@ -163,9 +158,9 @@ def load_economy(path: str) -> Economy:
         with open(path) as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     # economy_from_dict reads every number through parse_rational, which
     # refuses floats
     return economy_from_dict(raw)
@@ -298,7 +293,7 @@ def _rule(args) -> Rule:
     if args.rule != "simple:appendix-b":
         for flag, value in (("--selector", args.selector), ("--order", args.order)):
             if value is not None:
-                raise CliError(
+                raise ValueError(
                     f"{flag} applies only to simple:appendix-b, not {args.rule}"
                 )
     return get_rule(args.rule, order=args.order, selector=args.selector or "lo")
@@ -307,10 +302,7 @@ def _rule(args) -> Rule:
 def cmd_allocate(args) -> int:
     econ = load_economy(args.economy)
     rule = _rule(args)
-    try:
-        allotment = rule(econ)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    allotment = rule(econ)
     # int true division is correctly rounded: a / D == float(Fraction(a, D))
     exact = _format_scaled(allotment._common, allotment._numerators)
     approx = [a / allotment._common for a in allotment._numerators]
@@ -359,13 +351,13 @@ def cmd_check(args) -> int:
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
     choose = "; choose from " + ", ".join(AXIOMS)
     if not axioms:
-        raise CliError("--axioms names no axiom" + choose)
+        raise ValueError("--axioms names no axiom" + choose)
     for axiom in axioms:
         if axiom not in AXIOMS:
-            raise CliError(f"unknown axiom {axiom!r}" + choose)
+            raise ValueError(f"unknown axiom {axiom!r}" + choose)
     for axiom in args.expect_fail or []:
         if axiom not in axioms:
-            raise CliError(f"--expect-fail {axiom!r} is not among --axioms")
+            raise ValueError(f"--expect-fail {axiom!r} is not among --axioms")
     rows = [AXIOMS[axiom] for axiom in axioms]
     rule = _rule(args)
     realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
@@ -376,12 +368,12 @@ def cmd_check(args) -> int:
     else:
         plateaued = not econ.is_single_peaked
         if wants_endowments and econ.endowments is None:
-            raise CliError(
+            raise ValueError(
                 "this check needs individual endowments, but the economy file has none"
             )
     peak_readers = [axiom for axiom, row in zip(axioms, rows) if row.peaks]
     if plateaued and peak_readers:
-        raise CliError(
+        raise ValueError(
             f"{peak_readers[0]} reads each agent's peak, so it is checked on the "
             "single-peaked domain only; this economy has single-plateaued agents"
         )
@@ -405,7 +397,7 @@ def cmd_check(args) -> int:
 
     unchecked = [report.axiom for report in reports if report.checked == 0]
     if unchecked:
-        raise CliError(
+        raise ValueError(
             f"no case inspected for {', '.join(unchecked)}: rule {rule.name} "
             f"needs at least {rule.min_agents} agents, so a PASS would be "
             "vacuous"
@@ -439,11 +431,11 @@ def cmd_option_set(args) -> int:
     econ = load_economy(args.economy)
     rule = _rule(args)
     if rule.domain == DOMAIN_SP_ENDOWMENTS:
-        raise CliError(
+        raise ValueError(
             "option sets are computed on the plain single-peaked domain"
         )
     if not 1 <= args.agent <= econ.n:
-        raise CliError(f"agent must be between 1 and {econ.n}")
+        raise ValueError(f"agent must be between 1 and {econ.n}")
     agent = args.agent - 1
     pref = econ.prefs[agent]
     document = {
@@ -503,7 +495,7 @@ def cmd_find_manipulation(args) -> int:
     econ = load_economy(args.economy)
     rule = _rule(args)
     if not 1 <= args.agent <= econ.n:
-        raise CliError(f"agent must be between 1 and {econ.n}")
+        raise ValueError(f"agent must be between 1 and {econ.n}")
     agent = args.agent - 1
     endowment = None
     if rule.domain == DOMAIN_SP_ENDOWMENTS and econ.endowments is not None:
@@ -695,7 +687,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("check needs an economy file or --random COUNT, not both")
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -9,8 +9,8 @@ read. Its integer profile -- the peaks (effective peaks once any agent
 has a plateau), omega and the endowments (None when there are none) as
 numerators over one denominator D -- is computed the first time it is
 read (`Economy._integer_profile`), or inherited from the economy it was
-made from when `Economy.replace_pref` changes one agent's slopes and keeps
-every peak, and kept outside equality, hashing and repr.
+made from when `Economy.replace_pref` keeps the replaced agent's plateau
+ends, and kept outside equality, hashing and repr.
 `_split_scaled` classifies agents on it as simple/non-simple relative to
 one reference point per agent -- equal division omega/n, or the agent's
 own endowment for the reallocation rules -- and computes the excess
@@ -121,20 +121,16 @@ class Economy:
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
         """This economy with `agent`'s preference replaced by `pref`, built
         through the constructor. It inherits this economy's integer profile
-        when that profile has been read, every preference here is
-        single-peaked, and `pref` is single-peaked with the replaced
-        agent's peak: the profile is a function of the peaks, omega and the
-        endowments alone, and none of them changed. Otherwise the new
-        economy computes its own profile on first read."""
+        when that profile has been read and `pref` has the replaced agent's
+        plateau ends (a peak's are the peak twice): the profile is a
+        function of the plateau ends, omega and the endowments alone, and
+        none of them changed. Otherwise the new economy computes its own
+        profile on first read."""
         prefs = list(self.prefs)
-        prefs[agent] = pref
+        old, prefs[agent] = prefs[agent], pref
         econ = Economy(tuple(prefs), self.omega, self.endowments)
-        if (
-            self._integers is not None
-            and isinstance(pref, SinglePeaked)
-            and self.is_single_peaked
-            and pref.peak == self.prefs[agent].peak
-        ):
+        ends = (pref.plateau_lo, pref.plateau_hi)
+        if self._integers is not None and ends == (old.plateau_lo, old.plateau_hi):
             object.__setattr__(econ, "_integers", self._integers)
         return econ
 

@@ -9,7 +9,7 @@ most |peak - reference point| toward their peak (excess supply mirrors
 excess demand). A claims rule's integer entry (`claims._core`: cea, cel,
 pro or any custom rule) and the sequential construction (`_sequential`,
 a fixed integer share of each window, `SELECTORS`) read only the claims;
-an explicit order (`_in_order`) and gallery:bar read the agents too.
+an explicit agent order and gallery:bar read the split's agents too.
 uniform is the simple rule of cea. ced and proportional run the cel and
 pro cores on the peaks, with equal gains for ced under excess supply and
 equal division for proportional when every peak is 0.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -237,18 +237,31 @@ class BoundsViolation(AssertionError):
     """An empty adjustment window; must not happen on valid economies."""
 
 
-def _sequential(share: Tuple[int, int], descending: bool) -> ClaimsCore:
+def _sequential(share: Tuple[int, int], order=None) -> ClaimsCore:
     """The sequential construction as a claims-rule core. The claimants
-    are visited by position (last first when `descending`); each gets the
-    award lo + (hi - lo) * a / b, for the share (a, b), of the window that
-    keeps every later step feasible: at most the claim (`gap`) and what is
-    left of E (`room`), at least room less the claims still to come
-    (`floor`). The last gets the room. An award off the grid 1/(D*scale)
-    refines the scale."""
+    are visited by position: ascending, or descending for the policy
+    "descending", or, for an explicit `order` of agents, at their
+    positions among the split's non-simple agents, refused on a split
+    whose non-simple agents it does not enumerate. Each gets the award
+    lo + (hi - lo) * a / b, for the share (a, b), of the window that keeps
+    every later step feasible: at most the claim (`gap`) and what is left
+    of E (`room`), at least room less the claims still to come (`floor`).
+    The last gets the room. An award off the grid 1/(D*scale) refines the
+    scale."""
     a, b = share
 
-    def core(claims, endowment, common, *_):
-        positions = range(len(claims))[:: -1 if descending else 1]
+    def core(claims, endowment, common, split=None):
+        if order is None or isinstance(order, str):
+            positions = range(len(claims))[:: -1 if order == "descending" else 1]
+        else:
+            minus = split[-1]
+            if sorted(order) != minus:
+                raise ValueError(
+                    "order must enumerate the non-simple agents "
+                    + ", ".join(str(i + 1) for i in minus) + " (numbered from 1)"
+                )
+            position = {i: j for j, i in enumerate(minus)}
+            positions = [position[i] for i in order]
         awards = [0] * len(claims)
         scale, room, rest = 1, endowment, sum(claims)
         for t, j in enumerate(positions[:-1]):
@@ -295,14 +308,12 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
-    # a policy orders the claim positions, an explicit order the claims
-    if isinstance(order, str) and order not in ORDER_POLICIES:
-        raise ValueError(
-            f"unknown order policy {order!r}; choose ascending or descending"
-        )
-    core = _sequential(SELECTORS[selector], order == "descending")
     tag = selector
     if isinstance(order, str):
+        if order not in ORDER_POLICIES:
+            raise ValueError(
+                f"unknown order policy {order!r}; choose ascending or descending"
+            )
         tag += f",{order}"
     elif order is not None:
         order = list(order)
@@ -315,23 +326,8 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
                 f" got [{shown}]"
             )
         tag += ",order=" + ",".join(str(i + 1) for i in order)
-        core = partial(_in_order, core, order)
+    core = _sequential(SELECTORS[selector], order)
     return _simple_rule(core, f"simple:appendix-b[{tag}]")
-
-
-def _in_order(core: ClaimsCore, order, claims, endowment, common, split):
-    """The division that runs `core` on the claims in an explicit `order` of
-    the non-simple agents, refused on a split whose non-simple agents differ."""
-    minus = split[-1]
-    if sorted(order) != minus:
-        raise ValueError(
-            "order must enumerate the non-simple agents "
-            + ", ".join(str(i + 1) for i in minus) + " (numbered from 1)"
-        )
-    claim = dict(zip(minus, claims))
-    awards, scale = core([claim[i] for i in order], endowment, common)
-    award = dict(zip(order, awards))
-    return [award[i] for i in minus], scale
 
 
 # ---------------------------------------------------------------------------

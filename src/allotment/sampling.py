@@ -1,4 +1,4 @@
-"""Seeded generation of rational economies, claims problems, and grids.
+"""Seeded generation of rational economies and grids.
 
 Every seeded draw in the package is written here (`manipulation.nom_sweep`
 composes these draws), driven by an explicit `random.Random`, so any
@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .claims import ClaimsProblem
 from .economy import Economy
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import parse_rational
@@ -114,17 +113,6 @@ def random_plateaued_economy(rng: random.Random) -> Economy:
         left, right = rng.choice(SLOPE_CATALOGUE)
         prefs.append(SinglePlateaued(lo, hi, left, right))
     return Economy(tuple(prefs), omega)
-
-
-def random_claims_problem(rng: random.Random) -> ClaimsProblem:
-    n = rng.randint(1, 6)
-    claims = [random_rational(rng, Fraction(5)) for _ in range(n)]
-    if rng.random() < 1 / 4 and n >= 2:
-        src, dst = rng.sample(range(n), 2)
-        claims[dst] = claims[src]  # duplicate claims exercise symmetry
-    total = sum(claims)
-    endowment = random_rational(rng, total) if total > 0 else Fraction(0)
-    return ClaimsProblem(tuple(claims), endowment)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +18,7 @@ from allotment.manipulation import (
     option_set_simple,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.sampling import grid as peak_grid
+from allotment.sampling import grid as peak_grid, random_rational
 
 
 @st.composite
@@ -65,6 +66,19 @@ def end_or_inside(draw, low, high):
     if end == "high":
         return high
     return low + (high - low) * draw(LARGE.filter(lambda x: 0 < x < 1))
+
+
+def random_claims_problem(rng: random.Random) -> ClaimsProblem:
+    """One seeded claims problem: 1 to 6 claims in [0, 5], a pair of them
+    equal in about a quarter of the draws, and an endowment in [0, total]."""
+    n = rng.randint(1, 6)
+    claims = [random_rational(rng, Fraction(5)) for _ in range(n)]
+    if rng.random() < 1 / 4 and n >= 2:
+        src, dst = rng.sample(range(n), 2)
+        claims[dst] = claims[src]  # duplicate claims exercise symmetry
+    total = sum(claims)
+    endowment = random_rational(rng, total) if total > 0 else Fraction(0)
+    return ClaimsProblem(tuple(claims), endowment)
 
 
 def bisect_increasing(func, target, lo, hi, iterations=60):

@@ -44,7 +44,6 @@ from allotment.rules import (
     SELECTORS,
 )
 from allotment.sampling import (
-    random_claims_problem,
     random_economy,
     random_plateaued_economy,
     standard_suite,
@@ -54,6 +53,7 @@ from helpers import (
     bisect_decreasing,
     bisect_increasing,
     min_level_oracle,
+    random_claims_problem,
     split_oracle,
     uniform_oracle,
 )

@@ -16,7 +16,6 @@ from allotment.claims import (
     cel,
     pro,
 )
-from allotment.sampling import random_claims_problem
 from helpers import (
     CLAIMS_ORACLES,
     TERMS,
@@ -25,6 +24,7 @@ from helpers import (
     check_claims_rule_properties,
     end_or_inside,
     min_level_oracle,
+    random_claims_problem,
 )
 
 KERNEL = ClaimsProblem((F(1), F(2), F(3)), F(3))

@@ -206,14 +206,9 @@ def read_profile(e):
     "base, agent, pref",
     [
         (read_profile(econ([F(1, 3), F(5, 4), 2], F(7, 2))), 1, SinglePeaked(F(3, 2))),
-        (
-            read_profile(economy_of(STRADDLE, 3, None)),
-            1,
-            SinglePlateaued(F(1, 2), F(3, 2), 3, 1),
-        ),
         (econ([F(1, 3), F(5, 4), 2], F(7, 2)), 1, SinglePeaked(F(5, 4), 3, 1)),
     ],
-    ids=["changed peak", "plateau economy", "profile never read"],
+    ids=["changed peak", "profile never read"],
 )
 def test_other_replacements_compute_their_own_profile(base, agent, pref):
     variant = base.replace_pref(agent, pref)
@@ -221,6 +216,43 @@ def test_other_replacements_compute_their_own_profile(base, agent, pref):
     fresh = Economy(variant.prefs, variant.omega, variant.endowments)
     assert variant._integer_profile() == fresh._integer_profile()
     assert variant._integer_profile() is not base._integers
+
+
+# agent 2's peak among straddling plateaus
+MIXED = [(0, F(1, 2)), 1, (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "agents, omega, endowments",
+    [
+        (STRADDLE, 3, None),
+        (SUPPLY, 3, None),
+        (MIXED, 3, (1, F(1, 2), F(3, 2))),
+        (PEAKS, F(7, 2), None),
+    ],
+    ids=["plateaus straddling", "plateaus under supply", "mixed, endowed", "peaks"],
+)
+def test_replacements_keeping_the_plateau_ends_inherit_the_profile(
+    agents, omega, endowments
+):
+    # each agent's slopes change; a peak then becomes the plateau of width
+    # zero at it (or that plateau the peak) and goes back: no plateau end
+    # moves, so each step hands the base's profile down
+    base = read_profile(economy_of(agents, omega, endowments))
+    profile = base._integers
+    for i, pref in enumerate(base.prefs):
+        steps = [dataclasses.replace(pref, left_slope=F(3), right_slope=F(1, 2))]
+        lo = pref.plateau_lo
+        if lo == pref.plateau_hi and isinstance(pref, SinglePeaked):
+            steps += [SinglePlateaued(lo, lo), pref]
+        elif lo == pref.plateau_hi:
+            steps += [SinglePeaked(lo), pref]
+        variant = base
+        for step in steps:
+            variant = variant.replace_pref(i, step)
+            assert variant._integer_profile() is profile
+            fresh = Economy(variant.prefs, variant.omega, variant.endowments)
+            assert fresh._integer_profile() == profile
 
 
 def test_a_peak_replacing_a_plateau_inherits_nothing():

@@ -37,7 +37,6 @@ from allotment.rules import (
 )
 from allotment.sampling import (
     SLOPE_CATALOGUE,
-    random_claims_problem,
     random_economy,
     random_plateaued_economy,
     standard_suite,
@@ -54,6 +53,7 @@ from helpers import (
     min_level_oracle,
     pareto_improvement_on_grid,
     proportional_oracle,
+    random_claims_problem,
     sequential_allotment_oracle,
     simple_rule_oracle,
     spl_extension_oracle,
@@ -378,7 +378,7 @@ SEQUENTIAL_VARIANTS = [
 def sequential_claims_rule(selector, order):
     """The sequential construction as a public-style ClaimsRule, which
     simple rules reach through the adapter of `claims._core`."""
-    core = _sequential(SELECTORS[selector], order == "descending")
+    core = _sequential(SELECTORS[selector], order)
 
     def rule(cp):
         return _awards(cp, *core(cp._claims, cp._endowment, cp._common))

@@ -13,11 +13,8 @@ import random
 from allotment.manipulation import nom_sweep
 from allotment.preferences import SinglePeaked
 from allotment.rational import format_rational as fr
-from allotment.sampling import (
-    random_claims_problem,
-    random_plateaued_economy,
-    standard_suite,
-)
+from allotment.sampling import random_plateaued_economy, standard_suite
+from helpers import random_claims_problem
 
 NOM_SWEEPS_SHA256 = (
     "3a1573dfd0f931e2a3e929c6dc6ab179597a76e52a5ea0fd56046ac00141d4c2"
