@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: allocate, check, option-set, find-manipulation. Economies load
-from JSON objects (omega, an agents array, an optional endowments array)
-whose rationals are exact "p/q" strings or integers; decimals are rejected
-so exactness survives end to end. Each document has its own parse memo,
-so a string repeated across its agents (a slope, say) is parsed once;
-allocate writes the allotment from its integers. Only check draws random
-economies (--seed); identical invocations print identical bytes. --format
-machine prints, byte for byte, what
+Subcommands: allocate, check, option-set, find-manipulation. Each names
+its rule as the rule prints it, simple:appendix-b[hi,order=2,3] for
+instance, and `get_rule` resolves it before any file is read. Economies
+load from JSON objects (omega, an agents array, an optional endowments
+array) whose rationals are exact "p/q" strings or integers; decimals are
+rejected so exactness survives end to end. Each document has its own
+parse memo, so a string repeated across its agents (a slope, say) is
+parsed once; allocate writes the allotment from its integers. Only check
+draws random economies (--seed); identical invocations print identical
+bytes. --format machine prints, byte for byte, what
 `json.dumps(document, indent=2, sort_keys=True)` would, through a small
 writer of its own (`_machine_json`) that skips json's pure-Python
 indenting encoder.
@@ -16,14 +18,14 @@ Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
 2 a usage error argparse reports (a flag the subcommand does not take, a
 --random count below 1, a check given both an economy file and --random)
 or any ValueError, raised here or by the library and printed as "error:
-<message>" (--selector or --order with a rule other than
-simple:appendix-b, an empty --axioms, an --expect-fail axiom that
---axioms does not request, an economy file of the wrong shape or with an
-unknown key, an empty grid, a rule run on too few agents or on
-preferences outside its domain, an axiom on agents or a file it cannot
-read (`AXIOMS`), a check in which a requested axiom inspected no case),
-3 internal error (any other exception, reported as "internal error:
-<Type>: <message>" so that a crash never reads as a FAIL).
+<message>" (a rule name that `get_rule` refuses, an empty --axioms, an
+--expect-fail axiom that --axioms does not request, an economy file of
+the wrong shape or with an unknown key, an empty grid, a rule run on too
+few agents or on preferences outside its domain, an axiom on agents or a
+file it cannot read (`AXIOMS`), a check in which a requested axiom
+inspected no case), 3 internal error (any other exception, reported as
+"internal error: <Type>: <message>" so that a crash never reads as a
+FAIL).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import random
 import sys
 from fractions import Fraction
 from math import isfinite
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .axioms import AXIOMS as ECONOMY_AXIOMS, Axiom, AxiomReport, Witness
 from .economy import Economy
@@ -51,8 +53,7 @@ from .manipulation import (
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import format_rational, parse_rational
 from .rational import _format_scaled
-from .rules import DOMAIN_SP_ENDOWMENTS, ORDER_POLICIES, RULE_NAMES
-from .rules import SELECTORS, Rule, get_rule
+from .rules import DOMAIN_SP_ENDOWMENTS, Rule, get_rule
 from .sampling import random_plateaued_economy, standard_suite
 
 # ---------------------------------------------------------------------------
@@ -287,21 +288,8 @@ def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
 # subcommands
 
 
-def _rule(args) -> Rule:
-    """The named rule; --selector and --order only apply to
-    simple:appendix-b and are a usage error with any other rule."""
-    if args.rule != "simple:appendix-b":
-        for flag, value in (("--selector", args.selector), ("--order", args.order)):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} applies only to simple:appendix-b, not {args.rule}"
-                )
-    return get_rule(args.rule, order=args.order, selector=args.selector or "lo")
-
-
-def cmd_allocate(args) -> int:
+def cmd_allocate(args, rule: Rule) -> int:
     econ = load_economy(args.economy)
-    rule = _rule(args)
     allotment = rule(econ)
     # int true division is correctly rounded: a / D == float(Fraction(a, D))
     exact = _format_scaled(allotment._common, allotment._numerators)
@@ -342,7 +330,7 @@ def _nom_cases(args, econ: Optional[Economy], realloc: bool) -> List[NomCase]:
 AXIOMS = {**ECONOMY_AXIOMS, "nom": Axiom(check_nom, grid=True, cases=_nom_cases)}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, rule: Rule) -> int:
     """Check the requested axioms on one economy file or on seeded draws
     (`random_plateaued_economy` for an spl: rule, else `standard_suite`).
     Each axiom's row of `AXIOMS` says what it reads, so every refusal comes
@@ -359,7 +347,6 @@ def cmd_check(args) -> int:
         if axiom not in axioms:
             raise ValueError(f"--expect-fail {axiom!r} is not among --axioms")
     rows = [AXIOMS[axiom] for axiom in axioms]
-    rule = _rule(args)
     realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
     wants_endowments = realloc or any(row.endowments for row in rows)
     econ = load_economy(args.economy) if args.random is None else None
@@ -427,9 +414,8 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_option_set(args) -> int:
+def cmd_option_set(args, rule: Rule) -> int:
     econ = load_economy(args.economy)
-    rule = _rule(args)
     if rule.domain == DOMAIN_SP_ENDOWMENTS:
         raise ValueError(
             "option sets are computed on the plain single-peaked domain"
@@ -491,9 +477,8 @@ def cmd_option_set(args) -> int:
     return 0
 
 
-def cmd_find_manipulation(args) -> int:
+def cmd_find_manipulation(args, rule: Rule) -> int:
     econ = load_economy(args.economy)
-    rule = _rule(args)
     if not 1 <= args.agent <= econ.n:
         raise ValueError(f"agent must be between 1 and {econ.n}")
     agent = args.agent - 1
@@ -566,21 +551,6 @@ def _add_common(parser: argparse.ArgumentParser, grid_step: bool = True) -> None
     parser.add_argument(
         "--format", choices=("table", "machine"), default="table"
     )
-    parser.add_argument(
-        "--selector",
-        choices=tuple(SELECTORS),
-        default=None,
-        help="level selector for simple:appendix-b",
-    )
-    parser.add_argument(
-        "--order",
-        type=_parse_order,
-        default=None,
-        help=(
-            "agent order for simple:appendix-b: ascending, descending, or "
-            "a comma-separated 1-based list"
-        ),
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -588,15 +558,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"count must be at least 1, got {value}")
     return value
-
-
-def _parse_order(text: str) -> Union[str, List[int]]:
-    if text in ORDER_POLICIES:
-        return text
-    try:
-        return [int(part) - 1 for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad order {text!r}") from exc
 
 
 @functools.cache
@@ -614,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alloc = sub.add_parser("allocate", help="run a rule on an economy file")
     p_alloc.add_argument("economy", help="economy JSON file")
-    p_alloc.add_argument("rule", choices=RULE_NAMES, metavar="rule")
+    p_alloc.add_argument("rule")
     _add_common(p_alloc, grid_step=False)
     p_alloc.set_defaults(func=cmd_allocate)
 
@@ -622,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "economy", nargs="?", default=None, help="economy JSON file"
     )
-    p_check.add_argument("rule", choices=RULE_NAMES, metavar="rule")
+    p_check.add_argument("rule")
     p_check.add_argument(
         "--axioms",
         required=True,
@@ -650,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "option-set", help="compute an agent's option set under a rule"
     )
     p_oset.add_argument("economy", help="economy JSON file")
-    p_oset.add_argument("rule", choices=RULE_NAMES, metavar="rule")
+    p_oset.add_argument("rule")
     p_oset.add_argument("agent", type=int, help="agent number (1-based)")
     p_oset.add_argument(
         "--show-witnesses",
@@ -665,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search the misreport grid for an obvious manipulation",
     )
     p_find.add_argument("economy", help="economy JSON file")
-    p_find.add_argument("rule", choices=RULE_NAMES, metavar="rule")
+    p_find.add_argument("rule")
     p_find.add_argument("agent", type=int, help="agent number (1-based)")
     p_find.add_argument(
         "--misreport-grid",
@@ -686,7 +647,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "check" and (args.economy is None) == (args.random is None):
         parser.error("check needs an economy file or --random COUNT, not both")
     try:
-        return args.func(args)
+        # the one place a rule name is read, before any file or draw
+        return args.func(args, get_rule(args.rule))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -294,7 +294,8 @@ def _sequential(share: Tuple[int, int], order=None) -> ClaimsCore:
 
 def sequential_rule(selector: str = "lo", order=None) -> Rule:
     """The sequential construction as the simple rule named
-    simple:appendix-b[selector], any given order appended to the name.
+    simple:appendix-b[selector], any given order appended to the name
+    (agents numbered from 1), the name `get_rule` reads back.
 
     Simple agents start at their peak and the rest at equal division; the
     non-simple agents are then visited in `order`, and each is adjusted by
@@ -307,7 +308,9 @@ def sequential_rule(selector: str = "lo", order=None) -> Rule:
     simple rule with `simple_from_claims`.
     """
     if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}")
+        raise ValueError(
+            f"unknown selector {selector!r}; choose from " + ", ".join(SELECTORS)
+        )
     tag = selector
     if isinstance(order, str):
         if order not in ORDER_POLICIES:
@@ -405,7 +408,7 @@ def gallery(name: str) -> Rule:
 # name-based registry (CLI entry point)
 
 # every registered rule by name, built once; simple:appendix-b holds its
-# default, and `get_rule` builds it anew only for another selector or an order
+# default, simple:appendix-b[lo]
 _CLAIMS = sorted(CLAIMS_RULES.items())
 _REGISTRY: Dict[str, Rule] = {
     "uniform": uniform,
@@ -423,19 +426,24 @@ _REGISTRY: Dict[str, Rule] = {
 RULE_NAMES = list(_REGISTRY)
 
 
-def get_rule(
-    name: str,
-    order: Optional[Sequence[int]] = None,
-    selector: str = "lo",
-) -> Rule:
-    """Look up a registered rule by its namespaced name, like "simple:cea"
-    or "gallery:bar".
+def get_rule(name: str) -> Rule:
+    """The rule that prints `name`: a registered name, like "simple:cea" or
+    "gallery:bar", or a sequential rule's simple:appendix-b[S],
+    [S,ascending|descending] or [S,order=i,j,...] (agents numbered from 1),
+    which `sequential_rule` builds and refuses as it does its arguments.
 
-    `order` and `selector` only apply to simple:appendix-b. With their
-    defaults every name returns its one registered Rule.
+    Every registered name, and simple:appendix-b[lo] (the registered
+    simple:appendix-b), returns its one Rule, so every lookup shares its
+    kept last run; any other sequential name builds a new Rule per call.
     """
-    if name == "simple:appendix-b" and (selector != "lo" or order is not None):
-        return sequential_rule(selector=selector, order=order)
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown rule {name!r}")
-    return _REGISTRY[name]
+    if name in _REGISTRY:
+        return _REGISTRY[name]
+    head, _, tag = str(name).partition("[")
+    if head != "simple:appendix-b" or not tag.endswith("]"):
+        raise ValueError(f"unknown rule {name!r}; choose from " + ", ".join(RULE_NAMES))
+    if tag == "lo]":
+        return _REGISTRY[head]
+    selector, comma, order = tag[:-1].partition(",")
+    if order.startswith("order="):
+        order = [int(i) - 1 if i.isdecimal() else i for i in order[6:].split(",")]
+    return sequential_rule(selector, order if comma else None)

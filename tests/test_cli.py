@@ -94,14 +94,7 @@ def test_allocate_simple_cel(three_file, capsys):
 
 def test_allocate_appendix_b_params(three_file, capsys):
     code, out, _ = run(
-        capsys,
-        "allocate",
-        three_file,
-        "simple:appendix-b",
-        "--selector",
-        "hi",
-        "--order",
-        "2,3",
+        capsys, "allocate", three_file, "simple:appendix-b[hi,order=2,3]"
     )
     assert code == 0
     assert "1/2, 3/2, 1" in out
@@ -114,31 +107,34 @@ def test_allocate_appendix_b_params(three_file, capsys):
 def test_allocate_appendix_b_order_policies(
     three_file, capsys, policy, explicit, allotment
 ):
-    code, out, _ = run(
-        capsys, "allocate", three_file, "simple:appendix-b", "--order", policy
-    )
+    name = f"simple:appendix-b[lo,{policy}]"
+    code, out, _ = run(capsys, "allocate", three_file, name)
     assert code == 0
-    assert out.splitlines()[0] == f"rule: simple:appendix-b[lo,{policy}]"
+    assert out.splitlines()[0] == f"rule: {name}"
     assert f"allotment: {allotment}" in out
     # the policy visits the non-simple agents 2 and 3 in the explicit order
     _, explicit_out, _ = run(
-        capsys, "allocate", three_file, "simple:appendix-b", "--order", explicit
+        capsys, "allocate", three_file, f"simple:appendix-b[lo,order={explicit}]"
     )
     assert out.splitlines()[1:] == explicit_out.splitlines()[1:]
 
 
 def test_bad_order_rejected(three_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["allocate", three_file, "simple:appendix-b", "--order", "sideways"])
-    assert exc.value.code == 2
-    assert "bad order 'sideways'" in capsys.readouterr().err
+    code, out, err = run(
+        capsys, "allocate", three_file, "simple:appendix-b[lo,sideways]"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: unknown order policy 'sideways'; choose ascending or descending\n"
+    )
 
 
 def test_explicit_order_refusal_names_agents_from_1(three_file, capsys):
-    # --order numbers agents from 1, and so does its refusal: the
-    # non-simple agents of this economy are 2 and 3, not 1 and 2
+    # a rule's name numbers agents from 1, and so does the refusal of its
+    # order: the non-simple agents of this economy are 2 and 3, not 1 and 2
     code, out, err = run(
-        capsys, "allocate", three_file, "simple:appendix-b", "--order", "1,2"
+        capsys, "allocate", three_file, "simple:appendix-b[lo,order=1,2]"
     )
     assert code == 2
     assert out == ""
@@ -148,22 +144,56 @@ def test_explicit_order_refusal_names_agents_from_1(three_file, capsys):
     )
 
 
+UNKNOWN = "; choose from " + ", ".join(RULE_NAMES)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "name, message",
     [
-        ("allocate", "ced", "--order", "2,1"),
-        ("allocate", "simple:cea", "--selector", "lo"),
-        ("check", "uniform", "--axioms", "betweenness", "--selector", "hi"),
-        ("option-set", "simple:cea", "1", "--order", "descending"),
-        ("find-manipulation", "ced", "1", "--selector", "mid"),
+        ("nosuch", "unknown rule 'nosuch'" + UNKNOWN),
+        ("simple:appendix-b[", "unknown rule 'simple:appendix-b['" + UNKNOWN),
+        (
+            "simple:appendix-b[xx]",
+            "unknown selector 'xx'; choose from lo, hi, mid, quarter",
+        ),
+        (
+            "simple:appendix-b[lo,sideways]",
+            "unknown order policy 'sideways'; choose ascending or descending",
+        ),
+        (
+            "simple:appendix-b[lo,order=a]",
+            "an explicit order must list distinct agents (numbered from 1),"
+            " got ['a']",
+        ),
+        (
+            "simple:appendix-b[lo,order=2,2]",
+            "an explicit order must list distinct agents (numbered from 1),"
+            " got [2, 2]",
+        ),
     ],
 )
-def test_sequential_flags_refused_for_other_rules(om_file, capsys, argv):
-    code, out, err = run(capsys, argv[0], om_file, *argv[1:])
+@pytest.mark.parametrize(
+    "command, tail",
+    [
+        ("allocate", ()),
+        ("check", ("--axioms", "nom")),
+        ("option-set", ("1",)),
+        ("find-manipulation", ("1",)),
+    ],
+)
+def test_rule_name_refused_before_any_file_is_read(
+    tmp_path, capsys, name, message, command, tail
+):
+    # every subcommand resolves its rule through get_rule, in get_rule's
+    # words, before it opens the economy file, which does not exist here
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, command, missing, name, *tail)
     assert code == 2
     assert out == ""
-    flag = "--order" if "--order" in argv else "--selector"
-    assert f"error: {flag} applies only to simple:appendix-b, not {argv[1]}" in err
+    assert err == f"error: {message}\n"
+    with pytest.raises(ValueError) as exc:
+        get_rule(name)
+    assert str(exc.value) == message
 
 
 def test_allocate_machine_format_round_trips(om_file, capsys):
@@ -631,11 +661,13 @@ def test_check_unknown_axiom(om_file, capsys):
 @pytest.mark.parametrize("axioms", ["", " ", ",,"])
 def test_check_refuses_an_empty_axiom_list(capsys, monkeypatch, axioms):
     # a check of no axiom would be a vacuous PASS; it is refused before the
-    # rule is looked up or any economy drawn (either would exit 3 here)
+    # rule runs or any economy is drawn (either would exit 3 here); the
+    # rule's name is resolved first, as every subcommand's is
     def never(*args, **kwargs):
-        raise AssertionError("looked up the rule or drew an economy")
+        raise AssertionError("ran the rule or drew an economy")
 
-    for name in ("get_rule", "random_plateaued_economy", "standard_suite", "nom_sweep"):
+    monkeypatch.setattr(cli_module, "get_rule", lambda name: Rule(name, never))
+    for name in ("random_plateaued_economy", "standard_suite", "nom_sweep"):
         monkeypatch.setattr(cli_module, name, never)
     argv = ("check", "--random", "3", "uniform", "--axioms", axioms)
     code, out, err = run(capsys, *argv)
@@ -1140,7 +1172,7 @@ def test_crash_exits_3_not_the_fail_code(om_file, capsys, monkeypatch):
         raise RuntimeError("kernel exploded")
 
     monkeypatch.setattr(
-        "allotment.cli.get_rule", lambda name, **kwargs: Rule(name, broken)
+        "allotment.cli.get_rule", lambda name: Rule(name, broken)
     )
     code, out, err = run(capsys, "allocate", om_file, "uniform")
     assert code == 3

@@ -26,6 +26,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from allotment.cli import main
+from allotment.rules import get_rule, sequential_rule
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.txt"
 
@@ -127,8 +129,8 @@ ECONOMIES = {
     },
 }
 
-# the non-simple agents of each economy (1-based), highest index first
-DESCENDING = {"demand": "5,4,3,2", "supply": "3,2,1", "balance": "4,3,2"}
+# the non-simple agents of each economy (from 0), highest index first
+DESCENDING = {"demand": (4, 3, 2, 1), "supply": (2, 1, 0), "balance": (3, 2, 1)}
 
 SIMPLE_RULES = ("simple:cea", "simple:cel", "simple:pro")
 REALLOC_RULES = ("realloc:cea", "realloc:cel", "realloc:pro")
@@ -144,10 +146,9 @@ def cases():
             for rule in SIMPLE_RULES + REALLOC_RULES:
                 found.append(["allocate", econ, rule] + tail)
             for selector in SELECTORS:
-                argv = ["allocate", econ, "simple:appendix-b"]
-                argv += ["--selector", selector]
-                found.append(argv + tail)
-                found.append(argv + ["--order", DESCENDING[econ]] + tail)
+                for order in (None, DESCENDING[econ]):
+                    name = sequential_rule(selector, order).name
+                    found.append(["allocate", econ, name] + tail)
         for econ in ("plateau-demand", "plateau-supply", "plateau-straddle"):
             found.append(["allocate", econ, "spl:cea"] + tail)
         found.append(
@@ -263,6 +264,18 @@ CASES = cases()
 
 def test_golden_file_lists_every_case():
     assert list(load_golden()) == [key for key, _ in CASES]
+
+
+def test_every_printed_rule_name_resolves():
+    # a rule is spelled as it prints: each name in the golden output, table
+    # or machine, resolves through get_rule to a rule of that name
+    names = set()
+    for _, text in load_golden().values():
+        names.update(re.findall(r"^rule: (\S+)$", text, re.M))
+        names.update(re.findall(r'"rule": "([^"]+)"', text))
+    assert "simple:appendix-b[quarter,order=5,4,3,2]" in names
+    for name in names:
+        assert get_rule(name).name == name
 
 
 @pytest.mark.parametrize("key,argv", CASES, ids=[key for key, _ in CASES])

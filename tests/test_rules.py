@@ -566,7 +566,8 @@ def test_sequential_refuses_unknown_order_policy():
     # refused when the rule is built, naming the policy, not at every call
     with pytest.raises(ValueError, match="unknown order policy 'sideways'"):
         sequential_rule("lo", order="sideways")
-    with pytest.raises(ValueError, match="^unknown selector 'middle'$"):
+    message = "unknown selector 'middle'; choose from lo, hi, mid, quarter"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         sequential_rule("middle")
 
 
@@ -1125,7 +1126,6 @@ def test_each_registered_rule_carries_its_name():
     for name in RULE_NAMES:
         if name == "simple:appendix-b":
             assert get_rule(name).name == "simple:appendix-b[lo]"
-            assert get_rule(name, selector="mid").name == "simple:appendix-b[mid]"
         else:
             assert get_rule(name).name == name
 
@@ -1147,20 +1147,40 @@ def test_get_rule_registry():
     assert get_rule("spl:cel").simple
     with pytest.raises(ValueError):
         get_rule("simple:unknown")
+    with pytest.raises(ValueError, match="^unknown rule None; choose from uniform, "):
+        get_rule(None)
 
 
 def test_get_rule_returns_one_rule_per_name():
-    # with the default selector and no order every name, simple:appendix-b
-    # included, is one registered Rule, so every lookup shares its kept
-    # last run; another selector or an order builds a new Rule per call
+    # every registered name, simple:appendix-b included, is one registered
+    # Rule, so every lookup shares its kept last run; another selector or
+    # an order builds a new Rule per call
     for name in RULE_NAMES:
         assert get_rule(name) is get_rule(name)
     default = get_rule("simple:appendix-b")
-    assert get_rule("simple:appendix-b", order=None, selector="lo") is default
-    for options in ({"selector": "hi"}, {"order": "ascending"}, {"order": [0, 1]}):
-        built = get_rule("simple:appendix-b", **options)
-        assert built is not get_rule("simple:appendix-b", **options)
+    for tag in ("hi", "lo,ascending", "lo,order=1,2"):
+        built = get_rule(f"simple:appendix-b[{tag}]")
+        assert built is not get_rule(f"simple:appendix-b[{tag}]")
         assert built is not default
+
+
+def test_get_rule_reads_back_every_printed_name():
+    # the name a rule prints is the one way to spell it: each registered
+    # rule and each selector with no order, either policy or an explicit
+    # order resolves from its name to a rule of that name that allocates
+    # the same
+    e = econ([F(1, 2), F(3, 2), F(5, 2)], 3, (F(1), F(1, 2), F(3, 2)))
+    rules = [get_rule(name) for name in RULE_NAMES] + [
+        sequential_rule(selector, order)
+        for selector in SELECTORS
+        for order in (None, *ORDER_POLICIES, [2, 1])
+    ]
+    assert len(rules) == len(RULE_NAMES) + 16
+    for rule in rules:
+        resolved = get_rule(rule.name)
+        assert resolved.name == rule.name
+        assert tuple(resolved(e)) == tuple(rule(e))
+    assert get_rule("simple:appendix-b[lo]") is get_rule("simple:appendix-b")
 
 
 def test_domain_mismatch_rejected():
