@@ -17,8 +17,9 @@ own endowment for the reallocation rules -- and computes the excess
 demand and the residual that the second step divides. The simple rules
 (`rules._simple_rule`) and `axioms.check_betweenness` read it, and every
 rule's integer kernel (`Rule.kernel`) runs on the whole profile. The
-sampled option sets run them on the integers they hold, and build every
-economy they keep through the constructor.
+sampled option sets run a kernel on the integers of every opponent
+profile, so a kernel rule's samples build no economy but a domain check's,
+and build every economy they keep through the constructor.
 
 Feasibility (nonnegative amounts summing to omega) is checked on integers
 over one denominator (`_check_feasible`): by the `Allotment` constructor

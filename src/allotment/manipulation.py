@@ -19,16 +19,17 @@ outcomes. NOM compares worst cases only, so a misreport's set stops at
 its first outcome no better, under the true preference, than the
 truthful worst: only an obvious misreport's set is built whole.
 
-The peak grid depends only on (omega, grid step), and the identical,
-complementary and witness opponent families only on (omega, n, grid
-step), so each is built once and shared across rules, agents and
-misreports, with every profile's peaks as integers over the families'
-denominator D. An option set reads a slice of the witness family and
-builds a profile only for an end that lies off the grid; a report whose
-peak refines D by a factor reads the same profiles, scaled by it. Sharing
-is unobservable: the cache key is the whole input, compared by type as
-well as value, and the value is tuples of fractions, ints or frozen
-preferences, which no caller can change.
+The peak grid depends only on (omega, grid step), and the identical and
+complementary opponent families only on (omega, n, grid step), so each
+is built once and shared across rules, agents and misreports, with every
+profile's peaks as integers over the families' denominator D. Each
+report refines D once by its peak, so that both ends of its option set,
+the grid points between them and each such target's witness peak are
+integers too, and builds its witness profiles in one integer loop over
+those targets; a report whose peak refines D by a factor reads the shared
+profiles scaled by it. Sharing is unobservable: the cache key is the
+whole input, compared by type as well as value, and the value is tuples
+of fractions, ints or frozen preferences, which no caller can change.
 
 Both doors, `option_set_sampled` and `find_obvious_manipulation`,
 refuse bad inputs once, before any profile is built, in one set of texts
@@ -37,12 +38,13 @@ economy's size and endowment, the agent index). Each then builds one
 `_sampler`, which sets up the families, D and, for a rule with a declared
 kernel (`Rule.kernel`; every registered rule but gallery:underline, which
 reads a slope, has one), the domain check once, so each misreport pays
-only its runs. The kernel runs on the integers of every profile that has
-them; every other run (an off-grid end, any run of a rule without a
-kernel, a wrapper included) calls the rule on the profile's economy,
-built by the public constructor. Feasibility is checked on every run, and
-the first witness of each outcome is kept as its preference profile,
-whose economy `SampledOptionSet.witnesses` builds on first read.
+only its runs. The kernel runs on the integers of every profile, so a
+kernel rule builds no economy but the domain check's while it samples;
+a rule without a kernel (a wrapper included) is called on each profile's
+economy, built by the public constructor. Feasibility is checked on
+every run, and the first witness of each outcome is kept as its
+preference profile, whose economy `SampledOptionSet.witnesses` builds on
+first read.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy, _check_feasible, _checked_size
@@ -64,8 +66,8 @@ from .sampling import _check_count, _check_grid_step, grid as peak_grid
 from .sampling import random_preference, random_rational, two_agent_om_economy
 
 # an opponent profile: the opponents and their peaks' numerators over a D
-Profile = Tuple[Tuple[SinglePeaked, ...], Optional[Tuple[int, ...]]]
-Family = Tuple[Optional[Profile], ...]
+Profile = Tuple[Tuple[SinglePeaked, ...], Sequence[int]]
+Family = Tuple[Profile, ...]
 
 
 class _Witnesses(Mapping):
@@ -159,22 +161,18 @@ def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
 @functools.lru_cache(maxsize=32, typed=True)
 def _shared_families(
     omega: Fraction, n: int, grid_step: int
-) -> Tuple[int, Family, Family, Family]:
-    """The opponent families that do not depend on the agent, after a
-    common denominator D of their peaks and omega: the identical family,
-    the complementary family (without its profiles the identical family
-    already holds), and the witness profile of every grid target
-    k * omega / grid_step, k = 0 .. grid_step, indexed by k. Each profile
+) -> Tuple[int, Family, Family]:
+    """The opponent families that do not depend on the report, over a
+    common denominator D: the identical family and the complementary family
+    (without its profiles the identical family already holds). Each profile
     is a pair (opponents, their peaks' numerators over D).
 
     Every profile is made of one unit-slope preference per distinct peak,
-    shared by every slot and profile. The witness profile of target k puts
-    every opponent at (grid_step - k) * omega / (grid_step * (n - 1)),
-    which lies on the grid exactly when (grid_step - k) % (n - 1) == 0;
-    the identical family holds those profiles, so their entries are None.
-    Grid point k is k * omega / grid_step, so omega - point k is point
-    grid_step - k, and D is the grid's times n - 1, over which every
-    target's peak (omega - point k) / (n - 1) is an integer too.
+    shared by every slot and profile. D is the least common denominator of
+    the grid and of equal division omega / n, times n - 1. Grid point k is
+    k * omega / grid_step, so omega - point k is point grid_step - k, and
+    over D the witness peak (omega - x) / (n - 1) of every grid point x and
+    of equal division is an integer too.
 
     Callers pass all three arguments positionally, so one input has one
     key. c04 and the option_sets workload read at most 25 keys (omega in
@@ -182,8 +180,7 @@ def _shared_families(
     grid step 20), so 32 entries hold every key of any one of them.
     """
     points = _grid(omega, grid_step)
-    common, scaled = _scaled(points)
-    common, top = common * (n - 1), scaled[grid_step] * (n - 1)
+    common, scaled = _scaled(points, (omega / n).denominator)
     unit = [(SinglePeaked(q), x * (n - 1)) for q, x in zip(points, scaled)]
 
     def profile(*slots) -> Profile:
@@ -199,26 +196,19 @@ def _shared_families(
         for k in range(grid_step + 1)
         if n >= 3 and 2 * k != grid_step
     )
-    witness = tuple(
-        None
-        if (grid_step - k) % (n - 1) == 0
-        else profile(
-            (SinglePeaked((omega - points[k]) / (n - 1)), (top - x) // (n - 1))
-        )
-        for k, (_, x) in enumerate(unit[: grid_step + 1])
-    )
-    return common, identical, complementary, witness
+    return common * (n - 1), identical, complementary
 
 
 def _opponent_profiles(
-    pref: SinglePeaked,
+    peak: Fraction,
     omega: Fraction,
     n: int,
     grid_step: int,
-    families: Tuple[int, Family, Family, Family],
-) -> Iterator[Profile]:
-    """Deterministic opponent families of unit-slope preferences, deduped
-    on the opponents' peaks in generation order:
+    families: Tuple[int, Family, Family],
+) -> Tuple[int, Iterator[Profile]]:
+    """(D, profiles): the deterministic opponent families of unit-slope
+    preferences, with their peaks' numerators over D, of a report with this
+    peak, deduped on the opponents' peaks in generation order:
 
     identical      all opponents share one grid peak;
     witness        all opponents at (omega - x)/(n - 1) for each target x
@@ -228,49 +218,55 @@ def _opponent_profiles(
     complementary  opponents alternate q and omega - q, exercising branches
                    keyed to peak sums.
 
-    Profiles are generated lazily, so a consumer that stops early builds
-    no more witness profiles than it reads. The targets are the option
-    set's two ends and the grid points between, whose profiles are a slice
-    of the witness family of `families`, the `_shared_families` of (omega,
-    n, grid_step). Only an end off the grid gets a profile of its own,
-    without numerators.
+    D refines the D of `families`, the `_shared_families` of (omega, n,
+    grid_step), by the peak times n - 1, so the peak, omega, both ends of
+    the option set, the grid points between them (the targets) and each
+    target's witness peak are integers over it. A witness profile is
+    constant, so it repeats an identical profile exactly when its peak is
+    on the grid, and such a target is skipped; an end off the grid has its
+    peak off the grid too. Profiles are generated lazily, so a consumer
+    that stops early builds no more witness profiles than it reads.
     """
-    _, identical, complementary, witness = families
-    yield from identical
+    family, identical, complementary = families
+    common = math.lcm(family, peak.denominator * (n - 1))
+    scale = common // family
 
-    # a witness profile is constant, so it repeats an identical profile
-    # exactly when its peak is on the grid, and never a complementary one;
-    # the peak of an off-grid target is off the grid too
-    lo, hi = option_set_simple(pref.peak, omega, n)
-    at_lo, at_hi = lo * grid_step / omega, hi * grid_step / omega
-    first, last = math.ceil(at_lo), math.floor(at_hi)
-    if at_lo != first:
-        yield (SinglePeaked((omega - lo) / (n - 1)),) * (n - 1), None
-    yield from filter(None, witness[first : last + 1])
-    if at_hi != last and hi != lo:
-        yield (SinglePeaked((omega - hi) / (n - 1)),) * (n - 1), None
+    def shared(profiles: Family) -> Iterable[Profile]:
+        if scale == 1:
+            return profiles
+        return ((opp, [x * scale for x in xs]) for opp, xs in profiles)
 
-    yield from complementary
+    def generate() -> Iterator[Profile]:
+        yield from shared(identical)
+        total, mine = _scaled((omega, peak), common)[1]
+        lo, hi = sorted((total // n, min(mine, total)))
+        step = total // grid_step  # the grid's spacing over D
+        for x in sorted({lo, hi, *range(lo + -lo % step, hi + 1, step)}):
+            w = (total - x) // (n - 1)  # the witness peak of target x
+            if w % step:
+                yield (SinglePeaked(Fraction(w, common)),) * (n - 1), (w,) * (n - 1)
+        yield from shared(complementary)
+
+    return common, generate()
 
 
 def _sampler(
     rule: Rule, agent: int, pref: SinglePeaked, omega: Fraction, n: int, grid_step: int
 ) -> Callable:
     """The sampler of one search, set up once: it looks up the opponent
-    families and their D, and runs a `kernel` rule's one domain check on
-    the true report `pref` (the check reads the preference kind, the
-    endowments and n, which no report changes). `sample(report, stop)` is
-    the sampled option set of `agent` reporting `report`, one run per
-    profile in generation order, or None at the first new outcome, a
-    reduced (a, q), for which `stop(a, q)` holds. A kernel runs on the
-    profile's numerators times the factor by which the report's peak
-    refines D (1 when D holds it), the report's inserted; any other run
-    calls the rule on `Economy(prefs, omega)`. Feasibility is checked on
-    every run; a new outcome's witness is kept as its profile, whose
-    economy `SampledOptionSet.witnesses` builds on first read. Callers run
-    `_checked_omega` first, so no economy fails its checks."""
-    families = _shared_families(omega, n, grid_step)
-    family, kernel = families[0], rule.kernel
+    families, and runs a `kernel` rule's one domain check on the true
+    report `pref` (the check reads the preference kind, the endowments and
+    n, which no report changes). `sample(report, stop)` is the sampled
+    option set of `agent` reporting `report`, one run per profile of
+    `_opponent_profiles` in generation order, or None at the first new
+    outcome, a reduced (a, q), for which `stop(a, q)` holds. A kernel runs
+    on every profile's numerators over the report's D, the report's
+    inserted; a rule without a kernel is called on `Economy(prefs,
+    omega)`. Feasibility is checked on every run; a new outcome's witness
+    is kept as its profile, whose economy `SampledOptionSet.witnesses`
+    builds on first read. Callers run `_checked_omega` first, so no economy
+    fails its checks."""
+    families, kernel = _shared_families(omega, n, grid_step), rule.kernel
     if kernel is not None:
         rule.check_domain(Economy((pref,) * n, omega))
     grid_spec = (
@@ -279,24 +275,21 @@ def _sampler(
     )
 
     def sample(report: SinglePeaked, stop: Optional[Callable] = None):
-        # D refined by the report's peak; omega's denominator divides D
         peak = report.peak
-        common = math.lcm(family, peak.denominator)
-        scale, mine = common // family, peak.numerator * (common // peak.denominator)
-        total = omega.numerator * (common // omega.denominator)
+        common, profiles = _opponent_profiles(peak, omega, n, grid_step, families)
+        mine, total = _scaled((peak, omega), common)[1]
         # {reduced outcome: [outcome, its preference profile, then economy]}
         found: Dict[Tuple[int, int], list] = {}
-        profiles = _opponent_profiles(report, omega, n, grid_step, families)
         for opponents, numerators in profiles:
             prefs = None
-            if kernel is not None and numerators is not None:
-                peaks = [x * scale for x in numerators]
-                peaks.insert(agent, mine)
-                unit, amounts = kernel(common, peaks, total, None)
-            else:
+            if kernel is None:
                 prefs = opponents[:agent] + (report,) + opponents[agent:]
                 allotment = rule(Economy(prefs, omega))
                 unit, amounts = allotment._common, allotment._numerators
+            else:
+                peaks = list(numerators)
+                peaks.insert(agent, mine)
+                unit, amounts = kernel(common, peaks, total, None)
             _check_feasible(unit, amounts, omega)
             g = math.gcd(amounts[agent], unit)
             key = (amounts[agent] // g, unit // g)

@@ -26,15 +26,15 @@ on it (`economy._split_scaled`), the integer entry of the claims rules
 (`claims._core`), the rules' integer kernels (`Rule.kernel`: every
 rule but gallery:underline, which runs on the profile too, and through
 it the simple rules on plateaus), and the sampled option sets
-(`manipulation._sampler`), which keep each shared opponent profile's
-peaks over one D (`manipulation._shared_families`; a kernel run
-multiplies them by the factor by which the report's peak refines D),
-run a rule's kernel on them, and read every other run's outcome from its
-allotment's integers. A Fraction is built only where a value leaves the
-integers (a level, an award, an amount that is read, a sampled set's
-distinct outcome, which the sampler keys and sorts as its reduced integer
-pair, so it never hashes one) or where a custom claims rule reads its
-`ClaimsProblem`; the CLI writes an allotment's "p/q" text straight from
+(`manipulation._sampler`), which hold every opponent profile's peaks
+over one D per report (`manipulation._opponent_profiles`: the shared
+families' D refined by the report's peak, their numerators times the
+factor), run a rule's kernel on them, and read a kernel-less rule's
+outcome from its allotment's integers. A Fraction is built only where a
+value leaves the integers (a level, an award, an amount that is read, a
+witness peak, a sampled set's distinct outcome, which the sampler keys
+and sorts as its reduced integer pair, so it never hashes one) or where
+a custom claims rule reads its `ClaimsProblem`; the CLI writes an allotment's "p/q" text straight from
 its integers (`_format_scaled`). `exact_sum` is `_scaled` plus one
 Fraction, and the rule path takes every other sum it checks or divides
 through it. Every public value stays a Fraction. A Fraction has the sign

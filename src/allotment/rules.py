@@ -115,14 +115,17 @@ def _kernel_rule(name: str, kernel: Callable, domain=DOMAIN_SP, min_agents=2) ->
     runs the kernel on the economy's integer profile and keeps its last run: a
     kernel is a deterministic function of its profile alone, so an economy with
     the same integer profile as the last one, such as an own-peak-only slope
-    variant of it, reuses that (unit, amounts), which no caller mutates. A
-    refusal is not kept, so it is raised again. `Allotment._of_scaled` still
-    checks feasibility on every call; a simple rule's awards are checked when
-    its kernel runs."""
+    variant of it, reuses that (unit, amounts), which no caller mutates. A rule
+    on `DOMAIN_SP` reads no endowments, so it runs and keys its kernel on None
+    for them, as the sampler does. A refusal is not kept, so it is raised
+    again. `Allotment._of_scaled` still checks feasibility on every call; a
+    simple rule's awards are checked when its kernel runs."""
     cached = lru_cache(maxsize=1)(kernel)
 
     def allocate(econ: Economy) -> Allotment:
-        return Allotment._of_scaled(*cached(*econ._integer_profile()), econ.omega)
+        common, peaks, omega, endowments = econ._integer_profile()
+        run = cached(common, peaks, omega, endowments if domain != DOMAIN_SP else None)
+        return Allotment._of_scaled(*run, econ.omega)
 
     rule = Rule(name, allocate, domain=domain, min_agents=min_agents)
     object.__setattr__(rule, "kernel", kernel)

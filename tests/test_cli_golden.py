@@ -8,7 +8,8 @@ a reallocation rule (no manipulation) and for `ced` on the README's
 two-agent economy (a sampled certificate), `option-set` of `ced` there
 with every witness economy, `option-set` of `ced` and `find-manipulation`
 for `proportional` on a report whose peak refines the sampled opponent
-families' denominator, `check` of nom on it (a FAIL whose witness
+families' denominator, `option-set` of `gallery:hat` there with an end
+off the grid at equal division, `check` of nom on it (a FAIL whose witness
 economy comes from the misreport's sampled set), `check` of the two
 reference-point guarantees, and `check` of own-peak-only for
 `gallery:underline` (a FAIL whose witness and slope-perturbed economy are
@@ -121,8 +122,8 @@ ECONOMIES = {
             ("1/4", "1", "10"), ("2", "1", "1"), ("2", "1", "1"), ("2", "1", "1")
         ),
     },
-    # agent 1's peak 1/7 refines the opponent families' denominator 6 at
-    # grid step 6 by a factor of 7
+    # agent 1's peak 1/7 refines the opponent families' denominator 12 at
+    # grid step 6 (the grid's 6 times n - 1) by a factor of 7
     "refined": {
         "omega": "1",
         "agents": [{"peak": "1/7"}, {"peak": "1/2"}, {"peak": "1"}],
@@ -170,9 +171,16 @@ def cases():
             + tail
         )
         # a report whose peak refines the families' denominator: every
-        # kernel run reads the families' numerators times the factor
+        # kernel run reads the shared numerators times the factor
         found.append(
             ["option-set", "refined", "ced", "1", "--grid-step", "6"]
+            + ["--show-witnesses"]
+            + tail
+        )
+        # an end off the grid at equal division (1/3 at grid step 20), read
+        # through its witness profile like every other target
+        found.append(
+            ["option-set", "refined", "gallery:hat", "1", "--grid-step", "20"]
             + ["--show-witnesses"]
             + tail
         )

@@ -35,7 +35,7 @@ from allotment.manipulation import (
     option_set_simple,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rational import RationalParseError, _scaled
+from allotment.rational import RationalParseError
 from allotment.rules import (
     DOMAIN_SP,
     DOMAIN_SP_ENDOWMENTS,
@@ -154,32 +154,34 @@ def peaks_and_slopes(profiles):
 # omega/2 lies off an odd grid and on an even one
 @pytest.mark.parametrize("grid_step", [5, 6, 12])
 def test_opponent_profiles_match_oracle(grid_step):
-    for n in range(2, 7):
+    for n in range(2, 8):
         for omega in (F(1), F(2), F(7, 3)):
-            # agent peaks on the grid and halfway between grid points, so
-            # witness targets and the witness opponents' peaks fall both on
-            # and off the grid
+            # agent peaks on the grid, halfway between grid points and just
+            # past those by 1/(7 * grid_step), which refines the families' D,
+            # so witness targets and the witness opponents' peaks fall both
+            # on and off the grid
             for k in range(4 * grid_step + 1):
-                pref = SinglePeaked(k * omega / (2 * grid_step))
-                args = (omega, n, grid_step)
-                expected = peaks_and_slopes(opponent_profiles_oracle(pref, *args))
-                # the second call reads the cached shared families
-                for _ in range(2):
-                    families = _shared_families(*args)
-                    profiles = list(_opponent_profiles(pref, *args, families))
-                    got = peaks_and_slopes(opponents for opponents, _ in profiles)
-                    assert got == expected, (pref.peak, omega, n)
-                    # a shared profile's numerators are its peaks over the
-                    # families' D; an off-grid end's profile has none
-                    common = families[0]
-                    for opponents, numerators in profiles:
-                        peaks = tuple(p.peak for p in opponents)
-                        if numerators is None:
-                            assert len(set(peaks)) == 1 and peaks[0] not in grid(
-                                omega, grid_step
-                            )
-                        else:
-                            assert tuple(F(x, common) for x in numerators) == peaks
+                for off in (0, F(1, 7 * grid_step)):
+                    pref = SinglePeaked(k * omega / (2 * grid_step) + off)
+                    args = (omega, n, grid_step)
+                    expected = opponent_profiles_oracle(pref, *args)
+                    expected = peaks_and_slopes(expected)
+                    # the second call reads the cached shared families
+                    for _ in range(2):
+                        families = _shared_families(*args)
+                        common, profiles = _opponent_profiles(
+                            pref.peak, *args, families
+                        )
+                        profiles = list(profiles)
+                        got = peaks_and_slopes(opp for opp, _ in profiles)
+                        assert got == expected, (pref.peak, omega, n)
+                        # every profile's numerators are its peaks over the
+                        # returned D, which holds the report's peak and omega
+                        assert common % pref.peak.denominator == 0
+                        assert common % omega.denominator == 0
+                        for opponents, numerators in profiles:
+                            peaks = tuple(F(x, common) for x in numerators)
+                            assert peaks == tuple(p.peak for p in opponents)
 
 
 def recording_rule(seen):
@@ -197,8 +199,8 @@ def recording_rule(seen):
 @pytest.mark.parametrize("omega", [F(3), F(5, 3)], ids=["3", "5/3"])
 @pytest.mark.parametrize("grid_step", [1, 7, 20, 60])
 def test_sampled_economies_follow_the_sorted_targets_order(omega, grid_step):
-    # the witness targets come from a shared family indexed by grid point;
-    # the sampler must still run the rule on the profiles of the former
+    # the witness targets are found on integers over the report's D; the
+    # sampler must still run the rule on the profiles of the former
     # generator (sorted Fraction targets, bisected grid), in its order
     step = omega / grid_step
     for n in range(2, 7):
@@ -592,47 +594,47 @@ def counting_economies(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["ced", "proportional", "simple:cel"])
-def test_kernel_sets_build_economies_only_for_the_domain_and_off_grid_ends(
+def test_kernel_sets_build_economies_only_for_the_domain_and_read_witnesses(
     name, monkeypatch
 ):
     rule = get_rule(name)
     built = counting_economies(monkeypatch)
-    off_grid_sets = 0
+    called = counting_calls(monkeypatch)
+    off_grid_ends = 0
     for peak, omega, n in c04_cases()[:20]:
         pref = SinglePeaked(peak)
-        families = _shared_families(omega, n, 60)
-        profiles = list(_opponent_profiles(pref, omega, n, 60, families))
-        off_grid = sum(numerators is None for _, numerators in profiles)
-        off_grid_sets += off_grid > 0
+        off_grid_ends += any(
+            x not in grid(omega, 60) for x in option_set_simple(peak, omega, n)
+        )
         built.clear()
+        called.clear()
         oset = option_set_sampled(rule, 0, pref, omega, n)
-        # the domain check's economy, then one per off-grid end
-        assert built[0].prefs == (pref,) * n
-        assert len(built) == 1 + off_grid
-        ends = built[1:]
+        # the domain check's economy alone, off-grid ends included: the
+        # kernel runs on every profile and the rule is never called
+        assert [e.prefs for e in built] == [(pref,) * n]
+        assert called == []
         # a witness read once builds its economy once, through the public
-        # constructor, and never is an off-grid end's economy; every read
-        # returns the same object
+        # constructor; every read returns the same object
         built.clear()
         for outcome in oset.outcomes:
             first = oset.witnesses[outcome]
-            assert not any(first is end for end in ends)
+            assert built[-1] is first
             assert oset.witnesses[outcome] is first
             assert oset.replay(outcome)
         assert len(built) == len(oset.outcomes)
         assert oset.witnesses == dict(oset.witnesses.items())
         assert len(built) == len(oset.outcomes)
-    assert off_grid_sets > 0
+    assert off_grid_ends > 0
 
 
 def test_a_refined_report_adds_one_family_entry():
-    # a report whose peak refines the families' D reads the families kept
-    # for (omega, n, grid step), and each kernel run multiplies their
-    # numerators by the factor, so no rescaled copy is cached
+    # a report whose peak times n - 1 refines the families' D reads the
+    # families kept for (omega, n, grid step), their numerators times the
+    # factor, so no rescaled copy is cached
     refined = 0
     for peak, omega, n in c04_cases():
         family = _shared_families(omega, n, 60)[0]
-        if _scaled([peak, omega], family)[0] == family:
+        if family % (peak.denominator * (n - 1)) == 0:
             continue
         refined += 1
         _shared_families.cache_clear()
@@ -661,26 +663,23 @@ def c07_nom_cases():
 
 @pytest.mark.parametrize("rule", [ced, gallery("hat")], ids=["ced", "hat"])
 def test_a_search_builds_one_domain_economy(rule, monkeypatch):
-    # the sampler checks the domain once per search, on the true report;
-    # every other economy is an off-grid end's, on which the rule is
-    # called, or a witness that is read
+    # the sampler checks the domain once per search, on the true report,
+    # and runs the kernel on every profile, off-grid ends included: every
+    # other economy is a witness that is read, and the rule is never called
     built = counting_economies(monkeypatch)
     called = counting_calls(monkeypatch)
     ends = certificates = 0
     for case in c07_nom_cases():
         built.clear()
-        called.clear()
         found = find_obvious_manipulation(
             rule, case.agent, case.pref, case.omega, case.n, grid_step=20
         )
-        assert built[0].prefs == (case.pref,) * case.n
-        assert len(built) == 1 + len(called)
-        assert all(econ is end for econ, end in zip(built[1:], called))
-        on_grid = set(grid(case.omega, 20))
-        for end in called:
-            opponents = {p for i, p in enumerate(end.prefs) if i != case.agent}
-            assert len(opponents) == 1 and opponents.pop().peak not in on_grid
-        ends += len(called)
+        assert [e.prefs for e in built] == [(case.pref,) * case.n]
+        assert called == []
+        ends += any(
+            x not in grid(case.omega, 20)
+            for x in option_set_simple(case.pref.peak, case.omega, case.n)
+        )
         if found is not None:
             certificates += 1
             built.clear()
@@ -691,12 +690,13 @@ def test_a_search_builds_one_domain_economy(rule, monkeypatch):
     assert ends > 0 and certificates > 0
 
 
-# sampled kernel runs and rule calls (off-grid ends) of c07's NOM cases per
-# n, and the verdicts: a cheaper search setup must keep the same work
+# sampled kernel runs of c07's NOM cases per n, and the verdicts: a cheaper
+# search setup must keep the same work. Every run is a kernel run, off-grid
+# ends included, so no rule is called
 C07_NOM_WORK = {
-    "equal_division": {2: (245, 2, "PPP"), 3: (309, 4, "PPP")},
-    "star": {3: (330, 4, "PPP")},
-    "hat": {2: (335, 2, "FFF"), 3: (354, 5, "PFP")},
+    "equal_division": {2: (247, "PPP"), 3: (313, "PPP")},
+    "star": {3: (334, "PPP")},
+    "hat": {2: (337, "FFF"), 3: (359, "PFP")},
 }
 
 
@@ -713,14 +713,14 @@ def test_c07_nom_searches_make_the_same_runs(name, monkeypatch):
     probe = copy.copy(rule)
     object.__setattr__(probe, "kernel", counted)
     called = counting_calls(monkeypatch)
-    for n, (kernel_runs, calls, verdicts) in C07_NOM_WORK[name].items():
+    for n, (kernel_runs, verdicts) in C07_NOM_WORK[name].items():
         runs.clear()
-        called.clear()
         got = "".join(
             check_nom(probe, [case], grid_step=20, option_grid_step=20).verdict[0]
             for case in nom_sweep(1, 3, n_values=(n,))
         )
-        assert (len(runs), len(called), got) == (kernel_runs, calls, verdicts)
+        assert (len(runs), got) == (kernel_runs, verdicts)
+        assert called == []
 
 
 def test_a_verdict_asks_each_outcome_disutility_once():
@@ -789,7 +789,7 @@ def test_rules_without_a_kernel_build_one_economy_per_profile(rule, monkeypatch)
             continue
         pref = SinglePeaked(peak)
         families = _shared_families(omega, n, 60)
-        profiles = list(_opponent_profiles(pref, omega, n, 60, families))
+        profiles = list(_opponent_profiles(peak, omega, n, 60, families)[1])
         built.clear()
         oset = option_set_sampled(rule, 0, pref, omega, n)
         # the rule checks its domain on every call, so no economy is built
@@ -909,7 +909,8 @@ def test_each_kernel_call_is_checked(name, monkeypatch):
         feasible.clear()
         option_set_sampled(rule, 0, pref, omega, n)
         families = _shared_families(omega, n, 60)
-        profiles = len(list(_opponent_profiles(pref, omega, n, 60, families)))
+        _, profiles = _opponent_profiles(peak, omega, n, 60, families)
+        profiles = len(list(profiles))
         assert len(feasible) == profiles
         assert len(awards) == (profiles if rule.simple else 0)
 

@@ -812,6 +812,31 @@ def test_a_kernel_runs_once_per_integer_profile():
     assert len(runs) == 3
 
 
+@pytest.mark.parametrize(
+    "name, runs_expected",
+    [("gallery:equal_division", 1), ("uniform", 1), ("realloc:cea", 2)],
+)
+def test_an_endowment_only_change_reruns_only_a_reallocation_kernel(
+    name, runs_expected
+):
+    # equal peaks and omega, the endowments rotated over one denominator: a
+    # rule around equal division reads no endowments, so its kept run holds
+    rule = get_rule(name)
+    runs = []
+
+    def counted(*profile):
+        runs.append(profile)
+        return rule.kernel(*profile)
+
+    probe = rules_module._kernel_rule(name, counted, rule.domain)
+    first = econ([F(1, 2), F(3, 2), F(5, 2)], 3, (F(1), F(1, 2), F(3, 2)))
+    second = econ([F(1, 2), F(3, 2), F(5, 2)], 3, (F(1, 2), F(3, 2), F(1)))
+    assert first._integer_profile()[0] == second._integer_profile()[0]
+    for e in (first, second):
+        assert probe(e) == rule(e)
+    assert len(runs) == runs_expected
+
+
 def test_a_kernel_rule_returns_no_stale_allotment():
     # base economy, a slope variant with its profile, on endowed economies
     # the base with other endowments, then the next economy and the base
