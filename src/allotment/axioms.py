@@ -22,7 +22,7 @@ from .economy import Economy, _split_scaled
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
-from .sampling import SLOPE_CATALOGUE, grid
+from .sampling import SLOPE_CATALOGUE, _check_grid_step, _grid_prefs
 
 PASS_ON_SAMPLE = "PASS_ON_SAMPLE"
 FAIL = "FAIL"
@@ -307,27 +307,28 @@ def check_strategy_proofness(
     rule: Rule, econs: Iterable[Economy], grid_step: int = 60
 ) -> AxiomReport:
     """Sampled refutation of strategy-proofness: search every agent and
-    every misreported peak on grid(omega, grid_step), with unit slopes, for
-    a strictly profitable deviation. A FAIL witness is a manipulation, not
-    necessarily an obvious one."""
+    every unit-slope misreport of `_grid_prefs(omega, grid_step)`, a bad
+    step refused first, for a strictly profitable deviation. A FAIL
+    witness is a manipulation, not necessarily an obvious one."""
+    _check_grid_step(grid_step)
 
     def violation(econ: Economy) -> Optional[Witness]:
         peaks = econ.peaks()
         x = rule(econ)
-        peaks_grid = grid(econ.omega, grid_step)
+        misreports = _grid_prefs(econ.omega, grid_step)
         for i, pref in enumerate(econ.prefs):
             truth_d = pref.disutility(x[i])
-            for fake_peak in peaks_grid:
-                if fake_peak == peaks[i]:
+            for misreport in misreports:
+                if misreport.peak == peaks[i]:
                     continue
-                variant = econ.replace_pref(i, SinglePeaked(fake_peak))
+                variant = econ.replace_pref(i, misreport)
                 y = rule(variant)
                 if pref.disutility(y[i]) < truth_d:
                     return Witness(
                         econ,
                         (i,),
                         f"agent {i + 1} misreports peak "
-                        f"{fr(fake_peak)} and gets {fr(y[i])} "
+                        f"{fr(misreport.peak)} and gets {fr(y[i])} "
                         f"(disutility {fr(pref.disutility(y[i]))}) "
                         f"instead of {fr(x[i])} "
                         f"(disutility {fr(truth_d)})",

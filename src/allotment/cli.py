@@ -54,7 +54,7 @@ from .preferences import SinglePeaked, SinglePlateaued
 from .rational import format_rational, parse_rational
 from .rational import _format_scaled
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule, get_rule
-from .sampling import random_plateaued_economy, standard_suite
+from .sampling import _check_grid_step, random_plateaued_economy, standard_suite
 
 # ---------------------------------------------------------------------------
 # economy files
@@ -347,6 +347,8 @@ def cmd_check(args, rule: Rule) -> int:
         if axiom not in axioms:
             raise ValueError(f"--expect-fail {axiom!r} is not among --axioms")
     rows = [AXIOMS[axiom] for axiom in axioms]
+    if any(row.grid for row in rows):
+        _check_grid_step(args.grid_step)
     realloc = rule.domain == DOMAIN_SP_ENDOWMENTS
     wants_endowments = realloc or any(row.endowments for row in rows)
     econ = load_economy(args.economy) if args.random is None else None

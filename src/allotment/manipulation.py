@@ -19,17 +19,19 @@ outcomes. NOM compares worst cases only, so a misreport's set stops at
 its first outcome no better, under the true preference, than the
 truthful worst: only an obvious misreport's set is built whole.
 
-The peak grid depends only on (omega, grid step), and the identical and
-complementary opponent families only on (omega, n, grid step), so each
-is built once and shared across rules, agents and misreports, with every
-profile's peaks as integers over the families' denominator D. Each
-report refines D once by its peak, so that both ends of its option set,
-the grid points between them and each such target's witness peak are
-integers too, and builds its witness profiles in one integer loop over
-those targets; a report whose peak refines D by a factor reads the shared
-profiles scaled by it. Sharing is unobservable: the cache key is the
-whole input, compared by type as well as value, and the value is tuples
-of fractions, ints or frozen preferences, which no caller can change.
+The grid's unit-slope preferences (`sampling._grid_prefs`, every
+search's misreports) depend only on (omega, grid step), and the
+identical and complementary opponent families made of them only on
+(omega, n, grid step), so each is built once and shared across rules,
+agents and searches, with every profile's peaks as integers over the
+families' denominator D. Each report refines D once by its peak, so that
+both ends of its option set, the grid points between them and each such
+target's witness peak are integers too, and builds its witness profiles
+in one integer loop over those targets; a report whose peak refines D by
+a factor reads the shared profiles scaled by it. Sharing is
+unobservable: the cache key is the whole input, compared by type as well
+as value, and the value is tuples of fractions, ints or frozen
+preferences, which no caller can change.
 
 Both doors, `option_set_sampled` and `find_obvious_manipulation`,
 refuse bad inputs once, before any profile is built, in one set of texts
@@ -62,7 +64,7 @@ from .economy import Economy, _check_feasible, _checked_size
 from .preferences import SinglePeaked, worst
 from .rational import _scaled, format_rational as fr, parse_rational
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
-from .sampling import _check_count, _check_grid_step, grid as peak_grid
+from .sampling import _check_count, _check_grid_step, _grid_prefs
 from .sampling import random_preference, random_rational, two_agent_om_economy
 
 # an opponent profile: the opponents and their peaks' numerators over a D
@@ -151,14 +153,6 @@ def option_set_simple(
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def _grid(omega: Fraction, grid_step: int) -> Tuple[Fraction, ...]:
-    """The peak grid of `sampling.grid`, built once per (omega, step) and
-    shared by the misreport lists and the opponent families. A refused
-    step raises on every call: the cache keeps no exceptions."""
-    return tuple(peak_grid(omega, grid_step))
-
-
-@functools.lru_cache(maxsize=32, typed=True)
 def _shared_families(
     omega: Fraction, n: int, grid_step: int
 ) -> Tuple[int, Family, Family]:
@@ -167,21 +161,22 @@ def _shared_families(
     (without its profiles the identical family already holds). Each profile
     is a pair (opponents, their peaks' numerators over D).
 
-    Every profile is made of one unit-slope preference per distinct peak,
-    shared by every slot and profile. D is the least common denominator of
-    the grid and of equal division omega / n, times n - 1. Grid point k is
-    k * omega / grid_step, so omega - point k is point grid_step - k, and
-    over D the witness peak (omega - x) / (n - 1) of every grid point x and
-    of equal division is an integer too.
+    Every profile is made of the grid's unit-slope preferences
+    (`sampling._grid_prefs`), shared by every slot, profile and search. D
+    is the least common denominator of the grid and of equal division
+    omega / n, times n - 1. Grid point k is k * omega / grid_step, so
+    omega - point k is point grid_step - k, and over D the witness peak
+    (omega - x) / (n - 1) of every grid point x and of equal division is
+    an integer too.
 
     Callers pass all three arguments positionally, so one input has one
     key. c04 and the option_sets workload read at most 25 keys (omega in
     1..5, n in 2..6, grid step 60), gallery_matrix at most 10 (n in 2..3,
     grid step 20), so 32 entries hold every key of any one of them.
     """
-    points = _grid(omega, grid_step)
-    common, scaled = _scaled(points, (omega / n).denominator)
-    unit = [(SinglePeaked(q), x * (n - 1)) for q, x in zip(points, scaled)]
+    prefs = _grid_prefs(omega, grid_step)
+    common, scaled = _scaled([p.peak for p in prefs], (omega / n).denominator)
+    unit = [(pref, x * (n - 1)) for pref, x in zip(prefs, scaled)]
 
     def profile(*slots) -> Profile:
         """The n - 1 opponents that cycle through the given slots."""
@@ -424,22 +419,23 @@ def find_obvious_manipulation(
     pref_true: SinglePeaked,
     omega: Fraction,
     n: int,
-    misreport_peaks: Optional[Sequence[Fraction]] = None,
     grid_step: int = 60,
     option_grid_step: Optional[int] = None,
     endowment: Optional[Fraction] = None,
 ) -> Optional[ObviousManipulation]:
     """Search the misreport grid for an obvious manipulation at
-    (pref_true, omega) and return the first certificate, or None.
+    (pref_true, omega) and return the first certificate, or None. The
+    misreports are the preferences of `sampling._grid_prefs(omega,
+    grid_step)` but the one at the true peak, at least two; to test one
+    misreport, pass `option_set_sampled` of the truth and of it to
+    `is_obvious_manipulation`.
 
     The inputs are checked on every rule before any search: the true
     preference is single-peaked, n meets the rule's minimum and is an int
     of at least 2, omega is positive and the agent index is an int in
-    range (`_checked_omega`, in `option_set_sampled`'s texts); misreports
-    are parsed, none is negative and one differs from the true peak (the
-    default list, the shared grid of (omega, grid_step), always has one),
-    the option grid (of option_grid_step, or grid_step when None) is not
-    empty, and `endowment`, the agent's own share, lies in [0, omega].
+    range (`_checked_omega`, in `option_set_sampled`'s texts); both grids
+    (of grid_step, and of option_grid_step, or grid_step when None) are
+    not empty, and `endowment`, the agent's own share, lies in [0, omega].
     Only a reallocation rule reads an endowment, so any other rule
     refuses one, and a simple reallocation rule needs one.
 
@@ -461,16 +457,7 @@ def find_obvious_manipulation(
     """
     omega = _checked_omega(rule, agent, pref_true, n, omega)
     step = grid_step if option_grid_step is None else option_grid_step
-    if misreport_peaks is not None:
-        peaks = [parse_rational(q) for q in misreport_peaks]
-        if any(q < 0 for q in peaks):
-            raise ValueError("misreport peaks must be nonnegative")
-        if all(q == pref_true.peak for q in peaks):
-            raise ValueError(
-                "misreport peaks must hold a peak other than the true peak "
-                f"{fr(pref_true.peak)}"
-            )
-    elif step != grid_step:  # else the one check below covers both grids
+    if step != grid_step:  # else the one check below covers both grids
         _check_grid_step(grid_step)
     _check_grid_step(step)  # refuses an empty option grid
     if endowment is not None:
@@ -489,16 +476,13 @@ def find_obvious_manipulation(
             raise ValueError("reallocation rules need the agent's own endowment")
         return None
 
-    if misreport_peaks is None:
-        peaks = _grid(omega, grid_step)
     sample = _sampler(rule, agent, pref_true, omega, n, step)
     oset_true = sample(pref_true)
     d_truth = pref_true.disutility(worst(pref_true, oset_true.outcomes))
     no_better = _no_better(pref_true, d_truth)
-    for fake_peak in peaks:
-        if fake_peak == pref_true.peak:
+    for misreport in _grid_prefs(omega, grid_step):
+        if misreport.peak == pref_true.peak:
             continue
-        misreport = SinglePeaked(fake_peak)
         oset_mis = sample(misreport, no_better)
         if oset_mis is not None:
             return ObviousManipulation(

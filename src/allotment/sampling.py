@@ -1,4 +1,6 @@
-"""Seeded generation of rational economies and grids.
+"""Seeded generation of rational economies and grids, and the grid's
+shared unit-slope preferences (`_grid_prefs`): the one misreport source
+of both manipulation searches, and the sampled families' opponents.
 
 Every seeded draw in the package is written here (`manipulation.nom_sweep`
 composes these draws), driven by an explicit `random.Random`, so any
@@ -10,6 +12,7 @@ named witness economies are injected at the front of each suite.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -250,6 +253,15 @@ def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
     _check_grid_step(step_denominator)
     step = parse_rational(omega) / step_denominator
     return [k * step for k in range(2 * step_denominator + 1)]
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _grid_prefs(omega: Fraction, step_denominator: int) -> Tuple[SinglePeaked, ...]:
+    """`SinglePeaked(q)` at each point q of `grid(omega, step_denominator)`.
+    c04, gallery_matrix and the sp suites read at most 5 omegas per step,
+    so 32 entries hold every key; a refused step raises on every call, as
+    the cache keeps no exceptions."""
+    return tuple(map(SinglePeaked, grid(omega, step_denominator)))
 
 
 def _check_grid_step(step_denominator: int) -> None:

@@ -392,6 +392,41 @@ def test_ced_manipulable_at_om_economy():
     assert "misreports peak 0" in report.witness.description
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_sp_refuses_a_bad_grid_step_before_any_rule_run(step):
+    runs = []
+
+    def allocate(economy):
+        runs.append(economy)
+        return uniform.allocate(economy)
+
+    counted = Rule("counted", allocate)
+    for econs in ([], [two_agent_om_economy()]):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            check_strategy_proofness(counted, econs, grid_step=step)
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "rule", [uniform, ced, gallery("hat")], ids=["uniform", "ced", "hat"]
+)
+def test_a_warm_sp_check_builds_no_preference(rule, monkeypatch):
+    # the misreports are the peak grid's shared preferences, so once the
+    # first check has built them the second builds no SinglePeaked at all
+    econs = [e for e in SUITE[:20] if e.n >= rule.min_agents]
+    first = check_strategy_proofness(rule, econs, grid_step=12)
+    built = []
+    post_init = SinglePeaked.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SinglePeaked, "__post_init__", counting)
+    assert check_strategy_proofness(rule, econs, grid_step=12) == first
+    assert built == []
+
+
 def test_equal_losses_simple_rule_manipulable_by_exaggeration():
     report = check_strategy_proofness(
         simple_from_claims(cel), [exaggeration_economy()], grid_step=3

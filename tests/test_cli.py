@@ -938,6 +938,10 @@ def test_nom_on_endowed_files_for_every_rule(tmp_path, capsys, rule, expected):
         ("find-manipulation", "simple:cea", "1", "--grid-step", "0"),
         ("find-manipulation", "uniform", "1", "--grid-step", "0"),
         ("check", "uniform", "--axioms", "nom", "--grid-step", "-1"),
+        # refused before the first case, though gallery:star skips the
+        # file's two agents and would report that no case was inspected
+        ("check", "gallery:star", "--axioms", "sp", "--grid-step", "0"),
+        ("check", "gallery:star", "--axioms", "nom", "--grid-step", "0"),
     ],
 )
 def test_empty_grids_exit_2(om_file, capsys, argv):

@@ -10,8 +10,10 @@ with every witness economy, `option-set` of `ced` and `find-manipulation`
 for `proportional` on a report whose peak refines the sampled opponent
 families' denominator, `option-set` of `gallery:hat` there with an end
 off the grid at equal division, `check` of nom on it (a FAIL whose witness
-economy comes from the misreport's sampled set), `check` of the two
-reference-point guarantees, and `check` of own-peak-only for
+economy comes from the misreport's sampled set), `check` of sp for `ced`
+on the two-agent economy (a FAIL whose perturbed economy holds a
+misreport read from the peak grid's shared preferences), `check` of the
+two reference-point guarantees, and `check` of own-peak-only for
 `gallery:underline` (a FAIL whose witness and slope-perturbed economy are
 pinned) and for `uniform` (a PASS) on the economy that triggers underline,
 and `check` of own-peak-only (a PASS) and symmetry (a FAIL) for
@@ -192,6 +194,13 @@ def cases():
         found.append(
             ["check", "two-agent", "ced", "--axioms", "nom"]
             + ["--expect-fail", "nom"]
+            + tail
+        )
+        # sp there: the witness's perturbed economy holds agent 1's
+        # misreport, a unit-slope preference shared by every grid search
+        found.append(
+            ["check", "two-agent", "ced", "--axioms", "sp"]
+            + ["--expect-fail", "sp"]
             + tail
         )
         # the two reference-point guarantees, each with a failing witness;

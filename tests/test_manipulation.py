@@ -22,7 +22,6 @@ import allotment.rules as rules_module
 from allotment.claims import Awards, _cea, cea, cel
 from allotment.economy import Allotment, Economy, _checked_size
 from allotment.manipulation import (
-    _grid,
     _no_better,
     _opponent_profiles,
     _shared_families,
@@ -52,6 +51,7 @@ from allotment.rules import (
 )
 from allotment.sampling import (
     SLOPE_CATALOGUE,
+    _grid_prefs,
     grid,
     random_preference,
     random_rational,
@@ -237,9 +237,6 @@ def test_sampled_economies_follow_the_sorted_targets_order(omega, grid_step):
         lambda: option_set_sampled(ced, 0, OM_PREF, 0.5, 2),
         lambda: find_obvious_manipulation(ced, 0, OM_PREF, 0.1, 2, grid_step=6),
         lambda: find_obvious_manipulation(
-            uniform, 0, OM_PREF, F(1), 2, misreport_peaks=[0.5]
-        ),
-        lambda: find_obvious_manipulation(
             simple_reallocation_from_claims(cea), 0, OM_PREF, F(1), 2,
             endowment=0.5,
         ),
@@ -318,23 +315,65 @@ def test_uniform_admits_no_obvious_manipulation():
     )
 
 
+@pytest.mark.parametrize(
+    "rule,step",
+    [(ced, 60), (proportional, 12), (gallery("hat"), 20)],
+    ids=["ced", "proportional", "hat"],
+)
+def test_a_certificate_misreports_a_shared_grid_preference(rule, step):
+    # every search misreports the peak grid's own preferences, so the
+    # certificate and its misreport set's witnesses hold that very object
+    cert = find_obvious_manipulation(rule, 0, OM_PREF, F(1), 2, grid_step=step)
+    shared = _grid_prefs(F(1), step)
+    assert any(cert.misreport is pref for pref in shared)
+    for economy in cert.oset_misreport.witnesses.values():
+        assert economy.prefs[0] is cert.misreport
+
+
+def test_a_one_step_grid_searches_both_peaks_beside_the_truth(monkeypatch):
+    # grid(1, 1) is 0, 1 and 2: a true peak at omega = 1 leaves two
+    # misreports, and a search that finds nothing samples both
+    reports = []
+    sampler = manipulation_module._sampler
+
+    def recording(*args):
+        sample = sampler(*args)
+
+        def recorded(report, stop=None):
+            reports.append(report)
+            return sample(report, stop)
+
+        return recorded
+
+    monkeypatch.setattr(manipulation_module, "_sampler", recording)
+    pref = SinglePeaked(F(1))
+    rule = wrapped(uniform)
+    assert find_obvious_manipulation(rule, 0, pref, F(1), 2, grid_step=1) is None
+    low, _, high = _grid_prefs(F(1), 1)
+    assert [report.peak for report in reports] == [1, 0, 2]
+    assert reports[0] is pref and reports[1] is low and reports[2] is high
+
+
+@pytest.mark.parametrize("step", [0, -3, True, 2.5, "6"])
+def test_grid_prefs_refuse_a_bad_step_on_every_call(step):
+    # the cache keeps no exception, so a second call is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="grid step denominator"):
+            _grid_prefs(F(1), step)
+
+
 def test_certificates_survive_grid_refinement():
-    # enlarging both grids must not flip an exhibited FAIL
+    # refining the option grid must not flip an exhibited FAIL
     for rule in (ced, proportional):
         coarse = find_obvious_manipulation(
             rule, 0, OM_PREF, F(1), 2, grid_step=12
         )
         fine = find_obvious_manipulation(
-            rule,
-            0,
-            OM_PREF,
-            F(1),
-            2,
-            misreport_peaks=[coarse.misreport.peak],
-            option_grid_step=120,
+            rule, 0, OM_PREF, F(1), 2, grid_step=12, option_grid_step=120
         )
         assert fine is not None
         assert fine.verdict.is_obvious
+        assert fine.misreport is coarse.misreport
 
 
 # -- NOM sweeps --------------------------------------------------------------------
@@ -1135,47 +1174,6 @@ def test_proportional_under_another_name_is_searched_and_fails_nom():
     assert report.witness.economy.prefs[agent] == certificate.misreport
 
 
-@pytest.mark.parametrize("rule", [uniform, ced], ids=["exact", "sampled"])
-def test_negative_misreport_peaks_refused_on_both_paths(rule):
-    with pytest.raises(ValueError, match="nonnegative"):
-        find_obvious_manipulation(
-            rule, 0, OM_PREF, F(1), 2, misreport_peaks=[F(1, 2), -1], grid_step=6
-        )
-
-
-@pytest.mark.parametrize(
-    "rule",
-    [ced, uniform, get_rule("simple:cea"), gallery("hat")],
-    ids=["ced", "uniform", "simple:cea", "hat"],
-)
-@pytest.mark.parametrize(
-    "misreports", [[], [OM_PREF.peak], ["1/3", F(2, 6)]], ids=["empty", "truth", "twice"]
-)
-def test_a_misreport_list_with_nothing_to_try_is_refused(
-    rule, misreports, monkeypatch
-):
-    # ced is obviously manipulable at the OM economy, so a search over no
-    # misreport would pass vacuously; every rule refuses before searching
-    searched = []
-    monkeypatch.setattr(
-        manipulation_module, "_sampler", lambda *args: searched.append(args)
-    )
-    n = rule.min_agents
-    with pytest.raises(ValueError, match="^misreport peaks must hold a peak other"):
-        find_obvious_manipulation(
-            rule, 0, OM_PREF, F(1), n, misreport_peaks=misreports
-        )
-    assert searched == []
-
-
-def test_a_misreport_list_beside_the_true_peak_is_searched():
-    found = find_obvious_manipulation(
-        ced, 0, OM_PREF, F(1), 2, misreport_peaks=[OM_PREF.peak, 0]
-    )
-    assert found.misreport.peak == 0
-    assert find_obvious_manipulation(ced, 0, OM_PREF, F(1), 2).misreport.peak == 0
-
-
 @pytest.mark.parametrize("endowment", [F(5), F(-1, 3)])
 def test_endowments_outside_zero_omega_refused(endowment):
     realloc = get_rule("realloc:cea")
@@ -1285,22 +1283,20 @@ def test_empty_grids_rejected(step):
 
 def test_simple_rule_check_builds_no_grid():
     # a simple rule's search is skipped, so only its grid steps are checked
-    # and the shared peak grid is neither built nor looked up
+    # and the peak grid's shared preferences are neither built nor looked up
     cases = nom_sweep(5, 8)
-    before = _grid.cache_info()
+    before = _grid_prefs.cache_info()
     report = check_nom(get_rule("simple:cea"), cases, grid_step=7, option_grid_step=9)
     assert not report.failed
-    after = _grid.cache_info()
+    after = _grid_prefs.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 EXACT_REGISTERED = [get_rule(name) for name in RULE_NAMES if get_rule(name).simple]
 
 
-@pytest.mark.parametrize(
-    "misreports", [None, [F(k, 100) for k in range(500)]], ids=["grid", "500"]
-)
-def test_exact_search_reads_no_misreport_for_genuine_preferences(misreports):
+@pytest.mark.parametrize("grid_step", [60, 250], ids=["grid", "250"])
+def test_exact_search_reads_no_misreport_for_genuine_preferences(grid_step):
     # the reference point is the truthful worst and lies in every option
     # set, so a simple rule's verdict reads no disutility at all
     sweeps = [
@@ -1324,7 +1320,7 @@ def test_exact_search_reads_no_misreport_for_genuine_preferences(misreports):
                     pref,
                     case.omega,
                     case.n,
-                    misreport_peaks=misreports,
+                    grid_step=grid_step,
                     endowment=case.endowment,
                 )
                 assert found is None, (rule.name, case)
@@ -1387,13 +1383,7 @@ def test_sampled_search_matches_oracle():
             searched += 1
             peaks = grid(case.omega, 20)
             found = find_obvious_manipulation(
-                rule,
-                case.agent,
-                case.pref,
-                case.omega,
-                case.n,
-                misreport_peaks=peaks,
-                option_grid_step=20,
+                rule, case.agent, case.pref, case.omega, case.n, grid_step=20
             )
             expected = sampled_nom_oracle(
                 rule, case.agent, case.pref, case.omega, case.n, peaks, 20
@@ -1430,9 +1420,7 @@ def test_sampled_search_stops_before_full_option_sets():
     rule, calls = counting(uniform)
     peaks = grid(F(1), 12)
     args = (rule, 0, OM_PREF, F(1), 2)
-    assert find_obvious_manipulation(
-        *args, misreport_peaks=peaks, grid_step=12
-    ) is None
+    assert find_obvious_manipulation(*args, grid_step=12) is None
     searched = len(calls)
     calls.clear()
     assert sampled_nom_oracle(*args, peaks, 12) is None
