@@ -19,45 +19,41 @@ outcomes. NOM compares worst cases only, so a misreport's set stops at
 its first outcome no better, under the true preference, than the
 truthful worst: only an obvious misreport's set is built whole.
 
-The grid's unit-slope preferences (`sampling._grid_prefs`, every
-search's misreports) depend only on (omega, grid step), and the
-identical and complementary opponent families made of them only on
-(omega, n, grid step), so each is built once and shared across rules,
-agents and searches, with every profile's peaks as integers over the
-families' denominator D. Each report refines D once by its peak, so that
-both ends of its option set, the grid points between them and each such
-target's witness peak are integers too, and builds its witness profiles
-in one integer loop over those targets; a report whose peak refines D by
-a factor reads the shared profiles scaled by it. Sharing is
-unobservable: the cache key is the whole input, compared by type as well
-as value, and the value is tuples of fractions, ints or frozen
-preferences, which no caller can change.
+An opponent profile is what a rule's kernel reads: the n - 1 opponents'
+peaks as integers over one denominator D per report, generated from the
+grid's spacing over D (`_opponent_profiles`). D is the least common
+denominator of the grid's spacing, of equal division and of the report's
+peak, times n - 1, so that both ends of the report's option set, the
+grid points between them and each such target's witness peak are
+integers too. Preferences are built only at the two edges, by one
+helper of the sampler: a rule without a kernel (a wrapper included) is
+called on each profile's economy, built by the public constructor, and
+keeps it as the witness of a new outcome; a kernel rule keeps the
+profile, whose economy `SampledOptionSet.witnesses` builds on first
+read. There an opponent on the grid is the grid's shared unit-slope
+preference (`sampling._grid_prefs`, every search's misreports), and one
+off it a unit-slope preference at its peak.
 
 Both doors, `option_set_sampled` and `find_obvious_manipulation`,
 refuse bad inputs once, before any profile is built, in one set of texts
 (a report that is not single-peaked, the rule's minimum agent count, the
 economy's size and endowment, the agent index). Each then builds one
-`_sampler`, which sets up the families, D and, for a rule with a declared
-kernel (`Rule.kernel`; every registered rule but gallery:underline, which
-reads a slope, has one), the domain check once, so each misreport pays
-only its runs. The kernel runs on the integers of every profile, so a
-kernel rule builds no economy but the domain check's while it samples;
-a rule without a kernel (a wrapper included) is called on each profile's
-economy, built by the public constructor. Feasibility is checked on
-every run, and the first witness of each outcome is kept as its
-preference profile, whose economy `SampledOptionSet.witnesses` builds on
-first read.
+`_sampler`, which looks up the grid, takes its denominator and, for a
+rule with a declared kernel (`Rule.kernel`; every registered rule but
+gallery:underline, which reads a slope, has one), runs the domain check
+once, so each misreport pays only its runs. The kernel runs on the
+integers of every profile, so a kernel rule builds no economy but the
+domain check's while it samples. Feasibility is checked on every run.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy, _check_feasible, _checked_size
@@ -67,21 +63,17 @@ from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import _check_count, _check_grid_step, _grid_prefs
 from .sampling import random_preference, random_rational, two_agent_om_economy
 
-# an opponent profile: the opponents and their peaks' numerators over a D
-Profile = Tuple[Tuple[SinglePeaked, ...], Sequence[int]]
-Family = Tuple[Profile, ...]
-
 
 class _Witnesses(Mapping):
     """The read-only {outcome: first witness economy} of a sampled option
     set, in generation order. `found` maps each outcome's reduced
-    (numerator, denominator) to [outcome, witness]; a witness is held as
-    its preference profile until its first read builds and keeps
-    `Economy(prefs, omega)`. Equality and repr are the dict's, so they
-    read every witness."""
+    (numerator, denominator) to [outcome, witness]; a kernel run's witness
+    is held as its opponent profile until its first read builds and keeps
+    `economy(profile)`. Equality and repr are the dict's, so they read
+    every witness."""
 
-    def __init__(self, omega: Fraction, found: Dict[Tuple[int, int], list]):
-        self._omega = omega
+    def __init__(self, economy: Callable, found: Dict[Tuple[int, int], list]):
+        self._economy = economy
         self._found = found
 
     def __getitem__(self, outcome) -> Economy:
@@ -90,7 +82,7 @@ class _Witnesses(Mapping):
         except (AttributeError, KeyError):
             raise KeyError(outcome) from None
         if isinstance(entry[1], tuple):
-            entry[1] = Economy(entry[1], self._omega)
+            entry[1] = self._economy(entry[1])
         return entry[1]
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -152,137 +144,101 @@ def option_set_simple(
     return min(reference, reachable_peak), max(reference, reachable_peak)
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _shared_families(
-    omega: Fraction, n: int, grid_step: int
-) -> Tuple[int, Family, Family]:
-    """The opponent families that do not depend on the report, over a
-    common denominator D: the identical family and the complementary family
-    (without its profiles the identical family already holds). Each profile
-    is a pair (opponents, their peaks' numerators over D).
-
-    Every profile is made of the grid's unit-slope preferences
-    (`sampling._grid_prefs`), shared by every slot, profile and search. D
-    is the least common denominator of the grid and of equal division
-    omega / n, times n - 1. Grid point k is k * omega / grid_step, so
-    omega - point k is point grid_step - k, and over D the witness peak
-    (omega - x) / (n - 1) of every grid point x and of equal division is
-    an integer too.
-
-    Callers pass all three arguments positionally, so one input has one
-    key. c04 and the option_sets workload read at most 25 keys (omega in
-    1..5, n in 2..6, grid step 60), gallery_matrix at most 10 (n in 2..3,
-    grid step 20), so 32 entries hold every key of any one of them.
-    """
-    prefs = _grid_prefs(omega, grid_step)
-    common, scaled = _scaled([p.peak for p in prefs], (omega / n).denominator)
-    unit = [(pref, x * (n - 1)) for pref, x in zip(prefs, scaled)]
-
-    def profile(*slots) -> Profile:
-        """The n - 1 opponents that cycle through the given slots."""
-        cycle = [slots[j % len(slots)] for j in range(n - 1)]
-        return tuple(pref for pref, _ in cycle), tuple(x for _, x in cycle)
-
-    identical = tuple(profile(slot) for slot in unit)
-    # a complementary profile is constant only at q = omega/2, where the
-    # identical family holds it; distinct q lead with distinct peaks
-    complementary = tuple(
-        profile(unit[k], unit[grid_step - k])
-        for k in range(grid_step + 1)
-        if n >= 3 and 2 * k != grid_step
-    )
-    return common * (n - 1), identical, complementary
-
-
 def _opponent_profiles(
-    peak: Fraction,
-    omega: Fraction,
-    n: int,
-    grid_step: int,
-    families: Tuple[int, Family, Family],
-) -> Tuple[int, Iterator[Profile]]:
-    """(D, profiles): the deterministic opponent families of unit-slope
-    preferences, with their peaks' numerators over D, of a report with this
-    peak, deduped on the opponents' peaks in generation order:
+    total: int, mine: int, n: int, grid_step: int
+) -> Iterator[Tuple[int, ...]]:
+    """The deterministic opponent profiles of a report, in generation
+    order, each the n - 1 opponents' peaks as numerators over the report's
+    D, of which omega is `total` and the report's peak `mine`:
 
     identical      all opponents share one grid peak;
     witness        all opponents at (omega - x)/(n - 1) for each target x
                    between equal division and the capped peak, in
                    increasing order (this is the profile that forces a
                    simple rule to hand the agent x);
-    complementary  opponents alternate q and omega - q, exercising branches
-                   keyed to peak sums.
+    complementary  opponents alternate q and omega - q, for each grid peak
+                   q in [0, omega] but omega/2, exercising branches keyed
+                   to peak sums.
 
-    D refines the D of `families`, the `_shared_families` of (omega, n,
-    grid_step), by the peak times n - 1, so the peak, omega, both ends of
-    the option set, the grid points between them (the targets) and each
-    target's witness peak are integers over it. A witness profile is
+    D is n - 1 times a common multiple of the denominators of the grid's
+    spacing omega/grid_step, of equal division and of the peak, so both
+    ends of the option set, the grid points between them (the targets) and
+    each target's witness peak are integers over it. A witness profile is
     constant, so it repeats an identical profile exactly when its peak is
     on the grid, and such a target is skipped; an end off the grid has its
     peak off the grid too. Profiles are generated lazily, so a consumer
-    that stops early builds no more witness profiles than it reads.
+    that stops early builds no more of them than it reads.
     """
-    family, identical, complementary = families
-    common = math.lcm(family, peak.denominator * (n - 1))
-    scale = common // family
-
-    def shared(profiles: Family) -> Iterable[Profile]:
-        if scale == 1:
-            return profiles
-        return ((opp, [x * scale for x in xs]) for opp, xs in profiles)
-
-    def generate() -> Iterator[Profile]:
-        yield from shared(identical)
-        total, mine = _scaled((omega, peak), common)[1]
-        lo, hi = sorted((total // n, min(mine, total)))
-        step = total // grid_step  # the grid's spacing over D
-        for x in sorted({lo, hi, *range(lo + -lo % step, hi + 1, step)}):
-            w = (total - x) // (n - 1)  # the witness peak of target x
-            if w % step:
-                yield (SinglePeaked(Fraction(w, common)),) * (n - 1), (w,) * (n - 1)
-        yield from shared(complementary)
-
-    return common, generate()
+    step = total // grid_step  # the grid's spacing over D
+    for x in range(0, 2 * total + 1, step):
+        yield (x,) * (n - 1)
+    lo, hi = sorted((total // n, min(mine, total)))
+    for x in sorted({lo, hi, *range(lo + -lo % step, hi + 1, step)}):
+        w = (total - x) // (n - 1)  # the witness peak of target x
+        if w % step:
+            yield (w,) * (n - 1)
+    if n >= 3:  # at n = 2 a complementary profile is an identical one
+        for q in range(0, total + 1, step):
+            if 2 * q != total:  # the identical family holds omega/2
+                yield tuple(total - q if j % 2 else q for j in range(n - 1))
 
 
 def _sampler(
     rule: Rule, agent: int, pref: SinglePeaked, omega: Fraction, n: int, grid_step: int
 ) -> Callable:
-    """The sampler of one search, set up once: it looks up the opponent
-    families, and runs a `kernel` rule's one domain check on the true
-    report `pref` (the check reads the preference kind, the endowments and
-    n, which no report changes). `sample(report, stop)` is the sampled
-    option set of `agent` reporting `report`, one run per profile of
-    `_opponent_profiles` in generation order, or None at the first new
-    outcome, a reduced (a, q), for which `stop(a, q)` holds. A kernel runs
-    on every profile's numerators over the report's D, the report's
-    inserted; a rule without a kernel is called on `Economy(prefs,
-    omega)`. Feasibility is checked on every run; a new outcome's witness
-    is kept as its profile, whose economy `SampledOptionSet.witnesses`
-    builds on first read. Callers run `_checked_omega` first, so no economy
-    fails its checks."""
-    families, kernel = _shared_families(omega, n, grid_step), rule.kernel
+    """The sampler of one search, set up once: it looks up the grid's
+    shared preferences (refusing a bad grid step), runs a `kernel` rule's
+    one domain check on the true report `pref` (the check reads the
+    preference kind, the endowments and n, which no report changes), and
+    takes the least common denominator of the grid's spacing and of equal
+    division. `sample(report, stop)` is the sampled option set of `agent`
+    reporting `report`, one run per profile of `_opponent_profiles` in
+    generation order, or None at the first new outcome, a reduced (a, q),
+    for which `stop(a, q)` holds. The report's D is that denominator,
+    refined by its peak, times n - 1. A kernel runs on every profile's
+    numerators, the report's inserted; a rule without a kernel is called
+    on the profile's economy, built by `economy`, the one place where
+    opponents become preferences. Feasibility is checked on every run; a
+    new outcome's witness is kept as its economy, or a kernel run's
+    profile, whose economy `SampledOptionSet.witnesses` builds on first
+    read. Callers run `_checked_omega` first, so no economy fails its
+    checks."""
+    grid, kernel = _grid_prefs(omega, grid_step), rule.kernel
     if kernel is not None:
         rule.check_domain(Economy((pref,) * n, omega))
+    base = math.lcm((omega / grid_step).denominator, (omega / n).denominator)
     grid_spec = (
         f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
         f"[0, {fr(2 * omega)}]; identical, witness, and complementary families"
     )
 
     def sample(report: SinglePeaked, stop: Optional[Callable] = None):
-        peak = report.peak
-        common, profiles = _opponent_profiles(peak, omega, n, grid_step, families)
-        mine, total = _scaled((peak, omega), common)[1]
-        # {reduced outcome: [outcome, its preference profile, then economy]}
+        common = math.lcm(base, report.peak.denominator) * (n - 1)
+        total, mine = _scaled((omega, report.peak), common)[1]
+        step = total // grid_step  # the grid's spacing over D
+
+        def economy(profile: Tuple[int, ...]) -> Economy:
+            """`report` among the opponents of `profile`: a grid peak is the
+            grid's shared preference, and each distinct peak off the grid
+            one unit-slope preference."""
+            prefs = {
+                x: SinglePeaked(Fraction(x, common)) if x % step else grid[x // step]
+                for x in set(profile)
+            }
+            opponents = [prefs[x] for x in profile]
+            opponents.insert(agent, report)
+            return Economy(tuple(opponents), omega)
+
+        # {reduced outcome: [outcome, its profile or economy, then economy]}
         found: Dict[Tuple[int, int], list] = {}
-        for opponents, numerators in profiles:
-            prefs = None
+        for profile in _opponent_profiles(total, mine, n, grid_step):
             if kernel is None:
-                prefs = opponents[:agent] + (report,) + opponents[agent:]
-                allotment = rule(Economy(prefs, omega))
+                witness = economy(profile)
+                allotment = rule(witness)
                 unit, amounts = allotment._common, allotment._numerators
             else:
-                peaks = list(numerators)
+                witness = profile
+                peaks = list(profile)
                 peaks.insert(agent, mine)
                 unit, amounts = kernel(common, peaks, total, None)
             _check_feasible(unit, amounts, omega)
@@ -292,8 +248,7 @@ def _sampler(
                 continue
             if stop is not None and stop(*key):
                 return None
-            prefs = prefs or opponents[:agent] + (report,) + opponents[agent:]
-            found[key] = [Fraction(*key), prefs]
+            found[key] = [Fraction(*key), witness]
         # sorted on exact integers: p / q as p * (L // q), L the lcm of the q's
         lcm = math.lcm(*{q for _, q in found})
         ordered = sorted(found, key=lambda key: key[0] * (lcm // key[1]))
@@ -301,7 +256,7 @@ def _sampler(
             rule=rule,
             agent=agent,
             outcomes=tuple(found[key][0] for key in ordered),
-            witnesses=_Witnesses(omega, found),
+            witnesses=_Witnesses(economy, found),
             grid_spec=grid_spec,
         )
 
@@ -559,7 +514,10 @@ def check_nom(
 
     FAIL carries the full certificate (misreport, both option sets with
     witnesses, the worst-case pair); PASS is relative to the sweep and grids.
-    NO_CASES means no case had enough agents for the rule.
+    NO_CASES means no case had enough agents for the rule. Each search
+    refuses a bad grid step before its first rule run, so a scan that
+    inspected no case refuses one (both grids, as `find_obvious_manipulation`
+    does) before it answers NO_CASES.
     """
 
     def violation(case: NomCase) -> Optional[Witness]:
@@ -584,4 +542,9 @@ def check_nom(
             detail=certificate,
         )
 
-    return _scan("nom", rule, cases, violation)
+    report = _scan("nom", rule, cases, violation)
+    if not report.checked:
+        _check_grid_step(grid_step)
+        if option_grid_step is not None:
+            _check_grid_step(option_grid_step)
+    return report

@@ -26,11 +26,10 @@ on it (`economy._split_scaled`), the integer entry of the claims rules
 (`claims._core`), the rules' integer kernels (`Rule.kernel`: every
 rule but gallery:underline, which runs on the profile too, and through
 it the simple rules on plateaus), and the sampled option sets
-(`manipulation._sampler`), which hold every opponent profile's peaks
-over one D per report (`manipulation._opponent_profiles`: the shared
-families' D refined by the report's peak, their numerators times the
-factor), run a rule's kernel on them, and read a kernel-less rule's
-outcome from its allotment's integers. A Fraction is built only where a
+(`manipulation._sampler`), which generate every opponent profile as
+its peaks' numerators over one D per report from the grid's spacing
+(`manipulation._opponent_profiles`), run a rule's kernel on them, and
+read a kernel-less rule's outcome from its allotment's integers. A Fraction is built only where a
 value leaves the integers (a level, an award, an amount that is read, a
 witness peak, a sampled set's distinct outcome, which the sampler keys
 and sorts as its reduced integer pair, so it never hashes one) or where

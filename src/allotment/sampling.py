@@ -1,6 +1,7 @@
 """Seeded generation of rational economies and grids, and the grid's
 shared unit-slope preferences (`_grid_prefs`): the one misreport source
-of both manipulation searches, and the sampled families' opponents.
+of both manipulation searches, and the on-grid opponents of the sampled
+option sets' witness economies.
 
 Every seeded draw in the package is written here (`manipulation.nom_sweep`
 composes these draws), driven by an explicit `random.Random`, so any
@@ -257,10 +258,11 @@ def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _grid_prefs(omega: Fraction, step_denominator: int) -> Tuple[SinglePeaked, ...]:
-    """`SinglePeaked(q)` at each point q of `grid(omega, step_denominator)`.
-    c04, gallery_matrix and the sp suites read at most 5 omegas per step,
-    so 32 entries hold every key; a refused step raises on every call, as
-    the cache keeps no exceptions."""
+    """`SinglePeaked(q)` at each point q of `grid(omega, step_denominator)`,
+    shared by every misreport search and sampled witness economy. c04,
+    gallery_matrix and the sp suites read at most 5 omegas per step, so 32
+    entries hold every key; a refused step raises on every call, as the
+    cache keeps no exceptions."""
     return tuple(map(SinglePeaked, grid(omega, step_denominator)))
 
 

@@ -420,8 +420,8 @@ def opponent_profiles_oracle(
     preference per slot, deduped on whole preference tuples.
 
     The library's former generator, kept as the oracle for
-    `allotment.manipulation._opponent_profiles`, which shares the families
-    that do not depend on the agent.
+    `allotment.manipulation._opponent_profiles`, which generates each
+    profile as the opponents' peak numerators over the report's D.
     """
     points = peak_grid(omega, grid_step)
     identical = (tuple(SinglePeaked(q) for _ in range(n - 1)) for q in points)
@@ -456,8 +456,8 @@ def sorted_targets_profiles_oracle(
     witness profile is dropped when bisecting the grid finds its peak.
 
     The library's former generator, kept as the oracle for the order of
-    `allotment.manipulation._opponent_profiles`, which reads the witness
-    profiles of grid targets from a family shared per (omega, n, step).
+    `allotment.manipulation._opponent_profiles`, which finds the witness
+    targets on integers over the report's D.
     """
     keys = peak_grid(omega, grid_step)
     for q in keys:

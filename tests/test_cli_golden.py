@@ -7,13 +7,14 @@ endowments, plus `option-set` for a simple rule, `find-manipulation` for
 a reallocation rule (no manipulation) and for `ced` on the README's
 two-agent economy (a sampled certificate), `option-set` of `ced` there
 with every witness economy, `option-set` of `ced` and `find-manipulation`
-for `proportional` on a report whose peak refines the sampled opponent
-families' denominator, `option-set` of `gallery:hat` there with an end
-off the grid at equal division, `check` of nom on it (a FAIL whose witness
-economy comes from the misreport's sampled set), `check` of sp for `ced`
-on the two-agent economy (a FAIL whose perturbed economy holds a
-misreport read from the peak grid's shared preferences), `check` of the
-two reference-point guarantees, and `check` of own-peak-only for
+for `proportional` on a report whose peak refines the denominator of the
+sampled opponent profiles, `option-set` of `gallery:hat` there with an
+end off the grid at equal division, `option-set` of `gallery:underline`
+(a rule without a kernel) with opponents on and off the grid, `check` of
+nom on the two-agent economy (a FAIL whose witness economy comes from the
+misreport's sampled set), `check` of sp for `ced` there (a FAIL whose
+perturbed economy holds a misreport read from the peak grid's shared
+preferences), `check` of the two reference-point guarantees, and `check` of own-peak-only for
 `gallery:underline` (a FAIL whose witness and slope-perturbed economy are
 pinned) and for `uniform` (a PASS) on the economy that triggers underline,
 and `check` of own-peak-only (a PASS) and symmetry (a FAIL) for
@@ -124,8 +125,8 @@ ECONOMIES = {
             ("1/4", "1", "10"), ("2", "1", "1"), ("2", "1", "1"), ("2", "1", "1")
         ),
     },
-    # agent 1's peak 1/7 refines the opponent families' denominator 12 at
-    # grid step 6 (the grid's 6 times n - 1) by a factor of 7
+    # agent 1's peak 1/7 refines the denominator 12 of the opponent
+    # profiles at grid step 6 (the grid's 6 times n - 1) by a factor of 7
     "refined": {
         "omega": "1",
         "agents": [{"peak": "1/7"}, {"peak": "1/2"}, {"peak": "1"}],
@@ -172,8 +173,8 @@ def cases():
             + ["--grid-step", "6"]
             + tail
         )
-        # a report whose peak refines the families' denominator: every
-        # kernel run reads the shared numerators times the factor
+        # a report whose peak refines the profiles' denominator: every
+        # kernel run reads the opponents' numerators over the refined D
         found.append(
             ["option-set", "refined", "ced", "1", "--grid-step", "6"]
             + ["--show-witnesses"]
@@ -184,6 +185,14 @@ def cases():
         found.append(
             ["option-set", "refined", "gallery:hat", "1", "--grid-step", "20"]
             + ["--show-witnesses"]
+            + tail
+        )
+        # a rule without a kernel keeps the economy each outcome was first
+        # found on, with opponents on the grid (4/3, 0) and off it (5/4,
+        # 10/9)
+        found.append(
+            ["option-set", "underline", "gallery:underline", "1"]
+            + ["--grid-step", "6", "--show-witnesses"]
             + tail
         )
         found.append(

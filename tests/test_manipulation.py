@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import io
+import math
 import os
 import pickle
 import random
@@ -24,7 +25,6 @@ from allotment.economy import Allotment, Economy, _checked_size
 from allotment.manipulation import (
     _no_better,
     _opponent_profiles,
-    _shared_families,
     check_nom,
     find_obvious_manipulation,
     is_obvious_manipulation,
@@ -51,6 +51,7 @@ from allotment.rules import (
 )
 from allotment.sampling import (
     SLOPE_CATALOGUE,
+    _check_grid_step,
     _grid_prefs,
     grid,
     random_preference,
@@ -151,13 +152,30 @@ def peaks_and_slopes(profiles):
     ]
 
 
+def integer_profiles(peak, omega, n, grid_step=60):
+    """(D, profiles): the report's D, the least common multiple of the
+    denominators of the grid's spacing, equal division and the peak, times
+    n - 1, and `_opponent_profiles` of the report over it."""
+    dens = (omega / grid_step, omega / n, peak)
+    common = math.lcm(*(x.denominator for x in dens)) * (n - 1)
+    total, mine = omega * common, peak * common
+    assert total.denominator == mine.denominator == 1
+    profiles = _opponent_profiles(int(total), int(mine), n, grid_step)
+    return common, list(profiles)
+
+
+def opponents(common, profile):
+    """The unit-slope opponents whose peaks are `profile` over `common`."""
+    return tuple(SinglePeaked(F(x, common)) for x in profile)
+
+
 # omega/2 lies off an odd grid and on an even one
 @pytest.mark.parametrize("grid_step", [5, 6, 12])
 def test_opponent_profiles_match_oracle(grid_step):
     for n in range(2, 8):
         for omega in (F(1), F(2), F(7, 3)):
             # agent peaks on the grid, halfway between grid points and just
-            # past those by 1/(7 * grid_step), which refines the families' D,
+            # past those by 1/(7 * grid_step), which refines the grid's D,
             # so witness targets and the witness opponents' peaks fall both
             # on and off the grid
             for k in range(4 * grid_step + 1):
@@ -166,22 +184,12 @@ def test_opponent_profiles_match_oracle(grid_step):
                     args = (omega, n, grid_step)
                     expected = opponent_profiles_oracle(pref, *args)
                     expected = peaks_and_slopes(expected)
-                    # the second call reads the cached shared families
-                    for _ in range(2):
-                        families = _shared_families(*args)
-                        common, profiles = _opponent_profiles(
-                            pref.peak, *args, families
-                        )
-                        profiles = list(profiles)
-                        got = peaks_and_slopes(opp for opp, _ in profiles)
-                        assert got == expected, (pref.peak, omega, n)
-                        # every profile's numerators are its peaks over the
-                        # returned D, which holds the report's peak and omega
-                        assert common % pref.peak.denominator == 0
-                        assert common % omega.denominator == 0
-                        for opponents, numerators in profiles:
-                            peaks = tuple(F(x, common) for x in numerators)
-                            assert peaks == tuple(p.peak for p in opponents)
+                    # each profile is the opponents' peak numerators over
+                    # the report's D, which holds its peak and omega
+                    common, profiles = integer_profiles(pref.peak, *args)
+                    got = [opponents(common, profile) for profile in profiles]
+                    assert peaks_and_slopes(got) == expected, (pref.peak, omega, n)
+                    assert all(len(profile) == n - 1 for profile in profiles)
 
 
 def recording_rule(seen):
@@ -666,20 +674,62 @@ def test_kernel_sets_build_economies_only_for_the_domain_and_read_witnesses(
     assert off_grid_ends > 0
 
 
-def test_a_refined_report_adds_one_family_entry():
-    # a report whose peak times n - 1 refines the families' D reads the
-    # families kept for (omega, n, grid step), their numerators times the
-    # factor, so no rescaled copy is cached
-    refined = 0
-    for peak, omega, n in c04_cases():
-        family = _shared_families(omega, n, 60)[0]
-        if family % (peak.denominator * (n - 1)) == 0:
+def counting_preferences(monkeypatch):
+    """Every `SinglePeaked` built from now on, in order."""
+    built = []
+    post_init = SinglePeaked.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(SinglePeaked, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["ced", "proportional", "simple:cel"])
+def test_kernel_sets_build_off_grid_opponents_only_for_read_witnesses(
+    name, monkeypatch
+):
+    # a peak of 1/7 at grid step 6 puts both ends of the option set, and so
+    # their witness opponents, off the grid: the kernel runs on integers, so
+    # no opponent preference is built until its witness is read
+    rule, omega, pref = get_rule(name), F(1), SinglePeaked(F(1, 7))
+    grid_prefs = _grid_prefs(omega, 6)
+    built = counting_preferences(monkeypatch)
+    read = 0
+    for n in (2, 3, 4):
+        built.clear()
+        oset = option_set_sampled(rule, 0, pref, omega, n, 6)
+        assert built == []
+        for outcome in oset.outcomes:
+            oset.witnesses[outcome]
+        # each off-grid opponent peak is built once per witness economy
+        assert all(p.peak not in grid(omega, 6) for p in built)
+        economies = [oset.witnesses[x] for x in oset.outcomes]
+        off_grid = [e for e in economies if e.prefs[1] not in grid_prefs]
+        assert len(built) == len(off_grid)
+        assert all(e.prefs[1] is e.prefs[-1] for e in off_grid)
+        read += len(built)
+    assert read > 0
+
+
+def test_reading_a_kernel_less_rules_witnesses_builds_no_economy(monkeypatch):
+    # a rule without a kernel runs on each profile's economy and keeps the
+    # first of each outcome as its witness, so reading one builds nothing
+    rule = gallery("underline")
+    built = counting_economies(monkeypatch)
+    for peak, omega, n in c04_cases()[:10]:
+        if n < rule.min_agents:
             continue
-        refined += 1
-        _shared_families.cache_clear()
-        option_set_sampled(ced, 0, SinglePeaked(peak), omega, n)
-        assert _shared_families.cache_info().currsize == 1
-    assert refined > 0
+        oset = option_set_sampled(rule, 0, SinglePeaked(peak), omega, n)
+        sampled = {id(e) for e in built}
+        built.clear()
+        witnesses = [oset.witnesses[outcome] for outcome in oset.outcomes]
+        assert built == []
+        assert all(id(e) in sampled for e in witnesses)
+        assert all(oset.replay(outcome) for outcome in oset.outcomes)
+        built.clear()
 
 
 def counting_calls(monkeypatch):
@@ -827,20 +877,21 @@ def test_rules_without_a_kernel_build_one_economy_per_profile(rule, monkeypatch)
         if n < rule.min_agents:
             continue
         pref = SinglePeaked(peak)
-        families = _shared_families(omega, n, 60)
-        profiles = list(_opponent_profiles(peak, omega, n, 60, families)[1])
+        common, profiles = integer_profiles(peak, omega, n)
         built.clear()
         oset = option_set_sampled(rule, 0, pref, omega, n)
         # the rule checks its domain on every call, so no economy is built
         # for a domain check: one per profile, in generation order
-        assert [e.prefs for e in built] == [(pref, *opp) for opp, _ in profiles]
-        # every witness is kept as its profile and built on its first read
+        expected = [(pref, *opponents(common, profile)) for profile in profiles]
+        assert [e.prefs for e in built] == expected
+        # every witness is the economy its outcome was first found on
+        sampled = list(built)
         built.clear()
         for outcome in oset.outcomes:
             first = oset.witnesses[outcome]
-            assert built[-1] is first
+            assert any(first is e for e in sampled)
             assert oset.witnesses[outcome] is first
-        assert len(built) == len(oset.outcomes)
+        assert built == []
 
 
 def test_witnesses_read_like_the_dict_they_replace():
@@ -947,9 +998,7 @@ def test_each_kernel_call_is_checked(name, monkeypatch):
         awards.clear()
         feasible.clear()
         option_set_sampled(rule, 0, pref, omega, n)
-        families = _shared_families(omega, n, 60)
-        _, profiles = _opponent_profiles(peak, omega, n, 60, families)
-        profiles = len(list(profiles))
+        profiles = len(integer_profiles(peak, omega, n)[1])
         assert len(feasible) == profiles
         assert len(awards) == (profiles if rule.simple else 0)
 
@@ -1032,11 +1081,12 @@ def test_nonpositive_omega_refused_on_both_paths(rule, omega):
     ids=["n=1", "n=1, min_agents=1", "below min_agents", "plateau", "plateau, spl"],
 )
 def test_sampled_option_set_refuses_before_building_families(rule, pref, n, message):
-    _shared_families.cache_clear()
+    # the refusal comes before the sampler looks up the grid's preferences
+    _grid_prefs.cache_clear()
     with pytest.raises(ValueError) as refused:
         option_set_sampled(rule, 0, pref, F(1), n, grid_step=6)
     assert str(refused.value) == message
-    assert _shared_families.cache_info().currsize == 0
+    assert _grid_prefs.cache_info().currsize == 0
 
 
 def test_one_agent_refused_for_a_simple_rule_too():
@@ -1229,6 +1279,25 @@ def test_check_nom_without_eligible_cases_reports_no_cases():
     report = check_nom(gallery("bar"), [NomCase(OM_PREF, F(1), 2)], grid_step=6)
     assert (report.verdict, report.checked, report.failed) == (NO_CASES, 0, False)
     assert check_nom(uniform, [], grid_step=6).verdict == NO_CASES
+
+
+@pytest.mark.parametrize(
+    "rule,cases,steps,bad",
+    [
+        (uniform, [], (0, None), 0),
+        (gallery("star"), [NomCase(SinglePeaked(F(1, 3)), F(1), 2)], (0, None), 0),
+        (uniform, [], (6, -1), -1),
+    ],
+    ids=["no cases", "skipped case", "option grid"],
+)
+def test_check_nom_refuses_a_bad_grid_without_a_search(rule, cases, steps, bad):
+    # no case is searched, so the scan itself refuses the grid a search
+    # would have refused, in the same text
+    with pytest.raises(ValueError) as expected:
+        _check_grid_step(bad)
+    with pytest.raises(ValueError) as refused:
+        check_nom(rule, cases, grid_step=steps[0], option_grid_step=steps[1])
+    assert str(refused.value) == str(expected.value)
 
 
 def test_reallocation_rules_pass_nom_sweep():
