@@ -9,6 +9,14 @@ builds the report. FAIL carries that witness; PASS_ON_SAMPLE is evidence,
 not proof; a check that inspected no case says NO_CASES instead. `AXIOMS`
 is the one table of what each checker reads: peaks, endowments, a grid.
 Indifference is exact disutility equality; there is no tolerance anywhere.
+
+Efficiency, edg, endowments-guarantee and peak-responsiveness decide on
+integers: the allotment's amounts over its denominator (`Allotment._common`,
+`_numerators`) against the economy's integer profile
+(`Economy._integer_profile`), which the rules have already read. They
+build a Fraction only to write a witness's text. Symmetry skips on those
+integers every pair with unequal effective peaks or equal amounts, and
+compares disutilities only for the identical agents that remain.
 """
 
 from __future__ import annotations
@@ -82,21 +90,26 @@ def _scan(
 def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Same-sidedness, equivalent to efficiency on the single-peaked domain:
     nobody exceeds their peak under excess demand, nobody falls short of it
-    under excess supply (both constraints bind in the balanced case)."""
+    under excess supply (both constraints bind in the balanced case).
+    Decided on integers: peak p over D against amount a over U as a·D
+    against p·U."""
 
     def violation(econ: Economy) -> Optional[Witness]:
         peaks = econ.peaks()
         x = rule(econ)
-        z = sum(peaks) - econ.omega
-        for i in range(econ.n):
-            if z >= 0 and x[i] > peaks[i]:
+        common, ints, total, _ = econ._integer_profile()
+        unit, amounts = x._common, x._numerators
+        z = sum(ints) - total
+        for i, p in enumerate(ints):
+            a, p = amounts[i] * common, p * unit
+            if z >= 0 and a > p:
                 return Witness(
                     econ,
                     (i,),
                     f"excess demand but agent {i + 1} gets "
                     f"{fr(x[i])} above peak {fr(peaks[i])}",
                 )
-            if z <= 0 and x[i] < peaks[i]:
+            if z <= 0 and a < p:
                 return Witness(
                     econ,
                     (i,),
@@ -142,16 +155,22 @@ def check_own_peak_only(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
 def check_symmetry(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
     """Agents with identical preferences (the same plateau ends and slopes:
     a peak is a plateau of width zero) must be indifferent between their
-    amounts (exact disutility equality, not equality of amounts)."""
+    amounts (exact disutility equality, not equality of amounts). A pair
+    whose effective peaks differ (the integer profile's) is skipped first:
+    identical preferences always have equal effective peaks. So is a pair
+    of identical agents with equal amounts."""
     shape = attrgetter("plateau_lo", "plateau_hi", "left_slope", "right_slope")
 
     def violation(econ: Economy) -> Optional[Witness]:
         x = rule(econ)
-        kinds = list(map(shape, econ.prefs))
+        _, peaks, _, _ = econ._integer_profile()
+        prefs, amounts = econ.prefs, x._numerators
         for i, j in itertools.combinations(range(econ.n), 2):
-            if kinds[i] != kinds[j]:
+            if peaks[i] != peaks[j] or amounts[i] == amounts[j]:
                 continue
-            pref = econ.prefs[i]
+            pref = prefs[i]
+            if shape(pref) != shape(prefs[j]):
+                continue
             if pref.disutility(x[i]) != pref.disutility(x[j]):
                 return Witness(
                     econ,
@@ -170,23 +189,28 @@ def _reference_guarantee(
     axiom: str, rule: Rule, econs: Iterable[Economy], endowed: bool
 ) -> AxiomReport:
     """An agent whose peak is exactly their reference point (omega/n, or
-    their own endowment) must end up indifferent to it."""
+    their own endowment) must end up indifferent to it: with slopes
+    positive, get exactly their peak. Decided on integers: the peak p
+    over D is omega/n when p·n equals omega's integer, the endowment when
+    it equals the endowment's; the amount a over U is p when a·D = p·U."""
     fact = "owns their peak {}" if endowed else "has peak {} = equal division"
 
     def violation(econ: Economy) -> Optional[Witness]:
         if endowed and econ.endowments is None:
             raise ValueError("endowments-guarantee needs endowed economies")
-        peaks = econ.peaks()
+        econ.peaks()  # refuses plateaus before the rule runs
         x = rule(econ)
-        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
-        for i, pref in enumerate(econ.prefs):
-            if peaks[i] != reference[i]:
+        common, peaks, total, endowments = econ._integer_profile()
+        unit, amounts, n = x._common, x._numerators, econ.n
+        for i, p in enumerate(peaks):
+            if (p != endowments[i]) if endowed else (p * n != total):
                 continue
-            if pref.disutility(x[i]) != pref.disutility(reference[i]):
+            if amounts[i] * common != p * unit:
+                reference = econ.endowments[i] if endowed else econ.equal_share
                 return Witness(
                     econ,
                     (i,),
-                    f"agent {i + 1} {fact.format(fr(reference[i]))} "
+                    f"agent {i + 1} {fact.format(fr(reference))} "
                     f"but gets {fr(x[i])}",
                 )
         return None
@@ -208,13 +232,16 @@ def check_endowments_guarantee(
 
 
 def check_peak_responsive(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
-    """Weakly larger peaks must receive weakly larger amounts."""
+    """Weakly larger peaks must receive weakly larger amounts, compared on
+    the integers: the peaks share D and the amounts share U."""
 
     def violation(econ: Economy) -> Optional[Witness]:
         peaks = econ.peaks()
         x = rule(econ)
+        _, ints, _, _ = econ._integer_profile()
+        amounts = x._numerators
         for i, j in itertools.permutations(range(econ.n), 2):
-            if peaks[i] <= peaks[j] and x[i] > x[j]:
+            if ints[i] <= ints[j] and amounts[i] > amounts[j]:
                 return Witness(
                     econ,
                     (i, j),

@@ -120,19 +120,26 @@ class Economy:
         return self._integers
 
     def replace_pref(self, agent: int, pref: Preference) -> "Economy":
-        """This economy with `agent`'s preference replaced by `pref`, built
-        through the constructor. It inherits this economy's integer profile
-        when that profile has been read and `pref` has the replaced agent's
-        plateau ends (a peak's are the peak twice): the profile is a
-        function of the plateau ends, omega and the endowments alone, and
-        none of them changed. Otherwise the new economy computes its own
-        profile on first read."""
+        """This economy with `agent`'s preference replaced by `pref`. It is
+        built without the constructor, from this economy's already-checked
+        omega and endowments: n, omega and the endowments are unchanged,
+        and the constructor checks nothing about a preference, so the
+        result equals the economy `Economy(prefs, omega, endowments)`
+        builds and nothing goes unchecked. It inherits this economy's
+        integer profile when that profile has been read and `pref` has the
+        replaced agent's plateau ends (a peak's are the peak twice): the
+        profile is a function of the plateau ends, omega and the endowments
+        alone, and none of them changed. Otherwise the new economy computes
+        its own profile on first read."""
         prefs = list(self.prefs)
         old, prefs[agent] = prefs[agent], pref
-        econ = Economy(tuple(prefs), self.omega, self.endowments)
+        econ = object.__new__(Economy)
+        _set(econ, "prefs", tuple(prefs))
+        _set(econ, "omega", self.omega)
+        _set(econ, "endowments", self.endowments)
         ends = (pref.plateau_lo, pref.plateau_hi)
         if self._integers is not None and ends == (old.plateau_lo, old.plateau_hi):
-            object.__setattr__(econ, "_integers", self._integers)
+            _set(econ, "_integers", self._integers)
         return econ
 
 
@@ -243,11 +250,13 @@ class Allotment:
 
 def _check_feasible(common: int, amounts: Sequence[int], omega: Fraction) -> None:
     """Refuse amounts, integers over `common`, that are negative or do not
-    sum to omega exactly."""
-    if min(amounts, default=0) < 0:
-        raise ValueError("allotments must be nonnegative")
+    sum to omega exactly (refused in that order). One combined test on
+    omega's integer pair; the refusal is told apart only when it fails."""
+    numerator, denominator = omega.as_integer_ratio()
     total = sum(amounts)
-    if total * omega.denominator != omega.numerator * common:
+    if total * denominator != numerator * common or min(amounts, default=0) < 0:
+        if min(amounts, default=0) < 0:
+            raise ValueError("allotments must be nonnegative")
         raise ValueError(
             f"infeasible allotment: sum {Fraction(total, common)} != omega {omega}"
         )

@@ -6,10 +6,12 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
+from allotment.axioms import FAIL, NO_CASES, PASS_ON_SAMPLE, AxiomReport, Witness
 from allotment.claims import ClaimsProblem, ClaimsRule
 from allotment.economy import Allotment, Economy
 from allotment.manipulation import (
@@ -18,6 +20,7 @@ from allotment.manipulation import (
     option_set_simple,
 )
 from allotment.preferences import SinglePeaked, SinglePlateaued
+from allotment.rational import format_rational as fr
 from allotment.sampling import grid as peak_grid, random_rational
 
 
@@ -608,3 +611,106 @@ class CountingPeaked(SinglePeaked):
     def disutility(self, x):
         self.calls.append(x)
         return super().disutility(x)
+
+
+# -- the Fraction forms of the axiom checkers that decide on integers ---------
+
+
+def _same_sided_fraction(econ, x):
+    peaks = econ.peaks()
+    z = sum(peaks) - econ.omega
+    for i in range(econ.n):
+        if z >= 0 and x[i] > peaks[i]:
+            return Witness(
+                econ,
+                (i,),
+                f"excess demand but agent {i + 1} gets "
+                f"{fr(x[i])} above peak {fr(peaks[i])}",
+            )
+        if z <= 0 and x[i] < peaks[i]:
+            return Witness(
+                econ,
+                (i,),
+                f"excess supply but agent {i + 1} gets "
+                f"{fr(x[i])} below peak {fr(peaks[i])}",
+            )
+    return None
+
+
+def _symmetry_fraction(econ, x):
+    shape = attrgetter("plateau_lo", "plateau_hi", "left_slope", "right_slope")
+    kinds = list(map(shape, econ.prefs))
+    for i, j in itertools.combinations(range(econ.n), 2):
+        if kinds[i] != kinds[j]:
+            continue
+        pref = econ.prefs[i]
+        if pref.disutility(x[i]) != pref.disutility(x[j]):
+            return Witness(
+                econ,
+                (i, j),
+                f"identical agents {i + 1},{j + 1} get {fr(x[i])} vs "
+                f"{fr(x[j])} with disutilities "
+                f"{fr(pref.disutility(x[i]))} vs "
+                f"{fr(pref.disutility(x[j]))}",
+            )
+    return None
+
+
+def _reference_fraction(endowed):
+    fact = "owns their peak {}" if endowed else "has peak {} = equal division"
+
+    def violation(econ, x):
+        peaks = econ.peaks()
+        reference = econ.endowments if endowed else (econ.equal_share,) * econ.n
+        for i, pref in enumerate(econ.prefs):
+            if peaks[i] != reference[i]:
+                continue
+            if pref.disutility(x[i]) != pref.disutility(reference[i]):
+                return Witness(
+                    econ,
+                    (i,),
+                    f"agent {i + 1} {fact.format(fr(reference[i]))} "
+                    f"but gets {fr(x[i])}",
+                )
+        return None
+
+    return violation
+
+
+def _peak_responsive_fraction(econ, x):
+    peaks = econ.peaks()
+    for i, j in itertools.permutations(range(econ.n), 2):
+        if peaks[i] <= peaks[j] and x[i] > x[j]:
+            return Witness(
+                econ,
+                (i, j),
+                f"peaks {fr(peaks[i])} <= {fr(peaks[j])} but amounts "
+                f"{fr(x[i])} > {fr(x[j])}",
+            )
+    return None
+
+
+# axiom -> violation(econ, allotment) on Fractions: the amounts, peaks,
+# omega/n and endowments compared as Fractions, indifference as equal
+# disutilities; a reference for the checkers that decide on integers
+FRACTION_VIOLATIONS = {
+    "efficiency": _same_sided_fraction,
+    "symmetry": _symmetry_fraction,
+    "edg": _reference_fraction(endowed=False),
+    "endowments-guarantee": _reference_fraction(endowed=True),
+    "peak-responsive": _peak_responsive_fraction,
+}
+
+
+def fraction_check(axiom, rule, econs):
+    """The report of `axiom`'s Fraction form: each economy of at least
+    `rule.min_agents` agents counted in order, up to the first witness."""
+    checked = 0
+    for econ in econs:
+        if econ.n < rule.min_agents:
+            continue
+        checked += 1
+        witness = FRACTION_VIOLATIONS[axiom](econ, rule(econ))
+        if witness is not None:
+            return AxiomReport(axiom, FAIL, checked, witness)
+    return AxiomReport(axiom, PASS_ON_SAMPLE if checked else NO_CASES, checked)

@@ -26,9 +26,11 @@ from allotment.manipulation import check_nom, nom_sweep
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
+    RULE_NAMES,
     Rule,
     ced,
     gallery,
+    get_rule,
     proportional,
     simple_from_claims,
     simple_reallocation_from_claims,
@@ -39,10 +41,11 @@ from allotment.sampling import (
     exaggeration_economy,
     guarantee_gap_economy,
     lowest_peak_economy,
+    random_plateaued_economy,
     standard_suite,
     two_agent_om_economy,
 )
-from helpers import pareto_improvement_on_grid
+from helpers import FRACTION_VIOLATIONS, fraction_check, pareto_improvement_on_grid
 
 
 def econ(peaks, omega, endowments=None):
@@ -433,6 +436,80 @@ def test_equal_losses_simple_rule_manipulable_by_exaggeration():
     )
     assert report.failed
     assert report.witness.agents == (0,)
+
+
+# -- the integer checkers against their Fraction forms ------------------------------
+
+
+def with_references(e):
+    """e, then e with agent 2 holding agent 1's preference (identical
+    agents), agent 1's peak moved to omega/n, and, when e is endowed,
+    agent 2's peak moved to its endowment: each reference branch of the
+    checkers is reached on most draws."""
+    prefs = list(e.prefs)
+    prefs[1] = prefs[0]
+    twin = Economy(tuple(prefs), e.omega, e.endowments)
+    if not e.is_single_peaked:
+        return [e, twin]
+    share = SinglePeaked(e.equal_share, prefs[0].left_slope, prefs[0].right_slope)
+    variants = [e, twin, e.replace_pref(0, share)]
+    if e.endowments is not None:
+        variants.append(variants[-1].replace_pref(1, SinglePeaked(e.endowments[1])))
+    return variants
+
+
+def oracle_cases(seed):
+    """axiom -> the economies its checker is compared on: seeded suites
+    with and without endowments, their reference variants and, for
+    symmetry, seeded plateau draws."""
+    peaked = [v for e in standard_suite(seed, 24) for v in with_references(e)]
+    endowed = [
+        v
+        for e in standard_suite(seed, 16, with_endowments=True)
+        for v in with_references(e)
+    ]
+    rng = random.Random(seed)
+    plateaued = [
+        v for _ in range(16) for v in with_references(random_plateaued_economy(rng))
+    ]
+    cases = {axiom: peaked + endowed for axiom in FRACTION_VIOLATIONS}
+    cases["endowments-guarantee"] = endowed
+    cases["symmetry"] = peaked + endowed + plateaued
+    return cases
+
+
+def report_or_refusal(check):
+    try:
+        return check()
+    except ValueError as refused:
+        return f"refused: {refused}"
+
+
+def summary(report):
+    if isinstance(report, str):
+        return report
+    witness = report.witness
+    found = None if witness is None else (witness.agents, witness.description)
+    return report.verdict, report.checked, found
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("axiom", list(FRACTION_VIOLATIONS))
+def test_integer_checkers_match_their_fraction_forms(axiom, seed):
+    # every registered rule (the gallery's five included), each economy on
+    # its own and the whole list in one scan; a rule's refusal must be the
+    # same refusal
+    check, cases = AXIOM_CHECKERS[axiom], oracle_cases(seed)[axiom]
+    failed = 0
+    for name in RULE_NAMES:
+        rule = get_rule(name)
+        for econs in [[e] for e in cases] + [cases]:
+            ours = report_or_refusal(lambda: check(rule, econs))
+            theirs = report_or_refusal(lambda: fraction_check(axiom, rule, econs))
+            assert summary(ours) == summary(theirs), (name, econs)
+            assert ours == theirs
+            failed += not isinstance(ours, str) and ours.failed
+    assert failed  # some witness text was compared
 
 
 # -- witness replay determinism -----------------------------------------------------

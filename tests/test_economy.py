@@ -255,6 +255,72 @@ def test_replacements_keeping_the_plateau_ends_inherit_the_profile(
             assert fresh._integer_profile() == profile
 
 
+def replacements(pref):
+    """A slope change that keeps the plateau ends, the peak or plateau
+    one half higher, and the other kind of preference on the same ends
+    where there is one (a peak is the plateau of width zero at it)."""
+    lo, hi = pref.plateau_lo, pref.plateau_hi
+    moved = (
+        SinglePeaked(lo + F(1, 2))
+        if isinstance(pref, SinglePeaked)
+        else SinglePlateaued(lo + F(1, 2), hi + F(1, 2))
+    )
+    other = SinglePlateaued(lo, hi) if isinstance(pref, SinglePeaked) else None
+    if other is None and lo == hi:
+        other = SinglePeaked(lo)
+    swapped = dataclasses.replace(pref, left_slope=F(3), right_slope=F(1, 2))
+    return [r for r in (swapped, moved, other) if r is not None]
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "agents, omega, endowments",
+    [
+        (PEAKS, F(7, 2), None),
+        (STRADDLE, 3, None),
+        (SUPPLY, 3, None),
+        (PEAKS, F(7, 2), (F(1, 6), 1, F(7, 3))),
+        (MIXED, 3, (1, F(1, 2), F(3, 2))),
+    ],
+    ids=["peaked", "plateaued", "plateaus under supply", "endowed", "mixed, endowed"],
+)
+def test_a_replacement_is_the_economy_the_constructor_builds(
+    agents, omega, endowments, read, monkeypatch
+):
+    # replace_pref skips the constructor: the variant must be the economy
+    # it would build, down to its pickled bytes (a read profile included)
+    base = economy_of(agents, omega, endowments)
+    if read:
+        base._integer_profile()
+    built = []
+    post_init = Economy.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Economy, "__post_init__", counted)
+    inherited = 0
+    for i, pref in enumerate(base.prefs):
+        for replacement in replacements(pref):
+            variant = base.replace_pref(i, replacement)
+            assert built == []
+            prefs = list(base.prefs)
+            prefs[i] = replacement
+            fresh = Economy(tuple(prefs), base.omega, base.endowments)
+            built.clear()
+            assert variant == fresh and hash(variant) == hash(fresh)
+            assert repr(variant) == repr(fresh)
+            assert type(variant) is Economy
+            if variant._integers is not None:  # inherited: read fresh's too
+                assert variant._integers is base._integers
+                fresh._integer_profile()
+                inherited += 1
+            assert pickle.dumps(variant) == pickle.dumps(fresh)
+            assert variant._integer_profile() == fresh._integer_profile()
+    assert bool(inherited) == read
+
+
 def test_a_peak_replacing_a_plateau_inherits_nothing():
     # the new economy mixes peaks and plateaus: it inherits no profile and
     # computes its own on first read
