@@ -609,19 +609,24 @@ def test_rebuilt_kernel_rules_are_sampled_through_their_own_calls(name):
 def test_a_wrapped_proportional_gets_c02s_certificate():
     # the probe carries uniform's allocate attributes but calls
     # proportional, so the search runs its calls and finds proportional's
-    # certificate at c02's inputs, which replays
+    # certificate at c02's inputs (misreport peak 0), which replays, at the
+    # default grid step and at 60
     probe = Rule(
         "p-wrapped", functools.wraps(uniform.allocate)(lambda e: proportional(e))
     )
     assert probe.kernel is None
     args = (0, two_agent_om_economy().prefs[0], F(1), 2)
-    certificate = find_obvious_manipulation(probe, *args, grid_step=60)
-    expected = find_obvious_manipulation(proportional, *args, grid_step=60)
-    assert certificate is not None and certificate.verdict.is_obvious
-    assert certificate.misreport == expected.misreport
-    assert certificate.verdict == expected.verdict
-    for oset in (certificate.oset_true, certificate.oset_misreport):
-        assert all(oset.replay(outcome) for outcome in oset.outcomes)
+    for grid in ({}, {"grid_step": 60}):
+        certificate = find_obvious_manipulation(probe, *args, **grid)
+        expected = find_obvious_manipulation(proportional, *args, **grid)
+        assert certificate is not None and certificate.verdict.is_obvious
+        assert certificate.misreport.peak == 0
+        assert certificate.misreport == expected.misreport
+        assert certificate.verdict == expected.verdict
+        assert certificate.oset_true.replay(certificate.verdict.w_truth)
+        assert certificate.oset_misreport.replay(certificate.verdict.w_misreport)
+        for oset in (certificate.oset_true, certificate.oset_misreport):
+            assert all(oset.replay(outcome) for outcome in oset.outcomes)
 
 
 # -- witness economies built when read ---------------------------------------

@@ -417,11 +417,13 @@ def test_hidden_integer_entry_gives_the_same_allotments():
 def test_a_wrapper_of_a_claims_rule_is_run_not_its_namesake():
     # functools.wraps copies cea's attributes onto a rule that calls cel,
     # yet its simple rule allocates as simple:cel (uniform gives 1/2, 3/4,
-    # 3/4 on the first economy), and its reallocation rule as realloc:cel
+    # 3/4 on the first economy, whose endowments the simple rule ignores),
+    # and its reallocation rule as realloc:cel
     fake = functools.wraps(cea)(lambda cp: cel(cp))
     rule, endowed = simple_from_claims(fake), simple_reallocation_from_claims(fake)
-    three = econ([F(1, 2), F(1), F(3, 2)], 2)
-    assert list(rule(three)) == [F(1, 2), F(2, 3), F(5, 6)]
+    for endowments in (None, (F(1), F(1, 2), F(1, 2))):
+        three = econ([F(1, 2), F(1), F(3, 2)], 2, endowments)
+        assert list(rule(three)) == [F(1, 2), F(2, 3), F(5, 6)]
     twin, endowed_twin = get_rule("simple:cel"), get_rule("realloc:cel")
     for e in standard_suite(10, 48):
         assert tuple(rule(e)) == tuple(twin(e))
