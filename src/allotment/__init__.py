@@ -7,7 +7,7 @@ checkers, and obvious-manipulation detection with option sets.
 """
 
 from .axioms import (
-    AXIOM_CHECKERS,
+    AXIOMS,
     NO_CASES,
     AxiomReport,
     Witness,

@@ -1,13 +1,10 @@
 """Executable checkers for the allotment-rule axioms.
 
 Each checker is a sampled refuter: a `violation` function that inspects one
-economy and returns a `Witness` that replays deterministically, or None.
-`_scan` applies the one scan policy every checker shares (and `check_nom`
-in `manipulation` too): it skips cases with fewer agents than the rule
-needs, counts the rest in the order given, stops at the first witness and
-builds the report. FAIL carries that witness; PASS_ON_SAMPLE is evidence,
-not proof; a check that inspected no case says NO_CASES instead. `AXIOMS`
-is the one table of what each checker reads: peaks, endowments, a grid.
+economy and returns a `Witness` that replays deterministically, or None;
+`report._scan` scans the cases for every checker, `check_nom` (imported
+from `manipulation`) too. `AXIOMS` is the one table of every axiom `check`
+takes and of what each reads: peaks, endowments, a grid, economies or cases.
 Indifference is exact disutility equality; there is no tolerance anywhere.
 
 Efficiency, edg, endowments-guarantee and peak-responsiveness decide on
@@ -24,67 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Optional
 
 from .economy import Economy, _split_scaled
+from .manipulation import check_nom
 from .preferences import SinglePeaked
 from .rational import format_rational as fr
+from .report import FAIL, NO_CASES, PASS_ON_SAMPLE, AxiomReport, Witness, _scan
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
 from .sampling import SLOPE_CATALOGUE, _check_grid_step, _grid_prefs
-
-PASS_ON_SAMPLE = "PASS_ON_SAMPLE"
-FAIL = "FAIL"
-NO_CASES = "NO_CASES"
-
-_Case = TypeVar("_Case")
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A reproducible violation: economy, agents involved, exact details."""
-
-    economy: Economy
-    agents: Tuple[int, ...]
-    description: str
-    perturbed: Optional[Economy] = None
-    detail: object = None
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom: str
-    verdict: str
-    checked: int
-    witness: Optional[Witness] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == FAIL
-
-    def line(self) -> str:
-        text = f"{self.axiom}: {self.verdict}"
-        if self.witness is not None:
-            text += f" ({self.witness.description})"
-        return text
-
-
-def _scan(
-    axiom: str,
-    rule: Rule,
-    cases: Iterable[_Case],
-    violation: Callable[[_Case], Optional[Witness]],
-) -> AxiomReport:
-    """Inspect each case the rule is defined on (n >= rule.min_agents, e.g.
-    n >= 3 for some gallery rules) until `violation` returns a witness."""
-    checked = 0
-    for case in cases:
-        if case.n < rule.min_agents:
-            continue
-        checked += 1
-        witness = violation(case)
-        if witness is not None:
-            return AxiomReport(axiom, FAIL, checked, witness)
-    return AxiomReport(axiom, PASS_ON_SAMPLE if checked else NO_CASES, checked)
 
 
 def check_same_sided(rule: Rule, econs: Iterable[Economy]) -> AxiomReport:
@@ -370,17 +315,16 @@ def check_strategy_proofness(
 class Axiom:
     """An axiom's checker and what it reads, so that a caller refuses or
     draws before the first case: `peaks` (so single-peaked economies only;
-    the default), `endowments`, and `grid` (the checker takes `grid_step`).
-    `cases` is None for a checker of economies, else its own case source."""
+    the default), `endowments`, `grid` (the checker takes `grid_step`) and
+    `economies` (False for a checker of `NomCase`s, which `check` draws)."""
 
     check: Callable[..., AxiomReport]
     peaks: bool = True
     endowments: bool = False
     grid: bool = False
-    cases: Optional[Callable] = None
+    economies: bool = True
 
 
-# the axioms checked on economies (nom's row is in `cli.AXIOMS`)
 AXIOMS = {
     "efficiency": Axiom(check_same_sided),
     "own-peak-only": Axiom(check_own_peak_only),
@@ -392,5 +336,5 @@ AXIOMS = {
     "edlb": Axiom(check_edlb, peaks=False),
     "betweenness": Axiom(check_betweenness),
     "sp": Axiom(check_strategy_proofness, grid=True),
+    "nom": Axiom(check_nom, grid=True, economies=False),
 }
-AXIOM_CHECKERS = {name: row.check for name, row in AXIOMS.items()}

@@ -14,18 +14,18 @@ bytes. --format machine prints, byte for byte, what
 writer of its own (`_machine_json`) that skips json's pure-Python
 indenting encoder.
 
-Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found),
-2 a usage error argparse reports (a flag the subcommand does not take, a
---random count below 1, a check given both an economy file and --random)
-or any ValueError, raised here or by the library and printed as "error:
-<message>" (a rule name that `get_rule` refuses, an empty --axioms, an
---expect-fail axiom that --axioms does not request, an economy file of
-the wrong shape or with an unknown key, an empty grid, a rule run on too
-few agents or on preferences outside its domain, an axiom on agents or a
-file it cannot read (`AXIOMS`), a check in which a requested axiom
-inspected no case), 3 internal error (any other exception, reported as
-"internal error: <Type>: <message>" so that a crash never reads as a
-FAIL).
+Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found), 2 a
+usage error argparse reports (a flag the subcommand does not take, a
+--random count that is not an integer of at least 1, a check given both an
+economy file and --random) or any ValueError, raised here or by the
+library and printed as "error: <message>" (a rule name that `get_rule`
+refuses, an empty --axioms, an --expect-fail axiom that --axioms does not
+request, an economy file of the wrong shape or with an unknown key, an
+empty grid, a rule run on too few agents or on preferences outside its
+domain, an axiom on agents or a file it cannot read (its row of
+`axioms.AXIOMS`), a check in which a requested axiom inspected no case), 3
+internal error (any other exception, reported as "internal error: <Type>:
+<message>" so that a crash never reads as a FAIL).
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from fractions import Fraction
 from math import isfinite
 from typing import Dict, List, Optional
 
-from .axioms import AXIOMS as ECONOMY_AXIOMS, Axiom, AxiomReport, Witness
+from .axioms import AXIOMS, AxiomReport, Witness
 from .economy import Economy
 from .manipulation import (
     NomCase,
     ObviousManipulation,
-    check_nom,
     find_obvious_manipulation,
     nom_sweep,
     option_set_sampled,
@@ -326,10 +325,6 @@ def _nom_cases(args, econ: Optional[Economy], realloc: bool) -> List[NomCase]:
     ]
 
 
-# every axiom check takes; nom's row is here since `manipulation` imports `axioms`
-AXIOMS = {**ECONOMY_AXIOMS, "nom": Axiom(check_nom, grid=True, cases=_nom_cases)}
-
-
 def cmd_check(args, rule: Rule) -> int:
     """Check the requested axioms on one economy file or on seeded draws
     (`random_plateaued_economy` for an spl: rule, else `standard_suite`).
@@ -368,7 +363,7 @@ def cmd_check(args, rule: Rule) -> int:
         )
     if econ is not None:
         econs = [econ]
-    elif all(row.cases for row in rows):
+    elif not any(row.economies for row in rows):
         econs = []
     elif plateaued:
         rng = random.Random(args.seed)
@@ -379,7 +374,7 @@ def cmd_check(args, rule: Rule) -> int:
 
     reports: List[AxiomReport] = []
     for row in rows:
-        cases = econs if row.cases is None else row.cases(args, econ, realloc)
+        cases = econs if row.economies else _nom_cases(args, econ, realloc)
         samples = samples or len(cases)
         extra = {"grid_step": args.grid_step} if row.grid else {}
         reports.append(row.check(rule, cases, **extra))
@@ -556,7 +551,10 @@ def _add_common(parser: argparse.ArgumentParser, grid_step: bool = True) -> None
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"count must be an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"count must be at least 1, got {value}")
     return value

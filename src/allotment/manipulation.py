@@ -55,12 +55,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .axioms import AxiomReport, Witness, _scan
 from .economy import Economy, _check_feasible, _checked_size
 from .preferences import SinglePeaked, worst
 from .rational import _scaled, format_rational as fr, parse_rational
+from .report import AxiomReport, Witness, _scan
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule
-from .sampling import _check_count, _check_grid_step, _grid_prefs
+from .sampling import PEAK_BOX, _check_count, _check_grid_step, _grid_prefs
 from .sampling import random_preference, random_rational, two_agent_om_economy
 
 
@@ -170,7 +170,7 @@ def _opponent_profiles(
     that stops early builds no more of them than it reads.
     """
     step = total // grid_step  # the grid's spacing over D
-    for x in range(0, 2 * total + 1, step):
+    for x in range(0, PEAK_BOX * total + 1, step):
         yield (x,) * (n - 1)
     lo, hi = sorted((total // n, min(mine, total)))
     for x in sorted({lo, hi, *range(lo + -lo % step, hi + 1, step)}):
@@ -208,8 +208,8 @@ def _sampler(
         rule.check_domain(Economy((pref,) * n, omega))
     base = math.lcm((omega / grid_step).denominator, (omega / n).denominator)
     grid_spec = (
-        f"opponent peaks at multiples of {fr(omega)}/{grid_step} on "
-        f"[0, {fr(2 * omega)}]; identical, witness, and complementary families"
+        f"opponent peaks at multiples of {fr(omega)}/{grid_step} on [0, "
+        f"{fr(PEAK_BOX * omega)}]; identical, witness, and complementary families"
     )
 
     def sample(report: SinglePeaked, stop: Optional[Callable] = None):

@@ -31,6 +31,7 @@ SLOPE_CATALOGUE: Tuple[Tuple[Fraction, Fraction], ...] = tuple(
 )
 
 MAX_DENOMINATOR = 60
+PEAK_BOX = 2  # peaks, drawn and on the grid, lie in [0, PEAK_BOX * omega]
 
 
 def random_rational(rng: random.Random, hi: Fraction) -> Fraction:
@@ -43,7 +44,7 @@ def random_rational(rng: random.Random, hi: Fraction) -> Fraction:
 
 
 def random_preference(rng: random.Random, omega: Fraction) -> SinglePeaked:
-    peak = random_rational(rng, 2 * parse_rational(omega))
+    peak = random_rational(rng, PEAK_BOX * parse_rational(omega))
     left, right = rng.choice(SLOPE_CATALOGUE)
     return SinglePeaked(peak, left, right)
 
@@ -109,8 +110,8 @@ def random_plateaued_economy(rng: random.Random) -> Economy:
     omega = Fraction(rng.randint(1, 5))
     prefs = []
     for _ in range(n):
-        a = random_rational(rng, 2 * omega)
-        b = random_rational(rng, 2 * omega)
+        a = random_rational(rng, PEAK_BOX * omega)
+        b = random_rational(rng, PEAK_BOX * omega)
         lo, hi = min(a, b), max(a, b)
         if rng.random() < 1 / 4:
             hi = lo  # degenerate plateau, behaves single-peaked
@@ -245,15 +246,15 @@ def standard_suite(
 
 
 def grid(omega: Fraction, step_denominator: int = 60) -> List[Fraction]:
-    """Peak grid: multiples of omega/step covering [0, 2*omega]; omega is
-    an exact rational (a float is refused).
+    """Peak grid: multiples of omega/step covering [0, PEAK_BOX*omega];
+    omega is an exact rational (a float is refused).
 
     A denominator below 1 is refused: 0 divides by zero and a negative one
     gives an empty grid, over which every searched verdict holds vacuously.
     """
     _check_grid_step(step_denominator)
     step = parse_rational(omega) / step_denominator
-    return [k * step for k in range(2 * step_denominator + 1)]
+    return [k * step for k in range(PEAK_BOX * step_denominator + 1)]
 
 
 @functools.lru_cache(maxsize=32, typed=True)

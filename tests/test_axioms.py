@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import allotment
+from allotment import cli
 from allotment.axioms import (
-    AXIOM_CHECKERS,
     AXIOMS,
     FAIL,
     NO_CASES,
@@ -22,7 +23,7 @@ from allotment.axioms import (
 )
 from allotment.claims import cea, cel, pro
 from allotment.economy import Allotment, Economy
-from allotment.manipulation import check_nom, nom_sweep
+from allotment.manipulation import NomCase, check_nom, nom_sweep
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
     DOMAIN_SP_ENDOWMENTS,
@@ -145,14 +146,21 @@ PLATEAUS = Economy(
 @pytest.mark.parametrize("axiom", list(AXIOMS))
 def test_a_peak_reading_checker_refuses_plateaus_before_the_rule(axiom):
     # a row that reads peaks has a checker that refuses a plateau economy
-    # through Economy.peaks() before it calls the rule; the other checkers
-    # (symmetry, envy-free, edlb) check it under uniform, which takes plateaus
+    # through Economy.peaks(), or nom's a plateau report in _checked_omega's
+    # text, before it calls the rule; the other checkers (symmetry,
+    # envy-free, edlb) check it under uniform, which takes plateaus
     def never(econ):
         raise AssertionError("ran the rule")
 
     row = AXIOMS[axiom]
-    assert row.check is AXIOM_CHECKERS[axiom]
-    if row.peaks:
+    assert allotment.AXIOMS is AXIOMS is cli.AXIOMS
+    if not row.economies:
+        assert axiom == "nom" and row.peaks
+        plateau = NomCase(PLATEAUS.prefs[0], PLATEAUS.omega, PLATEAUS.n)
+        refusal = "^sampled option sets need a single-peaked report, got Single"
+        with pytest.raises(ValueError, match=refusal + "Plateaued$"):
+            row.check(Rule("never", never), [plateau])
+    elif row.peaks:
         with pytest.raises(ValueError, match=r"^peaks\(\) requires single-peaked"):
             row.check(Rule("never", never), [PLATEAUS])
     else:
@@ -185,7 +193,7 @@ def _scan_contract_cases(axiom):
 
 
 SCAN_CHECKERS = dict(
-    AXIOM_CHECKERS,
+    {name: row.check for name, row in AXIOMS.items()},
     sp=lambda rule, cases: check_strategy_proofness(rule, cases, grid_step=12),
     nom=lambda rule, cases: check_nom(rule, cases, grid_step=12, option_grid_step=12),
 )
@@ -499,7 +507,7 @@ def test_integer_checkers_match_their_fraction_forms(axiom, seed):
     # every registered rule (the gallery's five included), each economy on
     # its own and the whole list in one scan; a rule's refusal must be the
     # same refusal
-    check, cases = AXIOM_CHECKERS[axiom], oracle_cases(seed)[axiom]
+    check, cases = AXIOMS[axiom].check, oracle_cases(seed)[axiom]
     failed = 0
     for name in RULE_NAMES:
         rule = get_rule(name)

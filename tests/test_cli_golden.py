@@ -38,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from allotment.axioms import AXIOMS
 from allotment.cli import economy_from_dict, main
 from allotment.rules import RULE_NAMES, get_rule, sequential_rule
 
@@ -307,6 +308,13 @@ def file_argvs():
     for name in RULE_NAMES:
         econ = "plateaus" if name.startswith("spl:") else "three"
         found.append(["allocate", f"{econ}.json", name])
+    # every axiom check takes, on seeded draws, under a simple rule and a
+    # rule that is not simple
+    for rule in ("uniform", "ced"):
+        for axiom in AXIOMS:
+            found.append(
+                ["check", "--random", "12", "--seed", "1", rule, "--axioms", axiom]
+            )
     # the sequential construction named as it prints: an explicit order and
     # the descending policy; an order naming other agents exits 2
     for order in ("hi,order=2,3", "lo,descending", "lo,order=1,2"):

@@ -45,6 +45,7 @@ from allotment.rules import (
     gallery,
     get_rule,
     proportional,
+    sequential_rule,
     simple_from_claims,
     simple_reallocation_from_claims,
     uniform,
@@ -1499,3 +1500,75 @@ def test_sampled_search_stops_before_full_option_sets():
     calls.clear()
     assert sampled_nom_oracle(*args, peaks, 12) is None
     assert searched < len(calls)
+
+
+# -- metamorphic relations of the sampler, through public calls only ---------------
+
+METAMORPHIC_RULES = [
+    get_rule(name)
+    for name in RULE_NAMES
+    if not name.startswith(("realloc:", "spl:"))
+] + [sequential_rule("mid"), sequential_rule("quarter")]
+METAMORPHIC_CASES = nom_sweep(3, 30, n_values=(2, 3, 4))
+SCALES = [F(7, 3), F(2, 9), F(5)]
+
+
+def metamorphic_runs():
+    """(rule, case) for every rule and every case it takes."""
+    return [
+        (rule, case)
+        for rule in METAMORPHIC_RULES
+        for case in METAMORPHIC_CASES
+        if case.n >= rule.min_agents
+    ]
+
+
+def scaled_report(pref, scale):
+    return SinglePeaked(scale * pref.peak, pref.left_slope, pref.right_slope)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+def test_scaling_omega_and_the_report_scales_the_sampled_set(scale):
+    for rule, case in metamorphic_runs():
+        args = (rule, case.agent, case.pref, case.omega, case.n)
+        outcomes = option_set_sampled(*args, grid_step=6).outcomes
+        scaled = option_set_sampled(
+            rule,
+            case.agent,
+            scaled_report(case.pref, scale),
+            scale * case.omega,
+            case.n,
+            grid_step=6,
+        )
+        assert scaled.outcomes == tuple(scale * o for o in outcomes), (rule, case)
+
+
+def test_a_sampled_set_is_a_subset_of_the_set_at_twice_the_grid():
+    for rule, case in metamorphic_runs():
+        args = (rule, case.agent, case.pref, case.omega, case.n)
+        coarse = option_set_sampled(*args, grid_step=6).outcomes
+        fine = option_set_sampled(*args, grid_step=12).outcomes
+        assert set(coarse) <= set(fine), (rule, case)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+def test_a_certificate_misreport_scales_with_omega_and_the_report(scale):
+    fired = 0
+    for rule, case in metamorphic_runs():
+        steps = {"grid_step": 6, "option_grid_step": 6}
+        found = find_obvious_manipulation(
+            rule, case.agent, case.pref, case.omega, case.n, **steps
+        )
+        scaled = find_obvious_manipulation(
+            rule,
+            case.agent,
+            scaled_report(case.pref, scale),
+            scale * case.omega,
+            case.n,
+            **steps,
+        )
+        assert (found is None) == (scaled is None), (rule, case)
+        if found is not None:
+            fired += 1
+            assert scaled.misreport.peak == scale * found.misreport.peak
+    assert fired  # some certificate was scaled

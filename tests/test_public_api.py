@@ -4,7 +4,7 @@ import allotment
 
 # the package's public surface; test oracles live in tests/helpers.py
 PUBLIC_NAMES = """
-    AXIOM_CHECKERS Allotment Awards AxiomReport ClaimsProblem Economy
+    AXIOMS Allotment Awards AxiomReport ClaimsProblem Economy
     ManipulationVerdict NO_CASES NomCase ObviousManipulation RULE_NAMES
     RationalParseError Rule SELECTORS SLOPE_CATALOGUE SampledOptionSet
     SinglePeaked SinglePlateaued Witness cea ced cel check_betweenness
