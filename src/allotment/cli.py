@@ -5,14 +5,18 @@ its rule as the rule prints it, simple:appendix-b[hi,order=2,3] for
 instance, and `get_rule` resolves it before any file is read. Economies
 load from JSON objects (omega, an agents array, an optional endowments
 array) whose rationals are exact "p/q" strings or integers; decimals are
-rejected so exactness survives end to end. Each document has its own
-parse memo, so a string repeated across its agents (a slope, say) is
-parsed once; allocate writes the allotment from its integers. Only check
-draws random economies (--seed); identical invocations print identical
-bytes. --format machine prints, byte for byte, what
-`json.dumps(document, indent=2, sort_keys=True)` would, through a small
-writer of its own (`_machine_json`) that skips json's pure-Python
-indenting encoder.
+rejected so exactness survives end to end. A document is read in one
+pass (`_read_economy`) into its economy and its canonical echo, the
+`economy_to_dict` of that economy, through a parse memo of its own: each
+distinct number string is parsed and formatted once, however many agents
+repeat it (a slope, say), and a string already canonical is its own
+text. allocate prints that echo and writes the allotment from its
+integers; `economy_to_dict` renders the economies the library builds
+(witnesses, for one). Only check draws random economies (--seed);
+identical invocations print identical bytes. --format machine prints,
+byte for byte, what `json.dumps(document, indent=2, sort_keys=True)`
+would, through a small writer of its own (`_machine_json`) that skips
+json's pure-Python indenting encoder.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found), 2 a
 usage error argparse reports (a flag the subcommand does not take, a
@@ -37,7 +41,7 @@ import random
 import sys
 from fractions import Fraction
 from math import isfinite
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from .axioms import AXIOMS, AxiomReport, Witness
 from .economy import Economy
@@ -62,6 +66,8 @@ from .sampling import _check_grid_step, random_plateaued_economy, standard_suite
 ECONOMY_KEYS = ("omega", "agents", "endowments")
 PLATEAU_KEYS = ("plateau_lo", "plateau_hi", "left_slope", "right_slope")
 PEAK_KEYS = ("peak", "left_slope", "right_slope")
+_PLATEAU_SET = frozenset(PLATEAU_KEYS)
+_PEAK_SET = frozenset(PEAK_KEYS)
 
 
 def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
@@ -72,41 +78,48 @@ def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
             )
 
 
-def _read_rational(value, memo: Dict[str, Fraction]) -> Fraction:
-    """`parse_rational(value)`, once per distinct string of a document:
-    `memo` maps each string already read to its Fraction. Only values of
-    exact type str are looked up or stored, since True == 1 == 1.0 as
-    dict keys; every other value goes to `parse_rational` and its
-    refusals."""
-    if type(value) is str:
-        parsed = memo.get(value)
-        if parsed is None:
-            parsed = memo[value] = parse_rational(value)
-        return parsed
-    return parse_rational(value)
+class _Numbers(dict):
+    """One document's numbers: each distinct string read maps to its
+    Fraction and its canonical text, each computed on its first read.
+
+    Only values of exact type str are looked up, since True == 1 == 1.0 as
+    dict keys; `_exact` reads every other value. A string that is already
+    canonical is its own text, so the echo holds no second copy of it."""
+
+    def __missing__(self, text: str) -> Tuple[Fraction, str]:
+        value = parse_rational(text)
+        canonical = format_rational(value)
+        entry = self[text] = (value, text if canonical == text else canonical)
+        return entry
 
 
-def pref_from_dict(raw: dict, memo: Dict[str, Fraction]):
-    """The preference of one agent entry; its numbers (an omitted slope's
-    "1" too) are read through the document's `memo` (see `_read_rational`)."""
+def _exact(value) -> Tuple[Fraction, str]:
+    """A number that is not a string (a JSON int, or a value that
+    `parse_rational` refuses), with its canonical text."""
+    value = parse_rational(value)
+    return value, format_rational(value)
+
+
+def _read_agent(raw, numbers: _Numbers):
+    """One agent entry's preference and its canonical echo, the numbers (an
+    omitted slope's "1" too) read through the document's `numbers`."""
     if not isinstance(raw, dict):
         raise ValueError(f"agent entry must be an object, got {json.dumps(raw)}")
-    if {"plateau_lo", "plateau_hi"} <= raw.keys():
-        _reject_unknown_keys(raw, PLATEAU_KEYS, "a plateau agent")
-        return SinglePlateaued(
-            _read_rational(raw["plateau_lo"], memo),
-            _read_rational(raw["plateau_hi"], memo),
-            _read_rational(raw.get("left_slope", "1"), memo),
-            _read_rational(raw.get("right_slope", "1"), memo),
-        )
-    if "peak" in raw:
-        _reject_unknown_keys(raw, PEAK_KEYS, "a peak agent")
-        return SinglePeaked(
-            _read_rational(raw["peak"], memo),
-            _read_rational(raw.get("left_slope", "1"), memo),
-            _read_rational(raw.get("right_slope", "1"), memo),
-        )
-    raise ValueError(f"agent entry needs a peak or a plateau: {raw}")
+    if "plateau_lo" in raw and "plateau_hi" in raw:
+        kind, keys, allowed = SinglePlateaued, PLATEAU_KEYS, _PLATEAU_SET
+    elif "peak" in raw:
+        kind, keys, allowed = SinglePeaked, PEAK_KEYS, _PEAK_SET
+    else:
+        raise ValueError(f"agent entry needs a peak or a plateau: {json.dumps(raw)}")
+    if not raw.keys() <= allowed:
+        what = "a plateau agent" if kind is SinglePlateaued else "a peak agent"
+        _reject_unknown_keys(raw, keys, what)
+    values, echo = [], {}
+    for key in keys:
+        value = raw.get(key, "1")
+        value, echo[key] = numbers[value] if type(value) is str else _exact(value)
+        values.append(value)
+    return kind(*values), echo
 
 
 def pref_to_dict(pref) -> dict:
@@ -124,23 +137,40 @@ def pref_to_dict(pref) -> dict:
     }
 
 
-def economy_from_dict(raw: dict) -> Economy:
+def _read_economy(raw) -> Tuple[Economy, dict]:
+    """A document's economy and its canonical echo, in one pass: the echo
+    is what `economy_to_dict` writes for that economy, and each distinct
+    number string of the document is parsed and formatted once."""
     if not isinstance(raw, dict):
         raise ValueError(f"an economy must be an object, got {json.dumps(raw)}")
     _reject_unknown_keys(raw, ECONOMY_KEYS, "the economy")
     for key in ("agents", "endowments"):
         if raw.get(key) is not None and not isinstance(raw[key], list):
             raise ValueError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
-    memo: Dict[str, Fraction] = {}
+    numbers = _Numbers()
     try:
-        omega = _read_rational(raw["omega"], memo)
-        prefs = tuple(pref_from_dict(entry, memo) for entry in raw["agents"])
+        omega = raw["omega"]
+        omega, omega_text = numbers[omega] if type(omega) is str else _exact(omega)
+        prefs, agents = [], []
+        for entry in raw["agents"]:
+            pref, echo = _read_agent(entry, numbers)
+            prefs.append(pref)
+            agents.append(echo)
+        echo = {"omega": omega_text, "agents": agents}
         endowments = None
         if raw.get("endowments") is not None:
-            endowments = tuple(_read_rational(w, memo) for w in raw["endowments"])
-        return Economy(prefs, omega, endowments)
+            pairs = [
+                numbers[w] if type(w) is str else _exact(w) for w in raw["endowments"]
+            ]
+            endowments = tuple(w for w, _ in pairs)
+            echo["endowments"] = [text for _, text in pairs]
+        return Economy(tuple(prefs), omega, endowments), echo
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed economy file: {exc}") from exc
+
+
+def economy_from_dict(raw: dict) -> Economy:
+    return _read_economy(raw)[0]
 
 
 def economy_to_dict(econ: Economy) -> dict:
@@ -153,7 +183,8 @@ def economy_to_dict(econ: Economy) -> dict:
     return data
 
 
-def load_economy(path: str) -> Economy:
+def _load(path: str) -> Tuple[Economy, dict]:
+    """The economy of the JSON file at `path` and its echo (`_read_economy`)."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -161,9 +192,12 @@ def load_economy(path: str) -> Economy:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    # economy_from_dict reads every number through parse_rational, which
-    # refuses floats
-    return economy_from_dict(raw)
+    # every number is read through parse_rational, which refuses floats
+    return _read_economy(raw)
+
+
+def load_economy(path: str) -> Economy:
+    return _load(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +322,7 @@ def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
 
 
 def cmd_allocate(args, rule: Rule) -> int:
-    econ = load_economy(args.economy)
+    econ, echo = _load(args.economy)
     allotment = rule(econ)
     # int true division is correctly rounded: a / D == float(Fraction(a, D))
     exact = _format_scaled(allotment._common, allotment._numerators)
@@ -298,7 +332,7 @@ def cmd_allocate(args, rule: Rule) -> int:
         document = {
             "command": "allocate",
             "rule": rule.name,
-            "economy": economy_to_dict(econ),
+            "economy": echo,
             "allotment": exact,
             "decimal": approx,
         }

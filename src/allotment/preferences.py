@@ -16,14 +16,6 @@ from typing import Iterable, Union
 from .rational import ZERO, parse_rational
 
 
-def _coerce(pref, *names: str) -> None:
-    """`parse_rational` each named field, in order, unless a Fraction."""
-    for name in names:
-        value = getattr(pref, name)
-        if type(value) is not Fraction:
-            object.__setattr__(pref, name, parse_rational(value))
-
-
 @dataclass(frozen=True)
 class SinglePeaked:
     """Preference with a unique ideal amount.
@@ -37,11 +29,20 @@ class SinglePeaked:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        _coerce(self, "peak")
-        if self.peak.numerator < 0:
-            raise ValueError(f"peak must be nonnegative, got {self.peak}")
-        _coerce(self, "left_slope", "right_slope")
-        if self.left_slope.numerator <= 0 or self.right_slope.numerator <= 0:
+        # each field not an exact Fraction is parsed and set, in field order
+        peak, left, right = self.peak, self.left_slope, self.right_slope
+        if type(peak) is not Fraction:
+            peak = parse_rational(peak)
+            object.__setattr__(self, "peak", peak)
+        if peak.numerator < 0:
+            raise ValueError(f"peak must be nonnegative, got {peak}")
+        if type(left) is not Fraction:
+            left = parse_rational(left)
+            object.__setattr__(self, "left_slope", left)
+        if type(right) is not Fraction:
+            right = parse_rational(right)
+            object.__setattr__(self, "right_slope", right)
+        if left.numerator <= 0 or right.numerator <= 0:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:
@@ -73,12 +74,26 @@ class SinglePlateaued:
     right_slope: Fraction = Fraction(1)
 
     def __post_init__(self):
-        _coerce(self, "plateau_lo", "plateau_hi", "left_slope", "right_slope")
-        if self.plateau_lo.numerator < 0:
+        # each field not an exact Fraction is parsed and set, in field order
+        lo, hi = self.plateau_lo, self.plateau_hi
+        left, right = self.left_slope, self.right_slope
+        if type(lo) is not Fraction:
+            lo = parse_rational(lo)
+            object.__setattr__(self, "plateau_lo", lo)
+        if type(hi) is not Fraction:
+            hi = parse_rational(hi)
+            object.__setattr__(self, "plateau_hi", hi)
+        if type(left) is not Fraction:
+            left = parse_rational(left)
+            object.__setattr__(self, "left_slope", left)
+        if type(right) is not Fraction:
+            right = parse_rational(right)
+            object.__setattr__(self, "right_slope", right)
+        if lo.numerator < 0:
             raise ValueError("plateau_lo must be nonnegative")
-        if self.plateau_hi < self.plateau_lo:
+        if hi < lo:
             raise ValueError("plateau_hi must be >= plateau_lo")
-        if self.left_slope.numerator <= 0 or self.right_slope.numerator <= 0:
+        if left.numerator <= 0 or right.numerator <= 0:
             raise ValueError("slopes must be strictly positive")
 
     def disutility(self, x) -> Fraction:

@@ -5,8 +5,11 @@ travel as "p/q" strings (or bare integers) in files and reports; decimal
 notation is rejected on input, and the economy constructor, `disutility`,
 `worst`, `sampling.grid`, `sampling.random_rational`, the preference
 constructors and `format_rational` (these two only for a value that is
-not an exact Fraction) coerce through `parse_rational` as well, so no
-float ever enters a computation.
+not an exact Fraction: each constructor tests every field's type inline,
+in field order) coerce through `parse_rational` as well, so no float ever
+enters a computation. The CLI reads an economy document through a memo
+of its own, which calls `parse_rational` and `format_rational` once per
+distinct number string of the document.
 A string of ASCII digits, optionally followed by "/" and ASCII digits --
 the canonical form `format_rational` writes -- is read as two ints; any
 other string goes through Fraction's own parser. `parse_rational` tests

@@ -22,7 +22,7 @@ from allotment.cli import (
 )
 from allotment.economy import Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
-from allotment.rational import format_rational
+from allotment.rational import format_rational, parse_rational
 from allotment.rules import RULE_NAMES, Rule, get_rule
 from allotment.sampling import random_plateaued_economy
 from helpers import economies, spl_extension_oracle
@@ -262,6 +262,9 @@ def test_allocate_prints_the_library_allotment(tmp_path, capsys, name):
         code, out, _ = run(capsys, "allocate", str(path), name, "--format", "machine")
         assert code == 0
         printed = json.loads(out)
+        # the echo is written as the reader parsed the document: canonical
+        # text, omitted slopes as "1", plateaus and endowments kept
+        assert printed["economy"] == economy_to_dict(economy_from_dict(document))
         assert printed["allotment"] == [format_rational(x) for x in amounts]
         assert printed["decimal"] == [float(x) for x in amounts]
         code, out, _ = run(capsys, "allocate", str(path), name)
@@ -273,6 +276,65 @@ def test_allocate_prints_the_library_allotment(tmp_path, capsys, name):
             ],
         )
     assert ran >= 2
+
+
+@pytest.mark.parametrize("plateaued", [False, True], ids=["peaks", "plateaus"])
+def test_allocate_reads_and_writes_each_distinct_number_string_once(
+    tmp_path, capsys, monkeypatch, plateaued
+):
+    # 600 agents over a few strings: every field of every agent, omega and
+    # the endowments repeat them, so reading the document and echoing it
+    # parse and format each distinct string once, not once per field
+    rng = random.Random(54)
+    ends, slopes = ["0", "1/4", "2/4", "3/4", "06/8"], ["1", "3", "1/2", "2/4", 1, 2]
+    agents = []
+    for _ in range(600):
+        lo, hi = sorted(rng.sample(ends, 2), key=F)
+        agent = {"left_slope": rng.choice(slopes)}
+        if rng.random() < 0.5:  # an omitted right slope is read as "1"
+            agent["right_slope"] = rng.choice(slopes)
+        agent.update(
+            {"plateau_lo": lo, "plateau_hi": hi} if plateaued else {"peak": hi}
+        )
+        agents.append(agent)
+    document = {
+        "omega": "600",
+        "agents": agents,
+        "endowments": ["1/2", "3/2"] * 300,
+    }
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(document))
+    distinct = {
+        value
+        for value in [document["omega"], "1", *document["endowments"]]
+        + [value for agent in agents for value in agent.values()]
+        if type(value) is str
+    }
+    calls = {"parse_rational": [], "format_rational": []}
+
+    def counted(name, function):
+        def count(value):
+            calls[name].append(value)
+            return function(value)
+
+        return count
+
+    for name, function in (
+        ("parse_rational", cli_module.parse_rational),
+        ("format_rational", cli_module.format_rational),
+    ):
+        monkeypatch.setattr(cli_module, name, counted(name, function))
+    rule = "realloc:cea" if not plateaued else "uniform"
+    code, out, _ = run(capsys, "allocate", str(path), rule, "--format", "machine")
+    assert code == 0
+    monkeypatch.undo()
+    assert json.loads(out)["economy"] == economy_to_dict(economy_from_dict(document))
+    parsed = [value for value in calls["parse_rational"] if type(value) is str]
+    assert len(parsed) == len(set(parsed)) == len(distinct)
+    # every value read is a string but the JSON ints 1 and 2, which are
+    # read wherever they stand
+    ints = len(calls["parse_rational"]) - len(parsed)
+    assert len(calls["format_rational"]) == len(distinct) + ints
 
 
 def test_allocate_documents_reach_rounded_quotients_and_unreduced_denominators():
@@ -459,6 +521,17 @@ def first_agent(agent):
     return {"omega": "1", "agents": [agent, {"peak": "1"}]}
 
 
+def test_agent_entry_without_a_peak_or_plateau_is_printed_as_json(tmp_path, capsys):
+    path = tmp_path / "peek.json"
+    path.write_text(json.dumps(first_agent({"peek": "1/2", "plateau_lo": None})))
+    assert run(capsys, "allocate", str(path), "uniform") == (
+        2,
+        "",
+        'error: agent entry needs a peak or a plateau: '
+        '{"peek": "1/2", "plateau_lo": null}\n',
+    )
+
+
 @pytest.mark.parametrize(
     "document, message",
     [
@@ -533,6 +606,92 @@ def test_loader_fuzz_exits_0_or_2(tmp_path_factory, document):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(document))
     assert main(["allocate", str(path), "simple:cea"]) in (0, 2)
+
+
+def field_by_field_economy(raw):
+    """The economy a document reads to when each entry's keys are checked
+    one by one and each number goes through parse_rational on its own:
+    the reader without its parse memo, its echo or its fast paths."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"an economy must be an object, got {json.dumps(raw)}")
+    cli_module._reject_unknown_keys(raw, ECONOMY_KEYS, "the economy")
+    for key in ("agents", "endowments"):
+        if raw.get(key) is not None and not isinstance(raw[key], list):
+            raise ValueError(f"{key!r} must be an array, got {json.dumps(raw[key])}")
+
+    def pref(entry):
+        if not isinstance(entry, dict):
+            raise ValueError(f"agent entry must be an object, got {json.dumps(entry)}")
+        if {"plateau_lo", "plateau_hi"} <= entry.keys():
+            kind, keys, what = SinglePlateaued, PLATEAU_KEYS, "a plateau agent"
+        elif "peak" in entry:
+            kind, keys, what = SinglePeaked, PEAK_KEYS, "a peak agent"
+        else:
+            raise ValueError(
+                f"agent entry needs a peak or a plateau: {json.dumps(entry)}"
+            )
+        cli_module._reject_unknown_keys(entry, keys, what)
+        return kind(*[parse_rational(entry.get(key, "1")) for key in keys])
+
+    try:
+        omega = parse_rational(raw["omega"])
+        prefs = tuple(pref(entry) for entry in raw["agents"])
+        endowments = raw.get("endowments")
+        if endowments is not None:
+            endowments = tuple(parse_rational(w) for w in endowments)
+        return Economy(prefs, omega, endowments)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed economy file: {exc}") from exc
+
+
+def read_outcome(read, document):
+    """The economy read(document) returns and the types of its numbers, or
+    the type and text of its refusal."""
+    try:
+        econ = read(document)
+    except Exception as exc:
+        return type(exc), str(exc)
+    numbers = [econ.omega, *(econ.endowments or ())]
+    numbers += [value for pref in econ.prefs for value in vars(pref).values()]
+    return econ, [type(x) for x in numbers]
+
+
+REFUSAL_ORDER = [
+    # each document has two faults; the first one read must be refused
+    {"omega": "x", "agents": [{"peak": "y"}]},
+    {"agents": [{"peak": "y"}, {"peak": "1"}]},
+    {"omega": "1", "agents": None},
+    {"omega": "1", "agents": [{"peak": "x", "left_slope": 0.5}, {"peek": "1"}]},
+    {"omega": "1", "agents": [{"peak": "1", "left_slope": "x", "right_slope": True}]},
+    {"omega": "1", "agents": [{"peak": "-1", "left_slope": "x"}, {"peak": "1"}]},
+    {"omega": "1", "agents": [{"peak": "1/2", "left_slope": "0", "right": "1"}]},
+    {"omega": "1", "agents": [{"plateau_lo": "-1", "plateau_hi": "y"}]},
+    {"omega": "1", "agents": [{"plateau_hi": "0", "plateau_lo": "1", "left_slope": "-1"}]},
+    {"omega": "1", "agents": [{"plateau_lo": "-1", "plateau_hi": "0", "right_slope": 0}]},
+    {"omega": "1", "agents": [{"plateau_lo": "0", "plateau_hi": "1", "peak": "x"}]},
+    {"omega": "1", "agents": [{"peak": "z"}, {"peak": "1"}], "endowments": ["q"]},
+    {"omega": "1", "agents": [{"peak": "1"}, {"peak": "1"}], "endowments": ["1", 1.5]},
+]
+
+
+def assert_reads_as_field_by_field(document):
+    # the same economy or the same refusal, raised at the same place, and
+    # the echo read with an economy is what economy_to_dict writes for it
+    expected = read_outcome(field_by_field_economy, document)
+    assert read_outcome(economy_from_dict, document) == expected
+    if isinstance(expected[0], Economy):
+        assert cli_module._read_economy(document)[1] == economy_to_dict(expected[0])
+
+
+@pytest.mark.parametrize("document", REFUSAL_ORDER)
+def test_reader_refuses_the_first_fault_read(document):
+    assert_reads_as_field_by_field(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=JSON_VALUES | ECONOMY_LIKE)
+def test_reader_refuses_and_reads_as_field_by_field(document):
+    assert_reads_as_field_by_field(document)
 
 
 def test_allocate_takes_no_sampling_flags(om_file, capsys):

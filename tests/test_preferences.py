@@ -202,9 +202,17 @@ class Exact(F):
     pass
 
 
-# a str (canonical, padded, negative), an int, a bool, a float, a Fraction
-# subclass, a negative and a zero value, and an exact Fraction
-FIELD_VALUES = ["1/2", " 3 ", "-1/2", 2, True, 0.5, Exact(3, 4), F(-1), 0, F(1, 3)]
+class Text(str):
+    pass
+
+
+# for every field: a str (canonical, padded, unreduced, negative, zero), a
+# str subclass, an int (positive, negative, zero), a bool, a float, a
+# Fraction subclass, and an exact Fraction (positive, negative, zero)
+FIELD_VALUES = [
+    "1/2", " 3 ", "06/4", "-1/2", "0", Text("5/2"), 2, -3, 0, True, 0.5,
+    Exact(3, 4), F(1, 3), F(-1), F(0),
+]
 
 
 def peaked_reference(peak, left_slope, right_slope):
@@ -256,7 +264,11 @@ BOTH_REFUSALS = {
             SinglePeaked,
             peaked_reference,
             3,
-            {"peak must be nonnegative, got -1/2", "peak must be nonnegative, got -1"},
+            {
+                "peak must be nonnegative, got -1/2",
+                "peak must be nonnegative, got -1",
+                "peak must be nonnegative, got -3",
+            },
         ),
         (
             SinglePlateaued,
