@@ -16,7 +16,12 @@ integers; `economy_to_dict` renders the economies the library builds
 identical invocations print identical bytes. --format machine prints,
 byte for byte, what `json.dumps(document, indent=2, sort_keys=True)`
 would, through a small writer of its own (`_machine_json`) that skips
-json's pure-Python indenting encoder.
+json's pure-Python indenting encoder. Three tests hold it to that:
+`test_machine_writer_matches_json_dumps` on drawn documents and
+`test_allocate_prints_the_library_allotment` on allocate's, two of 1,000
+agents among them (tests/test_cli.py), and
+`test_machine_documents_are_json_dumps_bytes` on every machine document of
+the golden corpus (tests/test_cli_golden.py).
 
 Exit codes: 0 success/PASS, 1 FAIL verdict (or a manipulation found), 2 a
 usage error argparse reports (a flag the subcommand does not take, a
@@ -123,18 +128,9 @@ def _read_agent(raw, numbers: _Numbers):
 
 
 def pref_to_dict(pref) -> dict:
-    if isinstance(pref, SinglePlateaued):
-        return {
-            "plateau_lo": format_rational(pref.plateau_lo),
-            "plateau_hi": format_rational(pref.plateau_hi),
-            "left_slope": format_rational(pref.left_slope),
-            "right_slope": format_rational(pref.right_slope),
-        }
-    return {
-        "peak": format_rational(pref.peak),
-        "left_slope": format_rational(pref.left_slope),
-        "right_slope": format_rational(pref.right_slope),
-    }
+    """A preference's agent entry, written in the reader's key order."""
+    keys = PLATEAU_KEYS if isinstance(pref, SinglePlateaued) else PEAK_KEYS
+    return {key: format_rational(getattr(pref, key)) for key in keys}
 
 
 def _read_economy(raw) -> Tuple[Economy, dict]:

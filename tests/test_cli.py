@@ -20,10 +20,10 @@ from allotment.cli import (
     load_economy,
     main,
 )
-from allotment.economy import Economy
+from allotment.economy import Allotment, Economy
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rational import format_rational, parse_rational
-from allotment.rules import RULE_NAMES, Rule, get_rule
+from allotment.rules import RULE_NAMES, Rule, get_rule, simple_from_claims
 from allotment.sampling import random_plateaued_economy
 from helpers import economies, spl_extension_oracle
 
@@ -211,6 +211,48 @@ def test_allocate_machine_format_round_trips(om_file, capsys):
 HUGE_PRIME = 2**61 - 1
 HUGE_PEAKS = [2**62 + 855103382165, 2**62 + 418650159057, 2**63 + 730852075449]
 HUGE_ENDOWMENTS = [2**62 + 32, 2**62 + 33, 2**62 + 35]
+
+
+def thousand_agent_documents():
+    """A peaked and a plateaued document of 1,000 agents, drawn from
+    random.Random(1): canonical and non-canonical strings, bare JSON ints
+    and omitted slopes; the peaked one has an endowment of "1" each."""
+    rng = random.Random(1)
+    n = 1000
+
+    def number(k, den):
+        forms = [f"{k}/{den}", f"0{k}/{den}", f" {k}/{den} ", f"{2 * k}/{2 * den}"]
+        return rng.choice(forms)
+
+    def slopes():
+        pair = {}
+        for key in ("left_slope", "right_slope"):
+            value = rng.choice(["1", "3", "1/2", "2/4", 2, None])
+            if value is not None:
+                pair[key] = value
+        return pair
+
+    special = ["2/4", "06/8", " 3 ", 0, 1, 2]
+    agents = [
+        dict(
+            peak=rng.choice(special)
+            if rng.random() < 0.1
+            else number(rng.randint(0, 8 * n), 4 * n),
+            **slopes(),
+        )
+        for _ in range(n)
+    ]
+    peaked = {"omega": str(n), "agents": agents, "endowments": ["1"] * n}
+    ends = [sorted(rng.sample(range(8 * n + 1), 2)) for _ in range(n)]
+    plateaus = [
+        dict(plateau_lo=number(lo, 4 * n), plateau_hi=number(hi, 4 * n), **slopes())
+        for lo, hi in ends
+    ]
+    omega = f"{sum(lo + hi for lo, hi in ends)}/{8 * n}"
+    return peaked, {"omega": omega, "agents": plateaus}
+
+
+THOUSAND_PEAKED, THOUSAND_PLATEAUED = thousand_agent_documents()
 ALLOCATE_DOCUMENTS = {
     # non-canonical strings, bare JSON ints and omitted slopes
     "peaked": {
@@ -241,19 +283,23 @@ ALLOCATE_DOCUMENTS = {
         "agents": [{"peak": f"{p}/{HUGE_PRIME}"} for p in HUGE_PEAKS],
         "endowments": [f"{w}/{HUGE_PRIME}" for w in HUGE_ENDOWMENTS],
     },
+    "peaked-1000": THOUSAND_PEAKED,
+    "plateaued-1000": THOUSAND_PLATEAUED,
 }
 
 
 @pytest.mark.parametrize("name", RULE_NAMES)
 def test_allocate_prints_the_library_allotment(tmp_path, capsys, name):
     # allocate writes the text and the decimals from the allotment's
-    # integers; they must read as the library's amounts do, in both formats
+    # integers; they must read as the library's amounts do, in both formats,
+    # and the machine document must be json.dumps's bytes of itself
     rule, ran = get_rule(name), 0
     for kind, document in ALLOCATE_DOCUMENTS.items():
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(document))
+        economy = load_economy(str(path))
         try:
-            amounts = list(rule(economy_from_dict(document)))
+            amounts = list(rule(economy))
         except ValueError as exc:  # a document outside the rule's domain
             refusal = (2, "", f"error: {exc}\n")
             assert run(capsys, "allocate", str(path), name) == refusal
@@ -261,17 +307,18 @@ def test_allocate_prints_the_library_allotment(tmp_path, capsys, name):
         ran += 1
         code, out, _ = run(capsys, "allocate", str(path), name, "--format", "machine")
         assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         printed = json.loads(out)
         # the echo is written as the reader parsed the document: canonical
         # text, omitted slopes as "1", plateaus and endowments kept
-        assert printed["economy"] == economy_to_dict(economy_from_dict(document))
-        assert printed["allotment"] == [format_rational(x) for x in amounts]
+        assert printed["economy"] == economy_to_dict(economy)
+        assert printed["allotment"] == [str(x) for x in amounts]
         assert printed["decimal"] == [float(x) for x in amounts]
         code, out, _ = run(capsys, "allocate", str(path), name)
         assert (code, out.splitlines()[1:]) == (
             0,
             [
-                "allotment: " + ", ".join(format_rational(x) for x in amounts),
+                "allotment: " + ", ".join(map(str, amounts)),
                 "decimal: " + ", ".join(f"{float(x):.6g}" for x in amounts),
             ],
         )
@@ -1341,6 +1388,47 @@ def test_crash_exits_3_not_the_fail_code(om_file, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: kernel exploded\n"
+
+
+def _allots_nothing(econ):
+    return Allotment._of_scaled(1, [0] * len(econ.prefs), econ.omega)
+
+
+def _raises_value_error(econ_or_problem):
+    raise ValueError("rule bug")
+
+
+# a defective rule, run on good input: (the rule get_rule hands back, argv);
+# "om.json" stands for the om_file fixture's path
+DEFECTIVE_RULES = {
+    "infeasible allotment": (
+        Rule("broken", _allots_nothing),
+        ["allocate", "om.json", "uniform"],
+    ),
+    "ValueError under check": (
+        Rule("broken", _raises_value_error),
+        ["check", "om.json", "uniform", "--axioms", "symmetry"],
+    ),
+    "claims rule's ValueError": (
+        simple_from_claims(_raises_value_error),
+        ["check", "uniform", "--random", "10", "--seed", "1", "--axioms", "efficiency"],
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24")
+@pytest.mark.parametrize("case", DEFECTIVE_RULES)
+def test_defective_rule_exits_3_not_the_usage_code(
+    om_file, capsys, monkeypatch, case
+):
+    # ROADMAP fact 6: the rule's own ValueError still reads as bad input
+    # (exit 2); a defect of the rule is an internal error
+    rule, argv = DEFECTIVE_RULES[case]
+    monkeypatch.setattr("allotment.cli.get_rule", lambda name: rule)
+    argv = [om_file if word == "om.json" else word for word in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("internal error: ")
 
 
 def test_main_builds_its_parser_once(om_file, capsys, monkeypatch):

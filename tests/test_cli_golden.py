@@ -562,6 +562,19 @@ def test_every_printed_rule_name_resolves():
         assert get_rule(name).name == name
 
 
+def test_machine_documents_are_json_dumps_bytes():
+    # --format machine prints, byte for byte, what json.dumps(document,
+    # indent=2, sort_keys=True) would: so does each machine document the
+    # corpus pins, of every command
+    golden = load_golden()
+    documents = [golden[key][1] for key, argv in CASES if "machine" in argv]
+    assert {json.loads(out)["command"] for out in documents} == {
+        "allocate", "check", "option-set", "find-manipulation"
+    }
+    for out in documents:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("key,argv", CASES, ids=[key for key, _ in CASES])
 def test_stdout_matches_golden(key, argv, tmp_path_factory):
     directory = tmp_path_factory.getbasetemp() / "golden-economies"

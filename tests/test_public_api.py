@@ -1,4 +1,8 @@
+import contextlib
 import inspect
+import io
+import re
+from pathlib import Path
 
 import allotment
 
@@ -28,3 +32,16 @@ def test_public_names_are_exactly_the_library_surface():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_readme_quick_start_prints_what_its_comments_show():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(
+        r"^## Library quick start\n\n```python\n(.*?)^```", readme, re.M | re.S
+    ).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    comments = re.findall(r"^print\(.*#\s*(.*)$", block, re.M)
+    assert comments == ["1/2, 5/4, 5/4", "identical, by construction"]
+    assert out.getvalue().splitlines() == [comments[0], comments[0]]
