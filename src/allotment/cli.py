@@ -8,15 +8,22 @@ array) whose rationals are exact "p/q" strings or integers; decimals are
 rejected so exactness survives end to end. A document is read in one
 pass (`_read_economy`) into its economy and its canonical echo, the
 `economy_to_dict` of that economy, through a parse memo of its own: each
-distinct number string is parsed and formatted once, however many agents
-repeat it (a slope, say), and a string already canonical is its own
-text. allocate prints that echo and writes the allotment from its
-integers; `economy_to_dict` renders the economies the library builds
-(witnesses, for one). Only check draws random economies (--seed);
-identical invocations print identical bytes. --format machine prints,
-byte for byte, what `json.dumps(document, indent=2, sort_keys=True)`
-would, through a small writer of its own (`_machine_json`) that skips
-json's pure-Python indenting encoder. Three tests hold it to that:
+distinct number string is read once, however many agents repeat it (a
+slope, say). A string already canonical (`rational._read_canonical`) is
+read as its two ints and is its own text; any other string is parsed and
+formatted. `_read_agent` reads the common entry, a peak and both slopes
+as strings, in one pass. allocate prints that echo and writes the
+allotment from its integers; `economy_to_dict` renders the economies the
+library builds (witnesses, for one). `main` lifts the interpreter's limit
+on int-to-str conversion for its call (`_unlimited_digits`), so that an
+exact number of any length is read and printed; an amount past the
+float range has the decimal infinity. Only check draws random economies
+(--seed); identical invocations print identical bytes. --format machine
+prints, byte for byte, what `json.dumps(document, indent=2,
+sort_keys=True)` would, through a small writer of its own
+(`_machine_json`) that skips json's pure-Python indenting encoder and
+writes a list of dicts that share one key set (an echo's agents) with
+each key encoded once (`_machine_rows`). Three tests hold it to that:
 `test_machine_writer_matches_json_dumps` on drawn documents and
 `test_allocate_prints_the_library_allotment` on allocate's, two of 1,000
 agents among them (tests/test_cli.py), and
@@ -40,12 +47,13 @@ internal error (any other exception, reported as "internal error: <Type>:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
 import sys
 from fractions import Fraction
-from math import isfinite
+from math import inf, isfinite
 from typing import List, Optional, Tuple
 
 from .axioms import AXIOMS, AxiomReport, Witness
@@ -60,7 +68,7 @@ from .manipulation import (
 )
 from .preferences import SinglePeaked, SinglePlateaued
 from .rational import format_rational, parse_rational
-from .rational import _format_scaled
+from .rational import _format_scaled, _read_canonical
 from .rules import DOMAIN_SP_ENDOWMENTS, Rule, get_rule
 from .sampling import _check_grid_step, random_plateaued_economy, standard_suite
 
@@ -89,12 +97,17 @@ class _Numbers(dict):
 
     Only values of exact type str are looked up, since True == 1 == 1.0 as
     dict keys; `_exact` reads every other value. A string that is already
-    canonical is its own text, so the echo holds no second copy of it."""
+    canonical (`_read_canonical`) is its own text, so the echo holds no
+    second copy of it; any other string goes through `parse_rational` and
+    `format_rational`."""
 
     def __missing__(self, text: str) -> Tuple[Fraction, str]:
-        value = parse_rational(text)
-        canonical = format_rational(value)
-        entry = self[text] = (value, text if canonical == text else canonical)
+        value = _read_canonical(text)
+        if value is None:
+            value = parse_rational(text)
+            entry = self[text] = (value, format_rational(value))
+        else:
+            entry = self[text] = (value, text)
         return entry
 
 
@@ -108,6 +121,17 @@ def _exact(value) -> Tuple[Fraction, str]:
 def _read_agent(raw, numbers: _Numbers):
     """One agent entry's preference and its canonical echo, the numbers (an
     omitted slope's "1" too) read through the document's `numbers`."""
+    if type(raw) is dict and raw.keys() == _PEAK_SET:
+        # the common entry, a peak and both slopes as strings, in one pass
+        peak, left, right = raw["peak"], raw["left_slope"], raw["right_slope"]
+        if type(peak) is type(left) is type(right) is str:
+            (peak, peak_text), (left, left_text), (right, right_text) = (
+                numbers[peak], numbers[left], numbers[right]
+            )
+            echo = {
+                "peak": peak_text, "left_slope": left_text, "right_slope": right_text
+            }
+            return SinglePeaked(peak, left, right), echo
     if not isinstance(raw, dict):
         raise ValueError(f"agent entry must be an object, got {json.dumps(raw)}")
     if "plateau_lo" in raw and "plateau_hi" in raw:
@@ -280,12 +304,16 @@ def _machine_json(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [
-            _encode_str(item) if type(item) is str
-            else float.__repr__(item) if type(item) is float and isfinite(item)
-            else _machine_json(item, inner)
-            for item in value
-        ]
+        keys = value[0].keys() if type(value[0]) is dict else None
+        if keys and all(type(row) is dict and row.keys() == keys for row in value):
+            items = _machine_rows(value, sorted(keys), inner)
+        else:
+            items = [
+                _encode_str(item) if type(item) is str
+                else float.__repr__(item) if type(item) is float and isfinite(item)
+                else _machine_json(item, inner)
+                for item in value
+            ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, str):
         return _encode_str(value)
@@ -305,6 +333,27 @@ def _machine_json(value, newline: str = "\n") -> str:
     )
 
 
+def _machine_rows(rows, keys: List[str], newline: str) -> List[str]:
+    """`_machine_json` of each of `rows`, dicts whose sorted key set is
+    `keys` (an echo's agents, a witness economy's): each key is encoded
+    once, into a template that writes a row in one step from its values,
+    encoded a key's column at a time. Values that are not strings still go
+    through `_machine_json`."""
+    inner = newline + "  "
+    # each key's line up to its value; "%" is escaped, as the rows fill
+    # the template with "%"
+    heads = [inner + _encode_str(key).replace("%", "%%") + ": " for key in keys]
+    template = "{" + ",".join(head + "%s" for head in heads) + newline + "}"
+    columns = [
+        [
+            _encode_str(item) if type(item) is str else _machine_json(item, inner)
+            for item in [row[key] for row in rows]
+        ]
+        for key in keys
+    ]
+    return [template % values for values in zip(*columns)]
+
+
 def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
     if fmt == "machine":
         print(_machine_json(document))
@@ -317,12 +366,25 @@ def emit(document: dict, fmt: str, table_lines: List[str]) -> None:
 # subcommands
 
 
+def _decimal(numerator: int, common: int) -> float:
+    """numerator / common as a float; an amount past the float range is
+    infinity, what rounding to the nearest float gives it."""
+    try:
+        return numerator / common
+    except OverflowError:
+        return inf
+
+
 def cmd_allocate(args, rule: Rule) -> int:
     econ, echo = _load(args.economy)
     allotment = rule(econ)
+    common, numerators = allotment._common, allotment._numerators
+    exact = _format_scaled(common, numerators)
     # int true division is correctly rounded: a / D == float(Fraction(a, D))
-    exact = _format_scaled(allotment._common, allotment._numerators)
-    approx = [a / allotment._common for a in allotment._numerators]
+    try:
+        approx = [a / common for a in numerators]
+    except OverflowError:
+        approx = [_decimal(a, common) for a in numerators]
     # only the chosen format is built: the machine document or the table
     if args.format == "machine":
         document = {
@@ -671,22 +733,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift the interpreter's limit on int-to-str and str-to-int conversion
+    (4,300 digits by default, from Python 3.11 and 3.10.7 on) inside the
+    block, so that an exact number of any length is read and printed, and
+    restore the caller's limit after it. The limit is the interpreter's,
+    so another thread converting inside the block converts without it."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # an interpreter without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "check" and (args.economy is None) == (args.random is None):
         parser.error("check needs an economy file or --random COUNT, not both")
-    try:
-        # the one place a rule name is read, before any file or draw
-        return args.func(args, get_rule(args.rule))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(
-            f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr
-        )
-        return 3
+    with _unlimited_digits():
+        try:
+            # the one place a rule name is read, before any file or draw
+            return args.func(args, get_rule(args.rule))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(
+                f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr
+            )
+            return 3
 
 
 if __name__ == "__main__":

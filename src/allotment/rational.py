@@ -8,14 +8,15 @@ constructors and `format_rational` (these two only for a value that is
 not an exact Fraction: each constructor tests every field's type inline,
 in field order) coerce through `parse_rational` as well, so no float ever
 enters a computation. The CLI reads an economy document through a memo
-of its own, which calls `parse_rational` and `format_rational` once per
-distinct number string of the document.
-A string of ASCII digits, optionally followed by "/" and ASCII digits --
-the canonical form `format_rational` writes -- is read as two ints; any
-other string goes through Fraction's own parser. `parse_rational` tests
-the type of its input in this order: an exact Fraction, a str (or str
-subclass), a bool (refused), an int, a Fraction subclass, a float
-(refused). So a Fraction and a string, the two inputs on the hot paths,
+of its own, which reads each distinct number string of the document
+once: `_read_canonical` reads a string already in the canonical form
+`format_rational` writes (nonnegative, no leading zero, reduced, no
+denominator 1) as its two ints with one gcd, and only any other string
+goes through `parse_rational` and then `format_rational`.
+`parse_rational` refuses a decimal string and reads any other string
+through Fraction's own parser. It tests the type of its input in this
+order: an exact Fraction, a str (or str subclass), a bool (refused), an
+int, a Fraction subclass, a float (refused). So a Fraction and a string
 are recognised before the `isinstance(value, Fraction)` test, which runs
 through `ABCMeta` on every call.
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 ZERO = Fraction(0)
 """The exact zero, shared so that hot loops build no Fraction for it."""
@@ -69,16 +70,11 @@ def parse_rational(value) -> Fraction:
         return value
     if isinstance(value, str):
         text = value.strip()
-        num, slash, den = text.partition("/")
-        # ASCII digits, optionally "/" and ASCII digits: no regex needed
-        canonical = text.isascii() and num.isdigit() and (den.isdigit() or not slash)
-        if not canonical and ("." in text or "e" in text.lower()):
+        if "." in text or "e" in text.lower():
             raise RationalParseError(
                 f"decimal {value!r} rejected: use an exact \"p/q\" string"
             )
         try:
-            if canonical:
-                return Fraction(int(num), int(den or 1))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"not a rational: {value!r}") from exc
@@ -93,6 +89,38 @@ def parse_rational(value) -> Fraction:
             f"decimal {value!r} rejected: use an exact \"p/q\" string"
         )
     raise RationalParseError(f"not a rational: {value!r}")
+
+
+def _read_canonical(text: str) -> Optional[Fraction]:
+    """The nonnegative Fraction whose `format_rational` text is `text`, or
+    None when `text` is not such a text (or `int` refuses its digits, as
+    it does past the interpreter's digit limit): the caller then reads it
+    through `parse_rational`, which parses it or refuses it in its own
+    words.
+
+    The canonical text is ASCII digits with no leading zero, optionally
+    followed by "/" and a denominator above 1, with no leading zero, that
+    shares no factor with the numerator. One gcd tests that, so the
+    Fraction is built as `Fraction._from_coprime_ints` (Python 3.12+)
+    builds one, without a second gcd."""
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and num.isdigit()) or (num[0] == "0" and len(num) > 1):
+        return None
+    try:
+        p = int(num)
+        if slash:
+            if not den.isdigit() or den[0] == "0":
+                return None
+            q = int(den)
+            if q == 1 or gcd(p, q) != 1:
+                return None
+        else:
+            q = 1
+    except ValueError:
+        return None
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = p, q
+    return value
 
 
 def _scaled(values: Iterable[Fraction], common: int = 1) -> Tuple[int, List[int]]:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import json
 import random
+import sys
 from fractions import Fraction as F
 from math import lcm
 
@@ -357,7 +359,12 @@ def test_allocate_reads_and_writes_each_distinct_number_string_once(
         + [value for agent in agents for value in agent.values()]
         if type(value) is str
     }
-    calls = {"parse_rational": [], "format_rational": []}
+    # the strings that are not their own canonical text
+    rewritten = {"2/4", "06/8"}
+    assert rewritten == {
+        value for value in distinct if format_rational(parse_rational(value)) != value
+    }
+    calls = {"_read_canonical": [], "parse_rational": [], "format_rational": []}
 
     def counted(name, function):
         def count(value):
@@ -366,22 +373,24 @@ def test_allocate_reads_and_writes_each_distinct_number_string_once(
 
         return count
 
-    for name, function in (
-        ("parse_rational", cli_module.parse_rational),
-        ("format_rational", cli_module.format_rational),
-    ):
-        monkeypatch.setattr(cli_module, name, counted(name, function))
+    for name in calls:
+        monkeypatch.setattr(cli_module, name, counted(name, getattr(cli_module, name)))
     rule = "realloc:cea" if not plateaued else "uniform"
     code, out, _ = run(capsys, "allocate", str(path), rule, "--format", "machine")
     assert code == 0
     monkeypatch.undo()
     assert json.loads(out)["economy"] == economy_to_dict(economy_from_dict(document))
+    # every distinct string is read once, and parsed and formatted only when
+    # it is not already canonical
+    read = calls["_read_canonical"]
+    assert len(read) == len(set(read)) == len(distinct)
+    assert set(read) == distinct
     parsed = [value for value in calls["parse_rational"] if type(value) is str]
-    assert len(parsed) == len(set(parsed)) == len(distinct)
-    # every value read is a string but the JSON ints 1 and 2, which are
-    # read wherever they stand
+    assert sorted(parsed) == sorted(rewritten)
+    # the JSON ints 1 and 2 are parsed and formatted wherever they stand
     ints = len(calls["parse_rational"]) - len(parsed)
-    assert len(calls["format_rational"]) == len(distinct) + ints
+    assert ints > 0
+    assert len(calls["format_rational"]) == len(rewritten) + ints
 
 
 def test_allocate_documents_reach_rounded_quotients_and_unreduced_denominators():
@@ -396,6 +405,67 @@ def test_allocate_documents_reach_rounded_quotients_and_unreduced_denominators()
         get_rule("uniform")(economy_from_dict(ALLOCATE_DOCUMENTS["peaked"])),
     ):
         assert allotment._common != lcm(*(x.denominator for x in allotment))
+
+
+# ced's amounts here have numerators and denominators of about 4,500
+# digits, past the 4,300 that Python converts to text by default
+LONG_Q = 10**1500 + 1
+LONG_AMOUNTS = {
+    "omega": "1",
+    "agents": [{"peak": f"1/{LONG_Q + k}"} for k in range(3)],
+}
+
+
+def test_allocate_prints_exact_amounts_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_AMOUNTS))
+    with cli_module._unlimited_digits():
+        amounts = [str(x) for x in get_rule("ced")(economy_from_dict(LONG_AMOUNTS))]
+    assert all(min(map(len, text.split("/"))) > 4300 for text in amounts)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:  # a caller's own limit is kept
+        sys.set_int_max_str_digits(4400)
+    try:
+        code, out, err = run(capsys, "allocate", str(path), "ced")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "allotment: " + ", ".join(amounts)
+        code, out, err = run(
+            capsys, "allocate", str(path), "ced", "--format", "machine"
+        )
+        assert (code, err) == (0, "")
+        printed = json.loads(out)
+        assert printed["allotment"] == amounts
+        assert printed["economy"]["agents"] == [
+            dict(agent, left_slope="1", right_slope="1")
+            for agent in LONG_AMOUNTS["agents"]
+        ]
+        # a refusal inside main restores the limit too
+        assert run(capsys, "allocate", str(path), "proportional:x")[0] == 2
+        if limit is not None:
+            assert get_limit() == 4400
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_allocate_writes_an_amount_past_the_float_range_as_infinity(
+    tmp_path, capsys
+):
+    # the exact text is printed; the decimal of 10**400 rounds to infinity
+    big = "1" + "0" * 400
+    path = tmp_path / "big.json"
+    document = {"omega": big, "agents": [{"peak": big}, {"peak": "0"}]}
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "allocate", str(path), "uniform")
+    assert (code, out.splitlines()[1:]) == (
+        0,
+        [f"allotment: {big}, 0", "decimal: inf, 0"],
+    )
+    code, out, _ = run(capsys, "allocate", str(path), "uniform", "--format", "machine")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["decimal"] == [float("inf"), 0.0]
 
 
 def test_economy_round_trip_is_field_identical():
@@ -504,6 +574,48 @@ def test_parse_memo_keeps_every_refusal(tmp_path, capsys, value, message, field)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# a canonical-looking number of 5,000 digits, past the 4,300 that Python
+# converts by default (3.11 on, and 3.10.7 on)
+LONG_DIGITS = "1" + "0" * 4998 + "1"
+# strings close to the canonical text: leading zeros, unreduced fractions,
+# a denominator of 1, padding, a sign, a non-ASCII digit, a zero
+# denominator and an over-long number
+NEAR_CANONICAL = [
+    "0", "00", "01", "0/3", "2/4", "3/1", "1/01", "4/2", " 1/2", "+1", "\u0661",
+    "1/0", "0/0", LONG_DIGITS,
+]
+
+
+def memo_outcome(read):
+    """The (Fraction, type, text) read() returns, or its refusal's type and
+    text."""
+    try:
+        value, text = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, type(value), text
+
+
+@pytest.mark.parametrize("unlimited", [False, True], ids=["limit", "no-limit"])
+@pytest.mark.parametrize(
+    "text",
+    NEAR_CANONICAL + ["7", "12/35", "1/" + LONG_DIGITS, LONG_DIGITS + "/3"],
+    ids=lambda text: text if len(text) < 10 else f"{len(text)}-chars",
+)
+def test_parse_memo_reads_as_parse_and_format(text, unlimited):
+    # the memo reads a canonical string itself and every other string
+    # through parse_rational and format_rational: either way the same
+    # Fraction and text, or the same refusal, under the interpreter's digit
+    # limit and without it (as main reads)
+    def parse_and_format():
+        value = parse_rational(text)
+        return value, format_rational(value)
+
+    with cli_module._unlimited_digits() if unlimited else contextlib.nullcontext():
+        expected = memo_outcome(parse_and_format)
+        assert memo_outcome(lambda: cli_module._Numbers()[text]) == expected
+
+
 MACHINE_STRINGS = st.text() | st.sampled_from(
     ['"', "\\", 'a "quoted" \\path\\', "\x00\t\n\r\x1f\x7f", "é €\u2028 😀",
      "\ud800"]
@@ -524,22 +636,38 @@ MACHINE_DOCUMENTS = st.recursive(
     | st.dictionaries(MACHINE_STRINGS, inner, max_size=4),
     max_leaves=24,
 )
+# lists and tuples of dicts that share one key set, as an echo's agents
+# are, alone and as a document's value
+SHARED_KEY_ROWS = st.lists(MACHINE_STRINGS, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({key: MACHINE_DOCUMENTS for key in keys}),
+        min_size=1,
+        max_size=4,
+    )
+)
+MACHINE_ROWS = SHARED_KEY_ROWS | SHARED_KEY_ROWS.map(tuple)
+MACHINE_ROWS |= st.dictionaries(MACHINE_STRINGS, MACHINE_ROWS, max_size=2)
 
 
 @settings(max_examples=500, deadline=None)
-@given(MACHINE_DOCUMENTS)
+@given(MACHINE_DOCUMENTS | MACHINE_ROWS)
 @example({})
 @example([])
 @example({"a": [], "b": {}, "c": [[], {}], "": ()})
 @example({"x": [-0.0, 1e16, 5e-324, float("-inf")], "y": [True, None, -(10**30)]})
+@example([{"peak": "1", "left_slope": "2"}, {"peak": "3"}])  # the last row short
+@example([{"peak": "1"}, {}])
+@example([{}, {}])
+@example({"agents": ({"a": "1", "b": [1, "x", {"c": []}]}, {"a": "2", "b": []})})
+@example([{"%s": "%", "%%": 1.5, "\u00e9": None}, {"%s": "%d", "%%": 2, "\u00e9": 0}])
 def test_machine_writer_matches_json_dumps(document):
     assert _machine_json(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "value",
-    [F(1, 2), {1, 2}, {"a": [b"x"]}, {1: "x"}],
-    ids=["fraction", "set", "nested-bytes", "int-key"],
+    [F(1, 2), {1, 2}, {"a": [b"x"]}, {1: "x"}, [{1: "x"}, {1: "y"}]],
+    ids=["fraction", "set", "nested-bytes", "int-key", "int-key-rows"],
 )
 def test_machine_writer_refuses_values_outside_a_report(value):
     # json refuses the first three too; it would write the int key as
@@ -617,7 +745,11 @@ def test_malformed_economy_files_exit_2(tmp_path, capsys, document, message):
     assert message in err
 
 
-RATIONALS = st.integers(0, 6) | st.sampled_from(["1/2", "3/2", "5/2"])
+RATIONALS = (
+    st.integers(0, 6)
+    | st.sampled_from(["1/2", "3/2", "5/2"])
+    | st.sampled_from(NEAR_CANONICAL)
+)
 JSON_SCALARS = (RATIONALS | st.booleans() | st.integers() | st.text(max_size=4)
                 | st.sampled_from(["-1", "1/0", "0.5", "x"]))
 KNOWN_KEYS = st.sampled_from(ECONOMY_KEYS + PLATEAU_KEYS + PEAK_KEYS)

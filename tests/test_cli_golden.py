@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from allotment.axioms import AXIOMS
-from allotment.cli import economy_from_dict, main
+from allotment.cli import _unlimited_digits, economy_from_dict, main
 from allotment.rules import RULE_NAMES, get_rule, sequential_rule
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.txt"
@@ -186,6 +186,10 @@ ECONOMIES = {
     "two-off-grid": _peaks("1", "1/7", "1/2"),
     "plateau-agents": {"omega": "1", "agents": _agents(("0", "1/2"), ("1/4", "1"))},
     "one-endowment": dict(_peaks("2", "1", "1"), endowments=["2"]),
+    # peaks 1/q, 1/(q + 1), 1/(q + 2) for q = 10**1500 + 1: ced's amounts
+    # have numerators and denominators past the 4,300 digits that Python
+    # converts to text by default
+    "long-amounts": _peaks("1", *[f"1/{10**1500 + 1 + k}" for k in range(3)]),
 }
 
 # the non-simple agents of each economy (from 0), highest index first
@@ -442,6 +446,9 @@ def file_argvs():
     )
     # a rule's name carries its selector: --selector is no flag
     found.append(["allocate", "two-agent.json", "ced", "--selector", "hi"])
+    # exact amounts of about 4,500 digits, in both formats
+    for fmt in ("table", "machine"):
+        found.append(["allocate", "long-amounts.json", "ced", "--format", fmt])
     return found
 
 
@@ -556,7 +563,9 @@ def test_every_printed_rule_name_resolves():
         if document.get("command") == "allocate":
             rule = get_rule(document["rule"])
             allotment = rule(economy_from_dict(document["economy"]))
-            assert [str(a) for a in allotment] == document["allotment"]
+            # as main does, the amounts are written past the digit limit
+            with _unlimited_digits():
+                assert [str(a) for a in allotment] == document["allotment"]
     assert "simple:appendix-b[quarter,order=5,4,3,2]" in names
     for name in names:
         assert get_rule(name).name == name

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from allotment.rational import (
     RationalParseError,
     _format_scaled,
+    _read_canonical,
     exact_sum,
     format_rational,
     parse_rational,
@@ -117,3 +118,23 @@ def test_canonical_strings_parse_as_fraction_does(text):
 @given(OTHER)
 def test_other_strings_keep_the_fraction_parser_result(text):
     assert parsed(text) == parsed_by_fraction(text)
+
+
+def read_canonical_oracle(text):
+    """The Fraction of `text` when it is format_rational's text of a
+    nonnegative rational, else None."""
+    value = parsed(text)
+    if type(value) is F and value >= 0 and format_rational(value) == text:
+        return value
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANONICAL | OTHER | st.fractions().map(format_rational))
+def test_read_canonical_reads_exactly_the_canonical_texts(text):
+    value = _read_canonical(text)
+    assert value == read_canonical_oracle(text)
+    if value is not None:
+        assert type(value) is F
+        assert (type(value.numerator), type(value.denominator)) == (int, int)
+        assert format_rational(value) == text
