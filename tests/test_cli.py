@@ -440,8 +440,6 @@ def test_allocate_prints_exact_amounts_past_the_digit_limit(tmp_path, capsys):
             dict(agent, left_slope="1", right_slope="1")
             for agent in LONG_AMOUNTS["agents"]
         ]
-        # a refusal inside main restores the limit too
-        assert run(capsys, "allocate", str(path), "proportional:x")[0] == 2
         if limit is not None:
             assert get_limit() == 4400
     finally:
@@ -449,23 +447,29 @@ def test_allocate_prints_exact_amounts_past_the_digit_limit(tmp_path, capsys):
             sys.set_int_max_str_digits(limit)
 
 
-def test_allocate_writes_an_amount_past_the_float_range_as_infinity(
-    tmp_path, capsys
-):
-    # the exact text is printed; the decimal of 10**400 rounds to infinity
-    big = "1" + "0" * 400
-    path = tmp_path / "big.json"
-    document = {"omega": big, "agents": [{"peak": big}, {"peak": "0"}]}
-    path.write_text(json.dumps(document))
-    code, out, _ = run(capsys, "allocate", str(path), "uniform")
-    assert (code, out.splitlines()[1:]) == (
-        0,
-        [f"allotment: {big}, 0", "decimal: inf, 0"],
-    )
-    code, out, _ = run(capsys, "allocate", str(path), "uniform", "--format", "machine")
-    assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-    assert json.loads(out)["decimal"] == [float("inf"), 0.0]
+def test_allocate_refuses_a_number_past_the_digit_limit(tmp_path, capsys):
+    # the exact amounts are written past the limit, but the document is
+    # read under it: an over-long number is refused before any work
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    limit = get_limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        long = "1" * 5000
+        for peak in (long, f"1/{long}", "0" + long):
+            path = tmp_path / "over-long.json"
+            document = {"omega": "1", "agents": [{"peak": peak}, {"peak": "0"}]}
+            path.write_text(json.dumps(document))
+            for fmt in ("table", "machine"):
+                code, out, err = run(
+                    capsys, "allocate", str(path), "ced", "--format", fmt
+                )
+                assert (code, out) == (2, "")
+                assert err == f"error: not a rational: {peak!r}\n"
+        assert get_limit() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_economy_round_trip_is_field_identical():
