@@ -23,8 +23,10 @@ invocations print identical bytes. --format machine
 prints, byte for byte, what `json.dumps(document, indent=2,
 sort_keys=True)` would, through a small writer of its own
 (`_machine_json`) that skips json's pure-Python indenting encoder and
-writes a list of dicts that share one key set (an echo's agents) with
-each key encoded once (`_machine_rows`). Three tests hold it to that:
+writes every JSON object through one template writer, with each key
+encoded once (`_machine_rows`): a dict is one row, and a list of dicts
+that share one key set (an echo's agents) shares one template. Three
+tests hold it to that:
 `test_machine_writer_matches_json_dumps` on drawn documents and
 `test_allocate_prints_the_library_allotment` on allocate's, two of 1,000
 agents among them (tests/test_cli.py), and
@@ -288,19 +290,12 @@ def _machine_json(value, newline: str = "\n") -> str:
     Before Python 3.13 json's C encoder does not indent, so json.dumps
     with an indent runs the pure-Python one. This writer covers the
     types a report holds: dicts (str keys), lists and tuples, str, int,
-    float, bool and None; any other value raises TypeError. `newline` is
-    the line break plus the indent of the enclosing level."""
+    float, bool and None; any other value raises TypeError. Every dict
+    goes through `_machine_rows`: a dict as one row, and a list of dicts
+    that share one key set as rows of one template. `newline` is the line
+    break plus the indent of the enclosing level."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [
-            _encode_str(key)
-            + ": "
-            + (_encode_str(item) if type(item) is str else _machine_json(item, inner))
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _machine_rows((value,), sorted(value), newline)[0] if value else "{}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -336,9 +331,10 @@ def _machine_json(value, newline: str = "\n") -> str:
 
 def _machine_rows(rows, keys: List[str], newline: str) -> List[str]:
     """`_machine_json` of each of `rows`, dicts whose sorted key set is
-    `keys` (an echo's agents, a witness economy's): each key is encoded
-    once, into a template that writes a row in one step from its encoded
-    values. Values that are not strings still go through `_machine_json`.
+    `keys`: a single dict, or a list of dicts that share one key set (an
+    echo's agents, a witness economy's). Each key is encoded once, into a
+    template that writes a row in one step from its encoded values.
+    Values that are not strings still go through `_machine_json`.
     A row is written before the next one is encoded: encoding a key's
     column at a time ran 0.2-0.3 ms faster on 1,000 agents but held
     every encoded value at once, 190-250 KB more at its peak."""

@@ -30,7 +30,6 @@ in) and returns an exactly feasible allotment on its declared domain; its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -236,10 +235,6 @@ SELECTORS = {"lo": (0, 1), "hi": (1, 1), "mid": (1, 2), "quarter": (1, 4)}
 ORDER_POLICIES = ("ascending", "descending")
 
 
-class BoundsViolation(AssertionError):
-    """An empty adjustment window; must not happen on valid economies."""
-
-
 def _sequential(share: Tuple[int, int], order=None) -> ClaimsCore:
     """The sequential construction as a claims-rule core. The claimants
     are visited by position: ascending, or descending for the policy
@@ -250,7 +245,10 @@ def _sequential(share: Tuple[int, int], order=None) -> ClaimsCore:
     every later step feasible: at most the claim (`gap`) and what is left
     of E (`room`), at least room less the claims still to come (`floor`).
     The last gets the room. An award off the grid 1/(D*scale) refines the
-    scale."""
+    scale. The window is never empty: by induction the room stays in [0,
+    the claims still to come] whenever 0 <= E <= the sum of the claims,
+    which `_split_scaled` and `ClaimsProblem` both guarantee, and
+    `_simple_rule` checks every award with `_check_awards` anyway."""
     a, b = share
 
     def core(claims, endowment, common, split=None):
@@ -267,17 +265,12 @@ def _sequential(share: Tuple[int, int], order=None) -> ClaimsCore:
             positions = [position[i] for i in order]
         awards = [0] * len(claims)
         scale, room, rest = 1, endowment, sum(claims)
-        for t, j in enumerate(positions[:-1]):
+        for j in positions[:-1]:
             rest -= claims[j]
             gap, floor = claims[j] * scale, room - rest * scale
             lo = floor if floor > 0 else 0
             hi = room if room < gap else gap
             unit = common * scale
-            if lo > hi:
-                raise BoundsViolation(
-                    f"empty window [{Fraction(lo, unit)}, {Fraction(hi, unit)}]"
-                    f" at step {t + 1}"
-                )
             # the award p / q, reduced, on integers
             p, q = lo * b + (hi - lo) * a, unit * b
             g = gcd(p, q)

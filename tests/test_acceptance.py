@@ -259,7 +259,8 @@ def test_c08_sequential_construction_always_feasible():
             order = minus[:]
             rng.shuffle(order)
             for selector in SELECTORS:
-                # any empty window raises, failing the criterion
+                # an award off its window fails _check_awards, failing
+                # the criterion
                 allotment = sequential_rule(selector, order=order)(econ)
                 assert sum(allotment) == econ.omega
                 assert all(a >= 0 for a in allotment)

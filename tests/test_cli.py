@@ -664,18 +664,29 @@ MACHINE_ROWS |= st.dictionaries(MACHINE_STRINGS, MACHINE_ROWS, max_size=2)
 @example([{}, {}])
 @example({"agents": ({"a": "1", "b": [1, "x", {"c": []}]}, {"a": "2", "b": []})})
 @example([{"%s": "%", "%%": 1.5, "\u00e9": None}, {"%s": "%d", "%%": 2, "\u00e9": 0}])
+# a single dict is one row of its own template
+@example({"%s": "%", "%%": {"%d": []}})
+@example([{"a": {"b": {"c": "1", "d": 2}}, "e": "x"}])
+@example({"e": {}, "f": {"g": {}}})
 def test_machine_writer_matches_json_dumps(document):
     assert _machine_json(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "value",
-    [F(1, 2), {1, 2}, {"a": [b"x"]}, {1: "x"}, [{1: "x"}, {1: "y"}]],
-    ids=["fraction", "set", "nested-bytes", "int-key", "int-key-rows"],
+    [
+        F(1, 2),
+        {1, 2},
+        {"a": [b"x"]},
+        {"a": "x", 1: "y"},
+        {1: "x"},
+        [{1: "x"}, {1: "y"}],
+    ],
+    ids=["fraction", "set", "nested-bytes", "mixed-keys", "int-key", "int-key-rows"],
 )
 def test_machine_writer_refuses_values_outside_a_report(value):
-    # json refuses the first three too; it would write the int key as
-    # "1", but a report's keys are all strings
+    # json refuses the first four too, as it cannot sort mixed keys; it
+    # would write an int key as "1", but a report's keys are all strings
     with pytest.raises(TypeError):
         _machine_json(value)
 

@@ -15,7 +15,7 @@ from allotment.axioms import (
     check_own_peak_only,
     check_symmetry,
 )
-from allotment.claims import Awards, _awards, _cea, cea, cel, pro
+from allotment.claims import Awards, _awards, _cea, _check_awards, cea, cel, pro
 from allotment.economy import Allotment, Economy, _split_scaled
 from allotment.preferences import SinglePeaked, SinglePlateaued
 from allotment.rules import (
@@ -571,6 +571,18 @@ def test_sequential_refuses_unknown_order_policy():
     message = "unknown selector 'middle'; choose from lo, hi, mid, quarter"
     with pytest.raises(ValueError, match=f"^{message}$"):
         sequential_rule("middle")
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_sequential_awards_past_the_claims_fail_the_award_check(selector):
+    # E = 3 above claims [1, 1], which no split and no ClaimsProblem
+    # produces, leaves the first window [2, 1] empty; the awards then leave
+    # [0, claim], and _check_awards, which _simple_rule runs on every
+    # division, refuses them
+    claims, endowment, common = [1, 1], 3, 1
+    awards, scale = _sequential(SELECTORS[selector])(claims, endowment, common)
+    with pytest.raises(AssertionError, match="outside"):
+        _check_awards(claims, endowment, common, awards, scale)
 
 
 def test_sequential_windows_nonempty_and_output_simple():
