@@ -259,8 +259,9 @@ def test_c08_sequential_construction_always_feasible():
             order = minus[:]
             rng.shuffle(order)
             for selector in SELECTORS:
-                # an award off its window fails _check_awards, failing
-                # the criterion
+                # a window can be empty only for E outside [0, the sum
+                # of the claims]; then some award leaves [0, claim] and
+                # _check_awards refuses it, failing the criterion
                 allotment = sequential_rule(selector, order=order)(econ)
                 assert sum(allotment) == econ.omega
                 assert all(a >= 0 for a in allotment)
